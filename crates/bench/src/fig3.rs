@@ -234,7 +234,7 @@ pub fn rtt(mode: Fig3Mode, seed: u64, count: u16) -> (f64, u16) {
 pub struct Fig3Cell {
     /// The measured bar pair.
     pub point: Fig3Point,
-    /// Merged metrics from the iperf and RTT simulations.
+    /// Combined metrics from the iperf and RTT simulations.
     pub metrics: obs::MetricsRegistry,
     /// Combined dispatched-event count of both simulations.
     pub dispatched: u64,

@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod datapath;
 pub mod fig2;
 pub mod fig3;
 pub mod report;

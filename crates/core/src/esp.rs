@@ -11,13 +11,11 @@
 
 use bytes::Bytes;
 use netsim::packet::{
-    EspBatch, EspFrameMeta, EspGsoFrame, EspPacket, IcmpKind, IcmpMessage, Packet, Payload,
-    TcpFlags, TcpSegment, UdpData, UdpDatagram,
+    EspPacket, IcmpKind, IcmpMessage, Packet, Payload, TcpFlags, TcpSegment, UdpData, UdpDatagram,
 };
 use sim_crypto::aes::Aes128;
 use sim_crypto::hmac::{verify_mac, HmacKey};
 use std::net::IpAddr;
-use std::sync::{Arc, OnceLock};
 
 /// ICV length: HMAC-SHA-256 truncated to 16 bytes.
 pub const ICV_LEN: usize = 16;
@@ -101,64 +99,21 @@ impl EspSa {
         wire.extend_from_slice(&iv);
         self.cipher.cbc_encrypt_into(&iv, &self.scratch, &mut wire);
         let icv = self.icv(self.seq, &wire);
-        EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: Bytes::copy_from_slice(&icv), gso: None }
+        EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: Bytes::copy_from_slice(&icv) }
     }
 
-    /// Encapsulates a run of transport payloads as one GSO batch. Each
-    /// frame consumes its own (consecutive) sequence number and declares
-    /// exactly the wire length [`Self::encapsulate`] would have
-    /// produced for it — per-frame link accounting is unchanged — but
-    /// the AES-CBC pass and the ICV run once over the concatenated
-    /// inner encodings. Returns one `EspPacket` per frame sharing the
-    /// batch.
+    /// Encapsulates a run of transport payloads, one standalone ESP
+    /// packet per payload: each is exactly what [`Self::encapsulate`]
+    /// returns for it, with its own sequence number, IV and ICV. Kept as
+    /// the burst-shaped entry point that `perfbench`'s
+    /// `core.esp.encap_gso_ns_per_frame` kernel times.
     pub fn encapsulate_gso(&mut self, mode: InnerMode, payloads: &[Payload], iv_seed: u64) -> Vec<EspPacket> {
-        let first_seq = self.seq.wrapping_add(1);
-        let mut concat = Vec::new();
-        let mut frames = Vec::with_capacity(payloads.len());
-        for p in payloads {
-            self.seq = self.seq.wrapping_add(1);
-            let off = concat.len();
-            encode_inner_into(mode, p, &mut concat);
-            let inner_len = concat.len() - off;
-            self.packets += 1;
-            self.bytes += inner_len as u64;
-            frames.push(EspFrameMeta {
-                inner_off: off as u32,
-                inner_len: inner_len as u32,
-                wire_payload_len: (16 + Aes128::cbc_padded_len(inner_len) + ICV_LEN) as u32,
-            });
-        }
-        let mut iv = [0u8; 16];
-        iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
-        iv[8..12].copy_from_slice(&first_seq.to_be_bytes());
-        let mut wire = Vec::with_capacity(16 + concat.len() + 16);
-        wire.extend_from_slice(&iv);
-        self.cipher.cbc_encrypt_into(&iv, &concat, &mut wire);
-        let icv = self.icv(first_seq, &wire);
-        let batch = Arc::new(EspBatch {
-            first_seq,
-            ciphertext: Bytes::from(wire),
-            icv: Bytes::copy_from_slice(&icv),
-            frames,
-            plain: OnceLock::new(),
-        });
-        (0..payloads.len())
-            .map(|i| EspPacket {
-                spi: self.spi,
-                seq: first_seq.wrapping_add(i as u32),
-                ciphertext: Bytes::new(),
-                icv: Bytes::new(),
-                gso: Some(EspGsoFrame { batch: Arc::clone(&batch), index: i as u32 }),
-            })
-            .collect()
+        payloads.iter().map(|p| self.encapsulate(mode, p, iv_seed)).collect()
     }
 
     /// Authenticates, replay-checks and decrypts an inbound ESP packet,
     /// returning the inner mode and payload.
     pub fn decapsulate(&mut self, esp: &EspPacket) -> Result<(InnerMode, Payload), EspError> {
-        if let Some(frame) = &esp.gso {
-            return self.decapsulate_gso(esp.seq, frame);
-        }
         // 1. Authenticate before anything else.
         let expect = self.icv(esp.seq, &esp.ciphertext);
         if !verify_mac(&expect, &esp.icv) {
@@ -178,58 +133,6 @@ impl EspSa {
         self.packets += 1;
         self.bytes += self.scratch.len() as u64;
         decode_inner(&self.scratch).ok_or(EspError::BadInner)
-    }
-
-    /// Decapsulates one frame of a GSO batch. The batch is authenticated
-    /// and decrypted at most once (memoized in the shared [`EspBatch`]);
-    /// replay protection, counters and inner parsing still run per frame
-    /// in arrival order — exactly as unbatched.
-    fn decapsulate_gso(&mut self, seq: u32, frame: &EspGsoFrame) -> Result<(InnerMode, Payload), EspError> {
-        let batch = Arc::clone(&frame.batch);
-        let plain = match batch.plain.get() {
-            Some(cached) => cached.clone(),
-            None => {
-                // First frame of the batch to arrive: one ICV verify +
-                // one CBC pass, no matter how many frames follow. The
-                // sim is single-threaded, so get/set cannot race.
-                let computed = self.decrypt_batch(&batch);
-                let _ = batch.plain.set(computed.clone());
-                computed
-            }
-        };
-        let Some(plain) = plain else {
-            return Err(EspError::BadIcv);
-        };
-        self.check_replay(seq)?;
-        let meta = batch.frames.get(frame.index as usize).copied().ok_or(EspError::BadCiphertext)?;
-        let start = meta.inner_off as usize;
-        let end = start + meta.inner_len as usize;
-        if end > plain.len() {
-            return Err(EspError::BadCiphertext);
-        }
-        self.packets += 1;
-        self.bytes += meta.inner_len as u64;
-        decode_inner(&plain[start..end]).ok_or(EspError::BadInner)
-    }
-
-    /// Batch-level work for [`Self::decapsulate_gso`]: verify the ICV
-    /// over the whole batch ciphertext, then decrypt it. `None` means
-    /// authentication or decryption failed (every frame then reports
-    /// `BadIcv` without touching the replay window).
-    fn decrypt_batch(&mut self, batch: &EspBatch) -> Option<Bytes> {
-        let expect = self.icv(batch.first_seq, &batch.ciphertext);
-        if !verify_mac(&expect, &batch.icv) {
-            return None;
-        }
-        if batch.ciphertext.len() < 32 {
-            return None;
-        }
-        let iv: [u8; 16] = batch.ciphertext[..16].try_into().expect("16 bytes");
-        let mut plain = Vec::with_capacity(batch.ciphertext.len() - 16);
-        if !self.cipher.cbc_decrypt_into(&iv, &batch.ciphertext[16..], &mut plain) {
-            return None;
-        }
-        Some(Bytes::from(plain))
     }
 
     fn icv(&mut self, seq: u32, ciphertext: &[u8]) -> [u8; ICV_LEN] {
@@ -598,22 +501,17 @@ mod tests {
     }
 
     #[test]
-    fn gso_batch_round_trips_and_matches_unbatched() {
+    fn gso_frames_equal_per_frame_encapsulation() {
         let (mut tx, mut rx) = pair();
         let (mut utx, _) = pair();
         let payloads = [tcp_payload(b"first frame"), tcp_payload(b"second"), tcp_payload(b"third one here")];
         let frames = tx.encapsulate_gso(InnerMode::Hit, &payloads, 42);
         assert_eq!(frames.len(), 3);
         for (i, (frame, p)) in frames.iter().zip(&payloads).enumerate() {
-            // Consecutive sequence numbers, same SA counters as unbatched.
+            let single = utx.encapsulate(InnerMode::Hit, p, 42);
             assert_eq!(frame.seq, 1 + i as u32);
-            // The declared wire length matches what unbatched encap produces.
-            let unbatched = utx.encapsulate(InnerMode::Hit, p, 42);
-            assert_eq!(
-                frame.wire_len(),
-                Payload::Esp(unbatched).wire_len(),
-                "frame {i} wire accounting must be unchanged by batching"
-            );
+            assert_eq!(frame.ciphertext, single.ciphertext, "frame {i}");
+            assert_eq!(frame.icv, single.icv, "frame {i}");
             let (mode, back) = rx.decapsulate(frame).expect("frame decap");
             assert_eq!(mode, InnerMode::Hit);
             let (Payload::Tcp(got), Payload::Tcp(want)) = (&back, p) else { panic!() };
@@ -621,7 +519,6 @@ mod tests {
             assert_eq!(got.seq, want.seq);
         }
         assert_eq!(tx.tx_seq(), utx.tx_seq());
-        assert_eq!(tx.packets, 3);
         assert_eq!(tx.bytes, utx.bytes);
         assert_eq!(rx.packets, 3);
     }
@@ -631,7 +528,7 @@ mod tests {
         let (mut tx, mut rx) = pair();
         let payloads = [tcp_payload(b"a"), tcp_payload(b"b")];
         let frames = tx.encapsulate_gso(InnerMode::Hit, &payloads, 7);
-        // Out-of-order arrival within the batch is fine...
+        // Out-of-order arrival within the burst is fine...
         assert!(rx.decapsulate(&frames[1]).is_ok());
         assert!(rx.decapsulate(&frames[0]).is_ok());
         // ...but each frame is accepted only once.
@@ -640,27 +537,19 @@ mod tests {
     }
 
     #[test]
-    fn gso_tampered_batch_rejects_every_frame_without_replay_state() {
+    fn gso_tampered_frame_rejected_alone() {
         let (mut tx, mut rx) = pair();
-        let payloads = [tcp_payload(b"a"), tcp_payload(b"b")];
-        let mut frames = tx.encapsulate_gso(InnerMode::Hit, &payloads, 7);
-        let gso = frames[0].gso.as_ref().unwrap();
-        let mut ct = gso.batch.ciphertext.to_vec();
+        let payloads = [tcp_payload(b"a"), tcp_payload(b"b"), tcp_payload(b"c")];
+        let frames = tx.encapsulate_gso(InnerMode::Hit, &payloads, 7);
+        let mut tampered = frames[1].clone();
+        let mut ct = tampered.ciphertext.to_vec();
         ct[20] ^= 0x01;
-        let bad = Arc::new(EspBatch {
-            first_seq: gso.batch.first_seq,
-            ciphertext: Bytes::from(ct),
-            icv: gso.batch.icv.clone(),
-            frames: gso.batch.frames.clone(),
-            plain: OnceLock::new(),
-        });
-        for (i, f) in frames.iter_mut().enumerate() {
-            f.gso = Some(EspGsoFrame { batch: Arc::clone(&bad), index: i as u32 });
-            assert!(matches!(rx.decapsulate(f), Err(EspError::BadIcv)));
-        }
-        // Auth failure must not have consumed the sequence numbers.
-        let good = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"later"), 8);
-        assert!(rx.decapsulate(&good).is_ok());
+        tampered.ciphertext = Bytes::from(ct);
+        assert!(rx.decapsulate(&frames[0]).is_ok());
+        assert!(matches!(rx.decapsulate(&tampered), Err(EspError::BadIcv)));
+        assert!(rx.decapsulate(&frames[2]).is_ok());
+        // Auth failure must not have consumed the frame's sequence number.
+        assert!(rx.decapsulate(&frames[1]).is_ok());
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl Default for HipConfig {
 }
 
 /// Counters exposed for tests, experiments and ops.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HipStats {
     /// Base exchanges this host started (I1 sent).
     pub bex_initiated: u64,
@@ -819,8 +819,18 @@ impl HipShim {
     // ------------------------------------------------------------------
 
     fn encap_and_send(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, extra_delay: SimDuration) {
-        if matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0) {
-            return self.encap_and_send_gso(api, peer, pkt, extra_delay);
+        if let Payload::Tcp(seg) = &pkt.payload {
+            if seg.gso_mss > 0 {
+                // NIC-level GSO split: each MSS frame is encrypted and
+                // sent as its own ESP packet (own IV draw, ICV, replay
+                // slot and CPU charge), exactly as if TCP had emitted it
+                // alone.
+                for frame in netsim::packet::split_gso(seg) {
+                    let f = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame));
+                    self.encap_and_send(api, peer, f, extra_delay);
+                }
+                return;
+            }
         }
         let mode = if netsim::addr::is_lsi(&pkt.dst) { InnerMode::Lsi } else { InnerMode::Hit };
         let costs = self.config.costs;
@@ -848,52 +858,6 @@ impl HipShim {
             api.metrics().observe_name("esp.out_bytes", payload_len as u64);
         }
         api.send_wire(delay, wire);
-    }
-
-    /// GSO fast path for TCP super-segments: one AES-CBC/HMAC pass over
-    /// the whole burst, while everything the rest of the sim can observe
-    /// — RNG draws, per-frame CPU charges, stats, metrics, and one wire
-    /// packet per MTU frame with unchanged lengths — matches what
-    /// per-MSS [`Self::encap_and_send`] calls would have produced.
-    fn encap_and_send_gso(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, extra_delay: SimDuration) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let frames = netsim::packet::split_gso(seg);
-        let mode = if netsim::addr::is_lsi(&pkt.dst) { InnerMode::Lsi } else { InnerMode::Hit };
-        let costs = self.config.costs;
-        let Some(assoc) = self.assocs.get_mut(&peer) else { return };
-        let Some(sa) = assoc.sa_out.as_mut() else {
-            // Unbatched mode would have seen one drop per frame.
-            self.stats.drops_no_sa += frames.len() as u64;
-            return;
-        };
-        // Unbatched sends draw one IV seed per frame; draw them all (the
-        // batch uses the first) so the RNG stream stays identical.
-        let iv_seed = api.random_u64();
-        for _ in 1..frames.len() {
-            let _ = api.random_u64();
-        }
-        let payloads: Vec<Payload> = frames.into_iter().map(Payload::Tcp).collect();
-        let esps = sa.encapsulate_gso(mode, &payloads, iv_seed);
-        let (local, remote) = (assoc.local_locator, assoc.peer_locator);
-        let ctr = assoc.ctr_esp_out;
-        for (payload, esp) in payloads.iter().zip(esps) {
-            let payload_len = payload.wire_len();
-            let mut work = costs.symmetric(payload_len) + costs.hit_lookup;
-            if mode == InnerMode::Lsi {
-                work += costs.lsi_translation;
-            }
-            let delay = api.charge_cpu(work) + extra_delay;
-            self.stats.esp_out += 1;
-            self.stats.esp_bytes_out += payload_len as u64;
-            if let Some(c) = ctr {
-                api.metrics().add(c, 1);
-            }
-            if api.metrics().is_enabled() {
-                api.metrics().observe_name("esp.encrypt", work.as_nanos());
-                api.metrics().observe_name("esp.out_bytes", payload_len as u64);
-            }
-            api.send_wire(delay, Packet::new(local, remote, Payload::Esp(esp)));
-        }
     }
 
     fn on_esp(&mut self, api: &mut ShimApi, esp: &netsim::packet::EspPacket, wire: &Packet) {

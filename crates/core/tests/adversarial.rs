@@ -11,7 +11,7 @@ use netsim::engine::{Ctx, Node};
 use netsim::host::{App, AppEvent, Host, HostApi};
 use netsim::link::LinkId;
 use netsim::packet::{v4, Packet, Payload};
-use netsim::tcp::TcpEvent;
+use netsim::tcp::{GsoMode, TcpEvent};
 use netsim::{Endpoint, LinkParams, Sim, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,6 +32,31 @@ struct Mitm {
     /// Packets to inject toward the right side at start.
     inject: Vec<Packet>,
     esp_seen: u64,
+    /// Attack only the n-th ESP packet (1-based) heading right.
+    frame_attack: Option<(u64, FrameAttack)>,
+    esp_right: u64,
+}
+
+/// What to do to the one ESP frame singled out by `Mitm::frame_attack`.
+#[derive(Clone, Copy, Debug)]
+enum FrameAttack {
+    /// Flip a ciphertext bit.
+    Tamper,
+    /// Deliver it twice.
+    Replay,
+    /// Swallow it.
+    Drop,
+}
+
+/// Flips one bit in the middle of an ESP packet's ciphertext.
+fn tamper(pkt: &Packet) -> Packet {
+    let Payload::Esp(esp) = &pkt.payload else { panic!("not ESP") };
+    let mut tampered = esp.clone();
+    let mut ct = tampered.ciphertext.to_vec();
+    let mid = ct.len() / 2;
+    ct[mid] ^= 0x80;
+    tampered.ciphertext = Bytes::from(ct);
+    Packet::new(pkt.src, pkt.dst, Payload::Esp(tampered))
 }
 
 impl Node for Mitm {
@@ -43,15 +68,26 @@ impl Node for Mitm {
 
     fn handle_packet(&mut self, iface: usize, pkt: Packet, ctx: &mut Ctx) {
         let out = if iface == 0 { self.right } else { self.left };
-        if let Payload::Esp(esp) = &pkt.payload {
+        if let Payload::Esp(_) = &pkt.payload {
             self.esp_seen += 1;
+            if iface == 0 {
+                self.esp_right += 1;
+                if let Some((n, attack)) = self.frame_attack {
+                    if n == self.esp_right {
+                        match attack {
+                            FrameAttack::Tamper => ctx.transmit(out, tamper(&pkt)),
+                            FrameAttack::Replay => {
+                                ctx.transmit(out, pkt.clone());
+                                ctx.transmit(out, pkt);
+                            }
+                            FrameAttack::Drop => {}
+                        }
+                        return;
+                    }
+                }
+            }
             if self.tamper_esp && self.esp_seen.is_multiple_of(3) {
-                let mut tampered = esp.clone();
-                let mut ct = tampered.ciphertext.to_vec();
-                let mid = ct.len() / 2;
-                ct[mid] ^= 0x80;
-                tampered.ciphertext = Bytes::from(ct);
-                ctx.transmit(out, Packet::new(pkt.src, pkt.dst, Payload::Esp(tampered)));
+                ctx.transmit(out, tamper(&pkt));
                 return;
             }
             if self.replay_esp {
@@ -133,6 +169,21 @@ struct World {
 
 /// a — mitm — b, HIP between a and b, chat app running.
 fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
+    let chat = |hit_b: Hit| -> Box<dyn App> {
+        Box::new(Chat { target: hit_b.to_ip(), rounds: 10, sent: 0, replies: 0 })
+    };
+    build_with(mitm_cfg, seed, GsoMode::Exact, chat, Box::new(EchoServer))
+}
+
+/// a — mitm — b with HIP between a and b: `app_a(hit_b)` runs on a,
+/// `app_b` on b, and both TCP stacks use `gso`.
+fn build_with(
+    mitm_cfg: impl FnOnce(&mut Mitm),
+    seed: u64,
+    gso: GsoMode,
+    app_a: impl FnOnce(Hit) -> Box<dyn App>,
+    app_b: Box<dyn App>,
+) -> World {
     let mut key_rng = StdRng::seed_from_u64(seed);
     let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
     let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
@@ -147,10 +198,12 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
     let mut sim = Sim::new(seed ^ 0xabc);
     let mut ha = Host::new("a");
     ha.set_shim(Box::new(shim_a));
-    ha.add_app(Box::new(Chat { target: hit_b.to_ip(), rounds: 10, sent: 0, replies: 0 }));
+    ha.add_app(app_a(hit_b));
+    ha.core.tcp.config.gso = gso;
     let mut hb = Host::new("b");
     hb.set_shim(Box::new(shim_b));
-    hb.add_app(Box::new(EchoServer));
+    hb.add_app(app_b);
+    hb.core.tcp.config.gso = gso;
 
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
@@ -161,6 +214,8 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
         tamper_esp: false,
         inject: Vec::new(),
         esp_seen: 0,
+        frame_attack: None,
+        esp_right: 0,
     };
     mitm_cfg(&mut mitm);
     let m = sim.world.add_node(Box::new(mitm));
@@ -278,7 +333,6 @@ fn injected_esp_with_unknown_spi_is_dropped() {
         seq: 1,
         ciphertext: Bytes::from(vec![0x41u8; 64]),
         icv: Bytes::from(vec![0x41u8; 16]),
-        gso: None,
     };
     w.sim.schedule(
         netsim::SimDuration::from_millis(1),
@@ -309,4 +363,112 @@ fn attacker_observing_wire_learns_nothing_plaintext() {
         }
     }
     let _ = (w.hit_a, w.hit_b);
+}
+
+/// Sends `data` to port 7 in one write, then closes.
+struct BulkSender {
+    target: IpAddr,
+    data: Vec<u8>,
+}
+impl App for BulkSender {
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_connect(self.target, 7);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
+            let d = std::mem::take(&mut self.data);
+            api.tcp_send(s, &d);
+            api.tcp_close(s);
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Collects everything that arrives on port 7.
+struct BulkReceiver {
+    got: Vec<u8>,
+}
+impl App for BulkReceiver {
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_listen(7);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Data(s) | TcpEvent::PeerClosed(s)) = ev {
+            self.got.extend(api.tcp_recv(s));
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// What a bulk run under attack must reproduce across GSO modes.
+#[derive(Debug, PartialEq)]
+struct BulkOutcome {
+    delivered: Vec<u8>,
+    stats_a: hip_core::HipStats,
+    stats_b: hip_core::HipStats,
+    drop_auth: Option<u64>,
+    drop_replay: Option<u64>,
+}
+
+/// A 256 KiB HIP bulk transfer a → b with `attack` applied to the 40th
+/// ESP frame heading to b — mid-burst, well after the handshake.
+fn bulk_under_attack(gso: GsoMode, attack: FrameAttack) -> BulkOutcome {
+    let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let sender =
+        |hit_b: Hit| -> Box<dyn App> { Box::new(BulkSender { target: hit_b.to_ip(), data: data.clone() }) };
+    let mut w = build_with(
+        |m| m.frame_attack = Some((40, attack)),
+        6,
+        gso,
+        sender,
+        Box::new(BulkReceiver { got: Vec::new() }),
+    );
+    w.sim.run_until(SimTime(30_000_000_000));
+    let got = &w.sim.world.node::<Host>(w.b).expect("b").app::<BulkReceiver>(0).expect("receiver").got;
+    assert_eq!(*got, data, "{gso:?}/{attack:?}: TCP must recover the whole stream");
+    BulkOutcome {
+        delivered: got.clone(),
+        stats_a: shim_stats(&w.sim, w.a),
+        stats_b: shim_stats(&w.sim, w.b),
+        drop_auth: w.sim.metrics.counter_value("esp.drop.auth"),
+        drop_replay: w.sim.metrics.counter_value("esp.drop.replay"),
+    }
+}
+
+#[test]
+fn bulk_tampered_frame_rejected_alone() {
+    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Tamper);
+    assert_eq!(off.stats_b.drops_auth, 1, "exactly the tampered frame fails its ICV: {:?}", off.stats_b);
+    assert_eq!(off.drop_auth, Some(1));
+    assert_eq!(off.stats_b.drops_replay, 0);
+    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Tamper));
+}
+
+#[test]
+fn bulk_replayed_frame_rejected_alone() {
+    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Replay);
+    assert_eq!(off.stats_b.drops_replay, 1, "exactly the duplicate is refused: {:?}", off.stats_b);
+    assert_eq!(off.drop_replay, Some(1));
+    assert_eq!(off.stats_b.drops_auth, 0);
+    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Replay));
+}
+
+#[test]
+fn bulk_dropped_frame_is_retransmitted() {
+    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Drop);
+    assert_eq!((off.stats_b.drops_auth, off.stats_b.drops_replay), (0, 0), "{:?}", off.stats_b);
+    // The stream is whole (checked in `bulk_under_attack`), so TCP
+    // resent the data; only the swallowed frame never reached b.
+    assert_eq!(off.stats_a.esp_out, off.stats_b.esp_in + 1, "a={:?} b={:?}", off.stats_a, off.stats_b);
+    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Drop));
 }

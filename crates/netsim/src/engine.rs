@@ -18,7 +18,7 @@
 //! not a protocol layer bothers to cancel.
 
 use crate::link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId, TxResult};
-use crate::packet::{split_gso, Packet, Payload, TcpSegment};
+use crate::packet::{Packet, Payload};
 use crate::sched::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PktInfo, Trace, TraceData};
@@ -52,6 +52,61 @@ impl EngineIds {
 
 fn pkt_info(pkt: &Packet) -> PktInfo {
     PktInfo { src: pkt.src, dst: pkt.dst, proto: pkt.protocol(), len: pkt.wire_len() as u32 }
+}
+
+/// Trace reason and counter name for packets discarded because their
+/// sender or receiver is crashed.
+const NODE_DOWN: &str = "fault.node_down";
+
+/// Counts a packet discarded at a crashed node and traces the drop.
+fn drop_node_down(
+    metrics: &mut MetricsRegistry,
+    trace: &mut Trace,
+    now: SimTime,
+    node: NodeId,
+    pkt: &Packet,
+) {
+    metrics.add_name(NODE_DOWN, 1);
+    trace.record(now, node, || TraceData::Drop { pkt: Some(pkt_info(pkt)), reason: NODE_DOWN.to_string() });
+}
+
+/// Offers one wire frame to `link` — the only place link delivery and
+/// link drops are accounted. A delivered frame is traced and returned
+/// as its arrival event; a dropped one bumps `link.drops` (and the
+/// fault counter named by its cause) and is traced.
+#[allow(clippy::too_many_arguments)]
+fn link_transmit(
+    link: &mut Link,
+    from: NodeId,
+    now: SimTime,
+    pkt: Packet,
+    (loss_draw, jitter_draw): (f64, f64),
+    metrics: &mut MetricsRegistry,
+    ids: EngineIds,
+    trace: &mut Trace,
+) -> Option<(SimTime, Event)> {
+    debug_assert!(
+        !matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0),
+        "GSO super-segment reached link {}",
+        link.id.0
+    );
+    match link.transmit(from, pkt.wire_len(), now, loss_draw, jitter_draw) {
+        TxResult::Deliver { to, at } => {
+            trace.record(now, from, || TraceData::Tx(pkt_info(&pkt)));
+            Some((at, Event::PacketArrive { node: to.node, iface: to.iface, pkt }))
+        }
+        TxResult::Dropped { cause } => {
+            metrics.inc(ids.link_drops);
+            if matches!(cause, DropCause::Burst | DropCause::LinkDown | DropCause::Partition) {
+                metrics.add_name(cause.reason(), 1);
+            }
+            trace.record(now, from, || TraceData::Drop {
+                pkt: Some(pkt_info(&pkt)),
+                reason: cause.reason().to_string(),
+            });
+            None
+        }
+    }
 }
 
 /// A timer registration: the node-local `owner` routes the expiry to the
@@ -331,122 +386,13 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Transmits `pkt` on `link`. Loss and queueing are resolved here;
-    /// delivery (if any) is scheduled automatically.
+    /// delivery (if any) is scheduled automatically. `pkt` must be a
+    /// wire frame: GSO super-segments are split before the link.
     pub fn transmit(&mut self, link: LinkId, pkt: Packet) {
-        if matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0) {
-            return self.transmit_gso(link, &pkt);
-        }
+        let draws = (self.rng.random(), self.rng.random());
         let l = &mut self.links[link.0];
-        let loss_draw: f64 = self.rng.random();
-        let jitter_draw: f64 = self.rng.random();
-        match l.transmit(self.node, pkt.wire_len(), self.now, loss_draw, jitter_draw) {
-            TxResult::Deliver { to, at } => {
-                self.trace.record(self.now, self.node, || TraceData::Tx(pkt_info(&pkt)));
-                self.emitted.push((at, Event::PacketArrive { node: to.node, iface: to.iface, pkt }));
-            }
-            TxResult::Dropped { cause } => {
-                self.metrics.inc(self.ids.link_drops);
-                if matches!(cause, DropCause::Burst | DropCause::LinkDown | DropCause::Partition) {
-                    self.metrics.add_name(cause.reason(), 1);
-                }
-                self.trace.record(self.now, self.node, || TraceData::Drop {
-                    pkt: Some(pkt_info(&pkt)),
-                    reason: cause.reason().to_string(),
-                });
-            }
-        }
-    }
-
-    /// Merged-mode GSO transmit (GRO in one step): the super-segment is
-    /// charged to the link as its individual MTU frames — identical
-    /// wire bytes, serialization delays, loss/jitter draws, drop traces
-    /// and counters — but each surviving run of contiguous frames is
-    /// delivered as ONE merged segment at the run's last-frame arrival
-    /// time, so the receiver handles one event (and sends one ACK) per
-    /// run instead of one per frame. Byte streams are identical to
-    /// unbatched; delivery timing within a run is approximated by its
-    /// tail. A lost frame splits the super: the runs around it arrive
-    /// separately and retransmission covers the gap exactly as in
-    /// per-frame mode.
-    fn transmit_gso(&mut self, link: LinkId, pkt: &Packet) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let frames = split_gso(seg);
-        let mut run_start: Option<usize> = None;
-        let mut run_last = 0usize;
-        let mut run_to: Option<Endpoint> = None;
-        let mut run_at = self.now;
-        for (i, frame) in frames.iter().enumerate() {
-            let fpkt = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame.clone()));
-            let l = &mut self.links[link.0];
-            let loss_draw: f64 = self.rng.random();
-            let jitter_draw: f64 = self.rng.random();
-            match l.transmit(self.node, fpkt.wire_len(), self.now, loss_draw, jitter_draw) {
-                TxResult::Deliver { to, at } => {
-                    self.trace.record(self.now, self.node, || TraceData::Tx(pkt_info(&fpkt)));
-                    if run_start.is_none() {
-                        run_start = Some(i);
-                    }
-                    run_last = i;
-                    run_to = Some(to);
-                    run_at = at;
-                }
-                TxResult::Dropped { cause } => {
-                    self.metrics.inc(self.ids.link_drops);
-                    if matches!(cause, DropCause::Burst | DropCause::LinkDown | DropCause::Partition) {
-                        self.metrics.add_name(cause.reason(), 1);
-                    }
-                    self.trace.record(self.now, self.node, || TraceData::Drop {
-                        pkt: Some(pkt_info(&fpkt)),
-                        reason: cause.reason().to_string(),
-                    });
-                    if let (Some(start), Some(to)) = (run_start.take(), run_to.take()) {
-                        self.emit_merged(pkt, &frames, start, run_last, to, run_at);
-                    }
-                }
-            }
-        }
-        if let (Some(start), Some(to)) = (run_start, run_to) {
-            self.emit_merged(pkt, &frames, start, run_last, to, run_at);
-        }
-    }
-
-    /// Delivers frames `start..=last` of a GSO super as one merged
-    /// segment arriving at `at` (the run tail's arrival time).
-    fn emit_merged(
-        &mut self,
-        pkt: &Packet,
-        frames: &[TcpSegment],
-        start: usize,
-        last: usize,
-        to: Endpoint,
-        at: SimTime,
-    ) {
-        let Payload::Tcp(seg) = &pkt.payload else { return };
-        let merged = if start == last {
-            frames[start].clone()
-        } else {
-            let mss = seg.gso_mss as usize;
-            let off = start * mss;
-            let end = ((last + 1) * mss).min(seg.data.len());
-            TcpSegment {
-                src_port: seg.src_port,
-                dst_port: seg.dst_port,
-                seq: frames[start].seq,
-                ack: seg.ack,
-                flags: frames[last].flags,
-                window: seg.window,
-                data: seg.data.slice(off..end),
-                gso_mss: 0,
-            }
-        };
-        self.emitted.push((
-            at,
-            Event::PacketArrive {
-                node: to.node,
-                iface: to.iface,
-                pkt: Packet::new(pkt.src, pkt.dst, Payload::Tcp(merged)),
-            },
-        ));
+        let arrival = link_transmit(l, self.node, self.now, pkt, draws, self.metrics, self.ids, self.trace);
+        self.emitted.extend(arrival);
     }
 
     /// Transmits `pkt` on `link` after `delay` (models CPU processing
@@ -826,10 +772,7 @@ impl Sim {
             // Node removed mid-flight; drop silently.
         } else if self.is_crashed(node) {
             for (_, pkt) in &run {
-                self.trace.record(self.now, node, || TraceData::Drop {
-                    pkt: Some(pkt_info(pkt)),
-                    reason: "fault.node_down".to_string(),
-                });
+                drop_node_down(&mut self.metrics, &mut self.trace, self.now, node, pkt);
             }
         } else {
             self.with_node(node, |n, ctx| {
@@ -844,27 +787,11 @@ impl Sim {
         count
     }
 
+    /// Dispatches one event other than a packet arrival.
     fn dispatch(&mut self, event: Event) {
         self.stats.dispatched += 1;
         match event {
-            Event::PacketArrive { node, iface, pkt } => {
-                self.metrics.inc(self.engine_ids.ev_packet);
-                self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
-                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-                    return; // node removed mid-flight; drop silently
-                }
-                if self.is_crashed(node) {
-                    self.trace.record(self.now, node, || TraceData::Drop {
-                        pkt: Some(pkt_info(&pkt)),
-                        reason: "fault.node_down".to_string(),
-                    });
-                    return;
-                }
-                self.with_node(node, |n, ctx| {
-                    ctx.trace.record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
-                    n.handle_packet(iface, pkt, ctx);
-                });
-            }
+            Event::PacketArrive { .. } => unreachable!("packet arrivals go through dispatch_run"),
             Event::Timer { node, timer } => {
                 self.metrics.inc(self.engine_ids.ev_timer);
                 if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
@@ -905,40 +832,19 @@ impl Sim {
                 // RNG draws happen unconditionally (before the crash
                 // check) so a crash never shifts the draw sequence of
                 // the surviving traffic within the same plan.
-                let loss_draw: f64 = self.rng.random();
-                let jitter_draw: f64 = self.rng.random();
+                let draws = (self.rng.random(), self.rng.random());
                 if self.is_crashed(from) {
-                    self.trace.record(self.now, from, || TraceData::Drop {
-                        pkt: Some(pkt_info(&pkt)),
-                        reason: "fault.node_down".to_string(),
-                    });
+                    drop_node_down(&mut self.metrics, &mut self.trace, self.now, from, &pkt);
                     return;
                 }
                 let l = &mut self.world.links[link.0];
-                match l.transmit(from, pkt.wire_len(), self.now, loss_draw, jitter_draw) {
-                    TxResult::Deliver { to, at } => {
-                        self.trace.record(self.now, from, || TraceData::Tx(pkt_info(&pkt)));
-                        self.seq += 1;
-                        self.stats.scheduled += 1;
-                        self.queue.push(
-                            at,
-                            self.seq,
-                            Event::PacketArrive { node: to.node, iface: to.iface, pkt },
-                        );
-                    }
-                    TxResult::Dropped { cause } => {
-                        self.metrics.inc(self.engine_ids.link_drops);
-                        if matches!(
-                            cause,
-                            DropCause::Burst | DropCause::LinkDown | DropCause::Partition
-                        ) {
-                            self.metrics.add_name(cause.reason(), 1);
-                        }
-                        self.trace.record(self.now, from, || TraceData::Drop {
-                            pkt: Some(pkt_info(&pkt)),
-                            reason: cause.reason().to_string(),
-                        });
-                    }
+                let ids = self.engine_ids;
+                if let Some((at, arrival)) =
+                    link_transmit(l, from, self.now, pkt, draws, &mut self.metrics, ids, &mut self.trace)
+                {
+                    self.seq += 1;
+                    self.stats.scheduled += 1;
+                    self.queue.push(at, self.seq, arrival);
                 }
             }
             Event::Fault { action } => self.apply_fault(action),

@@ -272,7 +272,7 @@ mod tests {
     use crate::packet::{v4, IcmpKind, IcmpMessage, Payload};
     use crate::packet::Packet;
     use crate::time::SimTime;
-    use crate::trace::{Trace, TraceKind};
+    use crate::trace::{Trace, TraceData, TraceKind};
     use std::any::Any;
 
     struct Counter {
@@ -371,6 +371,36 @@ mod tests {
         assert_eq!(bn.crashes, 1);
         assert_eq!(bn.restarts, 1);
         assert!(!sim.is_crashed(b));
+    }
+
+    #[test]
+    fn node_down_drops_are_counted_and_traced() {
+        let (mut sim, a, b, l) = pair();
+        sim.trace = Trace::enabled(1000);
+        // b is down while a's 20 ms packet arrives; a is down when its
+        // own 60 ms transmission leaves.
+        FaultPlan::new()
+            .at(SimDuration::from_millis(10), FaultEpisode::NodeCrash { node: b })
+            .at(SimDuration::from_millis(30), FaultEpisode::NodeRestart { node: b })
+            .at(SimDuration::from_millis(50), FaultEpisode::NodeCrash { node: a })
+            .at(SimDuration::from_millis(70), FaultEpisode::NodeRestart { node: a })
+            .schedule(&mut sim);
+        for at_ms in [5u64, 20, 40, 60, 80] {
+            sim.schedule(
+                SimDuration::from_millis(at_ms),
+                Event::LinkTx { from: a, link: l, pkt: pkt() },
+            );
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(sim.world.node::<Counter>(b).unwrap().received, 3);
+        let traced = sim
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| matches!(&e.data, TraceData::Drop { reason, .. } if reason == "fault.node_down"))
+            .count() as u64;
+        assert_eq!(traced, 2, "one drop at the crashed receiver, one at the crashed sender");
+        assert_eq!(sim.metrics.counter_value("fault.node_down"), Some(traced));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::link::LinkId;
 use crate::packet::{
     proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram,
 };
-use crate::tcp::{GsoMode, SockId, TcpConfig, TcpEvent, TcpLayer};
+use crate::tcp::{SockId, TcpConfig, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -265,11 +265,8 @@ impl HostCore {
         if let Payload::Tcp(seg) = &pkt.payload {
             // NIC-level GSO split: a super-segment travels the stack
             // once but hits the wire as per-MTU frames, in the exact
-            // order unbatched TCP would have sent them. `Merged` mode
-            // keeps the super intact for the link layer to merge on the
-            // far side — except over Teredo, which tunnels per frame.
-            let needs_teredo = pkt.dst.is_ipv6() && !self.has_native_v6();
-            if seg.gso_mss > 0 && (self.tcp.config.gso != GsoMode::Merged || needs_teredo) {
+            // order unbatched TCP would have sent them.
+            if seg.gso_mss > 0 {
                 for frame in crate::packet::split_gso(seg) {
                     let f = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame));
                     self.send_wire(ctx, delay, f);

@@ -9,7 +9,6 @@
 use bytes::Bytes;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::sync::{Arc, OnceLock};
 
 /// IP protocol numbers we model (a subset of the IANA registry).
 pub mod proto {
@@ -264,69 +263,17 @@ pub struct EspPacket {
     /// Monotonic sequence number (anti-replay).
     pub seq: u32,
     /// IV + AES-CBC ciphertext of the inner payload. Real bytes.
-    /// Empty when `gso` is set — the frame's bytes live in the batch.
     pub ciphertext: Bytes,
     /// Truncated HMAC-SHA-256 integrity check value. Real bytes.
-    /// Empty when `gso` is set.
     pub icv: Bytes,
-    /// Present when this packet is one frame of a GSO batch that was
-    /// encrypted in a single pass. The per-frame wire length is still
-    /// declared exactly as unbatched encryption would have produced it.
-    pub gso: Option<EspGsoFrame>,
 }
 
 impl EspPacket {
     /// Bytes this ESP payload occupies on the wire (excluding IP).
     pub fn wire_len(&self) -> usize {
-        match &self.gso {
-            // SPI (4) + seq (4) + the frame's declared IV+ct+ICV bytes.
-            Some(f) => 8 + f.batch.frames[f.index as usize].wire_payload_len as usize,
-            None => 8 + self.ciphertext.len() + self.icv.len(),
-        }
+        // SPI (4) + seq (4) + IV+ciphertext + ICV.
+        8 + self.ciphertext.len() + self.icv.len()
     }
-}
-
-/// One frame's view into a shared ESP GSO batch.
-#[derive(Clone, Debug)]
-pub struct EspGsoFrame {
-    /// The batch this frame belongs to (shared by all its frames).
-    pub batch: Arc<EspBatch>,
-    /// Index into [`EspBatch::frames`].
-    pub index: u32,
-}
-
-/// A batch of ESP frames encrypted with a single AES-CBC/HMAC pass
-/// over the concatenated inner encodings. Frames carry consecutive
-/// sequence numbers starting at `first_seq`; each declares the wire
-/// length unbatched per-frame encryption would have produced, so link
-/// accounting is unchanged.
-#[derive(Debug)]
-pub struct EspBatch {
-    /// Sequence number of the first frame.
-    pub first_seq: u32,
-    /// IV + one CBC pass over the concatenated inner encodings.
-    pub ciphertext: Bytes,
-    /// One ICV over `spi ‖ first_seq ‖ ciphertext`.
-    pub icv: Bytes,
-    /// Per-frame offsets into the concatenated plaintext.
-    pub frames: Vec<EspFrameMeta>,
-    /// Receiver-side memoized decrypt: `None` = batch failed
-    /// authentication/decryption; `Some` = the concatenated plaintext.
-    /// Initialized at most once no matter how many frames arrive.
-    pub plain: OnceLock<Option<Bytes>>,
-}
-
-/// Offsets of one frame inside an [`EspBatch`].
-#[derive(Clone, Copy, Debug)]
-pub struct EspFrameMeta {
-    /// Byte offset of this frame's inner encoding in the batch plaintext.
-    pub inner_off: u32,
-    /// Length of this frame's inner encoding.
-    pub inner_len: u32,
-    /// IV + ciphertext + ICV bytes this frame would occupy on the wire
-    /// had it been encrypted alone (analytic; excludes the 8-byte ESP
-    /// header).
-    pub wire_payload_len: u32,
 }
 
 /// Convenience constructors used across the workspace and in tests.
@@ -416,7 +363,6 @@ mod tests {
                 seq: 9,
                 ciphertext: Bytes::from(vec![0u8; 64]),
                 icv: Bytes::from(vec![0u8; 16]),
-                gso: None,
             }),
         );
         assert_eq!(pkt.wire_len(), 20 + 8 + 64 + 16);
@@ -456,27 +402,5 @@ mod tests {
             expect_seq = expect_seq.wrapping_add(f.data.len() as u32);
         }
         assert_eq!(reassembled, data);
-    }
-
-    #[test]
-    fn gso_esp_frame_declares_unbatched_wire_len() {
-        let batch = Arc::new(EspBatch {
-            first_seq: 7,
-            ciphertext: Bytes::from(vec![0u8; 160]),
-            icv: Bytes::from(vec![0u8; 16]),
-            frames: vec![
-                EspFrameMeta { inner_off: 0, inner_len: 30, wire_payload_len: 16 + 32 + 16 },
-                EspFrameMeta { inner_off: 30, inner_len: 40, wire_payload_len: 16 + 48 + 16 },
-            ],
-            plain: OnceLock::new(),
-        });
-        let frame = EspPacket {
-            spi: 1,
-            seq: 8,
-            ciphertext: Bytes::new(),
-            icv: Bytes::new(),
-            gso: Some(EspGsoFrame { batch, index: 1 }),
-        };
-        assert_eq!(frame.wire_len(), 8 + 16 + 48 + 16);
     }
 }

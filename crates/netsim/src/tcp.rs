@@ -58,28 +58,18 @@ pub enum TcpEvent {
 /// Batching is a *simulator-mechanism* optimization: the TCP layer
 /// emits one super-segment per send burst instead of one packet per
 /// MSS, and the NIC layer turns it back into per-frame wire traffic.
-/// What varies between the modes is how much of the per-frame work is
-/// recreated, and therefore how strong the equivalence guarantee is.
+/// The two modes are bit-identical by construction; `Off` is kept as
+/// the oracle that `Exact` is tested against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GsoMode {
     /// One MSS-sized segment per packet (the pre-batching behavior).
     Off,
     /// Emit super-segments; the NIC layer (host `send_wire` for plain
     /// TCP, the ESP shim for HIP) splits them into per-frame wire
-    /// packets immediately before the link, drawing per-frame
-    /// loss/jitter in the same order as `Off`. Every wire-visible event
-    /// is identical to `Off` — goldens stay bit-identical — while TCP
-    /// segmentation and ESP crypto run once per burst.
+    /// packets immediately before the link, in the order `Off` sends
+    /// them. Every wire-visible event is identical to `Off` — goldens
+    /// stay bit-identical — while TCP segmentation runs once per burst.
     Exact,
-    /// Super-segments survive onto the wire as merged arrivals (GRO):
-    /// the link still draws loss/jitter and accounts wire bytes,
-    /// serialization and drops per frame, but surviving contiguous
-    /// frame runs deliver as a single event ACKed once. Application
-    /// streams stay byte-identical and wire/drop counters match on
-    /// clean links; delivery timing is approximate. Opt-in for
-    /// bulk-transfer benchmarks (Basic TCP only; the ESP shim always
-    /// splits exactly).
-    Merged,
 }
 
 /// TCP tuning knobs.
@@ -607,15 +597,7 @@ impl TcpLayer {
                 // Congestion window growth.
                 if s.cfg.congestion_control {
                     if s.cwnd < s.ssthresh {
-                        // Merged-mode GRO decimates ACKs (one per merged
-                        // arrival); byte-counting keeps slow start growing
-                        // at the same per-byte rate (RFC 3465 style).
-                        let inc = if s.cfg.gso == GsoMode::Merged {
-                            data_acked as u64
-                        } else {
-                            (data_acked as u64).min(s.cfg.mss as u64)
-                        };
-                        s.cwnd += inc;
+                        s.cwnd += (data_acked as u64).min(s.cfg.mss as u64);
                     } else {
                         let inc = (s.cfg.mss as u64 * s.cfg.mss as u64 / s.cwnd.max(1)).max(1);
                         s.cwnd += inc;
@@ -826,7 +808,7 @@ impl TcpSocket {
     ///
     /// The burst the windows permit is carved out of the send deque in
     /// one allocation and every emitted segment is a zero-copy slice of
-    /// it. Under [`GsoMode::Exact`]/[`GsoMode::Merged`] the loop emits
+    /// it. Under [`GsoMode::Exact`] the loop emits
     /// super-segments of up to [`GSO_MAX`] bytes, clamped to a multiple
     /// of the MSS so a capped super ends exactly on a per-MSS frame
     /// boundary — the NIC-layer split then reproduces `Off`-mode wire
@@ -861,7 +843,7 @@ impl TcpSocket {
         };
         let seg_cap = match self.cfg.gso {
             GsoMode::Off => self.cfg.mss,
-            _ => (GSO_MAX / self.cfg.mss).max(1) * self.cfg.mss,
+            GsoMode::Exact => (GSO_MAX / self.cfg.mss).max(1) * self.cfg.mss,
         };
         let mut off = 0;
         while off < burst.len() {
@@ -1293,8 +1275,8 @@ mod tests {
 
     #[test]
     fn gso_receiver_accepts_super_segments_directly() {
-        // Layer-level pumping passes supers through unsplit (Merged-style
-        // arrival): streams must still be byte-identical.
+        // Layer-level pumping passes supers through unsplit: the
+        // receiver must still reassemble a byte-identical stream.
         let (mut a, mut b, ca, sb) = connected_pair();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         a.send(ca, &data, SimTime(1));

@@ -6,11 +6,6 @@
 //! every RNG draw, every counter and every delivered byte matches the
 //! per-segment datapath — under clean links, random loss, jitter, and
 //! scripted loss bursts alike.
-//!
-//! `GsoMode::Merged` trades per-frame delivery timing for fewer events:
-//! the byte stream must still be exact, and on a clean link the wire
-//! accounting (frame count, wire bytes, drops) must match, with
-//! strictly fewer dispatched events on bulk transfers.
 
 use netsim::fault::{FaultEpisode, FaultPlan};
 use netsim::host::{App, AppEvent, Host, HostApi};
@@ -71,8 +66,7 @@ impl App for Receiver {
     }
 }
 
-/// Everything observable about a run that batching must (or must not)
-/// preserve.
+/// Everything observable about a run that batching must preserve.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     got: Vec<u8>,
@@ -150,7 +144,7 @@ fn transfer(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: Exact batching is bit-identical to the
+    /// The core invariant: Exact batching is bit-identical to the
     /// unbatched datapath — same delivered bytes, same event counts,
     /// same wire bytes, same drops, same timers, same end time — under
     /// random loss, jitter, and a scripted loss burst.
@@ -169,42 +163,5 @@ proptest! {
         let exact = transfer(GsoMode::Exact, &data, loss, latency_us, jitter_us, seed, burst);
         prop_assert_eq!(&off.got, &data, "unbatched must deliver the stream");
         prop_assert_eq!(off, exact);
-    }
-
-    /// Merged-mode GRO keeps the byte stream exact under loss and
-    /// reordering-inducing jitter, even though delivery granularity
-    /// changes.
-    #[test]
-    fn merged_delivers_exact_bytes(
-        data in proptest::collection::vec(any::<u8>(), 1..40_000),
-        loss in 0.0f64..0.12,
-        jitter_us in 0u64..400,
-        seed in any::<u64>(),
-    ) {
-        let m = transfer(GsoMode::Merged, &data, loss, 300, jitter_us, seed, None);
-        prop_assert!(m.eof, "FIN must arrive");
-        prop_assert_eq!(m.got, data);
-    }
-
-    /// On a clean link, Merged mode must charge the wire identically
-    /// (same frames, same bytes, zero drops) while dispatching fewer
-    /// packet events for bulk transfers.
-    #[test]
-    fn merged_matches_wire_accounting_on_clean_link(
-        data in proptest::collection::vec(any::<u8>(), 20_000..60_000),
-        latency_us in 50u64..3_000,
-        seed in any::<u64>(),
-    ) {
-        let off = transfer(GsoMode::Off, &data, 0.0, latency_us, 0, seed, None);
-        let m = transfer(GsoMode::Merged, &data, 0.0, latency_us, 0, seed, None);
-        prop_assert_eq!(&m.got, &data);
-        prop_assert_eq!(m.link_drops, 0);
-        prop_assert_eq!(off.link_drops, 0);
-        prop_assert!(
-            m.ev_packets < off.ev_packets,
-            "merged delivery must dispatch fewer arrivals ({} vs {})",
-            m.ev_packets,
-            off.ev_packets,
-        );
     }
 }

@@ -10,7 +10,7 @@
 //!   measurement (iperf 2.0.5's role), keeping the pipe full and
 //!   counting received bytes.
 //! - [`BulkSendApp`] — fixed-size bulk response: exactly N bytes, then
-//!   close (the datapath-batching benchmarks' workload).
+//!   close (the bulk-transfer workload of the benchmarks and tests).
 //! - [`PingApp`] — ICMP RTT measurement, N echo requests at an interval.
 
 use crate::http::{HttpRequest, ResponseParser};
@@ -584,8 +584,8 @@ impl App for IperfClientApp {
 
 /// Sends exactly `total` bulk bytes and closes — the fixed-size cousin
 /// of [`IperfClientApp`], for experiments where the transfer size (not
-/// the duration) is the controlled variable, e.g. the datapath-batching
-/// benchmarks that compare events dispatched per megabyte moved.
+/// the duration) is the controlled variable, e.g. bulk-transfer
+/// benchmarks and the GSO equivalence tests.
 pub struct BulkSendApp {
     target: (IpAddr, u16),
     total: u64,
