@@ -72,6 +72,7 @@ pub fn run_cell(
         mean_latency_ms: gen.latency.mean(),
     };
     let dispatched = dep.topo.sim.stats().dispatched;
+    dep.record_cpu_gauges();
     Fig2Cell {
         point,
         metrics: dep.topo.sim.take_metrics(),

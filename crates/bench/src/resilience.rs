@@ -211,6 +211,7 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
     let ttr_partition_s = time_to_recover(&timeline, baseline, sec(story.partition_at));
 
     let dispatched = dep.topo.sim.stats().dispatched;
+    dep.record_cpu_gauges();
     let metrics = dep.topo.sim.take_metrics();
     let rebex = metrics.counter_value("hip.rebex.stale_spi").unwrap_or(0);
 

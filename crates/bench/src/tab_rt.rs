@@ -76,6 +76,7 @@ pub fn run_cell(
         p99_ms: gen.latency.percentile(99.0),
     };
     let dispatched = dep.topo.sim.stats().dispatched;
+    dep.record_cpu_gauges();
     TabRtCell {
         row,
         metrics: dep.topo.sim.take_metrics(),

@@ -2,9 +2,8 @@
 //!
 //! Provides the subset of the criterion 0.8 API the workspace's bench
 //! targets use: [`criterion_group!`] / [`criterion_main!`],
-//! [`Criterion::bench_function`] / [`Criterion::benchmark_group`],
-//! [`Bencher::iter`] / [`Bencher::iter_batched`], [`Throughput`],
-//! [`BenchmarkId`], and [`BatchSize`].
+//! [`Criterion::benchmark_group`], [`BenchmarkGroup::sample_size`],
+//! [`Bencher::iter`] and [`BenchmarkId::from_parameter`].
 //!
 //! Measurement is deliberately simple: each benchmark is auto-calibrated
 //! to roughly `measurement_ms` of wall-clock work, timed over a fixed
@@ -22,26 +21,6 @@ use std::time::{Duration, Instant};
 /// Re-export so `criterion::black_box` keeps working.
 pub use std::hint::black_box;
 
-/// Throughput annotation for a benchmark (reported alongside time).
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
-}
-
-/// How `iter_batched` amortises setup cost (sizing hint only here).
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Small per-iteration inputs: batch many iterations per setup run.
-    SmallInput,
-    /// Large per-iteration inputs: one setup per iteration.
-    LargeInput,
-    /// Each setup feeds exactly one iteration.
-    PerIteration,
-}
-
 /// A benchmark identifier combining a function name and a parameter.
 #[derive(Clone, Debug)]
 pub struct BenchmarkId {
@@ -49,11 +28,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// `function_name/parameter`.
-    pub fn new(function_name: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", function_name.into(), parameter) }
-    }
-
     /// Just the parameter, for use inside a named group.
     pub fn from_parameter(parameter: impl fmt::Display) -> Self {
         BenchmarkId { id: parameter.to_string() }
@@ -85,26 +59,6 @@ impl Bencher<'_> {
             self.samples.push(dt / self.iters_per_sample.max(1) as u32);
         }
     }
-
-    /// Times `routine` over inputs produced by `setup`; setup time is
-    /// excluded from the measurement.
-    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
-        &mut self,
-        mut setup: S,
-        mut routine: R,
-        _size: BatchSize,
-    ) {
-        for _ in 0..self.sample_count {
-            let n = self.iters_per_sample.max(1);
-            let inputs: Vec<I> = (0..n).map(|_| setup()).collect();
-            let start = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
-            let dt = start.elapsed();
-            self.samples.push(dt / n as u32);
-        }
-    }
 }
 
 /// The top-level benchmark driver.
@@ -129,20 +83,12 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Runs a single named benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl fmt::Display, f: F) -> &mut Self {
-        let name = id.to_string();
-        run_one(&name, self.sample_count, self.measurement, self.filter.as_deref(), None, f);
-        self
-    }
-
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             parent: self,
             name: name.into(),
             sample_count: None,
-            throughput: None,
         }
     }
 }
@@ -152,25 +98,12 @@ pub struct BenchmarkGroup<'a> {
     parent: &'a mut Criterion,
     name: String,
     sample_count: Option<usize>,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Overrides the number of timing samples for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_count = Some(n.max(2));
-        self
-    }
-
-    /// Overrides the per-benchmark measurement time for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.parent.measurement = d;
-        self
-    }
-
-    /// Sets the throughput annotation for subsequent benchmarks.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
         self
     }
 
@@ -182,7 +115,6 @@ impl BenchmarkGroup<'_> {
             self.sample_count.unwrap_or(self.parent.sample_count),
             self.parent.measurement,
             self.parent.filter.as_deref(),
-            self.throughput,
             f,
         );
         self
@@ -207,7 +139,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
     sample_count: usize,
     measurement: Duration,
     filter: Option<&str>,
-    throughput: Option<Throughput>,
     mut f: F,
 ) {
     if let Some(pat) = filter {
@@ -232,18 +163,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
     let median = samples[samples.len() / 2];
     let lo = samples[0];
     let hi = samples[samples.len() - 1];
-    let tp = match throughput {
-        Some(Throughput::Bytes(n)) if median.as_nanos() > 0 => {
-            let gib = n as f64 / median.as_secs_f64() / (1u64 << 30) as f64;
-            format!("  {gib:.3} GiB/s")
-        }
-        Some(Throughput::Elements(n)) if median.as_nanos() > 0 => {
-            let meps = n as f64 / median.as_secs_f64() / 1e6;
-            format!("  {meps:.3} Melem/s")
-        }
-        _ => String::new(),
-    };
-    println!("{name:<48} time: [{lo:>10.3?} {median:>10.3?} {hi:>10.3?}]{tp}");
+    println!("{name:<48} time: [{lo:>10.3?} {median:>10.3?} {hi:>10.3?}]");
 }
 
 /// Declares a benchmark group: `criterion_group!(benches, fn_a, fn_b);`

@@ -22,6 +22,7 @@ use crate::link::{Link, LinkId, NodeId};
 use crate::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::fmt;
 
 /// One scripted fault episode. Timed episodes (`LossBurst`,
 /// `LatencySpike`, `Partition`) carry their own duration and schedule
@@ -89,6 +90,30 @@ pub struct FaultPlan {
     episodes: Vec<(SimDuration, FaultEpisode)>,
 }
 
+/// Why [`FaultPlan::schedule`] refused a plan. A refused plan schedules
+/// nothing, so a malformed plan can never fail halfway through a run.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FaultPlanError {
+    /// An episode names a link the world does not have.
+    UnknownLink(LinkId),
+    /// An episode or a partition group names a node the world does not have.
+    UnknownNode(NodeId),
+    /// A loss burst's probability is NaN or outside `[0, 1)`.
+    LossOutOfRange(f64),
+}
+
+impl fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultPlanError::UnknownLink(l) => write!(f, "fault plan names unknown link {}", l.0),
+            FaultPlanError::UnknownNode(n) => write!(f, "fault plan names unknown node {}", n.0),
+            FaultPlanError::LossOutOfRange(p) => write!(f, "loss burst probability {p} is not in [0, 1)"),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// The links with one endpoint in `a` and the other in `b`.
 pub fn crossing_links(links: &[Link], a: &[NodeId], b: &[NodeId]) -> Vec<LinkId> {
     links
@@ -136,7 +161,12 @@ impl FaultPlan {
     /// Compiles the plan into engine fault events on `sim`'s queue,
     /// offsets measured from `sim.now()`. Timed episodes also schedule
     /// their clearing transition at `offset + duration`.
-    pub fn schedule(&self, sim: &mut Sim) {
+    ///
+    /// Every link and node is checked against `sim.world`, and every
+    /// loss probability against `[0, 1)`, before anything is scheduled:
+    /// on error the queue is left untouched.
+    pub fn schedule(&self, sim: &mut Sim) -> Result<(), FaultPlanError> {
+        self.validate(sim)?;
         for (at, ep) in &self.episodes {
             match ep {
                 FaultEpisode::LinkDown { link } => {
@@ -166,6 +196,34 @@ impl FaultPlan {
                 }
             }
         }
+        Ok(())
+    }
+
+    fn validate(&self, sim: &Sim) -> Result<(), FaultPlanError> {
+        let link = |l: &LinkId| {
+            if l.0 < sim.world.links().len() { Ok(()) } else { Err(FaultPlanError::UnknownLink(*l)) }
+        };
+        let node = |n: &NodeId| {
+            if n.0 < sim.world.node_count() { Ok(()) } else { Err(FaultPlanError::UnknownNode(*n)) }
+        };
+        for (_, ep) in &self.episodes {
+            match ep {
+                FaultEpisode::LinkDown { link: l }
+                | FaultEpisode::LinkUp { link: l }
+                | FaultEpisode::LatencySpike { link: l, .. } => link(l)?,
+                FaultEpisode::LossBurst { link: l, prob, .. } => {
+                    link(l)?;
+                    if !(0.0..1.0).contains(prob) {
+                        return Err(FaultPlanError::LossOutOfRange(*prob));
+                    }
+                }
+                FaultEpisode::NodeCrash { node: n } | FaultEpisode::NodeRestart { node: n } => node(n)?,
+                FaultEpisode::Partition { group_a, group_b, .. } => {
+                    group_a.iter().chain(group_b).try_for_each(node)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The largest offset at which the plan still transitions (including
@@ -328,7 +386,7 @@ mod tests {
         assert!(plan.ends_restored());
         assert_eq!(plan.horizon(), SimDuration::from_millis(30));
         sim.trace = Trace::enabled(1000);
-        plan.schedule(&mut sim);
+        plan.schedule(&mut sim).expect("valid plan");
         // One packet before, one during, one after the outage.
         for at_ms in [5u64, 20, 40] {
             sim.schedule(
@@ -358,7 +416,7 @@ mod tests {
             .at(SimDuration::from_millis(10), FaultEpisode::NodeCrash { node: b })
             .at(SimDuration::from_millis(30), FaultEpisode::NodeRestart { node: b });
         assert!(plan.ends_restored());
-        plan.schedule(&mut sim);
+        plan.schedule(&mut sim).expect("valid plan");
         for at_ms in [5u64, 20, 40] {
             sim.schedule(
                 SimDuration::from_millis(at_ms),
@@ -384,7 +442,8 @@ mod tests {
             .at(SimDuration::from_millis(30), FaultEpisode::NodeRestart { node: b })
             .at(SimDuration::from_millis(50), FaultEpisode::NodeCrash { node: a })
             .at(SimDuration::from_millis(70), FaultEpisode::NodeRestart { node: a })
-            .schedule(&mut sim);
+            .schedule(&mut sim)
+            .expect("valid plan");
         for at_ms in [5u64, 20, 40, 60, 80] {
             sim.schedule(
                 SimDuration::from_millis(at_ms),
@@ -429,12 +488,58 @@ mod tests {
             },
         );
         assert!(plan.ends_restored(), "partitions self-heal");
-        plan.schedule(&mut sim);
+        plan.schedule(&mut sim).expect("valid plan");
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(5));
         assert!(sim.world.links()[links[1].0].is_down());
         assert!(!sim.world.links()[links[0].0].is_down());
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(20));
         assert!(sim.world.links().iter().all(|l| !l.is_faulted()), "healed");
+    }
+
+    /// Schedules `bad` after a valid episode on the one-link `pair()`
+    /// world and returns the error; nothing may reach the queue.
+    fn refused(bad: FaultEpisode) -> FaultPlanError {
+        let (mut sim, _, b, _) = pair();
+        let before = sim.stats().scheduled;
+        let err = FaultPlan::new()
+            .at(SimDuration::from_millis(1), FaultEpisode::NodeCrash { node: b })
+            .at(SimDuration::from_millis(2), bad)
+            .schedule(&mut sim)
+            .expect_err("malformed plan accepted");
+        assert_eq!(sim.stats().scheduled, before, "a refused plan scheduled events");
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        err
+    }
+
+    #[test]
+    fn unknown_link_is_refused() {
+        let err = refused(FaultEpisode::LinkDown { link: LinkId(5) });
+        assert_eq!(err, FaultPlanError::UnknownLink(LinkId(5)));
+    }
+
+    #[test]
+    fn unknown_node_is_refused() {
+        let err = refused(FaultEpisode::NodeRestart { node: NodeId(7) });
+        assert_eq!(err, FaultPlanError::UnknownNode(NodeId(7)));
+    }
+
+    #[test]
+    fn unknown_partition_member_is_refused() {
+        let err = refused(FaultEpisode::Partition {
+            group_a: vec![NodeId(0)],
+            group_b: vec![NodeId(1), NodeId(9)],
+            duration: SimDuration::from_millis(5),
+        });
+        assert_eq!(err, FaultPlanError::UnknownNode(NodeId(9)));
+    }
+
+    #[test]
+    fn loss_outside_unit_interval_is_refused() {
+        let burst = |prob| FaultEpisode::LossBurst { link: LinkId(0), prob, duration: SimDuration::from_millis(5) };
+        for prob in [1.0, -0.1] {
+            assert_eq!(refused(burst(prob)), FaultPlanError::LossOutOfRange(prob));
+        }
+        assert!(matches!(refused(burst(f64::NAN)), FaultPlanError::LossOutOfRange(p) if p.is_nan()));
     }
 
     #[test]

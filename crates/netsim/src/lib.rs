@@ -42,7 +42,7 @@ pub use engine::{
     Ctx, Event, FaultAction, Node, RunOutcome, Sim, SimStats, TimerHandle, TimerOwner, TimerToken,
     World, IFACE_INTERNAL,
 };
-pub use fault::{FaultEpisode, FaultPlan};
+pub use fault::{FaultEpisode, FaultPlan, FaultPlanError};
 pub use host::{App, AppEvent, Host, HostApi, HostCore, L35Shim, ShimApi};
 pub use link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId};
 pub use packet::{Packet, Payload};

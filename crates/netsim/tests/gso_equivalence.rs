@@ -129,7 +129,8 @@ fn transfer(
                     duration: SimDuration::from_millis(bu.dur_ms),
                 },
             )
-            .schedule(&mut sim);
+            .schedule(&mut sim)
+            .expect("valid burst");
     }
     sim.run_until(SimTime(400_000_000_000));
     let ev_packets = sim.metrics.counter_value("engine.ev.packet").unwrap_or(0);

@@ -5,9 +5,11 @@
 //! The property tests drive both structures with the same random
 //! interleaving of pushes and pops (deltas spanning all three tiers:
 //! current bucket, wheel, overflow) and with tombstone-style
-//! cancellations mirroring the engine's lazy timer discard.
+//! cancellations mirroring the engine's lazy timer discard. One more
+//! interleaves `peek`/`peek_key` with the pushes, as the engine's
+//! same-tick coalescing does.
 
-use netsim::sched::CalendarQueue;
+use netsim::sched::{CalendarQueue, DEFAULT_NBUCKETS_LOG2, DEFAULT_WIDTH_LOG2};
 use netsim::SimTime;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -26,6 +28,12 @@ impl RefHeap {
     }
     fn pop(&mut self) -> Option<(u64, u64)> {
         self.heap.pop().map(|Reverse(k)| k)
+    }
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|Reverse(k)| *k)
+    }
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -77,6 +85,65 @@ proptest! {
             }
         }
         prop_assert!(cal.is_empty());
+    }
+
+    /// `peek` and `peek_key` interleaved with pushes and pops. Every peek
+    /// must return the reference minimum without removing it, and `len()`
+    /// must match after every operation. Each pop is followed by a peek
+    /// and pushes land at `now + {0, < one bucket, wheel, overflow}`: the
+    /// pattern of `Sim::dispatch_run`, which peeks for a same-tick
+    /// successor after a pop and whose handler then schedules follow-ups.
+    #[test]
+    fn peeks_interleaved_with_pushes_match_reference_heap(
+        ops in prop::collection::vec((0u8..6u8, 0u8..4u8, 0u64..u64::MAX), 1..400)
+    ) {
+        let width = 1u64 << DEFAULT_WIDTH_LOG2;
+        let horizon = width << DEFAULT_NBUCKETS_LOG2;
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut reference = RefHeap::default();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for &(op, class, raw) in &ops {
+            match op {
+                0..=2 => {
+                    let at = now + match class {
+                        0 => 0,
+                        1 => raw % width,
+                        2 => raw % horizon,
+                        _ => horizon + raw % (4 * horizon),
+                    };
+                    cal.push(SimTime(at), seq, seq);
+                    reference.push(at, seq);
+                    seq += 1;
+                }
+                3 => {
+                    let got = cal.peek_key().map(|(t, s)| (t.as_nanos(), s));
+                    prop_assert_eq!(got, reference.peek());
+                }
+                4 => {
+                    let got = cal.peek().map(|(t, s, &item)| (t.as_nanos(), s, item));
+                    prop_assert_eq!(got, reference.peek().map(|(t, s)| (t, s, s)));
+                }
+                _ => {
+                    let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
+                    prop_assert_eq!(got, reference.pop());
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                    let next = cal.peek_key().map(|(t, s)| (t.as_nanos(), s));
+                    prop_assert_eq!(next, reference.peek());
+                }
+            }
+            prop_assert_eq!(cal.len(), reference.len());
+        }
+        loop {
+            let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
+            prop_assert_eq!(got, reference.pop());
+            prop_assert_eq!(cal.len(), reference.len());
+            if got.is_none() {
+                break;
+            }
+        }
     }
 
     /// Equal timestamps pop in schedule (seq) order — the FIFO tie-break

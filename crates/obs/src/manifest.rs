@@ -96,8 +96,8 @@ mod tests {
     fn file_name_is_slugified() {
         let m = RunManifest::new("fig3_iperf_rtt", "LSI(IPv4)");
         assert_eq!(m.file_name(), "fig3_iperf_rtt-lsi-ipv4.json");
-        let m = RunManifest::new("engine_perf", "default");
-        assert_eq!(m.file_name(), "engine_perf-default.json");
+        let m = RunManifest::new("fig2_throughput", "default");
+        assert_eq!(m.file_name(), "fig2_throughput-default.json");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! AES-128 (FIPS 197) with CBC and CTR modes.
+//! AES-128 (FIPS 197) with CBC mode.
 //!
 //! This is the symmetric cipher for the HIP ESP-BEET data plane and the
 //! TLS record layer. Two implementations live here:
@@ -8,17 +8,13 @@
 //!   (so a table bug cannot silently diverge from the byte-wise math —
 //!   both derive from the same constants), fuse SubBytes/ShiftRows/
 //!   MixColumns into one lookup-XOR round over four column words.
-//!   CBC folds the prev-block XOR into the first AddRoundKey, and CTR
-//!   runs a multi-block word-level keystream path.
-//! - The **byte-wise reference** ([`reference`]): the original
+//!   CBC folds the prev-block XOR into the first AddRoundKey.
+//! - The **byte-wise reference** ([`mod@reference`]): the original
 //!   straightforward separate-pass implementation, kept as the oracle
-//!   for equivalence tests and selectable at runtime via
-//!   [`set_reference_mode`] so whole-simulation regression tests can
-//!   prove the fast path changes no output byte.
+//!   that equivalence tests pin the fast path's blocks and CBC output to.
 //!
 //! Both are pinned to the FIPS 197 / SP 800-38A vectors below.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// AES block size in bytes.
@@ -75,22 +71,6 @@ fn gmul(a: u8, b: u8) -> u8 {
         b >>= 1;
     }
     p
-}
-
-thread_local! {
-    static REFERENCE_MODE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Forces the byte-wise [`reference`] implementation for every AES call
-/// on the current thread. Used by regression tests to prove the T-table
-/// fast path is output-identical at whole-simulation scale.
-pub fn set_reference_mode(on: bool) {
-    REFERENCE_MODE.with(|m| m.set(on));
-}
-
-/// Whether [`set_reference_mode`] forced the byte-wise path on this thread.
-pub fn reference_mode() -> bool {
-    REFERENCE_MODE.with(|m| m.get())
 }
 
 /// The fused encryption/decryption lookup tables.
@@ -162,7 +142,7 @@ fn store_words(w: [u32; 4], block: &mut [u8]) {
     block[12..16].copy_from_slice(&w[3].to_be_bytes());
 }
 
-/// An expanded AES-128 key: byte round keys (for the [`reference`]
+/// An expanded AES-128 key: byte round keys (for the [`mod@reference`]
 /// path), word round keys (fast encrypt) and the InvMixColumns-folded
 /// decryption round keys (fast decrypt, equivalent inverse cipher).
 #[derive(Clone)]
@@ -307,10 +287,6 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        if reference_mode() {
-            reference::encrypt_block(self, block);
-            return;
-        }
         let t = tables();
         let mut s = load_words(block);
         for (w, k) in s.iter_mut().zip(&self.rk[0]) {
@@ -321,25 +297,12 @@ impl Aes128 {
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        if reference_mode() {
-            reference::decrypt_block(self, block);
-            return;
-        }
         let t = tables();
         let mut s = load_words(block);
         for (w, k) in s.iter_mut().zip(&self.dk[0]) {
             *w ^= k;
         }
         store_words(self.decrypt_words(t, s), block);
-    }
-
-    /// CBC ciphertext length for a plaintext of `plain_len` bytes under
-    /// the PKCS#7 padding [`Self::cbc_encrypt`] applies (pad is always
-    /// 1..=16 bytes, so an exact multiple grows by one block). Lets
-    /// batched callers account per-frame wire bytes analytically without
-    /// running the cipher per frame.
-    pub const fn cbc_padded_len(plain_len: usize) -> usize {
-        plain_len + (BLOCK_LEN - plain_len % BLOCK_LEN)
     }
 
     /// CBC encryption with PKCS#7 padding. Output is a multiple of 16 bytes
@@ -359,18 +322,6 @@ impl Aes128 {
         out.reserve(plaintext.len() + pad);
         out.extend_from_slice(plaintext);
         out.extend(std::iter::repeat_n(pad as u8, pad));
-        if reference_mode() {
-            let mut prev = *iv;
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
-                for (b, p) in block.iter_mut().zip(&prev) {
-                    *b ^= p;
-                }
-                reference::encrypt_block(self, block);
-                prev = *block;
-            }
-            return;
-        }
         let t = tables();
         let rk0 = self.rk[0];
         // The chaining XOR and round key 0 are folded into one pass.
@@ -404,34 +355,21 @@ impl Aes128 {
         }
         let start = out.len();
         out.extend_from_slice(ciphertext);
-        if reference_mode() {
-            let mut prev = *iv;
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
-                let saved = *block;
-                reference::decrypt_block(self, block);
-                for (b, p) in block.iter_mut().zip(&prev) {
-                    *b ^= p;
-                }
-                prev = saved;
+        let t = tables();
+        let dk0 = self.dk[0];
+        let mut prev = load_words(iv);
+        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+            let saved = load_words(chunk);
+            let mut s = saved;
+            for i in 0..4 {
+                s[i] ^= dk0[i];
             }
-        } else {
-            let t = tables();
-            let dk0 = self.dk[0];
-            let mut prev = load_words(iv);
-            for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-                let saved = load_words(chunk);
-                let mut s = saved;
-                for i in 0..4 {
-                    s[i] ^= dk0[i];
-                }
-                let mut p = self.decrypt_words(t, s);
-                for i in 0..4 {
-                    p[i] ^= prev[i];
-                }
-                store_words(p, chunk);
-                prev = saved;
+            let mut p = self.decrypt_words(t, s);
+            for i in 0..4 {
+                p[i] ^= prev[i];
             }
+            store_words(p, chunk);
+            prev = saved;
         }
         let pad = out[out.len() - 1] as usize;
         if pad == 0 || pad > BLOCK_LEN || pad > out.len() - start
@@ -443,72 +381,14 @@ impl Aes128 {
         out.truncate(out.len() - pad);
         true
     }
-
-    /// CTR-mode keystream XOR (encryption and decryption are identical).
-    /// The 16-byte `nonce_counter` is the initial counter block; the final
-    /// 32 bits are incremented per block. Whole blocks run through the
-    /// word-level multi-block keystream path; only a trailing partial
-    /// block falls back to byte-wise XOR.
-    pub fn ctr_apply(&self, nonce_counter: &[u8; BLOCK_LEN], data: &mut [u8]) {
-        let mut counter = *nonce_counter;
-        if reference_mode() {
-            for chunk in data.chunks_mut(BLOCK_LEN) {
-                let mut keystream = counter;
-                reference::encrypt_block(self, &mut keystream);
-                for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                    *d ^= k;
-                }
-                incr_counter(&mut counter);
-            }
-            return;
-        }
-        let t = tables();
-        let rk0 = self.rk[0];
-        let mut chunks = data.chunks_exact_mut(BLOCK_LEN);
-        for chunk in &mut chunks {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let ks = self.encrypt_words(t, s);
-            let mut d = load_words(chunk);
-            for i in 0..4 {
-                d[i] ^= ks[i];
-            }
-            store_words(d, chunk);
-            incr_counter(&mut counter);
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let mut s = load_words(&counter);
-            for i in 0..4 {
-                s[i] ^= rk0[i];
-            }
-            let mut keystream = [0u8; BLOCK_LEN];
-            store_words(self.encrypt_words(t, s), &mut keystream);
-            for (d, k) in tail.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
-            }
-        }
-    }
-}
-
-/// Increments the trailing 32-bit big-endian counter of a CTR block.
-fn incr_counter(counter: &mut [u8; BLOCK_LEN]) {
-    for i in (BLOCK_LEN - 4..BLOCK_LEN).rev() {
-        counter[i] = counter[i].wrapping_add(1);
-        if counter[i] != 0 {
-            break;
-        }
-    }
 }
 
 pub mod reference {
     //! The original byte-oriented AES implementation: separate SubBytes/
     //! ShiftRows/MixColumns/AddRoundKey passes, exactly as in FIPS 197's
     //! pseudocode. Slower but obviously-correct; the T-table fast path is
-    //! proven equivalent to it by proptest (random keys/blocks) and by
-    //! whole-simulation regression runs under [`super::set_reference_mode`].
+    //! proven equivalent to it by proptest (random keys and blocks, and
+    //! CBC over random messages).
 
     use super::{inv_sbox, gmul, xtime, Aes128, BLOCK_LEN, SBOX};
 
@@ -603,17 +483,6 @@ pub mod reference {
 mod tests {
     use super::*;
 
-    #[test]
-    fn cbc_padded_len_matches_cbc_encrypt() {
-        let key = Aes128::new(&[7u8; 16]);
-        let iv = [3u8; 16];
-        for len in [0usize, 1, 15, 16, 17, 23 + 1448, 23 + 65160, 100] {
-            let pt = vec![0x5au8; len];
-            let ct = key.cbc_encrypt(&iv, &pt);
-            assert_eq!(ct.len(), Aes128::cbc_padded_len(len), "len {len}");
-        }
-    }
-
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -625,7 +494,7 @@ mod tests {
             .collect()
     }
 
-    /// SP 800-38A's AES-128 key, shared by the CBC/CTR vectors.
+    /// SP 800-38A's AES-128 key, shared by the CBC vectors.
     const NIST_KEY: [u8; 16] = [
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
         0x3c,
@@ -697,26 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn sp800_38a_ctr_vectors() {
-        // SP 800-38A F.5.1/F.5.2 (encrypt == decrypt in CTR).
-        let counter: [u8; 16] = unhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().expect("ctr");
-        let aes = Aes128::new(&NIST_KEY);
-        let mut data = nist_plaintext();
-        aes.ctr_apply(&counter, &mut data);
-        assert_eq!(
-            hex(&data),
-            concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee",
-            )
-        );
-        aes.ctr_apply(&counter, &mut data);
-        assert_eq!(data, nist_plaintext());
-    }
-
-    #[test]
     fn fast_path_matches_reference_blocks() {
         // Deterministic pseudo-random keys/blocks; the proptest suite in
         // tests/properties.rs covers truly random ones.
@@ -749,26 +598,6 @@ mod tests {
             assert_eq!(fast_d, block);
             assert_eq!(slow_d, block);
         }
-    }
-
-    #[test]
-    fn reference_mode_switches_implementation_not_output() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        let iv = *b"fedcba9876543210";
-        let msg: Vec<u8> = (0..777).map(|i| (i * 13 % 256) as u8).collect();
-        let fast_ct = aes.cbc_encrypt(&iv, &msg);
-        let mut fast_ctr = msg.clone();
-        aes.ctr_apply(&iv, &mut fast_ctr);
-        set_reference_mode(true);
-        let ref_ct = aes.cbc_encrypt(&iv, &msg);
-        let mut ref_ctr = msg.clone();
-        aes.ctr_apply(&iv, &mut ref_ctr);
-        let ref_pt = aes.cbc_decrypt(&iv, &fast_ct);
-        set_reference_mode(false);
-        assert_eq!(fast_ct, ref_ct, "CBC fast path must be byte-identical");
-        assert_eq!(fast_ctr, ref_ctr, "CTR fast path must be byte-identical");
-        assert_eq!(ref_pt.as_deref(), Some(&msg[..]), "cross decrypt");
-        assert_eq!(aes.cbc_decrypt(&iv, &ref_ct).as_deref(), Some(&msg[..]));
     }
 
     #[test]
@@ -809,43 +638,5 @@ mod tests {
             assert_ne!(pt[..16], msg[..16]);
             assert_eq!(pt[16..], msg[16..pt.len()]);
         }
-    }
-
-    #[test]
-    fn ctr_round_trip_and_symmetry() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        let nonce = [7u8; 16];
-        let msg: Vec<u8> = (0..1000).map(|i| (i % 256) as u8).collect();
-        let mut data = msg.clone();
-        aes.ctr_apply(&nonce, &mut data);
-        assert_ne!(data, msg);
-        aes.ctr_apply(&nonce, &mut data);
-        assert_eq!(data, msg);
-    }
-
-    #[test]
-    fn ctr_counter_increments_across_blocks() {
-        let aes = Aes128::new(b"0123456789abcdef");
-        let nonce = [0u8; 16];
-        let mut a = vec![0u8; 32];
-        aes.ctr_apply(&nonce, &mut a);
-        // Second block keystream must differ from the first.
-        assert_ne!(a[..16], a[16..]);
-    }
-
-    #[test]
-    fn ctr_counter_wraps_carry() {
-        // Trailing counter 0xffffffff must carry into a wrap, matching
-        // the reference path bit-for-bit.
-        let aes = Aes128::new(b"0123456789abcdef");
-        let mut nonce = [9u8; 16];
-        nonce[12..].copy_from_slice(&0xffff_ffffu32.to_be_bytes());
-        let mut fast = vec![0u8; 50];
-        aes.ctr_apply(&nonce, &mut fast);
-        let mut slow = vec![0u8; 50];
-        set_reference_mode(true);
-        aes.ctr_apply(&nonce, &mut slow);
-        set_reference_mode(false);
-        assert_eq!(fast, slow);
     }
 }

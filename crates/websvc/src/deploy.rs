@@ -109,6 +109,35 @@ pub struct RubisDeployment {
     pub scenario: Scenario,
 }
 
+impl RubisDeployment {
+    /// Writes each service VM's CPU accounting into `topo.sim.metrics`
+    /// as gauges, so a run manifest shows where the tiers spent their
+    /// CPU and how far the burstable ones drained their credits:
+    ///
+    /// - `vm.<role>.cpu.busy_us`: busy core-time in µs;
+    /// - `vm.<role>.cpu.credits_milli`: banked burst credits × 1000,
+    ///   for burstable flavors only.
+    ///
+    /// `<role>` is `web0`, `web1`, …, `db` and `lb`. Call it just before
+    /// `take_metrics()`: the values are a snapshot, not running totals.
+    pub fn record_cpu_gauges(&mut self) {
+        let mut roles: Vec<(String, VmHandle)> =
+            self.webs.iter().enumerate().map(|(i, &vm)| (format!("web{i}"), vm)).collect();
+        roles.push(("db".to_string(), self.db));
+        roles.extend(self.lb.map(|lb| ("lb".to_string(), lb)));
+        for (role, vm) in roles {
+            let cpu = &self.topo.host(vm).core.cpu;
+            let busy_us = (cpu.busy_time().as_nanos() / 1_000) as i64;
+            let credits = cpu.credits();
+            let metrics = &mut self.topo.sim.metrics;
+            metrics.set_gauge_name(&format!("vm.{role}.cpu.busy_us"), busy_us);
+            if let Some(c) = credits {
+                metrics.set_gauge_name(&format!("vm.{role}.cpu.credits_milli"), (c * 1000.0).round() as i64);
+            }
+        }
+    }
+}
+
 /// TLS costs derived from the shared crypto table, so SSL and HIP pay
 /// identically for identical primitives.
 pub fn tls_costs(c: &CostModel) -> TlsCosts {

@@ -45,7 +45,7 @@ proptest! {
         // 2 s steady state, then the storm.
         let steady = SimDuration::from_secs(2);
         dep.topo.sim.run_until(SimTime::ZERO + steady);
-        plan.schedule(&mut dep.topo.sim);
+        plan.schedule(&mut dep.topo.sim).expect("plan over deployed links and nodes");
         // Past the horizon plus settling room: ejection backoffs (≤ 8 s),
         // probes, TCP retransmissions and DB-pool refills all complete.
         let settle = SimDuration::from_secs(15);

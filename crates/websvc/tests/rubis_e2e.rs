@@ -167,3 +167,30 @@ fn round_robin_spreads_load_across_web_tier() {
         );
     }
 }
+
+#[test]
+fn cpu_gauges_snapshot_every_service_vm() {
+    let cfg = RubisConfig::fig2(Scenario::Basic, 42);
+    let (users, items) = (cfg.users, cfg.items);
+    let mut dep = deploy_rubis(cfg);
+    let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
+    let app = JmeterApp::new(dep.frontend, 8, WorkloadMix::default(), users, items);
+    dep.topo.host_mut(gen_host).add_app(Box::new(app));
+    dep.topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+    dep.record_cpu_gauges();
+
+    let mut vms: Vec<_> = dep.webs.iter().enumerate().map(|(i, &w)| (format!("web{i}"), w)).collect();
+    vms.push(("db".to_string(), dep.db));
+    vms.push(("lb".to_string(), dep.lb.expect("fig2 deploys an LB")));
+    for (role, vm) in vms {
+        let cpu = &dep.topo.host(vm).core.cpu;
+        let busy_us = dep.topo.sim.metrics.gauge_value(&format!("vm.{role}.cpu.busy_us"));
+        assert_eq!(busy_us, Some((cpu.busy_time().as_nanos() / 1_000) as i64), "{role}");
+        if role != "lb" {
+            assert!(busy_us.unwrap() > 0, "{role} did no work");
+        }
+        let credits = dep.topo.sim.metrics.gauge_value(&format!("vm.{role}.cpu.credits_milli"));
+        assert_eq!(credits.is_some(), cpu.credits().is_some(), "{role}: credits gauge iff burstable");
+    }
+    assert!(dep.topo.sim.metrics.gauge_value("vm.web0.cpu.credits_milli").is_some(), "micro VMs burst");
+}
