@@ -1,0 +1,74 @@
+//! Cost gate for the calendar queue on bulk TCP.
+//!
+//! The engine's same-tick check and `run_until` peek the queue bounded
+//! by the time they work at, so the window stays at `now` and the
+//! events a handler schedules land in the wheel. If a peek ever moves
+//! the window ahead of `now` (to the next RTO timer, milliseconds out),
+//! nearly every push becomes a sorted insert into the current bucket
+//! and bulk flows slow down several-fold with identical results. Only
+//! the queue's tier counters show it, so this test pins them.
+
+use cloudsim::{CloudKind, CloudTopology, Flavor};
+use hip_core::identity::HostIdentity;
+use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
+use netsim::link::LinkParams;
+use netsim::{SimDuration, SimStats, SimTime};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use websvc::loadgen::{BulkSendApp, IperfServerApp};
+
+const PORT: u16 = 5001;
+const BYTES: u64 = 2 * 1024 * 1024;
+
+/// One `BYTES`-sized flow between two Small VMs at 150 Mbit/s, over
+/// HIP/ESP or plain IPv4; returns the run's stats once every byte is in.
+fn bulk(hip: bool, seed: u64) -> SimStats {
+    let mut topo = CloudTopology::new(seed);
+    let cloud = topo.add_cloud("ec2", CloudKind::Public);
+    topo.set_cloud_link_params(cloud, LinkParams::datacenter().with_bandwidth(150_000_000));
+    let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
+    let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
+
+    let target = if hip {
+        let mut key_rng = StdRng::seed_from_u64(seed ^ 0x33);
+        let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
+        let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
+        let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
+        let cfg = HipConfig { costs: CostModel::paper_era(), ..HipConfig::default() };
+        let mut shim_a = HipShim::new(id_a, cfg.clone());
+        shim_a.add_peer(hit_b, PeerInfo { locators: vec![b.addr], via_rvs: None });
+        let mut shim_b = HipShim::new(id_b, cfg);
+        shim_b.add_peer(hit_a, PeerInfo { locators: vec![a.addr], via_rvs: None });
+        topo.host_mut(a).set_shim(Box::new(shim_a));
+        topo.host_mut(b).set_shim(Box::new(shim_b));
+        hit_b.to_ip()
+    } else {
+        b.addr
+    };
+
+    let srv_idx = topo.host_mut(b).add_app(Box::new(IperfServerApp::new(PORT)));
+    let mut client = BulkSendApp::new((target, PORT), BYTES);
+    client.start_delay = SimDuration::from_secs(1);
+    topo.host_mut(a).add_app(Box::new(client));
+
+    topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+
+    let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");
+    assert_eq!(srv.bytes, BYTES, "hip={hip}: the transfer must complete");
+    topo.sim.stats()
+}
+
+#[test]
+fn bulk_pushes_stay_off_the_sorted_insert_path() {
+    for hip in [false, true] {
+        let s = bulk(hip, 1);
+        // Every push lands in exactly one tier; migrations push again.
+        assert_eq!(
+            s.queue_current_pushes + s.queue_wheel_pushes + s.queue_overflow_pushes,
+            s.scheduled + s.queue_migrations,
+            "hip={hip}: {s:?}"
+        );
+        let share = s.queue_current_pushes as f64 / s.scheduled as f64;
+        assert!(share <= 0.05, "hip={hip}: current-bucket push share {share:.4} > 0.05: {s:?}");
+    }
+}

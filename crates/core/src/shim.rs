@@ -175,9 +175,45 @@ struct Association {
     pending_out_keys: Option<([u8; 16], [u8; 32])>,
     /// When the BEX started (I1 sent), for the `hip.bex` latency span.
     bex_started: SimTime,
-    /// Per-SA packet counters, registered when the SA is installed.
-    ctr_esp_out: Option<obs::CtrId>,
-    ctr_esp_in: Option<obs::CtrId>,
+    /// Per-SA metric handles, registered when the SA is installed.
+    esp_out_ids: Option<EspMetricIds>,
+    esp_in_ids: Option<EspMetricIds>,
+}
+
+/// Metric handles for one direction of an SA, registered once when the
+/// SA is installed so the per-packet path does no by-name lookups.
+#[derive(Clone, Copy, Debug)]
+struct EspMetricIds {
+    /// Per-SPI packet counter (`esp.tx{spi=…}` or `esp.rx{spi=…}`).
+    packets: obs::CtrId,
+    /// CPU work charged per packet (`esp.encrypt` or `esp.decrypt`).
+    work: obs::HistId,
+    /// Inner payload bytes per packet (`esp.out_bytes` or `esp.in_bytes`).
+    bytes: obs::HistId,
+}
+
+impl EspMetricIds {
+    fn outbound(m: &mut obs::MetricsRegistry, spi: u32) -> Self {
+        EspMetricIds {
+            packets: m.counter(&format!("esp.tx{{spi={spi:08x}}}")),
+            work: m.hist("esp.encrypt"),
+            bytes: m.hist("esp.out_bytes"),
+        }
+    }
+
+    fn inbound(m: &mut obs::MetricsRegistry, spi: u32) -> Self {
+        EspMetricIds {
+            packets: m.counter(&format!("esp.rx{{spi={spi:08x}}}")),
+            work: m.hist("esp.decrypt"),
+            bytes: m.hist("esp.in_bytes"),
+        }
+    }
+
+    fn record(self, m: &mut obs::MetricsRegistry, work: SimDuration, bytes: usize) {
+        m.add(self.packets, 1);
+        m.observe(self.work, work.as_nanos());
+        m.observe(self.bytes, bytes as u64);
+    }
 }
 
 /// A pre-computed R1 (signature covers the zero-receiver form).
@@ -547,7 +583,7 @@ impl HipShim {
         // Inbound SA can be installed now (peer will use our SPI).
         assoc.sa_in = Some(EspSa::new(local_spi, in_keys.0, in_keys.1, peer.to_ip(), my_hit.to_ip()));
         if api.metrics().is_enabled() {
-            assoc.ctr_esp_in = Some(api.metrics().counter(&format!("esp.rx{{spi={local_spi:08x}}}")));
+            assoc.esp_in_ids = Some(EspMetricIds::inbound(api.metrics(), local_spi));
         }
         // Outbound SA waits for the peer's SPI in R2; stash keys in the
         // assoc via a placeholder SA created on R2 using derived keys.
@@ -619,8 +655,8 @@ impl HipShim {
         assoc.sa_in = Some(EspSa::new(local_spi, in_keys.0, in_keys.1, peer.to_ip(), self.hit().to_ip()));
         assoc.sa_out = Some(EspSa::new(peer_spi, out_keys.0, out_keys.1, self.hit().to_ip(), peer.to_ip()));
         if api.metrics().is_enabled() {
-            assoc.ctr_esp_in = Some(api.metrics().counter(&format!("esp.rx{{spi={local_spi:08x}}}")));
-            assoc.ctr_esp_out = Some(api.metrics().counter(&format!("esp.tx{{spi={peer_spi:08x}}}")));
+            assoc.esp_in_ids = Some(EspMetricIds::inbound(api.metrics(), local_spi));
+            assoc.esp_out_ids = Some(EspMetricIds::outbound(api.metrics(), peer_spi));
         }
         self.spi_in.insert(local_spi, peer);
         // Make sure the peer has an LSI for legacy traffic.
@@ -660,7 +696,7 @@ impl HipShim {
         let bex_ns = api.now().as_nanos().saturating_sub(assoc.bex_started.as_nanos());
         if api.metrics().is_enabled() {
             api.metrics().observe_name("hip.bex", bex_ns);
-            assoc.ctr_esp_out = Some(api.metrics().counter(&format!("esp.tx{{spi={peer_spi:08x}}}")));
+            assoc.esp_out_ids = Some(EspMetricIds::outbound(api.metrics(), peer_spi));
         }
         self.lsi.lsi_for(peer);
         self.stats.bex_completed += 1;
@@ -850,12 +886,8 @@ impl HipShim {
         let delay = api.charge_cpu(work) + extra_delay;
         self.stats.esp_out += 1;
         self.stats.esp_bytes_out += payload_len as u64;
-        if let Some(c) = assoc.ctr_esp_out {
-            api.metrics().add(c, 1);
-        }
-        if api.metrics().is_enabled() {
-            api.metrics().observe_name("esp.encrypt", work.as_nanos());
-            api.metrics().observe_name("esp.out_bytes", payload_len as u64);
+        if let Some(ids) = assoc.esp_out_ids {
+            ids.record(api.metrics(), work, payload_len);
         }
         api.send_wire(delay, wire);
     }
@@ -900,12 +932,8 @@ impl HipShim {
                 let delay = api.charge_cpu(work);
                 self.stats.esp_in += 1;
                 self.stats.esp_bytes_in += len as u64;
-                if let Some(c) = assoc.ctr_esp_in {
-                    api.metrics().add(c, 1);
-                }
-                if api.metrics().is_enabled() {
-                    api.metrics().observe_name("esp.decrypt", work.as_nanos());
-                    api.metrics().observe_name("esp.in_bytes", len as u64);
+                if let Some(ids) = assoc.esp_in_ids {
+                    ids.record(api.metrics(), work, len);
                 }
                 api.deliver_upper(delay, inner);
             }
@@ -1055,8 +1083,8 @@ impl Association {
             peer_hi: None,
             pending_out_keys: None,
             bex_started: SimTime::ZERO,
-            ctr_esp_out: None,
-            ctr_esp_in: None,
+            esp_out_ids: None,
+            esp_in_ids: None,
         }
     }
 }

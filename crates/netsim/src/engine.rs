@@ -510,12 +510,17 @@ pub struct SimStats {
     pub timers_cancelled: u64,
     /// Cancelled timer events discarded at pop time (never dispatched).
     pub stale_timer_pops: u64,
+    /// Pushes that landed in the current bucket with a sorted insert.
+    /// A small share of `scheduled` when the window keeps up with `now`.
+    pub queue_current_pushes: u64,
     /// Pushes that took the O(1) wheel fast path.
     pub queue_wheel_pushes: u64,
     /// Pushes that landed in the far-future overflow heap.
     pub queue_overflow_pushes: u64,
     /// Events migrated from overflow into the active window.
     pub queue_migrations: u64,
+    /// Times the queue's window moved to a new bucket.
+    pub queue_advances: u64,
     /// Same-tick packet runs dispatched under one node checkout
     /// (runs of length ≥ 2 only).
     pub coalesced_runs: u64,
@@ -625,9 +630,11 @@ impl Sim {
     pub fn stats(&self) -> SimStats {
         let q = self.queue.stats();
         SimStats {
+            queue_current_pushes: q.pushed_current,
             queue_wheel_pushes: q.pushed_wheel,
             queue_overflow_pushes: q.pushed_overflow,
             queue_migrations: q.migrated,
+            queue_advances: q.advances,
             ..self.stats
         }
     }
@@ -674,10 +681,7 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start();
         let mut processed = 0;
-        while let Some((at, _seq)) = self.queue.peek_key() {
-            if at > deadline {
-                break;
-            }
+        while self.queue.peek_until(deadline).is_some() {
             let (at, _seq, event) = self.queue.pop().expect("peeked");
             if self.discard_if_stale(&event) {
                 continue;
@@ -750,9 +754,11 @@ impl Sim {
         run.clear();
         run.push((iface, pkt));
         while (run.len() as u64) < limit {
-            match self.queue.peek() {
-                Some((at, _seq, Event::PacketArrive { node: n, .. }))
-                    if at == self.now && *n == node => {}
+            // Bounded at `now`: a same-tick successor is already in the
+            // current bucket, and the window must not run ahead of the
+            // follow-ups the handlers are about to schedule.
+            match self.queue.peek_until(self.now) {
+                Some((_, _, Event::PacketArrive { node: n, .. })) if *n == node => {}
                 _ => break,
             }
             let Some((_, _, Event::PacketArrive { iface, pkt, .. })) = self.queue.pop() else {

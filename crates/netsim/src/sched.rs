@@ -9,7 +9,10 @@
 //!
 //! [`CalendarQueue`] keeps the identical total order with O(1) amortized
 //! scheduling for the common case (events within a short horizon of
-//! now). Structure:
+//! now). The tiers below hold 24-byte `(time, seq, slot)` keys; the
+//! payloads sit in a slab (`items`, with a free list of empty slots),
+//! so moving a key between tiers or sorting a bucket never copies an
+//! event. Structure:
 //!
 //! * a **current bucket** — a vector sorted descending by `(time, seq)`
 //!   holding events in `[cur_start, cur_start + width)`, popped from the
@@ -22,12 +25,23 @@
 //!   (long retransmission timeouts, SA lifetimes), migrated into the
 //!   wheel as the window approaches them.
 //!
+//! Every read takes a `limit`: [`CalendarQueue::peek_until`] only
+//! returns an event at or before it, and the window never moves to a
+//! bucket that starts after it. The engine passes the time it is working
+//! at (`now` for its same-tick check, the deadline in `run_until`), so
+//! the window stays at `now` and a handler's follow-up events land in
+//! the wheel, not in sorted inserts into `cur`. [`CalendarQueue::peek`]
+//! and [`CalendarQueue::pop`] are the `limit = u64::MAX` case.
+//!
 //! Ordering proof sketch: `cur_start` never passes an unpopped event
-//! (advances go to `min(next occupied bucket, overflow min)`), every
-//! wheel bucket not yet drained starts strictly after the current
-//! window, and overflow is consulted before the wheel whenever its
-//! minimum is earlier — so the pop sequence equals the sorted
-//! `(time, seq)` sequence, exactly what the old global heap produced.
+//! (advances go to `min(next occupied bucket, overflow min)`, and only
+//! when that bucket starts at or before `limit`), every wheel bucket not
+//! yet drained starts strictly after the current window, and overflow is
+//! consulted before the wheel whenever its minimum is earlier — so the
+//! pop sequence equals the sorted `(time, seq)` sequence, exactly what
+//! the old global heap produced. An event pushed before the window (the
+//! engine can leave the window ahead of `now` after discarding a stale
+//! timer) takes the ordered insert into `cur`, which keeps the order.
 //! The property test in `tests/sched_equivalence.rs` checks this
 //! against a reference `BinaryHeap` under random workloads.
 
@@ -47,34 +61,19 @@ pub const DEFAULT_WIDTH_LOG2: u32 = 13;
 /// heap and migrate in as the window approaches.
 pub const DEFAULT_NBUCKETS_LOG2: u32 = 11;
 
-#[derive(Debug)]
-struct Entry<T> {
+/// A queued key: the payload lives in `CalendarQueue::items[slot]`.
+/// Ordered by `(at, seq)`; `seq` is unique, so `slot` never decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
     at: u64,
     seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    slot: u32,
 }
 
 /// Counters the engine folds into its stats snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes that landed in the current-bucket heap.
+    /// Pushes that landed in the current bucket (a sorted insert).
     pub pushed_current: u64,
     /// Pushes that landed in a wheel bucket (the O(1) fast path).
     pub pushed_wheel: u64,
@@ -98,12 +97,16 @@ pub struct CalendarQueue<T> {
     /// Current bucket, sorted *descending* by `(at, seq)`: the minimum
     /// is at the tail, so pops are O(1) and draining a wheel bucket is
     /// one `sort_unstable` instead of per-event heap sifts.
-    cur: Vec<Entry<T>>,
-    wheel: Vec<Vec<Entry<T>>>,
+    cur: Vec<Entry>,
+    wheel: Vec<Vec<Entry>>,
     /// One bit per wheel bucket; set iff the bucket is non-empty.
     occ: Vec<u64>,
     wheel_len: usize,
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    overflow: BinaryHeap<Reverse<Entry>>,
+    /// Payload slab indexed by `Entry::slot`; `None` marks a free slot.
+    items: Vec<Option<T>>,
+    /// Free slots of `items`, reused before the slab grows.
+    free: Vec<u32>,
     len: usize,
     stats: QueueStats,
 }
@@ -134,6 +137,8 @@ impl<T> CalendarQueue<T> {
             occ: vec![0u64; nbuckets.div_ceil(64)],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
+            items: Vec::new(),
+            free: Vec::new(),
             len: 0,
             stats: QueueStats::default(),
         }
@@ -219,17 +224,27 @@ impl<T> CalendarQueue<T> {
     /// Schedules `item` at `(at, seq)`.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.len += 1;
-        self.push_entry(Entry { at: at.as_nanos(), seq, item });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.items[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.items.len()).expect("fewer than 2^32 queued events");
+                self.items.push(Some(item));
+                slot
+            }
+        };
+        self.push_entry(Entry { at: at.as_nanos(), seq, slot });
     }
 
-    fn push_entry(&mut self, e: Entry<T>) {
+    fn push_entry(&mut self, e: Entry) {
         if e.at < self.cur_start.saturating_add(self.width()) {
-            // Current bucket (or a straggler before the window —
-            // impossible during a run, but the ordered insert below
-            // handles it anyway). Sorted-descending insert; the bucket
-            // is small, so the memmove is cheap and rare.
+            // Current bucket, or a straggler before the window (the
+            // engine can leave the window ahead of `now` when it
+            // discards a stale timer); the ordered insert handles both.
             self.stats.pushed_current += 1;
-            let pos = self.cur.partition_point(|x| (x.at, x.seq) > (e.at, e.seq));
+            let pos = self.cur.partition_point(|x| *x > e);
             self.cur.insert(pos, e);
         } else if e.at < self.cur_start.saturating_add(self.horizon) {
             self.stats.pushed_wheel += 1;
@@ -244,45 +259,57 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Moves the window forward until `cur` holds the global minimum.
-    /// Returns false if the queue is empty.
-    fn advance(&mut self) -> bool {
+    /// Returns false if the queue is empty, or if the next window would
+    /// start after `limit` (then `cur_start` stays where it is).
+    fn advance(&mut self, limit: u64) -> bool {
         loop {
             if !self.cur.is_empty() {
                 return true;
             }
-            let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
-            let wheel_dist = self.next_occupied_distance();
-            match (wheel_dist, over_min) {
-                (None, None) => return false,
-                (Some(d), o) => {
-                    let next_start = self.cur_start + d * self.width();
-                    if o.is_some_and(|m| m < next_start) {
-                        self.migrate_overflow(o.expect("checked"));
-                    } else {
-                        // Drain the next occupied bucket into `cur`.
-                        self.stats.advances += 1;
-                        self.cur_start = next_start;
-                        let idx = self.bucket_index(self.cur_start);
-                        // Swap the buffers so the old `cur` allocation
-                        // becomes the bucket's next fill.
-                        std::mem::swap(&mut self.cur, &mut self.wheel[idx]);
-                        self.clear_occ(idx);
-                        self.wheel_len -= self.cur.len();
-                        self.cur.sort_unstable_by(|a, b| b.cmp(a));
-                        // Overflow events can fall *inside* this bucket's
-                        // window: they were pushed when the horizon ended
-                        // before it. Merge them now or they would pop
-                        // after later wheel events from the same bucket.
-                        let window_end = self.cur_start.saturating_add(self.width());
-                        while self.overflow.peek().is_some_and(|Reverse(e)| e.at < window_end) {
-                            let Reverse(e) = self.overflow.pop().expect("peeked");
-                            self.stats.migrated += 1;
-                            self.push_entry(e);
-                        }
-                    }
-                }
-                (None, Some(m)) => self.migrate_overflow(m),
+            // Every queued event lies at or after the current window's
+            // end: nothing can be due by `limit`. This is the engine's
+            // same-tick check after a bucket empties — no bitmap scan.
+            if self.cur_start.saturating_add(self.width()) > limit {
+                return false;
             }
+            let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
+            let wheel_next = self.next_occupied_distance().map(|d| self.cur_start + d * self.width());
+            if let Some(m) = over_min.filter(|&m| wheel_next.is_none_or(|next| m < next)) {
+                if (m & !(self.width() - 1)) > limit {
+                    return false;
+                }
+                self.migrate_overflow(m);
+            } else if let Some(next) = wheel_next {
+                if next > limit {
+                    return false;
+                }
+                self.drain_bucket(next);
+            } else {
+                return false;
+            }
+        }
+    }
+
+    /// Makes the wheel bucket starting at `start` the current bucket.
+    fn drain_bucket(&mut self, start: u64) {
+        self.stats.advances += 1;
+        self.cur_start = start;
+        let idx = self.bucket_index(start);
+        // Swap the buffers so the old `cur` allocation becomes the
+        // bucket's next fill.
+        std::mem::swap(&mut self.cur, &mut self.wheel[idx]);
+        self.clear_occ(idx);
+        self.wheel_len -= self.cur.len();
+        self.cur.sort_unstable_by(|a, b| b.cmp(a));
+        // Overflow events can fall *inside* this bucket's window: they
+        // were pushed when the horizon ended before it. Merge them now
+        // or they would pop after later wheel events from the same
+        // bucket.
+        let window_end = start.saturating_add(self.width());
+        while self.overflow.peek().is_some_and(|Reverse(e)| e.at < window_end) {
+            let Reverse(e) = self.overflow.pop().expect("peeked");
+            self.stats.migrated += 1;
+            self.push_entry(e);
         }
     }
 
@@ -305,32 +332,44 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// The earliest event — key plus a borrow of the item — if it is
+    /// due at or before `limit`, without popping it. The window never
+    /// moves to a bucket that starts after `limit` (hence `&mut`).
+    pub fn peek_until(&mut self, limit: SimTime) -> Option<(SimTime, u64, &T)> {
+        let limit = limit.as_nanos();
+        if !self.advance(limit) {
+            return None;
+        }
+        let e = *self.cur.last().expect("advance filled cur");
+        if e.at > limit {
+            return None;
+        }
+        let item = self.items[e.slot as usize].as_ref().expect("queued slot holds its item");
+        Some((SimTime(e.at), e.seq, item))
+    }
+
     /// The `(time, seq)` key of the earliest event, advancing the window
     /// if needed (hence `&mut`).
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if !self.advance() {
-            return None;
-        }
-        self.cur.last().map(|e| (SimTime(e.at), e.seq))
+        self.peek().map(|(at, seq, _)| (at, seq))
     }
 
     /// The earliest event — key plus a borrow of the item — without
     /// popping it, advancing the window if needed (hence `&mut`).
     pub fn peek(&mut self) -> Option<(SimTime, u64, &T)> {
-        if !self.advance() {
-            return None;
-        }
-        self.cur.last().map(|e| (SimTime(e.at), e.seq, &e.item))
+        self.peek_until(SimTime(u64::MAX))
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        if !self.advance() {
+        if !self.advance(u64::MAX) {
             return None;
         }
         let e = self.cur.pop().expect("advance filled cur");
+        let item = self.items[e.slot as usize].take().expect("queued slot holds its item");
+        self.free.push(e.slot);
         self.len -= 1;
-        Some((SimTime(e.at), e.seq, e.item))
+        Some((SimTime(e.at), e.seq, item))
     }
 }
 
@@ -466,6 +505,41 @@ mod tests {
         let st = q.stats();
         assert!(st.pushed_overflow > 0, "long spread must hit overflow");
         assert!(st.migrated > 0, "overflow must migrate back in");
+    }
+
+    #[test]
+    fn bounded_peek_keeps_the_window_at_now() {
+        // After the pop at 0 the current bucket is empty and the next
+        // event is 10 ms away. A peek bounded at `now` must neither
+        // return it nor move the window there, so a follow-up event
+        // 20 µs out still takes the wheel, not a sorted insert.
+        let mut q = CalendarQueue::new();
+        q.push(SimTime(0), 1, 0u32);
+        q.push(SimTime(10_000_000), 2, 0);
+        assert_eq!(q.pop().map(|(t, s, _)| (t.as_nanos(), s)), Some((0, 1)));
+        let before = q.stats();
+        assert!(q.peek_until(SimTime(0)).is_none());
+        assert_eq!(q.stats().advances, before.advances);
+        q.push(SimTime(20_000), 3, 0);
+        let after = q.stats();
+        assert_eq!(after.pushed_wheel, before.pushed_wheel + 1);
+        assert_eq!(after.pushed_current, before.pushed_current);
+        assert_eq!(drain(&mut q), vec![(20_000, 3), (10_000_000, 2)]);
+    }
+
+    #[test]
+    fn slots_are_reused_after_pops() {
+        let mut q = CalendarQueue::new();
+        for round in 0..4u64 {
+            for i in 0..8u64 {
+                q.push(SimTime(round * 1_000 + i), round * 8 + i, round * 8 + i);
+            }
+            for i in 0..8u64 {
+                assert_eq!(q.pop().map(|(_, _, item)| item), Some(round * 8 + i));
+            }
+        }
+        assert_eq!(q.items.len(), 8, "the slab only grows to the peak depth");
+        assert_eq!(q.free.len(), 8);
     }
 }
 

@@ -6,8 +6,8 @@
 //! interleaving of pushes and pops (deltas spanning all three tiers:
 //! current bucket, wheel, overflow) and with tombstone-style
 //! cancellations mirroring the engine's lazy timer discard. One more
-//! interleaves `peek`/`peek_key` with the pushes, as the engine's
-//! same-tick coalescing does.
+//! interleaves `peek`/`peek_key`/`peek_until` with the pushes, as the
+//! engine's same-tick coalescing and `run_until` do.
 
 use netsim::sched::{CalendarQueue, DEFAULT_NBUCKETS_LOG2, DEFAULT_WIDTH_LOG2};
 use netsim::SimTime;
@@ -87,18 +87,27 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 
-    /// `peek` and `peek_key` interleaved with pushes and pops. Every peek
-    /// must return the reference minimum without removing it, and `len()`
-    /// must match after every operation. Each pop is followed by a peek
-    /// and pushes land at `now + {0, < one bucket, wheel, overflow}`: the
+    /// `peek`, `peek_key` and `peek_until` interleaved with pushes and
+    /// pops. Every peek must return the reference minimum without
+    /// removing it — `peek_until(limit)` exactly when that minimum is at
+    /// or before `limit` — and `len()` must match after every operation.
+    /// Each pop is followed by a peek bounded at `now`, and pushes and
+    /// limits land at `now + {0, < one bucket, wheel, overflow}`: the
     /// pattern of `Sim::dispatch_run`, which peeks for a same-tick
-    /// successor after a pop and whose handler then schedules follow-ups.
+    /// successor after a pop and whose handler then schedules follow-ups,
+    /// and of `Sim::run_until`, which peeks up to its deadline.
     #[test]
     fn peeks_interleaved_with_pushes_match_reference_heap(
-        ops in prop::collection::vec((0u8..6u8, 0u8..4u8, 0u64..u64::MAX), 1..400)
+        ops in prop::collection::vec((0u8..7u8, 0u8..4u8, 0u64..u64::MAX), 1..400)
     ) {
         let width = 1u64 << DEFAULT_WIDTH_LOG2;
         let horizon = width << DEFAULT_NBUCKETS_LOG2;
+        let offset = |class: u8, raw: u64| match class {
+            0 => 0,
+            1 => raw % width,
+            2 => raw % horizon,
+            _ => horizon + raw % (4 * horizon),
+        };
         let mut cal: CalendarQueue<u64> = CalendarQueue::new();
         let mut reference = RefHeap::default();
         let mut now = 0u64;
@@ -106,12 +115,7 @@ proptest! {
         for &(op, class, raw) in &ops {
             match op {
                 0..=2 => {
-                    let at = now + match class {
-                        0 => 0,
-                        1 => raw % width,
-                        2 => raw % horizon,
-                        _ => horizon + raw % (4 * horizon),
-                    };
+                    let at = now + offset(class, raw);
                     cal.push(SimTime(at), seq, seq);
                     reference.push(at, seq);
                     seq += 1;
@@ -124,14 +128,20 @@ proptest! {
                     let got = cal.peek().map(|(t, s, &item)| (t.as_nanos(), s, item));
                     prop_assert_eq!(got, reference.peek().map(|(t, s)| (t, s, s)));
                 }
+                5 => {
+                    let limit = now + offset(class, raw);
+                    let got = cal.peek_until(SimTime(limit)).map(|(t, s, &item)| (t.as_nanos(), s, item));
+                    let want = reference.peek().filter(|&(t, _)| t <= limit).map(|(t, s)| (t, s, s));
+                    prop_assert_eq!(got, want);
+                }
                 _ => {
                     let got = cal.pop().map(|(t, s, _)| (t.as_nanos(), s));
                     prop_assert_eq!(got, reference.pop());
                     if let Some((t, _)) = got {
                         now = t;
                     }
-                    let next = cal.peek_key().map(|(t, s)| (t.as_nanos(), s));
-                    prop_assert_eq!(next, reference.peek());
+                    let next = cal.peek_until(SimTime(now)).map(|(t, s, _)| (t.as_nanos(), s));
+                    prop_assert_eq!(next, reference.peek().filter(|&(t, _)| t <= now));
                 }
             }
             prop_assert_eq!(cal.len(), reference.len());

@@ -242,7 +242,7 @@ pub fn any<T: Arbitrary>() -> T::Strategy {
 pub mod collection {
     use super::*;
 
-    /// Sizes accepted by [`vec`] / [`hash_set`]: a fixed count or range.
+    /// Sizes accepted by [`vec()`] / [`hash_set`]: a fixed count or range.
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
