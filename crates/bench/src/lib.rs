@@ -7,6 +7,7 @@
 //! index; EXPERIMENTS.md records paper-vs-measured.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fig2;
 pub mod fig3;

@@ -9,6 +9,7 @@
 //! packet forwarded across five hops clones the `Arc`, not the payload.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;

@@ -26,6 +26,7 @@
 //! the workspace root.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod dns_ext;

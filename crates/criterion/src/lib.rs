@@ -14,6 +14,7 @@
 //! `bench` binaries, which do their own measurement).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

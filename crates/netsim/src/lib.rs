@@ -19,6 +19,7 @@
 //! (see the `bench` crate), never inside one.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod cpu;

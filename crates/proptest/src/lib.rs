@@ -13,6 +13,7 @@
 //! without the full strategy/value-tree machinery.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -10,6 +10,7 @@
 //! their reproducibility.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::Range;
 

@@ -1,19 +1,32 @@
 //! AES-128 (FIPS 197) with CBC mode.
 //!
 //! This is the symmetric cipher for the HIP ESP-BEET data plane and the
-//! TLS record layer. Two implementations live here:
+//! TLS record layer. Three implementations live here:
 //!
-//! - The **T-table fast path** (default): four 256×u32 encryption tables
-//!   and their inverses, built once via `OnceLock` *from the S-box itself*
+//! - The **AES-NI path** (private module `ni`): on x86-64 CPUs with the
+//!   AES instructions, every public method runs one `aesenc`/`aesdec`
+//!   per round over the same expanded keys. Encryption uses the byte
+//!   round keys; decryption uses the equivalent-inverse keys (`dk`),
+//!   stored once as bytes by [`Aes128::new`]. CBC decryption keeps four
+//!   independent blocks in flight and finishes the remainder block by
+//!   block; CBC encryption is serial by construction.
+//! - The **T-table portable path**: four 256×u32 encryption tables and
+//!   their inverses, built once via `OnceLock` *from the S-box itself*
 //!   (so a table bug cannot silently diverge from the byte-wise math —
 //!   both derive from the same constants), fuse SubBytes/ShiftRows/
 //!   MixColumns into one lookup-XOR round over four column words.
-//!   CBC folds the prev-block XOR into the first AddRoundKey.
+//!   CBC folds the prev-block XOR into the first AddRoundKey. It runs
+//!   on other CPUs and architectures.
 //! - The **byte-wise reference** ([`mod@reference`]): the original
 //!   straightforward separate-pass implementation, kept as the oracle
-//!   that equivalence tests pin the fast path's blocks and CBC output to.
+//!   that equivalence tests pin both fast paths' blocks and CBC output to.
 //!
-//! Both are pinned to the FIPS 197 / SP 800-38A vectors below.
+//! The path is chosen per call by `is_x86_feature_detected!("aes")`
+//! alone; there is no switch. Both fast paths encrypt or decrypt a
+//! single block as one-block CBC under a zero IV. All three are pinned to the FIPS 197 /
+//! SP 800-38A vectors below, and the in-file proptests compare the
+//! AES-NI and T-table functions directly, so the portable path stays
+//! tested on CPUs that have the instructions.
 
 use std::sync::OnceLock;
 
@@ -142,14 +155,17 @@ fn store_words(w: [u32; 4], block: &mut [u8]) {
     block[12..16].copy_from_slice(&w[3].to_be_bytes());
 }
 
-/// An expanded AES-128 key: byte round keys (for the [`mod@reference`]
-/// path), word round keys (fast encrypt) and the InvMixColumns-folded
-/// decryption round keys (fast decrypt, equivalent inverse cipher).
+/// An expanded AES-128 key: byte round keys (AES-NI encrypt and the
+/// [`mod@reference`] path), word round keys (T-table encrypt) and the
+/// InvMixColumns-folded decryption round keys of the equivalent inverse
+/// cipher, as words (T-table decrypt) and as bytes (AES-NI decrypt).
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
     rk: [[u32; 4]; 11],
     dk: [[u32; 4]; 11],
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    dk_bytes: [[u8; 16]; 11],
 }
 
 impl Aes128 {
@@ -193,7 +209,11 @@ impl Aes128 {
                 dk[r][c] = inv_mix_word(rk[10 - r][c]);
             }
         }
-        Aes128 { round_keys, rk, dk }
+        let mut dk_bytes = [[0u8; 16]; 11];
+        for (bytes, words) in dk_bytes.iter_mut().zip(&dk) {
+            store_words(*words, bytes);
+        }
+        Aes128 { round_keys, rk, dk, dk_bytes }
     }
 
     /// One fused table round per call site: 9 main rounds + the S-box
@@ -287,22 +307,13 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let t = tables();
-        let mut s = load_words(block);
-        for (w, k) in s.iter_mut().zip(&self.rk[0]) {
-            *w ^= k;
-        }
-        store_words(self.encrypt_words(t, s), block);
+        // A one-block CBC encryption under a zero IV is the block cipher.
+        self.cbc_encrypt_in_place(&[0; BLOCK_LEN], block);
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let t = tables();
-        let mut s = load_words(block);
-        for (w, k) in s.iter_mut().zip(&self.dk[0]) {
-            *w ^= k;
-        }
-        store_words(self.decrypt_words(t, s), block);
+        self.cbc_decrypt_in_place(&[0; BLOCK_LEN], block);
     }
 
     /// CBC encryption with PKCS#7 padding. Output is a multiple of 16 bytes
@@ -322,18 +333,7 @@ impl Aes128 {
         out.reserve(plaintext.len() + pad);
         out.extend_from_slice(plaintext);
         out.extend(std::iter::repeat_n(pad as u8, pad));
-        let t = tables();
-        let rk0 = self.rk[0];
-        // The chaining XOR and round key 0 are folded into one pass.
-        let mut prev = load_words(iv);
-        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
-            let mut s = load_words(chunk);
-            for i in 0..4 {
-                s[i] ^= prev[i] ^ rk0[i];
-            }
-            prev = self.encrypt_words(t, s);
-            store_words(prev, chunk);
-        }
+        self.cbc_encrypt_in_place(iv, &mut out[start..]);
     }
 
     /// CBC decryption undoing PKCS#7 padding. Returns `None` on malformed
@@ -355,10 +355,58 @@ impl Aes128 {
         }
         let start = out.len();
         out.extend_from_slice(ciphertext);
+        self.cbc_decrypt_in_place(iv, &mut out[start..]);
+        let pad = out[out.len() - 1] as usize;
+        if pad == 0 || pad > BLOCK_LEN || pad > out.len() - start
+            || !out[out.len() - pad..].iter().all(|&b| b == pad as u8)
+        {
+            out.truncate(start);
+            return false;
+        }
+        out.truncate(out.len() - pad);
+        true
+    }
+
+    /// Unpadded CBC encryption of whole blocks, in place.
+    fn cbc_encrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::Aesni::detect() {
+            return ni.cbc_encrypt(self, iv, buf);
+        }
+        self.cbc_encrypt_portable(iv, buf);
+    }
+
+    /// Unpadded CBC decryption of whole blocks, in place.
+    fn cbc_decrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::Aesni::detect() {
+            return ni.cbc_decrypt(self, iv, buf);
+        }
+        self.cbc_decrypt_portable(iv, buf);
+    }
+
+    /// T-table unpadded CBC encryption of whole blocks, in place.
+    fn cbc_encrypt_portable(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        let t = tables();
+        let rk0 = self.rk[0];
+        // The chaining XOR and round key 0 are folded into one pass.
+        let mut prev = load_words(iv);
+        for chunk in buf.chunks_mut(BLOCK_LEN) {
+            let mut s = load_words(chunk);
+            for i in 0..4 {
+                s[i] ^= prev[i] ^ rk0[i];
+            }
+            prev = self.encrypt_words(t, s);
+            store_words(prev, chunk);
+        }
+    }
+
+    /// T-table unpadded CBC decryption of whole blocks, in place.
+    fn cbc_decrypt_portable(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
         let t = tables();
         let dk0 = self.dk[0];
         let mut prev = load_words(iv);
-        for chunk in out[start..].chunks_mut(BLOCK_LEN) {
+        for chunk in buf.chunks_mut(BLOCK_LEN) {
             let saved = load_words(chunk);
             let mut s = saved;
             for i in 0..4 {
@@ -371,15 +419,115 @@ impl Aes128 {
             store_words(p, chunk);
             prev = saved;
         }
-        let pad = out[out.len() - 1] as usize;
-        if pad == 0 || pad > BLOCK_LEN || pad > out.len() - start
-            || !out[out.len() - pad..].iter().all(|&b| b == pad as u8)
-        {
-            out.truncate(start);
-            return false;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    //! AES-NI rounds over [`Aes128`]'s expanded keys. The only way in is
+    //! an [`Aesni`] token, which [`Aesni::detect`] hands out only after
+    //! `is_x86_feature_detected!("aes")` returned true.
+
+    use super::{Aes128, BLOCK_LEN};
+    use core::arch::x86_64::{
+        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+        _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// Proof that the running CPU has the AES instructions.
+    #[derive(Clone, Copy)]
+    pub(super) struct Aesni(());
+
+    impl Aesni {
+        #[inline]
+        pub(super) fn detect() -> Option<Self> {
+            is_x86_feature_detected!("aes").then_some(Aesni(()))
         }
-        out.truncate(out.len() - pad);
-        true
+
+        /// Unpadded CBC encryption of whole blocks, in place.
+        #[inline]
+        pub(super) fn cbc_encrypt(self, aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+            // SAFETY: `self` exists only if `is_x86_feature_detected!("aes")`
+            // returned true in `Aesni::detect`.
+            unsafe { cbc_encrypt(aes, iv, buf) }
+        }
+
+        /// Unpadded CBC decryption of whole blocks, in place.
+        #[inline]
+        pub(super) fn cbc_decrypt(self, aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+            // SAFETY: `self` exists only if `is_x86_feature_detected!("aes")`
+            // returned true in `Aesni::detect`.
+            unsafe { cbc_decrypt(aes, iv, buf) }
+        }
+    }
+
+    #[inline]
+    fn load(bytes: &[u8]) -> __m128i {
+        let bytes: &[u8; BLOCK_LEN] = bytes.try_into().expect("one block");
+        // SAFETY: `bytes` is 16 readable bytes and `loadu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn store(v: __m128i, bytes: &mut [u8]) {
+        let bytes: &mut [u8; BLOCK_LEN] = bytes.try_into().expect("one block");
+        // SAFETY: `bytes` is 16 writable bytes and `storeu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    /// CBC-encrypts the whole blocks of `buf` in place. The chaining XOR
+    /// and round key 0 are folded into one XOR, as on the T-table path.
+    #[target_feature(enable = "aes")]
+    fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        let k: [__m128i; 11] = std::array::from_fn(|r| load(&aes.round_keys[r]));
+        let mut prev = _mm_xor_si128(load(iv), k[0]);
+        for chunk in buf.chunks_exact_mut(BLOCK_LEN) {
+            let mut s = _mm_xor_si128(load(chunk), prev);
+            for key in &k[1..10] {
+                s = _mm_aesenc_si128(s, *key);
+            }
+            let c = _mm_aesenclast_si128(s, k[10]);
+            store(c, chunk);
+            prev = _mm_xor_si128(c, k[0]);
+        }
+    }
+
+    /// CBC-decrypts the whole blocks of `buf` in place with the equivalent
+    /// inverse cipher. Decryption blocks do not depend on each other, so
+    /// four are in flight at a time; the remainder goes one by one.
+    #[target_feature(enable = "aes")]
+    fn cbc_decrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        let k: [__m128i; 11] = std::array::from_fn(|r| load(&aes.dk_bytes[r]));
+        let mut prev = load(iv);
+        let mut quads = buf.chunks_exact_mut(4 * BLOCK_LEN);
+        for quad in &mut quads {
+            let c: [__m128i; 4] = std::array::from_fn(|i| load(&quad[i * BLOCK_LEN..][..BLOCK_LEN]));
+            let mut s = c;
+            for b in &mut s {
+                *b = _mm_xor_si128(*b, k[0]);
+            }
+            for key in &k[1..10] {
+                for b in &mut s {
+                    *b = _mm_aesdec_si128(*b, *key);
+                }
+            }
+            let chain = [prev, c[0], c[1], c[2]];
+            for ((out, b), x) in quad.chunks_exact_mut(BLOCK_LEN).zip(s).zip(chain) {
+                store(_mm_xor_si128(_mm_aesdeclast_si128(b, k[10]), x), out);
+            }
+            prev = c[3];
+        }
+        for chunk in quads.into_remainder().chunks_exact_mut(BLOCK_LEN) {
+            let c = load(chunk);
+            let mut s = _mm_xor_si128(c, k[0]);
+            for key in &k[1..10] {
+                s = _mm_aesdec_si128(s, *key);
+            }
+            store(_mm_xor_si128(_mm_aesdeclast_si128(s, k[10]), prev), chunk);
+            prev = c;
+        }
     }
 }
 
@@ -482,6 +630,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -626,6 +775,87 @@ mod tests {
         let result = aes.cbc_decrypt(&iv, &garbage);
         if let Some(pt) = result {
             assert!(pt.len() < 32);
+        }
+    }
+
+    /// PKCS#7-pads `msg` and CBC-encrypts it with the byte-wise reference
+    /// cipher: the textbook construction both fast paths must reproduce.
+    fn reference_cbc(aes: &Aes128, iv: &[u8; BLOCK_LEN], msg: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let pad = BLOCK_LEN - msg.len() % BLOCK_LEN;
+        let mut padded = msg.to_vec();
+        padded.extend(std::iter::repeat_n(pad as u8, pad));
+        let mut ct = padded.clone();
+        let mut prev = *iv;
+        for chunk in ct.chunks_mut(BLOCK_LEN) {
+            let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("block");
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            reference::encrypt_block(aes, block);
+            prev = *block;
+        }
+        (padded, ct)
+    }
+
+    proptest! {
+        #[test]
+        fn aes_ni_and_ttable_blocks_match_reference(
+            key in any::<[u8; 16]>(),
+            block in any::<[u8; 16]>(),
+        ) {
+            let aes = Aes128::new(&key);
+            let mut ct = block;
+            reference::encrypt_block(&aes, &mut ct);
+            let mut pt = ct;
+            reference::decrypt_block(&aes, &mut pt);
+            prop_assert_eq!(pt, block);
+
+            // Both paths encrypt a block as one-block CBC under a zero IV.
+            let zero = [0; BLOCK_LEN];
+            let mut t = block;
+            aes.cbc_encrypt_portable(&zero, &mut t);
+            prop_assert_eq!(t, ct);
+            aes.cbc_decrypt_portable(&zero, &mut t);
+            prop_assert_eq!(t, block);
+
+            #[cfg(target_arch = "x86_64")]
+            if let Some(ni) = ni::Aesni::detect() {
+                let mut n = block;
+                ni.cbc_encrypt(&aes, &zero, &mut n);
+                prop_assert_eq!(n, ct);
+                ni.cbc_decrypt(&aes, &zero, &mut n);
+                prop_assert_eq!(n, block);
+            }
+        }
+
+        #[test]
+        fn aes_ni_and_ttable_cbc_match_reference(
+            key in any::<[u8; 16]>(),
+            iv in any::<[u8; 16]>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..2000),
+        ) {
+            // 1–125 padded blocks: every remainder of the 4-block decrypt.
+            let aes = Aes128::new(&key);
+            let (padded, ct) = reference_cbc(&aes, &iv, &msg);
+
+            let mut t = padded.clone();
+            aes.cbc_encrypt_portable(&iv, &mut t);
+            prop_assert_eq!(&t, &ct);
+            aes.cbc_decrypt_portable(&iv, &mut t);
+            prop_assert_eq!(&t, &padded);
+
+            #[cfg(target_arch = "x86_64")]
+            if let Some(ni) = ni::Aesni::detect() {
+                let mut n = padded.clone();
+                ni.cbc_encrypt(&aes, &iv, &mut n);
+                prop_assert_eq!(&n, &ct);
+                ni.cbc_decrypt(&aes, &iv, &mut n);
+                prop_assert_eq!(&n, &padded);
+            }
+
+            // The dispatching public API, whichever path it takes.
+            prop_assert_eq!(&aes.cbc_encrypt(&iv, &msg), &ct);
+            prop_assert_eq!(aes.cbc_decrypt(&iv, &ct).expect("valid padding"), msg);
         }
     }
 

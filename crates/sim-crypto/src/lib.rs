@@ -16,6 +16,13 @@
 //! - [`aes`] — AES-128 in CBC mode (ESP + TLS record payloads)
 //! - [`kdf`] — HIP KEYMAT (RFC 5201 §6.5) and a TLS-style PRF
 //!
+//! AES-128 and the SHA-256 compression run on the CPU's AES-NI and SHA-NI
+//! instructions when `is_x86_feature_detected!` finds them, and on portable
+//! code otherwise. Those two private `ni` modules hold the workspace's only
+//! `unsafe` code; every other crate root has `#![forbid(unsafe_code)]`.
+//! Simulated time is charged from the cost model, never measured, so the
+//! path taken does not change any simulated output.
+//!
 //! **Security disclaimer:** this crate exists to reproduce a systems
 //! paper inside a simulator. It is *not* constant-time, side-channel
 //! hardened, or audited. Do not use it to protect real data.

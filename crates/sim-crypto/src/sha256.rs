@@ -3,6 +3,16 @@
 //! Used for HIT generation (ORCHID hashing), HIP puzzles, HMACs, signature
 //! digests and the KEYMAT KDF. Implemented from the standard and pinned to
 //! the FIPS test vectors below.
+//!
+//! Everything funnels into one compression function over a run of whole
+//! blocks: [`Sha256::update`] passes every whole block of its input in one
+//! call, and [`Sha256::finalize`] builds the one or two padding blocks on
+//! the stack and compresses them in one call. On x86-64 CPUs with the SHA
+//! extensions (`is_x86_feature_detected!("sha")`, plus the SSSE3/SSE4.1
+//! shuffles it needs) the compression runs on `sha256rnds2`/`sha256msg1`/
+//! `sha256msg2` (private module `ni`); elsewhere the scalar rounds below
+//! run. There is no switch. The in-file proptests pin the two to each
+//! other directly, so the scalar path stays tested on CPUs with SHA-NI.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -45,9 +55,9 @@ impl Sha256 {
         Sha256 { state: H0, buf: [0; BLOCK_LEN], buf_len: 0, total_len: 0 }
     }
 
-    /// Absorbs `data`. Block-aligned input with an empty buffer is
-    /// compressed directly from the input slice — no staging copy
-    /// through the internal buffer.
+    /// Absorbs `data`. After topping up a partly filled buffer, every
+    /// whole block of `data` is compressed straight from the input slice
+    /// in one call — no staging copy through the internal buffer.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
@@ -56,50 +66,56 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            self.compress(block.try_into().expect("one block"));
-            data = rest;
+        let whole = data.len() - data.len() % BLOCK_LEN;
+        let (blocks, rest) = data.split_at(whole);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        self.total_len = self.total_len.wrapping_sub(1); // update() counted the pad byte
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // Padding: 0x80, zeros, 64-bit big-endian length, in one block if
+        // the length still fits after the 0x80, otherwise in two.
+        let mut tail = [0u8; 2 * BLOCK_LEN];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let len = if self.buf_len < BLOCK_LEN - 8 { BLOCK_LEN } else { 2 * BLOCK_LEN };
+        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..len]);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// Compresses `blocks` (a whole number of 64-byte blocks) into `state`.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(BLOCK_LEN));
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = ni::ShaNi::detect() {
+        return ni.compress(state, blocks);
+    }
+    compress_portable(state, blocks);
+}
+
+/// The scalar FIPS 180-4 compression, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -109,7 +125,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -130,14 +146,110 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    //! The SHA-256 compression on the x86 SHA extensions. The only way in
+    //! is a [`ShaNi`] token, which [`ShaNi::detect`] hands out only after
+    //! `is_x86_feature_detected!` returned true for `sha`, `ssse3` and
+    //! `sse4.1`.
+
+    use super::{BLOCK_LEN, K};
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Proof that the running CPU has SHA-NI and the shuffles it needs.
+    #[derive(Clone, Copy)]
+    pub(super) struct ShaNi(());
+
+    impl ShaNi {
+        #[inline]
+        pub(super) fn detect() -> Option<Self> {
+            let ok = is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1");
+            ok.then_some(ShaNi(()))
+        }
+
+        /// Compresses `blocks` (a whole number of 64-byte blocks) into `state`.
+        #[inline]
+        pub(super) fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+            // SAFETY: `self` exists only if `is_x86_feature_detected!` returned
+            // true for "sha", "ssse3" and "sse4.1" in `ShaNi::detect`.
+            unsafe { compress(state, blocks) }
+        }
+    }
+
+    #[inline]
+    fn load(bytes: &[u8]) -> __m128i {
+        let bytes: &[u8; 16] = bytes.try_into().expect("16 bytes");
+        // SAFETY: `bytes` is 16 readable bytes and `loadu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn load_words(words: &[u32]) -> __m128i {
+        let words: &[u32; 4] = words.try_into().expect("4 words");
+        // SAFETY: `words` is 16 readable bytes and `loadu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_loadu_si128(words.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn store_words(v: __m128i, words: &mut [u32]) {
+        let words: &mut [u32; 4] = words.try_into().expect("4 words");
+        // SAFETY: `words` is 16 writable bytes and `storeu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(words.as_mut_ptr().cast(), v) }
+    }
+
+    /// `sha256rnds2` keeps the state as the lane pairs ABEF and CDGH and
+    /// does two rounds per call; four message words are scheduled at a
+    /// time with `sha256msg1`/`sha256msg2`.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = load_words(&state[0..4]);
+        let hgfe = load_words(&state[4..8]);
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w: [__m128i; 4] =
+                std::array::from_fn(|i| load(&block[16 * i..16 * i + 16]));
+            for v in &mut w {
+                *v = _mm_shuffle_epi8(*v, bswap);
+            }
+            for i in 0..16 {
+                if i >= 4 {
+                    // W[4i..4i+4] from the previous sixteen words.
+                    let t = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                    let t = _mm_add_epi32(t, _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+                    w[i % 4] = _mm_sha256msg2_epu32(t, w[(i + 3) % 4]);
+                }
+                let wk = _mm_add_epi32(w[i % 4], load_words(&K[4 * i..4 * i + 4]));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        store_words(_mm_blend_epi16(feba, dchg, 0xf0), &mut state[0..4]);
+        store_words(_mm_alignr_epi8(dchg, feba, 8), &mut state[4..8]);
     }
 }
 
@@ -160,6 +272,7 @@ pub fn sha256_multi(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -215,5 +328,54 @@ mod tests {
         let a = b"hello ".as_slice();
         let b = b"world".as_slice();
         assert_eq!(sha256_multi(&[a, b]), sha256(b"hello world"));
+    }
+
+    #[test]
+    fn padding_boundaries_match_sha256sum() {
+        // Byte i is (7i + 3) mod 256. The lengths straddle the one- and
+        // two-block padding cases (55/56, 119/120) and block ends.
+        // Expected digests were computed once with coreutils `sha256sum`.
+        const PINNED: [(usize, &str); 7] = [
+            (55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"),
+            (56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"),
+            (63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"),
+            (64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"),
+            (119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"),
+            (120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"),
+            (128, "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6"),
+        ];
+        for (len, digest) in PINNED {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(hex(&sha256(&data)), digest, "len={len}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sha_ni_compression_matches_scalar(
+            state in any::<[u8; 32]>(),
+            n in 1usize..5,
+            bytes in proptest::collection::vec(any::<u8>(), 4 * BLOCK_LEN),
+        ) {
+            let data = &bytes[..n * BLOCK_LEN];
+            let mut words = [0u32; 8];
+            for (w, c) in words.iter_mut().zip(state.chunks_exact(4)) {
+                *w = u32::from_le_bytes(c.try_into().expect("4 bytes"));
+            }
+            let mut scalar = words;
+            compress_portable(&mut scalar, data);
+            // Whole-run and block-by-block scalar calls agree too.
+            let mut stepwise = words;
+            for block in data.chunks_exact(BLOCK_LEN) {
+                compress_portable(&mut stepwise, block);
+            }
+            prop_assert_eq!(stepwise, scalar);
+            #[cfg(target_arch = "x86_64")]
+            if let Some(ni) = ni::ShaNi::detect() {
+                let mut fast = words;
+                ni.compress(&mut fast, data);
+                prop_assert_eq!(fast, scalar);
+            }
+        }
     }
 }

@@ -122,8 +122,9 @@ proptest! {
     ) {
         let aes = Aes128::new(&key);
         let ct = aes.cbc_encrypt(&iv, &msg);
-        // The fused T-table CBC must equal textbook CBC (PKCS#7 pad, XOR
-        // the previous block, encrypt) over the byte-wise reference cipher.
+        // The dispatching CBC (AES-NI or T-table) must equal textbook CBC
+        // (PKCS#7 pad, XOR the previous block, encrypt) over the byte-wise
+        // reference cipher.
         let pad = 16 - msg.len() % 16;
         let mut expected = msg.clone();
         expected.extend(std::iter::repeat_n(pad as u8, pad));
@@ -141,7 +142,7 @@ proptest! {
     }
 
     #[test]
-    fn ttable_encrypt_matches_bytewise_reference(
+    fn encrypt_block_matches_bytewise_reference(
         key in any::<[u8; 16]>(),
         block in any::<[u8; 16]>(),
     ) {
@@ -154,7 +155,7 @@ proptest! {
     }
 
     #[test]
-    fn ttable_decrypt_matches_bytewise_reference(
+    fn decrypt_block_matches_bytewise_reference(
         key in any::<[u8; 16]>(),
         block in any::<[u8; 16]>(),
     ) {

@@ -17,6 +17,7 @@
 //! simulator can charge it to a VM's virtual CPU.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cert;
 pub mod record;

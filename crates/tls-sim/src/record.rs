@@ -108,10 +108,12 @@ impl RecordCipher {
         let mut iv = [0u8; 16];
         iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
         iv[8..16].copy_from_slice(&self.seq.to_be_bytes());
-        let ct = self.cipher.cbc_encrypt(&iv, plaintext);
-        let mut body = Vec::with_capacity(16 + ct.len() + MAC_LEN);
+        // The plaintext is ciphered straight into the body after the IV,
+        // with no intermediate ciphertext vector.
+        let padded = (plaintext.len() / 16 + 1) * 16;
+        let mut body = Vec::with_capacity(16 + padded + MAC_LEN);
         body.extend_from_slice(&iv);
-        body.extend_from_slice(&ct);
+        self.cipher.cbc_encrypt_into(&iv, plaintext, &mut body);
         let mac = self.mac(self.seq, &body);
         body.extend_from_slice(&mac);
         body
@@ -165,6 +167,24 @@ mod tests {
         for msg in [&b"short"[..], &[0u8; 5000][..]] {
             let sealed = tx.seal(msg, 7);
             assert_eq!(rx.open(&sealed).as_deref(), Some(msg));
+        }
+    }
+
+    #[test]
+    fn sealed_body_is_iv_ciphertext_mac() {
+        let mut tx = RecordCipher::new([1; 16], [2; 32]);
+        for (i, len) in [0usize, 15, 16, 1000].into_iter().enumerate() {
+            let msg: Vec<u8> = (0..len).map(|b| (b * 31) as u8).collect();
+            let seq = i as u64 + 1;
+            let sealed = tx.seal(&msg, 7);
+            let mut iv = [0u8; 16];
+            iv[..8].copy_from_slice(&7u64.to_be_bytes());
+            iv[8..].copy_from_slice(&seq.to_be_bytes());
+            let mut expected = iv.to_vec();
+            expected.extend_from_slice(&Aes128::new(&[1; 16]).cbc_encrypt(&iv, &msg));
+            let mac = HmacKey::new(&[2; 32]).mac_multi(&[&seq.to_be_bytes(), &expected]);
+            expected.extend_from_slice(&mac[..MAC_LEN]);
+            assert_eq!(sealed, expected, "len={len}");
         }
     }
 

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Cryptographic primitives (re-export of `sim-crypto`).
 pub use sim_crypto as crypto;
