@@ -22,7 +22,7 @@ impl App for Sender {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
             let d = self.data.clone();
-            api.tcp_send(s, &d);
+            api.tcp_send(s, d);
             api.tcp_close(s);
         }
     }

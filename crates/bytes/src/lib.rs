@@ -115,6 +115,12 @@ impl From<&'static [u8]> for Bytes {
     }
 }
 
+impl<const N: usize> From<&'static [u8; N]> for Bytes {
+    fn from(s: &'static [u8; N]) -> Self {
+        Bytes::from_static(s)
+    }
+}
+
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Self {
         Bytes::from_static(s.as_bytes())
@@ -358,6 +364,16 @@ mod tests {
         assert_eq!(b.len(), 5);
         assert_eq!(b, *b"hello");
         assert_eq!(b.slice(1..3), *b"el");
+    }
+
+    #[test]
+    fn static_array_converts_without_copy() {
+        static MSG: [u8; 5] = *b"hello";
+        let b = Bytes::from(&MSG);
+        assert_eq!(b, *b"hello");
+        assert_eq!(b.as_slice().as_ptr(), MSG.as_ptr());
+        let lit: Bytes = b"lit".into();
+        assert_eq!(lit, *b"lit");
     }
 
     #[test]

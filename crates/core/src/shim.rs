@@ -855,19 +855,6 @@ impl HipShim {
     // ------------------------------------------------------------------
 
     fn encap_and_send(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, extra_delay: SimDuration) {
-        if let Payload::Tcp(seg) = &pkt.payload {
-            if seg.gso_mss > 0 {
-                // NIC-level GSO split: each MSS frame is encrypted and
-                // sent as its own ESP packet (own IV draw, ICV, replay
-                // slot and CPU charge), exactly as if TCP had emitted it
-                // alone.
-                for frame in netsim::packet::split_gso(seg) {
-                    let f = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame));
-                    self.encap_and_send(api, peer, f, extra_delay);
-                }
-                return;
-            }
-        }
         let mode = if netsim::addr::is_lsi(&pkt.dst) { InnerMode::Lsi } else { InnerMode::Hit };
         let costs = self.config.costs;
         let Some(assoc) = self.assocs.get_mut(&peer) else { return };

@@ -11,7 +11,7 @@ use netsim::engine::{Ctx, Node};
 use netsim::host::{App, AppEvent, Host, HostApi};
 use netsim::link::LinkId;
 use netsim::packet::{v4, Packet, Payload};
-use netsim::tcp::{GsoMode, TcpEvent};
+use netsim::tcp::TcpEvent;
 use netsim::{Endpoint, LinkParams, Sim, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +113,7 @@ impl App for EchoServer {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
             let d = api.tcp_recv(s);
-            api.tcp_send(s, &d);
+            api.tcp_send(s, d);
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -172,15 +172,14 @@ fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
     let chat = |hit_b: Hit| -> Box<dyn App> {
         Box::new(Chat { target: hit_b.to_ip(), rounds: 10, sent: 0, replies: 0 })
     };
-    build_with(mitm_cfg, seed, GsoMode::Exact, chat, Box::new(EchoServer))
+    build_with(mitm_cfg, seed, chat, Box::new(EchoServer))
 }
 
 /// a — mitm — b with HIP between a and b: `app_a(hit_b)` runs on a,
-/// `app_b` on b, and both TCP stacks use `gso`.
+/// `app_b` on b.
 fn build_with(
     mitm_cfg: impl FnOnce(&mut Mitm),
     seed: u64,
-    gso: GsoMode,
     app_a: impl FnOnce(Hit) -> Box<dyn App>,
     app_b: Box<dyn App>,
 ) -> World {
@@ -199,11 +198,9 @@ fn build_with(
     let mut ha = Host::new("a");
     ha.set_shim(Box::new(shim_a));
     ha.add_app(app_a(hit_b));
-    ha.core.tcp.config.gso = gso;
     let mut hb = Host::new("b");
     hb.set_shim(Box::new(shim_b));
     hb.add_app(app_b);
-    hb.core.tcp.config.gso = gso;
 
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
@@ -377,7 +374,7 @@ impl App for BulkSender {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
             let d = std::mem::take(&mut self.data);
-            api.tcp_send(s, &d);
+            api.tcp_send(s, d);
             api.tcp_close(s);
         }
     }
@@ -410,7 +407,7 @@ impl App for BulkReceiver {
     }
 }
 
-/// What a bulk run under attack must reproduce across GSO modes.
+/// What a bulk run under attack reports.
 #[derive(Debug, PartialEq)]
 struct BulkOutcome {
     delivered: Vec<u8>,
@@ -420,22 +417,35 @@ struct BulkOutcome {
     drop_replay: Option<u64>,
 }
 
+impl BulkOutcome {
+    /// `(a.esp_out, a.esp_bytes_out, b.esp_in, b.esp_bytes_in)`.
+    fn esp_data_counts(&self) -> (u64, u64, u64, u64) {
+        let (a, b) = (&self.stats_a, &self.stats_b);
+        (a.esp_out, a.esp_bytes_out, b.esp_in, b.esp_bytes_in)
+    }
+}
+
 /// A 256 KiB HIP bulk transfer a → b with `attack` applied to the 40th
 /// ESP frame heading to b — mid-burst, well after the handshake.
-fn bulk_under_attack(gso: GsoMode, attack: FrameAttack) -> BulkOutcome {
+fn bulk_under_attack(attack: FrameAttack) -> BulkOutcome {
     let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
     let sender =
         |hit_b: Hit| -> Box<dyn App> { Box::new(BulkSender { target: hit_b.to_ip(), data: data.clone() }) };
     let mut w = build_with(
         |m| m.frame_attack = Some((40, attack)),
         6,
-        gso,
         sender,
         Box::new(BulkReceiver { got: Vec::new() }),
     );
     w.sim.run_until(SimTime(30_000_000_000));
     let got = &w.sim.world.node::<Host>(w.b).expect("b").app::<BulkReceiver>(0).expect("receiver").got;
-    assert_eq!(*got, data, "{gso:?}/{attack:?}: TCP must recover the whole stream");
+    assert_eq!(*got, data, "{attack:?}: TCP must recover the whole stream");
+    for node in [w.a, w.b] {
+        let tcp = &w.sim.world.node::<Host>(node).expect("host").core.tcp;
+        if let Err(e) = tcp.check_invariants() {
+            panic!("{attack:?}: TCP invariant broken on {node:?}: {e}");
+        }
+    }
     BulkOutcome {
         delivered: got.clone(),
         stats_a: shim_stats(&w.sim, w.a),
@@ -445,30 +455,38 @@ fn bulk_under_attack(gso: GsoMode, attack: FrameAttack) -> BulkOutcome {
     }
 }
 
+// The ESP data counts below are pinned to what the previous datapath
+// (TCP super-segments split at the shim) produced for the same seed:
+// one ESP packet per MSS frame, so moving to per-MSS TCP emission must
+// not change a single frame.
+
 #[test]
 fn bulk_tampered_frame_rejected_alone() {
-    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Tamper);
-    assert_eq!(off.stats_b.drops_auth, 1, "exactly the tampered frame fails its ICV: {:?}", off.stats_b);
-    assert_eq!(off.drop_auth, Some(1));
-    assert_eq!(off.stats_b.drops_replay, 0);
-    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Tamper));
+    let out = bulk_under_attack(FrameAttack::Tamper);
+    assert_eq!(out.stats_b.drops_auth, 1, "exactly the tampered frame fails its ICV: {:?}", out.stats_b);
+    assert_eq!(out.drop_auth, Some(1));
+    assert_eq!(out.stats_b.drops_replay, 0);
+    assert_eq!(out.esp_data_counts(), (301, 269_612, 300, 268_144));
+    assert_eq!(out, bulk_under_attack(FrameAttack::Tamper), "deterministic");
 }
 
 #[test]
 fn bulk_replayed_frame_rejected_alone() {
-    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Replay);
-    assert_eq!(off.stats_b.drops_replay, 1, "exactly the duplicate is refused: {:?}", off.stats_b);
-    assert_eq!(off.drop_replay, Some(1));
-    assert_eq!(off.stats_b.drops_auth, 0);
-    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Replay));
+    let out = bulk_under_attack(FrameAttack::Replay);
+    assert_eq!(out.stats_b.drops_replay, 1, "exactly the duplicate is refused: {:?}", out.stats_b);
+    assert_eq!(out.drop_replay, Some(1));
+    assert_eq!(out.stats_b.drops_auth, 0);
+    assert_eq!(out.esp_data_counts(), (185, 265_844, 185, 265_844));
+    assert_eq!(out, bulk_under_attack(FrameAttack::Replay), "deterministic");
 }
 
 #[test]
 fn bulk_dropped_frame_is_retransmitted() {
-    let off = bulk_under_attack(GsoMode::Off, FrameAttack::Drop);
-    assert_eq!((off.stats_b.drops_auth, off.stats_b.drops_replay), (0, 0), "{:?}", off.stats_b);
+    let out = bulk_under_attack(FrameAttack::Drop);
+    assert_eq!((out.stats_b.drops_auth, out.stats_b.drops_replay), (0, 0), "{:?}", out.stats_b);
     // The stream is whole (checked in `bulk_under_attack`), so TCP
     // resent the data; only the swallowed frame never reached b.
-    assert_eq!(off.stats_a.esp_out, off.stats_b.esp_in + 1, "a={:?} b={:?}", off.stats_a, off.stats_b);
-    assert_eq!(off, bulk_under_attack(GsoMode::Exact, FrameAttack::Drop));
+    assert_eq!(out.stats_a.esp_out, out.stats_b.esp_in + 1, "a={:?} b={:?}", out.stats_a, out.stats_b);
+    assert_eq!(out.esp_data_counts(), (301, 269_612, 300, 268_144));
+    assert_eq!(out, bulk_under_attack(FrameAttack::Drop), "deterministic");
 }

@@ -24,7 +24,7 @@ impl App for EchoServer {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
             let d = api.tcp_recv(s);
-            api.tcp_send(s, &d);
+            api.tcp_send(s, d);
             self.served += 1;
         }
     }
@@ -65,7 +65,7 @@ impl App for EchoClient {
             AppEvent::Tcp(TcpEvent::Connected(s)) => {
                 self.connected = true;
                 let msg = self.message.clone();
-                api.tcp_send(s, &msg);
+                api.tcp_send(s, msg);
             }
             AppEvent::Tcp(TcpEvent::Data(s)) => {
                 self.reply.extend(api.tcp_recv(s));

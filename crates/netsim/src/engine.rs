@@ -87,7 +87,7 @@ fn link_transmit(
 ) -> Option<(SimTime, Event)> {
     debug_assert!(
         !matches!(&pkt.payload, Payload::Tcp(seg) if seg.gso_mss > 0),
-        "GSO super-segment reached link {}",
+        "segment with gso_mss set reached link {}",
         link.id.0
     );
     match link.transmit(from, pkt.wire_len(), now, loss_draw, jitter_draw) {
@@ -386,8 +386,7 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Transmits `pkt` on `link`. Loss and queueing are resolved here;
-    /// delivery (if any) is scheduled automatically. `pkt` must be a
-    /// wire frame: GSO super-segments are split before the link.
+    /// delivery (if any) is scheduled automatically.
     pub fn transmit(&mut self, link: LinkId, pkt: Packet) {
         let draws = (self.rng.random(), self.rng.random());
         let l = &mut self.links[link.0];

@@ -25,6 +25,7 @@ use crate::packet::{
 use crate::tcp::{SockId, TcpConfig, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
+use bytes::Bytes;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
@@ -261,20 +262,7 @@ impl HostCore {
 
     /// Sends a locator-addressed packet toward the network after `delay`
     /// (the delay models CPU processing already charged by the caller).
-    pub fn send_wire(&mut self, ctx: &mut Ctx, delay: SimDuration, pkt: Packet) {
-        if let Payload::Tcp(seg) = &pkt.payload {
-            // NIC-level GSO split: a super-segment travels the stack
-            // once but hits the wire as per-MTU frames, in the exact
-            // order unbatched TCP would have sent them.
-            if seg.gso_mss > 0 {
-                for frame in crate::packet::split_gso(seg) {
-                    let f = Packet::new(pkt.src, pkt.dst, Payload::Tcp(frame));
-                    self.send_wire(ctx, delay, f);
-                }
-                return;
-            }
-        }
-        let mut pkt = pkt;
+    pub fn send_wire(&mut self, ctx: &mut Ctx, delay: SimDuration, mut pkt: Packet) {
         // IPv6 destination with no native IPv6: tunnel through Teredo.
         if pkt.dst.is_ipv6() && !self.has_native_v6() {
             let Some(t) = &mut self.teredo else {
@@ -768,8 +756,9 @@ impl HostApi<'_, '_> {
         self.core.tcp.connect(src, (remote, port), self.app_idx, iss, self.ctx.now)
     }
 
-    /// Queues bytes on a socket.
-    pub fn tcp_send(&mut self, sock: SockId, data: &[u8]) {
+    /// Queues bytes on a socket. TCP keeps `data` itself until the
+    /// peer acknowledges it, so passing an owned buffer copies nothing.
+    pub fn tcp_send(&mut self, sock: SockId, data: impl Into<Bytes>) {
         self.core.tcp.send(sock, data, self.ctx.now);
     }
 
@@ -941,7 +930,6 @@ mod tests {
     use crate::engine::*;
     use crate::link::{Endpoint, LinkParams};
     use crate::packet::v4;
-    use bytes::Bytes;
 
     /// An app that listens on a port and echoes everything back.
     struct EchoServer {
@@ -955,7 +943,7 @@ mod tests {
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
             if let AppEvent::Tcp(TcpEvent::Data(sock)) = ev {
                 let data = api.tcp_recv(sock);
-                api.tcp_send(sock, &data);
+                api.tcp_send(sock, data);
                 self.served += 1;
             }
         }

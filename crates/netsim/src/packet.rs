@@ -160,41 +160,11 @@ pub struct TcpSegment {
     pub window: u32,
     /// Payload bytes.
     pub data: Bytes,
-    /// GSO: when non-zero, this is a super-segment logically composed
-    /// of MSS-sized frames of this size. The NIC layer splits it back
-    /// into wire frames (see [`split_gso`]) before the link; a zero
-    /// value marks an ordinary wire segment.
+    /// Always 0: TCP emits one MSS-sized segment per packet. The field
+    /// is left over from sender GSO (super-segments, since deleted) and
+    /// goes once nothing outside the workspace builds segments with it;
+    /// the link debug-asserts that it stays 0.
     pub gso_mss: u16,
-}
-
-/// Splits a GSO super-segment into its per-frame MSS segments
-/// (zero-copy slices of the super's payload). The frames are exactly
-/// the segments per-MSS emission would have produced: sequence numbers
-/// advance by frame length, FIN rides only on the final frame, and
-/// ack/window/flags otherwise replicate.
-pub fn split_gso(seg: &TcpSegment) -> Vec<TcpSegment> {
-    let mss = seg.gso_mss as usize;
-    debug_assert!(mss > 0, "split_gso on a non-GSO segment");
-    let mut frames = Vec::with_capacity(seg.data.len().div_ceil(mss.max(1)));
-    let mut off = 0;
-    while off < seg.data.len() {
-        let take = mss.min(seg.data.len() - off);
-        let last = off + take == seg.data.len();
-        let mut flags = seg.flags;
-        flags.fin = seg.flags.fin && last;
-        frames.push(TcpSegment {
-            src_port: seg.src_port,
-            dst_port: seg.dst_port,
-            seq: seg.seq.wrapping_add(off as u32),
-            ack: seg.ack,
-            flags,
-            window: seg.window,
-            data: seg.data.slice(off..off + take),
-            gso_mss: 0,
-        });
-        off += take;
-    }
-    frames
 }
 
 /// A UDP datagram.
@@ -372,35 +342,5 @@ mod tests {
     fn flags_debug_compact() {
         assert_eq!(format!("{:?}", TcpFlags::SYN_ACK), "[SA]");
         assert_eq!(format!("{:?}", TcpFlags::RST), "[R]");
-    }
-
-    #[test]
-    fn split_gso_reproduces_per_mss_frames() {
-        let data: Vec<u8> = (0..3500u32).map(|i| (i % 251) as u8).collect();
-        let sup = TcpSegment {
-            src_port: 1,
-            dst_port: 2,
-            seq: u32::MAX - 1000, // exercises wraparound
-            ack: 42,
-            flags: TcpFlags::FIN_ACK,
-            window: 8192,
-            data: Bytes::from(data.clone()),
-            gso_mss: 1448,
-        };
-        let frames = split_gso(&sup);
-        assert_eq!(frames.len(), 3); // 1448 + 1448 + 604
-        let mut reassembled = Vec::new();
-        let mut expect_seq = sup.seq;
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.seq, expect_seq);
-            assert_eq!(f.gso_mss, 0);
-            assert_eq!(f.ack, sup.ack);
-            assert_eq!(f.window, sup.window);
-            assert!(f.flags.ack);
-            assert_eq!(f.flags.fin, i == frames.len() - 1, "FIN only on last");
-            reassembled.extend_from_slice(&f.data);
-            expect_seq = expect_seq.wrapping_add(f.data.len() as u32);
-        }
-        assert_eq!(reassembled, data);
     }
 }

@@ -22,8 +22,97 @@ use std::net::IpAddr;
 /// Connection 4-tuple: (local addr, local port, remote addr, remote port).
 type ConnKey = (IpAddr, u16, IpAddr, u16);
 
-/// Upper bound on a GSO super-segment (bytes), before MSS alignment.
-const GSO_MAX: usize = 65_536;
+/// The send buffer: the chunks the application handed to
+/// [`TcpLayer::send`], in order, starting at `snd_una`.
+///
+/// Chunks are kept as the application's own [`Bytes`], so queueing
+/// data copies nothing and a segment that lies inside one chunk is a
+/// zero-copy slice of it. Only a segment that straddles a chunk
+/// boundary is copied.
+#[derive(Default)]
+struct SendBuf {
+    /// Non-empty chunks, oldest first.
+    chunks: VecDeque<Bytes>,
+    /// Total bytes across `chunks`.
+    len: usize,
+}
+
+impl SendBuf {
+    /// Bytes buffered (unacknowledged plus unsent).
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends a chunk (empty chunks are not stored).
+    fn push(&mut self, data: Bytes) {
+        if !data.is_empty() {
+            self.len += data.len();
+            self.chunks.push_back(data);
+        }
+    }
+
+    /// Releases the first `n` bytes (all of them if `n` exceeds the
+    /// buffer): whole chunks are dropped, a partial one is re-sliced.
+    fn consume(&mut self, n: usize) {
+        let mut n = n.min(self.len);
+        self.len -= n;
+        while n > 0 {
+            let front = self.chunks.front_mut().expect("len counts chunk bytes");
+            if front.len() <= n {
+                n -= front.len();
+                self.chunks.pop_front();
+            } else {
+                *front = front.slice(n..);
+                n = 0;
+            }
+        }
+    }
+
+    /// The `len` bytes starting `off` bytes past the front. A range
+    /// inside one chunk shares that chunk's storage; a range across
+    /// chunks is copied.
+    fn range(&self, off: usize, len: usize) -> Bytes {
+        assert!(off + len <= self.len, "range {off}+{len} past buffer of {}", self.len);
+        if len == 0 {
+            return Bytes::new();
+        }
+        let mut chunks = self.chunks.iter();
+        let mut skip = off;
+        let first = loop {
+            let c = chunks.next().expect("off lies inside the buffer");
+            if skip < c.len() {
+                break c;
+            }
+            skip -= c.len();
+        };
+        if skip + len <= first.len() {
+            return first.slice(skip..skip + len);
+        }
+        let mut copy = Vec::with_capacity(len);
+        copy.extend_from_slice(&first[skip..]);
+        for c in chunks {
+            let need = len - copy.len();
+            if need == 0 {
+                break;
+            }
+            copy.extend_from_slice(&c[..need.min(c.len())]);
+        }
+        Bytes::from(copy)
+    }
+
+    /// Checks that `len` is the sum of the chunk lengths and that no
+    /// chunk is empty.
+    fn check(&self) -> Result<(), String> {
+        if let Some(i) = self.chunks.iter().position(Bytes::is_empty) {
+            return Err(format!("send buffer chunk {i} is empty"));
+        }
+        let sum: usize = self.chunks.iter().map(Bytes::len).sum();
+        if sum != self.len {
+            return Err(format!("send buffer counts {} bytes, chunks hold {sum}", self.len));
+        }
+        Ok(())
+    }
+}
 
 /// Identifies a socket within one host's TCP layer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -53,25 +142,6 @@ pub enum TcpEvent {
     Reset(SockId),
 }
 
-/// Sender-side segmentation offload (GSO) policy.
-///
-/// Batching is a *simulator-mechanism* optimization: the TCP layer
-/// emits one super-segment per send burst instead of one packet per
-/// MSS, and the NIC layer turns it back into per-frame wire traffic.
-/// The two modes are bit-identical by construction; `Off` is kept as
-/// the oracle that `Exact` is tested against.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GsoMode {
-    /// One MSS-sized segment per packet (the pre-batching behavior).
-    Off,
-    /// Emit super-segments; the NIC layer (host `send_wire` for plain
-    /// TCP, the ESP shim for HIP) splits them into per-frame wire
-    /// packets immediately before the link, in the order `Off` sends
-    /// them. Every wire-visible event is identical to `Off` — goldens
-    /// stay bit-identical — while TCP segmentation runs once per burst.
-    Exact,
-}
-
 /// TCP tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
@@ -90,8 +160,6 @@ pub struct TcpConfig {
     /// Disable congestion control (window limited by receiver only) —
     /// not used by the experiments but handy for microbenchmarks.
     pub congestion_control: bool,
-    /// Sender-side segmentation offload policy (see [`GsoMode`]).
-    pub gso: GsoMode,
 }
 
 impl Default for TcpConfig {
@@ -104,7 +172,6 @@ impl Default for TcpConfig {
             rto_min: SimDuration::from_millis(200),
             syn_retries: 5,
             congestion_control: true,
-            gso: GsoMode::Exact,
         }
     }
 }
@@ -138,7 +205,7 @@ struct TcpSocket {
     /// Next sequence number to send.
     snd_nxt: u32,
     /// Bytes awaiting ACK or transmission, starting at `snd_una`.
-    send_buf: VecDeque<u8>,
+    send_buf: SendBuf,
     /// Peer's advertised window.
     snd_wnd: u32,
     /// Congestion window (bytes).
@@ -286,13 +353,14 @@ impl TcpLayer {
         id
     }
 
-    /// Queues `data` for transmission.
-    pub fn send(&mut self, sock: SockId, data: &[u8], now: SimTime) {
+    /// Queues `data` for transmission. The buffer keeps `data` itself
+    /// (no copy) until the peer acknowledges it.
+    pub fn send(&mut self, sock: SockId, data: impl Into<Bytes>, now: SimTime) {
         let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else { return };
         if !matches!(s.state, TcpState::Established | TcpState::CloseWait) {
             return;
         }
-        s.send_buf.extend(data.iter().copied());
+        s.send_buf.push(data.into());
         s.try_output(&mut self.out, now, &mut self.timer_reqs);
     }
 
@@ -582,9 +650,7 @@ impl TcpLayer {
                 // Account for FIN occupying one sequence number.
                 let fin_acked = s.fin_seq.is_some_and(|f| seq_lt(f, ack));
                 let data_acked = newly_acked - usize::from(fin_acked);
-                for _ in 0..data_acked.min(s.send_buf.len()) {
-                    s.send_buf.pop_front();
-                }
+                s.send_buf.consume(data_acked);
                 s.snd_una = ack;
                 s.dup_acks = 0;
                 // RTT sample (Karn: only for non-retransmitted data).
@@ -740,6 +806,18 @@ impl TcpLayer {
     pub fn open_sockets(&self) -> usize {
         self.sockets.iter().filter(|s| s.is_some()).count()
     }
+
+    /// Checks every socket's send-side sequence space: `snd_una <=
+    /// snd_nxt`, the send buffer's byte count equals its chunks' and no
+    /// chunk is empty, and the data in flight (`snd_nxt - snd_una` less
+    /// an unacknowledged SYN or FIN) is still buffered. Returns the
+    /// first violation.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for s in self.sockets.iter().flatten() {
+            s.check_invariants().map_err(|e| format!("socket {}: {e}", s.id.0))?;
+        }
+        Ok(())
+    }
 }
 
 impl TcpSocket {
@@ -759,7 +837,7 @@ impl TcpSocket {
             cfg,
             snd_una: 0,
             snd_nxt: 0,
-            send_buf: VecDeque::new(),
+            send_buf: SendBuf::default(),
             snd_wnd: cfg.recv_window,
             cwnd: cfg.init_cwnd_segments as u64 * cfg.mss as u64,
             ssthresh: u64::MAX / 2,
@@ -778,6 +856,23 @@ impl TcpSocket {
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
             time_wait_deadline: None,
+        }
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        if !seq_le(self.snd_una, self.snd_nxt) {
+            return Err(format!("snd_una {} is past snd_nxt {}", self.snd_una, self.snd_nxt));
+        }
+        self.send_buf.check()?;
+        let syn = u32::from(matches!(self.state, TcpState::SynSent | TcpState::SynReceived));
+        let fin = u32::from(self.fin_seq.is_some_and(|f| seq_le(self.snd_una, f)));
+        let flight = self.snd_nxt.wrapping_sub(self.snd_una);
+        match flight.checked_sub(syn + fin) {
+            Some(data) if data as usize <= self.send_buf.len() => Ok(()),
+            _ => Err(format!(
+                "{flight} sequence numbers in flight (SYN {syn}, FIN {fin}) but {} bytes buffered",
+                self.send_buf.len()
+            )),
         }
     }
 
@@ -803,16 +898,13 @@ impl TcpSocket {
         self.snd_nxt
     }
 
-    /// Sends as much buffered data as windows allow; sends FIN when the
-    /// buffer drains and a close is pending.
+    /// Sends as much buffered data as windows allow, one MSS-sized
+    /// segment per packet; sends FIN when the buffer drains and a close
+    /// is pending.
     ///
-    /// The burst the windows permit is carved out of the send deque in
-    /// one allocation and every emitted segment is a zero-copy slice of
-    /// it. Under [`GsoMode::Exact`] the loop emits
-    /// super-segments of up to [`GSO_MAX`] bytes, clamped to a multiple
-    /// of the MSS so a capped super ends exactly on a per-MSS frame
-    /// boundary — the NIC-layer split then reproduces `Off`-mode wire
-    /// frames byte for byte.
+    /// Each segment's payload is [`SendBuf::range`]: a zero-copy slice
+    /// of the application's chunk unless the segment straddles two
+    /// chunks.
     fn try_output(
         &mut self,
         out: &mut Vec<Packet>,
@@ -833,34 +925,22 @@ impl TcpSocket {
             self.snd_wnd as u64
         };
         // When a FIN is in flight the buffer offset excludes it.
-        let burst_off = (self.snd_nxt.wrapping_sub(self.snd_una) as usize).min(self.send_buf.len());
-        let burst_total = (self.send_buf.len() - burst_off)
-            .min(wnd.saturating_sub(flight) as usize);
-        let burst: Bytes = if burst_total > 0 && self.fin_seq.is_none() {
-            Bytes::from(self.copy_send_range(burst_off, burst_total))
+        let mut off = (flight as usize).min(self.send_buf.len());
+        let mut budget = if self.fin_seq.is_none() {
+            (self.send_buf.len() - off).min(wnd.saturating_sub(flight) as usize)
         } else {
-            Bytes::new()
+            0
         };
-        let seg_cap = match self.cfg.gso {
-            GsoMode::Off => self.cfg.mss,
-            GsoMode::Exact => (GSO_MAX / self.cfg.mss).max(1) * self.cfg.mss,
-        };
-        let mut off = 0;
-        while off < burst.len() {
-            let take = (burst.len() - off).min(seg_cap);
+        while budget > 0 {
+            let take = budget.min(self.cfg.mss);
             let seq = self.snd_nxt;
             let mut flags = TcpFlags::ACK;
             // Piggyback FIN on the last segment if closing and this
             // drains the buffer.
-            if self.fin_pending && burst_off + off + take == self.send_buf.len() {
+            if self.fin_pending && off + take == self.send_buf.len() {
                 flags.fin = true;
             }
-            let mut pkt = self.make_segment(seq, flags, burst.slice(off..off + take));
-            if take > self.cfg.mss {
-                if let Payload::Tcp(s) = &mut pkt.payload {
-                    s.gso_mss = self.cfg.mss as u16;
-                }
-            }
+            let pkt = self.make_segment(seq, flags, self.send_buf.range(off, take));
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
             if flags.fin {
                 self.fin_seq = Some(self.snd_nxt);
@@ -868,25 +948,15 @@ impl TcpSocket {
                 self.fin_pending = false;
             }
             if self.rtt_sample.is_none() {
-                // Must match per-MSS emission: the sample is pinned to
-                // the end of the burst's FIRST wire frame (+1 if that
-                // frame also carries the FIN).
-                let first = take.min(self.cfg.mss);
-                let fin_on_first = flags.fin && take <= self.cfg.mss;
-                self.rtt_sample = Some((
-                    seq.wrapping_add(first as u32).wrapping_add(u32::from(fin_on_first)),
-                    now,
-                ));
+                self.rtt_sample = Some((self.snd_nxt, now));
             }
             out.push(pkt);
             sent_any = true;
             off += take;
+            budget -= take;
         }
         // Bare FIN (no data left to carry it).
-        if self.fin_pending
-            && burst_off + burst.len() == self.send_buf.len()
-            && self.fin_seq.is_none()
-        {
+        if self.fin_pending && off == self.send_buf.len() && self.fin_seq.is_none() {
             let seq = self.snd_nxt;
             let pkt = self.make_segment(seq, TcpFlags::FIN_ACK, Bytes::new());
             self.fin_seq = Some(seq);
@@ -905,13 +975,13 @@ impl TcpSocket {
         let flight_data = self.send_buf.len();
         if flight_data > 0 {
             let take = flight_data.min(self.cfg.mss);
-            let chunk = self.copy_send_range(0, take);
+            let chunk = self.send_buf.range(0, take);
             let mut flags = TcpFlags::ACK;
             if self.fin_seq.is_some() && take == flight_data {
                 // FIN rides again on the tail retransmission.
                 flags.fin = self.snd_nxt.wrapping_sub(self.snd_una) as usize == flight_data + 1;
             }
-            let pkt = self.make_segment(self.snd_una, flags, Bytes::from(chunk));
+            let pkt = self.make_segment(self.snd_una, flags, chunk);
             out.push(pkt);
         } else if self.fin_seq.is_some() {
             let pkt = self.make_segment(self.snd_una, TcpFlags::FIN_ACK, Bytes::new());
@@ -923,22 +993,6 @@ impl TcpSocket {
             let pkt = self.make_segment(self.snd_una, TcpFlags::SYN_ACK, Bytes::new());
             out.push(pkt);
         }
-    }
-
-    /// Copies `len` bytes starting at `off` out of the send buffer using
-    /// the deque's contiguous slices (a `skip(off)` walk is O(buffer)).
-    fn copy_send_range(&self, off: usize, len: usize) -> Vec<u8> {
-        let mut chunk = Vec::with_capacity(len);
-        let (a, b) = self.send_buf.as_slices();
-        if off < a.len() {
-            let n = (a.len() - off).min(len);
-            chunk.extend_from_slice(&a[off..off + n]);
-            chunk.extend_from_slice(&b[..len - n]);
-        } else {
-            let off = off - a.len();
-            chunk.extend_from_slice(&b[off..off + len]);
-        }
-        chunk
     }
 
     fn arm_rtx(&mut self, now: SimTime, timer_reqs: &mut Vec<(SimDuration, u64)>) {
@@ -977,6 +1031,7 @@ impl TcpSocket {
 mod tests {
     use super::*;
     use crate::packet::v4;
+    use proptest::prelude::*;
 
     fn addr_a() -> IpAddr {
         v4(10, 0, 0, 1)
@@ -986,7 +1041,8 @@ mod tests {
     }
 
     /// Shuttles packets between two TCP layers with zero latency,
-    /// returning the number of packets moved.
+    /// returning the number of packets moved. Both layers' invariants
+    /// must hold afterwards.
     fn pump(a: &mut TcpLayer, b: &mut TcpLayer, now: SimTime) -> usize {
         let mut moved = 0;
         loop {
@@ -1007,6 +1063,8 @@ mod tests {
                 }
             }
         }
+        a.check_invariants().expect("sender invariants");
+        b.check_invariants().expect("receiver invariants");
         moved
     }
 
@@ -1053,7 +1111,7 @@ mod tests {
     fn data_transfer_large_multi_segment() {
         let (mut a, mut b, ca, sb) = connected_pair();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        a.send(ca, &data, SimTime(1));
+        a.send(ca, data.clone(), SimTime(1));
         // Repeated pumping simulates many RTTs for window growth.
         for t in 2..200 {
             pump(&mut a, &mut b, SimTime(t));
@@ -1132,9 +1190,8 @@ mod tests {
 
     #[test]
     fn out_of_order_segments_reassembled() {
-        let (mut a, mut b, ca, sb) =
-            connected_pair_with(TcpConfig { gso: GsoMode::Off, ..TcpConfig::default() });
-        a.send(ca, &vec![7u8; 4000], SimTime(1)); // 3 segments at mss 1448
+        let (mut a, mut b, ca, sb) = connected_pair();
+        a.send(ca, vec![7u8; 4000], SimTime(1)); // 3 segments at mss 1448
         let mut pkts = std::mem::take(&mut a.out);
         assert!(pkts.len() >= 2);
         pkts.reverse(); // deliver out of order
@@ -1149,10 +1206,10 @@ mod tests {
 
     #[test]
     fn fast_retransmit_on_triple_dupack() {
-        let cfg = TcpConfig { gso: GsoMode::Off, ..TcpConfig::default() };
+        let cfg = TcpConfig::default();
         let (mut a, mut b, ca, sb) = connected_pair_with(cfg);
         let data: Vec<u8> = vec![1u8; cfg.mss * 5];
-        a.send(ca, &data, SimTime(1));
+        a.send(ca, data.clone(), SimTime(1));
         let mut pkts = std::mem::take(&mut a.out);
         assert!(pkts.len() >= 4, "got {}", pkts.len());
         // Drop the first data segment; deliver the rest → dupacks.
@@ -1188,7 +1245,7 @@ mod tests {
         let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
         pump(&mut a, &mut b, SimTime::ZERO);
         a.events.clear();
-        a.send(ca, &vec![0u8; 100_000], SimTime(1));
+        a.send(ca, vec![0u8; 100_000], SimTime(1));
         let sent: usize = a
             .out
             .iter()
@@ -1227,6 +1284,38 @@ mod tests {
     }
 
     #[test]
+    fn rtt_sample_ends_at_the_sampled_segment() {
+        // An ACK that covers only data sent before the sampled segment
+        // must not complete the sample.
+        fn deliver(pkts: Vec<Packet>, to: &mut TcpLayer, now: SimTime) {
+            for p in pkts {
+                if let Payload::Tcp(seg) = p.payload {
+                    to.segment_arrives(p.src, p.dst, seg, now);
+                }
+            }
+        }
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let srtt = |a: &TcpLayer, ca: SockId| a.sockets[ca.0].as_ref().expect("open").srtt;
+        let (mut a, mut b, ca, _sb) = connected_pair();
+        let mss = TcpConfig::default().mss;
+        a.send(ca, vec![1u8; mss], ms(0)); // sampled
+        let seg_a = std::mem::take(&mut a.out);
+        a.send(ca, vec![2u8; mss], ms(1)); // not sampled
+        let seg_b = std::mem::take(&mut a.out);
+        deliver(seg_a, &mut b, ms(50));
+        deliver(std::mem::take(&mut b.out), &mut a, ms(100));
+        assert_eq!(srtt(&a, ca), Some(100e6), "first sample: 100 ms");
+        a.send(ca, vec![3u8; mss], ms(100)); // sampled
+        let seg_c = std::mem::take(&mut a.out);
+        deliver(seg_b, &mut b, ms(110));
+        deliver(std::mem::take(&mut b.out), &mut a, ms(120));
+        assert_eq!(srtt(&a, ca), Some(100e6), "the ACK of B leaves C's sample open");
+        deliver(seg_c, &mut b, ms(200));
+        deliver(std::mem::take(&mut b.out), &mut a, ms(300));
+        assert_eq!(srtt(&a, ca), Some(112.5e6), "C's 200 ms sample: 7/8 × 100 + 1/8 × 200");
+    }
+
+    #[test]
     fn seq_comparisons_wrap() {
         assert!(seq_lt(u32::MAX - 1, 5));
         assert!(!seq_lt(5, u32::MAX - 1));
@@ -1234,56 +1323,68 @@ mod tests {
     }
 
     #[test]
-    fn gso_emits_super_segments_that_split_to_off_mode_frames() {
-        let cfg = TcpConfig::default(); // gso: Exact
-        let (mut a, _b, ca, _sb) = connected_pair_with(cfg);
-        let (mut a2, _b2, ca2, _sb2) =
-            connected_pair_with(TcpConfig { gso: GsoMode::Off, ..cfg });
-        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
-        a.send(ca, &data, SimTime(1));
-        a2.send(ca2, &data, SimTime(1));
-        // Exact mode sends fewer packets...
-        assert!(a.out.len() < a2.out.len(), "{} vs {}", a.out.len(), a2.out.len());
-        // ...but splitting the supers reproduces the Off-mode frames exactly.
-        let mut frames = Vec::new();
-        for p in &a.out {
-            let Payload::Tcp(seg) = &p.payload else { panic!("tcp") };
-            if seg.gso_mss > 0 {
-                frames.extend(crate::packet::split_gso(seg));
-            } else {
-                frames.push(seg.clone());
-            }
-        }
-        let off_frames: Vec<_> = a2
-            .out
-            .iter()
-            .map(|p| match &p.payload {
-                Payload::Tcp(seg) => seg.clone(),
-                _ => panic!("tcp"),
-            })
-            .collect();
-        assert_eq!(frames.len(), off_frames.len());
-        for (f, o) in frames.iter().zip(&off_frames) {
-            assert_eq!(f.seq, o.seq);
-            assert_eq!(f.data, o.data);
-            assert_eq!(f.flags, o.flags);
-            assert_eq!(f.ack, o.ack);
-            assert_eq!(f.window, o.window);
-            assert_eq!(f.gso_mss, 0);
-        }
-    }
-
-    #[test]
-    fn gso_receiver_accepts_super_segments_directly() {
-        // Layer-level pumping passes supers through unsplit: the
-        // receiver must still reassemble a byte-identical stream.
+    fn chunked_sends_reassemble_across_chunk_boundaries() {
+        // Uneven writes, including empty and 1-byte ones, so segments
+        // straddle chunk boundaries as well as lying inside one chunk.
         let (mut a, mut b, ca, sb) = connected_pair();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
-        a.send(ca, &data, SimTime(1));
-        for t in 2..200 {
+        let mut off = 0;
+        for (i, len) in [0, 1, 7, 1448, 3000, 1, 0, 65_536].iter().cycle().enumerate() {
+            let end = (off + len).min(data.len());
+            a.send(ca, data[off..end].to_vec(), SimTime(1 + i as u64));
+            pump(&mut a, &mut b, SimTime(1 + i as u64));
+            off = end;
+            if off == data.len() {
+                break;
+            }
+        }
+        for t in 100..300 {
             pump(&mut a, &mut b, SimTime(t));
         }
         assert_eq!(b.recv(sb), data);
+        assert_eq!(a.buffered(ca), 0, "everything acknowledged");
+    }
+
+    #[test]
+    fn segment_inside_one_chunk_shares_its_storage() {
+        let (mut a, _b, ca, _sb) = connected_pair();
+        let chunk = Bytes::from(vec![9u8; 10_000]);
+        let span = chunk.as_ptr() as usize..chunk.as_ptr() as usize + chunk.len();
+        a.send(ca, chunk.clone(), SimTime(1));
+        assert!(a.out.len() >= 2, "the initial window sends several segments");
+        for p in &a.out {
+            let Payload::Tcp(seg) = &p.payload else { panic!("tcp") };
+            let start = seg.data.as_ptr() as usize;
+            assert!(
+                span.contains(&start) && start + seg.data.len() <= span.end,
+                "segment at seq {} was copied out of the chunk",
+                seg.seq
+            );
+        }
+        // A range across two chunks is a copy with the right bytes.
+        let mut buf = SendBuf::default();
+        buf.push(Bytes::from(vec![1u8; 100]));
+        buf.push(Bytes::from(vec![2u8; 100]));
+        let inside = buf.range(10, 50);
+        assert_eq!(inside.as_ptr(), buf.chunks[0][10..].as_ptr());
+        let across = buf.range(90, 20);
+        assert_eq!(&across[..], [[1u8; 10], [2u8; 10]].concat());
+    }
+
+    #[test]
+    fn check_invariants_reports_violations() {
+        // One socket with 5000 bytes queued, then one corruption.
+        let corrupted = |corrupt: fn(&mut TcpSocket)| {
+            let (mut a, _b, ca, _sb) = connected_pair();
+            a.send(ca, vec![3u8; 5000], SimTime(1));
+            assert_eq!(a.check_invariants(), Ok(()));
+            corrupt(a.sockets[ca.0].as_mut().expect("open"));
+            a.check_invariants()
+        };
+        assert!(corrupted(|s| s.snd_nxt = s.snd_una.wrapping_sub(1)).is_err(), "snd_una past snd_nxt");
+        assert!(corrupted(|s| s.send_buf.len += 1).is_err(), "count out of step with chunks");
+        assert!(corrupted(|s| s.send_buf.chunks.push_back(Bytes::new())).is_err(), "empty chunk");
+        assert!(corrupted(|s| s.send_buf.consume(1)).is_err(), "flight exceeds the buffer");
     }
 
     #[test]
@@ -1306,5 +1407,48 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![c1, c2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SendBuf` behaves like the byte deque it replaced: pushes of
+        /// any size (empty and 1-byte ones included), consumes of any
+        /// amount (past the end included), and every range read
+        /// returns the model's bytes.
+        #[test]
+        fn send_buf_matches_byte_deque_model(
+            ops in proptest::collection::vec((0u8..4, 0usize..4_000, 0usize..4_000), 1..80),
+        ) {
+            let mut buf = SendBuf::default();
+            let mut model: VecDeque<u8> = VecDeque::new();
+            let mut next = 0u8;
+            for (kind, x, y) in ops {
+                match kind {
+                    // Small pushes: 0, 1 or 2 bytes.
+                    0 | 1 => {
+                        let n = if kind == 0 { x % 3 } else { x };
+                        let chunk: Vec<u8> = (0..n).map(|_| { next = next.wrapping_add(1); next }).collect();
+                        model.extend(&chunk);
+                        buf.push(Bytes::from(chunk));
+                    }
+                    2 => {
+                        let n = x % (model.len() + 50);
+                        model.drain(..n.min(model.len()));
+                        buf.consume(n);
+                    }
+                    _ => {
+                        let off = x % (model.len() + 1);
+                        let len = y % (model.len() - off + 1);
+                        let want: Vec<u8> = model.range(off..off + len).copied().collect();
+                        prop_assert_eq!(&buf.range(off, len)[..], &want[..]);
+                    }
+                }
+                prop_assert_eq!(buf.len(), model.len());
+                prop_assert_eq!(buf.check(), Ok(()));
+            }
+            let all: Vec<u8> = model.iter().copied().collect();
+            prop_assert_eq!(&buf.range(0, buf.len())[..], &all[..]);
+        }
     }
 }

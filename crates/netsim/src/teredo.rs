@@ -430,7 +430,7 @@ mod tests {
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
             if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
                 let d = api.tcp_recv(s);
-                api.tcp_send(s, &d);
+                api.tcp_send(s, d);
             }
         }
         fn as_any(&self) -> &dyn Any {

@@ -24,7 +24,7 @@ impl App for Sender {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(s)) => {
                 let d = self.data.clone();
-                api.tcp_send(s, &d);
+                api.tcp_send(s, d);
                 api.tcp_close(s);
             }
             AppEvent::Tcp(TcpEvent::Closed(_)) => self.done = true,
@@ -66,7 +66,8 @@ impl App for Receiver {
 }
 
 /// Builds a two-host world with the given link characteristics, sends
-/// `data` over TCP, and returns what arrived.
+/// `data` over TCP, checks both TCP layers' invariants, and returns
+/// what arrived.
 fn transfer(data: Vec<u8>, loss: f64, latency_us: u64, jitter_us: u64, seed: u64) -> (Vec<u8>, bool) {
     let mut sim = Sim::new(seed);
     let mut ha = Host::new("a");
@@ -87,6 +88,11 @@ fn transfer(data: Vec<u8>, loss: f64, latency_us: u64, jitter_us: u64, seed: u64
     sim.world.node_mut::<Host>(a).expect("a").core.add_iface(link, vec![v4(10, 0, 0, 1)]);
     sim.world.node_mut::<Host>(b).expect("b").core.add_iface(link, vec![v4(10, 0, 0, 2)]);
     sim.run_until(SimTime(400_000_000_000));
+    for node in [a, b] {
+        if let Err(e) = sim.world.node::<Host>(node).expect("host").core.tcp.check_invariants() {
+            panic!("TCP invariant broken on {node:?}: {e}");
+        }
+    }
     let r = sim.world.node::<Host>(b).expect("b").app::<Receiver>(recv).expect("receiver");
     (r.got.clone(), r.eof)
 }

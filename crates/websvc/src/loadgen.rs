@@ -219,7 +219,7 @@ impl JmeterApp {
         if let Some(sock) = s.sock {
             s.sent_at = api.now();
             s.outstanding = true;
-            api.tcp_send(sock, &req);
+            api.tcp_send(sock, req);
         }
     }
 }
@@ -404,7 +404,7 @@ impl App for HttperfApp {
                 if let Some(c) = self.conns.get_mut(&sock) {
                     c.sent_at = api.now();
                     c.requested = true;
-                    api.tcp_send(sock, &req);
+                    api.tcp_send(sock, req);
                 }
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
@@ -513,6 +513,9 @@ pub struct IperfClientApp {
 }
 
 const IPERF_CHUNK: usize = 64 * 1024;
+/// The bytes every bulk sender writes: TCP keeps `&'static` slices of
+/// it as send-buffer chunks, so topping up the buffer copies nothing.
+static BULK_PAYLOAD: [u8; IPERF_CHUNK] = [0x55; IPERF_CHUNK];
 const IPERF_HIGH_WATER: usize = 256 * 1024;
 const TIMER_START: u64 = 2;
 
@@ -546,7 +549,7 @@ impl IperfClientApp {
             return;
         }
         while api.tcp_buffered(sock) < IPERF_HIGH_WATER {
-            api.tcp_send(sock, &[0x55u8; IPERF_CHUNK]);
+            api.tcp_send(sock, &BULK_PAYLOAD[..]);
             self.bytes_sent += IPERF_CHUNK as u64;
         }
         api.set_timer(SimDuration::from_millis(5), TIMER_TICK);
@@ -585,7 +588,7 @@ impl App for IperfClientApp {
 /// Sends exactly `total` bulk bytes and closes — the fixed-size cousin
 /// of [`IperfClientApp`], for experiments where the transfer size (not
 /// the duration) is the controlled variable, e.g. bulk-transfer
-/// benchmarks and the GSO equivalence tests.
+/// benchmarks and the bulk outcome tests.
 pub struct BulkSendApp {
     target: (IpAddr, u16),
     total: u64,
@@ -623,7 +626,7 @@ impl BulkSendApp {
         }
         while self.bytes_sent < self.total && api.tcp_buffered(sock) < IPERF_HIGH_WATER {
             let n = (self.total - self.bytes_sent).min(IPERF_CHUNK as u64) as usize;
-            api.tcp_send(sock, &vec![0x55u8; n]);
+            api.tcp_send(sock, &BULK_PAYLOAD[..n]);
             self.bytes_sent += n as u64;
         }
         if self.bytes_sent >= self.total {

@@ -335,7 +335,7 @@ impl ProxyApp {
             self.stats.unavailable += 1;
             api.metrics().add_name("proxy.503", 1);
             let resp = HttpResponse::error(503, "no healthy backend").encode();
-            api.tcp_send(client, &resp);
+            api.tcp_send(client, resp);
             return;
         };
         let (addr, port) = self.backends[idx].addr;
@@ -343,7 +343,7 @@ impl ProxyApp {
             self.stats.unavailable += 1;
             api.metrics().add_name("proxy.503", 1);
             let resp = HttpResponse::error(503, "no route to backend").encode();
-            api.tcp_send(client, &resp);
+            api.tcp_send(client, resp);
             return;
         };
         let mut link = BackendSide {
@@ -391,7 +391,7 @@ impl ProxyApp {
                 let msg = if status == 504 { "backend timeout" } else { "backend down" };
                 let resp = HttpResponse::error(status, msg).encode();
                 for _ in &unanswered {
-                    api.tcp_send(link.client, &resp);
+                    api.tcp_send(link.client, resp.clone());
                 }
             }
             return;
@@ -580,7 +580,7 @@ impl App for ProxyApp {
                     for resp in responses {
                         self.stats.responses += 1;
                         if self.clients.contains_key(&client) {
-                            api.tcp_send(client, &resp.encode());
+                            api.tcp_send(client, resp.encode());
                         }
                     }
                 } else if self.clients.contains_key(&sock) {

@@ -79,7 +79,7 @@ impl Channel {
     pub fn tls_client(ca: sim_crypto::rsa::RsaPublicKey, costs: TlsCosts, sock: SockId, api: &mut HostApi) -> Self {
         let mut session = TlsSession::client(ca, costs);
         let hello = session.start_handshake(api.ctx.rng());
-        api.tcp_send(sock, &hello);
+        api.tcp_send(sock, hello);
         Channel::Tls(Box::new(session))
     }
 
@@ -114,7 +114,7 @@ impl Channel {
                     api.cpu_charge(out.work);
                 }
                 if !out.to_peer.is_empty() {
-                    api.tcp_send(sock, &out.to_peer);
+                    api.tcp_send(sock, out.to_peer);
                 }
                 ChannelOutput {
                     app_data: out.app_data,
@@ -128,14 +128,14 @@ impl Channel {
     /// Sends application data through the channel.
     pub fn send(&mut self, sock: SockId, app_data: &[u8], api: &mut HostApi) {
         match self {
-            Channel::Plain => api.tcp_send(sock, app_data),
+            Channel::Plain => api.tcp_send(sock, app_data.to_vec()),
             Channel::Tls(session) => {
                 debug_assert!(session.is_established(), "send before TLS handshake");
                 let (wire, work) = session.seal(app_data);
                 if work > SimDuration::ZERO {
                     api.cpu_charge(work);
                 }
-                api.tcp_send(sock, &wire);
+                api.tcp_send(sock, wire);
             }
         }
     }

@@ -30,7 +30,7 @@ impl App for OneShot {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(s)) => {
-                api.tcp_send(s, &HttpRequest::get("/item?id=1").encode());
+                api.tcp_send(s, HttpRequest::get("/item?id=1").encode());
             }
             AppEvent::Tcp(TcpEvent::Data(s)) => {
                 let raw = api.tcp_recv(s);
