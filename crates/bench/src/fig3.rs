@@ -18,7 +18,7 @@ use netsim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::{IpAddr, Ipv4Addr};
-use websvc::loadgen::{IperfClientApp, IperfServerApp, PingApp};
+use websvc::loadgen::{BulkSendApp, IperfServerApp, PingApp};
 
 /// The six bars of Figure 3, in the paper's x-axis order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -182,7 +182,7 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
 pub fn iperf_obs(mode: Fig3Mode, seed: u64, duration: SimDuration) -> (f64, obs::MetricsRegistry, u64) {
     let mut w = build(mode, seed);
     let srv_idx = w.topo.host_mut(w.b).add_app(Box::new(IperfServerApp::new(IPERF_PORT)));
-    let mut client = IperfClientApp::new((w.target_b, IPERF_PORT), duration);
+    let mut client = BulkSendApp::for_duration((w.target_b, IPERF_PORT), duration);
     // Give Teredo qualification and the HIP BEX a second to settle.
     client.start_delay = SimDuration::from_secs(2);
     w.topo.host_mut(w.a).add_app(Box::new(client));

@@ -29,6 +29,11 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
+/// BEX/UPDATE retransmission interval.
+const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Number of pre-computed R1s (each with its own puzzle and DH key).
+const R1_POOL_SIZE: usize = 8;
+
 /// Shim configuration.
 #[derive(Clone)]
 pub struct HipConfig {
@@ -39,12 +44,8 @@ pub struct HipConfig {
     pub puzzle_k: u8,
     /// Virtual CPU costs.
     pub costs: CostModel,
-    /// BEX/UPDATE retransmission interval.
-    pub retransmit_timeout: SimDuration,
     /// Retransmissions before giving up.
     pub max_retransmits: u32,
-    /// Number of pre-computed R1s (each with its own puzzle and DH key).
-    pub r1_pool_size: usize,
     /// Rendezvous server to register with, if any.
     pub rvs: Option<IpAddr>,
 }
@@ -55,9 +56,7 @@ impl Default for HipConfig {
             dh_group: DhGroup::Test512,
             puzzle_k: 10,
             costs: CostModel::paper_era(),
-            retransmit_timeout: SimDuration::from_millis(500),
             max_retransmits: 5,
-            r1_pool_size: 8,
             rvs: None,
         }
     }
@@ -346,8 +345,8 @@ impl HipShim {
 
     fn arm_rtx(&mut self, api: &mut ShimApi, peer: Hit, bytes: bytes::Bytes, dst: IpAddr, tries: u32) {
         let token = self.alloc_timer(peer);
-        let deadline = api.now() + self.config.retransmit_timeout;
-        let engine_timer = api.set_timer_cancellable(self.config.retransmit_timeout, token);
+        let deadline = api.now() + RETRANSMIT_TIMEOUT;
+        let engine_timer = api.set_timer(RETRANSMIT_TIMEOUT, token);
         if let Some(a) = self.assocs.get_mut(&peer) {
             if let Some(old) = a.rtx.replace(Rtx { bytes, dst, tries, deadline, token, engine_timer }) {
                 api.cancel_timer(old.engine_timer);
@@ -421,7 +420,7 @@ impl HipShim {
 
     /// Builds the precomputed R1 pool.
     fn build_r1_pool(&mut self, api: &mut ShimApi) {
-        for idx in 0..self.config.r1_pool_size {
+        for idx in 0..R1_POOL_SIZE {
             let dh = DhKeyPair::generate(self.config.dh_group, api.rng());
             let i = api.random_u64();
             let k = self.config.puzzle_k;

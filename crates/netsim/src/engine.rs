@@ -9,13 +9,13 @@
 //! Locks / Rayon guidance favours (determinism inside a run; parallelism
 //! across runs).
 //!
-//! Timers come in two flavours: fire-and-forget ([`Ctx::set_timer`])
-//! and cancellable ([`Ctx::set_timer_cancellable`]), which returns a
-//! generation-stamped [`TimerToken`]. Cancellation is lazy — the queued
-//! event stays put and is discarded at pop time if its generation no
-//! longer matches — so cancelling never perturbs the RNG draw order or
-//! the schedule of other events, keeping traces identical whether or
-//! not a protocol layer bothers to cancel.
+//! Every timer ([`Ctx::set_timer`]) returns a generation-stamped
+//! [`TimerToken`]; callers that never cancel just drop it. Cancellation
+//! ([`Ctx::cancel_timer`]) is lazy — the queued event stays put and is
+//! discarded at pop time if its generation no longer matches — so
+//! cancelling never perturbs the RNG draw order or the schedule of
+//! other events, keeping traces identical whether or not a protocol
+//! layer bothers to cancel.
 
 use crate::link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId, TxResult};
 use crate::packet::{Packet, Payload};
@@ -132,7 +132,7 @@ pub enum TimerOwner {
     Node,
 }
 
-/// A handle for a cancellable timer: a slot in the engine's generation
+/// A handle for an armed timer: a slot in the engine's generation
 /// table plus the generation it was armed under. Cancelling or firing
 /// bumps the generation, so stale queue entries (and stale cancels) are
 /// recognised and ignored.
@@ -140,14 +140,6 @@ pub enum TimerOwner {
 pub struct TimerToken {
     slot: u32,
     gen: u32,
-}
-
-impl TimerToken {
-    /// Opaque numeric identity (slot and generation packed together),
-    /// used to correlate timer records in traces.
-    pub fn id(self) -> u64 {
-        ((self.slot as u64) << 32) | self.gen as u64
-    }
 }
 
 /// Slot table backing [`TimerToken`]: `gens[slot]` is the live
@@ -197,16 +189,9 @@ pub enum Event {
         /// The packet.
         pkt: Packet,
     },
-    /// A timer fires at `node`.
+    /// A timer fires at `node` — skipped without dispatch if `token`
+    /// was cancelled in the meantime.
     Timer {
-        /// The node whose timer expired.
-        node: NodeId,
-        /// The registration being fired.
-        timer: TimerHandle,
-    },
-    /// A cancellable timer fires at `node` — skipped without dispatch
-    /// if `token` was cancelled in the meantime.
-    CancellableTimer {
         /// The node whose timer expired.
         node: NodeId,
         /// The registration being fired.
@@ -415,35 +400,24 @@ impl Ctx<'_> {
         ));
     }
 
-    /// Arms a fire-and-forget timer on the current node after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, timer: TimerHandle) {
-        self.emitted.push((self.now + delay, Event::Timer { node: self.node, timer }));
-    }
-
-    /// Arms a cancellable timer on the current node after `delay`. The
-    /// returned token can be passed to [`Ctx::cancel_timer`]; a timer
+    /// Arms a timer on the current node after `delay`. The returned
+    /// token can be passed to [`Ctx::cancel_timer`] or dropped; a timer
     /// that fires retires its own token, so cancelling after expiry is
     /// a harmless no-op.
-    pub fn set_timer_cancellable(&mut self, delay: SimDuration, timer: TimerHandle) -> TimerToken {
+    pub fn set_timer(&mut self, delay: SimDuration, timer: TimerHandle) -> TimerToken {
         let token = self.slots.alloc();
-        self.emitted
-            .push((self.now + delay, Event::CancellableTimer { node: self.node, timer, token }));
+        self.emitted.push((self.now + delay, Event::Timer { node: self.node, timer, token }));
         token
     }
 
-    /// Cancels a timer armed with [`Ctx::set_timer_cancellable`].
-    /// Returns whether the timer was still pending. Lazy: the queued
-    /// event is discarded at pop time, so cancellation never changes
-    /// the timing or RNG draws of other events.
+    /// Cancels a timer armed with [`Ctx::set_timer`]. Returns whether
+    /// the timer was still pending. Lazy: the queued event is discarded
+    /// at pop time, so cancellation never changes the timing or RNG
+    /// draws of other events.
     pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
         let was_live = self.slots.retire(token);
         if was_live {
             self.stats.timers_cancelled += 1;
-            if self.trace.timers_enabled() {
-                self.trace.record(self.now, self.node, || TraceData::TimerCancel {
-                    token: token.id(),
-                });
-            }
         }
         was_live
     }
@@ -505,7 +479,7 @@ pub struct SimStats {
     pub scheduled: u64,
     /// Events popped and dispatched to a node or link.
     pub dispatched: u64,
-    /// Cancellable timers retired before firing.
+    /// Timers retired by [`Ctx::cancel_timer`] before firing.
     pub timers_cancelled: u64,
     /// Cancelled timer events discarded at pop time (never dispatched).
     pub stale_timer_pops: u64,
@@ -722,7 +696,7 @@ impl Sim {
     /// True iff `event` is a cancelled timer that must be dropped
     /// unprocessed (counted, but invisible to nodes, time, and RNG).
     fn discard_if_stale(&mut self, event: &Event) -> bool {
-        if let Event::CancellableTimer { token, .. } = event {
+        if let Event::Timer { token, .. } = event {
             if !self.slots.is_live(*token) {
                 self.stats.stale_timer_pops += 1;
                 return true;
@@ -797,23 +771,7 @@ impl Sim {
         self.stats.dispatched += 1;
         match event {
             Event::PacketArrive { .. } => unreachable!("packet arrivals go through dispatch_run"),
-            Event::Timer { node, timer } => {
-                self.metrics.inc(self.engine_ids.ev_timer);
-                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-                    return;
-                }
-                if self.is_crashed(node) {
-                    return; // timers die with the node
-                }
-                if self.trace.timers_enabled() {
-                    self.trace.record(self.now, node, || TraceData::TimerFire {
-                        owner: timer.owner,
-                        token: timer.token,
-                    });
-                }
-                self.with_node(node, |n, ctx| n.handle_timer(timer, ctx));
-            }
-            Event::CancellableTimer { node, timer, token } => {
+            Event::Timer { node, timer, token } => {
                 self.metrics.inc(self.engine_ids.ev_timer);
                 // Retire before dispatch so the handler can re-arm and
                 // a late cancel of this token is a no-op.
@@ -822,13 +780,7 @@ impl Sim {
                     return;
                 }
                 if self.is_crashed(node) {
-                    return;
-                }
-                if self.trace.timers_enabled() {
-                    self.trace.record(self.now, node, || TraceData::TimerFire {
-                        owner: timer.owner,
-                        token: timer.token,
-                    });
+                    return; // timers die with the node
                 }
                 self.with_node(node, |n, ctx| n.handle_timer(timer, ctx));
             }
@@ -1101,12 +1053,14 @@ mod tests {
         impl Node for CancelNode {
             fn start(&mut self, ctx: &mut Ctx) {
                 for tok in 1..=4u64 {
-                    let t = ctx.set_timer_cancellable(
+                    let t = ctx.set_timer(
                         SimDuration::from_millis(10 * tok),
                         TimerHandle { owner: TimerOwner::Node, token: tok },
                     );
                     self.pending.push(t);
                 }
+                // A timer whose token is dropped fires like any other.
+                ctx.set_timer(SimDuration::from_millis(50), TimerHandle { owner: TimerOwner::Node, token: 5 });
                 // Cancel 2 and 4 immediately; 1 and 3 must still fire.
                 let second = self.pending[1];
                 let fourth = self.pending[3];
@@ -1119,8 +1073,9 @@ mod tests {
             fn handle_timer(&mut self, t: TimerHandle, ctx: &mut Ctx) {
                 self.fired.push(t.token);
                 // Cancelling an already-fired token is a no-op.
-                let mine = self.pending[(t.token - 1) as usize];
-                assert!(!ctx.cancel_timer(mine));
+                if let Some(&mine) = self.pending.get((t.token - 1) as usize) {
+                    assert!(!ctx.cancel_timer(mine));
+                }
             }
             fn as_any(&self) -> &dyn Any {
                 self
@@ -1133,10 +1088,11 @@ mod tests {
         let n = sim.world.add_node(Box::new(CancelNode { pending: vec![], fired: vec![] }));
         let outcome = sim.run_to_quiescence(100);
         assert!(outcome.is_quiescent());
-        assert_eq!(sim.world.node::<CancelNode>(n).unwrap().fired, vec![1, 3]);
+        assert_eq!(sim.world.node::<CancelNode>(n).unwrap().fired, vec![1, 3, 5]);
         let stats = sim.stats();
         assert_eq!(stats.timers_cancelled, 2);
         assert_eq!(stats.stale_timer_pops, 2);
+        assert_eq!(stats.dispatched, 3, "only the live timers are dispatched");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::link::LinkId;
 use crate::packet::{
     proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram,
 };
-use crate::tcp::{SockId, TcpConfig, TcpEvent, TcpLayer};
+use crate::tcp::{SockId, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
@@ -153,7 +153,7 @@ impl HostCore {
             name: name.to_owned(),
             ifaces: Vec::new(),
             routes: Vec::new(),
-            tcp: TcpLayer::new(TcpConfig::default()),
+            tcp: TcpLayer::new(),
             udp: UdpLayer::default(),
             cpu: CpuModel::default(),
             teredo: None,
@@ -342,7 +342,7 @@ impl HostCore {
             }
         }
         for (delay, token) in self.tcp.timer_reqs.drain(..) {
-            let t = ctx.set_timer_cancellable(delay, TimerHandle { owner: TimerOwner::Tcp, token });
+            let t = ctx.set_timer(delay, TimerHandle { owner: TimerOwner::Tcp, token });
             if let Some(old) = self.tcp_timer_tokens.insert(token, t) {
                 ctx.cancel_timer(old);
             }
@@ -645,11 +645,11 @@ impl Node for Host {
         for (_, t) in core.tcp_timer_tokens.drain() {
             ctx.cancel_timer(t);
         }
-        // A crash loses all transport state: fresh TCP layer (same
-        // config; listeners gone so restart's re-listen succeeds),
+        // A crash loses all transport state: fresh TCP layer
+        // (listeners gone so restart's re-listen succeeds),
         // cleared UDP bindings and in-flight queues. Interface and route
         // configuration survives — the VM restarts on the same slot.
-        core.tcp = TcpLayer::new(core.tcp.config);
+        core.tcp = TcpLayer::new();
         core.udp.bindings.clear();
         core.udp.out.clear();
         core.app_events.clear();
@@ -724,10 +724,11 @@ impl HostApi<'_, '_> {
         &self.core.name
     }
 
-    /// Arms an application timer.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+    /// Arms an application timer and returns its token (apps have no
+    /// cancel, so they drop it).
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerToken {
         let owner = TimerOwner::App(self.app_idx);
-        self.ctx.set_timer(delay, TimerHandle { owner, token });
+        self.ctx.set_timer(delay, TimerHandle { owner, token })
     }
 
     /// Charges CPU work; returns the delay until it completes (queue +
@@ -869,17 +870,12 @@ impl ShimApi<'_, '_> {
         self.ctx.deliver_local(delay, pkt);
     }
 
-    /// Arms a shim timer.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.ctx.set_timer(delay, TimerHandle { owner: TimerOwner::Shim, token });
+    /// Arms a shim timer; keep the returned token to cancel it.
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerToken {
+        self.ctx.set_timer(delay, TimerHandle { owner: TimerOwner::Shim, token })
     }
 
-    /// Arms a cancellable shim timer; keep the returned token to cancel it.
-    pub fn set_timer_cancellable(&mut self, delay: SimDuration, token: u64) -> TimerToken {
-        self.ctx.set_timer_cancellable(delay, TimerHandle { owner: TimerOwner::Shim, token })
-    }
-
-    /// Cancels a timer armed with [`Self::set_timer_cancellable`].
+    /// Cancels a timer armed with [`Self::set_timer`].
     /// Returns false if it already fired or was already cancelled.
     pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
         self.ctx.cancel_timer(token)

@@ -47,5 +47,5 @@ pub use fault::{FaultEpisode, FaultPlan, FaultPlanError};
 pub use host::{App, AppEvent, Host, HostApi, HostCore, L35Shim, ShimApi};
 pub use link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId};
 pub use packet::{Packet, Payload};
-pub use tcp::{SockId, TcpConfig, TcpEvent};
+pub use tcp::{SockId, TcpEvent};
 pub use time::{SimDuration, SimTime};

@@ -3,9 +3,12 @@
 //! A real windowed TCP, not a fluid model: three-way handshake, MSS
 //! segmentation, cumulative ACKs, RTT estimation (RFC 6298), slow start
 //! and congestion avoidance, fast retransmit on three duplicate ACKs,
-//! exponential RTO backoff, receiver flow control with a configurable
-//! window (the paper's iperf run uses 85.3 KB server / 16 KB client
-//! windows), and FIN/RST teardown.
+//! exponential RTO backoff, receiver flow control with a fixed
+//! advertised window (`RECV_WINDOW`, the 85.3 KB default window of
+//! the paper's iperf run), and FIN/RST teardown.
+//!
+//! Every tuning value is a constant: each experiment in the paper
+//! measures one stack, so no caller sets them.
 //!
 //! The layer is embedded in a host ([`crate::host::Host`]). It never
 //! touches the event queue directly; it accumulates outgoing packets,
@@ -142,39 +145,18 @@ pub enum TcpEvent {
     Reset(SockId),
 }
 
-/// TCP tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per packet).
-    pub mss: usize,
-    /// Advertised receive window in bytes.
-    pub recv_window: u32,
-    /// Initial congestion window in segments.
-    pub init_cwnd_segments: u32,
-    /// Initial retransmission timeout.
-    pub rto_initial: SimDuration,
-    /// Lower bound on the RTO.
-    pub rto_min: SimDuration,
-    /// SYN retries before giving up.
-    pub syn_retries: u32,
-    /// Disable congestion control (window limited by receiver only) —
-    /// not used by the experiments but handy for microbenchmarks.
-    pub congestion_control: bool,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1448,
-            recv_window: 87_347, // the paper's 85.3 KB default window
-            init_cwnd_segments: 10,
-            rto_initial: SimDuration::from_millis(1000),
-            rto_min: SimDuration::from_millis(200),
-            syn_retries: 5,
-            congestion_control: true,
-        }
-    }
-}
+/// Maximum segment size (payload bytes per packet).
+const MSS: usize = 1448;
+/// Advertised receive window in bytes: the paper's 85.3 KB default.
+const RECV_WINDOW: u32 = 87_347;
+/// Initial congestion window in segments.
+const INIT_CWND_SEGMENTS: u64 = 10;
+/// Initial retransmission timeout.
+const RTO_INITIAL: SimDuration = SimDuration::from_millis(1000);
+/// Lower bound on the RTO.
+const RTO_MIN: SimDuration = SimDuration::from_millis(200);
+/// SYN retransmissions before an active open gives up.
+const SYN_RETRIES: u32 = 5;
 
 /// Connection states (simplified TIME-WAIT).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -197,7 +179,6 @@ struct TcpSocket {
     local: (IpAddr, u16),
     remote: (IpAddr, u16),
     state: TcpState,
-    cfg: TcpConfig,
 
     // --- send state ---
     /// Oldest unacknowledged sequence number.
@@ -262,8 +243,6 @@ pub struct TcpLayer {
     by_remote: FxHashMap<IpAddr, Vec<SockId>>,
     listeners: FxHashMap<u16, usize>,
     next_ephemeral: u16,
-    /// Default configuration for new sockets.
-    pub config: TcpConfig,
     /// Outgoing packets accumulated for the host to flush.
     pub out: Vec<Packet>,
     /// Application events accumulated for the host to dispatch.
@@ -292,9 +271,15 @@ pub enum TcpMetric {
     Rtx,
 }
 
+impl Default for TcpLayer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TcpLayer {
     /// Creates an empty layer.
-    pub fn new(config: TcpConfig) -> Self {
+    pub fn new() -> Self {
         TcpLayer {
             sockets: Vec::new(),
             conn_map: FxHashMap::default(),
@@ -302,7 +287,6 @@ impl TcpLayer {
             by_remote: FxHashMap::default(),
             listeners: FxHashMap::default(),
             next_ephemeral: 49152,
-            config,
             out: Vec::new(),
             events: Vec::new(),
             timer_reqs: Vec::new(),
@@ -338,8 +322,7 @@ impl TcpLayer {
     ) -> SockId {
         let local_port = self.alloc_port();
         let id = self.alloc_sock();
-        let cfg = self.config;
-        let mut sock = TcpSocket::new(id, app, (local_addr, local_port), remote, cfg);
+        let mut sock = TcpSocket::new(id, app, (local_addr, local_port), remote);
         sock.state = TcpState::SynSent;
         sock.opened_at = now;
         sock.snd_una = iss;
@@ -482,9 +465,7 @@ impl TcpLayer {
         if seg.flags.syn && !seg.flags.ack {
             if let Some(&app) = self.listeners.get(&seg.dst_port) {
                 let id = self.alloc_sock();
-                let cfg = self.config;
-                let mut sock =
-                    TcpSocket::new(id, app, (dst, seg.dst_port), (src, seg.src_port), cfg);
+                let mut sock = TcpSocket::new(id, app, (dst, seg.dst_port), (src, seg.src_port));
                 sock.state = TcpState::SynReceived;
                 sock.opened_at = now;
                 // Derive our ISS deterministically from the peer's (the
@@ -544,7 +525,7 @@ impl TcpLayer {
         // Retransmission timeout.
         s.rtx_count += 1;
         self.metric_evs.push(TcpMetric::Rtx);
-        if s.state == TcpState::SynSent && s.rtx_count > s.cfg.syn_retries {
+        if s.state == TcpState::SynSent && s.rtx_count > SYN_RETRIES {
             let id = s.id;
             let app = s.owner_app;
             self.events.push((app, TcpEvent::ConnectFailed(id)));
@@ -565,8 +546,8 @@ impl TcpLayer {
         // IW at establishment, not before).
         if !matches!(s.state, TcpState::SynSent | TcpState::SynReceived) {
             let flight = s.snd_nxt.wrapping_sub(s.snd_una) as u64;
-            s.ssthresh = (flight / 2).max(2 * s.cfg.mss as u64);
-            s.cwnd = s.cfg.mss as u64;
+            s.ssthresh = (flight / 2).max(2 * MSS as u64);
+            s.cwnd = MSS as u64;
         }
         s.dup_acks = 0;
         s.rtt_sample = None; // Karn's algorithm
@@ -601,7 +582,7 @@ impl TcpLayer {
                     self.cancel_reqs.push(id.0 as u64);
                     // RFC 6298 §5.7: the RTO backed off by SYN losses must
                     // be re-initialized when data transmission begins.
-                    s.rto = s.cfg.rto_initial;
+                    s.rto = RTO_INITIAL;
                     let ack = s.make_segment(s.snd_nxt, TcpFlags::ACK, Bytes::new());
                     self.out.push(ack);
                     self.events.push((app, TcpEvent::Connected(id)));
@@ -618,7 +599,7 @@ impl TcpLayer {
                     s.rtx_deadline = None;
                     s.rtx_count = 0;
                     self.cancel_reqs.push(id.0 as u64);
-                    s.rto = s.cfg.rto_initial;
+                    s.rto = RTO_INITIAL;
                     let port = s.local.1;
                     self.events.push((app, TcpEvent::Accepted { listener_port: port, sock: id }));
                     self.metric_evs.push(TcpMetric::AcceptNs(
@@ -661,13 +642,11 @@ impl TcpLayer {
                     }
                 }
                 // Congestion window growth.
-                if s.cfg.congestion_control {
-                    if s.cwnd < s.ssthresh {
-                        s.cwnd += (data_acked as u64).min(s.cfg.mss as u64);
-                    } else {
-                        let inc = (s.cfg.mss as u64 * s.cfg.mss as u64 / s.cwnd.max(1)).max(1);
-                        s.cwnd += inc;
-                    }
+                if s.cwnd < s.ssthresh {
+                    s.cwnd += (data_acked as u64).min(MSS as u64);
+                } else {
+                    let inc = (MSS as u64 * MSS as u64 / s.cwnd.max(1)).max(1);
+                    s.cwnd += inc;
                 }
                 if s.snd_una == s.snd_nxt {
                     s.rtx_deadline = None;
@@ -692,9 +671,9 @@ impl TcpLayer {
             } else if ack == s.snd_una && s.snd_una != s.snd_nxt && seg.data.is_empty() {
                 // Duplicate ACK.
                 s.dup_acks += 1;
-                if s.dup_acks == 3 && s.cfg.congestion_control {
+                if s.dup_acks == 3 {
                     let flight = s.snd_nxt.wrapping_sub(s.snd_una) as u64;
-                    s.ssthresh = (flight / 2).max(2 * s.cfg.mss as u64);
+                    s.ssthresh = (flight / 2).max(2 * MSS as u64);
                     s.cwnd = s.ssthresh;
                     s.rtt_sample = None;
                     s.retransmit_head(&mut self.out);
@@ -821,32 +800,25 @@ impl TcpLayer {
 }
 
 impl TcpSocket {
-    fn new(
-        id: SockId,
-        owner_app: usize,
-        local: (IpAddr, u16),
-        remote: (IpAddr, u16),
-        cfg: TcpConfig,
-    ) -> Self {
+    fn new(id: SockId, owner_app: usize, local: (IpAddr, u16), remote: (IpAddr, u16)) -> Self {
         TcpSocket {
             id,
             owner_app,
             local,
             remote,
             state: TcpState::Closed,
-            cfg,
             snd_una: 0,
             snd_nxt: 0,
             send_buf: SendBuf::default(),
-            snd_wnd: cfg.recv_window,
-            cwnd: cfg.init_cwnd_segments as u64 * cfg.mss as u64,
+            snd_wnd: RECV_WINDOW,
+            cwnd: INIT_CWND_SEGMENTS * MSS as u64,
             ssthresh: u64::MAX / 2,
             dup_acks: 0,
             fin_pending: false,
             fin_seq: None,
             srtt: None,
             rttvar: 0.0,
-            rto: cfg.rto_initial,
+            rto: RTO_INITIAL,
             rtt_sample: None,
             rtx_deadline: None,
             rtx_count: 0,
@@ -886,7 +858,7 @@ impl TcpSocket {
                 seq,
                 ack: self.rcv_nxt,
                 flags,
-                window: self.cfg.recv_window,
+                window: RECV_WINDOW,
                 data,
                 gso_mss: 0,
             }),
@@ -919,11 +891,7 @@ impl TcpSocket {
         }
         let mut sent_any = false;
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as u64;
-        let wnd = if self.cfg.congestion_control {
-            self.cwnd.min(self.snd_wnd as u64)
-        } else {
-            self.snd_wnd as u64
-        };
+        let wnd = self.cwnd.min(self.snd_wnd as u64);
         // When a FIN is in flight the buffer offset excludes it.
         let mut off = (flight as usize).min(self.send_buf.len());
         let mut budget = if self.fin_seq.is_none() {
@@ -932,7 +900,7 @@ impl TcpSocket {
             0
         };
         while budget > 0 {
-            let take = budget.min(self.cfg.mss);
+            let take = budget.min(MSS);
             let seq = self.snd_nxt;
             let mut flags = TcpFlags::ACK;
             // Piggyback FIN on the last segment if closing and this
@@ -974,7 +942,7 @@ impl TcpSocket {
     fn retransmit_head(&mut self, out: &mut Vec<Packet>) {
         let flight_data = self.send_buf.len();
         if flight_data > 0 {
-            let take = flight_data.min(self.cfg.mss);
+            let take = flight_data.min(MSS);
             let chunk = self.send_buf.range(0, take);
             let mut flags = TcpFlags::ACK;
             if self.fin_seq.is_some() && take == flight_data {
@@ -1023,7 +991,7 @@ impl TcpSocket {
             }
         }
         let rto_ns = (self.srtt.unwrap() + 4.0 * self.rttvar) as u64;
-        self.rto = SimDuration::from_nanos(rto_ns).max(self.cfg.rto_min);
+        self.rto = SimDuration::from_nanos(rto_ns).max(RTO_MIN);
     }
 }
 
@@ -1068,13 +1036,18 @@ mod tests {
         moved
     }
 
-    fn connected_pair() -> (TcpLayer, TcpLayer, SockId, SockId) {
-        connected_pair_with(TcpConfig::default())
+    /// Hands `pkts` to `to` at `now`, one segment at a time.
+    fn deliver(pkts: Vec<Packet>, to: &mut TcpLayer, now: SimTime) {
+        for p in pkts {
+            if let Payload::Tcp(seg) = p.payload {
+                to.segment_arrives(p.src, p.dst, seg, now);
+            }
+        }
     }
 
-    fn connected_pair_with(cfg: TcpConfig) -> (TcpLayer, TcpLayer, SockId, SockId) {
-        let mut a = TcpLayer::new(cfg);
-        let mut b = TcpLayer::new(cfg);
+    fn connected_pair() -> (TcpLayer, TcpLayer, SockId, SockId) {
+        let mut a = TcpLayer::new();
+        let mut b = TcpLayer::new();
         b.listen(80, 0);
         let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1000, SimTime::ZERO);
         pump(&mut a, &mut b, SimTime::ZERO);
@@ -1133,8 +1106,8 @@ mod tests {
 
     #[test]
     fn connect_to_closed_port_fails() {
-        let mut a = TcpLayer::new(TcpConfig::default());
-        let mut b = TcpLayer::new(TcpConfig::default());
+        let mut a = TcpLayer::new();
+        let mut b = TcpLayer::new();
         let ca = a.connect(addr_a(), (addr_b(), 81), 0, 5, SimTime::ZERO);
         pump(&mut a, &mut b, SimTime::ZERO);
         assert!(a.events.iter().any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)));
@@ -1175,17 +1148,23 @@ mod tests {
 
     #[test]
     fn syn_retry_exhaustion_reports_failure() {
-        let mut a = TcpLayer::new(TcpConfig { syn_retries: 2, ..TcpConfig::default() });
+        // Nobody answers: every retransmission timer expires until the
+        // active open gives up.
+        let mut a = TcpLayer::new();
         let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
-        a.out.clear();
         let mut now = SimTime::ZERO;
-        for _ in 0..4 {
-            if let Some((delay, token)) = a.timer_reqs.pop() {
-                now += delay;
-                a.on_timer(token, now);
-            }
+        let mut expiries = 0;
+        while !a.events.iter().any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)) {
+            assert!(expiries <= SYN_RETRIES, "still connecting after {expiries} expiries");
+            let (delay, token) = a.timer_reqs.pop().expect("a SYN retransmission timer is armed");
+            now += delay;
+            a.on_timer(token, now);
+            expiries += 1;
         }
-        assert!(a.events.iter().any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)));
+        assert_eq!(expiries, SYN_RETRIES + 1);
+        let syns = a.out.iter().filter(|p| matches!(&p.payload, Payload::Tcp(s) if s.flags.syn)).count();
+        assert_eq!(syns as u32, 1 + SYN_RETRIES, "the first SYN and one per retry");
+        assert!(!a.is_open(ca));
     }
 
     #[test]
@@ -1206,9 +1185,8 @@ mod tests {
 
     #[test]
     fn fast_retransmit_on_triple_dupack() {
-        let cfg = TcpConfig::default();
-        let (mut a, mut b, ca, sb) = connected_pair_with(cfg);
-        let data: Vec<u8> = vec![1u8; cfg.mss * 5];
+        let (mut a, mut b, ca, sb) = connected_pair();
+        let data: Vec<u8> = vec![1u8; MSS * 5];
         a.send(ca, data.clone(), SimTime(1));
         let mut pkts = std::mem::take(&mut a.out);
         assert!(pkts.len() >= 4, "got {}", pkts.len());
@@ -1238,23 +1216,32 @@ mod tests {
 
     #[test]
     fn window_limits_inflight_bytes() {
-        let cfg = TcpConfig { recv_window: 4096, ..TcpConfig::default() };
-        let mut a = TcpLayer::new(cfg);
-        let mut b = TcpLayer::new(cfg);
-        b.listen(80, 0);
-        let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
-        pump(&mut a, &mut b, SimTime::ZERO);
-        a.events.clear();
-        a.send(ca, vec![0u8; 100_000], SimTime(1));
-        let sent: usize = a
-            .out
-            .iter()
-            .map(|p| match &p.payload {
-                Payload::Tcp(s) => s.data.len(),
-                _ => 0,
-            })
-            .sum();
-        assert!(sent <= 4096, "inflight {sent} exceeds peer window");
+        // 1 MiB, ACKed round by round: slow start doubles cwnd each
+        // round until it passes the peer's window, which then caps the
+        // data in flight.
+        let (mut a, mut b, ca, sb) = connected_pair();
+        let total = 1 << 20;
+        a.send(ca, vec![0u8; total], SimTime(1));
+        let (mut max_flight, mut max_cwnd) = (0, 0);
+        for round in 2.. {
+            let s = a.sockets[ca.0].as_ref().expect("open");
+            let flight = s.snd_nxt.wrapping_sub(s.snd_una);
+            assert!(flight <= RECV_WINDOW, "round {round}: {flight} bytes in flight, window {RECV_WINDOW}");
+            max_flight = max_flight.max(flight);
+            max_cwnd = max_cwnd.max(s.cwnd);
+            if a.out.is_empty() {
+                break;
+            }
+            assert!(round < 100, "transfer stalled");
+            deliver(std::mem::take(&mut a.out), &mut b, SimTime(round));
+            deliver(std::mem::take(&mut b.out), &mut a, SimTime(round));
+        }
+        assert!(max_cwnd > u64::from(RECV_WINDOW), "cwnd {max_cwnd} never passed the window");
+        assert!(
+            max_flight >= RECV_WINDOW - MSS as u32,
+            "flight peaked at {max_flight}, more than one MSS short of the window"
+        );
+        assert_eq!(b.recv(sb).len(), total);
     }
 
     #[test]
@@ -1268,18 +1255,12 @@ mod tests {
 
     #[test]
     fn rtt_estimation_updates_rto() {
-        let mut s = TcpSocket::new(
-            SockId(0),
-            0,
-            (addr_a(), 1),
-            (addr_b(), 2),
-            TcpConfig::default(),
-        );
+        let mut s = TcpSocket::new(SockId(0), 0, (addr_a(), 1), (addr_b(), 2));
         s.update_rtt(SimDuration::from_millis(100));
         // First sample: RTO = srtt + 4*rttvar = 100 + 200 = 300ms.
         assert_eq!(s.rto, SimDuration::from_millis(300));
         s.update_rtt(SimDuration::from_millis(100));
-        assert!(s.rto >= TcpConfig::default().rto_min);
+        assert!(s.rto >= RTO_MIN);
         assert!(s.rto < SimDuration::from_millis(300));
     }
 
@@ -1287,25 +1268,17 @@ mod tests {
     fn rtt_sample_ends_at_the_sampled_segment() {
         // An ACK that covers only data sent before the sampled segment
         // must not complete the sample.
-        fn deliver(pkts: Vec<Packet>, to: &mut TcpLayer, now: SimTime) {
-            for p in pkts {
-                if let Payload::Tcp(seg) = p.payload {
-                    to.segment_arrives(p.src, p.dst, seg, now);
-                }
-            }
-        }
         let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
         let srtt = |a: &TcpLayer, ca: SockId| a.sockets[ca.0].as_ref().expect("open").srtt;
         let (mut a, mut b, ca, _sb) = connected_pair();
-        let mss = TcpConfig::default().mss;
-        a.send(ca, vec![1u8; mss], ms(0)); // sampled
+        a.send(ca, vec![1u8; MSS], ms(0)); // sampled
         let seg_a = std::mem::take(&mut a.out);
-        a.send(ca, vec![2u8; mss], ms(1)); // not sampled
+        a.send(ca, vec![2u8; MSS], ms(1)); // not sampled
         let seg_b = std::mem::take(&mut a.out);
         deliver(seg_a, &mut b, ms(50));
         deliver(std::mem::take(&mut b.out), &mut a, ms(100));
         assert_eq!(srtt(&a, ca), Some(100e6), "first sample: 100 ms");
-        a.send(ca, vec![3u8; mss], ms(100)); // sampled
+        a.send(ca, vec![3u8; MSS], ms(100)); // sampled
         let seg_c = std::mem::take(&mut a.out);
         deliver(seg_b, &mut b, ms(110));
         deliver(std::mem::take(&mut b.out), &mut a, ms(120));
@@ -1389,7 +1362,7 @@ mod tests {
 
     #[test]
     fn abort_to_uses_remote_index() {
-        let mut a = TcpLayer::new(TcpConfig::default());
+        let mut a = TcpLayer::new();
         let c1 = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
         let c2 = a.connect(addr_a(), (addr_b(), 81), 0, 2, SimTime::ZERO);
         let c3 = a.connect(addr_a(), (v4(10, 0, 0, 3), 80), 0, 3, SimTime::ZERO);

@@ -1,8 +1,8 @@
-//! Minimal hand-rolled JSON support (the build environment has no
-//! serde): string escaping, an object writer, and a parser for *flat*
-//! objects — one level deep, scalar values only — which is all the
-//! JSONL trace format needs. Numbers are kept as raw text so `u64`
-//! nanosecond timestamps round-trip without `f64` precision loss.
+//! Minimal hand-rolled JSON writing (the build environment has no
+//! serde): string escaping and a writer for *flat* objects — one level
+//! deep, scalar values only — which is all the JSONL trace format and
+//! the run manifests need. Numbers are written from their `Display`
+//! text, so `u64` nanosecond timestamps keep every digit.
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn write_str(out: &mut String, s: &str) {
@@ -28,39 +28,6 @@ pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     write_str(&mut out, s);
     out
-}
-
-/// A scalar value in a flat JSON object.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// A string (unescaped).
-    Str(String),
-    /// A number, bool, or null, kept as the raw source text.
-    Raw(String),
-}
-
-impl Value {
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            Value::Raw(_) => None,
-        }
-    }
-
-    /// Parses the raw token as u64 (also accepts a numeric string).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Str(s) | Value::Raw(s) => s.parse().ok(),
-        }
-    }
-
-    /// Parses the raw token as f64.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Str(s) | Value::Raw(s) => s.parse().ok(),
-        }
-    }
 }
 
 /// Incremental writer for one flat JSON object.
@@ -106,129 +73,31 @@ impl ObjWriter {
     }
 }
 
-/// Parses a flat JSON object (`{"k":v,...}`, scalar values only) into
-/// key/value pairs in source order. Returns `None` on malformed input
-/// or nested objects/arrays.
-pub fn parse_flat(line: &str) -> Option<Vec<(String, Value)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut out = Vec::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => Value::Str(parse_string(&mut chars)?),
-            '{' | '[' => return None, // flat objects only
-            _ => {
-                let mut tok = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c == ',' || c == '}' || c.is_whitespace() {
-                        break;
-                    }
-                    tok.push(c);
-                    chars.next();
-                }
-                if tok.is_empty() {
-                    return None;
-                }
-                Value::Raw(tok)
-            }
-        };
-        out.push((key, val));
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None; // trailing garbage
-    }
-    Some(out)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn escape_round_trips() {
-        for s in ["plain", "with \"quotes\"", "tab\tnewline\n", "back\\slash", "ünïcode", "\u{1}"] {
-            let q = quote(s);
-            let parsed = parse_flat(&format!("{{\"k\":{q}}}")).unwrap();
-            assert_eq!(parsed, vec![("k".to_string(), Value::Str(s.to_string()))]);
+    fn quote_escapes_quotes_backslashes_and_controls() {
+        for (s, want) in [
+            ("plain", r#""plain""#),
+            ("with \"quotes\"", r#""with \"quotes\"""#),
+            ("tab\tnewline\n", r#""tab\tnewline\n""#),
+            ("cr\r", r#""cr\r""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("ünïcode", "\"ünïcode\""),
+            ("\u{1}", r#""\u0001""#),
+        ] {
+            assert_eq!(quote(s), want);
         }
     }
 
     #[test]
-    fn writer_and_parser_agree() {
+    fn writer_emits_fields_in_call_order() {
         let mut w = ObjWriter::new();
-        w.str_field("name", "a,b\"c").raw_field("n", 18446744073709551615u64).raw_field("x", "1.5");
-        let line = w.finish();
-        let kv = parse_flat(&line).unwrap();
-        assert_eq!(kv[0].1.as_str(), Some("a,b\"c"));
-        // u64::MAX survives exactly — no f64 rounding.
-        assert_eq!(kv[1].1.as_u64(), Some(u64::MAX));
-        assert_eq!(kv[2].1.as_f64(), Some(1.5));
-    }
-
-    #[test]
-    fn rejects_nested_and_malformed() {
-        assert!(parse_flat("{\"a\":{}}").is_none());
-        assert!(parse_flat("{\"a\":[1]}").is_none());
-        assert!(parse_flat("not json").is_none());
-        assert!(parse_flat("{\"a\":1} trailing").is_none());
-        assert!(parse_flat("{}").map(|v| v.is_empty()).unwrap_or(false));
+        w.str_field("name", "a,b\"c").raw_field("n", u64::MAX).raw_field("x", "1.5");
+        // u64::MAX is written exactly — no f64 rounding.
+        assert_eq!(w.finish(), r#"{"name":"a,b\"c","n":18446744073709551615,"x":1.5}"#);
+        assert_eq!(ObjWriter::new().finish(), "{}");
     }
 }

@@ -11,9 +11,8 @@
 //! - [`registry::MetricsRegistry`] — named counters, gauges and
 //!   histograms with pre-registered integer handles for hot paths and
 //!   by-name lazy registration for rare events.
-//! - [`json`] — minimal JSON escaping/writing plus a flat-object parser
-//!   (numbers kept as raw text so `u64` nanosecond values round-trip
-//!   without `f64` precision loss).
+//! - [`json`] — minimal JSON escaping and flat-object writing (numbers
+//!   written exactly, so `u64` nanosecond values lose no precision).
 //! - [`manifest::RunManifest`] — the per-run record every bench binary
 //!   writes under `results/`: seed, config, git rev, wall-clock, event
 //!   count, full metric dump.

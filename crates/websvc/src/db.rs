@@ -4,11 +4,12 @@
 //! TLS, or transparently over HIP when addressed by HIT/LSI — the
 //! channel abstraction makes all three identical here). Queries execute
 //! against real RUBiS tables; service time is charged to the host CPU
-//! from the calibrated per-query cost table, and an optional **query
-//! cache** (the paper enables MySQL query caching for its httperf
-//! response-time experiment, §V-B) short-circuits repeated reads.
+//! from the calibrated per-query costs ([`Query::cost`]), and an
+//! optional **query cache** (the paper enables MySQL query caching for
+//! its httperf response-time experiment, §V-B) short-circuits repeated
+//! reads.
 
-use crate::rubis::{execute, Query, QueryCosts, RubisData};
+use crate::rubis::{execute, Query, RubisData, CACHE_HIT_COST};
 use crate::secure::{Channel, Conn};
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
@@ -91,7 +92,6 @@ struct DbConn {
 pub struct DbServerApp {
     port: u16,
     data: RubisData,
-    costs: QueryCosts,
     cache: Option<HashMap<String, String>>,
     security: ServerSecurity,
     conns: HashMap<SockId, DbConn>,
@@ -104,11 +104,10 @@ pub struct DbServerApp {
 impl DbServerApp {
     /// Creates a server on `port` over `data`. `query_cache` mirrors
     /// MySQL's `query_cache_type` switch.
-    pub fn new(port: u16, data: RubisData, costs: QueryCosts, query_cache: bool, security: ServerSecurity) -> Self {
+    pub fn new(port: u16, data: RubisData, query_cache: bool, security: ServerSecurity) -> Self {
         DbServerApp {
             port,
             data,
-            costs,
             cache: query_cache.then(HashMap::new),
             security,
             conns: HashMap::new(),
@@ -140,13 +139,12 @@ impl DbServerApp {
                 if let Some(hit) = cache.get(text) {
                     self.stats.cache_hits += 1;
                     let body = hit.clone().into_bytes();
-                    let cost = self.costs.cache_hit;
-                    self.respond(sock, body, cost, api);
+                    self.respond(sock, body, CACHE_HIT_COST, api);
                     return;
                 }
             }
         }
-        let cost = self.costs.of(&query);
+        let cost = query.cost();
         let result = execute(&mut self.data, &query);
         if query.is_write() {
             self.stats.writes += 1;

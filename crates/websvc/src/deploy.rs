@@ -13,13 +13,12 @@
 
 use crate::db::{DbServerApp, ServerSecurity};
 use crate::proxy::{BackendSecurity, ProxyApp};
-use crate::rubis::{QueryCosts, RubisData};
+use crate::rubis::RubisData;
 use crate::secure::Scenario;
 use crate::webserver::{DbSecurity, WebConfig, WebServerApp};
 use cloudsim::{CloudKind, CloudTopology, Flavor, VmHandle};
 use hip_core::identity::HostIdentity;
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
-use netsim::SimDuration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::IpAddr;
@@ -48,12 +47,6 @@ pub struct RubisConfig {
     pub items: u32,
     /// Simulation seed.
     pub seed: u64,
-    /// Per-query DB costs.
-    pub query_costs: QueryCosts,
-    /// Crypto cost table (shared by HIP and TLS).
-    pub crypto_costs: CostModel,
-    /// Per-request web-tier application work.
-    pub web_request_cost: SimDuration,
 }
 
 impl RubisConfig {
@@ -67,9 +60,6 @@ impl RubisConfig {
             users: 300,
             items: 600,
             seed,
-            query_costs: QueryCosts::default(),
-            crypto_costs: CostModel::paper_web_stack(),
-            web_request_cost: SimDuration::from_micros(1500),
         }
     }
 
@@ -84,9 +74,6 @@ impl RubisConfig {
             users: 300,
             items: 600,
             seed,
-            query_costs: QueryCosts::default(),
-            crypto_costs: CostModel::paper_web_stack(),
-            web_request_cost: SimDuration::from_micros(1500),
         }
     }
 }
@@ -150,7 +137,8 @@ pub fn tls_costs(c: &CostModel) -> TlsCosts {
     }
 }
 
-/// Builds the full deployment.
+/// Builds the full deployment. HIP and TLS charge their crypto from the
+/// same table, [`CostModel::paper_web_stack`].
 pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
     let mut topo = CloudTopology::new(cfg.seed);
     let cloud = topo.add_cloud("ec2", CloudKind::Public);
@@ -167,7 +155,7 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
         Scenario::Basic => {
             install_db(&mut topo, db, &cfg, ServerSecurity::Plain);
             for &web in &webs {
-                install_web(&mut topo, web, db.addr, DbSecurity::Plain, ServerSecurity::Plain, &cfg);
+                install_web(&mut topo, web, db.addr, DbSecurity::Plain, ServerSecurity::Plain);
             }
             if let Some(lb) = lb {
                 let backends = webs.iter().map(|w| (w.addr, WEB_PORT)).collect();
@@ -180,7 +168,7 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
             let ids_web: Vec<HostIdentity> =
                 webs.iter().map(|_| HostIdentity::generate_rsa(512, &mut key_rng)).collect();
             let id_lb = lb.map(|_| HostIdentity::generate_rsa(512, &mut key_rng));
-            let hip_cfg = HipConfig { costs: cfg.crypto_costs, ..HipConfig::default() };
+            let hip_cfg = HipConfig { costs: CostModel::paper_web_stack(), ..HipConfig::default() };
 
             let hit_db = id_db.hit();
             let hits_web: Vec<_> = ids_web.iter().map(HostIdentity::hit).collect();
@@ -215,7 +203,7 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                 web_db_addrs.push(db_addr);
             }
             for (&web, db_addr) in webs.iter().zip(web_db_addrs) {
-                install_web(&mut topo, web, db_addr, DbSecurity::Plain, ServerSecurity::Plain, &cfg);
+                install_web(&mut topo, web, db_addr, DbSecurity::Plain, ServerSecurity::Plain);
             }
 
             // LB shim: knows every web server; terminates HIP.
@@ -235,7 +223,7 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
             }
         }
         Scenario::Ssl => {
-            let costs = tls_costs(&cfg.crypto_costs);
+            let costs = tls_costs(&CostModel::paper_web_stack());
             let ca = CertificateAuthority::new(512, &mut key_rng);
             // DB certificate.
             let db_keys = sim_crypto::rsa::RsaKeyPair::generate(512, &mut key_rng);
@@ -262,7 +250,6 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                     db.addr,
                     DbSecurity::Tls { ca: ca.public().clone(), costs },
                     frontend,
-                    &cfg,
                 );
             }
             if let Some(lb) = lb {
@@ -286,7 +273,7 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
 
 fn install_db(topo: &mut CloudTopology, db: VmHandle, cfg: &RubisConfig, security: ServerSecurity) {
     let data = RubisData::generate(cfg.users, cfg.items, cfg.seed ^ 0xdb);
-    let app = DbServerApp::new(DB_PORT, data, cfg.query_costs, cfg.query_cache, security);
+    let app = DbServerApp::new(DB_PORT, data, cfg.query_cache, security);
     topo.host_mut(db).add_app(Box::new(app));
 }
 
@@ -296,13 +283,11 @@ fn install_web(
     db_addr: IpAddr,
     db_security: DbSecurity,
     frontend_security: ServerSecurity,
-    cfg: &RubisConfig,
 ) {
     let mut web_cfg = WebConfig::new(db_addr, DB_PORT);
     web_cfg.port = WEB_PORT;
     web_cfg.db_security = db_security;
     web_cfg.frontend_security = frontend_security;
-    web_cfg.request_cost = cfg.web_request_cost;
     topo.host_mut(web).add_app(Box::new(WebServerApp::new(web_cfg)));
 }
 

@@ -30,6 +30,6 @@ pub mod secure;
 pub mod webserver;
 
 pub use deploy::{deploy_rubis, RubisConfig, RubisDeployment, DB_PORT, LB_PORT, WEB_PORT};
-pub use loadgen::{HttperfApp, IperfClientApp, IperfServerApp, JmeterApp, LatencyStats, PingApp, Timeline};
-pub use proxy::{FailoverConfig, Health, ProxyApp, ProxyStats};
+pub use loadgen::{HttperfApp, IperfServerApp, JmeterApp, LatencyStats, PingApp, Timeline};
+pub use proxy::{Health, ProxyApp, ProxyStats};
 pub use secure::Scenario;

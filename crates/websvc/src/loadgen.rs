@@ -6,11 +6,10 @@
 //! - [`HttperfApp`] — open-loop fixed-rate generator (httperf 0.9.0's
 //!   role): a new connection + request at a constant rate, response
 //!   times recorded regardless of completion order.
-//! - [`IperfServerApp`]/[`IperfClientApp`] — bulk-TCP throughput
-//!   measurement (iperf 2.0.5's role), keeping the pipe full and
-//!   counting received bytes.
-//! - [`BulkSendApp`] — fixed-size bulk response: exactly N bytes, then
-//!   close (the bulk-transfer workload of the benchmarks and tests).
+//! - [`BulkSendApp`]/[`IperfServerApp`] — bulk-TCP throughput
+//!   measurement (iperf 2.0.5's role): the sender keeps the pipe full
+//!   for a fixed duration or a fixed byte count, the server counts
+//!   received bytes.
 //! - [`PingApp`] — ICMP RTT measurement, N echo requests at an interval.
 
 use crate::http::{HttpRequest, ResponseParser};
@@ -497,101 +496,35 @@ impl App for IperfServerApp {
     }
 }
 
-/// Sends a bulk stream for a fixed duration, keeping the send buffer
-/// topped up (so the window, not the application, is the limit).
-pub struct IperfClientApp {
-    target: (IpAddr, u16),
-    duration: SimDuration,
-    /// Wait this long before connecting (lets Teredo qualification or a
-    /// HIP base exchange settle first).
-    pub start_delay: SimDuration,
-    sock: Option<SockId>,
-    started_at: SimTime,
-    /// Bytes handed to TCP.
-    pub bytes_sent: u64,
-    done: bool,
-}
-
 const IPERF_CHUNK: usize = 64 * 1024;
 /// The bytes every bulk sender writes: TCP keeps `&'static` slices of
 /// it as send-buffer chunks, so topping up the buffer copies nothing.
 static BULK_PAYLOAD: [u8; IPERF_CHUNK] = [0x55; IPERF_CHUNK];
 const IPERF_HIGH_WATER: usize = 256 * 1024;
 const TIMER_START: u64 = 2;
+/// How often a bulk sender tops its send buffer back up.
+const BULK_TICK: SimDuration = SimDuration::from_millis(5);
 
-impl IperfClientApp {
-    /// Streams to `target` for `duration` once connected.
-    pub fn new(target: (IpAddr, u16), duration: SimDuration) -> Self {
-        IperfClientApp {
-            target,
-            duration,
-            start_delay: SimDuration::ZERO,
-            sock: None,
-            started_at: SimTime::ZERO,
-            bytes_sent: 0,
-            done: false,
-        }
-    }
-
-    fn connect_now(&mut self, api: &mut HostApi) {
-        self.sock = api.tcp_connect(self.target.0, self.target.1);
-        assert!(self.sock.is_some(), "iperf: no source address for {}", self.target.0);
-    }
-
-    fn top_up(&mut self, api: &mut HostApi) {
-        let Some(sock) = self.sock else { return };
-        if self.done {
-            return;
-        }
-        if api.now().since(self.started_at) >= self.duration && self.bytes_sent > 0 {
-            self.done = true;
-            api.tcp_close(sock);
-            return;
-        }
-        while api.tcp_buffered(sock) < IPERF_HIGH_WATER {
-            api.tcp_send(sock, &BULK_PAYLOAD[..]);
-            self.bytes_sent += IPERF_CHUNK as u64;
-        }
-        api.set_timer(SimDuration::from_millis(5), TIMER_TICK);
-    }
+/// When a [`BulkSendApp`] stops sending and closes.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// Once this many bytes are handed to TCP.
+    Bytes(u64),
+    /// This long after the connection comes up; becomes `At` then.
+    After(SimDuration),
+    /// At the first top-up tick at or past this time.
+    At(SimTime),
 }
 
-impl App for IperfClientApp {
-    fn start(&mut self, api: &mut HostApi) {
-        if self.start_delay == SimDuration::ZERO {
-            self.connect_now(api);
-        } else {
-            api.set_timer(self.start_delay, TIMER_START);
-        }
-    }
-
-    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        match ev {
-            AppEvent::Timer { token: TIMER_START } => self.connect_now(api),
-            AppEvent::Tcp(TcpEvent::Connected(_)) => {
-                self.started_at = api.now();
-                self.top_up(api);
-            }
-            AppEvent::Timer { token: TIMER_TICK } => self.top_up(api),
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Sends exactly `total` bulk bytes and closes — the fixed-size cousin
-/// of [`IperfClientApp`], for experiments where the transfer size (not
-/// the duration) is the controlled variable, e.g. bulk-transfer
-/// benchmarks and the bulk outcome tests.
+/// Sends a bulk stream, keeping the send buffer topped up (so the
+/// window, not the application, is the limit), then closes: after
+/// exactly `total` bytes ([`BulkSendApp::new`]; bulk-transfer
+/// benchmarks and the bulk outcome tests), or once a fixed duration has
+/// passed since the connection came up
+/// ([`BulkSendApp::for_duration`]; iperf 2.0.5's role in FIG3).
 pub struct BulkSendApp {
     target: (IpAddr, u16),
-    total: u64,
+    stop: Stop,
     /// Wait this long before connecting (lets a HIP base exchange or
     /// Teredo qualification settle first).
     pub start_delay: SimDuration,
@@ -606,12 +539,18 @@ impl BulkSendApp {
     pub fn new(target: (IpAddr, u16), total: u64) -> Self {
         BulkSendApp {
             target,
-            total,
+            stop: Stop::Bytes(total),
             start_delay: SimDuration::ZERO,
             sock: None,
             bytes_sent: 0,
             done: false,
         }
+    }
+
+    /// Streams to `target` for `duration` once connected, then closes
+    /// at the first top-up tick past it.
+    pub fn for_duration(target: (IpAddr, u16), duration: SimDuration) -> Self {
+        BulkSendApp { stop: Stop::After(duration), ..BulkSendApp::new(target, 0) }
     }
 
     fn connect_now(&mut self, api: &mut HostApi) {
@@ -624,16 +563,25 @@ impl BulkSendApp {
         if self.done {
             return;
         }
-        while self.bytes_sent < self.total && api.tcp_buffered(sock) < IPERF_HIGH_WATER {
-            let n = (self.total - self.bytes_sent).min(IPERF_CHUNK as u64) as usize;
+        let total = match self.stop {
+            Stop::Bytes(total) => total,
+            Stop::At(end) if api.now() >= end && self.bytes_sent > 0 => {
+                self.done = true;
+                api.tcp_close(sock);
+                return;
+            }
+            Stop::After(_) | Stop::At(_) => u64::MAX,
+        };
+        while self.bytes_sent < total && api.tcp_buffered(sock) < IPERF_HIGH_WATER {
+            let n = (total - self.bytes_sent).min(IPERF_CHUNK as u64) as usize;
             api.tcp_send(sock, &BULK_PAYLOAD[..n]);
             self.bytes_sent += n as u64;
         }
-        if self.bytes_sent >= self.total {
+        if self.bytes_sent >= total {
             self.done = true;
             api.tcp_close(sock);
         } else {
-            api.set_timer(SimDuration::from_millis(5), TIMER_TICK);
+            api.set_timer(BULK_TICK, TIMER_TICK);
         }
     }
 }
@@ -650,7 +598,12 @@ impl App for BulkSendApp {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Timer { token: TIMER_START } => self.connect_now(api),
-            AppEvent::Tcp(TcpEvent::Connected(_)) => self.top_up(api),
+            AppEvent::Tcp(TcpEvent::Connected(_)) => {
+                if let Stop::After(d) = self.stop {
+                    self.stop = Stop::At(api.now() + d);
+                }
+                self.top_up(api);
+            }
             AppEvent::Timer { token: TIMER_TICK } => self.top_up(api),
             _ => {}
         }

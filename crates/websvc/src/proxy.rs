@@ -80,39 +80,23 @@ pub struct ProxyStats {
     pub timeouts: u64,
 }
 
-/// Failover tuning knobs (defaults follow HAProxy's spirit: fail fast,
-/// back off exponentially, probe before readmitting).
-#[derive(Clone, Copy, Debug)]
-pub struct FailoverConfig {
-    /// House-keeping sweep period (timeout resolution).
-    pub tick: SimDuration,
-    /// A backend connect pending longer than this has failed.
-    pub connect_timeout: SimDuration,
-    /// A forwarded request unanswered longer than this has failed.
-    pub response_timeout: SimDuration,
-    /// Consecutive failures before a backend is ejected.
-    pub fail_threshold: u32,
-    /// First ejection backoff (doubles per ejection, capped at 8×).
-    pub eject_backoff: SimDuration,
-    /// Retries (on other backends) before a request is failed upward.
-    pub max_retries: u32,
-    /// First retry delay (doubles per attempt).
-    pub retry_backoff: SimDuration,
-}
+// Failover timing, in HAProxy's spirit: fail fast, back off
+// exponentially, probe before readmitting.
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            tick: SimDuration::from_millis(100),
-            connect_timeout: SimDuration::from_millis(1000),
-            response_timeout: SimDuration::from_millis(3000),
-            fail_threshold: 2,
-            eject_backoff: SimDuration::from_millis(1000),
-            max_retries: 2,
-            retry_backoff: SimDuration::from_millis(50),
-        }
-    }
-}
+/// House-keeping sweep period (timeout resolution).
+const TICK: SimDuration = SimDuration::from_millis(100);
+/// A backend connect pending longer than this has failed.
+const CONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
+/// A forwarded request unanswered longer than this has failed.
+const RESPONSE_TIMEOUT: SimDuration = SimDuration::from_millis(3000);
+/// Consecutive failures before a backend is ejected.
+const FAIL_THRESHOLD: u32 = 2;
+/// First ejection backoff (doubles per ejection, capped at 8×).
+const EJECT_BACKOFF: SimDuration = SimDuration::from_millis(1000);
+/// Retries (on other backends) before a request is failed upward.
+const MAX_RETRIES: u32 = 2;
+/// First retry delay (doubles per attempt).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(50);
 
 /// Per-backend health state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,8 +160,6 @@ pub struct ProxyApp {
     listen_port: u16,
     backends: Vec<Backend>,
     security: BackendSecurity,
-    /// Failover behavior.
-    pub failover: FailoverConfig,
     rr: usize,
     clients: HashMap<SockId, ClientSide>,
     backend_conns: HashMap<SockId, BackendSide>,
@@ -185,7 +167,7 @@ pub struct ProxyApp {
     probes: HashMap<SockId, (usize, SimTime)>,
     retries: Vec<PendingRetry>,
     /// Bumped on crash reset so stale timers from a previous boot are
-    /// ignored (app timers are fire-and-forget and may outlive a crash).
+    /// ignored (app timers are never cancelled and may outlive a crash).
     epoch: u64,
     /// Counters.
     pub stats: ProxyStats,
@@ -208,7 +190,6 @@ impl ProxyApp {
                 })
                 .collect(),
             security,
-            failover: FailoverConfig::default(),
             rr: 0,
             clients: HashMap::new(),
             backend_conns: HashMap::new(),
@@ -256,7 +237,6 @@ impl ProxyApp {
     fn record_failure(&mut self, idx: usize, api: &mut HostApi) {
         self.stats.backend_failures += 1;
         api.metrics().add_name("proxy.backend_fail", 1);
-        let cfg = self.failover;
         let now = api.now();
         let b = &mut self.backends[idx];
         b.consecutive_fails += 1;
@@ -264,11 +244,11 @@ impl ProxyApp {
             Health::Ejected { .. } => {} // already out; keep the clock
             Health::Probing => {
                 // Failed probe: back off harder.
-                Self::eject(b, now, cfg, &mut self.stats, api);
+                Self::eject(b, now, &mut self.stats, api);
             }
             Health::Healthy | Health::Suspect => {
-                if b.consecutive_fails >= cfg.fail_threshold {
-                    Self::eject(b, now, cfg, &mut self.stats, api);
+                if b.consecutive_fails >= FAIL_THRESHOLD {
+                    Self::eject(b, now, &mut self.stats, api);
                 } else {
                     b.health = Health::Suspect;
                 }
@@ -276,9 +256,8 @@ impl ProxyApp {
         }
     }
 
-    fn eject(b: &mut Backend, now: SimTime, cfg: FailoverConfig, stats: &mut ProxyStats, api: &mut HostApi) {
-        let backoff =
-            SimDuration::from_nanos(cfg.eject_backoff.as_nanos() << b.ejections.min(3));
+    fn eject(b: &mut Backend, now: SimTime, stats: &mut ProxyStats, api: &mut HostApi) {
+        let backoff = SimDuration::from_nanos(EJECT_BACKOFF.as_nanos() << b.ejections.min(3));
         b.health = Health::Ejected { until: now + backoff };
         b.ejections += 1;
         stats.ejections += 1;
@@ -297,12 +276,12 @@ impl ProxyApp {
     }
 
     /// Queues or sends one framed request on an (owned) backend link.
-    fn send_on(link: &mut BackendSide, req: Vec<u8>, now: SimTime, cfg: &FailoverConfig, api: &mut HostApi) {
+    fn send_on(link: &mut BackendSide, req: Vec<u8>, now: SimTime, api: &mut HostApi) {
         if link.connected {
             link.conn.send(&req, api);
             link.inflight.push_back(req);
             if link.response_deadline.is_none() {
-                link.response_deadline = Some(now + cfg.response_timeout);
+                link.response_deadline = Some(now + RESPONSE_TIMEOUT);
             }
         } else {
             if link.queued.is_empty() {
@@ -321,12 +300,11 @@ impl ProxyApp {
         self.stats.forwarded += 1;
         api.metrics().add_name("proxy.fwd", 1);
         let now = api.now();
-        let cfg = self.failover;
         // Reuse the client's bound backend connection if it is live.
         if let Some(bound) = self.clients.get(&client).and_then(|c| c.backend) {
             if let Some(link) = self.backend_conns.get_mut(&bound) {
                 link.attempts = link.attempts.max(attempts);
-                Self::send_on(link, req, now, &cfg, api);
+                Self::send_on(link, req, now, api);
                 return;
             }
         }
@@ -356,10 +334,10 @@ impl ProxyApp {
             queued_at: None,
             inflight: VecDeque::new(),
             attempts,
-            connect_deadline: Some(now + cfg.connect_timeout),
+            connect_deadline: Some(now + CONNECT_TIMEOUT),
             response_deadline: None,
         };
-        Self::send_on(&mut link, req, now, &cfg, api);
+        Self::send_on(&mut link, req, now, api);
         self.backend_conns.insert(sock, link);
         if let Some(c) = self.clients.get_mut(&client) {
             c.backend = Some(sock);
@@ -383,8 +361,7 @@ impl ProxyApp {
             return;
         }
         let attempts = link.attempts + 1;
-        let cfg = self.failover;
-        if attempts > cfg.max_retries {
+        if attempts > MAX_RETRIES {
             // Out of retries: answer every stranded request explicitly.
             api.metrics().add_name("proxy.request_fail", unanswered.len() as u64);
             if self.clients.contains_key(&link.client) {
@@ -398,8 +375,7 @@ impl ProxyApp {
         }
         self.stats.retries += unanswered.len() as u64;
         api.metrics().add_name("proxy.retry", unanswered.len() as u64);
-        let backoff =
-            SimDuration::from_nanos(cfg.retry_backoff.as_nanos() << (attempts - 1).min(8));
+        let backoff = SimDuration::from_nanos(RETRY_BACKOFF.as_nanos() << (attempts - 1).min(8));
         self.retries.push(PendingRetry {
             client: link.client,
             reqs: unanswered,
@@ -412,7 +388,7 @@ impl ProxyApp {
         let (addr, port) = self.backends[idx].addr;
         let Some(sock) = api.tcp_connect(addr, port) else { return };
         self.backends[idx].health = Health::Probing;
-        self.probes.insert(sock, (idx, api.now() + self.failover.connect_timeout));
+        self.probes.insert(sock, (idx, api.now() + CONNECT_TIMEOUT));
         self.stats.probes += 1;
         api.metrics().add_name("proxy.probe", 1);
     }
@@ -483,14 +459,14 @@ impl ProxyApp {
             }
         }
 
-        api.set_timer(self.failover.tick, (self.epoch << 8) | TIMER_KIND_TICK);
+        api.set_timer(TICK, (self.epoch << 8) | TIMER_KIND_TICK);
     }
 }
 
 impl App for ProxyApp {
     fn start(&mut self, api: &mut HostApi) {
         assert!(api.tcp_listen(self.listen_port), "proxy port taken");
-        api.set_timer(self.failover.tick, (self.epoch << 8) | TIMER_KIND_TICK);
+        api.set_timer(TICK, (self.epoch << 8) | TIMER_KIND_TICK);
     }
 
     fn reset(&mut self) {
@@ -534,7 +510,6 @@ impl App for ProxyApp {
                     BackendSecurity::Plain => Channel::plain(),
                     BackendSecurity::Tls { ca, costs } => Channel::tls_client(ca.clone(), *costs, sock, api),
                 };
-                let cfg = self.failover;
                 let mut flushed = None;
                 if let Some(link) = self.backend_conns.get_mut(&sock) {
                     link.conn = Conn::new(sock, channel);
@@ -546,7 +521,7 @@ impl App for ProxyApp {
                     }
                     let now = api.now();
                     while let Some(req) = link.queued.pop_front() {
-                        Self::send_on(link, req, now, &cfg, api);
+                        Self::send_on(link, req, now, api);
                     }
                     flushed = Some(link.backend_idx);
                 }
@@ -573,7 +548,7 @@ impl App for ProxyApp {
                         link.response_deadline = if link.inflight.is_empty() && link.queued.is_empty() {
                             None
                         } else {
-                            Some(api.now() + self.failover.response_timeout)
+                            Some(api.now() + RESPONSE_TIMEOUT)
                         };
                         self.record_success(idx, api);
                     }

@@ -221,57 +221,27 @@ impl Query {
             _ => return None,
         })
     }
-}
 
-/// Per-query CPU cost (MySQL 5.1 on the paper's large instance, scaled
-/// by the flavor's compute units at charge time).
-#[derive(Clone, Copy, Debug)]
-pub struct QueryCosts {
-    /// Category listing.
-    pub browse: SimDuration,
-    /// Category search (the heavy scan).
-    pub search: SimDuration,
-    /// Item detail page.
-    pub view_item: SimDuration,
-    /// Bid history.
-    pub view_bids: SimDuration,
-    /// User profile.
-    pub view_user: SimDuration,
-    /// Bid insertion.
-    pub place_bid: SimDuration,
-    /// Serving a hit from the query cache.
-    pub cache_hit: SimDuration,
-}
-
-impl Default for QueryCosts {
-    fn default() -> Self {
-        // Calibrated so the FIG2 deployment saturates in the paper's
-        // range (tens to ~250 req/s across 3 micro web servers).
-        QueryCosts {
-            browse: SimDuration::from_micros(900),
-            search: SimDuration::from_micros(5200),
-            view_item: SimDuration::from_micros(2100),
-            view_bids: SimDuration::from_micros(3100),
-            view_user: SimDuration::from_micros(1200),
-            place_bid: SimDuration::from_micros(2800),
-            cache_hit: SimDuration::from_micros(120),
-        }
+    /// CPU cost of executing the query without the cache: MySQL 5.1 on
+    /// the paper's large instance, scaled by the flavor's compute units
+    /// at charge time. Calibrated so the FIG2 deployment saturates in
+    /// the paper's range (tens to ~250 req/s across 3 micro web
+    /// servers).
+    pub fn cost(&self) -> SimDuration {
+        let us = match self {
+            Query::BrowseCategories => 900,
+            Query::SearchByCategory { .. } => 5200, // the heavy scan
+            Query::ViewItem { .. } => 2100,
+            Query::ViewBidHistory { .. } => 3100,
+            Query::ViewUser { .. } => 1200,
+            Query::PlaceBid { .. } => 2800,
+        };
+        SimDuration::from_micros(us)
     }
 }
 
-impl QueryCosts {
-    /// Cost of executing `q` without the cache.
-    pub fn of(&self, q: &Query) -> SimDuration {
-        match q {
-            Query::BrowseCategories => self.browse,
-            Query::SearchByCategory { .. } => self.search,
-            Query::ViewItem { .. } => self.view_item,
-            Query::ViewBidHistory { .. } => self.view_bids,
-            Query::ViewUser { .. } => self.view_user,
-            Query::PlaceBid { .. } => self.place_bid,
-        }
-    }
-}
+/// CPU cost of serving a read from the query cache.
+pub const CACHE_HIT_COST: SimDuration = SimDuration::from_micros(120);
 
 /// Executes a query against the data, returning the result text.
 pub fn execute(data: &mut RubisData, q: &Query) -> String {
@@ -486,8 +456,8 @@ mod tests {
 
     #[test]
     fn costs_reflect_query_weight() {
-        let c = QueryCosts::default();
-        assert!(c.search > c.view_item, "search is the heavy scan");
-        assert!(c.cache_hit < c.browse, "cache hits are cheap");
+        let search = Query::SearchByCategory { category: 0, page: 0 }.cost();
+        assert!(search > Query::ViewItem { item: 0 }.cost(), "search is the heavy scan");
+        assert!(CACHE_HIT_COST < Query::BrowseCategories.cost(), "cache hits are cheap");
     }
 }

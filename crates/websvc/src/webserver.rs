@@ -32,7 +32,15 @@ pub enum DbSecurity {
     },
 }
 
-/// Web-server tuning.
+/// Persistent DB connections per web server.
+const POOL_SIZE: usize = 4;
+/// Per-request application work (parsing, templating), calibrated for
+/// the FIG2 deployment.
+const REQUEST_COST: SimDuration = SimDuration::from_micros(1500);
+/// Extra bytes of HTML wrapped around each DB result.
+const HTML_PADDING: usize = 1024;
+
+/// Web-server deployment settings.
 pub struct WebConfig {
     /// HTTP listen port.
     pub port: u16,
@@ -45,16 +53,10 @@ pub struct WebConfig {
     /// Security offered to frontend clients (the proxy's backend link):
     /// plain for Basic/HIP (HIP encrypts below), TLS for SSL.
     pub frontend_security: ServerSecurity,
-    /// Persistent DB connections.
-    pub pool_size: usize,
-    /// Per-request application work (parsing, templating).
-    pub request_cost: SimDuration,
-    /// Extra bytes of HTML wrapped around each DB result.
-    pub html_padding: usize,
 }
 
 impl WebConfig {
-    /// Defaults calibrated for the FIG2 deployment.
+    /// Port 80 and plain links on both sides.
     pub fn new(db_addr: IpAddr, db_port: u16) -> Self {
         WebConfig {
             port: 80,
@@ -62,9 +64,6 @@ impl WebConfig {
             db_port,
             db_security: DbSecurity::Plain,
             frontend_security: ServerSecurity::Plain,
-            pool_size: 4,
-            request_cost: SimDuration::from_micros(1500),
-            html_padding: 1024,
         }
     }
 }
@@ -145,10 +144,10 @@ impl WebServerApp {
         }
     }
 
-    /// Tops the pool back up to `pool_size` connections.
+    /// Tops the pool back up to `POOL_SIZE` connections.
     fn refill_pool(&mut self, api: &mut HostApi) {
         self.reconnect_pending = false;
-        while self.db_links.len() < self.config.pool_size {
+        while self.db_links.len() < POOL_SIZE {
             let Some(sock) = api.tcp_connect(self.config.db_addr, self.config.db_port) else {
                 break;
             };
@@ -158,14 +157,14 @@ impl WebServerApp {
                 DbLink { conn: Conn::new(sock, Channel::plain()), frames: FrameParser::default(), inflight: VecDeque::new(), connected: false },
             );
         }
-        if self.db_links.len() < self.config.pool_size && !self.reconnect_pending {
+        if self.db_links.len() < POOL_SIZE && !self.reconnect_pending {
             self.reconnect_pending = true;
             api.set_timer(RECONNECT_DELAY, RECONNECT_TOKEN);
         }
     }
 
     fn open_db_links(&mut self, api: &mut HostApi) {
-        for _ in 0..self.config.pool_size {
+        for _ in 0..POOL_SIZE {
             let Some(sock) = api.tcp_connect(self.config.db_addr, self.config.db_port) else {
                 continue;
             };
@@ -235,13 +234,13 @@ impl WebServerApp {
             return; // client went away
         }
         // Render: wrap the DB result in HTML padding and charge app work.
-        let mut html = Vec::with_capacity(body.len() + self.config.html_padding);
+        let mut html = Vec::with_capacity(body.len() + HTML_PADDING);
         html.extend_from_slice(b"<html><body>");
         html.extend_from_slice(&body);
-        html.extend(std::iter::repeat_n(b' ', self.config.html_padding));
+        html.extend(std::iter::repeat_n(b' ', HTML_PADDING));
         html.extend_from_slice(b"</body></html>");
         let resp = HttpResponse::ok(html).encode();
-        let delay = api.cpu_charge(self.config.request_cost);
+        let delay = api.cpu_charge(REQUEST_COST);
         api.metrics().observe_name("web.render", delay.as_nanos());
         self.next_token += 1;
         self.pending.insert(self.next_token, (client, resp));

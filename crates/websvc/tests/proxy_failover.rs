@@ -11,7 +11,7 @@ use std::any::Any;
 use std::net::IpAddr;
 use websvc::http::{HttpRequest, ResponseParser};
 use websvc::proxy::{BackendSecurity, ProxyApp};
-use websvc::rubis::{QueryCosts, RubisData};
+use websvc::rubis::RubisData;
 use websvc::webserver::{WebConfig, WebServerApp};
 use websvc::{DB_PORT, LB_PORT, WEB_PORT};
 
@@ -64,7 +64,6 @@ fn dead_backend_requests_retry_onto_live_backend() {
     topo.host_mut(db).add_app(Box::new(websvc::db::DbServerApp::new(
         DB_PORT,
         data,
-        QueryCosts::default(),
         false,
         websvc::db::ServerSecurity::Plain,
     )));
