@@ -11,6 +11,7 @@
 use bench::report::{bar, manifest, table, write_csv, write_manifest};
 use bench::resilience::{run_sweep, timeline_json, Storyline, CLIENTS};
 use std::time::Instant;
+use websvc::proxy;
 
 fn main() {
     let seed = 42u64;
@@ -63,16 +64,16 @@ fn main() {
     // Failover machinery counters.
     let mut frows = Vec::new();
     for c in &cells {
-        let p = &c.point;
+        let ctr = |name| c.metrics.counter_value(name).unwrap_or(0).to_string();
         frows.push(vec![
-            p.scenario.label().to_string(),
-            p.proxy.ejections.to_string(),
-            p.proxy.recoveries.to_string(),
-            p.proxy.retries.to_string(),
-            p.proxy.probes.to_string(),
-            p.proxy.timeouts.to_string(),
-            p.proxy.unavailable.to_string(),
-            p.rebex.to_string(),
+            c.point.scenario.label().to_string(),
+            ctr(proxy::EJECTS),
+            ctr(proxy::RECOVERS),
+            ctr(proxy::RETRIES),
+            ctr(proxy::PROBES),
+            ctr(proxy::TIMEOUTS),
+            ctr(proxy::UNAVAILABLE),
+            c.point.rebex.to_string(),
         ]);
     }
     println!("proxy failover + HIP recovery counters:");
@@ -103,6 +104,7 @@ fn main() {
     // Manifests: one per scenario, timeline embedded.
     for c in &cells {
         let p = &c.point;
+        let ctr = |name| c.metrics.counter_value(name).unwrap_or(0);
         let mut m = manifest("fig_resilience", p.scenario.label(), seed);
         m.num("clients", CLIENTS)
             .num("storyline_secs", story.end.as_secs_f64())
@@ -114,11 +116,11 @@ fn main() {
             .str_field("ttr_crash", &fmt_ttr(p.ttr_crash_s))
             .str_field("ttr_burst", &fmt_ttr(p.ttr_burst_s))
             .str_field("ttr_partition", &fmt_ttr(p.ttr_partition_s))
-            .num("proxy_ejections", p.proxy.ejections)
-            .num("proxy_recoveries", p.proxy.recoveries)
-            .num("proxy_retries", p.proxy.retries)
-            .num("proxy_probes", p.proxy.probes)
-            .num("proxy_unavailable", p.proxy.unavailable)
+            .num("proxy_ejections", ctr(proxy::EJECTS))
+            .num("proxy_recoveries", ctr(proxy::RECOVERS))
+            .num("proxy_retries", ctr(proxy::RETRIES))
+            .num("proxy_probes", ctr(proxy::PROBES))
+            .num("proxy_unavailable", ctr(proxy::UNAVAILABLE))
             .num("hip_rebex", p.rebex)
             .raw("timeline", timeline_json(&c.timeline));
         match write_manifest(m, wall, c.dispatched, &c.metrics) {

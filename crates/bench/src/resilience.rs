@@ -25,7 +25,6 @@ use cloudsim::Flavor;
 use netsim::{FaultAction, SimDuration, SimTime};
 use websvc::deploy::{deploy_rubis, RubisConfig};
 use websvc::loadgen::{JmeterApp, Timeline};
-use websvc::proxy::ProxyApp;
 use websvc::rubis::WorkloadMix;
 use websvc::Scenario;
 
@@ -114,8 +113,6 @@ pub struct ResiliencePoint {
     pub ttr_burst_s: Option<u64>,
     /// Seconds from partition onset until goodput recovered.
     pub ttr_partition_s: Option<u64>,
-    /// Proxy failover counters at the end of the run.
-    pub proxy: websvc::proxy::ProxyStats,
     /// HIP base exchanges re-run after a stale-SPI NOTIFY (0 outside
     /// the HIP scenario).
     pub rebex: u64,
@@ -160,7 +157,7 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
     let (users, items) = (cfg.users, cfg.items);
     let mut dep = deploy_rubis(cfg);
     assert!(dep.webs.len() >= 2, "storyline needs at least two web VMs");
-    let lb = dep.lb.expect("fig2 deployment has a load balancer");
+    assert!(dep.lb.is_some(), "fig2 deployment has a load balancer");
 
     // Load.
     let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
@@ -186,7 +183,6 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
     let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
     let timeline = gen.timeline.clone();
     let p99_ms = gen.latency.percentile(99.0);
-    let proxy = dep.topo.host(lb).app::<ProxyApp>(0).expect("proxy").stats;
 
     let warmup_s = (story.warmup.as_nanos() / 1_000_000_000) as usize;
     let first_fault_s = (story.crash_at.as_nanos() / 1_000_000_000) as usize;
@@ -226,7 +222,6 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
             ttr_crash_s,
             ttr_burst_s,
             ttr_partition_s,
-            proxy,
             rebex,
         },
         timeline,

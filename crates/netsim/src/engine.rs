@@ -494,10 +494,8 @@ pub struct SimStats {
     pub queue_migrations: u64,
     /// Times the queue's window moved to a new bucket.
     pub queue_advances: u64,
-    /// Same-tick packet runs dispatched under one node checkout
-    /// (runs of length ≥ 2 only).
-    pub coalesced_runs: u64,
-    /// Packet events that rode in those runs (run lengths summed).
+    /// Always 0: the engine dispatches one event at a time. Kept only
+    /// until the benchmark stops reading it.
     pub coalesced_events: u64,
 }
 
@@ -552,8 +550,6 @@ pub struct Sim {
     /// Recycled `Ctx::emitted` buffer so each dispatch reuses one
     /// allocation instead of growing a fresh `Vec`.
     scratch_emitted: Vec<(SimTime, Event)>,
-    /// Recycled buffer for same-tick packet runs (see `dispatch_run`).
-    scratch_run: Vec<(usize, Packet)>,
 }
 
 impl Sim {
@@ -575,7 +571,6 @@ impl Sim {
             stats: SimStats::default(),
             crashed: Vec::new(),
             scratch_emitted: Vec::new(),
-            scratch_run: Vec::new(),
         }
     }
 
@@ -660,7 +655,8 @@ impl Sim {
                 continue;
             }
             self.now = at;
-            processed += self.dispatch_run(event, u64::MAX);
+            self.dispatch(event);
+            processed += 1;
         }
         // Time advances to the deadline even if the queue drained early.
         if self.now < deadline {
@@ -684,7 +680,8 @@ impl Sim {
                 continue;
             }
             self.now = at;
-            processed += self.dispatch_run(event, max_events - processed);
+            self.dispatch(event);
+            processed += 1;
         }
         if self.queue.is_empty() {
             RunOutcome::Quiescent(processed)
@@ -705,72 +702,25 @@ impl Sim {
         false
     }
 
-    /// Dispatches `event`. If it is a `PacketArrive`, also drains the
-    /// run of immediately-following queued `PacketArrive`s for the same
-    /// node at the same timestamp (stopping at anything else) and
-    /// handles the whole run under a single node checkout — one `Ctx`
-    /// build and one emission drain instead of one per packet. Event
-    /// order, emission order and sequence numbers are unchanged: the
-    /// run is exactly the events that would have popped consecutively,
-    /// and nothing a handler does can reorder packets already queued
-    /// ahead of its own emissions. Returns how many events were
-    /// consumed (≥ 1); `limit` caps the run for `run_to_quiescence`.
-    fn dispatch_run(&mut self, event: Event, limit: u64) -> u64 {
-        let Event::PacketArrive { node, iface, pkt } = event else {
-            self.dispatch(event);
-            return 1;
-        };
-        self.stats.dispatched += 1;
-        self.metrics.inc(self.engine_ids.ev_packet);
-        self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
-        let mut run = std::mem::take(&mut self.scratch_run);
-        run.clear();
-        run.push((iface, pkt));
-        while (run.len() as u64) < limit {
-            // Bounded at `now`: a same-tick successor is already in the
-            // current bucket, and the window must not run ahead of the
-            // follow-ups the handlers are about to schedule.
-            match self.queue.peek_until(self.now) {
-                Some((_, _, Event::PacketArrive { node: n, .. })) if *n == node => {}
-                _ => break,
-            }
-            let Some((_, _, Event::PacketArrive { iface, pkt, .. })) = self.queue.pop() else {
-                unreachable!("peeked a PacketArrive");
-            };
-            self.stats.dispatched += 1;
-            self.metrics.inc(self.engine_ids.ev_packet);
-            self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
-            run.push((iface, pkt));
-        }
-        let count = run.len() as u64;
-        if count > 1 {
-            self.stats.coalesced_runs += 1;
-            self.stats.coalesced_events += count;
-        }
-        if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
-            // Node removed mid-flight; drop silently.
-        } else if self.is_crashed(node) {
-            for (_, pkt) in &run {
-                drop_node_down(&mut self.metrics, &mut self.trace, self.now, node, pkt);
-            }
-        } else {
-            self.with_node(node, |n, ctx| {
-                for (iface, pkt) in run.drain(..) {
-                    ctx.trace.record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
-                    n.handle_packet(iface, pkt, ctx);
-                }
-            });
-        }
-        run.clear();
-        self.scratch_run = run;
-        count
-    }
-
-    /// Dispatches one event other than a packet arrival.
+    /// Dispatches one event to its node, link or fault handler.
     fn dispatch(&mut self, event: Event) {
         self.stats.dispatched += 1;
         match event {
-            Event::PacketArrive { .. } => unreachable!("packet arrivals go through dispatch_run"),
+            Event::PacketArrive { node, iface, pkt } => {
+                self.metrics.inc(self.engine_ids.ev_packet);
+                self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
+                if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
+                    return; // node removed mid-flight; drop silently
+                }
+                if self.is_crashed(node) {
+                    drop_node_down(&mut self.metrics, &mut self.trace, self.now, node, &pkt);
+                    return;
+                }
+                self.with_node(node, |n, ctx| {
+                    ctx.trace.record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
+                    n.handle_packet(iface, pkt, ctx);
+                });
+            }
             Event::Timer { node, timer, token } => {
                 self.metrics.inc(self.engine_ids.ev_timer);
                 // Retire before dispatch so the handler can re-arm and

@@ -27,8 +27,7 @@
 //!
 //! Every read takes a `limit`: [`CalendarQueue::peek_until`] only
 //! returns an event at or before it, and the window never moves to a
-//! bucket that starts after it. The engine passes the time it is working
-//! at (`now` for its same-tick check, the deadline in `run_until`), so
+//! bucket that starts after it. `run_until` passes its deadline, so
 //! the window stays at `now` and a handler's follow-up events land in
 //! the wheel, not in sorted inserts into `cur`. [`CalendarQueue::peek`]
 //! and [`CalendarQueue::pop`] are the `limit = u64::MAX` case.
@@ -267,8 +266,7 @@ impl<T> CalendarQueue<T> {
                 return true;
             }
             // Every queued event lies at or after the current window's
-            // end: nothing can be due by `limit`. This is the engine's
-            // same-tick check after a bucket empties — no bitmap scan.
+            // end: nothing can be due by `limit`. No bitmap scan.
             if self.cur_start.saturating_add(self.width()) > limit {
                 return false;
             }

@@ -238,9 +238,6 @@ pub struct TcpLayer {
     /// One-entry MRU cache in front of `conn_map`: bulk transfers hit
     /// the same flow for long runs of segments.
     last_flow: Option<(ConnKey, SockId)>,
-    /// Sockets grouped by remote address, so `abort_to` is a lookup
-    /// instead of a scan over every socket.
-    by_remote: FxHashMap<IpAddr, Vec<SockId>>,
     listeners: FxHashMap<u16, usize>,
     next_ephemeral: u16,
     /// Outgoing packets accumulated for the host to flush.
@@ -284,7 +281,6 @@ impl TcpLayer {
             sockets: Vec::new(),
             conn_map: FxHashMap::default(),
             last_flow: None,
-            by_remote: FxHashMap::default(),
             listeners: FxHashMap::default(),
             next_ephemeral: 49152,
             out: Vec::new(),
@@ -305,11 +301,6 @@ impl TcpLayer {
         true
     }
 
-    /// Stops listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Opens a connection from `local_addr` to `remote`; `iss` is the
     /// initial sequence number (host supplies randomness).
     pub fn connect(
@@ -328,7 +319,6 @@ impl TcpLayer {
         sock.snd_una = iss;
         sock.snd_nxt = iss.wrapping_add(1);
         self.conn_map.insert((local_addr, local_port, remote.0, remote.1), id);
-        self.by_remote.entry(remote.0).or_default().push(id);
         let syn = sock.make_segment(iss, TcpFlags::SYN, Bytes::new());
         sock.arm_rtx(now, &mut self.timer_reqs);
         self.out.push(syn);
@@ -362,24 +352,6 @@ impl TcpLayer {
             .get(sock.0)
             .and_then(Option::as_ref)
             .map_or(0, |s| s.send_buf.len())
-    }
-
-    /// Bytes available without draining.
-    pub fn recv_len(&self, sock: SockId) -> usize {
-        self.sockets
-            .get(sock.0)
-            .and_then(Option::as_ref)
-            .map_or(0, |s| s.recv_buf.len())
-    }
-
-    /// The remote endpoint of a socket.
-    pub fn peer_of(&self, sock: SockId) -> Option<(IpAddr, u16)> {
-        self.sockets.get(sock.0).and_then(Option::as_ref).map(|s| s.remote)
-    }
-
-    /// The local endpoint of a socket.
-    pub fn local_of(&self, sock: SockId) -> Option<(IpAddr, u16)> {
-        self.sockets.get(sock.0).and_then(Option::as_ref).map(|s| s.local)
     }
 
     /// Whether the socket still exists (not fully closed).
@@ -427,13 +399,10 @@ impl TcpLayer {
     /// handshake report [`TcpEvent::ConnectFailed`], established ones
     /// [`TcpEvent::Reset`]. No RST is sent: the peer is unreachable.
     pub fn abort_to(&mut self, remote: IpAddr) {
-        let mut ids = self.by_remote.get(&remote).cloned().unwrap_or_default();
-        // The index is insertion-ordered (and `release` swap-removes);
-        // sort so events fire in socket-index order like the old full
-        // scan did — event order is part of the determinism contract.
-        ids.sort_unstable();
-        for id in ids {
-            let Some(s) = self.sockets.get(id.0).and_then(Option::as_ref) else { continue };
+        // Slot order: event order is part of the determinism contract.
+        for i in 0..self.sockets.len() {
+            let Some(s) = self.sockets[i].as_ref().filter(|s| s.remote.0 == remote) else { continue };
+            let id = s.id;
             let app = s.owner_app;
             let ev = if s.state == TcpState::SynSent {
                 TcpEvent::ConnectFailed(id)
@@ -478,7 +447,6 @@ impl TcpLayer {
                 let synack = sock.make_segment(iss, TcpFlags::SYN_ACK, Bytes::new());
                 sock.arm_rtx(now, &mut self.timer_reqs);
                 self.conn_map.insert(key, id);
-                self.by_remote.entry(src).or_default().push(id);
                 self.out.push(synack);
                 self.sockets[id.0] = Some(sock);
                 return;
@@ -761,29 +729,15 @@ impl TcpLayer {
     fn release(&mut self, id: SockId) {
         if let Some(Some(s)) = self.sockets.get(id.0) {
             let key = (s.local.0, s.local.1, s.remote.0, s.remote.1);
-            let remote = s.remote.0;
             self.conn_map.remove(&key);
             if self.last_flow.is_some_and(|(_, hint_id)| hint_id == id) {
                 self.last_flow = None;
-            }
-            if let Some(v) = self.by_remote.get_mut(&remote) {
-                if let Some(pos) = v.iter().position(|&x| x == id) {
-                    v.swap_remove(pos);
-                }
-                if v.is_empty() {
-                    self.by_remote.remove(&remote);
-                }
             }
             self.cancel_reqs.push(id.0 as u64);
         }
         if let Some(slot) = self.sockets.get_mut(id.0) {
             *slot = None;
         }
-    }
-
-    /// Number of live sockets (for tests/diagnostics).
-    pub fn open_sockets(&self) -> usize {
-        self.sockets.iter().filter(|s| s.is_some()).count()
     }
 
     /// Checks every socket's send-side sequence space: `snd_una <=
@@ -1361,25 +1315,39 @@ mod tests {
     }
 
     #[test]
-    fn abort_to_uses_remote_index() {
+    fn abort_to_reports_sockets_in_slot_order() {
         let mut a = TcpLayer::new();
-        let c1 = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
+        let mut b = TcpLayer::new();
+        assert!(a.listen(80, 1));
+        let c0 = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
+        // A socket accepted from the remote takes slot 1.
+        b.connect(addr_b(), (addr_a(), 80), 0, 7, SimTime::ZERO);
+        for p in std::mem::take(&mut b.out) {
+            if let Payload::Tcp(seg) = p.payload {
+                a.segment_arrives(p.src, p.dst, seg, SimTime::ZERO);
+            }
+        }
+        let accepted = SockId(1);
+        assert!(a.is_open(accepted));
         let c2 = a.connect(addr_a(), (addr_b(), 81), 0, 2, SimTime::ZERO);
-        let c3 = a.connect(addr_a(), (v4(10, 0, 0, 3), 80), 0, 3, SimTime::ZERO);
+        let other = a.connect(addr_a(), (v4(10, 0, 0, 3), 80), 0, 3, SimTime::ZERO);
+        // Releasing slot 0 and reusing it puts the newest socket first
+        // in slot order, unlike creation order.
+        a.close(c0, SimTime::ZERO);
+        let reused = a.connect(addr_a(), (addr_b(), 82), 0, 4, SimTime::ZERO);
+        assert_eq!(reused, c0);
+        a.events.clear();
         a.abort_to(addr_b());
-        assert!(!a.is_open(c1));
-        assert!(!a.is_open(c2));
-        assert!(a.is_open(c3), "other remotes untouched");
-        // Events fire in socket-index order.
-        let ids: Vec<_> = a
-            .events
-            .iter()
-            .filter_map(|(_, e)| match e {
-                TcpEvent::ConnectFailed(id) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids, vec![c1, c2]);
+        assert!(!a.is_open(reused) && !a.is_open(accepted) && !a.is_open(c2));
+        assert!(a.is_open(other), "other remotes untouched");
+        assert_eq!(
+            a.events,
+            vec![
+                (0, TcpEvent::ConnectFailed(reused)),
+                (1, TcpEvent::Reset(accepted)),
+                (0, TcpEvent::ConnectFailed(c2)),
+            ]
+        );
     }
 
     proptest! {

@@ -13,10 +13,9 @@
 //!   via a relay.
 //! - [`TeredoServer`]: answers router solicitations with the observed
 //!   external address/port ("origin indication").
-//! - [`TeredoRelay`]: decapsulates client traffic, forwards it (to a
-//!   native v6 network or straight back to another Teredo client), and
-//!   encapsulates return traffic toward the address embedded in the
-//!   Teredo destination.
+//! - [`TeredoRelay`]: decapsulates client traffic, forwards it straight
+//!   back to another Teredo client, and encapsulates traffic toward the
+//!   address embedded in the Teredo destination.
 
 use crate::addr::{is_teredo, teredo_address, teredo_decode};
 use crate::engine::{Ctx, Node};
@@ -231,26 +230,20 @@ impl Node for TeredoServer {
 
 /// The Teredo relay: bridges the UDP/IPv4 world and IPv6.
 ///
-/// Interface 0 faces the IPv4 network (clients); interface 1 (optional)
-/// faces a native IPv6 network.
+/// Its one interface faces the IPv4 network (clients); it has no native
+/// IPv6 uplink.
 pub struct TeredoRelay {
     /// The relay's IPv4 address.
     pub addr: Ipv4Addr,
     v4_link: LinkId,
-    v6_link: Option<LinkId>,
-    /// Packets relayed client→client or client→v6 (diagnostics).
+    /// Packets relayed toward Teredo clients (diagnostics).
     pub relayed: u64,
 }
 
 impl TeredoRelay {
     /// Creates a relay with its IPv4-facing link.
     pub fn new(addr: Ipv4Addr, v4_link: LinkId) -> Self {
-        TeredoRelay { addr, v4_link, v6_link: None, relayed: 0 }
-    }
-
-    /// Attaches a native-IPv6 link.
-    pub fn set_v6_link(&mut self, link: LinkId) {
-        self.v6_link = Some(link);
+        TeredoRelay { addr, v4_link, relayed: 0 }
     }
 
     /// Rebinds the IPv4 uplink (topology builders learn the id late).
@@ -288,19 +281,14 @@ impl Node for TeredoRelay {
                         }
                     }
                     IpAddr::V6(_) => {
-                        if let Some(link) = self.v6_link {
-                            self.relayed += 1;
-                            ctx.transmit(link, inner);
-                        } else {
-                            ctx.trace_drop(|| "relay: no v6 uplink".to_owned());
-                        }
+                        ctx.trace_drop(|| "relay: no v6 uplink".to_owned());
                     }
                     IpAddr::V4(_) => {
                         ctx.trace_drop(|| "relay: v4 inside teredo".to_owned());
                     }
                 }
             }
-            // From the v6 network toward a Teredo client.
+            // Native IPv6 toward a Teredo client.
             _ if pkt.dst.is_ipv6() && is_teredo(&pkt.dst) => {
                 let IpAddr::V6(v6) = pkt.dst else { return };
                 if let Some(out) = self.encap_toward(pkt, &v6) {

@@ -51,15 +51,6 @@ impl BigUint {
         }
     }
 
-    /// Builds from a 128-bit value.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut n = BigUint { limbs: vec![lo, hi] };
-        n.normalize();
-        n
-    }
-
     /// Builds from big-endian bytes (the usual wire representation).
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);

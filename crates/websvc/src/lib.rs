@@ -31,5 +31,5 @@ pub mod webserver;
 
 pub use deploy::{deploy_rubis, RubisConfig, RubisDeployment, DB_PORT, LB_PORT, WEB_PORT};
 pub use loadgen::{HttperfApp, IperfServerApp, JmeterApp, LatencyStats, PingApp, Timeline};
-pub use proxy::{Health, ProxyApp, ProxyStats};
+pub use proxy::{Health, ProxyApp};
 pub use secure::Scenario;

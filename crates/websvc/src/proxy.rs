@@ -53,32 +53,31 @@ pub enum BackendSecurity {
     },
 }
 
-/// Counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProxyStats {
-    /// Client connections accepted.
-    pub accepted: u64,
-    /// Requests forwarded to backends.
-    pub forwarded: u64,
-    /// Responses relayed back to clients.
-    pub responses: u64,
-    /// Backend connections that failed (connect failure, reset, timeout).
-    pub backend_failures: u64,
-    /// Backends moved to the ejected state.
-    pub ejections: u64,
-    /// Backends returned to healthy (probe success or live traffic).
-    pub recoveries: u64,
-    /// Non-healthy backends skipped by the round-robin picker.
-    pub skipped: u64,
-    /// Requests re-dispatched to another backend after a failure.
-    pub retries: u64,
-    /// Requests answered 503 because every backend was ejected.
-    pub unavailable: u64,
-    /// Health-check probes launched.
-    pub probes: u64,
-    /// Connect/response deadlines that expired.
-    pub timeouts: u64,
-}
+// Registry counters the proxy bumps, one per failover fact. Readers
+// look them up by these names (`MetricsRegistry::counter_value`).
+
+/// Non-healthy backends skipped by the round-robin picker.
+const SKIPS: &str = "proxy.skip";
+/// Requests forwarded to backends.
+const FORWARDS: &str = "proxy.fwd";
+/// Backend connections that failed (connect failure, reset, timeout).
+pub const BACKEND_FAILS: &str = "proxy.backend_fail";
+/// Backends moved to the ejected state.
+pub const EJECTS: &str = "proxy.eject";
+/// Backends returned to healthy (probe success or live traffic).
+pub const RECOVERS: &str = "proxy.recover";
+/// Requests re-dispatched to another backend after a failure.
+pub const RETRIES: &str = "proxy.retry";
+/// Requests answered 502/504 after their last retry.
+const REQUEST_FAILS: &str = "proxy.request_fail";
+/// Requests answered 503 because no backend was reachable.
+pub const UNAVAILABLE: &str = "proxy.503";
+/// Health-check probes launched.
+pub const PROBES: &str = "proxy.probe";
+/// Connect/response deadlines that expired.
+pub const TIMEOUTS: &str = "proxy.timeout";
+/// Histogram: how long requests waited for their backend link, in ns.
+const QUEUE_WAIT: &str = "proxy.queue";
 
 // Failover timing, in HAProxy's spirit: fail fast, back off
 // exponentially, probe before readmitting.
@@ -169,8 +168,6 @@ pub struct ProxyApp {
     /// Bumped on crash reset so stale timers from a previous boot are
     /// ignored (app timers are never cancelled and may outlive a crash).
     epoch: u64,
-    /// Counters.
-    pub stats: ProxyStats,
 }
 
 impl ProxyApp {
@@ -196,7 +193,6 @@ impl ProxyApp {
             probes: HashMap::new(),
             retries: Vec::new(),
             epoch: 0,
-            stats: ProxyStats::default(),
         }
     }
 
@@ -225,8 +221,7 @@ impl ProxyApp {
             if Self::eligible(&self.backends[idx]) {
                 self.rr = idx + 1;
                 if i > 0 {
-                    self.stats.skipped += i as u64;
-                    api.metrics().add_name("proxy.skip", i as u64);
+                    api.metrics().add_name(SKIPS, i as u64);
                 }
                 return Some(idx);
             }
@@ -235,8 +230,7 @@ impl ProxyApp {
     }
 
     fn record_failure(&mut self, idx: usize, api: &mut HostApi) {
-        self.stats.backend_failures += 1;
-        api.metrics().add_name("proxy.backend_fail", 1);
+        api.metrics().add_name(BACKEND_FAILS, 1);
         let now = api.now();
         let b = &mut self.backends[idx];
         b.consecutive_fails += 1;
@@ -244,11 +238,11 @@ impl ProxyApp {
             Health::Ejected { .. } => {} // already out; keep the clock
             Health::Probing => {
                 // Failed probe: back off harder.
-                Self::eject(b, now, &mut self.stats, api);
+                Self::eject(b, now, api);
             }
             Health::Healthy | Health::Suspect => {
                 if b.consecutive_fails >= FAIL_THRESHOLD {
-                    Self::eject(b, now, &mut self.stats, api);
+                    Self::eject(b, now, api);
                 } else {
                     b.health = Health::Suspect;
                 }
@@ -256,12 +250,11 @@ impl ProxyApp {
         }
     }
 
-    fn eject(b: &mut Backend, now: SimTime, stats: &mut ProxyStats, api: &mut HostApi) {
+    fn eject(b: &mut Backend, now: SimTime, api: &mut HostApi) {
         let backoff = SimDuration::from_nanos(EJECT_BACKOFF.as_nanos() << b.ejections.min(3));
         b.health = Health::Ejected { until: now + backoff };
         b.ejections += 1;
-        stats.ejections += 1;
-        api.metrics().add_name("proxy.eject", 1);
+        api.metrics().add_name(EJECTS, 1);
     }
 
     fn record_success(&mut self, idx: usize, api: &mut HostApi) {
@@ -270,8 +263,7 @@ impl ProxyApp {
         if b.health != Health::Healthy {
             b.health = Health::Healthy;
             b.ejections = 0;
-            self.stats.recoveries += 1;
-            api.metrics().add_name("proxy.recover", 1);
+            api.metrics().add_name(RECOVERS, 1);
         }
     }
 
@@ -297,8 +289,7 @@ impl ProxyApp {
         if !self.clients.contains_key(&client) {
             return; // client went away while the request waited
         }
-        self.stats.forwarded += 1;
-        api.metrics().add_name("proxy.fwd", 1);
+        api.metrics().add_name(FORWARDS, 1);
         let now = api.now();
         // Reuse the client's bound backend connection if it is live.
         if let Some(bound) = self.clients.get(&client).and_then(|c| c.backend) {
@@ -310,16 +301,14 @@ impl ProxyApp {
         }
         let Some(idx) = self.pick_backend(api) else {
             // Every backend is ejected or probing: shed load gracefully.
-            self.stats.unavailable += 1;
-            api.metrics().add_name("proxy.503", 1);
+            api.metrics().add_name(UNAVAILABLE, 1);
             let resp = HttpResponse::error(503, "no healthy backend").encode();
             api.tcp_send(client, resp);
             return;
         };
         let (addr, port) = self.backends[idx].addr;
         let Some(sock) = api.tcp_connect(addr, port) else {
-            self.stats.unavailable += 1;
-            api.metrics().add_name("proxy.503", 1);
+            api.metrics().add_name(UNAVAILABLE, 1);
             let resp = HttpResponse::error(503, "no route to backend").encode();
             api.tcp_send(client, resp);
             return;
@@ -363,7 +352,7 @@ impl ProxyApp {
         let attempts = link.attempts + 1;
         if attempts > MAX_RETRIES {
             // Out of retries: answer every stranded request explicitly.
-            api.metrics().add_name("proxy.request_fail", unanswered.len() as u64);
+            api.metrics().add_name(REQUEST_FAILS, unanswered.len() as u64);
             if self.clients.contains_key(&link.client) {
                 let msg = if status == 504 { "backend timeout" } else { "backend down" };
                 let resp = HttpResponse::error(status, msg).encode();
@@ -373,8 +362,7 @@ impl ProxyApp {
             }
             return;
         }
-        self.stats.retries += unanswered.len() as u64;
-        api.metrics().add_name("proxy.retry", unanswered.len() as u64);
+        api.metrics().add_name(RETRIES, unanswered.len() as u64);
         let backoff = SimDuration::from_nanos(RETRY_BACKOFF.as_nanos() << (attempts - 1).min(8));
         self.retries.push(PendingRetry {
             client: link.client,
@@ -389,8 +377,7 @@ impl ProxyApp {
         let Some(sock) = api.tcp_connect(addr, port) else { return };
         self.backends[idx].health = Health::Probing;
         self.probes.insert(sock, (idx, api.now() + CONNECT_TIMEOUT));
-        self.stats.probes += 1;
-        api.metrics().add_name("proxy.probe", 1);
+        api.metrics().add_name(PROBES, 1);
     }
 
     /// Periodic sweep: due retries, expired connect/response deadlines,
@@ -433,8 +420,7 @@ impl ProxyApp {
             .collect();
         expired.sort_by_key(|(s, _)| *s);
         for (sock, status) in expired {
-            self.stats.timeouts += 1;
-            api.metrics().add_name("proxy.timeout", 1);
+            api.metrics().add_name(TIMEOUTS, 1);
             api.tcp_abort(sock);
             self.fail_backend_conn(sock, status, api);
         }
@@ -494,7 +480,6 @@ impl App for ProxyApp {
                 }
             }
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
-                self.stats.accepted += 1;
                 self.clients.insert(sock, ClientSide { parser: RequestParser::default(), backend: None });
             }
             AppEvent::Tcp(TcpEvent::Connected(sock)) => {
@@ -517,7 +502,7 @@ impl App for ProxyApp {
                     link.connect_deadline = None;
                     if let Some(t0) = link.queued_at.take() {
                         let waited = api.now().since(t0).as_nanos();
-                        api.metrics().observe_name("proxy.queue", waited);
+                        api.metrics().observe_name(QUEUE_WAIT, waited);
                     }
                     let now = api.now();
                     while let Some(req) = link.queued.pop_front() {
@@ -553,7 +538,6 @@ impl App for ProxyApp {
                         self.record_success(idx, api);
                     }
                     for resp in responses {
-                        self.stats.responses += 1;
                         if self.clients.contains_key(&client) {
                             api.tcp_send(client, resp.encode());
                         }
@@ -659,13 +643,11 @@ mod tests {
         let mut p = three_backend_proxy();
         p.backends[0].health = Health::Ejected { until: SimTime(99) };
         p.backends[0].ejections = 3;
-        p.stats.ejections = 3;
         let e0 = p.epoch;
         p.reset();
         assert_eq!(p.epoch, e0 + 1);
         assert_eq!(p.backends[0].health, Health::Healthy);
         assert_eq!(p.backends[0].ejections, 0);
-        assert_eq!(p.stats.ejections, 3, "stats survive the crash");
     }
 
     #[test]

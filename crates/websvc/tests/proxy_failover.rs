@@ -10,7 +10,7 @@ use netsim::{SimDuration, SimTime};
 use std::any::Any;
 use std::net::IpAddr;
 use websvc::http::{HttpRequest, ResponseParser};
-use websvc::proxy::{BackendSecurity, ProxyApp};
+use websvc::proxy::{self, BackendSecurity, ProxyApp};
 use websvc::rubis::RubisData;
 use websvc::webserver::{WebConfig, WebServerApp};
 use websvc::{DB_PORT, LB_PORT, WEB_PORT};
@@ -92,11 +92,12 @@ fn dead_backend_requests_retry_onto_live_backend() {
     let ok = statuses.iter().filter(|&&s| s == 200).count();
     assert_eq!(statuses.len(), 4, "every request answered: {statuses:?}");
     assert_eq!(ok, 4, "requests on the dead backend were retried onto the live one: {statuses:?}");
+    let ctr = |name| topo.sim.metrics.counter_value(name).unwrap_or(0);
+    assert!(ctr(proxy::BACKEND_FAILS) >= 2, "both stranded connections failed");
+    assert!(ctr(proxy::RETRIES) >= 2, "stranded requests were retried");
+    assert!(ctr(proxy::EJECTS) >= 1, "the dead backend was ejected");
+    assert!(ctr(proxy::PROBES) >= 1, "ejection expiry launched health probes");
     let proxy = topo.host(lb).app::<ProxyApp>(proxy_idx).unwrap();
-    assert!(proxy.stats.backend_failures >= 2, "both stranded connections failed: {:?}", proxy.stats);
-    assert!(proxy.stats.retries >= 2, "stranded requests were retried: {:?}", proxy.stats);
-    assert!(proxy.stats.ejections >= 1, "the dead backend was ejected: {:?}", proxy.stats);
-    assert!(proxy.stats.probes >= 1, "ejection expiry launched health probes: {:?}", proxy.stats);
     // 90 s of failing probes never readmit the dead backend.
     assert!(
         matches!(proxy.backend_health(1), websvc::proxy::Health::Ejected { .. } | websvc::proxy::Health::Probing),
