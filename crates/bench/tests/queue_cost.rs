@@ -1,7 +1,7 @@
 //! Cost gate for the calendar queue on bulk TCP.
 //!
-//! The engine's same-tick check and `run_until` peek the queue bounded
-//! by the time they work at, so the window stays at `now` and the
+//! `Sim::run_until` peeks the queue bounded by its deadline and pops
+//! only events at or before it, so the window stays at `now` and the
 //! events a handler schedules land in the wheel. If a peek ever moves
 //! the window ahead of `now` (to the next RTO timer, milliseconds out),
 //! nearly every push becomes a sorted insert into the current bucket

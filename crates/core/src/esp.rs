@@ -13,7 +13,8 @@ use bytes::Bytes;
 use netsim::packet::{
     EspPacket, IcmpKind, IcmpMessage, Packet, Payload, TcpFlags, TcpSegment, UdpData, UdpDatagram,
 };
-use sim_crypto::aes::Aes128;
+use sim_crypto::aes::{Aes128, BLOCK_LEN};
+use sim_crypto::etm;
 use sim_crypto::hmac::{verify_mac, HmacKey};
 use std::net::IpAddr;
 
@@ -57,8 +58,8 @@ pub struct EspSa {
     pub packets: u64,
     /// Bytes of plaintext protected (diagnostics).
     pub bytes: u64,
-    /// Pooled plaintext buffer: encode/decrypt reuse one allocation per
-    /// SA instead of allocating per packet.
+    /// Pooled plaintext buffer: decryption reuses one allocation per SA
+    /// instead of allocating per packet.
     scratch: Vec<u8>,
 }
 
@@ -84,22 +85,23 @@ impl EspSa {
     /// into an ESP packet. `iv_seed` supplies IV randomness.
     pub fn encapsulate(&mut self, mode: InnerMode, payload: &Payload, iv_seed: u64) -> EspPacket {
         self.seq = self.seq.wrapping_add(1);
-        self.scratch.clear();
-        encode_inner_into(mode, payload, &mut self.scratch);
+        let len = inner_len(payload);
         self.packets += 1;
-        self.bytes += self.scratch.len() as u64;
+        self.bytes += len as u64;
+        let pad = BLOCK_LEN - len % BLOCK_LEN;
+        // The wire buffer becomes the packet's `Bytes` (its one
+        // allocation): IV, then the inner payload encoded straight after
+        // it and PKCS#7-padded, then encrypted and MACed in place.
+        let mut wire = Vec::with_capacity(BLOCK_LEN + len + pad);
         // IV derived from seed + seq (unique per packet).
-        let mut iv = [0u8; 16];
-        iv[..8].copy_from_slice(&iv_seed.to_be_bytes());
-        iv[8..12].copy_from_slice(&self.seq.to_be_bytes());
-        // The wire buffer becomes the packet's `Bytes` (one unavoidable
-        // allocation); the plaintext is ciphered straight into it after
-        // the IV, with no intermediate ciphertext vector.
-        let mut wire = Vec::with_capacity(16 + self.scratch.len() + 16);
-        wire.extend_from_slice(&iv);
-        self.cipher.cbc_encrypt_into(&iv, &self.scratch, &mut wire);
-        let icv = self.icv(self.seq, &wire);
-        EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: Bytes::copy_from_slice(&icv) }
+        wire.extend_from_slice(&iv_seed.to_be_bytes());
+        wire.extend_from_slice(&self.seq.to_be_bytes());
+        wire.extend_from_slice(&[0; 4]);
+        encode_inner_into(mode, payload, &mut wire);
+        debug_assert_eq!(wire.len(), BLOCK_LEN + len);
+        wire.extend(std::iter::repeat_n(pad as u8, pad));
+        let mac = etm::seal(&self.cipher, &self.auth, &self.aad(self.seq), &mut wire);
+        EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: truncate(&mac) }
     }
 
     /// Encapsulates a run of transport payloads, one standalone ESP
@@ -112,36 +114,51 @@ impl EspSa {
     }
 
     /// Authenticates, replay-checks and decrypts an inbound ESP packet,
-    /// returning the inner mode and payload.
+    /// returning the inner mode and payload. The ICV is checked first: a
+    /// frame that fails it changes nothing, and only then does the
+    /// replay window move or anyone look at the padding or payload.
     pub fn decapsulate(&mut self, esp: &EspPacket) -> Result<(InnerMode, Payload), EspError> {
-        // 1. Authenticate before anything else.
-        let expect = self.icv(esp.seq, &esp.ciphertext);
-        if !verify_mac(&expect, &esp.icv) {
-            return Err(EspError::BadIcv);
-        }
-        // 2. Replay window.
-        self.check_replay(esp.seq)?;
-        // 3. Decrypt.
-        if esp.ciphertext.len() < 32 {
+        let ct = &esp.ciphertext;
+        if ct.len() < 2 * BLOCK_LEN || !ct.len().is_multiple_of(BLOCK_LEN) {
+            // Too short or ragged to decrypt: MAC only, then the same
+            // verdict order.
+            let full = self.auth.mac_multi(&[&self.aad(esp.seq), ct]);
+            if !verify_mac(&full[..ICV_LEN], &esp.icv) {
+                return Err(EspError::BadIcv);
+            }
+            self.check_replay(esp.seq)?;
             return Err(EspError::BadCiphertext);
         }
-        let iv: [u8; 16] = esp.ciphertext[..16].try_into().expect("16 bytes");
-        self.scratch.clear();
-        if !self.cipher.cbc_decrypt_into(&iv, &esp.ciphertext[16..], &mut self.scratch) {
+        // MAC and decrypt in one pass, into the pooled buffer.
+        self.scratch.resize(ct.len() - BLOCK_LEN, 0);
+        let full = etm::open(&self.cipher, &self.auth, &self.aad(esp.seq), ct, &mut self.scratch);
+        if !verify_mac(&full[..ICV_LEN], &esp.icv) {
+            // Keep no plaintext of a forged frame.
+            self.scratch.clear();
+            return Err(EspError::BadIcv);
+        }
+        self.check_replay(esp.seq)?;
+        // PKCS#7: the last byte gives the pad length, 1 to 16, and every
+        // pad byte repeats it.
+        let pad = usize::from(self.scratch[self.scratch.len() - 1]);
+        if pad == 0 || pad > BLOCK_LEN {
+            return Err(EspError::BadCiphertext);
+        }
+        let body = self.scratch.len() - pad;
+        if !self.scratch[body..].iter().all(|&b| usize::from(b) == pad) {
             return Err(EspError::BadCiphertext);
         }
         self.packets += 1;
-        self.bytes += self.scratch.len() as u64;
-        decode_inner(&self.scratch).ok_or(EspError::BadInner)
+        self.bytes += body as u64;
+        decode_inner(&self.scratch[..body]).ok_or(EspError::BadInner)
     }
 
-    fn icv(&mut self, seq: u32, ciphertext: &[u8]) -> [u8; ICV_LEN] {
-        // `spi | seq | ciphertext` streamed straight into the cached
-        // transcript — no concatenation buffer, no key re-derivation.
-        let full = self
-            .auth
-            .mac_multi(&[&self.spi.to_be_bytes(), &seq.to_be_bytes(), ciphertext]);
-        full[..ICV_LEN].try_into().expect("truncation")
+    /// The data the ICV covers ahead of the IV: `spi | seq`.
+    fn aad(&self, seq: u32) -> [u8; etm::AAD_LEN] {
+        let mut aad = [0u8; etm::AAD_LEN];
+        aad[..4].copy_from_slice(&self.spi.to_be_bytes());
+        aad[4..].copy_from_slice(&seq.to_be_bytes());
+        aad
     }
 
     /// RFC 4303 §3.4.3 sliding-window replay check, updating the window.
@@ -202,8 +219,25 @@ impl InnerMode {
     }
 }
 
-/// Serializes a transport payload for encryption, appending to a pooled
-/// buffer (the caller clears it).
+/// The first `ICV_LEN` bytes of a full MAC.
+fn truncate(mac: &[u8]) -> [u8; ICV_LEN] {
+    mac[..ICV_LEN].try_into().expect("MAC longer than the ICV")
+}
+
+/// Length of [`encode_inner_into`]'s output for `payload`.
+fn inner_len(payload: &Payload) -> usize {
+    2 + match payload {
+        Payload::Tcp(seg) => 21 + seg.data.len(),
+        Payload::Udp(udp) => match &udp.data {
+            UdpData::Raw(data) => 8 + data.len(),
+            _ => 8,
+        },
+        Payload::Icmp(_) => 9,
+        Payload::Esp(_) | Payload::HipControl(_) => 0,
+    }
+}
+
+/// Serializes a transport payload for encryption, appending to `out`.
 ///
 /// Format: `mode (1) | kind (1) | kind-specific fields`.
 fn encode_inner_into(mode: InnerMode, payload: &Payload, out: &mut Vec<u8>) {
@@ -258,7 +292,7 @@ fn encode_inner_into(mode: InnerMode, payload: &Payload, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses the plaintext produced by [`encode_inner`].
+/// Parses the plaintext produced by [`encode_inner_into`].
 fn decode_inner(data: &[u8]) -> Option<(InnerMode, Payload)> {
     let mode = InnerMode::from_id(*data.first()?)?;
     let kind = *data.get(1)?;
@@ -401,9 +435,7 @@ mod tests {
     fn tampered_icv_rejected() {
         let (mut tx, mut rx) = pair();
         let mut esp = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"data"), 1);
-        let mut icv = esp.icv.to_vec();
-        icv[0] ^= 0xff;
-        esp.icv = Bytes::from(icv);
+        esp.icv[0] ^= 0xff;
         assert!(matches!(rx.decapsulate(&esp), Err(EspError::BadIcv)));
     }
 
@@ -550,6 +582,114 @@ mod tests {
         assert!(rx.decapsulate(&frames[2]).is_ok());
         // Auth failure must not have consumed the frame's sequence number.
         assert!(rx.decapsulate(&frames[1]).is_ok());
+    }
+
+    const SPI: u32 = 0x100;
+    const AUTH_KEY: [u8; 32] = [2u8; 32];
+
+    /// An ESP frame with sequence number `seq` carrying `ciphertext` (IV
+    /// included) under `pair()`'s auth key; the ICV is correct unless
+    /// `good_icv` is false, in which case one bit of it is flipped.
+    fn forge(seq: u32, ciphertext: Vec<u8>, good_icv: bool) -> EspPacket {
+        let mac = HmacKey::new(&AUTH_KEY).mac_multi(&[&SPI.to_be_bytes(), &seq.to_be_bytes(), &ciphertext]);
+        let mut icv = truncate(&mac);
+        if !good_icv {
+            icv[ICV_LEN - 1] ^= 0x80;
+        }
+        EspPacket { spi: SPI, seq, ciphertext: Bytes::from(ciphertext), icv }
+    }
+
+    /// `Payload` has no `PartialEq`; its `Debug` form shows every field.
+    fn shown(r: &Result<(InnerMode, Payload), EspError>) -> String {
+        format!("{r:?}")
+    }
+
+    fn window(sa: &EspSa) -> (u32, u64) {
+        (sa.rcv_highest, sa.rcv_window)
+    }
+
+    #[test]
+    fn short_and_ragged_ciphertexts_are_pinned() {
+        // The receive path's verdict and replay-window effect for every
+        // length around the one- and two-block boundaries. Lengths count
+        // the IV. Garbage bytes are fixed, so the outcome is too.
+        let garbage = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 37 + 11) as u8).collect() };
+        for len in [0usize, 15, 16, 17, 31, 32, 33, 48] {
+            for good_icv in [false, true] {
+                let (mut tx, mut rx) = pair();
+                // Accept seq 3 first so the window has history to keep.
+                for _ in 0..3 {
+                    let e = tx.encapsulate(InnerMode::Hit, &tcp_payload(b"x"), 1);
+                    if e.seq == 3 {
+                        rx.decapsulate(&e).expect("valid frame");
+                    }
+                }
+                let before = window(&rx);
+                assert_eq!(before, (3, 1));
+                let frame = forge(5, garbage(len), good_icv);
+                let got = rx.decapsulate(&frame);
+                if good_icv {
+                    assert_eq!(got.err(), Some(EspError::BadCiphertext), "len={len}");
+                    assert_eq!(window(&rx), (5, 0b101), "len={len}: authentic frame consumes its seq");
+                    assert_eq!(rx.decapsulate(&frame).err(), Some(EspError::Replay), "len={len}");
+                } else {
+                    assert_eq!(got.err(), Some(EspError::BadIcv), "len={len}");
+                    assert_eq!(window(&rx), before, "len={len}: forged frame leaves the window alone");
+                }
+                assert_eq!(rx.packets, 1, "len={len}: only the seq-3 frame counts");
+            }
+        }
+        // Well-formed frames of exactly two and three blocks (an ICMP
+        // message pads to one ciphertext block, 8 bytes of TCP data to two).
+        let icmp = Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoReply, ident: 1, seq: 2, payload_len: 3 });
+        for (payload, len) in [(icmp, 32usize), (tcp_payload(b"8 bytes!"), 48)] {
+            for good_icv in [false, true] {
+                let (mut tx, mut rx) = pair();
+                let real = tx.encapsulate(InnerMode::Lsi, &payload, 9);
+                assert_eq!(real.ciphertext.len(), len);
+                let frame = forge(real.seq, real.ciphertext.to_vec(), good_icv);
+                let got = rx.decapsulate(&frame);
+                if good_icv {
+                    assert_eq!(shown(&got), shown(&Ok((InnerMode::Lsi, payload.clone()))), "len={len}");
+                    assert_eq!(window(&rx), (1, 1));
+                } else {
+                    assert_eq!(got.err(), Some(EspError::BadIcv), "len={len}");
+                    assert_eq!(window(&rx), (0, 0));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_flipped_bit_is_rejected_and_the_next_frame_accepted(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1500),
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            let (mut tx, mut rx) = pair();
+            let payload = Payload::Tcp(TcpSegment {
+                src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: TcpFlags::ACK, window: 5,
+                data: Bytes::from(data), gso_mss: 0,
+            });
+            let esp = tx.encapsulate(InnerMode::Hit, &payload, 7);
+            let next = tx.encapsulate(InnerMode::Hit, &payload, 8);
+            let bits = 8 * (esp.ciphertext.len() + ICV_LEN);
+            let bit = (pick % bits as u64) as usize;
+            let mut ciphertext = esp.ciphertext.to_vec();
+            let mut icv = esp.icv;
+            if bit < 8 * ciphertext.len() {
+                ciphertext[bit / 8] ^= 1 << (bit % 8);
+            } else {
+                let bit = bit - 8 * ciphertext.len();
+                icv[bit / 8] ^= 1 << (bit % 8);
+            }
+            let flipped = EspPacket { ciphertext: Bytes::from(ciphertext), icv, ..esp.clone() };
+            proptest::prop_assert_eq!(rx.decapsulate(&flipped).err(), Some(EspError::BadIcv));
+            proptest::prop_assert_eq!(window(&rx), (0, 0));
+            let want = shown(&Ok((InnerMode::Hit, payload)));
+            proptest::prop_assert_eq!(shown(&rx.decapsulate(&next)), want.clone());
+            proptest::prop_assert_eq!(shown(&rx.decapsulate(&esp)), want);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!   The extra HIT↔LSI translation is what the paper blames for HIP's
 //!   small deficit against SSL in its measurements.
 
+use netsim::fx::FxHashMap;
 use rand::rngs::StdRng;
 use sim_crypto::ecdsa::{EcdsaKeyPair, EcdsaPublicKey, EcdsaSignature};
 use sim_crypto::rsa::{RsaKeyPair, RsaPublicKey};
@@ -227,8 +228,8 @@ impl HostIdentity {
 /// collision.
 #[derive(Default)]
 pub struct LsiMapper {
-    by_lsi: std::collections::HashMap<Ipv4Addr, Hit>,
-    by_hit: std::collections::HashMap<Hit, Ipv4Addr>,
+    by_lsi: FxHashMap<Ipv4Addr, Hit>,
+    by_hit: FxHashMap<Hit, Ipv4Addr>,
 }
 
 impl LsiMapper {

@@ -159,7 +159,7 @@ mod tests {
         Packet::new(
             v4(10, 0, 0, 1),
             v4(10, 0, 0, 2),
-            Payload::Esp(EspPacket { spi, seq: 1, ciphertext: Bytes::from(vec![0; 48]), icv: Bytes::from(vec![0; 16]) }),
+            Payload::Esp(EspPacket { spi, seq: 1, ciphertext: Bytes::from(vec![0; 48]), icv: [0; 16] }),
         )
     }
 

@@ -20,13 +20,13 @@ use crate::firewall::{Action, Firewall};
 use crate::identity::{HostIdentity, Hit, LsiMapper, PublicHi};
 use crate::puzzle;
 use crate::wire::{encode_locator, param_type, HipPacket, PacketType, Param};
+use netsim::fx::FxHashMap;
 use netsim::packet::{Packet, Payload};
 use netsim::{L35Shim, ShimApi, SimDuration, SimTime};
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::HmacKey;
 use sim_crypto::kdf::keymat;
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// BEX/UPDATE retransmission interval.
@@ -242,16 +242,16 @@ pub struct HipShim {
     /// LSI allocation for legacy IPv4 applications.
     pub lsi: LsiMapper,
     my_lsi: Ipv4Addr,
-    peers: HashMap<Hit, PeerInfo>,
-    assocs: HashMap<Hit, Association>,
-    spi_in: HashMap<u32, Hit>,
+    peers: FxHashMap<Hit, PeerInfo>,
+    assocs: FxHashMap<Hit, Association>,
+    spi_in: FxHashMap<u32, Hit>,
     /// The HIT-based packet filter.
     pub firewall: Firewall,
     r1_pool: Vec<R1Entry>,
     /// Puzzle I → pool index, for verifying I2 solutions statelessly.
-    active_puzzles: HashMap<u64, usize>,
+    active_puzzles: FxHashMap<u64, usize>,
     next_timer: u64,
-    timers: HashMap<u64, Hit>,
+    timers: FxHashMap<u64, Hit>,
     /// Protocol counters.
     pub stats: HipStats,
     /// Registered with the rendezvous server?
@@ -259,7 +259,7 @@ pub struct HipShim {
     /// Monotonic registration sequence (RVS replay guard).
     reg_seq: u32,
     /// Last NOTIFY(stale SPI) per unknown SPI, for rate limiting.
-    notify_limiter: HashMap<u32, SimTime>,
+    notify_limiter: FxHashMap<u32, SimTime>,
 }
 
 impl HipShim {
@@ -272,18 +272,18 @@ impl HipShim {
             config,
             lsi,
             my_lsi,
-            peers: HashMap::new(),
-            assocs: HashMap::new(),
-            spi_in: HashMap::new(),
+            peers: FxHashMap::default(),
+            assocs: FxHashMap::default(),
+            spi_in: FxHashMap::default(),
             firewall: Firewall::allow_all(),
             r1_pool: Vec::new(),
-            active_puzzles: HashMap::new(),
+            active_puzzles: FxHashMap::default(),
             next_timer: 0,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             stats: HipStats::default(),
             rvs_registered: false,
             reg_seq: 0,
-            notify_limiter: HashMap::new(),
+            notify_limiter: FxHashMap::default(),
         }
     }
 

@@ -329,7 +329,7 @@ fn injected_esp_with_unknown_spi_is_dropped() {
         spi: 0x4141_4141,
         seq: 1,
         ciphertext: Bytes::from(vec![0x41u8; 64]),
-        icv: Bytes::from(vec![0x41u8; 16]),
+        icv: [0x41u8; 16],
     };
     w.sim.schedule(
         netsim::SimDuration::from_millis(1),

@@ -769,3 +769,93 @@ fn replayed_registration_rejected_by_rvs() {
     );
     assert_eq!(server.rejected, 1, "the replayed packet was rejected");
 }
+
+/// One run of a host `a` with two established peers `b` and `c` behind a
+/// switch, which relocates at 3 s. Returns the full packet trace and the
+/// shim counters of all three hosts.
+fn relocate_with_two_peers(seed: u64) -> String {
+    let mut key_rng = StdRng::seed_from_u64(seed);
+    let id_a = HostIdentity::generate_ecdsa(&mut key_rng);
+    let id_b = HostIdentity::generate_ecdsa(&mut key_rng);
+    let id_c = HostIdentity::generate_ecdsa(&mut key_rng);
+    let (hit_a, hit_b, hit_c) = (id_a.hit(), id_b.hit(), id_c.hit());
+    let addr_a1 = v4(10, 0, 0, 1);
+    let addr_a2 = v4(10, 0, 1, 1);
+    let addr_b = v4(10, 0, 0, 2);
+    let addr_c = v4(10, 0, 0, 3);
+
+    let mut shim_a = HipShim::new(id_a, HipConfig::default());
+    shim_a.add_peer(hit_b, PeerInfo { locators: vec![addr_b], via_rvs: None });
+    shim_a.add_peer(hit_c, PeerInfo { locators: vec![addr_c], via_rvs: None });
+    let mut shim_b = HipShim::new(id_b, HipConfig::default());
+    shim_b.add_peer(hit_a, PeerInfo { locators: vec![addr_a1], via_rvs: None });
+    let mut shim_c = HipShim::new(id_c, HipConfig::default());
+    shim_c.add_peer(hit_a, PeerInfo { locators: vec![addr_a1], via_rvs: None });
+
+    let mut sim = Sim::new(seed);
+    sim.trace = netsim::trace::Trace::enabled(100_000);
+    let mut ha = Host::new("a");
+    ha.set_shim(Box::new(shim_a));
+    ha.add_app(Box::new(EchoClient::new(hit_b.to_ip(), b"to b")));
+    ha.add_app(Box::new(EchoClient::new(hit_c.to_ip(), b"to c")));
+    let mut hb = Host::new("b");
+    hb.set_shim(Box::new(shim_b));
+    hb.add_app(Box::new(EchoServer { served: 0 }));
+    let mut hc = Host::new("c");
+    hc.set_shim(Box::new(shim_c));
+    hc.add_app(Box::new(EchoServer { served: 0 }));
+    let a = sim.world.add_node(Box::new(ha));
+    let b = sim.world.add_node(Box::new(hb));
+    let c = sim.world.add_node(Box::new(hc));
+    let r = sim.world.add_node(Box::new(netsim::router::Router::new("sw")));
+    let mut links = Vec::new();
+    for (i, (node, addr)) in [(a, addr_a1), (b, addr_b), (c, addr_c)].into_iter().enumerate() {
+        let link = sim.world.connect(Endpoint { node, iface: 0 }, Endpoint { node: r, iface: i }, LinkParams::datacenter());
+        sim.world.node_mut::<Host>(node).unwrap().core.add_iface(link, vec![addr]);
+        links.push((link, addr));
+    }
+    {
+        let router = sim.world.node_mut::<netsim::router::Router>(r).unwrap();
+        for (i, (link, addr)) in links.into_iter().enumerate() {
+            router.add_iface(link);
+            router.add_route(addr, 32, i);
+        }
+        router.add_route(addr_a2, 32, 0);
+    }
+    sim.run_until(SimTime(3_000_000_000));
+    let host_a = sim.world.node::<Host>(a).unwrap();
+    assert_eq!(host_a.app::<EchoClient>(0).unwrap().reply, b"to b");
+    assert_eq!(host_a.app::<EchoClient>(1).unwrap().reply, b"to c");
+
+    sim.with_node_ctx(a, |node, ctx| {
+        let host = node.as_any_mut().downcast_mut::<Host>().unwrap();
+        host.core.replace_iface_addrs(0, vec![addr_a2]);
+        host.shim_command(ctx, |shim, api| {
+            let shim = shim.as_any_mut().downcast_mut::<HipShim>().unwrap();
+            shim.relocate(api, addr_a2);
+        });
+    });
+    sim.run_until(SimTime(6_000_000_000));
+    for (peer, node) in [(b, "b"), (c, "c")] {
+        let shim = sim.world.node::<Host>(peer).unwrap().shim::<HipShim>().unwrap();
+        assert_eq!(shim.peer_locator(&hit_a), Some(addr_a2), "{node} follows a's move");
+    }
+    assert_eq!(stats_of(&sim, a).updates_sent, 2);
+    assert_eq!(sim.trace.truncated(), 0);
+    let mut out = sim.trace.dump();
+    for node in [a, b, c] {
+        out.push_str(&format!("{:?}\n", stats_of(&sim, node)));
+    }
+    out
+}
+
+#[test]
+fn relocation_to_two_peers_is_deterministic() {
+    // Each run builds fresh shims, so per-map hash seeds (if any) differ
+    // between runs; the UPDATE order, the CPU charges and the ECDSA
+    // nonces drawn for the two signatures must not.
+    let first = relocate_with_two_peers(23);
+    for run in 1..8 {
+        assert!(relocate_with_two_peers(23) == first, "run {run} diverged from run 0");
+    }
+}

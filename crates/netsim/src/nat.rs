@@ -365,7 +365,7 @@ mod tests {
         let esp = Packet::new(
             v4(192, 168, 1, 10),
             v4(8, 8, 8, 8),
-            Payload::Esp(EspPacket { spi: 1, seq: 1, ciphertext: Bytes::new(), icv: Bytes::new() }),
+            Payload::Esp(EspPacket { spi: 1, seq: 1, ciphertext: Bytes::new(), icv: [0; 16] }),
         );
         sim.schedule(SimDuration::ZERO, Event::PacketArrive { node: nat_node, iface: 0, pkt: hip });
         sim.schedule(SimDuration::ZERO, Event::PacketArrive { node: nat_node, iface: 0, pkt: esp });

@@ -234,8 +234,9 @@ pub struct EspPacket {
     pub seq: u32,
     /// IV + AES-CBC ciphertext of the inner payload. Real bytes.
     pub ciphertext: Bytes,
-    /// Truncated HMAC-SHA-256 integrity check value. Real bytes.
-    pub icv: Bytes,
+    /// Truncated HMAC-SHA-256 integrity check value, carried inline.
+    /// Real bytes.
+    pub icv: [u8; 16],
 }
 
 impl EspPacket {
@@ -332,7 +333,7 @@ mod tests {
                 spi: 0x1234,
                 seq: 9,
                 ciphertext: Bytes::from(vec![0u8; 64]),
-                icv: Bytes::from(vec![0u8; 16]),
+                icv: [0u8; 16],
             }),
         );
         assert_eq!(pkt.wire_len(), 20 + 8 + 64 + 16);

@@ -7,7 +7,7 @@
 //! current bucket, wheel, overflow) and with tombstone-style
 //! cancellations mirroring the engine's lazy timer discard. One more
 //! interleaves `peek`/`peek_key`/`peek_until` with the pushes, as the
-//! engine's same-tick coalescing and `run_until` do.
+//! engine's `run_until` does.
 
 use netsim::sched::{CalendarQueue, DEFAULT_NBUCKETS_LOG2, DEFAULT_WIDTH_LOG2};
 use netsim::SimTime;
@@ -93,9 +93,8 @@ proptest! {
     /// or before `limit` — and `len()` must match after every operation.
     /// Each pop is followed by a peek bounded at `now`, and pushes and
     /// limits land at `now + {0, < one bucket, wheel, overflow}`: the
-    /// pattern of `Sim::dispatch_run`, which peeks for a same-tick
-    /// successor after a pop and whose handler then schedules follow-ups,
-    /// and of `Sim::run_until`, which peeks up to its deadline.
+    /// pattern of `Sim::run_until`, which peeks up to its deadline before
+    /// each pop and whose handlers then schedule follow-ups.
     #[test]
     fn peeks_interleaved_with_pushes_match_reference_heap(
         ops in prop::collection::vec((0u8..7u8, 0u8..4u8, 0u64..u64::MAX), 1..400)

@@ -368,7 +368,7 @@ impl Aes128 {
     }
 
     /// Unpadded CBC encryption of whole blocks, in place.
-    fn cbc_encrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+    pub(crate) fn cbc_encrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ni::Aesni::detect() {
             return ni.cbc_encrypt(self, iv, buf);
@@ -377,7 +377,7 @@ impl Aes128 {
     }
 
     /// Unpadded CBC decryption of whole blocks, in place.
-    fn cbc_decrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+    pub(crate) fn cbc_decrypt_in_place(&self, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ni::Aesni::detect() {
             return ni.cbc_decrypt(self, iv, buf);
@@ -423,10 +423,15 @@ impl Aes128 {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod ni {
+pub(crate) mod ni {
     //! AES-NI rounds over [`Aes128`]'s expanded keys. The only way in is
     //! an [`Aesni`] token, which [`Aesni::detect`] hands out only after
     //! `is_x86_feature_detected!("aes")` returned true.
+    //!
+    //! The CBC loops here and the stitched encrypt-then-MAC loop in
+    //! `crate::etm` share the helpers below ([`cbc_encrypt_blocks`],
+    //! [`cbc_decrypt_blocks`]). They are `#[inline]` target-feature
+    //! functions, so they inline into any caller that enables `aes`.
 
     use super::{Aes128, BLOCK_LEN};
     use core::arch::x86_64::{
@@ -436,11 +441,11 @@ mod ni {
 
     /// Proof that the running CPU has the AES instructions.
     #[derive(Clone, Copy)]
-    pub(super) struct Aesni(());
+    pub(crate) struct Aesni(());
 
     impl Aesni {
         #[inline]
-        pub(super) fn detect() -> Option<Self> {
+        pub(crate) fn detect() -> Option<Self> {
             is_x86_feature_detected!("aes").then_some(Aesni(()))
         }
 
@@ -462,7 +467,7 @@ mod ni {
     }
 
     #[inline]
-    fn load(bytes: &[u8]) -> __m128i {
+    pub(crate) fn load(bytes: &[u8]) -> __m128i {
         let bytes: &[u8; BLOCK_LEN] = bytes.try_into().expect("one block");
         // SAFETY: `bytes` is 16 readable bytes and `loadu` has no alignment
         // requirement; SSE2 is part of the x86-64 baseline.
@@ -470,28 +475,70 @@ mod ni {
     }
 
     #[inline]
-    fn store(v: __m128i, bytes: &mut [u8]) {
+    pub(crate) fn store(v: __m128i, bytes: &mut [u8]) {
         let bytes: &mut [u8; BLOCK_LEN] = bytes.try_into().expect("one block");
         // SAFETY: `bytes` is 16 writable bytes and `storeu` has no alignment
         // requirement; SSE2 is part of the x86-64 baseline.
         unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
     }
 
-    /// CBC-encrypts the whole blocks of `buf` in place. The chaining XOR
-    /// and round key 0 are folded into one XOR, as on the T-table path.
+    /// The encryption round keys.
+    #[inline]
+    pub(crate) fn enc_keys(aes: &Aes128) -> [__m128i; 11] {
+        std::array::from_fn(|r| load(&aes.round_keys[r]))
+    }
+
+    /// The equivalent-inverse-cipher decryption round keys.
+    #[inline]
+    pub(crate) fn dec_keys(aes: &Aes128) -> [__m128i; 11] {
+        std::array::from_fn(|r| load(&aes.dk_bytes[r]))
+    }
+
+    /// CBC-encrypts the whole blocks of `buf` in place. `chain` holds
+    /// the ciphertext block (or IV) before `buf` XOR round key 0, so the
+    /// chaining XOR and round key 0 are one XOR as on the T-table path,
+    /// and is advanced past `buf`.
+    #[inline]
     #[target_feature(enable = "aes")]
-    fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
-        let k: [__m128i; 11] = std::array::from_fn(|r| load(&aes.round_keys[r]));
-        let mut prev = _mm_xor_si128(load(iv), k[0]);
-        for chunk in buf.chunks_exact_mut(BLOCK_LEN) {
-            let mut s = _mm_xor_si128(load(chunk), prev);
+    pub(crate) fn cbc_encrypt_blocks(k: &[__m128i; 11], chain: &mut __m128i, buf: &mut [u8]) {
+        for block in buf.chunks_exact_mut(BLOCK_LEN) {
+            let mut s = _mm_xor_si128(load(block), *chain);
             for key in &k[1..10] {
                 s = _mm_aesenc_si128(s, *key);
             }
             let c = _mm_aesenclast_si128(s, k[10]);
-            store(c, chunk);
-            prev = _mm_xor_si128(c, k[0]);
+            store(c, block);
+            *chain = _mm_xor_si128(c, k[0]);
         }
+    }
+
+    /// CBC-decrypts `N` consecutive ciphertext blocks, all in flight at
+    /// once; `prev` is the ciphertext block (or IV) before `c[0]`. `k`
+    /// holds the [`dec_keys`].
+    #[inline]
+    #[target_feature(enable = "aes")]
+    pub(crate) fn cbc_decrypt_blocks<const N: usize>(
+        k: &[__m128i; 11],
+        prev: __m128i,
+        c: [__m128i; N],
+    ) -> [__m128i; N] {
+        let mut s = c.map(|b| _mm_xor_si128(b, k[0]));
+        for key in &k[1..10] {
+            for b in &mut s {
+                *b = _mm_aesdec_si128(*b, *key);
+            }
+        }
+        std::array::from_fn(|i| {
+            let chain = if i == 0 { prev } else { c[i - 1] };
+            _mm_xor_si128(_mm_aesdeclast_si128(s[i], k[10]), chain)
+        })
+    }
+
+    /// CBC-encrypts the whole blocks of `buf` in place.
+    #[target_feature(enable = "aes")]
+    fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
+        let k = enc_keys(aes);
+        cbc_encrypt_blocks(&k, &mut _mm_xor_si128(load(iv), k[0]), buf);
     }
 
     /// CBC-decrypts the whole blocks of `buf` in place with the equivalent
@@ -499,33 +546,21 @@ mod ni {
     /// four are in flight at a time; the remainder goes one by one.
     #[target_feature(enable = "aes")]
     fn cbc_decrypt(aes: &Aes128, iv: &[u8; BLOCK_LEN], buf: &mut [u8]) {
-        let k: [__m128i; 11] = std::array::from_fn(|r| load(&aes.dk_bytes[r]));
+        let k = dec_keys(aes);
         let mut prev = load(iv);
         let mut quads = buf.chunks_exact_mut(4 * BLOCK_LEN);
         for quad in &mut quads {
             let c: [__m128i; 4] = std::array::from_fn(|i| load(&quad[i * BLOCK_LEN..][..BLOCK_LEN]));
-            let mut s = c;
-            for b in &mut s {
-                *b = _mm_xor_si128(*b, k[0]);
-            }
-            for key in &k[1..10] {
-                for b in &mut s {
-                    *b = _mm_aesdec_si128(*b, *key);
-                }
-            }
-            let chain = [prev, c[0], c[1], c[2]];
-            for ((out, b), x) in quad.chunks_exact_mut(BLOCK_LEN).zip(s).zip(chain) {
-                store(_mm_xor_si128(_mm_aesdeclast_si128(b, k[10]), x), out);
+            let p = cbc_decrypt_blocks(&k, prev, c);
+            for (out, b) in quad.chunks_exact_mut(BLOCK_LEN).zip(p) {
+                store(b, out);
             }
             prev = c[3];
         }
         for chunk in quads.into_remainder().chunks_exact_mut(BLOCK_LEN) {
             let c = load(chunk);
-            let mut s = _mm_xor_si128(c, k[0]);
-            for key in &k[1..10] {
-                s = _mm_aesdec_si128(s, *key);
-            }
-            store(_mm_xor_si128(_mm_aesdeclast_si128(s, k[10]), prev), chunk);
+            let [p] = cbc_decrypt_blocks(&k, prev, [c]);
+            store(p, chunk);
             prev = c;
         }
     }

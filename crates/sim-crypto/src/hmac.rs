@@ -62,6 +62,20 @@ impl HmacKey {
         h.finalize()
     }
 
+    /// The inner chaining value after the ipad block: where a MAC whose
+    /// inner hash runs outside this type starts.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn inner_state(&self) -> [u32; 8] {
+        self.inner.chaining_value()
+    }
+
+    /// Finishes a MAC whose inner hash ran outside this type: `inner`
+    /// has absorbed the ipad block and the whole message.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn finish(&self, inner: Sha256) -> [u8; DIGEST_LEN] {
+        HmacSha256 { inner, outer: self.outer.clone() }.finalize()
+    }
+
     /// Starts an incremental MAC from the cached midstates.
     pub fn begin(&self) -> HmacSha256 {
         HmacSha256 { inner: self.inner.clone(), outer: self.outer.clone() }

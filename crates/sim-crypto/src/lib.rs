@@ -14,12 +14,17 @@
 //! - [`ecdsa`] — P-256 signatures (the HIP ECC extension)
 //! - [`mod@sha256`], [`hmac`] — FIPS 180-4 / RFC 2104
 //! - [`aes`] — AES-128 in CBC mode (ESP + TLS record payloads)
+//! - [`etm`] — AES-CBC encrypt-then-HMAC in one pass (the ESP data plane)
 //! - [`kdf`] — HIP KEYMAT (RFC 5201 §6.5) and a TLS-style PRF
 //!
 //! AES-128 and the SHA-256 compression run on the CPU's AES-NI and SHA-NI
 //! instructions when `is_x86_feature_detected!` finds them, and on portable
-//! code otherwise. Those two private `ni` modules hold the workspace's only
-//! `unsafe` code; every other crate root has `#![forbid(unsafe_code)]`.
+//! code otherwise. When it finds both, [`etm`] runs one stitched loop that
+//! CBC-processes four AES blocks next to each 64-byte HMAC block, so the
+//! two instruction chains overlap; otherwise it runs CBC and then the MAC.
+//! The three private `ni` modules (in `aes`, `sha256` and `etm`) hold the
+//! workspace's only `unsafe` code; every other crate root has
+//! `#![forbid(unsafe_code)]`.
 //! Simulated time is charged from the cost model, never measured, so the
 //! path taken does not change any simulated output.
 //!
@@ -33,6 +38,7 @@ pub mod aes;
 pub mod bigint;
 pub mod dh;
 pub mod ecdsa;
+pub mod etm;
 pub mod hmac;
 pub mod kdf;
 pub mod prime;

@@ -81,6 +81,22 @@ impl Sha256 {
         self.buf_len = rest.len();
     }
 
+    /// A hasher that has absorbed `total_len` bytes, a whole number of
+    /// blocks, ending in chaining value `state`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn resume(state: [u32; 8], total_len: u64) -> Self {
+        debug_assert!(total_len.is_multiple_of(BLOCK_LEN as u64));
+        Sha256 { state, buf: [0; BLOCK_LEN], buf_len: 0, total_len }
+    }
+
+    /// The chaining value after the whole blocks absorbed so far; the
+    /// hasher must hold no partial block.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn chaining_value(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0);
+        self.state
+    }
+
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
@@ -153,11 +169,16 @@ fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod ni {
+pub(crate) mod ni {
     //! The SHA-256 compression on the x86 SHA extensions. The only way in
     //! is a [`ShaNi`] token, which [`ShaNi::detect`] hands out only after
     //! `is_x86_feature_detected!` returned true for `sha`, `ssse3` and
     //! `sse4.1`.
+    //!
+    //! [`compress`] here and the stitched encrypt-then-MAC loop in
+    //! `crate::etm` share the [`Lanes`] helpers. They are `#[inline]`
+    //! target-feature functions, so they inline into any caller that
+    //! enables `sha`, `ssse3` and `sse4.1`.
 
     use super::{BLOCK_LEN, K};
     use core::arch::x86_64::{
@@ -168,11 +189,11 @@ mod ni {
 
     /// Proof that the running CPU has SHA-NI and the shuffles it needs.
     #[derive(Clone, Copy)]
-    pub(super) struct ShaNi(());
+    pub(crate) struct ShaNi(());
 
     impl ShaNi {
         #[inline]
-        pub(super) fn detect() -> Option<Self> {
+        pub(crate) fn detect() -> Option<Self> {
             let ok = is_x86_feature_detected!("sha")
                 && is_x86_feature_detected!("ssse3")
                 && is_x86_feature_detected!("sse4.1");
@@ -212,26 +233,48 @@ mod ni {
         unsafe { _mm_storeu_si128(words.as_mut_ptr().cast(), v) }
     }
 
-    /// `sha256rnds2` keeps the state as the lane pairs ABEF and CDGH and
-    /// does two rounds per call; four message words are scheduled at a
-    /// time with `sha256msg1`/`sha256msg2`.
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
-        // Byte-swaps each 32-bit lane: message words are big-endian.
-        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        let dcba = load_words(&state[0..4]);
-        let hgfe = load_words(&state[4..8]);
-        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-        for block in blocks.chunks_exact(BLOCK_LEN) {
-            let (abef_in, cdgh_in) = (abef, cdgh);
+    /// A SHA-256 chaining value as `sha256rnds2` wants it: the lane pairs
+    /// ABEF and CDGH.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Lanes {
+        abef: __m128i,
+        cdgh: __m128i,
+    }
+
+    impl Lanes {
+        /// Rearranges the state words A..H into lanes.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        pub(crate) fn from_state(state: &[u32; 8]) -> Self {
+            let cdab = _mm_shuffle_epi32(load_words(&state[0..4]), 0xb1);
+            let efgh = _mm_shuffle_epi32(load_words(&state[4..8]), 0x1b);
+            Lanes { abef: _mm_alignr_epi8(cdab, efgh, 8), cdgh: _mm_blend_epi16(efgh, cdab, 0xf0) }
+        }
+
+        /// The state words A..H.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        pub(crate) fn to_state(self) -> [u32; 8] {
+            let feba = _mm_shuffle_epi32(self.abef, 0x1b);
+            let dchg = _mm_shuffle_epi32(self.cdgh, 0xb1);
+            let mut state = [0u32; 8];
+            store_words(_mm_blend_epi16(feba, dchg, 0xf0), &mut state[0..4]);
+            store_words(_mm_alignr_epi8(dchg, feba, 8), &mut state[4..8]);
+            state
+        }
+
+        /// Runs the 64 rounds of one block and adds the result into the
+        /// chaining value. `sha256rnds2` does two rounds per call; four
+        /// message words are scheduled at a time with
+        /// `sha256msg1`/`sha256msg2`.
+        #[inline]
+        #[target_feature(enable = "sha,ssse3,sse4.1")]
+        pub(crate) fn compress_block(&mut self, block: &[u8; BLOCK_LEN]) {
+            // Byte-swaps each 32-bit lane: message words are big-endian.
+            let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+            let Lanes { mut abef, mut cdgh } = *self;
             let mut w: [__m128i; 4] =
-                std::array::from_fn(|i| load(&block[16 * i..16 * i + 16]));
-            for v in &mut w {
-                *v = _mm_shuffle_epi8(*v, bswap);
-            }
+                std::array::from_fn(|i| _mm_shuffle_epi8(load(&block[16 * i..16 * i + 16]), bswap));
             for i in 0..16 {
                 if i >= 4 {
                     // W[4i..4i+4] from the previous sixteen words.
@@ -243,13 +286,18 @@ mod ni {
                 cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
                 abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
             }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            self.abef = _mm_add_epi32(self.abef, abef);
+            self.cdgh = _mm_add_epi32(self.cdgh, cdgh);
         }
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        store_words(_mm_blend_epi16(feba, dchg, 0xf0), &mut state[0..4]);
-        store_words(_mm_alignr_epi8(dchg, feba, 8), &mut state[4..8]);
+    }
+
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let mut lanes = Lanes::from_state(state);
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            lanes.compress_block(block.try_into().expect("one block"));
+        }
+        *state = lanes.to_state();
     }
 }
 

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use sim_crypto::aes::{reference, Aes128};
 use sim_crypto::bigint::BigUint;
+use sim_crypto::etm;
 use sim_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sim_crypto::kdf::{keymat, prf_expand};
 use sim_crypto::sha256::{sha256, Sha256};
@@ -139,6 +140,42 @@ proptest! {
         }
         prop_assert_eq!(&ct, &expected);
         prop_assert_eq!(aes.cbc_decrypt(&iv, &ct).expect("valid"), msg);
+    }
+
+    #[test]
+    fn etm_matches_reference_cbc_and_hmac(
+        aes_key in any::<[u8; 16]>(),
+        mac_key in proptest::collection::vec(any::<u8>(), 0..100),
+        aad in any::<[u8; 8]>(),
+        iv in any::<[u8; 16]>(),
+        blocks in 0usize..125,
+        fill in proptest::collection::vec(any::<u8>(), 2000),
+    ) {
+        // `seal` is textbook CBC over the byte-wise reference cipher, then
+        // HMAC-SHA-256 over `aad | IV | ciphertext`; `open` undoes the CBC
+        // and returns the same MAC.
+        let aes = Aes128::new(&aes_key);
+        let key = HmacKey::new(&mac_key);
+        let plain = &fill[..16 * blocks];
+        let mut expected = iv.to_vec();
+        let mut prev = iv;
+        for chunk in plain.chunks(16) {
+            let mut block: [u8; 16] = chunk.try_into().expect("block");
+            for (b, p) in block.iter_mut().zip(&prev) {
+                *b ^= p;
+            }
+            reference::encrypt_block(&aes, &mut block);
+            expected.extend_from_slice(&block);
+            prev = block;
+        }
+        let expected_mac = hmac_sha256(&mac_key, &[&aad[..], &expected].concat());
+
+        let mut ivct = [&iv[..], plain].concat();
+        prop_assert_eq!(etm::seal(&aes, &key, &aad, &mut ivct), expected_mac);
+        prop_assert_eq!(&ivct, &expected);
+        let mut out = vec![0u8; plain.len()];
+        prop_assert_eq!(etm::open(&aes, &key, &aad, &ivct, &mut out), expected_mac);
+        prop_assert_eq!(&out[..], plain);
     }
 
     #[test]
