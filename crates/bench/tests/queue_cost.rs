@@ -7,6 +7,12 @@
 //! nearly every push becomes a sorted insert into the current bucket
 //! and bulk flows slow down several-fold with identical results. Only
 //! the queue's tier counters show it, so this test pins them.
+//!
+//! The second gate is on dead timers. TCP pushes its retransmission
+//! timer back on every ACK; if each push queued a new engine timer and
+//! cancelled the old one, nearly every overflow-heap push would be a
+//! timer that pops stale (about 2 900 per flow here). One re-armed
+//! timer per socket keeps both counts to a handful.
 
 use cloudsim::{CloudKind, CloudTopology, Flavor};
 use hip_core::identity::HostIdentity;
@@ -55,6 +61,9 @@ fn bulk(hip: bool, seed: u64) -> SimStats {
 
     let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");
     assert_eq!(srv.bytes, BYTES, "hip={hip}: the transfer must complete");
+    if let Err(e) = topo.sim.check_invariants() {
+        panic!("hip={hip}: {e}");
+    }
     topo.sim.stats()
 }
 
@@ -62,7 +71,9 @@ fn bulk(hip: bool, seed: u64) -> SimStats {
 fn bulk_pushes_stay_off_the_sorted_insert_path() {
     for hip in [false, true] {
         let s = bulk(hip, 1);
-        // Every push lands in exactly one tier; migrations push again.
+        // Every push lands in exactly one tier; migrations push again,
+        // and a re-armed timer's entry pushed on to its key counts in
+        // `scheduled`.
         assert_eq!(
             s.queue_current_pushes + s.queue_wheel_pushes + s.queue_overflow_pushes,
             s.scheduled + s.queue_migrations,
@@ -70,5 +81,23 @@ fn bulk_pushes_stay_off_the_sorted_insert_path() {
         );
         let share = s.queue_current_pushes as f64 / s.scheduled as f64;
         assert!(share <= 0.05, "hip={hip}: current-bucket push share {share:.4} > 0.05: {s:?}");
+    }
+}
+
+/// At most this many overflow pushes, and this many dead timers
+/// (cancelled plus stale pops), per 2 MiB flow.
+const DEAD_TIMER_CAP: u64 = 32;
+
+#[test]
+fn bulk_flows_queue_no_dead_retransmission_timers() {
+    for hip in [false, true] {
+        let s = bulk(hip, 1);
+        assert!(
+            s.queue_overflow_pushes <= DEAD_TIMER_CAP,
+            "hip={hip}: {} overflow pushes > {DEAD_TIMER_CAP}: {s:?}",
+            s.queue_overflow_pushes
+        );
+        let dead = s.timers_cancelled + s.stale_timer_pops;
+        assert!(dead <= DEAD_TIMER_CAP, "hip={hip}: {dead} dead timers > {DEAD_TIMER_CAP}: {s:?}");
     }
 }

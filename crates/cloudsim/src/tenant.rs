@@ -10,7 +10,7 @@
 
 use crate::topology::VmHandle;
 use hip_core::{Firewall, Hit};
-use std::collections::HashMap;
+use netsim::fx::FxHashMap;
 
 /// A tenant (cloud subscriber).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -20,7 +20,7 @@ pub struct TenantId(pub u32);
 #[derive(Default)]
 pub struct TenantRegistry {
     vms: Vec<(TenantId, VmHandle, Hit)>,
-    by_tenant: HashMap<TenantId, Vec<usize>>,
+    by_tenant: FxHashMap<TenantId, Vec<usize>>,
 }
 
 impl TenantRegistry {

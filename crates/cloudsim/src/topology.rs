@@ -417,7 +417,7 @@ mod tests {
     fn addresses_are_unique() {
         let mut topo = CloudTopology::new(5);
         let cloud = topo.add_cloud("ec2", CloudKind::Public);
-        let mut addrs = std::collections::HashSet::new();
+        let mut addrs = netsim::fx::FxHashSet::default();
         for i in 0..20 {
             let vm = topo.launch_vm(cloud, &format!("vm{i}"), Flavor::Micro);
             assert!(addrs.insert(vm.addr), "duplicate {}", vm.addr);

@@ -22,10 +22,10 @@ use crate::firewall::{Action, Firewall};
 use crate::identity::Hit;
 use crate::wire::{HipPacket, PacketType};
 use netsim::engine::{Ctx, Node};
+use netsim::fx::FxHashMap;
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// A stateful HIP middlebox firewall bridging two links.
 pub struct HipMidboxFirewall {
@@ -38,7 +38,7 @@ pub struct HipMidboxFirewall {
     /// What to do with traffic that is neither HIP nor attributable ESP.
     pub default_other: Action,
     /// SPI → the HIT pair that negotiated it.
-    spi_owner: HashMap<u32, (Hit, Hit)>,
+    spi_owner: FxHashMap<u32, (Hit, Hit)>,
     /// Base exchanges observed to completion.
     pub exchanges_seen: u64,
     /// Packets dropped by policy.
@@ -57,7 +57,7 @@ impl HipMidboxFirewall {
             right: LinkId(usize::MAX),
             policy,
             default_other: Action::Allow,
-            spi_owner: HashMap::new(),
+            spi_owner: FxHashMap::default(),
             exchanges_seen: 0,
             dropped: 0,
             forwarded: 0,

@@ -14,12 +14,11 @@
 
 use crate::identity::{Hit, PublicHi};
 use crate::wire::{encode_locator, param_type, HipPacket, PacketType, Param};
-use std::collections::HashMap as SeqMap;
 use netsim::engine::{Ctx, Node};
+use netsim::fx::FxHashMap;
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// A rendezvous server node.
@@ -27,10 +26,10 @@ pub struct RendezvousServer {
     /// The server's locator.
     pub addr: IpAddr,
     link: LinkId,
-    registrations: HashMap<Hit, IpAddr>,
+    registrations: FxHashMap<Hit, IpAddr>,
     /// Highest registration sequence accepted per HIT (replay guard: a
     /// captured REG_REQUEST cannot re-bind the HIT to a stale locator).
-    reg_seq: SeqMap<Hit, u32>,
+    reg_seq: FxHashMap<Hit, u32>,
     /// I1 packets relayed (diagnostics).
     pub relayed: u64,
     /// Registrations rejected for bad signatures (diagnostics).
@@ -40,7 +39,7 @@ pub struct RendezvousServer {
 impl RendezvousServer {
     /// Creates a server at `addr` attached to `link`.
     pub fn new(addr: IpAddr, link: LinkId) -> Self {
-        RendezvousServer { addr, link, registrations: HashMap::new(), reg_seq: SeqMap::new(), relayed: 0, rejected: 0 }
+        RendezvousServer { addr, link, registrations: FxHashMap::default(), reg_seq: FxHashMap::default(), relayed: 0, rejected: 0 }
     }
 
     /// Current registration for a HIT (tests).

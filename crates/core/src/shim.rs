@@ -258,8 +258,12 @@ pub struct HipShim {
     pub rvs_registered: bool,
     /// Monotonic registration sequence (RVS replay guard).
     reg_seq: u32,
-    /// Last NOTIFY(stale SPI) per unknown SPI, for rate limiting.
+    /// Last NOTIFY(stale SPI) per unknown SPI, for rate limiting. Each
+    /// SPI a peer sprays adds an entry, so entries whose window has
+    /// expired are swept out once per window.
     notify_limiter: FxHashMap<u32, SimTime>,
+    /// When `notify_limiter` was last swept.
+    notify_swept: SimTime,
 }
 
 impl HipShim {
@@ -284,6 +288,7 @@ impl HipShim {
             rvs_registered: false,
             reg_seq: 0,
             notify_limiter: FxHashMap::default(),
+            notify_swept: SimTime::ZERO,
         }
     }
 
@@ -307,6 +312,12 @@ impl HipShim {
     pub fn add_peer(&mut self, hit: Hit, info: PeerInfo) -> Ipv4Addr {
         self.peers.insert(hit, info);
         self.lsi.lsi_for(hit)
+    }
+
+    /// Entries in the stale-SPI NOTIFY rate limiter (tests): at most the
+    /// SPIs notified in the last two windows.
+    pub fn notify_limiter_len(&self) -> usize {
+        self.notify_limiter.len()
     }
 
     /// Whether an association with `peer` is established.
@@ -937,12 +948,15 @@ impl HipShim {
     /// Sends NOTIFY(stale SPI) to `dst`: ESP arrived for an SPI we have
     /// no SA for. Rate-limited to one per SPI per sim-second.
     fn notify_stale_spi(&mut self, api: &mut ShimApi, spi: u32, dst: IpAddr) {
+        const WINDOW: SimDuration = SimDuration::from_secs(1);
         let now = api.now();
-        if self
-            .notify_limiter
-            .get(&spi)
-            .is_some_and(|t| now.since(*t) < SimDuration::from_secs(1))
-        {
+        // An entry whose window has expired decides nothing (it reads as
+        // absent below), so sweeping those out changes no send.
+        if now.since(self.notify_swept) >= WINDOW {
+            self.notify_limiter.retain(|_, t| now.since(*t) < WINDOW);
+            self.notify_swept = now;
+        }
+        if self.notify_limiter.get(&spi).is_some_and(|t| now.since(*t) < WINDOW) {
             return;
         }
         self.notify_limiter.insert(spi, now);

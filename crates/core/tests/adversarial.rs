@@ -490,3 +490,41 @@ fn bulk_dropped_frame_is_retransmitted() {
     assert_eq!(out.esp_data_counts(), (301, 269_612, 300, 268_144));
     assert_eq!(out, bulk_under_attack(FrameAttack::Drop), "deterministic");
 }
+
+#[test]
+fn sprayed_spis_leave_the_notify_limiter_bounded() {
+    // A co-tenant sprays ESP frames, each with a new SPI, at b for 10 s.
+    // Each unknown SPI is a NOTIFY rate-limiter entry; entries whose
+    // one-second window has passed must not pile up.
+    const PER_SECOND: u64 = 200;
+    const SECONDS: u64 = 10;
+    let mut w = build(|_m| {}, 5);
+    w.sim.run_until(SimTime(3_000_000_000));
+    let before = shim_stats(&w.sim, w.b);
+    let spacing = 1_000_000_000 / PER_SECOND;
+    for i in 0..PER_SECOND * SECONDS {
+        let esp = netsim::packet::EspPacket {
+            spi: 0x5000_0000 + i as u32,
+            seq: 1,
+            ciphertext: Bytes::from(vec![0x41u8; 64]),
+            icv: [0x41u8; 16],
+        };
+        w.sim.schedule(
+            netsim::SimDuration::from_nanos(1 + i * spacing),
+            netsim::Event::PacketArrive {
+                node: w.b,
+                iface: 0,
+                pkt: Packet::new(v4(10, 0, 0, 66), v4(10, 0, 0, 2), Payload::Esp(esp)),
+            },
+        );
+    }
+    w.sim.run_until(SimTime((3 + SECONDS + 1) * 1_000_000_000));
+    let after = shim_stats(&w.sim, w.b);
+    assert_eq!(after.drops_no_sa, before.drops_no_sa + PER_SECOND * SECONDS);
+    let shim = w.sim.world.node::<Host>(w.b).expect("b").shim::<HipShim>().expect("shim");
+    // At most the SPIs of the last two windows stay.
+    let len = shim.notify_limiter_len() as u64;
+    assert!(len <= 2 * PER_SECOND, "{len} limiter entries after {} sprayed SPIs", PER_SECOND * SECONDS);
+    let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
+    assert_eq!(chat.replies, 10, "the legitimate association is unaffected");
+}

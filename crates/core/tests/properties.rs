@@ -184,7 +184,7 @@ proptest! {
     #[test]
     fn lsi_mapper_bijective(hits in proptest::collection::hash_set(any::<[u8; 16]>(), 1..100)) {
         let mut mapper = LsiMapper::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = netsim::fx::FxHashSet::default();
         for h in &hits {
             let hit = Hit(*h);
             let lsi = mapper.lsi_for(hit);

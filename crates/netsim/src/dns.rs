@@ -6,7 +6,7 @@
 //! HIP RR carrying a HIT, a serialized Host Identity, and optional
 //! rendezvous servers.
 
-use std::collections::HashMap;
+use crate::fx::FxHashMap;
 use std::net::IpAddr;
 
 /// Well-known DNS port.
@@ -107,7 +107,7 @@ impl DnsMessage {
 /// An authoritative zone: name → records. Cloned into the DNS server app.
 #[derive(Clone, Debug, Default)]
 pub struct Zone {
-    records: HashMap<String, Vec<Record>>,
+    records: FxHashMap<String, Vec<Record>>,
 }
 
 impl Zone {

@@ -16,6 +16,21 @@
 //! cancelling never perturbs the RNG draw order or the schedule of
 //! other events, keeping traces identical whether or not a protocol
 //! layer bothers to cancel.
+//!
+//! A timer that is moved again and again (TCP's retransmission timer,
+//! pushed back on every ACK) is re-armed in place instead
+//! ([`Ctx::rearm_timer`], [`Ctx::disarm_timer`]). Its slot records the
+//! `(time, seq)` key the timer now fires at, and the one queue entry it
+//! already has stays where it is. When that entry pops early it is
+//! pushed again at exactly the recorded key, without being dispatched;
+//! a disarmed slot's entry is discarded as a stale pop. Each arm takes
+//! its `seq` at the point in the dispatch's flush where
+//! [`Ctx::set_timer`] would, so every dispatched event keeps the key
+//! that cancel-and-set gives it and the dispatch order is the same by
+//! construction. Only the queue's own traffic shrinks: one entry per
+//! re-armed timer instead of one dead entry per arm. A re-arm to an
+//! earlier time than the queued entry, or of a token that already fired
+//! or was cancelled, falls back to cancel-and-set.
 
 use crate::link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId, TxResult};
 use crate::packet::{Packet, Payload};
@@ -135,43 +150,62 @@ pub enum TimerOwner {
 /// A handle for an armed timer: a slot in the engine's generation
 /// table plus the generation it was armed under. Cancelling or firing
 /// bumps the generation, so stale queue entries (and stale cancels) are
-/// recognised and ignored.
+/// recognised and ignored. Re-arming keeps the token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerToken {
     slot: u32,
     gen: u32,
 }
 
-/// Slot table backing [`TimerToken`]: `gens[slot]` is the live
-/// generation; a token is live iff its generation matches.
+/// One entry of [`TimerSlots`].
+#[derive(Clone, Copy)]
+struct TimerSlot {
+    /// The live generation: a token is live iff its generation matches.
+    gen: u32,
+    /// The `(time, seq)` key the live timer fires at; `None` once
+    /// disarmed.
+    due: Option<(u64, u64)>,
+    /// Time of the slot's one queue entry (pushed, or still in the
+    /// current dispatch's flush). Never later than `due`.
+    queued_at: u64,
+    /// The registration that entry delivers.
+    timer: TimerHandle,
+}
+
+/// Slot table backing [`TimerToken`]. A slot is live from `alloc` until
+/// it is retired (fired, cancelled, or popped while disarmed); retired
+/// slots wait on `free`.
 #[derive(Default)]
 struct TimerSlots {
-    gens: Vec<u32>,
+    slots: Vec<TimerSlot>,
     free: Vec<u32>,
 }
 
 impl TimerSlots {
-    fn alloc(&mut self) -> TimerToken {
+    fn alloc(&mut self, at: u64, seq: u64, timer: TimerHandle) -> TimerToken {
+        let armed = |gen| TimerSlot { gen, due: Some((at, seq)), queued_at: at, timer };
         match self.free.pop() {
-            Some(slot) => TimerToken { slot, gen: self.gens[slot as usize] },
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                *s = armed(s.gen);
+                TimerToken { slot, gen: s.gen }
+            }
             None => {
-                self.gens.push(0);
-                TimerToken { slot: (self.gens.len() - 1) as u32, gen: 0 }
+                self.slots.push(armed(0));
+                TimerToken { slot: (self.slots.len() - 1) as u32, gen: 0 }
             }
         }
     }
 
-    fn is_live(&self, t: TimerToken) -> bool {
-        self.gens.get(t.slot as usize) == Some(&t.gen)
+    fn live_mut(&mut self, t: TimerToken) -> Option<&mut TimerSlot> {
+        self.slots.get_mut(t.slot as usize).filter(|s| s.gen == t.gen)
     }
 
     /// Invalidates the token and recycles its slot. Returns whether the
     /// token was still live (false = already fired or cancelled).
     fn retire(&mut self, t: TimerToken) -> bool {
-        if !self.is_live(t) {
-            return false;
-        }
-        self.gens[t.slot as usize] = self.gens[t.slot as usize].wrapping_add(1);
+        let Some(s) = self.live_mut(t) else { return false };
+        s.gen = s.gen.wrapping_add(1);
         self.free.push(t.slot);
         true
     }
@@ -190,7 +224,8 @@ pub enum Event {
         pkt: Packet,
     },
     /// A timer fires at `node` — skipped without dispatch if `token`
-    /// was cancelled in the meantime.
+    /// was cancelled or disarmed in the meantime, and pushed again
+    /// without dispatch if it was re-armed to a later key.
     Timer {
         /// The node whose timer expired.
         node: NodeId,
@@ -366,7 +401,12 @@ pub struct Ctx<'a> {
     stats: &'a mut SimStats,
     metrics: &'a mut MetricsRegistry,
     ids: EngineIds,
-    emitted: Vec<(SimTime, Event)>,
+    /// The engine's `seq` before this dispatch: the flush gives the
+    /// `i`-th emission `seq_base + i + 1`.
+    seq_base: u64,
+    /// Emissions in call order; `None` is a re-arm, which takes a `seq`
+    /// but queues nothing.
+    emitted: Vec<(SimTime, Option<Event>)>,
 }
 
 impl Ctx<'_> {
@@ -376,7 +416,7 @@ impl Ctx<'_> {
         let draws = (self.rng.random(), self.rng.random());
         let l = &mut self.links[link.0];
         let arrival = link_transmit(l, self.node, self.now, pkt, draws, self.metrics, self.ids, self.trace);
-        self.emitted.extend(arrival);
+        self.emitted.extend(arrival.map(|(at, ev)| (at, Some(ev))));
     }
 
     /// Transmits `pkt` on `link` after `delay` (models CPU processing
@@ -387,7 +427,7 @@ impl Ctx<'_> {
             self.transmit(link, pkt);
         } else {
             self.emitted
-                .push((self.now + delay, Event::LinkTx { from: self.node, link, pkt }));
+                .push((self.now + delay, Some(Event::LinkTx { from: self.node, link, pkt })));
         }
     }
 
@@ -396,24 +436,64 @@ impl Ctx<'_> {
     pub fn deliver_local(&mut self, delay: SimDuration, pkt: Packet) {
         self.emitted.push((
             self.now + delay,
-            Event::PacketArrive { node: self.node, iface: IFACE_INTERNAL, pkt },
+            Some(Event::PacketArrive { node: self.node, iface: IFACE_INTERNAL, pkt }),
         ));
     }
 
+    /// The `seq` the flush will give the next emission.
+    fn next_seq(&self) -> u64 {
+        self.seq_base + self.emitted.len() as u64 + 1
+    }
+
     /// Arms a timer on the current node after `delay`. The returned
-    /// token can be passed to [`Ctx::cancel_timer`] or dropped; a timer
-    /// that fires retires its own token, so cancelling after expiry is
-    /// a harmless no-op.
+    /// token can be passed to [`Ctx::cancel_timer`] or
+    /// [`Ctx::rearm_timer`], or dropped; a timer that fires retires its
+    /// own token, so cancelling after expiry is a harmless no-op.
     pub fn set_timer(&mut self, delay: SimDuration, timer: TimerHandle) -> TimerToken {
-        let token = self.slots.alloc();
-        self.emitted.push((self.now + delay, Event::Timer { node: self.node, timer, token }));
+        let at = self.now + delay;
+        let token = self.slots.alloc(at.as_nanos(), self.next_seq(), timer);
+        self.emitted.push((at, Some(Event::Timer { node: self.node, timer, token })));
         token
     }
 
-    /// Cancels a timer armed with [`Ctx::set_timer`]. Returns whether
-    /// the timer was still pending. Lazy: the queued event is discarded
-    /// at pop time, so cancellation never changes the timing or RNG
-    /// draws of other events.
+    /// Moves the timer `token` (armed by this node with the same
+    /// `timer`) to fire after `delay`, as if it were cancelled and a
+    /// fresh one set, and returns the token to keep. The new firing key
+    /// is exactly the one [`Ctx::set_timer`] would give it here. While
+    /// the token's queued entry is not later than the new time, nothing
+    /// is queued: the slot records the key, and the engine pushes the
+    /// entry on to it when it pops. Otherwise (an earlier time, another
+    /// handle, or a token that fired or was cancelled) this is
+    /// cancel-and-set, and the returned token is a new one.
+    pub fn rearm_timer(&mut self, token: TimerToken, delay: SimDuration, timer: TimerHandle) -> TimerToken {
+        let at = self.now + delay;
+        let seq = self.next_seq();
+        if let Some(slot) = self.slots.live_mut(token) {
+            if slot.timer == timer && slot.queued_at <= at.as_nanos() {
+                slot.due = Some((at.as_nanos(), seq));
+                self.emitted.push((at, None));
+                return token;
+            }
+        }
+        self.cancel_timer(token);
+        self.set_timer(delay, timer)
+    }
+
+    /// Stops the timer `token` from firing but keeps the token, so a
+    /// later [`Ctx::rearm_timer`] can reuse its queued entry. Returns
+    /// whether the timer was armed. The entry is discarded, and the
+    /// token retired, when it pops still disarmed.
+    pub fn disarm_timer(&mut self, token: TimerToken) -> bool {
+        self.slots.live_mut(token).is_some_and(|slot| slot.due.take().is_some())
+    }
+
+    /// Cancels a timer armed with [`Ctx::set_timer`] and retires its
+    /// token. Returns whether the token was still live. Lazy: the queued
+    /// event is discarded at pop time, so cancellation never changes the
+    /// timing or RNG draws of other events. A timer that will be armed
+    /// again soon is cheaper to disarm ([`Ctx::disarm_timer`]) and
+    /// re-arm: a cancelled one leaves a dead entry in the queue for
+    /// every arm.
     pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
         let was_live = self.slots.retire(token);
         if was_live {
@@ -475,13 +555,15 @@ impl Ctx<'_> {
 /// [`Sim::stats`]; cheap enough to maintain unconditionally.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events pushed into the queue (all kinds).
+    /// Events pushed into the queue (all kinds), counting each push of
+    /// a re-armed timer's entry on to its recorded key.
     pub scheduled: u64,
     /// Events popped and dispatched to a node or link.
     pub dispatched: u64,
     /// Timers retired by [`Ctx::cancel_timer`] before firing.
     pub timers_cancelled: u64,
-    /// Cancelled timer events discarded at pop time (never dispatched).
+    /// Cancelled or disarmed timer events discarded at pop time (never
+    /// dispatched).
     pub stale_timer_pops: u64,
     /// Pushes that landed in the current bucket with a sorted insert.
     /// A small share of `scheduled` when the window keeps up with `now`.
@@ -549,7 +631,7 @@ pub struct Sim {
     crashed: Vec<bool>,
     /// Recycled `Ctx::emitted` buffer so each dispatch reuses one
     /// allocation instead of growing a fresh `Vec`.
-    scratch_emitted: Vec<(SimTime, Event)>,
+    scratch_emitted: Vec<(SimTime, Option<Event>)>,
 }
 
 impl Sim {
@@ -650,10 +732,8 @@ impl Sim {
         self.start();
         let mut processed = 0;
         while self.queue.peek_until(deadline).is_some() {
-            let (at, _seq, event) = self.queue.pop().expect("peeked");
-            if self.discard_if_stale(&event) {
-                continue;
-            }
+            let (at, seq, event) = self.queue.pop().expect("peeked");
+            let Some(event) = self.settle_timer(at, seq, event) else { continue };
             self.now = at;
             self.dispatch(event);
             processed += 1;
@@ -673,12 +753,10 @@ impl Sim {
         self.start();
         let mut processed = 0;
         while processed < max_events {
-            let Some((at, _seq, event)) = self.queue.pop() else {
+            let Some((at, seq, event)) = self.queue.pop() else {
                 return RunOutcome::Quiescent(processed);
             };
-            if self.discard_if_stale(&event) {
-                continue;
-            }
+            let Some(event) = self.settle_timer(at, seq, event) else { continue };
             self.now = at;
             self.dispatch(event);
             processed += 1;
@@ -690,16 +768,80 @@ impl Sim {
         }
     }
 
-    /// True iff `event` is a cancelled timer that must be dropped
-    /// unprocessed (counted, but invisible to nodes, time, and RNG).
-    fn discard_if_stale(&mut self, event: &Event) -> bool {
-        if let Event::Timer { token, .. } = event {
-            if !self.slots.is_live(*token) {
+    /// Returns the popped event if it is due for dispatch. A timer entry
+    /// whose token is dead, or whose slot is disarmed, is dropped
+    /// unprocessed (counted, but invisible to nodes, time, and RNG); one
+    /// whose slot was re-armed to a later key is pushed again at exactly
+    /// that key.
+    fn settle_timer(&mut self, at: SimTime, seq: u64, event: Event) -> Option<Event> {
+        let Event::Timer { token, .. } = &event else { return Some(event) };
+        let token = *token;
+        let Some(slot) = self.slots.live_mut(token) else {
+            self.stats.stale_timer_pops += 1;
+            return None;
+        };
+        match slot.due {
+            Some(due) if due == (at.as_nanos(), seq) => Some(event),
+            Some((due_at, due_seq)) => {
+                debug_assert!((due_at, due_seq) > (at.as_nanos(), seq), "a slot's entry runs ahead of its key");
+                slot.queued_at = due_at;
+                self.stats.scheduled += 1;
+                self.queue.push(SimTime(due_at), due_seq, event);
+                None
+            }
+            None => {
+                self.slots.retire(token);
                 self.stats.stale_timer_pops += 1;
-                return true;
+                None
             }
         }
-        false
+    }
+
+    /// Checks the timer slots against the queue: no slot is on the free
+    /// list twice, so free plus live slots make up the table; every live
+    /// slot has exactly one queued entry, whose time is the slot's
+    /// `queued_at` and whose key is not later than the slot's recorded
+    /// firing key; and no entry carries a free slot's current
+    /// generation. Also checks that the queue's tiers hold `len`
+    /// entries. Call it between runs, not from a handler. Returns the
+    /// first violation.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let table = &self.slots.slots;
+        let mut free = vec![false; table.len()];
+        for &slot in &self.slots.free {
+            let seen = free.get_mut(slot as usize).ok_or(format!("free slot {slot} out of range"))?;
+            if std::mem::replace(seen, true) {
+                return Err(format!("slot {slot} is free twice"));
+            }
+        }
+        let mut entries = vec![0u32; table.len()];
+        let mut queued = 0;
+        for (at, seq, event) in self.queue.iter() {
+            queued += 1;
+            let Event::Timer { token, .. } = event else { continue };
+            let i = token.slot as usize;
+            let slot = table.get(i).ok_or(format!("entry for unknown slot {i}"))?;
+            if slot.gen != token.gen {
+                continue; // a dead token's entry, discarded when it pops
+            }
+            if free[i] {
+                return Err(format!("free slot {i} has an entry with its current generation"));
+            }
+            entries[i] += 1;
+            if at.as_nanos() != slot.queued_at {
+                return Err(format!("slot {i}: entry at {} but queued_at {}", at.as_nanos(), slot.queued_at));
+            }
+            if slot.due.is_some_and(|due| (at.as_nanos(), seq) > due) {
+                return Err(format!("slot {i}: entry ({}, {seq}) is later than its key {:?}", at.as_nanos(), slot.due));
+            }
+        }
+        if queued != self.queue.len() {
+            return Err(format!("queue tiers hold {queued} entries, len is {}", self.queue.len()));
+        }
+        match (0..table.len()).find(|&i| !free[i] && entries[i] != 1) {
+            Some(i) => Err(format!("live slot {i} has {} queued entries", entries[i])),
+            None => Ok(()),
+        }
     }
 
     /// Dispatches one event to its node, link or fault handler.
@@ -852,15 +994,20 @@ impl Sim {
             stats: &mut self.stats,
             metrics: &mut self.metrics,
             ids: self.engine_ids,
+            seq_base: self.seq,
             emitted: std::mem::take(&mut self.scratch_emitted),
         };
         f(node.as_mut(), &mut ctx);
         let mut emitted = std::mem::take(&mut ctx.emitted);
         self.world.nodes[id.0] = Some(node);
+        // Every emission takes the next `seq`, a re-arm too: its key was
+        // recorded at the call, and the entry it reuses is already queued.
         for (at, event) in emitted.drain(..) {
             self.seq += 1;
-            self.stats.scheduled += 1;
-            self.queue.push(at, self.seq, event);
+            if let Some(event) = event {
+                self.stats.scheduled += 1;
+                self.queue.push(at, self.seq, event);
+            }
         }
         // Hand the (now empty) buffer back for the next dispatch.
         self.scratch_emitted = emitted;
@@ -1043,6 +1190,68 @@ mod tests {
         assert_eq!(stats.timers_cancelled, 2);
         assert_eq!(stats.stale_timer_pops, 2);
         assert_eq!(stats.dispatched, 3, "only the live timers are dispatched");
+    }
+
+    #[test]
+    fn rearm_reuses_the_queued_entry() {
+        /// Runs `script` at start; logs each firing as `(ms, token)`.
+        struct Rearm {
+            script: fn(&mut Ctx),
+            fired: Vec<(u64, u64)>,
+        }
+        impl Node for Rearm {
+            fn start(&mut self, ctx: &mut Ctx) {
+                (self.script)(ctx);
+            }
+            fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
+            fn handle_timer(&mut self, t: TimerHandle, ctx: &mut Ctx) {
+                self.fired.push((ctx.now.as_nanos() / 1_000_000, t.token));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        fn run(script: fn(&mut Ctx)) -> (Vec<(u64, u64)>, SimStats) {
+            let mut sim = Sim::new(0);
+            let n = sim.world.add_node(Box::new(Rearm { script, fired: vec![] }));
+            assert!(sim.run_to_quiescence(100).is_quiescent());
+            sim.check_invariants().expect("timer slots consistent");
+            (sim.world.node::<Rearm>(n).unwrap().fired.clone(), sim.stats())
+        }
+        const H: TimerHandle = TimerHandle { owner: TimerOwner::Node, token: 1 };
+
+        // Later re-arms keep the token and queue nothing; the entry is
+        // pushed on once, to the last key, when it pops at 10 ms.
+        let (fired, st) = run(|ctx| {
+            let t = ctx.set_timer(SimDuration::from_millis(10), H);
+            assert_eq!(ctx.rearm_timer(t, SimDuration::from_millis(20), H), t);
+            assert_eq!(ctx.rearm_timer(t, SimDuration::from_millis(30), H), t);
+        });
+        assert_eq!(fired, vec![(30, 1)]);
+        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (2, 1, 0, 0));
+
+        // An earlier time is cancel-and-set: a new token, one dead entry.
+        let (fired, st) = run(|ctx| {
+            let t = ctx.set_timer(SimDuration::from_millis(10), H);
+            assert_ne!(ctx.rearm_timer(t, SimDuration::from_millis(5), H), t);
+        });
+        assert_eq!(fired, vec![(5, 1)]);
+        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (2, 1, 1, 1));
+
+        // A disarmed timer's entry pops stale; re-arming it revives it.
+        let (fired, st) = run(|ctx| {
+            let t = ctx.set_timer(SimDuration::from_millis(10), H);
+            assert!(ctx.disarm_timer(t));
+            assert!(!ctx.disarm_timer(t), "already disarmed");
+            let u = ctx.set_timer(SimDuration::from_millis(10), TimerHandle { token: 2, ..H });
+            assert!(ctx.disarm_timer(u));
+            assert_eq!(ctx.rearm_timer(u, SimDuration::from_millis(15), TimerHandle { token: 2, ..H }), u);
+        });
+        assert_eq!(fired, vec![(15, 2)]);
+        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (3, 1, 0, 1));
     }
 
     #[test]

@@ -10,10 +10,20 @@
 //! the multiply-rotate hash used by rustc (`FxHasher`): a few cycles
 //! per key, no per-process state, identical across runs.
 //!
-//! Not DoS-resistant by design; never use it for attacker-controlled
-//! keys.
+//! Not DoS-resistant by design. That is safe for every map in the
+//! workspace, including ones keyed by what a simulated attacker sends
+//! (the HIP shim's per-SPI rate limiter): a simulated peer cannot
+//! hash-flood the real process, and its keys are as deterministic as
+//! everything else in the run. Keep it out of code that hashes input
+//! from outside the simulation.
+//!
+//! `clippy.toml` at the workspace root disallows the std `HashMap` and
+//! `HashSet`, so every map and set in the workspace is one of the
+//! aliases below.
 
-use std::collections::HashMap;
+#![allow(clippy::disallowed_types, reason = "the Fx aliases are defined over the std types")]
+
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The rustc-FxHash multiplier (derived from the golden ratio, chosen
@@ -80,6 +90,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// A `HashSet` keyed with [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -18,6 +18,7 @@
 use crate::addr::{is_identity, select_source};
 use crate::cpu::CpuModel;
 use crate::engine::{Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERNAL};
+use crate::fx::FxHashMap;
 use crate::link::LinkId;
 use crate::packet::{
     proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram,
@@ -27,7 +28,7 @@ use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::IpAddr;
 
 /// Events delivered to applications.
@@ -139,12 +140,12 @@ pub struct HostCore {
     pub teredo: Option<TeredoClient>,
     /// Identity addresses (HIT/LSI) registered by the shim.
     virtual_addrs: Vec<IpAddr>,
-    icmp_owner: HashMap<u16, usize>,
+    icmp_owner: FxHashMap<u16, usize>,
     app_events: VecDeque<(usize, AppEvent)>,
     upper_out: VecDeque<Packet>,
-    /// Live engine timer per TCP socket token, so obsoleted retransmission
-    /// timers are cancelled instead of popping stale.
-    tcp_timer_tokens: HashMap<u64, TimerToken>,
+    /// The engine timer of each TCP socket slot, re-armed in place on
+    /// every ACK instead of queuing a new timer per arm.
+    tcp_timer_tokens: Vec<Option<TimerToken>>,
 }
 
 impl HostCore {
@@ -158,10 +159,10 @@ impl HostCore {
             cpu: CpuModel::default(),
             teredo: None,
             virtual_addrs: Vec::new(),
-            icmp_owner: HashMap::new(),
+            icmp_owner: FxHashMap::default(),
             app_events: VecDeque::new(),
             upper_out: VecDeque::new(),
-            tcp_timer_tokens: HashMap::new(),
+            tcp_timer_tokens: Vec::new(),
         }
     }
 
@@ -334,18 +335,30 @@ impl HostCore {
         for (app, ev) in self.tcp.events.drain(..) {
             self.app_events.push_back((app, AppEvent::Tcp(ev)));
         }
-        // Cancels first: a cancel-then-rearm sequence emitted within one
-        // dispatch must leave the rearm live (see `TcpLayer::cancel_reqs`).
-        for token in self.tcp.cancel_reqs.drain(..) {
-            if let Some(t) = self.tcp_timer_tokens.remove(&token) {
+        // Disarms and releases first: a disarm-then-rearm sequence
+        // emitted within one dispatch must leave the rearm live (see
+        // `TcpLayer::cancel_reqs`).
+        for sock in self.tcp.cancel_reqs.drain(..) {
+            if let Some(&Some(t)) = self.tcp_timer_tokens.get(sock as usize) {
+                ctx.disarm_timer(t);
+            }
+        }
+        for sock in self.tcp.released.drain(..) {
+            if let Some(t) = self.tcp_timer_tokens.get_mut(sock as usize).and_then(Option::take) {
                 ctx.cancel_timer(t);
             }
         }
-        for (delay, token) in self.tcp.timer_reqs.drain(..) {
-            let t = ctx.set_timer(delay, TimerHandle { owner: TimerOwner::Tcp, token });
-            if let Some(old) = self.tcp_timer_tokens.insert(token, t) {
-                ctx.cancel_timer(old);
+        for (delay, sock) in self.tcp.timer_reqs.drain(..) {
+            let timer = TimerHandle { owner: TimerOwner::Tcp, token: sock };
+            let i = sock as usize;
+            if i >= self.tcp_timer_tokens.len() {
+                self.tcp_timer_tokens.resize(i + 1, None);
             }
+            let slot = &mut self.tcp_timer_tokens[i];
+            *slot = Some(match *slot {
+                Some(t) => ctx.rearm_timer(t, delay, timer),
+                None => ctx.set_timer(delay, timer),
+            });
         }
         if !self.tcp.metric_evs.is_empty() {
             let m = ctx.metrics();
@@ -369,6 +382,7 @@ impl HostCore {
             || !self.tcp.events.is_empty()
             || !self.tcp.timer_reqs.is_empty()
             || !self.tcp.cancel_reqs.is_empty()
+            || !self.tcp.released.is_empty()
             || !self.udp.out.is_empty()
     }
 }
@@ -397,7 +411,7 @@ fn prefix_match(addr: &IpAddr, prefix: &IpAddr, len: u8) -> bool {
 /// The UDP layer: port bindings and an output queue.
 #[derive(Default)]
 pub struct UdpLayer {
-    bindings: HashMap<u16, usize>,
+    bindings: FxHashMap<u16, usize>,
     /// Outgoing datagrams for the host to flush.
     pub out: Vec<Packet>,
 }
@@ -642,7 +656,7 @@ impl Node for Host {
             app.reset();
         }
         let core = &mut self.core;
-        for (_, t) in core.tcp_timer_tokens.drain() {
+        for t in core.tcp_timer_tokens.drain(..).flatten() {
             ctx.cancel_timer(t);
         }
         // A crash loses all transport state: fresh TCP layer
@@ -671,10 +685,12 @@ impl Node for Host {
     fn handle_timer(&mut self, timer: TimerHandle, ctx: &mut Ctx) {
         match timer.owner {
             TimerOwner::Tcp => {
-                // Any TCP timer that reaches us is the socket's live one
-                // (obsoleted ones were cancelled when replaced); drop the
-                // mapping before `on_timer` so a rearm installs fresh.
-                self.core.tcp_timer_tokens.remove(&timer.token);
+                // Any TCP timer that reaches us is the socket's live one,
+                // and the engine retired its token before dispatch: drop
+                // it before `on_timer` so a rearm sets a fresh one.
+                if let Some(t) = self.core.tcp_timer_tokens.get_mut(timer.token as usize) {
+                    *t = None;
+                }
                 let now = ctx.now;
                 self.core.tcp.on_timer(timer.token, now);
             }

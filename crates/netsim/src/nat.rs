@@ -15,11 +15,11 @@
 //!   only that remote may reply (breaks Teredo's relay hairpin).
 
 use crate::engine::{Ctx, Node, TimerHandle, TimerOwner};
+use crate::fx::FxHashMap;
 use crate::link::LinkId;
 use crate::packet::{Packet, Payload};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// NAT mapping behaviour.
@@ -56,9 +56,9 @@ pub struct Nat {
     inside: LinkId,
     outside: LinkId,
     /// Outbound flow → external port.
-    mappings: HashMap<FlowKey, u16>,
+    mappings: FxHashMap<FlowKey, u16>,
     /// External port → mapping state.
-    by_port: HashMap<(u8, u16), Mapping>,
+    by_port: FxHashMap<(u8, u16), Mapping>,
     next_port: u16,
     /// Idle timeout after which mappings are garbage collected.
     pub mapping_timeout: SimDuration,
@@ -76,8 +76,8 @@ impl Nat {
             kind,
             inside: LinkId(usize::MAX),
             outside: LinkId(usize::MAX),
-            mappings: HashMap::new(),
-            by_port: HashMap::new(),
+            mappings: FxHashMap::default(),
+            by_port: FxHashMap::default(),
             next_port: 40000,
             mapping_timeout: SimDuration::from_secs(120),
             dropped: 0,

@@ -358,6 +358,17 @@ impl<T> CalendarQueue<T> {
         self.peek_until(SimTime(u64::MAX))
     }
 
+    /// Every queued event, key plus a borrow of the item, in no
+    /// particular order (for invariant checks).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
+        let wheel = self.wheel.iter().flatten();
+        let overflow = self.overflow.iter().map(|Reverse(e)| e);
+        self.cur.iter().chain(wheel).chain(overflow).map(|e| {
+            let item = self.items[e.slot as usize].as_ref().expect("queued slot holds its item");
+            (SimTime(e.at), e.seq, item)
+        })
+    }
+
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         if !self.advance(u64::MAX) {

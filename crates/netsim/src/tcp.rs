@@ -245,13 +245,21 @@ pub struct TcpLayer {
     /// Application events accumulated for the host to dispatch.
     pub events: Vec<(usize, TcpEvent)>,
     /// Timer requests `(delay, token)` the host must arm (owner = Tcp).
+    /// Each socket has one engine timer, which the host re-arms
+    /// ([`crate::Ctx::rearm_timer`]) rather than queuing a new one per
+    /// request.
     pub timer_reqs: Vec<(SimDuration, u64)>,
     /// Tokens whose pending engine timer is no longer needed; the host
-    /// cancels these *before* arming `timer_reqs` so a cancel-then-rearm
-    /// sequence inside one dispatch leaves the rearm live. (An arm that is
-    /// later obsoleted in the same dispatch merely pops stale — the
-    /// per-socket deadline checks in `on_timer` remain the backstop.)
+    /// disarms these ([`crate::Ctx::disarm_timer`]) *before* arming
+    /// `timer_reqs`, so a disarm-then-rearm sequence inside one
+    /// dispatch leaves the rearm live and reuses the queued entry. (An
+    /// arm obsoleted later in the same dispatch just fires into the
+    /// per-socket deadline checks in `on_timer`, the backstop.)
     pub cancel_reqs: Vec<u64>,
+    /// Tokens of sockets released since the host last drained this;
+    /// the host cancels their engine timers and forgets them, since the
+    /// token may name a new socket next.
+    pub released: Vec<u64>,
     /// Metric observations for the host to fold into the registry
     /// (drained each pump; purely observational).
     pub metric_evs: Vec<TcpMetric>,
@@ -287,6 +295,7 @@ impl TcpLayer {
             events: Vec::new(),
             timer_reqs: Vec::new(),
             cancel_reqs: Vec::new(),
+            released: Vec::new(),
             metric_evs: Vec::new(),
         }
     }
@@ -733,7 +742,7 @@ impl TcpLayer {
             if self.last_flow.is_some_and(|(_, hint_id)| hint_id == id) {
                 self.last_flow = None;
             }
-            self.cancel_reqs.push(id.0 as u64);
+            self.released.push(id.0 as u64);
         }
         if let Some(slot) = self.sockets.get_mut(id.0) {
             *slot = None;

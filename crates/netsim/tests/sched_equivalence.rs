@@ -9,12 +9,12 @@
 //! interleaves `peek`/`peek_key`/`peek_until` with the pushes, as the
 //! engine's `run_until` does.
 
+use netsim::fx::FxHashSet;
 use netsim::sched::{CalendarQueue, DEFAULT_NBUCKETS_LOG2, DEFAULT_WIDTH_LOG2};
 use netsim::SimTime;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 /// Reference model: the old scheduler, a min-heap on `(time, seq)`.
 #[derive(Default)]
@@ -183,7 +183,7 @@ proptest! {
     ) {
         let mut cal: CalendarQueue<u64> = CalendarQueue::new();
         let mut reference = RefHeap::default();
-        let mut cancelled: HashSet<u64> = HashSet::new();
+        let mut cancelled: FxHashSet<u64> = FxHashSet::default();
         let mut live: Vec<u64> = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;

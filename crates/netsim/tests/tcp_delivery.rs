@@ -87,6 +87,9 @@ fn check_tcp(sim: &Sim, node: NodeId) {
     if let Err(e) = h.core.tcp.check_invariants() {
         panic!("{node:?} at {:?}: {e}", sim.now());
     }
+    if let Err(e) = sim.check_invariants() {
+        panic!("at {:?}: {e}", sim.now());
+    }
 }
 
 /// Runs one transfer for 400 simulated seconds, checking both hosts'

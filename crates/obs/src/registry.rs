@@ -10,7 +10,7 @@
 
 use crate::hist::Histogram;
 use crate::json;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Handle to a pre-registered counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, i64)>,
     hists: Vec<(String, Histogram)>,
-    by_name: HashMap<String, Slot>,
+    by_name: BTreeMap<String, Slot>,
 }
 
 #[derive(Clone, Copy)]

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(clippy::disallowed_types, reason = "`hash_set` yields the std `HashSet`, as the real proptest does")]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

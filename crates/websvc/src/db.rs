@@ -11,12 +11,12 @@
 
 use crate::rubis::{execute, Query, RubisData, CACHE_HIT_COST};
 use crate::secure::{Channel, Conn};
+use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
 use sim_crypto::rsa::RsaKeyPair;
 use std::any::Any;
-use std::collections::HashMap;
 use tls_sim::{Certificate, TlsCosts};
 
 /// Length-prefixed frame parser (`u32 BE length | payload`).
@@ -92,10 +92,10 @@ struct DbConn {
 pub struct DbServerApp {
     port: u16,
     data: RubisData,
-    cache: Option<HashMap<String, String>>,
+    cache: Option<FxHashMap<String, String>>,
     security: ServerSecurity,
-    conns: HashMap<SockId, DbConn>,
-    pending: HashMap<u64, (SockId, Vec<u8>)>,
+    conns: FxHashMap<SockId, DbConn>,
+    pending: FxHashMap<u64, (SockId, Vec<u8>)>,
     next_token: u64,
     /// Counters.
     pub stats: DbStats,
@@ -108,10 +108,10 @@ impl DbServerApp {
         DbServerApp {
             port,
             data,
-            cache: query_cache.then(HashMap::new),
+            cache: query_cache.then(FxHashMap::default),
             security,
-            conns: HashMap::new(),
-            pending: HashMap::new(),
+            conns: FxHashMap::default(),
+            pending: FxHashMap::default(),
             next_token: 0,
             stats: DbStats::default(),
         }

@@ -14,11 +14,11 @@
 
 use crate::http::{HttpRequest, ResponseParser};
 use crate::rubis::WorkloadMix;
+use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime, SockId};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Latency accumulator.
@@ -135,7 +135,7 @@ struct JmeterSession {
 pub struct JmeterApp {
     target: (IpAddr, u16),
     sessions: Vec<JmeterSession>,
-    by_sock: HashMap<SockId, usize>,
+    by_sock: FxHashMap<SockId, usize>,
     mix: WorkloadMix,
     users: u32,
     items: u32,
@@ -172,7 +172,7 @@ impl JmeterApp {
                     outstanding: false,
                 })
                 .collect(),
-            by_sock: HashMap::new(),
+            by_sock: FxHashMap::default(),
             mix,
             users,
             items,
@@ -329,7 +329,7 @@ pub struct HttperfApp {
     mix: WorkloadMix,
     users: u32,
     items: u32,
-    conns: HashMap<SockId, HttperfConn>,
+    conns: FxHashMap<SockId, HttperfConn>,
     /// Stop issuing after this many requests (0 = unlimited).
     pub max_requests: u64,
     issued: u64,
@@ -355,7 +355,7 @@ impl HttperfApp {
             mix,
             users,
             items,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             max_requests: 0,
             issued: 0,
             measure_from: SimTime::ZERO,
@@ -632,7 +632,7 @@ pub struct PingApp {
     /// Wait this long before the first echo request.
     pub start_delay: SimDuration,
     sent: u16,
-    in_flight: HashMap<u16, SimTime>,
+    in_flight: FxHashMap<u16, SimTime>,
     /// RTT samples.
     pub rtts: LatencyStats,
     /// Echo replies received.
@@ -650,7 +650,7 @@ impl PingApp {
             payload_len: 56,
             start_delay: SimDuration::ZERO,
             sent: 0,
-            in_flight: HashMap::new(),
+            in_flight: FxHashMap::default(),
             rtts: LatencyStats::default(),
             received: 0,
         }

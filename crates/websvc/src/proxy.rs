@@ -32,11 +32,12 @@
 
 use crate::http::{HttpResponse, RequestParser, ResponseParser};
 use crate::secure::{Channel, Conn};
+use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime, SockId};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::IpAddr;
 use tls_sim::TlsCosts;
 
@@ -160,10 +161,10 @@ pub struct ProxyApp {
     backends: Vec<Backend>,
     security: BackendSecurity,
     rr: usize,
-    clients: HashMap<SockId, ClientSide>,
-    backend_conns: HashMap<SockId, BackendSide>,
+    clients: FxHashMap<SockId, ClientSide>,
+    backend_conns: FxHashMap<SockId, BackendSide>,
     /// Probe socket → (backend index, connect deadline).
-    probes: HashMap<SockId, (usize, SimTime)>,
+    probes: FxHashMap<SockId, (usize, SimTime)>,
     retries: Vec<PendingRetry>,
     /// Bumped on crash reset so stale timers from a previous boot are
     /// ignored (app timers are never cancelled and may outlive a crash).
@@ -188,9 +189,9 @@ impl ProxyApp {
                 .collect(),
             security,
             rr: 0,
-            clients: HashMap::new(),
-            backend_conns: HashMap::new(),
-            probes: HashMap::new(),
+            clients: FxHashMap::default(),
+            backend_conns: FxHashMap::default(),
+            probes: FxHashMap::default(),
             retries: Vec::new(),
             epoch: 0,
         }

@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn mix_sampling_covers_interactions() {
         let m = WorkloadMix::default();
-        let mut kinds = std::collections::HashSet::new();
+        let mut kinds = netsim::fx::FxHashSet::default();
         for i in 0..1000 {
             let q = m.sample(100, 100, i as f64 / 1000.0, i * 31);
             kinds.insert(std::mem::discriminant(&q));

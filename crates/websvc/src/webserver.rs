@@ -11,11 +11,12 @@ use crate::db::{frame, FrameParser, ServerSecurity};
 use crate::http::{HttpRequest, HttpResponse, RequestParser};
 use crate::rubis::Query;
 use crate::secure::{Channel, Conn};
+use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::IpAddr;
 use tls_sim::TlsCosts;
 
@@ -97,13 +98,13 @@ struct DbLink {
 /// The web server application.
 pub struct WebServerApp {
     config: WebConfig,
-    clients: HashMap<SockId, ClientConn>,
+    clients: FxHashMap<SockId, ClientConn>,
     db_links: Vec<SockId>,
-    db_state: HashMap<SockId, DbLink>,
+    db_state: FxHashMap<SockId, DbLink>,
     /// Queries waiting for a DB link to come up.
     backlog: VecDeque<(SockId, Query)>,
     rr: usize,
-    pending: HashMap<u64, (SockId, Vec<u8>)>,
+    pending: FxHashMap<u64, (SockId, Vec<u8>)>,
     next_token: u64,
     /// A pool-refill timer is already scheduled.
     reconnect_pending: bool,
@@ -121,12 +122,12 @@ impl WebServerApp {
     pub fn new(config: WebConfig) -> Self {
         WebServerApp {
             config,
-            clients: HashMap::new(),
+            clients: FxHashMap::default(),
             db_links: Vec::new(),
-            db_state: HashMap::new(),
+            db_state: FxHashMap::default(),
             backlog: VecDeque::new(),
             rr: 0,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_token: 0,
             reconnect_pending: false,
             stats: WebStats::default(),
