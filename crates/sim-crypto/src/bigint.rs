@@ -223,7 +223,8 @@ impl BigUint {
 
     /// Subtraction that panics on underflow.
     pub fn sub(&self, other: &Self) -> Self {
-        self.checked_sub(other).expect("BigUint subtraction underflow")
+        self.checked_sub(other)
+            .expect("BigUint subtraction underflow")
     }
 
     /// Magnitude comparison.
@@ -394,7 +395,9 @@ impl BigUint {
 
         let mut q = BigUint { limbs: q_limbs };
         q.normalize();
-        let mut r = BigUint { limbs: un[..n].to_vec() };
+        let mut r = BigUint {
+            limbs: un[..n].to_vec(),
+        };
         r.normalize();
         (q, r.shr(shift))
     }
@@ -499,7 +502,11 @@ impl BigUint {
             return None;
         }
         let inv = old_s.rem(m);
-        Some(if old_neg && !inv.is_zero() { m.sub(&inv) } else { inv })
+        Some(if old_neg && !inv.is_zero() {
+            m.sub(&inv)
+        } else {
+            inv
+        })
     }
 
     /// Uniform random value in `[0, bound)` (rejection sampling).
@@ -575,7 +582,11 @@ impl MontgomeryCtx {
         let n = m.limbs.len();
         // R^2 mod m computed by shifting.
         let r2 = BigUint::one().shl(2 * 64 * n).rem(m);
-        MontgomeryCtx { m: m.limbs.clone(), m_inv, r2 }
+        MontgomeryCtx {
+            m: m.limbs.clone(),
+            m_inv,
+            r2,
+        }
     }
 
     /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod m` where
@@ -645,7 +656,9 @@ impl MontgomeryCtx {
     fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let n = self.m.len();
         let m_big = {
-            let mut b = BigUint { limbs: self.m.clone() };
+            let mut b = BigUint {
+                limbs: self.m.clone(),
+            };
             b.normalize();
             b
         };
@@ -700,7 +713,10 @@ mod tests {
     #[test]
     fn bytes_round_trip() {
         let n = BigUint::from_bytes_be(&[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09]);
-        assert_eq!(n.to_bytes_be(), vec![0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09]);
+        assert_eq!(
+            n.to_bytes_be(),
+            vec![0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09]
+        );
         // Leading zeros are dropped.
         let n2 = BigUint::from_bytes_be(&[0x00, 0x00, 0xff]);
         assert_eq!(n2.to_bytes_be(), vec![0xff]);
@@ -795,7 +811,11 @@ mod tests {
         let mut rng = rng();
         for _ in 0..30 {
             let m = BigUint::random_exact_bits(&mut rng, 128);
-            let m = if m.is_even() { m.add(&BigUint::one()) } else { m };
+            let m = if m.is_even() {
+                m.add(&BigUint::one())
+            } else {
+                m
+            };
             let b = BigUint::random_below(&mut rng, &m);
             let e = BigUint::from_u64(rng.random_range(0..50));
             // naive repeated multiply
@@ -823,8 +843,9 @@ mod tests {
     #[test]
     fn modinv_randomized() {
         let mut rng = rng();
-        let p = BigUint::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .unwrap(); // P-256 prime
+        let p =
+            BigUint::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
+                .unwrap(); // P-256 prime
         for _ in 0..50 {
             let a = BigUint::random_below(&mut rng, &p);
             if a.is_zero() {
@@ -841,7 +862,10 @@ mod tests {
             BigUint::from_u64(48).gcd(&BigUint::from_u64(18)),
             BigUint::from_u64(6)
         );
-        assert_eq!(BigUint::from_u64(7).gcd(&BigUint::from_u64(13)), BigUint::one());
+        assert_eq!(
+            BigUint::from_u64(7).gcd(&BigUint::from_u64(13)),
+            BigUint::one()
+        );
     }
 
     #[test]

@@ -92,7 +92,11 @@ impl DhKeyPair {
             }
         };
         let public = group.generator().modpow(&private, &p);
-        DhKeyPair { group, private, public }
+        DhKeyPair {
+            group,
+            private,
+            public,
+        }
     }
 
     /// The group this key pair lives in.

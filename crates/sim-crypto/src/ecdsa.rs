@@ -33,22 +33,14 @@ enum Point {
 fn curve() -> &'static Curve {
     static CURVE: OnceLock<Curve> = OnceLock::new();
     CURVE.get_or_init(|| Curve {
-        p: BigUint::from_hex(
-            "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
-        )
-        .unwrap(),
-        a: BigUint::from_hex(
-            "ffffffff00000001000000000000000000000000fffffffffffffffffffffffc",
-        )
-        .unwrap(),
-        b: BigUint::from_hex(
-            "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b",
-        )
-        .unwrap(),
-        n: BigUint::from_hex(
-            "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551",
-        )
-        .unwrap(),
+        p: BigUint::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
+            .unwrap(),
+        a: BigUint::from_hex("ffffffff00000001000000000000000000000000fffffffffffffffffffffffc")
+            .unwrap(),
+        b: BigUint::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
+            .unwrap(),
+        n: BigUint::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+            .unwrap(),
         g: Point::Affine {
             x: BigUint::from_hex(
                 "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
@@ -87,7 +79,8 @@ impl Curve {
                 // lambda = (y2 - y1) / (x2 - x1)
                 let num = self.mod_sub(y2, y1);
                 let den = self.mod_sub(x2, x1);
-                let lambda = num.mulmod(&den.modinv(&self.p).expect("nonzero denominator"), &self.p);
+                let lambda =
+                    num.mulmod(&den.modinv(&self.p).expect("nonzero denominator"), &self.p);
                 self.chord(&lambda, x1, y1, x2)
             }
         }
@@ -178,7 +171,10 @@ impl EcdsaKeyPair {
             }
         };
         let point = c.mul(&d, &c.g);
-        EcdsaKeyPair { d, public: EcdsaPublicKey { point } }
+        EcdsaKeyPair {
+            d,
+            public: EcdsaPublicKey { point },
+        }
     }
 
     /// The public half.
@@ -197,7 +193,9 @@ impl EcdsaKeyPair {
                     break k;
                 }
             };
-            let Point::Affine { x, .. } = c.mul(&k, &c.g) else { continue };
+            let Point::Affine { x, .. } = c.mul(&k, &c.g) else {
+                continue;
+            };
             let r = x.rem(&c.n);
             if r.is_zero() {
                 continue;
@@ -229,7 +227,9 @@ impl EcdsaPublicKey {
             return false;
         }
         let z = BigUint::from_bytes_be(&sha256(message)).rem(&c.n);
-        let Some(s_inv) = s.modinv(&c.n) else { return false };
+        let Some(s_inv) = s.modinv(&c.n) else {
+            return false;
+        };
         let u1 = z.mulmod(&s_inv, &c.n);
         let u2 = r.mulmod(&s_inv, &c.n);
         let point = c.add(&c.mul(&u1, &c.g), &c.mul(&u2, &self.point));
@@ -373,7 +373,10 @@ mod tests {
     fn zero_signature_rejected() {
         let mut r = rng();
         let kp = EcdsaKeyPair::generate(&mut r);
-        let zero = EcdsaSignature { r: BigUint::zero(), s: BigUint::zero() };
+        let zero = EcdsaSignature {
+            r: BigUint::zero(),
+            s: BigUint::zero(),
+        };
         assert!(!kp.public().verify(b"m", &zero));
     }
 }

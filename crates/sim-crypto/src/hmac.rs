@@ -73,12 +73,19 @@ impl HmacKey {
     /// has absorbed the ipad block and the whole message.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) fn finish(&self, inner: Sha256) -> [u8; DIGEST_LEN] {
-        HmacSha256 { inner, outer: self.outer.clone() }.finalize()
+        HmacSha256 {
+            inner,
+            outer: self.outer.clone(),
+        }
+        .finalize()
     }
 
     /// Starts an incremental MAC from the cached midstates.
     pub fn begin(&self) -> HmacSha256 {
-        HmacSha256 { inner: self.inner.clone(), outer: self.outer.clone() }
+        HmacSha256 {
+            inner: self.inner.clone(),
+            outer: self.outer.clone(),
+        }
     }
 }
 
@@ -192,7 +199,10 @@ mod tests {
     #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
-        let mac = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
+        let mac = hmac_sha256(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+        );
         assert_eq!(
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"

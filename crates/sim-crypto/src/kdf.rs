@@ -19,8 +19,19 @@ use crate::sha256::{sha256_multi, DIGEST_LEN};
 ///
 /// `kij` is the DH shared secret, `hit_a`/`hit_b` the two HITs (sorted
 /// numerically here, as the RFC requires), `i`/`j` the puzzle values.
-pub fn keymat(kij: &[u8], hit_a: &[u8; 16], hit_b: &[u8; 16], i: u64, j: u64, out_len: usize) -> Vec<u8> {
-    let (lo, hi) = if hit_a <= hit_b { (hit_a, hit_b) } else { (hit_b, hit_a) };
+pub fn keymat(
+    kij: &[u8],
+    hit_a: &[u8; 16],
+    hit_b: &[u8; 16],
+    i: u64,
+    j: u64,
+    out_len: usize,
+) -> Vec<u8> {
+    let (lo, hi) = if hit_a <= hit_b {
+        (hit_a, hit_b)
+    } else {
+        (hit_b, hit_a)
+    };
     let i_bytes = i.to_be_bytes();
     let j_bytes = j.to_be_bytes();
     let mut out = Vec::with_capacity(out_len + DIGEST_LEN);

@@ -16,8 +16,8 @@ use rand::Rng;
 
 /// The ASN.1 DigestInfo prefix for SHA-256 (PKCS#1 v1.5).
 const SHA256_PREFIX: [u8; 19] = [
-    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
-    0x05, 0x00, 0x04, 0x20,
+    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01, 0x05,
+    0x00, 0x04, 0x20,
 ];
 
 /// An RSA public key `(n, e)`.
@@ -169,7 +169,11 @@ impl RsaPrivateKey {
         } else {
             // (m1 - m2) mod p with borrow from p
             let deficit = m2.sub(&m1).rem(&self.p);
-            if deficit.is_zero() { deficit } else { self.p.sub(&deficit) }
+            if deficit.is_zero() {
+                deficit
+            } else {
+                self.p.sub(&deficit)
+            }
         };
         let h = self.qinv.mulmod(&diff, &self.p);
         m2.add(&h.mul(&self.q))

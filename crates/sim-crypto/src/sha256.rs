@@ -52,7 +52,12 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, buf: [0; BLOCK_LEN], buf_len: 0, total_len: 0 }
+        Sha256 {
+            state: H0,
+            buf: [0; BLOCK_LEN],
+            buf_len: 0,
+            total_len: 0,
+        }
     }
 
     /// Absorbs `data`. After topping up a partly filled buffer, every
@@ -86,7 +91,12 @@ impl Sha256 {
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) fn resume(state: [u32; 8], total_len: u64) -> Self {
         debug_assert!(total_len.is_multiple_of(BLOCK_LEN as u64));
-        Sha256 { state, buf: [0; BLOCK_LEN], buf_len: 0, total_len }
+        Sha256 {
+            state,
+            buf: [0; BLOCK_LEN],
+            buf_len: 0,
+            total_len,
+        }
     }
 
     /// The chaining value after the whole blocks absorbed so far; the
@@ -105,7 +115,11 @@ impl Sha256 {
         let mut tail = [0u8; 2 * BLOCK_LEN];
         tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         tail[self.buf_len] = 0x80;
-        let len = if self.buf_len < BLOCK_LEN - 8 { BLOCK_LEN } else { 2 * BLOCK_LEN };
+        let len = if self.buf_len < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
         tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &tail[..len]);
         let mut out = [0u8; DIGEST_LEN];
@@ -182,9 +196,9 @@ pub(crate) mod ni {
 
     use super::{BLOCK_LEN, K};
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
     };
 
     /// Proof that the running CPU has SHA-NI and the shuffles it needs.
@@ -248,7 +262,10 @@ pub(crate) mod ni {
         pub(crate) fn from_state(state: &[u32; 8]) -> Self {
             let cdab = _mm_shuffle_epi32(load_words(&state[0..4]), 0xb1);
             let efgh = _mm_shuffle_epi32(load_words(&state[4..8]), 0x1b);
-            Lanes { abef: _mm_alignr_epi8(cdab, efgh, 8), cdgh: _mm_blend_epi16(efgh, cdab, 0xf0) }
+            Lanes {
+                abef: _mm_alignr_epi8(cdab, efgh, 8),
+                cdgh: _mm_blend_epi16(efgh, cdab, 0xf0),
+            }
         }
 
         /// The state words A..H.
@@ -345,7 +362,9 @@ mod tests {
     #[test]
     fn fips_vector_two_blocks() {
         assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            hex(&sha256(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
@@ -384,13 +403,34 @@ mod tests {
         // two-block padding cases (55/56, 119/120) and block ends.
         // Expected digests were computed once with coreutils `sha256sum`.
         const PINNED: [(usize, &str); 7] = [
-            (55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"),
-            (56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"),
-            (63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"),
-            (64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"),
-            (119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"),
-            (120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"),
-            (128, "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6"),
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+            (
+                119,
+                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+            ),
+            (
+                120,
+                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+            ),
+            (
+                128,
+                "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6",
+            ),
         ];
         for (len, digest) in PINNED {
             let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();

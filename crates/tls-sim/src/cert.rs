@@ -62,7 +62,11 @@ impl Certificate {
         let subject = String::from_utf8(take(&mut cur)?.to_vec()).ok()?;
         let public_key = RsaPublicKey::from_bytes(take(&mut cur)?)?;
         let signature = take(&mut cur)?.to_vec();
-        Some(Certificate { subject, public_key, signature })
+        Some(Certificate {
+            subject,
+            public_key,
+            signature,
+        })
     }
 }
 
@@ -74,7 +78,9 @@ pub struct CertificateAuthority {
 impl CertificateAuthority {
     /// Creates a CA with a fresh key of `bits` bits.
     pub fn new(bits: usize, rng: &mut StdRng) -> Self {
-        CertificateAuthority { keys: RsaKeyPair::generate(bits, rng) }
+        CertificateAuthority {
+            keys: RsaKeyPair::generate(bits, rng),
+        }
     }
 
     /// The CA's public key (distributed to clients out of band).
