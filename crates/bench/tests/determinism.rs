@@ -1,9 +1,10 @@
 //! Golden determinism test: the calendar-queue engine must give
 //! bit-identical runs for the same seed. A RUBiS smoke topology (the
 //! HIP scenario, so TCP, the shim, ESP and cancellable timers are all
-//! exercised) is run twice and every observable — completed requests,
-//! event counts, the full `SimStats` block, final virtual time, and the
-//! trace — must match exactly.
+//! exercised; then Basic and SSL) is run twice and every observable —
+//! completed requests, event counts, the full `SimStats` block, final
+//! virtual time, and the trace — must match exactly. Every run ends with
+//! the engine's and each host's TCP invariant checks.
 
 use cloudsim::Flavor;
 use netsim::trace::Trace;
@@ -36,6 +37,15 @@ fn smoke_run_metrics(scenario: Scenario, seed: u64, metrics_on: bool) -> RunFing
     let app = JmeterApp::new(dep.frontend, 16, WorkloadMix::default(), users, items);
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
     dep.topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(4));
+    if let Err(e) = dep.topo.sim.check_invariants() {
+        panic!("engine invariant broken: {e}");
+    }
+    let vms = dep.lb.into_iter().chain(dep.webs.iter().copied()).chain([dep.db, gen_host]);
+    for vm in vms {
+        if let Err(e) = dep.topo.host(vm).core.tcp.check_invariants() {
+            panic!("TCP invariant broken on {vm:?}: {e}");
+        }
+    }
     let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
     RunFingerprint {
         completed: gen.completed,
@@ -68,6 +78,20 @@ fn same_seed_same_run_basic() {
     let a = smoke_run(Scenario::Basic, 11);
     let b = smoke_run(Scenario::Basic, 11);
     assert!(a.completed > 0);
+    assert_eq!(a.completed, b.completed);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.final_time_ns, b.final_time_ns);
+    assert_eq!(a.trace, b.trace);
+}
+
+#[test]
+fn same_seed_same_run_ssl() {
+    // The web tier reaches the DB over TLS, so records are sealed and
+    // opened throughout.
+    let a = smoke_run(Scenario::Ssl, 17);
+    let b = smoke_run(Scenario::Ssl, 17);
+    assert!(a.completed > 0, "smoke run must serve requests");
+    assert_eq!(a.errors, 0);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.final_time_ns, b.final_time_ns);

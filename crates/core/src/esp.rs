@@ -14,8 +14,8 @@ use netsim::packet::{
     EspPacket, IcmpKind, IcmpMessage, Packet, Payload, TcpFlags, TcpSegment, UdpData, UdpDatagram,
 };
 use sim_crypto::aes::{Aes128, BLOCK_LEN};
-use sim_crypto::etm;
 use sim_crypto::hmac::{verify_mac, HmacKey};
+use sim_crypto::{etm, pkcs7};
 use std::net::IpAddr;
 
 /// ICV length: HMAC-SHA-256 truncated to 16 bytes.
@@ -88,18 +88,17 @@ impl EspSa {
         let len = inner_len(payload);
         self.packets += 1;
         self.bytes += len as u64;
-        let pad = BLOCK_LEN - len % BLOCK_LEN;
         // The wire buffer becomes the packet's `Bytes` (its one
         // allocation): IV, then the inner payload encoded straight after
         // it and PKCS#7-padded, then encrypted and MACed in place.
-        let mut wire = Vec::with_capacity(BLOCK_LEN + len + pad);
+        let mut wire = Vec::with_capacity(BLOCK_LEN + pkcs7::padded_len(len));
         // IV derived from seed + seq (unique per packet).
         wire.extend_from_slice(&iv_seed.to_be_bytes());
         wire.extend_from_slice(&self.seq.to_be_bytes());
         wire.extend_from_slice(&[0; 4]);
         encode_inner_into(mode, payload, &mut wire);
         debug_assert_eq!(wire.len(), BLOCK_LEN + len);
-        wire.extend(std::iter::repeat_n(pad as u8, pad));
+        pkcs7::pad(&mut wire, len);
         let mac = etm::seal(&self.cipher, &self.auth, &self.aad(self.seq), &mut wire);
         EspPacket { spi: self.spi, seq: self.seq, ciphertext: Bytes::from(wire), icv: truncate(&mac) }
     }
@@ -138,16 +137,7 @@ impl EspSa {
             return Err(EspError::BadIcv);
         }
         self.check_replay(esp.seq)?;
-        // PKCS#7: the last byte gives the pad length, 1 to 16, and every
-        // pad byte repeats it.
-        let pad = usize::from(self.scratch[self.scratch.len() - 1]);
-        if pad == 0 || pad > BLOCK_LEN {
-            return Err(EspError::BadCiphertext);
-        }
-        let body = self.scratch.len() - pad;
-        if !self.scratch[body..].iter().all(|&b| usize::from(b) == pad) {
-            return Err(EspError::BadCiphertext);
-        }
+        let body = pkcs7::unpad(&self.scratch).ok_or(EspError::BadCiphertext)?;
         self.packets += 1;
         self.bytes += body as u64;
         decode_inner(&self.scratch[..body]).ok_or(EspError::BadInner)

@@ -1,6 +1,7 @@
 //! Encrypt-then-MAC in one pass: AES-128-CBC over a buffer and
-//! HMAC-SHA-256 over `aad | IV | ciphertext`, the construction of the
-//! ESP data plane.
+//! HMAC-SHA-256 over `aad | IV | ciphertext`, the construction that
+//! protects both ESP packets (`aad` = SPI and sequence number) and TLS
+//! records (`aad` = the record sequence number).
 //!
 //! Both functions take `ivct`, the IV followed by whole ciphertext (or,
 //! for [`seal`], plaintext) blocks, and return the full 32-byte MAC of
@@ -24,8 +25,8 @@ use crate::aes::{Aes128, BLOCK_LEN};
 use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
 
-/// Length of the associated data the MAC covers ahead of the IV (the
-/// ESP SPI and sequence number).
+/// Length of the associated data the MAC covers ahead of the IV (ESP's
+/// SPI and sequence number, or a TLS record's sequence number).
 pub const AAD_LEN: usize = 8;
 
 /// CBC-encrypts `ivct[16..]` in place under the IV `ivct[..16]` and

@@ -13,8 +13,9 @@
 //! - [`dh`] — RFC 3526 MODP Diffie–Hellman (the BEX key agreement)
 //! - [`ecdsa`] — P-256 signatures (the HIP ECC extension)
 //! - [`mod@sha256`], [`hmac`] — FIPS 180-4 / RFC 2104
-//! - [`aes`] — AES-128 in CBC mode (ESP + TLS record payloads)
-//! - [`etm`] — AES-CBC encrypt-then-HMAC in one pass (the ESP data plane)
+//! - [`aes`] — AES-128 in CBC mode, and [`pkcs7`] padding
+//! - [`etm`] — AES-CBC encrypt-then-HMAC in one pass (ESP packets and
+//!   TLS records)
 //! - [`kdf`] — HIP KEYMAT (RFC 5201 §6.5) and a TLS-style PRF
 //!
 //! AES-128 and the SHA-256 compression run on the CPU's AES-NI and SHA-NI
@@ -41,6 +42,7 @@ pub mod ecdsa;
 pub mod etm;
 pub mod hmac;
 pub mod kdf;
+pub mod pkcs7;
 pub mod prime;
 pub mod rsa;
 pub mod sha256;
