@@ -30,18 +30,26 @@ pub struct Bytes {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared { buf: Arc<Vec<u8>>, start: usize, end: usize },
+    Shared {
+        buf: Arc<Vec<u8>>,
+        start: usize,
+        end: usize,
+    },
 }
 
 impl Bytes {
     /// An empty buffer (no allocation).
     pub const fn new() -> Self {
-        Bytes { repr: Repr::Static(&[]) }
+        Bytes {
+            repr: Repr::Static(&[]),
+        }
     }
 
     /// Wraps a static slice without copying.
     pub const fn from_static(s: &'static [u8]) -> Self {
-        Bytes { repr: Repr::Static(s) }
+        Bytes {
+            repr: Repr::Static(s),
+        }
     }
 
     /// Copies `s` into a fresh owned buffer.
@@ -74,11 +82,20 @@ impl Bytes {
             Bound::Excluded(&n) => n,
             Bound::Unbounded => len,
         };
-        assert!(begin <= end && end <= len, "slice {begin}..{end} out of range {len}");
+        assert!(
+            begin <= end && end <= len,
+            "slice {begin}..{end} out of range {len}"
+        );
         match &self.repr {
-            Repr::Static(s) => Bytes { repr: Repr::Static(&s[begin..end]) },
+            Repr::Static(s) => Bytes {
+                repr: Repr::Static(&s[begin..end]),
+            },
             Repr::Shared { buf, start, .. } => Bytes {
-                repr: Repr::Shared { buf: buf.clone(), start: start + begin, end: start + end },
+                repr: Repr::Shared {
+                    buf: buf.clone(),
+                    start: start + begin,
+                    end: start + end,
+                },
             },
         }
     }
@@ -105,7 +122,13 @@ impl Default for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Bytes { repr: Repr::Shared { buf: Arc::new(v), start: 0, end } }
+        Bytes {
+            repr: Repr::Shared {
+                buf: Arc::new(v),
+                start: 0,
+                end,
+            },
+        }
     }
 }
 
@@ -253,7 +276,9 @@ impl BytesMut {
 
     /// An empty buffer with room for `cap` bytes.
     pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { buf: Vec::with_capacity(cap) }
+        BytesMut {
+            buf: Vec::with_capacity(cap),
+        }
     }
 
     /// Ensures space for `additional` more bytes.
@@ -295,7 +320,9 @@ impl BytesMut {
     /// crate shares the allocation; here the split takes it, and the
     /// next write grows a fresh one).
     pub fn split(&mut self) -> BytesMut {
-        BytesMut { buf: std::mem::take(&mut self.buf) }
+        BytesMut {
+            buf: std::mem::take(&mut self.buf),
+        }
     }
 
     /// Converts into an immutable `Bytes` without copying.

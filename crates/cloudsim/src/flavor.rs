@@ -91,7 +91,9 @@ mod tests {
         // Now throttled to the 0.35 baseline (probe at the same instant
         // so no new credits accrue).
         let backlog = micro.backlog(t);
-        let d = micro.charge(t, SimDuration::from_millis(35)).saturating_sub(backlog);
+        let d = micro
+            .charge(t, SimDuration::from_millis(35))
+            .saturating_sub(backlog);
         assert_eq!(d, SimDuration::from_millis(100), "35ms work at 0.35 ECU");
     }
 

@@ -54,7 +54,11 @@ pub fn migrate_with_hip(
             }
         });
     });
-    MigrationReport { vm: moved, old_addr, downtime }
+    MigrationReport {
+        vm: moved,
+        old_addr,
+        downtime,
+    }
 }
 
 #[cfg(test)]
@@ -138,14 +142,30 @@ mod tests {
         let peer = topo.launch_vm(private, "peer", Flavor::Micro);
 
         let mut shim_m = hip_core::HipShim::new(id_mover, HipConfig::default());
-        shim_m.add_peer(hit_peer, PeerInfo { locators: vec![peer.addr], via_rvs: None });
+        shim_m.add_peer(
+            hit_peer,
+            PeerInfo {
+                locators: vec![peer.addr],
+                via_rvs: None,
+            },
+        );
         let mut shim_p = hip_core::HipShim::new(id_peer, HipConfig::default());
-        shim_p.add_peer(hit_mover, PeerInfo { locators: vec![mover.addr], via_rvs: None });
+        shim_p.add_peer(
+            hit_mover,
+            PeerInfo {
+                locators: vec![mover.addr],
+                via_rvs: None,
+            },
+        );
 
         {
             let h = topo.host_mut(mover);
             h.set_shim(Box::new(shim_m));
-            h.add_app(Box::new(Chatter { target: hit_peer.to_ip(), sock: None, echoes: 0 }));
+            h.add_app(Box::new(Chatter {
+                target: hit_peer.to_ip(),
+                sock: None,
+                echoes: 0,
+            }));
         }
         {
             let h = topo.host_mut(peer);

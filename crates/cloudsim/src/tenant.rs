@@ -54,7 +54,10 @@ impl TenantRegistry {
 
     /// The tenant owning a HIT, if any.
     pub fn tenant_of(&self, hit: &Hit) -> Option<TenantId> {
-        self.vms.iter().find(|(_, _, h)| h == hit).map(|(t, _, _)| *t)
+        self.vms
+            .iter()
+            .find(|(_, _, h)| h == hit)
+            .map(|(t, _, _)| *t)
     }
 
     /// Builds the intra-tenant firewall for one of `tenant`'s VMs:
@@ -87,7 +90,12 @@ mod tests {
     use netsim::packet::v4;
 
     fn vm(n: usize) -> VmHandle {
-        VmHandle { node: NodeId(n), addr: v4(10, 1, 0, n as u8), link: LinkId(n), cloud: None }
+        VmHandle {
+            node: NodeId(n),
+            addr: v4(10, 1, 0, n as u8),
+            link: LinkId(n),
+            cloud: None,
+        }
     }
 
     #[test]

@@ -93,13 +93,22 @@ impl CloudTopology {
     pub fn add_cloud(&mut self, name: &str, kind: CloudKind) -> CloudId {
         let idx = self.clouds.len();
         let subnet = (idx + 1) as u8;
-        let router = self.sim.world.add_node(Box::new(Router::new(&format!("{name}-router"))));
+        let router = self
+            .sim
+            .world
+            .add_node(Box::new(Router::new(&format!("{name}-router"))));
         // WAN link: cloud router iface 0 ↔ internet.
         let internet_iface;
         let cloud_wan_iface;
         let wan = {
-            let a = Endpoint { node: router, iface: usize::MAX };
-            let b = Endpoint { node: self.internet, iface: usize::MAX };
+            let a = Endpoint {
+                node: router,
+                iface: usize::MAX,
+            };
+            let b = Endpoint {
+                node: self.internet,
+                iface: usize::MAX,
+            };
             self.sim.world.connect(a, b, self.wan_params)
         };
         {
@@ -109,7 +118,11 @@ impl CloudTopology {
             r.add_route(v4(0, 0, 0, 0), 0, cloud_wan_iface);
         }
         {
-            let r = self.sim.world.node_mut::<Router>(self.internet).expect("internet");
+            let r = self
+                .sim
+                .world
+                .node_mut::<Router>(self.internet)
+                .expect("internet");
             internet_iface = r.add_iface(wan);
             r.add_route(v4(10, subnet, 0, 0), 16, internet_iface);
         }
@@ -125,7 +138,9 @@ impl CloudTopology {
             next_host: 2,
             link_params: LinkParams::datacenter(),
         });
-        self.sim.metrics.set_gauge_name("cloud.regions", self.clouds.len() as i64);
+        self.sim
+            .metrics
+            .set_gauge_name("cloud.regions", self.clouds.len() as i64);
         CloudId(idx)
     }
 
@@ -136,14 +151,22 @@ impl CloudTopology {
         let region = &mut self.clouds[cloud.0];
         let hostno = region.next_host;
         region.next_host += 1;
-        let addr = v4(10, region.subnet, (hostno >> 8) as u8, (hostno & 0xff) as u8);
+        let addr = v4(
+            10,
+            region.subnet,
+            (hostno >> 8) as u8,
+            (hostno & 0xff) as u8,
+        );
         let mut host = Host::new(name);
         host.core.cpu = flavor.cpu_model();
         let node = self.sim.world.add_node(Box::new(host));
         let (router, params) = (region.router, region.link_params);
         let link = self.sim.world.connect(
             Endpoint { node, iface: 0 },
-            Endpoint { node: router, iface: usize::MAX }, // fixed below
+            Endpoint {
+                node: router,
+                iface: usize::MAX,
+            }, // fixed below
             params,
         );
         // Router iface registration (iface index = its table position).
@@ -155,10 +178,20 @@ impl CloudTopology {
         };
         // Patch the link endpoint with the real iface index.
         self.patch_link_endpoint(link, router, iface);
-        self.sim.world.node_mut::<Host>(node).expect("host").core.add_iface(link, vec![addr]);
+        self.sim
+            .world
+            .node_mut::<Host>(node)
+            .expect("host")
+            .core
+            .add_iface(link, vec![addr]);
         let total: i64 = self.clouds.iter().map(|c| (c.next_host - 2) as i64).sum();
         self.sim.metrics.set_gauge_name("cloud.vms", total);
-        VmHandle { node, addr, link, cloud: Some(cloud) }
+        VmHandle {
+            node,
+            addr,
+            link,
+            cloud: Some(cloud),
+        }
     }
 
     /// Adds a host on the public internet (client, proxy, Teredo
@@ -172,18 +205,35 @@ impl CloudTopology {
         let node = self.sim.world.add_node(Box::new(host));
         let link = self.sim.world.connect(
             Endpoint { node, iface: 0 },
-            Endpoint { node: self.internet, iface: usize::MAX },
+            Endpoint {
+                node: self.internet,
+                iface: usize::MAX,
+            },
             LinkParams::access(),
         );
         let iface = {
-            let r = self.sim.world.node_mut::<Router>(self.internet).expect("internet");
+            let r = self
+                .sim
+                .world
+                .node_mut::<Router>(self.internet)
+                .expect("internet");
             let iface = r.add_iface(link);
             r.add_route(addr, 32, iface);
             iface
         };
         self.patch_link_endpoint(link, self.internet, iface);
-        self.sim.world.node_mut::<Host>(node).expect("host").core.add_iface(link, vec![addr]);
-        VmHandle { node, addr, link, cloud: None }
+        self.sim
+            .world
+            .node_mut::<Host>(node)
+            .expect("host")
+            .core
+            .add_iface(link, vec![addr]);
+        VmHandle {
+            node,
+            addr,
+            link,
+            cloud: None,
+        }
     }
 
     /// Attaches an arbitrary pre-built node (NAT, Teredo relay, RVS...)
@@ -197,12 +247,22 @@ impl CloudTopology {
     ) -> (NodeId, LinkId) {
         let node = self.sim.world.add_node(node);
         let link = self.sim.world.connect(
-            Endpoint { node, iface: iface_on_node },
-            Endpoint { node: self.internet, iface: usize::MAX },
+            Endpoint {
+                node,
+                iface: iface_on_node,
+            },
+            Endpoint {
+                node: self.internet,
+                iface: usize::MAX,
+            },
             LinkParams::access(),
         );
         let iface = {
-            let r = self.sim.world.node_mut::<Router>(self.internet).expect("internet");
+            let r = self
+                .sim
+                .world
+                .node_mut::<Router>(self.internet)
+                .expect("internet");
             let iface = r.add_iface(link);
             r.add_route(addr, 32, iface);
             iface
@@ -242,11 +302,22 @@ impl CloudTopology {
         let region = &mut self.clouds[to.0];
         let hostno = region.next_host;
         region.next_host += 1;
-        let new_addr = v4(10, region.subnet, (hostno >> 8) as u8, (hostno & 0xff) as u8);
+        let new_addr = v4(
+            10,
+            region.subnet,
+            (hostno >> 8) as u8,
+            (hostno & 0xff) as u8,
+        );
         let (router, params) = (region.router, region.link_params);
         let link = self.sim.world.connect(
-            Endpoint { node: vm.node, iface: 0 },
-            Endpoint { node: router, iface: usize::MAX },
+            Endpoint {
+                node: vm.node,
+                iface: 0,
+            },
+            Endpoint {
+                node: router,
+                iface: usize::MAX,
+            },
             params,
         );
         let iface = {
@@ -262,7 +333,12 @@ impl CloudTopology {
             host.core.replace_iface_addrs(0, vec![new_addr]);
         }
         self.sim.metrics.add_name("cloud.migrations", 1);
-        VmHandle { node: vm.node, addr: new_addr, link, cloud: Some(to) }
+        VmHandle {
+            node: vm.node,
+            addr: new_addr,
+            link,
+            cloud: Some(to),
+        }
     }
 
     /// The internet core router node (for wiring NATs etc. manually).
@@ -288,22 +364,39 @@ impl CloudTopology {
     /// network stack resets and all traffic/timers addressed to it are
     /// discarded until [`CloudTopology::restart_vm`].
     pub fn crash_vm(&mut self, vm: VmHandle, after: SimDuration) {
-        self.sim.schedule_fault(after, netsim::FaultAction::NodeCrash(vm.node));
+        self.sim
+            .schedule_fault(after, netsim::FaultAction::NodeCrash(vm.node));
     }
 
     /// Schedules a restart of a crashed VM `after` from now; its shim
     /// and apps boot afresh (listeners re-open, HIP associations re-run
     /// the base exchange on demand).
     pub fn restart_vm(&mut self, vm: VmHandle, after: SimDuration) {
-        self.sim.schedule_fault(after, netsim::FaultAction::NodeRestart(vm.node));
+        self.sim
+            .schedule_fault(after, netsim::FaultAction::NodeRestart(vm.node));
     }
 
     /// Schedules a loss burst on a VM's access link: for `duration`
     /// starting `after` from now, the link drops packets with
     /// probability `loss`.
-    pub fn loss_burst(&mut self, vm: VmHandle, after: SimDuration, loss: f64, duration: SimDuration) {
-        self.sim.schedule_fault(after, netsim::FaultAction::BurstStart { link: vm.link, loss });
-        self.sim.schedule_fault(after + duration, netsim::FaultAction::BurstEnd { link: vm.link });
+    pub fn loss_burst(
+        &mut self,
+        vm: VmHandle,
+        after: SimDuration,
+        loss: f64,
+        duration: SimDuration,
+    ) {
+        self.sim.schedule_fault(
+            after,
+            netsim::FaultAction::BurstStart {
+                link: vm.link,
+                loss,
+            },
+        );
+        self.sim.schedule_fault(
+            after + duration,
+            netsim::FaultAction::BurstEnd { link: vm.link },
+        );
     }
 }
 
@@ -363,7 +456,10 @@ mod tests {
         let cloud = topo.add_cloud("ec2", CloudKind::Public);
         let a = topo.launch_vm(cloud, "a", Flavor::Micro);
         let b = topo.launch_vm(cloud, "b", Flavor::Micro);
-        topo.host_mut(a).add_app(Box::new(Client { target: b.addr, reply: vec![] }));
+        topo.host_mut(a).add_app(Box::new(Client {
+            target: b.addr,
+            reply: vec![],
+        }));
         topo.host_mut(b).add_app(Box::new(Echo));
         topo.sim.run_until(SimTime(2_000_000_000));
         assert_eq!(topo.host(a).app::<Client>(0).unwrap().reply, b"cross-cloud");
@@ -377,7 +473,10 @@ mod tests {
         let a = topo.launch_vm(public, "a", Flavor::Micro);
         let b = topo.launch_vm(private, "b", Flavor::Large);
         assert_ne!(a.addr, b.addr);
-        topo.host_mut(a).add_app(Box::new(Client { target: b.addr, reply: vec![] }));
+        topo.host_mut(a).add_app(Box::new(Client {
+            target: b.addr,
+            reply: vec![],
+        }));
         topo.host_mut(b).add_app(Box::new(Echo));
         topo.sim.run_until(SimTime(5_000_000_000));
         assert_eq!(topo.host(a).app::<Client>(0).unwrap().reply, b"cross-cloud");
@@ -389,10 +488,16 @@ mod tests {
         let cloud = topo.add_cloud("ec2", CloudKind::Public);
         let vm = topo.launch_vm(cloud, "web", Flavor::Micro);
         let ext = topo.add_external_host("laptop", Flavor::Dedicated);
-        topo.host_mut(ext).add_app(Box::new(Client { target: vm.addr, reply: vec![] }));
+        topo.host_mut(ext).add_app(Box::new(Client {
+            target: vm.addr,
+            reply: vec![],
+        }));
         topo.host_mut(vm).add_app(Box::new(Echo));
         topo.sim.run_until(SimTime(5_000_000_000));
-        assert_eq!(topo.host(ext).app::<Client>(0).unwrap().reply, b"cross-cloud");
+        assert_eq!(
+            topo.host(ext).app::<Client>(0).unwrap().reply,
+            b"cross-cloud"
+        );
     }
 
     #[test]
@@ -407,10 +512,16 @@ mod tests {
         assert_eq!(moved.node, vm.node, "same host, new location");
         // Reachability at the new address.
         let ext = topo.add_external_host("probe", Flavor::Dedicated);
-        topo.host_mut(ext).add_app(Box::new(Client { target: moved.addr, reply: vec![] }));
+        topo.host_mut(ext).add_app(Box::new(Client {
+            target: moved.addr,
+            reply: vec![],
+        }));
         topo.host_mut(moved).add_app(Box::new(Echo));
         topo.sim.run_until(SimTime(5_000_000_000));
-        assert_eq!(topo.host(ext).app::<Client>(0).unwrap().reply, b"cross-cloud");
+        assert_eq!(
+            topo.host(ext).app::<Client>(0).unwrap().reply,
+            b"cross-cloud"
+        );
     }
 
     #[test]

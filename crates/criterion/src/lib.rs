@@ -31,7 +31,9 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// Just the parameter, for use inside a named group.
     pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
+        BenchmarkId {
+            id: parameter.to_string(),
+        }
     }
 }
 
@@ -109,7 +111,11 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Runs one benchmark in this group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl fmt::Display, f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl fmt::Display,
+        f: F,
+    ) -> &mut Self {
         let name = format!("{}/{}", self.name, id);
         run_one(
             &name,
@@ -150,14 +156,22 @@ fn run_one<F: FnMut(&mut Bencher)>(
 
     // Calibration pass: find how many iterations fit one sample budget.
     let mut samples = Vec::new();
-    let mut cal = Bencher { samples: &mut samples, iters_per_sample: 1, sample_count: 1 };
+    let mut cal = Bencher {
+        samples: &mut samples,
+        iters_per_sample: 1,
+        sample_count: 1,
+    };
     f(&mut cal);
     let per_iter = samples.pop().unwrap_or(Duration::from_micros(1));
     let budget = measurement / sample_count.max(1) as u32;
     let iters = (budget.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1_000_000) as u64;
 
     samples.clear();
-    let mut b = Bencher { samples: &mut samples, iters_per_sample: iters, sample_count };
+    let mut b = Bencher {
+        samples: &mut samples,
+        iters_per_sample: iters,
+        sample_count,
+    };
     f(&mut b);
     samples.sort();
 

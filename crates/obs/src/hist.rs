@@ -229,13 +229,18 @@ mod tests {
         // log-linear region, i.e. ~3% relative error.
         let mut x = 1u64;
         for _ in 0..1000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let v = x >> (x % 50); // spread across magnitudes
             let low = bucket_low(bucket_index(v));
             assert!(low <= v);
             if v >= SUB_COUNT * 2 {
                 let err = (v - low) as f64 / v as f64;
-                assert!(err <= 1.0 / SUB_COUNT as f64 + 1e-9, "v={v} low={low} err={err}");
+                assert!(
+                    err <= 1.0 / SUB_COUNT as f64 + 1e-9,
+                    "v={v} low={low} err={err}"
+                );
             } else {
                 assert_eq!(low, v);
             }

@@ -40,7 +40,10 @@ pub struct ObjWriter {
 impl ObjWriter {
     /// Starts an object (`{`).
     pub fn new() -> Self {
-        ObjWriter { buf: String::from("{"), any: false }
+        ObjWriter {
+            buf: String::from("{"),
+            any: false,
+        }
     }
 
     fn key(&mut self, k: &str) {
@@ -95,9 +98,14 @@ mod tests {
     #[test]
     fn writer_emits_fields_in_call_order() {
         let mut w = ObjWriter::new();
-        w.str_field("name", "a,b\"c").raw_field("n", u64::MAX).raw_field("x", "1.5");
+        w.str_field("name", "a,b\"c")
+            .raw_field("n", u64::MAX)
+            .raw_field("x", "1.5");
         // u64::MAX is written exactly — no f64 rounding.
-        assert_eq!(w.finish(), r#"{"name":"a,b\"c","n":18446744073709551615,"x":1.5}"#);
+        assert_eq!(
+            w.finish(),
+            r#"{"name":"a,b\"c","n":18446744073709551615,"x":1.5}"#
+        );
         assert_eq!(ObjWriter::new().finish(), "{}");
     }
 }

@@ -20,7 +20,11 @@ pub struct RunManifest {
 impl RunManifest {
     /// A manifest for `bin` running `scenario`.
     pub fn new(bin: &str, scenario: &str) -> Self {
-        RunManifest { bin: bin.to_string(), scenario: scenario.to_string(), fields: Vec::new() }
+        RunManifest {
+            bin: bin.to_string(),
+            scenario: scenario.to_string(),
+            fields: Vec::new(),
+        }
     }
 
     /// Adds a string field.
@@ -103,7 +107,9 @@ mod tests {
     #[test]
     fn json_contains_fields_in_order() {
         let mut m = RunManifest::new("b", "s");
-        m.num("seed", 42u64).str_field("git_rev", "abc123").raw("metrics", "{\"counters\":{}}".into());
+        m.num("seed", 42u64)
+            .str_field("git_rev", "abc123")
+            .raw("metrics", "{\"counters\":{}}".into());
         let j = m.to_json();
         assert!(j.contains("\"bin\": \"b\""));
         assert!(j.contains("\"seed\": 42"));

@@ -44,7 +44,10 @@ enum Slot {
 impl MetricsRegistry {
     /// An enabled, empty registry.
     pub fn new() -> Self {
-        MetricsRegistry { enabled: true, ..Default::default() }
+        MetricsRegistry {
+            enabled: true,
+            ..Default::default()
+        }
     }
 
     /// A disabled registry: registration still works (handles stay

@@ -14,7 +14,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![allow(clippy::disallowed_types, reason = "`hash_set` yields the std `HashSet`, as the real proptest does")]
+#![allow(
+    clippy::disallowed_types,
+    reason = "`hash_set` yields the std `HashSet`, as the real proptest does"
+)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +55,9 @@ impl TestRng {
         for b in test_name.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
         }
-        TestRng(StdRng::seed_from_u64(h ^ case.wrapping_mul(0x9e3779b97f4a7c15)))
+        TestRng(StdRng::seed_from_u64(
+            h ^ case.wrapping_mul(0x9e3779b97f4a7c15),
+        ))
     }
 }
 
@@ -84,7 +89,11 @@ pub trait Strategy {
     where
         Self: Sized,
     {
-        Filter { inner: self, f, reason }
+        Filter {
+            inner: self,
+            f,
+            reason,
+        }
     }
 
     /// Type-erases the strategy.
@@ -335,7 +344,11 @@ pub mod strategy {
 }
 
 /// Runs the cases of one property (called by the [`proptest!`] expansion).
-pub fn run_cases(test_name: &str, cases: u32, mut body: impl FnMut(&mut TestRng) -> TestCaseResult) {
+pub fn run_cases(
+    test_name: &str,
+    cases: u32,
+    mut body: impl FnMut(&mut TestRng) -> TestCaseResult,
+) {
     let mut ran = 0u32;
     let mut attempts = 0u32;
     while ran < cases {

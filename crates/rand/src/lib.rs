@@ -183,7 +183,9 @@ pub mod rngs {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
                 z ^ (z >> 31)
             };
-            StdRng { s: [next(), next(), next(), next()] }
+            StdRng {
+                s: [next(), next(), next(), next()],
+            }
         }
     }
 
