@@ -287,6 +287,7 @@ impl LsiMapper {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use sim_crypto::bigint::BigUint;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
@@ -345,6 +346,44 @@ mod tests {
         assert!(PublicHi::from_bytes(&[]).is_none());
         assert!(PublicHi::from_bytes(&[99, 1, 2, 3]).is_none());
         assert!(PublicHi::from_bytes(&[5]).is_none());
+    }
+
+    /// A HOST_ID payload carrying the RSA key `(n, e)`.
+    fn rsa_host_id(n: &BigUint, e: &BigUint) -> Vec<u8> {
+        let mut out = vec![HiAlgorithm::Rsa.id()];
+        for part in [n.to_bytes_be(), e.to_bytes_be()] {
+            out.extend_from_slice(&(part.len() as u32).to_be_bytes());
+            out.extend_from_slice(&part);
+        }
+        out
+    }
+
+    #[test]
+    fn public_hi_rejects_out_of_bound_rsa_keys() {
+        let one = BigUint::one();
+        let f4 = BigUint::from_u64(65537);
+        // An odd 512-bit modulus that parses with e = 65537.
+        let n = one.shl(511).add(&BigUint::from_u64(0x1235));
+        assert!(PublicHi::from_bytes(&rsa_host_id(&n, &f4)).is_some());
+        let forged = [
+            (n.sub(&one), f4.clone()),                          // even n
+            (one.shl(8000).add(&one), f4.clone()),              // 8001-bit n
+            (one.shl(4096).add(&one), f4.clone()),              // 4097-bit n
+            (n.clone(), BigUint::from_u64(65536)),              // even e
+            (n.clone(), one.clone()),                           // e = 1
+            (n.clone(), n.clone()),                             // e = n
+            (n.clone(), n.add(&BigUint::from_u64(2))),          // e > n
+            (n.clone(), one.shl(64).add(&one)),                 // 65-bit e
+            (one.shl(8000).add(&one), one.shl(7000).add(&one)), // huge n and e
+        ];
+        for (n, e) in &forged {
+            assert!(
+                PublicHi::from_bytes(&rsa_host_id(n, e)).is_none(),
+                "accepted n of {} bits, e of {} bits",
+                n.bits(),
+                e.bits()
+            );
+        }
     }
 
     #[test]

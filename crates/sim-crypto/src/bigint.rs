@@ -5,9 +5,23 @@
 //! and every value is kept *normalized* (no most-significant zero limbs),
 //! so equality and comparison are plain limb comparisons.
 //!
-//! Division uses Knuth's Algorithm D; modular exponentiation uses
-//! Montgomery multiplication (CIOS) for odd moduli, falling back to
-//! square-and-multiply with explicit reduction otherwise.
+//! Division uses Knuth's Algorithm D.
+//!
+//! Modular exponentiation by an odd modulus runs on one fixed-width
+//! Montgomery kernel, `Montgomery<N>`, over `[u64; N]` arrays on the
+//! stack: a CIOS multiply, a square that takes each cross product once,
+//! and left-to-right fixed-window exponentiation (4-bit windows for
+//! exponents of 64 bits or more, single bits below, so `e = 65537` costs
+//! 16 squares and one multiply). `N` is the modulus width rounded up to
+//! the next of 4, 8, 16, 32 and 64 limbs. CIOS needs only `m` odd and
+//! `m < 2^(64N)`, so the zero top limbs this leaves are harmless, and one
+//! kernel serves every odd modulus up to 4096 bits: RSA-512 factors and
+//! Miller–Rabin candidates at N = 4, the RSA-512 modulus and the 512-bit
+//! DH group at N = 8, MODP-1536/2048 at N = 32. Nothing inside the
+//! exponent loop allocates. Even moduli and odd moduli above 4096 bits
+//! fall back to square-and-multiply with a Knuth reduction per step.
+//! `prime` runs Miller–Rabin on the same kernel through
+//! `MontgomeryTask`, which hands a task the context of the right width.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -163,6 +177,29 @@ impl BigUint {
     pub fn bit(&self, i: usize) -> bool {
         let (limb, off) = (i / 64, i % 64);
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
+    }
+
+    /// Bits `lo .. lo + w` as a number (`w <= 64`); bits past the top
+    /// read as zero.
+    fn bit_window(&self, lo: usize, w: usize) -> usize {
+        let (limb, off) = (lo / 64, lo % 64);
+        let low = self.limbs.get(limb).map_or(0, |l| l >> off);
+        let high = match off {
+            0 => 0,
+            _ => self.limbs.get(limb + 1).map_or(0, |l| l << (64 - off)),
+        };
+        ((low | high) & (u64::MAX >> (64 - w))) as usize
+    }
+
+    /// `self mod d` for a single-word divisor, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "BigUint division by zero");
+        self.limbs.iter().rev().fold(0u64, |rem, &limb| {
+            ((u128::from(rem) << 64 | u128::from(limb)) % u128::from(d)) as u64
+        })
     }
 
     /// The low 64 bits of the value.
@@ -426,7 +463,8 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// `self ^ exp mod m`, using Montgomery multiplication when `m` is odd.
+    /// `self ^ exp mod m`, on the Montgomery kernel when `m` is odd and at
+    /// most 4096 bits.
     ///
     /// # Panics
     /// Panics if `m` is zero.
@@ -438,10 +476,11 @@ impl BigUint {
         if exp.is_zero() {
             return Self::one();
         }
-        if !m.is_even() {
-            return MontgomeryCtx::new(m).modpow(self, exp);
+        if let Ok(r) = with_montgomery(m, ModPow { base: self, exp }) {
+            return r;
         }
-        // Fallback: left-to-right square and multiply with full reduction.
+        // Even or wider than 4096 bits: left-to-right square and multiply
+        // with full reduction.
         let base = self.rem(m);
         let mut acc = Self::one();
         for i in (0..exp.bits()).rev() {
@@ -560,135 +599,270 @@ impl BigUint {
     }
 }
 
-/// Precomputed context for Montgomery multiplication modulo an odd `m`.
-struct MontgomeryCtx {
-    m: Vec<u64>,
-    /// -m^-1 mod 2^64
-    m_inv: u64,
-    /// R^2 mod m, where R = 2^(64 * len(m))
-    r2: BigUint,
+/// Exponents shorter than this use a 1-bit window (plain left-to-right
+/// square-and-multiply): a 4-bit window's 14-multiply table costs more
+/// than it saves below about 54 bits, and `e = 65537` needs only one
+/// multiply.
+const WINDOW_MIN_BITS: usize = 64;
+
+/// Work to run on the Montgomery kernel of the width that fits a
+/// modulus; see [`with_montgomery`].
+pub(crate) trait MontgomeryTask {
+    /// What the task computes.
+    type Output;
+    /// Runs the task on `ctx`.
+    fn run<const N: usize>(self, ctx: &Montgomery<N>) -> Self::Output;
 }
 
-impl MontgomeryCtx {
+/// Runs `task` on a Montgomery context of the smallest width in
+/// {4, 8, 16, 32, 64} limbs that holds `m`. Gives the task back when `m`
+/// is even or wider than 64 limbs (4096 bits), which the kernel does not
+/// serve.
+pub(crate) fn with_montgomery<T: MontgomeryTask>(m: &BigUint, task: T) -> Result<T::Output, T> {
+    if m.is_even() {
+        return Err(task);
+    }
+    Ok(match m.limbs.len() {
+        0..=4 => task.run(&Montgomery::<4>::new(m)),
+        5..=8 => task.run(&Montgomery::<8>::new(m)),
+        9..=16 => task.run(&Montgomery::<16>::new(m)),
+        17..=32 => task.run(&Montgomery::<32>::new(m)),
+        33..=64 => task.run(&Montgomery::<64>::new(m)),
+        _ => return Err(task),
+    })
+}
+
+/// `base ^ exp mod m` on the Montgomery kernel.
+struct ModPow<'a> {
+    base: &'a BigUint,
+    exp: &'a BigUint,
+}
+
+impl MontgomeryTask for ModPow<'_> {
+    type Output = BigUint;
+
+    fn run<const N: usize>(self, ctx: &Montgomery<N>) -> BigUint {
+        ctx.value_of(&ctx.pow(&ctx.to_mont(self.base), self.exp))
+    }
+}
+
+/// `t + a * b + carry` as (low, high) words; cannot overflow 128 bits.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let v = u128::from(t) + u128::from(a) * u128::from(b) + u128::from(carry);
+    (v as u64, (v >> 64) as u64)
+}
+
+/// Montgomery arithmetic modulo an odd `m < R = 2^(64N)`, on `N`-limb
+/// little-endian arrays. Values in the Montgomery domain are `x·R mod m`,
+/// always fully reduced (`< m`), so two of them are equal exactly when
+/// the values they stand for are. `m`'s top limbs may be zero: the
+/// reduction needs only `m` odd and `m < R`.
+pub(crate) struct Montgomery<const N: usize> {
+    modulus: BigUint,
+    m: [u64; N],
+    /// `-m^-1 mod 2^64`.
+    m_inv: u64,
+    /// `R^2 mod m`, which maps a value into the domain.
+    r2: [u64; N],
+    /// `R mod m`: the value 1 in the domain.
+    one: [u64; N],
+}
+
+impl<const N: usize> Montgomery<N> {
     fn new(m: &BigUint) -> Self {
-        debug_assert!(!m.is_even() && !m.is_zero());
-        // Newton iteration for the inverse of m[0] mod 2^64.
+        debug_assert!(!m.is_even() && m.limbs.len() <= N);
+        // Newton iteration for the inverse of m[0] mod 2^64: each step
+        // doubles the correct low bits, from 3 (odd m0 is its own inverse
+        // mod 8) to 96.
         let m0 = m.limbs[0];
-        let mut inv = m0; // correct to 3 bits for odd m0
+        let mut inv = m0;
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
-        let m_inv = inv.wrapping_neg();
-        let n = m.limbs.len();
-        // R^2 mod m computed by shifting.
-        let r2 = BigUint::one().shl(2 * 64 * n).rem(m);
-        MontgomeryCtx {
-            m: m.limbs.clone(),
-            m_inv,
-            r2,
-        }
+        let mut ctx = Montgomery {
+            modulus: m.clone(),
+            m: Self::load(m),
+            m_inv: inv.wrapping_neg(),
+            r2: Self::load(&BigUint::one().shl(128 * N).rem(m)),
+            one: [0; N],
+        };
+        ctx.one = ctx.redc_of(&ctx.r2);
+        ctx
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod m` where
-    /// inputs are length-n limb slices (zero-padded) already `< m`.
-    #[allow(clippy::needless_range_loop)] // offset limb walks (t[j], t[j-1])
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let n = self.m.len();
-        let mut t = vec![0u64; n + 2];
-        for i in 0..n {
-            let ai = a.get(i).copied().unwrap_or(0);
-            // t += a_i * b
-            let mut carry = 0u128;
-            for j in 0..n {
-                let bj = b.get(j).copied().unwrap_or(0);
-                let cur = u128::from(t[j]) + u128::from(ai) * u128::from(bj) + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[n]) + carry;
-            t[n] = cur as u64;
-            t[n + 1] = (cur >> 64) as u64;
-            // m-reduction step
-            let u = t[0].wrapping_mul(self.m_inv);
-            let mut carry = (u128::from(t[0]) + u128::from(u) * u128::from(self.m[0])) >> 64;
-            for j in 1..n {
-                let cur = u128::from(t[j]) + u128::from(u) * u128::from(self.m[j]) + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = u128::from(t[n]) + carry;
-            t[n - 1] = cur as u64;
-            t[n] = t[n + 1].wrapping_add((cur >> 64) as u64);
-            t[n + 1] = 0;
-        }
-        // Conditional final subtraction of m.
-        let ge = {
-            if t[n] != 0 {
-                true
-            } else {
-                let mut ord = Ordering::Equal;
-                for j in (0..n).rev() {
-                    match t[j].cmp(&self.m[j]) {
-                        Ordering::Equal => continue,
-                        o => {
-                            ord = o;
-                            break;
-                        }
-                    }
-                }
-                ord != Ordering::Less
-            }
-        };
-        if ge {
-            let mut borrow = 0u64;
-            for j in 0..n {
-                let (d1, b1) = t[j].overflowing_sub(self.m[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                t[j] = d2;
-                borrow = u64::from(b1) + u64::from(b2);
-            }
-            t[n] = t[n].wrapping_sub(borrow);
-        }
-        t.truncate(n);
-        t
+    /// Copies a value `< R` into an array.
+    fn load(x: &BigUint) -> [u64; N] {
+        let mut out = [0u64; N];
+        out[..x.limbs.len()].copy_from_slice(&x.limbs);
+        out
     }
 
-    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let n = self.m.len();
-        let m_big = {
-            let mut b = BigUint {
-                limbs: self.m.clone(),
-            };
-            b.normalize();
-            b
+    /// The value 1 in the domain.
+    pub(crate) fn one(&self) -> [u64; N] {
+        self.one
+    }
+
+    /// Maps `x` (any size) into the domain: `x·R mod m`.
+    pub(crate) fn to_mont(&self, x: &BigUint) -> [u64; N] {
+        let x = if x.cmp_mag(&self.modulus) == Ordering::Less {
+            Self::load(x)
+        } else {
+            Self::load(&x.rem(&self.modulus))
         };
-        let base = base.rem(&m_big);
-        // Convert to Montgomery domain.
-        let mut base_m = self.mont_mul(&pad(&base.limbs, n), &pad(&self.r2.limbs, n));
-        // acc = 1 in Montgomery domain = R mod m = mont_mul(1, R^2)
-        let mut acc = self.mont_mul(&pad(&[1], n), &pad(&self.r2.limbs, n));
-        // Right-to-left binary exponentiation.
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-            if i + 1 < exp.bits() {
-                base_m = self.mont_mul(&base_m, &base_m);
-            }
-        }
-        // Convert out of the Montgomery domain.
-        let one = pad(&[1], n);
-        let out = self.mont_mul(&acc, &one);
-        let mut r = BigUint { limbs: out };
+        self.mul(&x, &self.r2)
+    }
+
+    /// Maps a domain value back out: `x·R^-1 mod m`.
+    fn value_of(&self, x: &[u64; N]) -> BigUint {
+        let mut r = BigUint {
+            limbs: self.redc_of(x).to_vec(),
+        };
         r.normalize();
         r
     }
-}
 
-fn pad(limbs: &[u64], n: usize) -> Vec<u64> {
-    let mut v = limbs.to_vec();
-    v.resize(n.max(limbs.len()), 0);
-    v
+    /// `x·R^-1 mod m`, i.e. a multiply by the plain value 1.
+    fn redc_of(&self, x: &[u64; N]) -> [u64; N] {
+        let mut unit = [0u64; N];
+        unit[0] = 1;
+        self.mul(x, &unit)
+    }
+
+    /// `a >= b` over `N` limbs.
+    fn geq(a: &[u64; N], b: &[u64; N]) -> bool {
+        for j in (0..N).rev() {
+            if a[j] != b[j] {
+                return a[j] > b[j];
+            }
+        }
+        true
+    }
+
+    /// Takes the reduction's result `(hi·2^(64N) + t) < 2m` down below `m`.
+    fn reduce_once(&self, mut t: [u64; N], hi: u64) -> [u64; N] {
+        if hi != 0 || Self::geq(&t, &self.m) {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(&self.m) {
+                let (d1, b1) = tj.overflowing_sub(mj);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+                *tj = d2;
+                borrow = b1 | b2;
+            }
+        }
+        t
+    }
+
+    /// CIOS Montgomery product `a·b·R^-1 mod m` of two values `< m`: each
+    /// row adds `a_i·b`, then adds the multiple of `m` that clears the low
+    /// limb and shifts one limb down, so the running sum stays below `2m`
+    /// and needs `N` limbs plus one carry bit.
+    #[inline(always)] // keeps the exponent loop free of calls
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let m = &self.m;
+        let mut t = [0u64; N];
+        let mut hi = 0u64;
+        for &ai in a {
+            let mut c = 0;
+            for j in 0..N {
+                (t[j], c) = mac(t[j], ai, b[j], c);
+            }
+            let (top, top_carry) = hi.overflowing_add(c);
+            let u = t[0].wrapping_mul(self.m_inv);
+            let (_, mut c) = mac(t[0], u, m[0], 0);
+            for j in 1..N {
+                (t[j - 1], c) = mac(t[j], u, m[j], c);
+            }
+            let (last, last_carry) = top.overflowing_add(c);
+            t[N - 1] = last;
+            hi = u64::from(top_carry) + u64::from(last_carry);
+        }
+        self.reduce_once(t, hi)
+    }
+
+    /// Montgomery square `a²·R^-1 mod m` of a value `< m`. The 2N-limb
+    /// square `t` (limb `k` at `t[k / N][k % N]`) takes each cross
+    /// product `a_i·a_j, i < j` once and doubles their sum before adding
+    /// the diagonal, so about half of `mul`'s `N²` product multiplies;
+    /// the reduction then runs `mul`'s shifting rows over the low half,
+    /// feeding in one high limb per row.
+    #[inline(always)] // as for `mul`
+    pub(crate) fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let mut t = [[0u64; N]; 2];
+        // Row i covers limbs 2i+1 ..= i+N-1 and carries into limb i+N,
+        // which no earlier row has reached.
+        for i in 0..N {
+            let mut c = 0;
+            for j in i + 1..N {
+                let k = i + j;
+                (t[k / N][k % N], c) = mac(t[k / N][k % N], a[i], a[j], c);
+            }
+            t[1][i] = c;
+        }
+        // Double, adding a_i² at limbs 2i and 2i+1. The total is a² < R²,
+        // so nothing carries out of the top limb.
+        let mut shifted_out = 0u64;
+        let mut carry = 0u64;
+        for (i, &ai) in a.iter().enumerate() {
+            let sq = u128::from(ai) * u128::from(ai);
+            for (k, part) in [(2 * i, sq as u64), (2 * i + 1, (sq >> 64) as u64)] {
+                let limb = t[k / N][k % N];
+                let doubled = (limb << 1) | shifted_out;
+                shifted_out = limb >> 63;
+                let v = u128::from(doubled) + u128::from(part) + u128::from(carry);
+                t[k / N][k % N] = v as u64;
+                carry = (v >> 64) as u64;
+            }
+        }
+        // Reduction: as in `mul`, each row clears the low limb of `w` and
+        // shifts it down one limb; the vacated top limb takes the next
+        // high limb of the square plus the carries.
+        let m = &self.m;
+        let [mut w, high] = t;
+        let mut top = 0u64;
+        for &h in &high {
+            let u = w[0].wrapping_mul(self.m_inv);
+            let (_, mut c) = mac(w[0], u, m[0], 0);
+            for j in 1..N {
+                (w[j - 1], c) = mac(w[j], u, m[j], c);
+            }
+            let v = u128::from(h) + u128::from(c) + u128::from(top);
+            w[N - 1] = v as u64;
+            top = (v >> 64) as u64;
+        }
+        self.reduce_once(w, top)
+    }
+
+    /// `base^exp` in the domain by left-to-right fixed-window
+    /// exponentiation: 4-bit windows for exponents of 64 bits or more,
+    /// single bits below. Windows are aligned to bit 0, so only the top
+    /// one may be short. Everything lives on the stack.
+    pub(crate) fn pow(&self, base: &[u64; N], exp: &BigUint) -> [u64; N] {
+        let bits = exp.bits();
+        if bits == 0 {
+            return self.one;
+        }
+        let w = if bits >= WINDOW_MIN_BITS { 4 } else { 1 };
+        // table[k] = base^k
+        let mut table = [[0u64; N]; 16];
+        table[0] = self.one;
+        table[1] = *base;
+        for k in 2..1 << w {
+            table[k] = self.mul(&table[k - 1], base);
+        }
+        let windows = bits.div_ceil(w);
+        let mut acc = table[exp.bit_window((windows - 1) * w, w)];
+        for win in (0..windows - 1).rev() {
+            for _ in 0..w {
+                acc = self.sqr(&acc);
+            }
+            let digit = exp.bit_window(win * w, w);
+            if digit != 0 {
+                acc = self.mul(&acc, &table[digit]);
+            }
+        }
+        acc
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! here directly from the standards and pinned to published test vectors:
 //!
 //! - [`bigint`] — arbitrary-precision unsigned arithmetic (Knuth division,
-//!   Montgomery modular exponentiation)
+//!   fixed-width Montgomery modular exponentiation)
 //! - [`prime`] — Miller–Rabin and prime generation
 //! - [`rsa`] — PKCS#1 v1.5 signatures (the default HIP host identity)
 //! - [`dh`] — RFC 3526 MODP Diffie–Hellman (the BEX key agreement)

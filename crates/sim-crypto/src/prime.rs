@@ -1,7 +1,7 @@
 //! Probabilistic prime generation (trial division + Miller–Rabin),
 //! used by the RSA key generator.
 
-use crate::bigint::BigUint;
+use crate::bigint::{with_montgomery, BigUint, Montgomery, MontgomeryTask};
 use rand::Rng;
 
 /// Small primes for cheap trial division before Miller–Rabin.
@@ -14,27 +14,38 @@ const SMALL_PRIMES: [u64; 46] = [
 /// Miller–Rabin primality test with `rounds` random bases.
 ///
 /// Deterministically handles small inputs; for the key sizes used here
-/// (≥256 bits) 20 rounds gives an error probability below 2^-40.
+/// (≥256 bits) 20 rounds gives an error probability below 2^-40. Odd `n`
+/// up to 4096 bits is tested on one Montgomery context, with every
+/// square taken in the Montgomery domain; the witnesses are the same
+/// `random_below` draws either way.
 pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
-    let two = BigUint::from_u64(2);
-    if n == &two {
+    // The value of a single-word `n`, for comparing with small primes.
+    let word = (n.bits() <= 64).then(|| n.low_u64());
+    if word == Some(2) {
         return true;
     }
     if n.is_even() {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p);
-        if n == &pb {
+        if word == Some(p) {
             return true;
         }
-        if n.rem(&pb).is_zero() {
+        if n.rem_u64(p) == 0 {
             return false;
         }
     }
+    miller_rabin(n, rounds, &mut |bound| BigUint::random_below(rng, bound))
+}
+
+/// The Miller–Rabin rounds for an odd `n` past trial division, drawing
+/// each witness with `below(bound)`, a uniform value in `[0, bound)`.
+/// Not generic over the RNG, so the kernel is compiled once here rather
+/// than once per caller's RNG type.
+fn miller_rabin(n: &BigUint, rounds: u32, below: &mut dyn FnMut(&BigUint) -> BigUint) -> bool {
     // Write n-1 = d * 2^s with d odd.
     let n_minus_1 = n.sub(&BigUint::one());
     let mut d = n_minus_1.clone();
@@ -43,27 +54,81 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R)
         d = d.shr(1);
         s += 1;
     }
-    'witness: for _ in 0..rounds {
-        // Random base in [2, n-2].
-        let a = loop {
-            let a = BigUint::random_below(rng, &n_minus_1);
-            if !a.is_zero() && !a.is_one() {
-                break a;
-            }
-        };
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
-            continue;
-        }
-        for _ in 0..s - 1 {
-            x = x.mulmod(&x, n);
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
+    let test = MillerRabin {
+        n_minus_1: &n_minus_1,
+        d: &d,
+        s,
+        rounds,
+        below,
+    };
+    match with_montgomery(n, test) {
+        Ok(verdict) => verdict,
+        Err(test) => test.rounds(
+            BigUint::one(),
+            n_minus_1.clone(),
+            |a| a.modpow(&d, n),
+            |x| x.mulmod(x, n),
+        ),
     }
-    true
+}
+
+/// The witness rounds of a Miller–Rabin test of `n = d·2^s + 1`.
+struct MillerRabin<'a> {
+    n_minus_1: &'a BigUint,
+    d: &'a BigUint,
+    s: usize,
+    rounds: u32,
+    below: &'a mut dyn FnMut(&BigUint) -> BigUint,
+}
+
+impl MillerRabin<'_> {
+    /// Runs the rounds with values of type `T`, in which `one` and
+    /// `minus_one` stand for 1 and `n - 1`, `pow_d(a)` computes `a^d` and
+    /// `square(x)` computes `x²`.
+    fn rounds<T: PartialEq>(
+        self,
+        one: T,
+        minus_one: T,
+        pow_d: impl Fn(&BigUint) -> T,
+        square: impl Fn(&T) -> T,
+    ) -> bool {
+        'witness: for _ in 0..self.rounds {
+            // Random base in [2, n-2].
+            let a = loop {
+                let a = (self.below)(self.n_minus_1);
+                if !a.is_zero() && !a.is_one() {
+                    break a;
+                }
+            };
+            let mut x = pow_d(&a);
+            if x == one || x == minus_one {
+                continue;
+            }
+            for _ in 1..self.s {
+                x = square(&x);
+                if x == minus_one {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+}
+
+impl MontgomeryTask for MillerRabin<'_> {
+    type Output = bool;
+
+    fn run<const N: usize>(self, ctx: &Montgomery<N>) -> bool {
+        let d = self.d;
+        let minus_one = ctx.to_mont(self.n_minus_1);
+        self.rounds(
+            ctx.one(),
+            minus_one,
+            |a| ctx.pow(&ctx.to_mont(a), d),
+            |x| ctx.sqr(x),
+        )
+    }
 }
 
 /// Generates a random probable prime with exactly `bits` bits.
@@ -129,6 +194,23 @@ mod tests {
         // 2^128 - 1 is composite.
         let c = BigUint::one().shl(128).sub(&BigUint::one());
         assert!(!is_probable_prime(&c, 20, &mut rng()));
+    }
+
+    #[test]
+    fn mersenne_primes_on_both_sides_of_the_kernel_limit() {
+        // M3217 runs on the 64-limb Montgomery kernel, M4253 (4253 bits)
+        // on the square-and-multiply fallback; both are prime, and their
+        // products with M127 are composite.
+        let mersenne = |p: usize| BigUint::one().shl(p).sub(&BigUint::one());
+        let m127 = mersenne(127);
+        for p in [3217, 4253] {
+            let m = mersenne(p);
+            assert!(is_probable_prime(&m, 2, &mut rng()), "M{p}");
+            assert!(
+                !is_probable_prime(&m.mul(&m127), 2, &mut rng()),
+                "M{p}·M127"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@ const SHA256_PREFIX: [u8; 19] = [
     0x00, 0x04, 0x20,
 ];
 
+/// The largest modulus [`RsaPublicKey::from_bytes`] accepts: the widest
+/// the Montgomery kernel serves.
+const MAX_MODULUS_BITS: usize = 4096;
+
 /// An RSA public key `(n, e)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RsaPublicKey {
@@ -68,6 +72,12 @@ impl RsaPublicKey {
     }
 
     /// Parses the serialization produced by [`Self::to_bytes`].
+    ///
+    /// Returns `None` unless `n` is odd and at most 4096 bits, and `e` is
+    /// odd, at least 3, below `n` and at most 64 bits. Keys arrive from the network (HOST_ID
+    /// parameters, rendezvous registrations, DNS HIP records), and these
+    /// bounds keep [`Self::verify`] on the fixed-width Montgomery kernel
+    /// with a short exponent, so a forged key cannot make it slow.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
         if data.len() < 4 {
             return None;
@@ -85,10 +95,9 @@ impl RsaPublicKey {
             return None;
         }
         let e = BigUint::from_bytes_be(&rest[..e_len]);
-        if n.is_zero() || e.is_zero() {
-            return None;
-        }
-        Some(RsaPublicKey { n, e })
+        let n_ok = !n.is_even() && n.bits() <= MAX_MODULUS_BITS;
+        let e_ok = !e.is_even() && !e.is_one() && e.bits() <= 64 && e.cmp_mag(&n).is_lt();
+        (n_ok && e_ok).then_some(RsaPublicKey { n, e })
     }
 
     /// Verifies a PKCS#1 v1.5 SHA-256 signature over `message`.
@@ -260,6 +269,45 @@ mod tests {
         // Truncated input is rejected.
         assert!(RsaPublicKey::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(RsaPublicKey::from_bytes(&[]).is_none());
+    }
+
+    #[test]
+    fn from_bytes_bounds_n_and_e() {
+        let parse = |n: &BigUint, e: &BigUint| {
+            let key = RsaPublicKey {
+                n: n.clone(),
+                e: e.clone(),
+            };
+            RsaPublicKey::from_bytes(&key.to_bytes())
+        };
+        let one = BigUint::one();
+        let f4 = BigUint::from_u64(65537);
+        let n512 = RsaKeyPair::generate(512, &mut rng()).public().n.clone();
+        let n4096 = one.shl(4096).sub(&one);
+        let n4097 = one.shl(4096).add(&one);
+        let e65 = one.shl(64).add(&one);
+        // Accepted: real keys, the perfbench 64-bit identity, the widest
+        // modulus, and e = 3 and the largest 64-bit e.
+        assert!(parse(&n512, &f4).is_some());
+        let n64 = RsaKeyPair::generate(64, &mut rng()).public().clone();
+        assert_eq!(RsaPublicKey::from_bytes(&n64.to_bytes()), Some(n64));
+        assert!(parse(&n4096, &f4).is_some());
+        assert!(parse(&n512, &BigUint::from_u64(3)).is_some());
+        assert!(parse(&n512, &BigUint::from_u64(u64::MAX)).is_some());
+        // Rejected: even n, n over 4096 bits, even e, e = 1, e >= n and
+        // e over 64 bits.
+        assert!(parse(&n512.sub(&one), &f4).is_none(), "even n");
+        assert!(parse(&n4097, &f4).is_none(), "4097-bit n");
+        assert!(parse(&n512, &BigUint::from_u64(65536)).is_none(), "even e");
+        assert!(parse(&n512, &one).is_none(), "e = 1");
+        let small_n = BigUint::from_u64(65537);
+        assert!(parse(&small_n, &small_n).is_none(), "e = n");
+        assert!(
+            parse(&small_n, &BigUint::from_u64(65539)).is_none(),
+            "e > n"
+        );
+        assert!(parse(&n512, &e65).is_none(), "65-bit e");
+        assert!(parse(&n4097, &e65).is_none(), "both too wide");
     }
 
     #[test]

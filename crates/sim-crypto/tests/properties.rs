@@ -1,13 +1,17 @@
 //! Property-based tests for the cryptographic substrate: algebraic laws
-//! for the big-integer engine, round-trip and tamper properties for the
-//! symmetric primitives.
+//! for the big-integer engine, the Montgomery `modpow` against a
+//! square-and-multiply oracle at every width, Miller–Rabin verdicts, and
+//! round-trip and tamper properties for the symmetric primitives.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use sim_crypto::aes::{reference, Aes128};
 use sim_crypto::bigint::BigUint;
 use sim_crypto::etm;
 use sim_crypto::hmac::{hmac_sha256, verify_mac, HmacKey};
 use sim_crypto::kdf::{keymat, prf_expand};
+use sim_crypto::prime;
 use sim_crypto::sha256::{sha256, Sha256};
 
 fn biguint() -> impl Strategy<Value = BigUint> {
@@ -276,4 +280,175 @@ proptest! {
         let b = prf_expand(&secret, b"label", &seed, long);
         prop_assert_eq!(&b[..short], &a[..]);
     }
+}
+
+/// Test-only oracle for `modpow`: left-to-right square-and-multiply with a
+/// full Knuth reduction after every product, sharing no code with the
+/// Montgomery kernel.
+fn oracle_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let base = base.rem(m);
+    let mut acc = BigUint::one().rem(m);
+    for i in (0..exp.bits()).rev() {
+        acc = acc.mul(&acc).rem(m);
+        if exp.bit(i) {
+            acc = acc.mul(&base).rem(m);
+        }
+    }
+    acc
+}
+
+/// `2^bits - 1`.
+fn all_ones(bits: usize) -> BigUint {
+    BigUint::one().shl(bits).sub(&BigUint::one())
+}
+
+/// A random odd modulus of exactly `limbs` limbs.
+fn odd_modulus(rng: &mut StdRng, limbs: usize) -> BigUint {
+    let bits = 64 * (limbs - 1) + rng.random_range(1..=64usize);
+    let m = BigUint::random_exact_bits(rng, bits);
+    if m.is_even() {
+        m.add(&BigUint::one())
+    } else {
+        m
+    }
+}
+
+fn check_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) {
+    assert_eq!(
+        base.modpow(exp, m),
+        oracle_modpow(base, exp, m),
+        "base {base} exp {exp} m {m}"
+    );
+}
+
+/// Every odd width from 1 to 64 limbs (the kernel's 4/8/16/32/64-limb
+/// buckets and their edges), plus one past the kernel's 4096-bit limit.
+#[test]
+fn montgomery_modpow_matches_oracle_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(0x6d6f6e74);
+    for limbs in 1..=65 {
+        let m = odd_modulus(&mut rng, limbs);
+        if m.is_one() {
+            continue;
+        }
+        let base = BigUint::random_bits(&mut rng, 64 * (limbs + 1));
+        let exp = BigUint::random_bits(&mut rng, 100);
+        check_modpow(&base, &exp, &m);
+    }
+}
+
+/// Adversarial moduli, bases and exponents at both sides of every width
+/// edge: all-ones moduli `2^(64k) - 1` (top of a bucket at k = 4, 8, ...),
+/// a lone top bit, a top limb of 1, and random; bases 0, 1, `m - 1`, `m`,
+/// above `m` and random; exponents 0, 1, 2, 65537, all-ones across the
+/// 1-bit/4-bit window switch, and random.
+#[test]
+fn montgomery_modpow_matches_oracle_on_edge_values() {
+    let mut rng = StdRng::seed_from_u64(0x65646765);
+    for limbs in [1usize, 2, 4, 5, 8, 9, 16, 17, 32, 33, 64] {
+        let top = 64 * limbs;
+        let moduli = [
+            all_ones(top),
+            BigUint::one().shl(top - 1).add(&BigUint::one()),
+            BigUint::one()
+                .shl(top - 64)
+                .add(&BigUint::random_bits(&mut rng, top - 64))
+                .shr(1)
+                .shl(1)
+                .add(&BigUint::one()),
+            odd_modulus(&mut rng, limbs),
+        ];
+        for m in moduli.iter().filter(|m| !m.is_one()) {
+            let m_minus_1 = m.sub(&BigUint::one());
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                m_minus_1.clone(),
+                m.clone(),
+                m.add(&BigUint::random_bits(&mut rng, top)),
+                BigUint::random_below(&mut rng, m),
+            ];
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64(2),
+                BigUint::from_u64(65537),
+                all_ones(63),
+                all_ones(64),
+                all_ones(129),
+                BigUint::random_bits(&mut rng, 160),
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    check_modpow(base, exp, m);
+                }
+            }
+            // (m - 1)^2 = 1: the largest base, squared.
+            assert!(m_minus_1.modpow(&BigUint::from_u64(2), m).is_one());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn montgomery_modpow_matches_oracle(
+        limbs in 1usize..65,
+        seed in any::<u64>(),
+        exp_bits in 0usize..200,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = odd_modulus(&mut rng, limbs);
+        prop_assume!(!m.is_one());
+        let base = BigUint::random_bits(&mut rng, 64 * (limbs + 1));
+        let exp = BigUint::random_bits(&mut rng, exp_bits);
+        prop_assert_eq!(base.modpow(&exp, &m), oracle_modpow(&base, &exp, &m));
+    }
+}
+
+/// Miller–Rabin verdicts around 256 bits. Chernick's `(6k+1)(12k+1)(18k+1)`
+/// is a Carmichael number when all three factors are prime: every base
+/// coprime to it passes Fermat's test, so only the strong (square-root)
+/// steps can reject it. The two `k` give 256- and 257-bit numbers (4 and
+/// 5 limbs), whose ~85-bit factors pass trial division.
+#[test]
+fn miller_rabin_verdicts_at_256_bits() {
+    let mut rng = StdRng::seed_from_u64(0x6d72);
+    let one = BigUint::one();
+    for k in ["3a00000000000000023ed", "3c000000000000000930d"] {
+        let k = BigUint::from_hex(k).unwrap();
+        let factors: Vec<BigUint> = [6u64, 12, 18]
+            .iter()
+            .map(|&c| k.mul(&BigUint::from_u64(c)).add(&one))
+            .collect();
+        let n = factors[0].mul(&factors[1]).mul(&factors[2]);
+        assert!(n.bits() >= 256);
+        for p in &factors {
+            assert!(prime::is_probable_prime(p, 20, &mut rng), "factor {p}");
+            // Korselt's criterion: p - 1 divides n - 1.
+            assert!(n.sub(&one).rem(&p.sub(&one)).is_zero());
+        }
+        assert!(
+            !prime::is_probable_prime(&n, 20, &mut rng),
+            "Carmichael {n}"
+        );
+    }
+    let primes = [
+        // P-256 field prime and group order, secp256k1's field prime,
+        // 2^255 - 19.
+        "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
+        "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551",
+        "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
+        "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed",
+    ];
+    for p in primes {
+        let p = BigUint::from_hex(p).unwrap();
+        assert!(prime::is_probable_prime(&p, 20, &mut rng), "prime {p}");
+        // Its square and its product with 2^127 - 1 are composite.
+        assert!(!prime::is_probable_prime(&p.mul(&p), 20, &mut rng));
+        let m127 = all_ones(127);
+        assert!(!prime::is_probable_prime(&p.mul(&m127), 20, &mut rng));
+    }
+    assert!(!prime::is_probable_prime(&all_ones(256), 20, &mut rng));
 }
