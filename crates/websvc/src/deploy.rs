@@ -108,8 +108,12 @@ impl RubisDeployment {
     /// `<role>` is `web0`, `web1`, …, `db` and `lb`. Call it just before
     /// `take_metrics()`: the values are a snapshot, not running totals.
     pub fn record_cpu_gauges(&mut self) {
-        let mut roles: Vec<(String, VmHandle)> =
-            self.webs.iter().enumerate().map(|(i, &vm)| (format!("web{i}"), vm)).collect();
+        let mut roles: Vec<(String, VmHandle)> = self
+            .webs
+            .iter()
+            .enumerate()
+            .map(|(i, &vm)| (format!("web{i}"), vm))
+            .collect();
         roles.push(("db".to_string(), self.db));
         roles.extend(self.lb.map(|lb| ("lb".to_string(), lb)));
         for (role, vm) in roles {
@@ -119,7 +123,10 @@ impl RubisDeployment {
             let metrics = &mut self.topo.sim.metrics;
             metrics.set_gauge_name(&format!("vm.{role}.cpu.busy_us"), busy_us);
             if let Some(c) = credits {
-                metrics.set_gauge_name(&format!("vm.{role}.cpu.credits_milli"), (c * 1000.0).round() as i64);
+                metrics.set_gauge_name(
+                    &format!("vm.{role}.cpu.credits_milli"),
+                    (c * 1000.0).round() as i64,
+                );
             }
         }
     }
@@ -146,7 +153,9 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
     let webs: Vec<VmHandle> = (0..cfg.n_web)
         .map(|i| topo.launch_vm(cloud, &format!("web{i}"), Flavor::Micro))
         .collect();
-    let lb = cfg.use_lb.then(|| topo.add_external_host("haproxy", Flavor::Dedicated));
+    let lb = cfg
+        .use_lb
+        .then(|| topo.add_external_host("haproxy", Flavor::Dedicated));
 
     let mut key_rng = StdRng::seed_from_u64(cfg.seed ^ 0xfeed_beef);
 
@@ -155,7 +164,13 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
         Scenario::Basic => {
             install_db(&mut topo, db, &cfg, ServerSecurity::Plain);
             for &web in &webs {
-                install_web(&mut topo, web, db.addr, DbSecurity::Plain, ServerSecurity::Plain);
+                install_web(
+                    &mut topo,
+                    web,
+                    db.addr,
+                    DbSecurity::Plain,
+                    ServerSecurity::Plain,
+                );
             }
             if let Some(lb) = lb {
                 let backends = webs.iter().map(|w| (w.addr, WEB_PORT)).collect();
@@ -165,10 +180,15 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
         Scenario::Hip | Scenario::HipLsi => {
             // Identities for every HIP node.
             let id_db = HostIdentity::generate_rsa(512, &mut key_rng);
-            let ids_web: Vec<HostIdentity> =
-                webs.iter().map(|_| HostIdentity::generate_rsa(512, &mut key_rng)).collect();
+            let ids_web: Vec<HostIdentity> = webs
+                .iter()
+                .map(|_| HostIdentity::generate_rsa(512, &mut key_rng))
+                .collect();
             let id_lb = lb.map(|_| HostIdentity::generate_rsa(512, &mut key_rng));
-            let hip_cfg = HipConfig { costs: CostModel::paper_web_stack(), ..HipConfig::default() };
+            let hip_cfg = HipConfig {
+                costs: CostModel::paper_web_stack(),
+                ..HipConfig::default()
+            };
 
             let hit_db = id_db.hit();
             let hits_web: Vec<_> = ids_web.iter().map(HostIdentity::hit).collect();
@@ -176,12 +196,24 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
             // DB shim: knows every web server.
             let mut shim_db = HipShim::new(id_db, hip_cfg.clone());
             for (i, &web) in webs.iter().enumerate() {
-                shim_db.add_peer(hits_web[i], PeerInfo { locators: vec![web.addr], via_rvs: None });
+                shim_db.add_peer(
+                    hits_web[i],
+                    PeerInfo {
+                        locators: vec![web.addr],
+                        via_rvs: None,
+                    },
+                );
             }
             if let (Some(lb), Some(id)) = (lb, id_lb.as_ref()) {
                 // Not strictly needed (LB never talks to the DB) but
                 // harmless and realistic.
-                shim_db.add_peer(id.hit(), PeerInfo { locators: vec![lb.addr], via_rvs: None });
+                shim_db.add_peer(
+                    id.hit(),
+                    PeerInfo {
+                        locators: vec![lb.addr],
+                        via_rvs: None,
+                    },
+                );
             }
             topo.host_mut(db).set_shim(Box::new(shim_db));
             install_db(&mut topo, db, &cfg, ServerSecurity::Plain);
@@ -191,9 +223,21 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
             for (i, (&web, id)) in webs.iter().zip(ids_web).enumerate() {
                 let _ = i;
                 let mut shim = HipShim::new(id, hip_cfg.clone());
-                let db_lsi = shim.add_peer(hit_db, PeerInfo { locators: vec![db.addr], via_rvs: None });
+                let db_lsi = shim.add_peer(
+                    hit_db,
+                    PeerInfo {
+                        locators: vec![db.addr],
+                        via_rvs: None,
+                    },
+                );
                 if let (Some(lb), Some(idl)) = (lb, id_lb.as_ref()) {
-                    shim.add_peer(idl.hit(), PeerInfo { locators: vec![lb.addr], via_rvs: None });
+                    shim.add_peer(
+                        idl.hit(),
+                        PeerInfo {
+                            locators: vec![lb.addr],
+                            via_rvs: None,
+                        },
+                    );
                 }
                 let db_addr: IpAddr = match cfg.scenario {
                     Scenario::Hip => hit_db.to_ip(),
@@ -203,7 +247,13 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                 web_db_addrs.push(db_addr);
             }
             for (&web, db_addr) in webs.iter().zip(web_db_addrs) {
-                install_web(&mut topo, web, db_addr, DbSecurity::Plain, ServerSecurity::Plain);
+                install_web(
+                    &mut topo,
+                    web,
+                    db_addr,
+                    DbSecurity::Plain,
+                    ServerSecurity::Plain,
+                );
             }
 
             // LB shim: knows every web server; terminates HIP.
@@ -211,7 +261,13 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                 let mut shim = HipShim::new(id, hip_cfg);
                 let mut backends = Vec::with_capacity(webs.len());
                 for (i, &web) in webs.iter().enumerate() {
-                    let lsi = shim.add_peer(hits_web[i], PeerInfo { locators: vec![web.addr], via_rvs: None });
+                    let lsi = shim.add_peer(
+                        hits_web[i],
+                        PeerInfo {
+                            locators: vec![web.addr],
+                            via_rvs: None,
+                        },
+                    );
                     let addr: IpAddr = match cfg.scenario {
                         Scenario::Hip => hits_web[i].to_ip(),
                         _ => IpAddr::V4(lsi),
@@ -232,7 +288,11 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                 &mut topo,
                 db,
                 &cfg,
-                ServerSecurity::Tls { cert: db_cert, keys: db_keys, costs },
+                ServerSecurity::Tls {
+                    cert: db_cert,
+                    keys: db_keys,
+                    costs,
+                },
             );
             for (i, &web) in webs.iter().enumerate() {
                 // Consumers always speak plain HTTP; only proxy-fronted
@@ -240,7 +300,11 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                 let frontend = if cfg.use_lb {
                     let web_keys = sim_crypto::rsa::RsaKeyPair::generate(512, &mut key_rng);
                     let web_cert = ca.issue(&format!("web{i}.rubis.cloud"), web_keys.public());
-                    ServerSecurity::Tls { cert: web_cert, keys: web_keys, costs }
+                    ServerSecurity::Tls {
+                        cert: web_cert,
+                        keys: web_keys,
+                        costs,
+                    }
                 } else {
                     ServerSecurity::Plain
                 };
@@ -248,7 +312,10 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                     &mut topo,
                     web,
                     db.addr,
-                    DbSecurity::Tls { ca: ca.public().clone(), costs },
+                    DbSecurity::Tls {
+                        ca: ca.public().clone(),
+                        costs,
+                    },
                     frontend,
                 );
             }
@@ -258,7 +325,10 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
                     &mut topo,
                     lb,
                     backends,
-                    BackendSecurity::Tls { ca: ca.public().clone(), costs },
+                    BackendSecurity::Tls {
+                        ca: ca.public().clone(),
+                        costs,
+                    },
                 );
             }
         }
@@ -268,7 +338,15 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
         Some(lb) => (lb.addr, LB_PORT),
         None => (webs[0].addr, WEB_PORT),
     };
-    RubisDeployment { topo, cloud, lb, webs, db, frontend, scenario: cfg.scenario }
+    RubisDeployment {
+        topo,
+        cloud,
+        lb,
+        webs,
+        db,
+        frontend,
+        scenario: cfg.scenario,
+    }
 }
 
 fn install_db(topo: &mut CloudTopology, db: VmHandle, cfg: &RubisConfig, security: ServerSecurity) {
@@ -288,7 +366,8 @@ fn install_web(
     web_cfg.port = WEB_PORT;
     web_cfg.db_security = db_security;
     web_cfg.frontend_security = frontend_security;
-    topo.host_mut(web).add_app(Box::new(WebServerApp::new(web_cfg)));
+    topo.host_mut(web)
+        .add_app(Box::new(WebServerApp::new(web_cfg)));
 }
 
 fn install_lb(

@@ -22,7 +22,11 @@ pub struct DnsServerApp {
 impl DnsServerApp {
     /// Serves `zone`.
     pub fn new(zone: Zone) -> Self {
-        DnsServerApp { zone, served: 0, nxdomain: 0 }
+        DnsServerApp {
+            zone,
+            served: 0,
+            nxdomain: 0,
+        }
     }
 }
 
@@ -32,8 +36,18 @@ impl App for DnsServerApp {
     }
 
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        let AppEvent::UdpDatagram { src, src_port, data, .. } = ev else { return };
-        let UdpData::Dns(DnsMessage::Query { id, name, rtype }) = data else { return };
+        let AppEvent::UdpDatagram {
+            src,
+            src_port,
+            data,
+            ..
+        } = ev
+        else {
+            return;
+        };
+        let UdpData::Dns(DnsMessage::Query { id, name, rtype }) = data else {
+            return;
+        };
         let answers = self.zone.lookup(&name, rtype);
         if answers.is_empty() {
             self.nxdomain += 1;
@@ -67,19 +81,33 @@ pub struct DnsLookupApp {
 impl DnsLookupApp {
     /// Queries `server` for `name` records of `rtype`.
     pub fn new(server: std::net::IpAddr, name: &str, rtype: RecordType) -> Self {
-        DnsLookupApp { server, name: name.to_owned(), rtype, answers: Vec::new(), responded: false }
+        DnsLookupApp {
+            server,
+            name: name.to_owned(),
+            rtype,
+            answers: Vec::new(),
+            responded: false,
+        }
     }
 }
 
 impl App for DnsLookupApp {
     fn start(&mut self, api: &mut HostApi) {
         api.udp_bind(5353);
-        let q = DnsMessage::Query { id: 1, name: self.name.clone(), rtype: self.rtype };
+        let q = DnsMessage::Query {
+            id: 1,
+            name: self.name.clone(),
+            rtype: self.rtype,
+        };
         api.udp_send(5353, self.server, DNS_PORT, UdpData::Dns(q));
     }
 
     fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
-        if let AppEvent::UdpDatagram { data: UdpData::Dns(DnsMessage::Response { answers, .. }), .. } = ev {
+        if let AppEvent::UdpDatagram {
+            data: UdpData::Dns(DnsMessage::Response { answers, .. }),
+            ..
+        } = ev
+        {
             self.answers = answers;
             self.responded = true;
         }

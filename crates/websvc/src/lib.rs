@@ -20,8 +20,8 @@
 #![forbid(unsafe_code)]
 
 pub mod db;
-pub mod dns_server;
 pub mod deploy;
+pub mod dns_server;
 pub mod http;
 pub mod loadgen;
 pub mod proxy;

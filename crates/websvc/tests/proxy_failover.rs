@@ -61,12 +61,13 @@ fn dead_backend_requests_retry_onto_live_backend() {
 
     // DB + one live web server.
     let data = RubisData::generate(50, 100, 1);
-    topo.host_mut(db).add_app(Box::new(websvc::db::DbServerApp::new(
-        DB_PORT,
-        data,
-        false,
-        websvc::db::ServerSecurity::Plain,
-    )));
+    topo.host_mut(db)
+        .add_app(Box::new(websvc::db::DbServerApp::new(
+            DB_PORT,
+            data,
+            false,
+            websvc::db::ServerSecurity::Plain,
+        )));
     let mut cfg = WebConfig::new(db.addr, DB_PORT);
     cfg.port = WEB_PORT;
     topo.host_mut(web).add_app(Box::new(WebServerApp::new(cfg)));
@@ -87,20 +88,37 @@ fn dead_backend_requests_retry_onto_live_backend() {
         requests: 4,
     }));
 
-    topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(90));
-    let statuses = &topo.host(client).app::<OneShot>(client_idx).unwrap().statuses;
+    topo.sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(90));
+    let statuses = &topo
+        .host(client)
+        .app::<OneShot>(client_idx)
+        .unwrap()
+        .statuses;
     let ok = statuses.iter().filter(|&&s| s == 200).count();
     assert_eq!(statuses.len(), 4, "every request answered: {statuses:?}");
-    assert_eq!(ok, 4, "requests on the dead backend were retried onto the live one: {statuses:?}");
+    assert_eq!(
+        ok, 4,
+        "requests on the dead backend were retried onto the live one: {statuses:?}"
+    );
     let ctr = |name| topo.sim.metrics.counter_value(name).unwrap_or(0);
-    assert!(ctr(proxy::BACKEND_FAILS) >= 2, "both stranded connections failed");
+    assert!(
+        ctr(proxy::BACKEND_FAILS) >= 2,
+        "both stranded connections failed"
+    );
     assert!(ctr(proxy::RETRIES) >= 2, "stranded requests were retried");
     assert!(ctr(proxy::EJECTS) >= 1, "the dead backend was ejected");
-    assert!(ctr(proxy::PROBES) >= 1, "ejection expiry launched health probes");
+    assert!(
+        ctr(proxy::PROBES) >= 1,
+        "ejection expiry launched health probes"
+    );
     let proxy = topo.host(lb).app::<ProxyApp>(proxy_idx).unwrap();
     // 90 s of failing probes never readmit the dead backend.
     assert!(
-        matches!(proxy.backend_health(1), websvc::proxy::Health::Ejected { .. } | websvc::proxy::Health::Probing),
+        matches!(
+            proxy.backend_health(1),
+            websvc::proxy::Health::Ejected { .. } | websvc::proxy::Health::Probing
+        ),
         "dead backend stays out of rotation"
     );
 }

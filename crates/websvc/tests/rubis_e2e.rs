@@ -32,7 +32,9 @@ fn run_jmeter_warm(scenario: Scenario, clients: usize, seconds: u64, warm_secs: 
         app
     };
     let app_idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
-    dep.topo.sim.run_until(SimTime::ZERO + warmup + SimDuration::from_secs(seconds));
+    dep.topo
+        .sim
+        .run_until(SimTime::ZERO + warmup + SimDuration::from_secs(seconds));
     let host = dep.topo.host(gen_host);
     let gen = host.app::<JmeterApp>(app_idx).unwrap();
     assert_eq!(gen.errors, 0, "{scenario:?}: generator errors");
@@ -116,11 +118,18 @@ fn hip_wire_traffic_is_encrypted_inside_cloud() {
             }
         }
     }
-    assert!(saw_esp > 10, "ESP data plane carried the queries ({saw_esp})");
+    assert!(
+        saw_esp > 10,
+        "ESP data plane carried the queries ({saw_esp})"
+    );
     // And the DB really decrypted real queries.
     let db_host: &Host = dep.topo.host(dep.db);
     let db_app = db_host.app::<websvc::db::DbServerApp>(0).unwrap();
-    assert!(db_app.stats.queries > 10, "db answered {} queries", db_app.stats.queries);
+    assert!(
+        db_app.stats.queries > 10,
+        "db answered {} queries",
+        db_app.stats.queries
+    );
 }
 
 #[test]
@@ -139,8 +148,16 @@ fn httperf_open_loop_measures_response_times() {
     assert!(gen.latency.mean() > 0.0);
     assert_eq!(gen.errors, 0);
     // Query cache must be doing something.
-    let db_app = dep.topo.host(dep.db).app::<websvc::db::DbServerApp>(0).unwrap();
-    assert!(db_app.stats.cache_hits > 0, "cache hits: {}", db_app.stats.cache_hits);
+    let db_app = dep
+        .topo
+        .host(dep.db)
+        .app::<websvc::db::DbServerApp>(0)
+        .unwrap();
+    assert!(
+        db_app.stats.cache_hits > 0,
+        "cache hits: {}",
+        db_app.stats.cache_hits
+    );
 }
 
 #[test]
@@ -155,7 +172,14 @@ fn round_robin_spreads_load_across_web_tier() {
     let counts: Vec<u64> = dep
         .webs
         .iter()
-        .map(|w| dep.topo.host(*w).app::<websvc::webserver::WebServerApp>(0).unwrap().stats.requests)
+        .map(|w| {
+            dep.topo
+                .host(*w)
+                .app::<websvc::webserver::WebServerApp>(0)
+                .unwrap()
+                .stats
+                .requests
+        })
         .collect();
     let total: u64 = counts.iter().sum();
     assert!(total > 100, "total={total}");
@@ -176,21 +200,51 @@ fn cpu_gauges_snapshot_every_service_vm() {
     let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
     let app = JmeterApp::new(dep.frontend, 8, WorkloadMix::default(), users, items);
     dep.topo.host_mut(gen_host).add_app(Box::new(app));
-    dep.topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+    dep.topo
+        .sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(2));
     dep.record_cpu_gauges();
 
-    let mut vms: Vec<_> = dep.webs.iter().enumerate().map(|(i, &w)| (format!("web{i}"), w)).collect();
+    let mut vms: Vec<_> = dep
+        .webs
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| (format!("web{i}"), w))
+        .collect();
     vms.push(("db".to_string(), dep.db));
     vms.push(("lb".to_string(), dep.lb.expect("fig2 deploys an LB")));
     for (role, vm) in vms {
         let cpu = &dep.topo.host(vm).core.cpu;
-        let busy_us = dep.topo.sim.metrics.gauge_value(&format!("vm.{role}.cpu.busy_us"));
-        assert_eq!(busy_us, Some((cpu.busy_time().as_nanos() / 1_000) as i64), "{role}");
+        let busy_us = dep
+            .topo
+            .sim
+            .metrics
+            .gauge_value(&format!("vm.{role}.cpu.busy_us"));
+        assert_eq!(
+            busy_us,
+            Some((cpu.busy_time().as_nanos() / 1_000) as i64),
+            "{role}"
+        );
         if role != "lb" {
             assert!(busy_us.unwrap() > 0, "{role} did no work");
         }
-        let credits = dep.topo.sim.metrics.gauge_value(&format!("vm.{role}.cpu.credits_milli"));
-        assert_eq!(credits.is_some(), cpu.credits().is_some(), "{role}: credits gauge iff burstable");
+        let credits = dep
+            .topo
+            .sim
+            .metrics
+            .gauge_value(&format!("vm.{role}.cpu.credits_milli"));
+        assert_eq!(
+            credits.is_some(),
+            cpu.credits().is_some(),
+            "{role}: credits gauge iff burstable"
+        );
     }
-    assert!(dep.topo.sim.metrics.gauge_value("vm.web0.cpu.credits_milli").is_some(), "micro VMs burst");
+    assert!(
+        dep.topo
+            .sim
+            .metrics
+            .gauge_value("vm.web0.cpu.credits_milli")
+            .is_some(),
+        "micro VMs burst"
+    );
 }
