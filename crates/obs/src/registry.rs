@@ -173,6 +173,35 @@ impl MetricsRegistry {
         }
     }
 
+    /// Counter add through a handle cached in `slot`, for per-request
+    /// paths that cannot register up front. The handle is resolved on
+    /// first use, so the registry gains `name` exactly when
+    /// [`Self::add_name`] would add it; a handle from a registry since
+    /// replaced (see `take_metrics` in netsim) is resolved again.
+    #[inline]
+    pub fn add_cached(&mut self, slot: &mut Option<CtrId>, name: &str, n: u64) {
+        if self.enabled {
+            let id = match *slot {
+                Some(id) if self.counters.get(id.0).is_some_and(|(k, _)| k == name) => id,
+                _ => *slot.insert(self.counter(name)),
+            };
+            self.counters[id.0].1 += n;
+        }
+    }
+
+    /// Histogram observation through a handle cached in `slot` (see
+    /// [`Self::add_cached`]).
+    #[inline]
+    pub fn observe_cached(&mut self, slot: &mut Option<HistId>, name: &str, v: u64) {
+        if self.enabled {
+            let id = match *slot {
+                Some(id) if self.hists.get(id.0).is_some_and(|(k, _)| k == name) => id,
+                _ => *slot.insert(self.hist(name)),
+            };
+            self.hists[id.0].1.record(v);
+        }
+    }
+
     /// Current value of a counter, by name.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.by_name.get(name)? {
@@ -331,6 +360,42 @@ mod tests {
         assert!(j.find("\"a.ctr\"").unwrap() < j.find("\"z.ctr\"").unwrap());
         assert!(j.contains("\"g\":-3"));
         assert!(j.contains("\"p50\":42"));
+    }
+
+    #[test]
+    fn cached_handles_register_like_by_name() {
+        let (mut ctr, mut hist) = (None, None);
+        let mut off = MetricsRegistry::disabled();
+        off.add_cached(&mut ctr, "fwd", 1);
+        off.observe_cached(&mut hist, "lat", 5);
+        assert!(
+            ctr.is_none() && hist.is_none(),
+            "disabled: nothing resolved"
+        );
+        assert_eq!(off.to_json(), MetricsRegistry::disabled().to_json());
+
+        let mut r = MetricsRegistry::new();
+        r.add_name("first", 1);
+        for v in [10, 20] {
+            r.add_cached(&mut ctr, "fwd", 2);
+            r.observe_cached(&mut hist, "lat", v);
+        }
+        let mut by_name = MetricsRegistry::new();
+        by_name.add_name("first", 1);
+        for v in [10, 20] {
+            by_name.add_name("fwd", 2);
+            by_name.observe_name("lat", v);
+        }
+        assert_eq!(r.to_json(), by_name.to_json());
+
+        // A replaced registry: the stale handles are resolved again.
+        let mut fresh = MetricsRegistry::new();
+        fresh.add_name("other", 1);
+        fresh.add_cached(&mut ctr, "fwd", 3);
+        fresh.observe_cached(&mut hist, "lat", 7);
+        assert_eq!(fresh.counter_value("fwd"), Some(3));
+        assert_eq!(fresh.counter_value("other"), Some(1));
+        assert_eq!(fresh.hist_get("lat").unwrap().count(), 1);
     }
 
     #[test]
