@@ -29,7 +29,11 @@ pub fn publish(
     }
     zone.add(
         name,
-        Record::Hip { hit: public.hit().0, host_identity: public.to_bytes(), rendezvous },
+        Record::Hip {
+            hit: public.hit().0,
+            host_identity: public.to_bytes(),
+            rendezvous,
+        },
     );
 }
 
@@ -68,7 +72,12 @@ pub fn resolve(zone: &Zone, name: &str) -> Option<ResolvedPeer> {
     let mut host_identity = Vec::new();
     let mut rendezvous = Vec::new();
     for rec in zone.lookup(name, RecordType::Hip) {
-        if let Record::Hip { hit: h, host_identity: hi, rendezvous: rvs } = rec {
+        if let Record::Hip {
+            hit: h,
+            host_identity: hi,
+            rendezvous: rvs,
+        } = rec
+        {
             // Integrity: HIT must be derived from the HI.
             let public = PublicHi::from_bytes(&hi)?;
             if public.hit().0 != h {
@@ -91,7 +100,12 @@ pub fn resolve(zone: &Zone, name: &str) -> Option<ResolvedPeer> {
             locators.push(a);
         }
     }
-    Some(ResolvedPeer { hit, host_identity, locators, rendezvous })
+    Some(ResolvedPeer {
+        hit,
+        host_identity,
+        locators,
+        rendezvous,
+    })
 }
 
 #[cfg(test)]
@@ -110,12 +124,21 @@ mod tests {
     fn publish_then_resolve() {
         let id = identity();
         let mut zone = Zone::new();
-        publish(&mut zone, "web1.cloud", id.public(), &[v4(10, 0, 0, 5)], vec![v4(10, 0, 0, 9)]);
+        publish(
+            &mut zone,
+            "web1.cloud",
+            id.public(),
+            &[v4(10, 0, 0, 5)],
+            vec![v4(10, 0, 0, 9)],
+        );
         let peer = resolve(&zone, "web1.cloud").expect("resolves");
         assert_eq!(peer.hit, id.hit());
         assert_eq!(peer.locators, vec![v4(10, 0, 0, 5)]);
         assert_eq!(peer.rendezvous, vec![v4(10, 0, 0, 9)]);
-        assert_eq!(PublicHi::from_bytes(&peer.host_identity).unwrap().hit(), id.hit());
+        assert_eq!(
+            PublicHi::from_bytes(&peer.host_identity).unwrap().hit(),
+            id.hit()
+        );
     }
 
     #[test]
@@ -125,7 +148,11 @@ mod tests {
         // An attacker publishes their key under a victim's HIT.
         zone.add(
             "victim.cloud",
-            Record::Hip { hit: [9; 16], host_identity: id.public().to_bytes(), rendezvous: vec![] },
+            Record::Hip {
+                hit: [9; 16],
+                host_identity: id.public().to_bytes(),
+                rendezvous: vec![],
+            },
         );
         assert!(resolve(&zone, "victim.cloud").is_none());
     }
@@ -134,8 +161,20 @@ mod tests {
     fn republish_replaces_locators() {
         let id = identity();
         let mut zone = Zone::new();
-        publish(&mut zone, "vm.cloud", id.public(), &[v4(10, 0, 0, 5)], vec![]);
-        republish(&mut zone, "vm.cloud", id.public(), &[v4(10, 0, 1, 7)], vec![]);
+        publish(
+            &mut zone,
+            "vm.cloud",
+            id.public(),
+            &[v4(10, 0, 0, 5)],
+            vec![],
+        );
+        republish(
+            &mut zone,
+            "vm.cloud",
+            id.public(),
+            &[v4(10, 0, 1, 7)],
+            vec![],
+        );
         let peer = resolve(&zone, "vm.cloud").unwrap();
         assert_eq!(peer.locators, vec![v4(10, 0, 1, 7)], "old locator gone");
     }

@@ -40,24 +40,38 @@ pub struct Firewall {
 impl Firewall {
     /// An allow-everything firewall (the default posture).
     pub fn allow_all() -> Self {
-        Firewall { rules: Vec::new(), default: Action::Allow, denied: 0 }
+        Firewall {
+            rules: Vec::new(),
+            default: Action::Allow,
+            denied: 0,
+        }
     }
 
     /// A deny-by-default firewall: only explicitly allowed HITs may talk
     /// (the hosts.allow model for tenant isolation).
     pub fn deny_by_default() -> Self {
-        Firewall { rules: Vec::new(), default: Action::Deny, denied: 0 }
+        Firewall {
+            rules: Vec::new(),
+            default: Action::Deny,
+            denied: 0,
+        }
     }
 
     /// Appends an allow rule for `peer`.
     pub fn allow(&mut self, peer: Hit) -> &mut Self {
-        self.rules.push(Rule { peer: Some(peer), action: Action::Allow });
+        self.rules.push(Rule {
+            peer: Some(peer),
+            action: Action::Allow,
+        });
         self
     }
 
     /// Appends a deny rule for `peer`.
     pub fn deny(&mut self, peer: Hit) -> &mut Self {
-        self.rules.push(Rule { peer: Some(peer), action: Action::Deny });
+        self.rules.push(Rule {
+            peer: Some(peer),
+            action: Action::Deny,
+        });
         self
     }
 

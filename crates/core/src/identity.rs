@@ -186,7 +186,11 @@ impl HostIdentity {
         let keys = RsaKeyPair::generate(bits, rng);
         let public = PublicHi::Rsa(keys.public().clone());
         let hit = public.hit();
-        HostIdentity { keys: HiKeys::Rsa(keys), public, hit }
+        HostIdentity {
+            keys: HiKeys::Rsa(keys),
+            public,
+            hit,
+        }
     }
 
     /// Generates an ECDSA P-256 host identity (the ECC extension).
@@ -194,7 +198,11 @@ impl HostIdentity {
         let keys = EcdsaKeyPair::generate(rng);
         let public = PublicHi::Ecdsa(keys.public().clone());
         let hit = public.hit();
-        HostIdentity { keys: HiKeys::Ecdsa(keys), public, hit }
+        HostIdentity {
+            keys: HiKeys::Ecdsa(keys),
+            public,
+            hit,
+        }
     }
 
     /// The public identity.

@@ -42,7 +42,7 @@ pub mod wire;
 pub use cost::CostModel;
 pub use esp::{EspError, EspSa, InnerMode};
 pub use firewall::{Action, Firewall};
-pub use identity::{HiAlgorithm, HostIdentity, Hit, LsiMapper, PublicHi};
+pub use identity::{HiAlgorithm, Hit, HostIdentity, LsiMapper, PublicHi};
 pub use midbox::HipMidboxFirewall;
 pub use rendezvous::RendezvousServer;
 pub use shim::{HipConfig, HipShim, HipStats, PeerInfo};

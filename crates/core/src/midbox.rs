@@ -93,7 +93,8 @@ impl HipMidboxFirewall {
                 // R2 the responder's, UPDATE rekeys).
                 if let Some((_, new_spi)) = hip.esp_info() {
                     if new_spi != 0 {
-                        self.spi_owner.insert(new_spi, (hip.sender_hit, hip.receiver_hit));
+                        self.spi_owner
+                            .insert(new_spi, (hip.sender_hit, hip.receiver_hit));
                     }
                 }
                 if hip.packet_type == PacketType::R2 {
@@ -129,7 +130,13 @@ impl Node for HipMidboxFirewall {
             Action::Deny => {
                 self.dropped += 1;
                 ctx.trace_drop(|| {
-                    format!("{}: policy drop {} -> {} proto {}", self.name, pkt.src, pkt.dst, pkt.protocol())
+                    format!(
+                        "{}: policy drop {} -> {} proto {}",
+                        self.name,
+                        pkt.src,
+                        pkt.dst,
+                        pkt.protocol()
+                    )
                 });
             }
         }
@@ -152,14 +159,23 @@ mod tests {
 
     fn control(ptype: PacketType, from: Hit, to: Hit, params: Vec<Param>) -> Packet {
         let pkt = HipPacket::new(ptype, from, to, params);
-        Packet::new(v4(10, 0, 0, 1), v4(10, 0, 0, 2), Payload::HipControl(pkt.encode()))
+        Packet::new(
+            v4(10, 0, 0, 1),
+            v4(10, 0, 0, 2),
+            Payload::HipControl(pkt.encode()),
+        )
     }
 
     fn esp(spi: u32) -> Packet {
         Packet::new(
             v4(10, 0, 0, 1),
             v4(10, 0, 0, 2),
-            Payload::Esp(EspPacket { spi, seq: 1, ciphertext: Bytes::from(vec![0; 48]), icv: [0; 16] }),
+            Payload::Esp(EspPacket {
+                spi,
+                seq: 1,
+                ciphertext: Bytes::from(vec![0; 48]),
+                icv: [0; 16],
+            }),
         )
     }
 
@@ -168,11 +184,27 @@ mod tests {
         let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
         let (a, b) = (Hit([1; 16]), Hit([2; 16]));
         assert_eq!(
-            fw.inspect(&control(PacketType::I2, a, b, vec![Param::EspInfo { old_spi: 0, new_spi: 0x111 }])),
+            fw.inspect(&control(
+                PacketType::I2,
+                a,
+                b,
+                vec![Param::EspInfo {
+                    old_spi: 0,
+                    new_spi: 0x111
+                }]
+            )),
             Action::Allow
         );
         assert_eq!(
-            fw.inspect(&control(PacketType::R2, b, a, vec![Param::EspInfo { old_spi: 0, new_spi: 0x222 }])),
+            fw.inspect(&control(
+                PacketType::R2,
+                b,
+                a,
+                vec![Param::EspInfo {
+                    old_spi: 0,
+                    new_spi: 0x222
+                }]
+            )),
             Action::Allow
         );
         assert_eq!(fw.exchanges_seen, 1);
@@ -185,7 +217,11 @@ mod tests {
     #[test]
     fn unknown_spi_denied() {
         let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
-        assert_eq!(fw.inspect(&esp(0xdead)), Action::Deny, "no BEX observed → no ESP");
+        assert_eq!(
+            fw.inspect(&esp(0xdead)),
+            Action::Deny,
+            "no BEX observed → no ESP"
+        );
     }
 
     #[test]
@@ -197,14 +233,24 @@ mod tests {
         policy.allow(peer);
         let mut fw = HipMidboxFirewall::new("hv", policy);
         let evil = Hit([9; 16]);
-        assert_eq!(fw.inspect(&control(PacketType::I1, evil, peer, vec![])), Action::Deny);
-        assert_eq!(fw.inspect(&control(PacketType::I1, good, peer, vec![])), Action::Allow);
+        assert_eq!(
+            fw.inspect(&control(PacketType::I1, evil, peer, vec![])),
+            Action::Deny
+        );
+        assert_eq!(
+            fw.inspect(&control(PacketType::I1, good, peer, vec![])),
+            Action::Allow
+        );
     }
 
     #[test]
     fn garbage_hip_control_denied() {
         let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
-        let pkt = Packet::new(v4(1, 1, 1, 1), v4(2, 2, 2, 2), Payload::HipControl(Bytes::from_static(b"garbage")));
+        let pkt = Packet::new(
+            v4(1, 1, 1, 1),
+            v4(2, 2, 2, 2),
+            Payload::HipControl(Bytes::from_static(b"garbage")),
+        );
         assert_eq!(fw.inspect(&pkt), Action::Deny);
     }
 
@@ -227,6 +273,10 @@ mod tests {
         );
         assert_eq!(fw.inspect(&tcp), Action::Allow);
         fw.default_other = Action::Deny;
-        assert_eq!(fw.inspect(&tcp), Action::Deny, "tenant policy: no cleartext");
+        assert_eq!(
+            fw.inspect(&tcp),
+            Action::Deny,
+            "tenant policy: no cleartext"
+        );
     }
 }

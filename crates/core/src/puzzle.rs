@@ -36,7 +36,12 @@ impl Midstate {
 }
 
 fn puzzle_hash(i: u64, initiator: &Hit, responder: &Hit, j: u64) -> u64 {
-    let digest = sha256_multi(&[&i.to_be_bytes(), &initiator.0, &responder.0, &j.to_be_bytes()]);
+    let digest = sha256_multi(&[
+        &i.to_be_bytes(),
+        &initiator.0,
+        &responder.0,
+        &j.to_be_bytes(),
+    ]);
     u64::from_be_bytes(digest[24..32].try_into().expect("8 bytes"))
 }
 
@@ -116,11 +121,14 @@ mod tests {
     fn wrong_j_rejected() {
         let (hi, hr) = hits();
         let (j, _) = solve(7, 12, &hi, &hr, 0);
-        assert!(!verify(7, 12, &hi, &hr, j.wrapping_add(1)) || {
-            // j+1 could also be a solution with ~2^-12 probability; accept
-            // either but make sure verification is not vacuous:
-            !verify(7, 12, &hi, &hr, j.wrapping_add(2)) || !verify(7, 12, &hi, &hr, j.wrapping_add(3))
-        });
+        assert!(
+            !verify(7, 12, &hi, &hr, j.wrapping_add(1)) || {
+                // j+1 could also be a solution with ~2^-12 probability; accept
+                // either but make sure verification is not vacuous:
+                !verify(7, 12, &hi, &hr, j.wrapping_add(2))
+                    || !verify(7, 12, &hi, &hr, j.wrapping_add(3))
+            }
+        );
     }
 
     #[test]
@@ -178,7 +186,10 @@ mod tests {
         ] {
             let fast = solve(i, k, &hi, &hr, j0);
             let slow = solve_reference(i, k, &hi, &hr, j0);
-            assert_eq!(fast, slow, "i={i} k={k} j0={j0}: (j, attempts) must be identical");
+            assert_eq!(
+                fast, slow,
+                "i={i} k={k} j0={j0}: (j, attempts) must be identical"
+            );
         }
     }
 

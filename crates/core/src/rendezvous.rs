@@ -39,7 +39,14 @@ pub struct RendezvousServer {
 impl RendezvousServer {
     /// Creates a server at `addr` attached to `link`.
     pub fn new(addr: IpAddr, link: LinkId) -> Self {
-        RendezvousServer { addr, link, registrations: FxHashMap::default(), reg_seq: FxHashMap::default(), relayed: 0, rejected: 0 }
+        RendezvousServer {
+            addr,
+            link,
+            registrations: FxHashMap::default(),
+            reg_seq: FxHashMap::default(),
+            relayed: 0,
+            rejected: 0,
+        }
     }
 
     /// Current registration for a HIT (tests).
@@ -59,8 +66,12 @@ impl RendezvousServer {
 
     fn on_reg_request(&mut self, hip: &HipPacket, wire: &Packet, ctx: &mut Ctx) {
         // The registration must be signed by the key that owns the HIT.
-        let Some(hi_bytes) = hip.host_id() else { return };
-        let Some(hi) = PublicHi::from_bytes(hi_bytes) else { return };
+        let Some(hi_bytes) = hip.host_id() else {
+            return;
+        };
+        let Some(hi) = PublicHi::from_bytes(hi_bytes) else {
+            return;
+        };
         if hi.hit() != hip.sender_hit {
             self.rejected += 1;
             return;
@@ -81,20 +92,27 @@ impl RendezvousServer {
             if seq <= last {
                 self.rejected += 1;
                 ctx.trace_drop(|| {
-                    format!("rvs: stale registration seq {seq} (have {last}) from {:?}", hip.sender_hit)
+                    format!(
+                        "rvs: stale registration seq {seq} (have {last}) from {:?}",
+                        hip.sender_hit
+                    )
                 });
                 return;
             }
         }
         self.reg_seq.insert(hip.sender_hit, seq);
-        let locator = hip
-            .locators()
-            .first()
-            .copied()
-            .unwrap_or(wire.src);
+        let locator = hip.locators().first().copied().unwrap_or(wire.src);
         self.registrations.insert(hip.sender_hit, locator);
-        let resp = HipPacket::new(PacketType::RegResponse, hip.sender_hit, hip.sender_hit, vec![]);
-        ctx.transmit(self.link, Packet::new(self.addr, wire.src, Payload::HipControl(resp.encode())));
+        let resp = HipPacket::new(
+            PacketType::RegResponse,
+            hip.sender_hit,
+            hip.sender_hit,
+            vec![],
+        );
+        ctx.transmit(
+            self.link,
+            Packet::new(self.addr, wire.src, Payload::HipControl(resp.encode())),
+        );
         ctx.trace_state(|| format!("rvs: registered {:?} at {locator}", hip.sender_hit));
     }
 
@@ -109,14 +127,21 @@ impl RendezvousServer {
         params.push(Param::ViaRvs(encode_locator(&self.addr)));
         let relayed = HipPacket::new(PacketType::I1, hip.sender_hit, hip.receiver_hit, params);
         self.relayed += 1;
-        ctx.transmit(self.link, Packet::new(self.addr, locator, Payload::HipControl(relayed.encode())));
+        ctx.transmit(
+            self.link,
+            Packet::new(self.addr, locator, Payload::HipControl(relayed.encode())),
+        );
     }
 }
 
 impl Node for RendezvousServer {
     fn handle_packet(&mut self, _iface: usize, pkt: Packet, ctx: &mut Ctx) {
-        let Payload::HipControl(bytes) = &pkt.payload else { return };
-        let Some(hip) = HipPacket::decode(bytes) else { return };
+        let Payload::HipControl(bytes) = &pkt.payload else {
+            return;
+        };
+        let Some(hip) = HipPacket::decode(bytes) else {
+            return;
+        };
         match hip.packet_type {
             PacketType::RegRequest => self.on_reg_request(&hip, &pkt, ctx),
             PacketType::I1 => self.on_i1(&hip, &pkt, ctx),
@@ -140,7 +165,11 @@ mod tests {
     use netsim::packet::v4;
     use rand::SeedableRng;
 
-    fn make_signed_reg(id: &HostIdentity, locator: IpAddr, rng: &mut rand::rngs::StdRng) -> HipPacket {
+    fn make_signed_reg(
+        id: &HostIdentity,
+        locator: IpAddr,
+        rng: &mut rand::rngs::StdRng,
+    ) -> HipPacket {
         let mut params = vec![
             Param::HostId(id.public().to_bytes()),
             Param::Locator(vec![encode_locator(&locator)]),
@@ -168,10 +197,18 @@ mod tests {
         }
         let sink = sim.world.add_node(Box::new(Sink));
         let rvs_addr = v4(10, 0, 0, 9);
-        let rvs = sim.world.add_node(Box::new(RendezvousServer::new(rvs_addr, LinkId(0))));
+        let rvs = sim
+            .world
+            .add_node(Box::new(RendezvousServer::new(rvs_addr, LinkId(0))));
         sim.world.connect(
-            netsim::Endpoint { node: rvs, iface: 0 },
-            netsim::Endpoint { node: sink, iface: 0 },
+            netsim::Endpoint {
+                node: rvs,
+                iface: 0,
+            },
+            netsim::Endpoint {
+                node: sink,
+                iface: 0,
+            },
             netsim::LinkParams::datacenter(),
         );
 
@@ -191,7 +228,11 @@ mod tests {
             netsim::Event::PacketArrive {
                 node: rvs,
                 iface: 0,
-                pkt: Packet::new(v4(10, 0, 0, 5), rvs_addr, Payload::HipControl(good.encode())),
+                pkt: Packet::new(
+                    v4(10, 0, 0, 5),
+                    rvs_addr,
+                    Payload::HipControl(good.encode()),
+                ),
             },
         );
         sim.schedule(
@@ -233,10 +274,18 @@ mod tests {
         let mut sim = netsim::Sim::new(2);
         let cap = sim.world.add_node(Box::new(Capture { got: vec![] }));
         let rvs_addr = v4(10, 0, 0, 9);
-        let rvs = sim.world.add_node(Box::new(RendezvousServer::new(rvs_addr, LinkId(0))));
+        let rvs = sim
+            .world
+            .add_node(Box::new(RendezvousServer::new(rvs_addr, LinkId(0))));
         sim.world.connect(
-            netsim::Endpoint { node: rvs, iface: 0 },
-            netsim::Endpoint { node: cap, iface: 0 },
+            netsim::Endpoint {
+                node: rvs,
+                iface: 0,
+            },
+            netsim::Endpoint {
+                node: cap,
+                iface: 0,
+            },
             netsim::LinkParams::datacenter(),
         );
         // Register the responder.
@@ -256,7 +305,11 @@ mod tests {
             netsim::Event::PacketArrive {
                 node: rvs,
                 iface: 0,
-                pkt: Packet::new(v4(192, 0, 2, 33), rvs_addr, Payload::HipControl(i1.encode())),
+                pkt: Packet::new(
+                    v4(192, 0, 2, 33),
+                    rvs_addr,
+                    Payload::HipControl(i1.encode()),
+                ),
             },
         );
         assert!(sim.run_to_quiescence(100).is_quiescent());

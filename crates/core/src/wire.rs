@@ -231,7 +231,12 @@ impl Param {
                 }
                 v
             }
-            Param::Puzzle { k, lifetime, opaque, i } => {
+            Param::Puzzle {
+                k,
+                lifetime,
+                opaque,
+                i,
+            } => {
                 let mut v = vec![*k, *lifetime];
                 v.extend_from_slice(&opaque.to_be_bytes());
                 v.extend_from_slice(&i.to_be_bytes());
@@ -281,7 +286,10 @@ impl Param {
                     return None;
                 }
                 Param::Locator(
-                    value.chunks(16).map(|c| <[u8; 16]>::try_from(c).unwrap()).collect(),
+                    value
+                        .chunks(16)
+                        .map(|c| <[u8; 16]>::try_from(c).unwrap())
+                        .collect(),
                 )
             }
             PUZZLE => {
@@ -312,19 +320,27 @@ impl Param {
                     return None;
                 }
                 Param::Ack(
-                    value.chunks(4).map(|c| u32::from_be_bytes(c.try_into().unwrap())).collect(),
+                    value
+                        .chunks(4)
+                        .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
+                        .collect(),
                 )
             }
             DIFFIE_HELLMAN => {
                 let (&group, public) = value.split_first()?;
-                Param::DiffieHellman { group, public: public.to_vec() }
+                Param::DiffieHellman {
+                    group,
+                    public: public.to_vec(),
+                }
             }
             HIP_TRANSFORM | ESP_TRANSFORM => {
                 if !value.len().is_multiple_of(2) {
                     return None;
                 }
-                let suites =
-                    value.chunks(2).map(|c| u16::from_be_bytes(c.try_into().unwrap())).collect();
+                let suites = value
+                    .chunks(2)
+                    .map(|c| u16::from_be_bytes(c.try_into().unwrap()))
+                    .collect();
                 if type_code == HIP_TRANSFORM {
                     Param::HipTransform(suites)
                 } else {
@@ -361,9 +377,19 @@ const VERSION: u8 = 1;
 
 impl HipPacket {
     /// Creates a packet; parameters are sorted into wire order.
-    pub fn new(packet_type: PacketType, sender: Hit, receiver: Hit, mut params: Vec<Param>) -> Self {
+    pub fn new(
+        packet_type: PacketType,
+        sender: Hit,
+        receiver: Hit,
+        mut params: Vec<Param>,
+    ) -> Self {
         params.sort_by_key(Param::type_code);
-        HipPacket { packet_type, sender_hit: sender, receiver_hit: receiver, params }
+        HipPacket {
+            packet_type,
+            sender_hit: sender,
+            receiver_hit: receiver,
+            params,
+        }
     }
 
     /// Serializes the full packet.
@@ -412,7 +438,12 @@ impl HipPacket {
             let pad = (8 - (4 + len) % 8) % 8;
             off += 4 + len + pad;
         }
-        Some(HipPacket { packet_type, sender_hit, receiver_hit, params })
+        Some(HipPacket {
+            packet_type,
+            sender_hit,
+            receiver_hit,
+            params,
+        })
     }
 
     /// The bytes covered by the HMAC parameter: everything before it.
@@ -422,7 +453,12 @@ impl HipPacket {
             packet_type: self.packet_type,
             sender_hit: self.sender_hit,
             receiver_hit: self.receiver_hit,
-            params: self.params.iter().filter(|p| p.type_code() < type_code).cloned().collect(),
+            params: self
+                .params
+                .iter()
+                .filter(|p| p.type_code() < type_code)
+                .cloned()
+                .collect(),
         };
         truncated.encode().to_vec()
     }
@@ -435,7 +471,12 @@ impl HipPacket {
             packet_type: self.packet_type,
             sender_hit: self.sender_hit,
             receiver_hit: Hit::NULL,
-            params: self.params.iter().filter(|p| p.type_code() < type_code).cloned().collect(),
+            params: self
+                .params
+                .iter()
+                .filter(|p| p.type_code() < type_code)
+                .cloned()
+                .collect(),
         };
         truncated.encode().to_vec()
     }
@@ -448,7 +489,12 @@ impl HipPacket {
     /// The puzzle parameter, if present.
     pub fn puzzle(&self) -> Option<(u8, u8, u16, u64)> {
         self.find(|p| match p {
-            Param::Puzzle { k, lifetime, opaque, i } => Some((*k, *lifetime, *opaque, *i)),
+            Param::Puzzle {
+                k,
+                lifetime,
+                opaque,
+                i,
+            } => Some((*k, *lifetime, *opaque, *i)),
             _ => None,
         })
     }
@@ -562,11 +608,22 @@ mod tests {
     fn sample_params() -> Vec<Param> {
         vec![
             Param::Signature(vec![9; 64]),
-            Param::Puzzle { k: 10, lifetime: 37, opaque: 0xbeef, i: 0x1122334455667788 },
-            Param::DiffieHellman { group: 4, public: vec![5; 192] },
+            Param::Puzzle {
+                k: 10,
+                lifetime: 37,
+                opaque: 0xbeef,
+                i: 0x1122334455667788,
+            },
+            Param::DiffieHellman {
+                group: 4,
+                public: vec![5; 192],
+            },
             Param::HostId(vec![5, 1, 2, 3]),
             Param::HipTransform(vec![1, 2]),
-            Param::EspInfo { old_spi: 0, new_spi: 0xdeadbeef },
+            Param::EspInfo {
+                old_spi: 0,
+                new_spi: 0xdeadbeef,
+            },
             Param::Hmac([7; 32]),
             Param::Seq(42),
             Param::Ack(vec![41, 42]),
@@ -621,7 +678,12 @@ mod tests {
     #[test]
     fn unknown_params_preserved() {
         let (a, b) = hits();
-        let pkt = HipPacket::new(PacketType::Update, a, b, vec![Param::Unknown(999, vec![1, 2, 3])]);
+        let pkt = HipPacket::new(
+            PacketType::Update,
+            a,
+            b,
+            vec![Param::Unknown(999, vec![1, 2, 3])],
+        );
         let parsed = HipPacket::decode(&pkt.encode()).unwrap();
         assert_eq!(parsed.params, vec![Param::Unknown(999, vec![1, 2, 3])]);
     }
@@ -652,7 +714,10 @@ mod tests {
         assert_eq!(parsed.sender_hit, a);
         // Two packets differing only in receiver HIT share the coverage.
         let pkt2 = HipPacket::new(PacketType::R1, a, Hit([9; 16]), sample_params());
-        assert_eq!(cov, pkt2.bytes_before_with_zero_receiver(param_type::HIP_SIGNATURE));
+        assert_eq!(
+            cov,
+            pkt2.bytes_before_with_zero_receiver(param_type::HIP_SIGNATURE)
+        );
     }
 
     #[test]

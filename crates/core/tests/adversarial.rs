@@ -50,7 +50,9 @@ enum FrameAttack {
 
 /// Flips one bit in the middle of an ESP packet's ciphertext.
 fn tamper(pkt: &Packet) -> Packet {
-    let Payload::Esp(esp) = &pkt.payload else { panic!("not ESP") };
+    let Payload::Esp(esp) = &pkt.payload else {
+        panic!("not ESP")
+    };
     let mut tampered = esp.clone();
     let mut ct = tampered.ciphertext.to_vec();
     let mid = ct.len() / 2;
@@ -170,7 +172,12 @@ struct World {
 /// a — mitm — b, HIP between a and b, chat app running.
 fn build(mitm_cfg: impl FnOnce(&mut Mitm), seed: u64) -> World {
     let chat = |hit_b: Hit| -> Box<dyn App> {
-        Box::new(Chat { target: hit_b.to_ip(), rounds: 10, sent: 0, replies: 0 })
+        Box::new(Chat {
+            target: hit_b.to_ip(),
+            rounds: 10,
+            sent: 0,
+            replies: 0,
+        })
     };
     build_with(mitm_cfg, seed, chat, Box::new(EchoServer))
 }
@@ -190,9 +197,21 @@ fn build_with(
     let (addr_a, addr_b) = (v4(10, 0, 0, 1), v4(10, 0, 0, 2));
 
     let mut shim_a = HipShim::new(id_a, HipConfig::default());
-    shim_a.add_peer(hit_b, PeerInfo { locators: vec![addr_b], via_rvs: None });
+    shim_a.add_peer(
+        hit_b,
+        PeerInfo {
+            locators: vec![addr_b],
+            via_rvs: None,
+        },
+    );
     let mut shim_b = HipShim::new(id_b, HipConfig::default());
-    shim_b.add_peer(hit_a, PeerInfo { locators: vec![addr_a], via_rvs: None });
+    shim_b.add_peer(
+        hit_a,
+        PeerInfo {
+            locators: vec![addr_a],
+            via_rvs: None,
+        },
+    );
 
     let mut sim = Sim::new(seed ^ 0xabc);
     let mut ha = Host::new("a");
@@ -232,32 +251,73 @@ fn build_with(
         mm.left = la;
         mm.right = lb;
     }
-    sim.world.node_mut::<Host>(a).expect("a").core.add_iface(la, vec![addr_a]);
-    sim.world.node_mut::<Host>(b).expect("b").core.add_iface(lb, vec![addr_b]);
-    World { sim, a, b, hit_a, hit_b }
+    sim.world
+        .node_mut::<Host>(a)
+        .expect("a")
+        .core
+        .add_iface(la, vec![addr_a]);
+    sim.world
+        .node_mut::<Host>(b)
+        .expect("b")
+        .core
+        .add_iface(lb, vec![addr_b]);
+    World {
+        sim,
+        a,
+        b,
+        hit_a,
+        hit_b,
+    }
 }
 
 fn shim_stats(sim: &Sim, node: netsim::NodeId) -> hip_core::HipStats {
-    sim.world.node::<Host>(node).expect("host").shim::<HipShim>().expect("shim").stats
+    sim.world
+        .node::<Host>(node)
+        .expect("host")
+        .shim::<HipShim>()
+        .expect("shim")
+        .stats
 }
 
 #[test]
 fn replayed_esp_packets_are_dropped_and_chat_survives() {
     let mut w = build(|m| m.replay_esp = true, 1);
     w.sim.run_until(SimTime(20_000_000_000));
-    let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
-    assert_eq!(chat.replies, 10, "application unaffected by the replay attack");
+    let chat = w
+        .sim
+        .world
+        .node::<Host>(w.a)
+        .expect("a")
+        .app::<Chat>(0)
+        .expect("chat");
+    assert_eq!(
+        chat.replies, 10,
+        "application unaffected by the replay attack"
+    );
     let sb = shim_stats(&w.sim, w.b);
-    assert!(sb.drops_replay > 0, "duplicates were detected and dropped: {sb:?}");
+    assert!(
+        sb.drops_replay > 0,
+        "duplicates were detected and dropped: {sb:?}"
+    );
 }
 
 #[test]
 fn tampered_esp_packets_rejected_tcp_recovers() {
     let mut w = build(|m| m.tamper_esp = true, 2);
     w.sim.run_until(SimTime(60_000_000_000));
-    let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
+    let chat = w
+        .sim
+        .world
+        .node::<Host>(w.a)
+        .expect("a")
+        .app::<Chat>(0)
+        .expect("chat");
     // TCP retransmits whatever the ICV check discarded; progress holds.
-    assert!(chat.replies >= 5, "chat made progress despite tampering: {}", chat.replies);
+    assert!(
+        chat.replies >= 5,
+        "chat made progress despite tampering: {}",
+        chat.replies
+    );
     let sa = shim_stats(&w.sim, w.a);
     let sb = shim_stats(&w.sim, w.b);
     assert!(
@@ -274,10 +334,7 @@ fn forged_i2_cannot_hijack_an_identity() {
     let mut key_rng = StdRng::seed_from_u64(9);
     let attacker = HostIdentity::generate_rsa(512, &mut key_rng);
 
-    let mut w = build(
-        |_m| {},
-        3,
-    );
+    let mut w = build(|_m| {}, 3);
     // First let the legitimate association establish.
     w.sim.run_until(SimTime(5_000_000_000));
     assert!(w
@@ -294,9 +351,20 @@ fn forged_i2_cannot_hijack_an_identity() {
     let mut rng = StdRng::seed_from_u64(10);
     let forged = {
         let mut params = vec![
-            Param::Solution { k: 10, opaque: 0, i: 0xdead, j: 0xbeef },
-            Param::DiffieHellman { group: 255, public: vec![2; 64] },
-            Param::EspInfo { old_spi: 0, new_spi: 0x6666 },
+            Param::Solution {
+                k: 10,
+                opaque: 0,
+                i: 0xdead,
+                j: 0xbeef,
+            },
+            Param::DiffieHellman {
+                group: 255,
+                public: vec![2; 64],
+            },
+            Param::EspInfo {
+                old_spi: 0,
+                new_spi: 0x6666,
+            },
             Param::HostId(attacker.public().to_bytes()),
         ];
         let unsigned = HipPacket::new(PacketType::I2, w.hit_a, w.hit_b, params.clone());
@@ -304,18 +372,35 @@ fn forged_i2_cannot_hijack_an_identity() {
         params.push(Param::Signature(attacker.sign(&covered, &mut rng)));
         HipPacket::new(PacketType::I2, w.hit_a, w.hit_b, params)
     };
-    let inject = Packet::new(v4(10, 0, 0, 66), v4(10, 0, 0, 2), Payload::HipControl(forged.encode()));
+    let inject = Packet::new(
+        v4(10, 0, 0, 66),
+        v4(10, 0, 0, 2),
+        Payload::HipControl(forged.encode()),
+    );
     w.sim.schedule(
         netsim::SimDuration::from_millis(1),
-        netsim::Event::PacketArrive { node: w.b, iface: 0, pkt: inject },
+        netsim::Event::PacketArrive {
+            node: w.b,
+            iface: 0,
+            pkt: inject,
+        },
     );
     w.sim.run_until(SimTime(10_000_000_000));
 
     let after = shim_stats(&w.sim, w.b);
     assert!(after.drops_auth > before.drops_auth, "forged I2 rejected");
-    assert_eq!(after.bex_completed, before.bex_completed, "no new association from the forgery");
+    assert_eq!(
+        after.bex_completed, before.bex_completed,
+        "no new association from the forgery"
+    );
     // The legitimate association is untouched.
-    let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
+    let chat = w
+        .sim
+        .world
+        .node::<Host>(w.a)
+        .expect("a")
+        .app::<Chat>(0)
+        .expect("chat");
     assert_eq!(chat.replies, 10);
 }
 
@@ -429,8 +514,12 @@ impl BulkOutcome {
 /// ESP frame heading to b — mid-burst, well after the handshake.
 fn bulk_under_attack(attack: FrameAttack) -> BulkOutcome {
     let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
-    let sender =
-        |hit_b: Hit| -> Box<dyn App> { Box::new(BulkSender { target: hit_b.to_ip(), data: data.clone() }) };
+    let sender = |hit_b: Hit| -> Box<dyn App> {
+        Box::new(BulkSender {
+            target: hit_b.to_ip(),
+            data: data.clone(),
+        })
+    };
     let mut w = build_with(
         |m| m.frame_attack = Some((40, attack)),
         6,
@@ -438,7 +527,14 @@ fn bulk_under_attack(attack: FrameAttack) -> BulkOutcome {
         Box::new(BulkReceiver { got: Vec::new() }),
     );
     w.sim.run_until(SimTime(30_000_000_000));
-    let got = &w.sim.world.node::<Host>(w.b).expect("b").app::<BulkReceiver>(0).expect("receiver").got;
+    let got = &w
+        .sim
+        .world
+        .node::<Host>(w.b)
+        .expect("b")
+        .app::<BulkReceiver>(0)
+        .expect("receiver")
+        .got;
     assert_eq!(*got, data, "{attack:?}: TCP must recover the whole stream");
     for node in [w.a, w.b] {
         let tcp = &w.sim.world.node::<Host>(node).expect("host").core.tcp;
@@ -463,7 +559,11 @@ fn bulk_under_attack(attack: FrameAttack) -> BulkOutcome {
 #[test]
 fn bulk_tampered_frame_rejected_alone() {
     let out = bulk_under_attack(FrameAttack::Tamper);
-    assert_eq!(out.stats_b.drops_auth, 1, "exactly the tampered frame fails its ICV: {:?}", out.stats_b);
+    assert_eq!(
+        out.stats_b.drops_auth, 1,
+        "exactly the tampered frame fails its ICV: {:?}",
+        out.stats_b
+    );
     assert_eq!(out.drop_auth, Some(1));
     assert_eq!(out.stats_b.drops_replay, 0);
     assert_eq!(out.esp_data_counts(), (301, 269_612, 300, 268_144));
@@ -473,7 +573,11 @@ fn bulk_tampered_frame_rejected_alone() {
 #[test]
 fn bulk_replayed_frame_rejected_alone() {
     let out = bulk_under_attack(FrameAttack::Replay);
-    assert_eq!(out.stats_b.drops_replay, 1, "exactly the duplicate is refused: {:?}", out.stats_b);
+    assert_eq!(
+        out.stats_b.drops_replay, 1,
+        "exactly the duplicate is refused: {:?}",
+        out.stats_b
+    );
     assert_eq!(out.drop_replay, Some(1));
     assert_eq!(out.stats_b.drops_auth, 0);
     assert_eq!(out.esp_data_counts(), (185, 265_844, 185, 265_844));
@@ -483,10 +587,21 @@ fn bulk_replayed_frame_rejected_alone() {
 #[test]
 fn bulk_dropped_frame_is_retransmitted() {
     let out = bulk_under_attack(FrameAttack::Drop);
-    assert_eq!((out.stats_b.drops_auth, out.stats_b.drops_replay), (0, 0), "{:?}", out.stats_b);
+    assert_eq!(
+        (out.stats_b.drops_auth, out.stats_b.drops_replay),
+        (0, 0),
+        "{:?}",
+        out.stats_b
+    );
     // The stream is whole (checked in `bulk_under_attack`), so TCP
     // resent the data; only the swallowed frame never reached b.
-    assert_eq!(out.stats_a.esp_out, out.stats_b.esp_in + 1, "a={:?} b={:?}", out.stats_a, out.stats_b);
+    assert_eq!(
+        out.stats_a.esp_out,
+        out.stats_b.esp_in + 1,
+        "a={:?} b={:?}",
+        out.stats_a,
+        out.stats_b
+    );
     assert_eq!(out.esp_data_counts(), (301, 269_612, 300, 268_144));
     assert_eq!(out, bulk_under_attack(FrameAttack::Drop), "deterministic");
 }
@@ -521,10 +636,26 @@ fn sprayed_spis_leave_the_notify_limiter_bounded() {
     w.sim.run_until(SimTime((3 + SECONDS + 1) * 1_000_000_000));
     let after = shim_stats(&w.sim, w.b);
     assert_eq!(after.drops_no_sa, before.drops_no_sa + PER_SECOND * SECONDS);
-    let shim = w.sim.world.node::<Host>(w.b).expect("b").shim::<HipShim>().expect("shim");
+    let shim = w
+        .sim
+        .world
+        .node::<Host>(w.b)
+        .expect("b")
+        .shim::<HipShim>()
+        .expect("shim");
     // At most the SPIs of the last two windows stay.
     let len = shim.notify_limiter_len() as u64;
-    assert!(len <= 2 * PER_SECOND, "{len} limiter entries after {} sprayed SPIs", PER_SECOND * SECONDS);
-    let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
+    assert!(
+        len <= 2 * PER_SECOND,
+        "{len} limiter entries after {} sprayed SPIs",
+        PER_SECOND * SECONDS
+    );
+    let chat = w
+        .sim
+        .world
+        .node::<Host>(w.a)
+        .expect("a")
+        .app::<Chat>(0)
+        .expect("chat");
     assert_eq!(chat.replies, 10, "the legitimate association is unaffected");
 }

@@ -32,17 +32,30 @@ fn arb_packet_type() -> impl Strategy<Value = PacketType> {
 
 fn arb_param() -> impl Strategy<Value = Param> {
     prop_oneof![
-        (any::<u32>(), any::<u32>()).prop_map(|(a, b)| Param::EspInfo { old_spi: a, new_spi: b }),
+        (any::<u32>(), any::<u32>()).prop_map(|(a, b)| Param::EspInfo {
+            old_spi: a,
+            new_spi: b
+        }),
         any::<u64>().prop_map(Param::R1Counter),
         proptest::collection::vec(any::<[u8; 16]>(), 0..4).prop_map(Param::Locator),
-        (any::<u8>(), any::<u8>(), any::<u16>(), any::<u64>())
-            .prop_map(|(k, l, o, i)| Param::Puzzle { k, lifetime: l, opaque: o, i }),
+        (any::<u8>(), any::<u8>(), any::<u16>(), any::<u64>()).prop_map(|(k, l, o, i)| {
+            Param::Puzzle {
+                k,
+                lifetime: l,
+                opaque: o,
+                i,
+            }
+        }),
         (any::<u8>(), any::<u16>(), any::<u64>(), any::<u64>())
             .prop_map(|(k, o, i, j)| Param::Solution { k, opaque: o, i, j }),
         any::<u32>().prop_map(Param::Seq),
         proptest::collection::vec(any::<u32>(), 0..5).prop_map(Param::Ack),
-        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..80))
-            .prop_map(|(g, p)| Param::DiffieHellman { group: g, public: p }),
+        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..80)).prop_map(|(g, p)| {
+            Param::DiffieHellman {
+                group: g,
+                public: p,
+            }
+        }),
         proptest::collection::vec(any::<u16>(), 0..4).prop_map(Param::HipTransform),
         proptest::collection::vec(any::<u8>(), 0..120).prop_map(Param::HostId),
         any::<u64>().prop_map(Param::EchoRequest),
