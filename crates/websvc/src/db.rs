@@ -10,15 +10,13 @@
 //! reads.
 
 use crate::rubis::{execute, Query, RubisData, CACHE_HIT_COST};
-use crate::secure::{Channel, Conn};
+use crate::secure::{Conn, ServerSecurity};
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::HistId;
 use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
-use sim_crypto::rsa::RsaKeyPair;
 use std::any::Any;
-use tls_sim::{Certificate, TlsCosts};
 
 /// Length-prefixed frame parser (`u32 BE length | payload`). Frames are
 /// handed out as slices of the receive buffer, which sheds the frames
@@ -54,23 +52,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// Server-side transport security template (per-connection sessions are
-/// cloned from this).
-#[allow(clippy::large_enum_variant)] // one per server app
-pub enum ServerSecurity {
-    /// Plain TCP (Basic and HIP scenarios).
-    Plain,
-    /// TLS with this certificate/key (SSL scenario).
-    Tls {
-        /// The server certificate presented to clients.
-        cert: Certificate,
-        /// The matching private key.
-        keys: RsaKeyPair,
-        /// CPU cost table for the crypto.
-        costs: TlsCosts,
-    },
 }
 
 /// Aggregate statistics.
@@ -122,15 +103,6 @@ impl DbServerApp {
             service_hist: None,
             sojourn_hist: None,
             stats: DbStats::default(),
-        }
-    }
-
-    fn make_channel(&self) -> Channel {
-        match &self.security {
-            ServerSecurity::Plain => Channel::plain(),
-            ServerSecurity::Tls { cert, keys, costs } => {
-                Channel::tls_server(cert.clone(), keys.clone(), *costs)
-            }
         }
     }
 
@@ -204,11 +176,10 @@ impl App for DbServerApp {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
-                let channel = self.make_channel();
                 self.conns.insert(
                     sock,
                     DbConn {
-                        conn: Conn::new(sock, channel),
+                        conn: self.security.accept(sock),
                         frames: FrameParser::default(),
                     },
                 );

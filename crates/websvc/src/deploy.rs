@@ -11,17 +11,18 @@
 //!   over HIP; the LB terminates HIP toward the consumers.
 //! - **SSL**: the same hops carry TLS inside TCP.
 
-use crate::db::{DbServerApp, ServerSecurity};
-use crate::proxy::{BackendSecurity, ProxyApp};
+use crate::db::DbServerApp;
+use crate::proxy::ProxyApp;
 use crate::rubis::RubisData;
-use crate::secure::Scenario;
-use crate::webserver::{DbSecurity, WebConfig, WebServerApp};
+use crate::secure::{ClientSecurity, Scenario, ServerSecurity};
+use crate::webserver::{WebConfig, WebServerApp};
 use cloudsim::{CloudKind, CloudTopology, Flavor, VmHandle};
-use hip_core::identity::HostIdentity;
+use hip_core::identity::{Hit, HostIdentity};
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::net::IpAddr;
+use sim_crypto::rsa::RsaKeyPair;
+use std::net::{IpAddr, Ipv4Addr};
 use tls_sim::{CertificateAuthority, TlsCosts};
 
 /// Frontend port the load balancer listens on.
@@ -144,6 +145,23 @@ pub fn tls_costs(c: &CostModel) -> TlsCosts {
     }
 }
 
+/// How one scenario addresses and secures the two cloud-internal hops
+/// (LB → web and web → DB): everything the install pass needs besides
+/// the VMs.
+struct Wiring {
+    /// The DB's end of each web → DB link.
+    db: ServerSecurity,
+    /// The web tier's end of its DB links.
+    web_to_db: ClientSecurity,
+    /// Per web VM: the DB address it dials and its end of the LB → web
+    /// link.
+    webs: Vec<(IpAddr, ServerSecurity)>,
+    /// Per web VM: the address the LB balances over (empty without one).
+    backends: Vec<IpAddr>,
+    /// The LB's end of each LB → web link.
+    lb_to_web: ClientSecurity,
+}
+
 /// Builds the full deployment. HIP and TLS charge their crypto from the
 /// same table, [`CostModel::paper_web_stack`].
 pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
@@ -160,178 +178,47 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
     let mut key_rng = StdRng::seed_from_u64(cfg.seed ^ 0xfeed_beef);
 
     // ----- per-scenario identities / certificates -----
-    match cfg.scenario {
-        Scenario::Basic => {
-            install_db(&mut topo, db, &cfg, ServerSecurity::Plain);
-            for &web in &webs {
-                install_web(
-                    &mut topo,
-                    web,
-                    db.addr,
-                    DbSecurity::Plain,
-                    ServerSecurity::Plain,
-                );
-            }
-            if let Some(lb) = lb {
-                let backends = webs.iter().map(|w| (w.addr, WEB_PORT)).collect();
-                install_lb(&mut topo, lb, backends, BackendSecurity::Plain);
-            }
-        }
-        Scenario::Hip | Scenario::HipLsi => {
-            // Identities for every HIP node.
-            let id_db = HostIdentity::generate_rsa(512, &mut key_rng);
-            let ids_web: Vec<HostIdentity> = webs
+    let wiring = match cfg.scenario {
+        Scenario::Basic => Wiring {
+            db: ServerSecurity::Plain,
+            web_to_db: ClientSecurity::Plain,
+            webs: webs
                 .iter()
-                .map(|_| HostIdentity::generate_rsa(512, &mut key_rng))
-                .collect();
-            let id_lb = lb.map(|_| HostIdentity::generate_rsa(512, &mut key_rng));
-            let hip_cfg = HipConfig {
-                costs: CostModel::paper_web_stack(),
-                ..HipConfig::default()
-            };
+                .map(|_| (db.addr, ServerSecurity::Plain))
+                .collect(),
+            backends: webs.iter().map(|w| w.addr).collect(),
+            lb_to_web: ClientSecurity::Plain,
+        },
+        Scenario::Hip | Scenario::HipLsi => hip_wiring(
+            &mut topo,
+            cfg.scenario == Scenario::Hip,
+            db,
+            &webs,
+            lb,
+            &mut key_rng,
+        ),
+        Scenario::Ssl => ssl_wiring(cfg.use_lb, db, &webs, &mut key_rng),
+    };
 
-            let hit_db = id_db.hit();
-            let hits_web: Vec<_> = ids_web.iter().map(HostIdentity::hit).collect();
-
-            // DB shim: knows every web server.
-            let mut shim_db = HipShim::new(id_db, hip_cfg.clone());
-            for (i, &web) in webs.iter().enumerate() {
-                shim_db.add_peer(
-                    hits_web[i],
-                    PeerInfo {
-                        locators: vec![web.addr],
-                        via_rvs: None,
-                    },
-                );
-            }
-            if let (Some(lb), Some(id)) = (lb, id_lb.as_ref()) {
-                // Not strictly needed (LB never talks to the DB) but
-                // harmless and realistic.
-                shim_db.add_peer(
-                    id.hit(),
-                    PeerInfo {
-                        locators: vec![lb.addr],
-                        via_rvs: None,
-                    },
-                );
-            }
-            topo.host_mut(db).set_shim(Box::new(shim_db));
-            install_db(&mut topo, db, &cfg, ServerSecurity::Plain);
-
-            // Web shims: know the DB and the LB.
-            let mut web_db_addrs = Vec::with_capacity(webs.len());
-            for (i, (&web, id)) in webs.iter().zip(ids_web).enumerate() {
-                let _ = i;
-                let mut shim = HipShim::new(id, hip_cfg.clone());
-                let db_lsi = shim.add_peer(
-                    hit_db,
-                    PeerInfo {
-                        locators: vec![db.addr],
-                        via_rvs: None,
-                    },
-                );
-                if let (Some(lb), Some(idl)) = (lb, id_lb.as_ref()) {
-                    shim.add_peer(
-                        idl.hit(),
-                        PeerInfo {
-                            locators: vec![lb.addr],
-                            via_rvs: None,
-                        },
-                    );
-                }
-                let db_addr: IpAddr = match cfg.scenario {
-                    Scenario::Hip => hit_db.to_ip(),
-                    _ => IpAddr::V4(db_lsi),
-                };
-                topo.host_mut(web).set_shim(Box::new(shim));
-                web_db_addrs.push(db_addr);
-            }
-            for (&web, db_addr) in webs.iter().zip(web_db_addrs) {
-                install_web(
-                    &mut topo,
-                    web,
-                    db_addr,
-                    DbSecurity::Plain,
-                    ServerSecurity::Plain,
-                );
-            }
-
-            // LB shim: knows every web server; terminates HIP.
-            if let (Some(lb), Some(id)) = (lb, id_lb) {
-                let mut shim = HipShim::new(id, hip_cfg);
-                let mut backends = Vec::with_capacity(webs.len());
-                for (i, &web) in webs.iter().enumerate() {
-                    let lsi = shim.add_peer(
-                        hits_web[i],
-                        PeerInfo {
-                            locators: vec![web.addr],
-                            via_rvs: None,
-                        },
-                    );
-                    let addr: IpAddr = match cfg.scenario {
-                        Scenario::Hip => hits_web[i].to_ip(),
-                        _ => IpAddr::V4(lsi),
-                    };
-                    backends.push((addr, WEB_PORT));
-                }
-                topo.host_mut(lb).set_shim(Box::new(shim));
-                install_lb(&mut topo, lb, backends, BackendSecurity::Plain);
-            }
-        }
-        Scenario::Ssl => {
-            let costs = tls_costs(&CostModel::paper_web_stack());
-            let ca = CertificateAuthority::new(512, &mut key_rng);
-            // DB certificate.
-            let db_keys = sim_crypto::rsa::RsaKeyPair::generate(512, &mut key_rng);
-            let db_cert = ca.issue("db.rubis.cloud", db_keys.public());
-            install_db(
-                &mut topo,
-                db,
-                &cfg,
-                ServerSecurity::Tls {
-                    cert: db_cert,
-                    keys: db_keys,
-                    costs,
-                },
-            );
-            for (i, &web) in webs.iter().enumerate() {
-                // Consumers always speak plain HTTP; only proxy-fronted
-                // web servers offer TLS on their frontend.
-                let frontend = if cfg.use_lb {
-                    let web_keys = sim_crypto::rsa::RsaKeyPair::generate(512, &mut key_rng);
-                    let web_cert = ca.issue(&format!("web{i}.rubis.cloud"), web_keys.public());
-                    ServerSecurity::Tls {
-                        cert: web_cert,
-                        keys: web_keys,
-                        costs,
-                    }
-                } else {
-                    ServerSecurity::Plain
-                };
-                install_web(
-                    &mut topo,
-                    web,
-                    db.addr,
-                    DbSecurity::Tls {
-                        ca: ca.public().clone(),
-                        costs,
-                    },
-                    frontend,
-                );
-            }
-            if let Some(lb) = lb {
-                let backends = webs.iter().map(|w| (w.addr, WEB_PORT)).collect();
-                install_lb(
-                    &mut topo,
-                    lb,
-                    backends,
-                    BackendSecurity::Tls {
-                        ca: ca.public().clone(),
-                        costs,
-                    },
-                );
-            }
-        }
+    // ----- one install pass for every scenario -----
+    let data = RubisData::generate(cfg.users, cfg.items, cfg.seed ^ 0xdb);
+    let db_app = DbServerApp::new(DB_PORT, data, cfg.query_cache, wiring.db);
+    topo.host_mut(db).add_app(Box::new(db_app));
+    for (&web, (db_addr, frontend_security)) in webs.iter().zip(wiring.webs) {
+        let web_cfg = WebConfig {
+            port: WEB_PORT,
+            db_addr,
+            db_port: DB_PORT,
+            db_security: wiring.web_to_db.clone(),
+            frontend_security,
+        };
+        topo.host_mut(web)
+            .add_app(Box::new(WebServerApp::new(web_cfg)));
+    }
+    if let Some(lb) = lb {
+        let backends = wiring.backends.iter().map(|&a| (a, WEB_PORT)).collect();
+        let proxy = ProxyApp::new(LB_PORT, backends, wiring.lb_to_web);
+        topo.host_mut(lb).add_app(Box::new(proxy));
     }
 
     let frontend = match lb {
@@ -349,33 +236,120 @@ pub fn deploy_rubis(cfg: RubisConfig) -> RubisDeployment {
     }
 }
 
-fn install_db(topo: &mut CloudTopology, db: VmHandle, cfg: &RubisConfig, security: ServerSecurity) {
-    let data = RubisData::generate(cfg.users, cfg.items, cfg.seed ^ 0xdb);
-    let app = DbServerApp::new(DB_PORT, data, cfg.query_cache, security);
-    topo.host_mut(db).add_app(Box::new(app));
+/// HIP on every cloud-internal hop: one identity and shim per VM, each
+/// shim told the peers it talks to, and every app addressing its peer by
+/// HIT (`by_hit`) or by the LSI its own shim assigned. Identities are
+/// drawn from `key_rng` in the order DB, each web VM, LB.
+fn hip_wiring(
+    topo: &mut CloudTopology,
+    by_hit: bool,
+    db: VmHandle,
+    webs: &[VmHandle],
+    lb: Option<VmHandle>,
+    key_rng: &mut StdRng,
+) -> Wiring {
+    let id_db = HostIdentity::generate_rsa(512, key_rng);
+    let ids_web: Vec<HostIdentity> = webs
+        .iter()
+        .map(|_| HostIdentity::generate_rsa(512, key_rng))
+        .collect();
+    let id_lb = lb.map(|_| HostIdentity::generate_rsa(512, key_rng));
+    let hip_cfg = HipConfig {
+        costs: CostModel::paper_web_stack(),
+        ..HipConfig::default()
+    };
+    let hit_db = id_db.hit();
+    let hits_web: Vec<Hit> = ids_web.iter().map(HostIdentity::hit).collect();
+    let hit_lb = id_lb.as_ref().map(HostIdentity::hit);
+    let at = |vm: VmHandle| PeerInfo {
+        locators: vec![vm.addr],
+        via_rvs: None,
+    };
+    let addr = |hit: Hit, lsi: Ipv4Addr| {
+        if by_hit {
+            hit.to_ip()
+        } else {
+            IpAddr::V4(lsi)
+        }
+    };
+
+    // DB shim: knows every web server, and the LB (which never talks to
+    // the DB; harmless and realistic).
+    let mut shim_db = HipShim::new(id_db, hip_cfg.clone());
+    for (&web, &hit) in webs.iter().zip(&hits_web) {
+        shim_db.add_peer(hit, at(web));
+    }
+    if let (Some(lb), Some(hit)) = (lb, hit_lb) {
+        shim_db.add_peer(hit, at(lb));
+    }
+    topo.host_mut(db).set_shim(Box::new(shim_db));
+
+    // Web shims: know the DB and the LB.
+    let mut web_ends = Vec::with_capacity(webs.len());
+    for (&web, id) in webs.iter().zip(ids_web) {
+        let mut shim = HipShim::new(id, hip_cfg.clone());
+        let db_lsi = shim.add_peer(hit_db, at(db));
+        if let (Some(lb), Some(hit)) = (lb, hit_lb) {
+            shim.add_peer(hit, at(lb));
+        }
+        topo.host_mut(web).set_shim(Box::new(shim));
+        web_ends.push((addr(hit_db, db_lsi), ServerSecurity::Plain));
+    }
+
+    // LB shim: knows every web server; terminates HIP.
+    let mut backends = Vec::with_capacity(webs.len());
+    if let (Some(lb), Some(id)) = (lb, id_lb) {
+        let mut shim = HipShim::new(id, hip_cfg);
+        for (&web, &hit) in webs.iter().zip(&hits_web) {
+            let lsi = shim.add_peer(hit, at(web));
+            backends.push(addr(hit, lsi));
+        }
+        topo.host_mut(lb).set_shim(Box::new(shim));
+    }
+
+    Wiring {
+        db: ServerSecurity::Plain,
+        web_to_db: ClientSecurity::Plain,
+        webs: web_ends,
+        backends,
+        lb_to_web: ClientSecurity::Plain,
+    }
 }
 
-fn install_web(
-    topo: &mut CloudTopology,
-    web: VmHandle,
-    db_addr: IpAddr,
-    db_security: DbSecurity,
-    frontend_security: ServerSecurity,
-) {
-    let mut web_cfg = WebConfig::new(db_addr, DB_PORT);
-    web_cfg.port = WEB_PORT;
-    web_cfg.db_security = db_security;
-    web_cfg.frontend_security = frontend_security;
-    topo.host_mut(web)
-        .add_app(Box::new(WebServerApp::new(web_cfg)));
-}
-
-fn install_lb(
-    topo: &mut CloudTopology,
-    lb: VmHandle,
-    backends: Vec<(IpAddr, u16)>,
-    security: BackendSecurity,
-) {
-    let app = ProxyApp::new(LB_PORT, backends, security);
-    topo.host_mut(lb).add_app(Box::new(app));
+/// TLS on every cloud-internal hop, all certificates issued by one CA.
+/// Keys are drawn from `key_rng` in the order CA, DB, then each web VM
+/// when an LB fronts it (consumers always speak plain HTTP, so only
+/// proxy-fronted web servers offer TLS).
+fn ssl_wiring(use_lb: bool, db: VmHandle, webs: &[VmHandle], key_rng: &mut StdRng) -> Wiring {
+    let costs = tls_costs(&CostModel::paper_web_stack());
+    let ca = CertificateAuthority::new(512, key_rng);
+    let db_keys = RsaKeyPair::generate(512, key_rng);
+    let db_cert = ca.issue("db.rubis.cloud", db_keys.public());
+    let web_ends = (0..webs.len())
+        .map(|i| {
+            let frontend = if use_lb {
+                let keys = RsaKeyPair::generate(512, key_rng);
+                let cert = ca.issue(&format!("web{i}.rubis.cloud"), keys.public());
+                ServerSecurity::Tls { cert, keys, costs }
+            } else {
+                ServerSecurity::Plain
+            };
+            (db.addr, frontend)
+        })
+        .collect();
+    let trust_ca = ClientSecurity::Tls {
+        ca: ca.public().clone(),
+        costs,
+    };
+    Wiring {
+        db: ServerSecurity::Tls {
+            cert: db_cert,
+            keys: db_keys,
+            costs,
+        },
+        web_to_db: trust_ca.clone(),
+        webs: web_ends,
+        backends: webs.iter().map(|w| w.addr).collect(),
+        lb_to_web: trust_ca,
+    }
 }

@@ -346,9 +346,6 @@ pub struct HttperfApp {
     users: u32,
     items: u32,
     conns: FxHashMap<SockId, HttperfConn>,
-    /// Stop issuing after this many requests (0 = unlimited).
-    pub max_requests: u64,
-    issued: u64,
     /// Measurement window start.
     pub measure_from: SimTime,
     /// Completed responses.
@@ -373,8 +370,6 @@ impl HttperfApp {
             users,
             items,
             conns: FxHashMap::default(),
-            max_requests: 0,
-            issued: 0,
             measure_from: SimTime::ZERO,
             completed: 0,
             latency: LatencyStats::default(),
@@ -395,10 +390,7 @@ impl App for HttperfApp {
 
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
-            AppEvent::Timer { token: TIMER_TICK }
-                if (self.max_requests == 0 || self.issued < self.max_requests) =>
-            {
-                self.issued += 1;
+            AppEvent::Timer { token: TIMER_TICK } => {
                 match api.tcp_connect(self.target.0, self.target.1) {
                     Some(sock) => {
                         self.conns.insert(

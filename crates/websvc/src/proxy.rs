@@ -31,7 +31,7 @@
 //! `503` (every backend ejected) instead of a hang.
 
 use crate::http::{HttpResponse, RequestParser, ResponseParser};
-use crate::secure::{Channel, Conn};
+use crate::secure::{ClientSecurity, Conn};
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::CtrId;
@@ -40,20 +40,6 @@ use netsim::{SimDuration, SimTime, SockId};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::net::IpAddr;
-use tls_sim::TlsCosts;
-
-/// Security toward the backends (client side is always plain HTTP).
-pub enum BackendSecurity {
-    /// Plain TCP — or HIP when the backend addresses are HITs/LSIs.
-    Plain,
-    /// TLS to each backend.
-    Tls {
-        /// Trusted CA for backend certificates.
-        ca: sim_crypto::rsa::RsaPublicKey,
-        /// CPU cost table for the crypto.
-        costs: TlsCosts,
-    },
-}
 
 // Registry counters the proxy bumps, one per failover fact. Readers
 // look them up by these names (`MetricsRegistry::counter_value`).
@@ -129,11 +115,11 @@ struct ClientSide {
 }
 
 struct BackendSide {
-    conn: Conn,
+    /// Set when the TCP connection comes up.
+    conn: Option<Conn>,
     parser: ResponseParser,
     client: SockId,
     backend_idx: usize,
-    connected: bool,
     /// Framed requests accepted before the link came up.
     queued: VecDeque<Vec<u8>>,
     /// When the first queued request arrived (feeds the `proxy.queue` span).
@@ -160,7 +146,9 @@ const TIMER_KIND_TICK: u64 = 1;
 pub struct ProxyApp {
     listen_port: u16,
     backends: Vec<Backend>,
-    security: BackendSecurity,
+    /// Security toward the backends (the consumer side is always plain
+    /// HTTP).
+    security: ClientSecurity,
     rr: usize,
     clients: FxHashMap<SockId, ClientSide>,
     backend_conns: FxHashMap<SockId, BackendSide>,
@@ -176,7 +164,7 @@ pub struct ProxyApp {
 impl ProxyApp {
     /// Creates a proxy listening on `listen_port`, balancing over
     /// `backends`.
-    pub fn new(listen_port: u16, backends: Vec<(IpAddr, u16)>, security: BackendSecurity) -> Self {
+    pub fn new(listen_port: u16, backends: Vec<(IpAddr, u16)>, security: ClientSecurity) -> Self {
         assert!(!backends.is_empty(), "proxy needs at least one backend");
         ProxyApp {
             listen_port,
@@ -275,8 +263,8 @@ impl ProxyApp {
 
     /// Queues or sends one framed request on an (owned) backend link.
     fn send_on(link: &mut BackendSide, req: Vec<u8>, now: SimTime, api: &mut HostApi) {
-        if link.connected {
-            link.conn.send(req.clone(), api);
+        if let Some(conn) = &mut link.conn {
+            conn.send(req.clone(), api);
             link.inflight.push_back(req);
             if link.response_deadline.is_none() {
                 link.response_deadline = Some(now + RESPONSE_TIMEOUT);
@@ -321,11 +309,10 @@ impl ProxyApp {
             return;
         };
         let mut link = BackendSide {
-            conn: Conn::new(sock, Channel::plain()),
+            conn: None,
             parser: ResponseParser::default(),
             client,
             backend_idx: idx,
-            connected: false,
             queued: VecDeque::new(),
             queued_at: None,
             inflight: VecDeque::new(),
@@ -422,7 +409,7 @@ impl ProxyApp {
             .backend_conns
             .iter()
             .filter_map(|(s, l)| {
-                let connect_late = !l.connected && l.connect_deadline.is_some_and(|d| d <= now);
+                let connect_late = l.conn.is_none() && l.connect_deadline.is_some_and(|d| d <= now);
                 let response_late = l.response_deadline.is_some_and(|d| d <= now);
                 if connect_late {
                     Some((*s, 502))
@@ -511,38 +498,33 @@ impl App for ProxyApp {
                     api.tcp_close(sock);
                     return;
                 }
-                // A backend link came up: install its channel, flush.
-                let channel = match &self.security {
-                    BackendSecurity::Plain => Channel::plain(),
-                    BackendSecurity::Tls { ca, costs } => {
-                        Channel::tls_client(ca.clone(), *costs, sock, api)
-                    }
+                // A backend link came up: secure it, flush.
+                let Some(link) = self.backend_conns.get_mut(&sock) else {
+                    return;
                 };
-                let mut flushed = None;
-                if let Some(link) = self.backend_conns.get_mut(&sock) {
-                    link.conn = Conn::new(sock, channel);
-                    link.connected = true;
-                    link.connect_deadline = None;
-                    if let Some(t0) = link.queued_at.take() {
-                        let waited = api.now().since(t0).as_nanos();
-                        api.metrics().observe_name(QUEUE_WAIT, waited);
-                    }
-                    let now = api.now();
-                    while let Some(req) = link.queued.pop_front() {
-                        Self::send_on(link, req, now, api);
-                    }
-                    flushed = Some(link.backend_idx);
+                link.conn = Some(self.security.connect(sock, api));
+                link.connect_deadline = None;
+                if let Some(t0) = link.queued_at.take() {
+                    let waited = api.now().since(t0).as_nanos();
+                    api.metrics().observe_name(QUEUE_WAIT, waited);
                 }
-                if let Some(idx) = flushed {
-                    self.record_success(idx, api);
+                let now = api.now();
+                while let Some(req) = link.queued.pop_front() {
+                    Self::send_on(link, req, now, api);
                 }
+                let idx = link.backend_idx;
+                self.record_success(idx, api);
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
                 let raw = api.tcp_recv(sock);
                 if self.backend_conns.contains_key(&sock) {
                     // Backend → client direction.
                     let link = self.backend_conns.get_mut(&sock).expect("checked");
-                    let out = link.conn.on_bytes(raw, api);
+                    // Data never arrives before Connected.
+                    let Some(conn) = &mut link.conn else {
+                        return;
+                    };
+                    let out = conn.on_bytes(raw, api);
                     link.parser.push(&out.app_data);
                     let client = link.client;
                     let idx = link.backend_idx;
@@ -648,7 +630,7 @@ mod tests {
                 (v4(10, 1, 0, 3), 80),
                 (v4(10, 1, 0, 4), 80),
             ],
-            BackendSecurity::Plain,
+            ClientSecurity::Plain,
         )
     }
 
@@ -695,6 +677,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn needs_backends() {
-        let _ = ProxyApp::new(80, vec![], BackendSecurity::Plain);
+        let _ = ProxyApp::new(80, vec![], ClientSecurity::Plain);
     }
 }

@@ -7,11 +7,15 @@
 //! - **SSL** — TLS session layered inside the TCP stream by the
 //!   application, as OpenSSL/OpenVPN would.
 //!
-//! [`Channel`] wraps one TCP socket's security state so server and
-//! client apps handle all three scenarios with the same code path.
+//! This module is the only place that knows how a link end is secured.
+//! A deployment picks a [`ClientSecurity`] for each dialing end and a
+//! [`ServerSecurity`] for each listening end; apps turn them into a
+//! [`Conn`] when a connection comes up and then send and receive
+//! through it the same way in all three scenarios.
 
 use netsim::host::HostApi;
 use netsim::{SimDuration, SockId};
+use sim_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use tls_sim::{Certificate, TlsCosts, TlsSession};
 
 /// Which protection a deployment uses (drives addressing + channels).
@@ -50,15 +54,79 @@ impl Scenario {
     }
 }
 
+/// How the client end of a RUBiS link is secured.
+#[derive(Clone)]
+pub enum ClientSecurity {
+    /// Plain TCP: Basic, or HIP when the peer is addressed by HIT or LSI
+    /// (the shim encrypts below).
+    Plain,
+    /// TLS inside the stream (SSL scenario), trusting certificates
+    /// issued by `ca`.
+    Tls {
+        /// Trusted CA for the server's certificate.
+        ca: RsaPublicKey,
+        /// CPU cost table for the crypto.
+        costs: TlsCosts,
+    },
+}
+
+impl ClientSecurity {
+    /// The connection state of `sock`, which has just come up
+    /// ([`TcpEvent::Connected`](netsim::tcp::TcpEvent::Connected)). A
+    /// TLS client sends its ClientHello here.
+    pub fn connect(&self, sock: SockId, api: &mut HostApi) -> Conn {
+        let channel = match self {
+            ClientSecurity::Plain => Channel::Plain,
+            ClientSecurity::Tls { ca, costs } => {
+                let mut session = TlsSession::client(ca.clone(), *costs);
+                let hello = session.start_handshake(api.ctx.rng());
+                api.tcp_send(sock, hello);
+                Channel::Tls(Box::new(session))
+            }
+        };
+        Conn::new(sock, channel)
+    }
+}
+
+/// How the server end of a RUBiS link is secured: a template each
+/// accepted connection gets its own session from.
+#[allow(clippy::large_enum_variant)] // one per server app
+pub enum ServerSecurity {
+    /// Plain TCP (Basic and HIP scenarios).
+    Plain,
+    /// TLS with this certificate/key (SSL scenario).
+    Tls {
+        /// The server certificate presented to clients.
+        cert: Certificate,
+        /// The matching private key.
+        keys: RsaKeyPair,
+        /// CPU cost table for the crypto.
+        costs: TlsCosts,
+    },
+}
+
+impl ServerSecurity {
+    /// The connection state of the just-accepted `sock`.
+    pub fn accept(&self, sock: SockId) -> Conn {
+        let channel = match self {
+            ServerSecurity::Plain => Channel::Plain,
+            ServerSecurity::Tls { cert, keys, costs } => Channel::Tls(Box::new(
+                TlsSession::server(cert.clone(), keys.clone(), *costs),
+            )),
+        };
+        Conn::new(sock, channel)
+    }
+}
+
 /// Security state of one TCP connection.
-pub enum Channel {
+enum Channel {
     /// Pass-through (Basic and HIP scenarios: HIP encrypts below).
     Plain,
     /// TLS endpoint (SSL scenario).
     Tls(Box<TlsSession>),
 }
 
-/// What `Channel::on_bytes` produced.
+/// What [`Conn::on_bytes`] produced.
 #[derive(Default)]
 pub struct ChannelOutput {
     /// Decrypted application bytes.
@@ -70,35 +138,8 @@ pub struct ChannelOutput {
 }
 
 impl Channel {
-    /// A plain channel.
-    pub fn plain() -> Self {
-        Channel::Plain
-    }
-
-    /// A TLS client channel; emits its ClientHello immediately.
-    pub fn tls_client(
-        ca: sim_crypto::rsa::RsaPublicKey,
-        costs: TlsCosts,
-        sock: SockId,
-        api: &mut HostApi,
-    ) -> Self {
-        let mut session = TlsSession::client(ca, costs);
-        let hello = session.start_handshake(api.ctx.rng());
-        api.tcp_send(sock, hello);
-        Channel::Tls(Box::new(session))
-    }
-
-    /// A TLS server channel.
-    pub fn tls_server(
-        cert: Certificate,
-        keys: sim_crypto::rsa::RsaKeyPair,
-        costs: TlsCosts,
-    ) -> Self {
-        Channel::Tls(Box::new(TlsSession::server(cert, keys, costs)))
-    }
-
     /// True once application data may be sent.
-    pub fn ready(&self) -> bool {
+    fn ready(&self) -> bool {
         match self {
             Channel::Plain => true,
             Channel::Tls(s) => s.is_established(),
@@ -107,7 +148,7 @@ impl Channel {
 
     /// Feeds raw TCP bytes; replies/decrypted data are handled through
     /// `api` (handshake replies are sent, crypto CPU work is charged).
-    pub fn on_bytes(&mut self, sock: SockId, raw: Vec<u8>, api: &mut HostApi) -> ChannelOutput {
+    fn on_bytes(&mut self, sock: SockId, raw: Vec<u8>, api: &mut HostApi) -> ChannelOutput {
         match self {
             Channel::Plain => ChannelOutput {
                 app_data: raw,
@@ -135,7 +176,7 @@ impl Channel {
     }
 
     /// Sends application data through the channel.
-    pub fn send(&mut self, sock: SockId, app_data: Vec<u8>, api: &mut HostApi) {
+    fn send(&mut self, sock: SockId, app_data: Vec<u8>, api: &mut HostApi) {
         match self {
             Channel::Plain => api.tcp_send(sock, app_data),
             Channel::Tls(session) => {
@@ -150,19 +191,18 @@ impl Channel {
     }
 }
 
-/// A connection wrapper: channel + outbox of app data queued until the
-/// channel becomes ready (e.g. during the TLS handshake).
+/// One secured connection: its socket, its channel and an outbox of app
+/// data queued until the channel becomes ready (during the TLS
+/// handshake). Built only by [`ClientSecurity::connect`] and
+/// [`ServerSecurity::accept`].
 pub struct Conn {
-    /// The underlying TCP socket.
-    pub sock: SockId,
-    /// Its security state.
-    pub channel: Channel,
+    sock: SockId,
+    channel: Channel,
     outbox: Vec<u8>,
 }
 
 impl Conn {
-    /// Wraps a socket with a channel.
-    pub fn new(sock: SockId, channel: Channel) -> Self {
+    fn new(sock: SockId, channel: Channel) -> Self {
         Conn {
             sock,
             channel,
@@ -188,11 +228,6 @@ impl Conn {
         }
         out
     }
-
-    /// True once app data flows without queuing.
-    pub fn ready(&self) -> bool {
-        self.channel.ready()
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +248,9 @@ mod tests {
 
     #[test]
     fn plain_channel_is_transparent() {
-        let ch = Channel::plain();
-        assert!(ch.ready());
+        let conn = ServerSecurity::Plain.accept(SockId(7));
+        assert!(matches!(conn.channel, Channel::Plain));
+        assert!(conn.channel.ready());
     }
     // TLS channel behaviour is covered end-to-end in the webserver/db
     // integration tests, where real sockets and HostApi exist.

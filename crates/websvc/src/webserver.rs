@@ -7,10 +7,10 @@
 //! work is charged to the VM's CPU — on a micro instance this is what
 //! saturates first, exactly as in the paper's Figure 2.
 
-use crate::db::{frame, FrameParser, ServerSecurity};
+use crate::db::{frame, FrameParser};
 use crate::http::{HttpRequest, HttpResponse, RequestParser};
 use crate::rubis::Query;
-use crate::secure::{Channel, Conn};
+use crate::secure::{ClientSecurity, Conn, ServerSecurity};
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::HistId;
@@ -19,20 +19,6 @@ use netsim::{SimDuration, SockId};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::net::IpAddr;
-use tls_sim::TlsCosts;
-
-/// Client-side transport security for the DB link.
-pub enum DbSecurity {
-    /// Plain TCP (Basic) or HIP (when `db_addr` is a HIT/LSI).
-    Plain,
-    /// TLS to the DB (SSL scenario), trusting `ca`.
-    Tls {
-        /// Trusted CA for the DB's certificate.
-        ca: sim_crypto::rsa::RsaPublicKey,
-        /// CPU cost table for the crypto.
-        costs: TlsCosts,
-    },
-}
 
 /// Persistent DB connections per web server.
 const POOL_SIZE: usize = 4;
@@ -51,8 +37,9 @@ pub struct WebConfig {
     pub db_addr: IpAddr,
     /// Database port.
     pub db_port: u16,
-    /// Security on the DB link.
-    pub db_security: DbSecurity,
+    /// Security on the DB link: plain for Basic and HIP (when `db_addr`
+    /// is a HIT or LSI), TLS for SSL.
+    pub db_security: ClientSecurity,
     /// Security offered to frontend clients (the proxy's backend link):
     /// plain for Basic/HIP (HIP encrypts below), TLS for SSL.
     pub frontend_security: ServerSecurity,
@@ -65,7 +52,7 @@ impl WebConfig {
             port: 80,
             db_addr,
             db_port,
-            db_security: DbSecurity::Plain,
+            db_security: ClientSecurity::Plain,
             frontend_security: ServerSecurity::Plain,
         }
     }
@@ -90,11 +77,11 @@ struct ClientConn {
 }
 
 struct DbLink {
-    conn: Conn,
+    /// Set when the TCP connection comes up.
+    conn: Option<Conn>,
     frames: FrameParser,
     /// FIFO of client sockets whose query answers are due on this link.
     inflight: VecDeque<SockId>,
-    connected: bool,
 }
 
 /// The web server application.
@@ -149,7 +136,9 @@ impl WebServerApp {
         }
     }
 
-    /// Tops the pool back up to `POOL_SIZE` connections.
+    /// Dials DB connections until the pool holds `POOL_SIZE`, and
+    /// schedules a retry if a dial fails: the first fill at start and
+    /// every refill after a link is lost.
     fn refill_pool(&mut self, api: &mut HostApi) {
         self.reconnect_pending = false;
         while self.db_links.len() < POOL_SIZE {
@@ -160,40 +149,15 @@ impl WebServerApp {
             self.db_state.insert(
                 sock,
                 DbLink {
-                    conn: Conn::new(sock, Channel::plain()),
+                    conn: None,
                     frames: FrameParser::default(),
                     inflight: VecDeque::new(),
-                    connected: false,
                 },
             );
         }
         if self.db_links.len() < POOL_SIZE && !self.reconnect_pending {
             self.reconnect_pending = true;
             api.set_timer(RECONNECT_DELAY, RECONNECT_TOKEN);
-        }
-    }
-
-    fn open_db_links(&mut self, api: &mut HostApi) {
-        for _ in 0..POOL_SIZE {
-            let Some(sock) = api.tcp_connect(self.config.db_addr, self.config.db_port) else {
-                continue;
-            };
-            let channel = match &self.config.db_security {
-                DbSecurity::Plain => Channel::plain(),
-                // The TLS ClientHello is sent once the TCP connection is
-                // up (see Connected handling below).
-                DbSecurity::Tls { .. } => Channel::plain(), // placeholder, replaced on connect
-            };
-            self.db_links.push(sock);
-            self.db_state.insert(
-                sock,
-                DbLink {
-                    conn: Conn::new(sock, channel),
-                    frames: FrameParser::default(),
-                    inflight: VecDeque::new(),
-                    connected: false,
-                },
-            );
         }
     }
 
@@ -208,10 +172,10 @@ impl WebServerApp {
         for probe in 0..n {
             let sock = self.db_links[(self.rr + probe) % n];
             if let Some(link) = self.db_state.get_mut(&sock) {
-                if link.connected {
+                if let Some(conn) = &mut link.conn {
                     self.rr = (self.rr + probe + 1) % n;
                     link.inflight.push_back(client);
-                    link.conn.send(frame(query.encode().as_bytes()), api);
+                    conn.send(frame(query.encode().as_bytes()), api);
                     return;
                 }
             }
@@ -281,7 +245,7 @@ impl WebServerApp {
 impl App for WebServerApp {
     fn start(&mut self, api: &mut HostApi) {
         assert!(api.tcp_listen(self.config.port), "web port taken");
-        self.open_db_links(api);
+        self.refill_pool(api);
     }
 
     fn reset(&mut self) {
@@ -300,23 +264,18 @@ impl App for WebServerApp {
         match ev {
             // --- DB side ---
             AppEvent::Tcp(TcpEvent::Connected(sock)) if self.db_state.contains_key(&sock) => {
-                // Install the real channel now the TCP stream exists.
-                let channel = match &self.config.db_security {
-                    DbSecurity::Plain => Channel::plain(),
-                    DbSecurity::Tls { ca, costs } => {
-                        Channel::tls_client(ca.clone(), *costs, sock, api)
-                    }
-                };
-                if let Some(link) = self.db_state.get_mut(&sock) {
-                    link.conn = Conn::new(sock, channel);
-                    link.connected = true;
-                }
+                let conn = self.config.db_security.connect(sock, api);
+                self.db_state.get_mut(&sock).expect("checked").conn = Some(conn);
                 self.drain_backlog(api);
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) if self.db_state.contains_key(&sock) => {
                 let raw = api.tcp_recv(sock);
                 let link = self.db_state.get_mut(&sock).expect("checked");
-                let out = link.conn.on_bytes(raw, api);
+                // Data never arrives before Connected.
+                let Some(conn) = &mut link.conn else {
+                    return;
+                };
+                let out = conn.on_bytes(raw, api);
                 link.frames.push(&out.app_data);
                 // Rendering never drops the link, so the parser goes back
                 // once its frames are handled.
@@ -334,16 +293,10 @@ impl App for WebServerApp {
             }
             // --- client side ---
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
-                let channel = match &self.config.frontend_security {
-                    ServerSecurity::Plain => Channel::plain(),
-                    ServerSecurity::Tls { cert, keys, costs } => {
-                        Channel::tls_server(cert.clone(), keys.clone(), *costs)
-                    }
-                };
                 self.clients.insert(
                     sock,
                     ClientConn {
-                        conn: Conn::new(sock, channel),
+                        conn: self.config.frontend_security.accept(sock),
                         parser: RequestParser::default(),
                     },
                 );

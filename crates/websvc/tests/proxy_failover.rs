@@ -10,8 +10,9 @@ use netsim::{SimDuration, SimTime};
 use std::any::Any;
 use std::net::IpAddr;
 use websvc::http::{HttpRequest, ResponseParser};
-use websvc::proxy::{self, BackendSecurity, ProxyApp};
+use websvc::proxy::{self, ProxyApp};
 use websvc::rubis::RubisData;
+use websvc::secure::{ClientSecurity, ServerSecurity};
 use websvc::webserver::{WebConfig, WebServerApp};
 use websvc::{DB_PORT, LB_PORT, WEB_PORT};
 
@@ -66,7 +67,7 @@ fn dead_backend_requests_retry_onto_live_backend() {
             DB_PORT,
             data,
             false,
-            websvc::db::ServerSecurity::Plain,
+            ServerSecurity::Plain,
         )));
     let mut cfg = WebConfig::new(db.addr, DB_PORT);
     cfg.port = WEB_PORT;
@@ -77,7 +78,7 @@ fn dead_backend_requests_retry_onto_live_backend() {
     let proxy_idx = topo.host_mut(lb).add_app(Box::new(ProxyApp::new(
         LB_PORT,
         vec![(web.addr, WEB_PORT), (dead, WEB_PORT)],
-        BackendSecurity::Plain,
+        ClientSecurity::Plain,
     )));
 
     // Four client connections → round robin sends two to each backend.
