@@ -91,9 +91,7 @@ pub fn select_source(candidates: &[IpAddr], dst: &IpAddr) -> Option<IpAddr> {
     candidates
         .iter()
         .find(|a| {
-            a.is_ipv4() == dst.is_ipv4()
-                && is_hit(a) == is_hit(dst)
-                && is_lsi(a) == is_lsi(dst)
+            a.is_ipv4() == dst.is_ipv4() && is_hit(a) == is_hit(dst) && is_lsi(a) == is_lsi(dst)
         })
         .or_else(|| candidates.iter().find(|a| a.is_ipv4() == dst.is_ipv4()))
         .copied()
@@ -150,10 +148,16 @@ mod tests {
         let ip4 = v4(10, 0, 0, 1);
         let ip6 = v6([0xfd00, 0, 0, 0, 0, 0, 0, 1]);
         let candidates = [hit, lsi, ip4, ip6];
-        assert_eq!(select_source(&candidates, &v6([0x2001, 0x0010, 0, 0, 0, 0, 0, 9])), Some(hit));
+        assert_eq!(
+            select_source(&candidates, &v6([0x2001, 0x0010, 0, 0, 0, 0, 0, 9])),
+            Some(hit)
+        );
         assert_eq!(select_source(&candidates, &v4(1, 0, 0, 9)), Some(lsi));
         assert_eq!(select_source(&candidates, &v4(10, 0, 0, 9)), Some(ip4));
-        assert_eq!(select_source(&candidates, &v6([0xfd00, 0, 0, 0, 0, 0, 0, 9])), Some(ip6));
+        assert_eq!(
+            select_source(&candidates, &v6([0xfd00, 0, 0, 0, 0, 0, 0, 9])),
+            Some(ip6)
+        );
     }
 
     #[test]
@@ -161,6 +165,9 @@ mod tests {
         let ip4 = v4(10, 0, 0, 1);
         // No LSI available: any v4 will do for an LSI destination.
         assert_eq!(select_source(&[ip4], &v4(1, 0, 0, 9)), Some(ip4));
-        assert_eq!(select_source(&[ip4], &v6([0xfd00, 0, 0, 0, 0, 0, 0, 1])), None);
+        assert_eq!(
+            select_source(&[ip4], &v6([0xfd00, 0, 0, 0, 0, 0, 0, 1])),
+            None
+        );
     }
 }

@@ -43,7 +43,12 @@ impl CpuModel {
     /// `cores` cores, each running at `speed` compute units.
     pub fn new(cores: usize, speed: f64) -> Self {
         assert!(cores > 0 && speed > 0.0);
-        CpuModel { cores: vec![SimTime::ZERO; cores], speed, busy_accum: SimDuration::ZERO, burst: None }
+        CpuModel {
+            cores: vec![SimTime::ZERO; cores],
+            speed,
+            busy_accum: SimDuration::ZERO,
+            burst: None,
+        }
     }
 
     /// A burstable CPU: runs at `burst_speed` while credits last, then
@@ -175,7 +180,11 @@ mod tests {
         let mut cpu = CpuModel::new(1, 1.0);
         cpu.charge(SimTime::ZERO, SimDuration::from_millis(10));
         let d = cpu.charge(SimTime::ZERO, SimDuration::from_millis(10));
-        assert_eq!(d, SimDuration::from_millis(20), "second job waits for the first");
+        assert_eq!(
+            d,
+            SimDuration::from_millis(20),
+            "second job waits for the first"
+        );
         assert_eq!(cpu.backlog(SimTime::ZERO), SimDuration::from_millis(20));
     }
 
@@ -209,7 +218,10 @@ mod tests {
     #[test]
     fn zero_work_is_free() {
         let mut cpu = CpuModel::new(1, 1.0);
-        assert_eq!(cpu.charge(SimTime::ZERO, SimDuration::ZERO), SimDuration::ZERO);
+        assert_eq!(
+            cpu.charge(SimTime::ZERO, SimDuration::ZERO),
+            SimDuration::ZERO
+        );
         assert_eq!(cpu.busy_time(), SimDuration::ZERO);
     }
 

@@ -62,9 +62,11 @@ impl Record {
         match self {
             Record::A(_) => 16,
             Record::Aaaa(_) => 28,
-            Record::Hip { host_identity, rendezvous, .. } => {
-                16 + 16 + host_identity.len() + rendezvous.len() * 16
-            }
+            Record::Hip {
+                host_identity,
+                rendezvous,
+                ..
+            } => 16 + 16 + host_identity.len() + rendezvous.len() * 16,
         }
     }
 }
@@ -118,13 +120,18 @@ impl Zone {
 
     /// Adds a record for `name` (names are case-insensitive).
     pub fn add(&mut self, name: &str, record: Record) {
-        self.records.entry(name.to_ascii_lowercase()).or_default().push(record);
+        self.records
+            .entry(name.to_ascii_lowercase())
+            .or_default()
+            .push(record);
     }
 
     /// Removes all records for `name`, returning how many were removed.
     /// (This is what HIP dynamic-DNS re-registration does on relocation.)
     pub fn remove(&mut self, name: &str) -> usize {
-        self.records.remove(&name.to_ascii_lowercase()).map_or(0, |v| v.len())
+        self.records
+            .remove(&name.to_ascii_lowercase())
+            .map_or(0, |v| v.len())
     }
 
     /// Looks up records of `rtype` for `name`.
@@ -157,10 +164,18 @@ mod tests {
         z.add("web1.cloud", Record::A(v4(10, 0, 0, 5)));
         z.add(
             "web1.cloud",
-            Record::Hip { hit: [9; 16], host_identity: vec![1, 2, 3], rendezvous: vec![] },
+            Record::Hip {
+                hit: [9; 16],
+                host_identity: vec![1, 2, 3],
+                rendezvous: vec![],
+            },
         );
         assert_eq!(z.lookup("web1.cloud", RecordType::A).len(), 1);
-        assert_eq!(z.lookup("WEB1.CLOUD", RecordType::A).len(), 1, "case-insensitive");
+        assert_eq!(
+            z.lookup("WEB1.CLOUD", RecordType::A).len(),
+            1,
+            "case-insensitive"
+        );
         assert_eq!(z.lookup("web1.cloud", RecordType::Hip).len(), 1);
         assert_eq!(z.lookup("web1.cloud", RecordType::Any).len(), 2);
         assert_eq!(z.lookup("web1.cloud", RecordType::Aaaa).len(), 0);
@@ -175,12 +190,19 @@ mod tests {
         assert!(z.lookup("vm.cloud", RecordType::A).is_empty());
         // Re-register at the new locator.
         z.add("vm.cloud", Record::A(v4(10, 0, 1, 1)));
-        assert_eq!(z.lookup("vm.cloud", RecordType::A), vec![Record::A(v4(10, 0, 1, 1))]);
+        assert_eq!(
+            z.lookup("vm.cloud", RecordType::A),
+            vec![Record::A(v4(10, 0, 1, 1))]
+        );
     }
 
     #[test]
     fn message_wire_len_scales_with_answers() {
-        let q = DnsMessage::Query { id: 1, name: "a.b".into(), rtype: RecordType::A };
+        let q = DnsMessage::Query {
+            id: 1,
+            name: "a.b".into(),
+            rtype: RecordType::A,
+        };
         let r = DnsMessage::Response {
             id: 1,
             name: "a.b".into(),

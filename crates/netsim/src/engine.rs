@@ -66,7 +66,12 @@ impl EngineIds {
 }
 
 fn pkt_info(pkt: &Packet) -> PktInfo {
-    PktInfo { src: pkt.src, dst: pkt.dst, proto: pkt.protocol(), len: pkt.wire_len() as u32 }
+    PktInfo {
+        src: pkt.src,
+        dst: pkt.dst,
+        proto: pkt.protocol(),
+        len: pkt.wire_len() as u32,
+    }
 }
 
 /// Trace reason and counter name for packets discarded because their
@@ -82,7 +87,10 @@ fn drop_node_down(
     pkt: &Packet,
 ) {
     metrics.add_name(NODE_DOWN, 1);
-    trace.record(now, node, || TraceData::Drop { pkt: Some(pkt_info(pkt)), reason: NODE_DOWN.to_string() });
+    trace.record(now, node, || TraceData::Drop {
+        pkt: Some(pkt_info(pkt)),
+        reason: NODE_DOWN.to_string(),
+    });
 }
 
 /// Offers one wire frame to `link` — the only place link delivery and
@@ -108,11 +116,21 @@ fn link_transmit(
     match link.transmit(from, pkt.wire_len(), now, loss_draw, jitter_draw) {
         TxResult::Deliver { to, at } => {
             trace.record(now, from, || TraceData::Tx(pkt_info(&pkt)));
-            Some((at, Event::PacketArrive { node: to.node, iface: to.iface, pkt }))
+            Some((
+                at,
+                Event::PacketArrive {
+                    node: to.node,
+                    iface: to.iface,
+                    pkt,
+                },
+            ))
         }
         TxResult::Dropped { cause } => {
             metrics.inc(ids.link_drops);
-            if matches!(cause, DropCause::Burst | DropCause::LinkDown | DropCause::Partition) {
+            if matches!(
+                cause,
+                DropCause::Burst | DropCause::LinkDown | DropCause::Partition
+            ) {
                 metrics.add_name(cause.reason(), 1);
             }
             trace.record(now, from, || TraceData::Drop {
@@ -183,7 +201,12 @@ struct TimerSlots {
 
 impl TimerSlots {
     fn alloc(&mut self, at: u64, seq: u64, timer: TimerHandle) -> TimerToken {
-        let armed = |gen| TimerSlot { gen, due: Some((at, seq)), queued_at: at, timer };
+        let armed = |gen| TimerSlot {
+            gen,
+            due: Some((at, seq)),
+            queued_at: at,
+            timer,
+        };
         match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
@@ -192,19 +215,26 @@ impl TimerSlots {
             }
             None => {
                 self.slots.push(armed(0));
-                TimerToken { slot: (self.slots.len() - 1) as u32, gen: 0 }
+                TimerToken {
+                    slot: (self.slots.len() - 1) as u32,
+                    gen: 0,
+                }
             }
         }
     }
 
     fn live_mut(&mut self, t: TimerToken) -> Option<&mut TimerSlot> {
-        self.slots.get_mut(t.slot as usize).filter(|s| s.gen == t.gen)
+        self.slots
+            .get_mut(t.slot as usize)
+            .filter(|s| s.gen == t.gen)
     }
 
     /// Invalidates the token and recycles its slot. Returns whether the
     /// token was still live (false = already fired or cancelled).
     fn retire(&mut self, t: TimerToken) -> bool {
-        let Some(s) = self.live_mut(t) else { return false };
+        let Some(s) = self.live_mut(t) else {
+            return false;
+        };
         s.gen = s.gen.wrapping_add(1);
         self.free.push(t.slot);
         true
@@ -367,12 +397,20 @@ impl World {
     /// # Panics
     /// Panics if the node is currently being dispatched (taken out).
     pub fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.nodes[id.0].as_ref().expect("node is mid-dispatch").as_any().downcast_ref()
+        self.nodes[id.0]
+            .as_ref()
+            .expect("node is mid-dispatch")
+            .as_any()
+            .downcast_ref()
     }
 
     /// Mutable access to a node, downcast to `T`.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.nodes[id.0].as_mut().expect("node is mid-dispatch").as_any_mut().downcast_mut()
+        self.nodes[id.0]
+            .as_mut()
+            .expect("node is mid-dispatch")
+            .as_any_mut()
+            .downcast_mut()
     }
 
     /// The link registry (used by tests to inspect parameters).
@@ -415,7 +453,16 @@ impl Ctx<'_> {
     pub fn transmit(&mut self, link: LinkId, pkt: Packet) {
         let draws = (self.rng.random(), self.rng.random());
         let l = &mut self.links[link.0];
-        let arrival = link_transmit(l, self.node, self.now, pkt, draws, self.metrics, self.ids, self.trace);
+        let arrival = link_transmit(
+            l,
+            self.node,
+            self.now,
+            pkt,
+            draws,
+            self.metrics,
+            self.ids,
+            self.trace,
+        );
         self.emitted.extend(arrival.map(|(at, ev)| (at, Some(ev))));
     }
 
@@ -426,8 +473,14 @@ impl Ctx<'_> {
         if delay == SimDuration::ZERO {
             self.transmit(link, pkt);
         } else {
-            self.emitted
-                .push((self.now + delay, Some(Event::LinkTx { from: self.node, link, pkt })));
+            self.emitted.push((
+                self.now + delay,
+                Some(Event::LinkTx {
+                    from: self.node,
+                    link,
+                    pkt,
+                }),
+            ));
         }
     }
 
@@ -436,7 +489,11 @@ impl Ctx<'_> {
     pub fn deliver_local(&mut self, delay: SimDuration, pkt: Packet) {
         self.emitted.push((
             self.now + delay,
-            Some(Event::PacketArrive { node: self.node, iface: IFACE_INTERNAL, pkt }),
+            Some(Event::PacketArrive {
+                node: self.node,
+                iface: IFACE_INTERNAL,
+                pkt,
+            }),
         ));
     }
 
@@ -452,7 +509,14 @@ impl Ctx<'_> {
     pub fn set_timer(&mut self, delay: SimDuration, timer: TimerHandle) -> TimerToken {
         let at = self.now + delay;
         let token = self.slots.alloc(at.as_nanos(), self.next_seq(), timer);
-        self.emitted.push((at, Some(Event::Timer { node: self.node, timer, token })));
+        self.emitted.push((
+            at,
+            Some(Event::Timer {
+                node: self.node,
+                timer,
+                token,
+            }),
+        ));
         token
     }
 
@@ -465,7 +529,12 @@ impl Ctx<'_> {
     /// entry on to it when it pops. Otherwise (an earlier time, another
     /// handle, or a token that fired or was cancelled) this is
     /// cancel-and-set, and the returned token is a new one.
-    pub fn rearm_timer(&mut self, token: TimerToken, delay: SimDuration, timer: TimerHandle) -> TimerToken {
+    pub fn rearm_timer(
+        &mut self,
+        token: TimerToken,
+        delay: SimDuration,
+        timer: TimerHandle,
+    ) -> TimerToken {
         let at = self.now + delay;
         let seq = self.next_seq();
         if let Some(slot) = self.slots.live_mut(token) {
@@ -484,7 +553,9 @@ impl Ctx<'_> {
     /// whether the timer was armed. The entry is discarded, and the
     /// token retired, when it pops still disarmed.
     pub fn disarm_timer(&mut self, token: TimerToken) -> bool {
-        self.slots.live_mut(token).is_some_and(|slot| slot.due.take().is_some())
+        self.slots
+            .live_mut(token)
+            .is_some_and(|slot| slot.due.take().is_some())
     }
 
     /// Cancels a timer armed with [`Ctx::set_timer`] and retires its
@@ -524,13 +595,18 @@ impl Ctx<'_> {
 
     /// Records a state-change trace entry.
     pub fn trace_state(&mut self, detail: impl FnOnce() -> String) {
-        self.trace.record(self.now, self.node, || TraceData::State { detail: detail() });
+        self.trace.record(self.now, self.node, || TraceData::State {
+            detail: detail(),
+        });
     }
 
     /// Records a drop trace entry (no packet in hand; see
     /// [`Ctx::trace_drop_pkt`] when the packet is known).
     pub fn trace_drop(&mut self, detail: impl FnOnce() -> String) {
-        self.trace.record(self.now, self.node, || TraceData::Drop { pkt: None, reason: detail() });
+        self.trace.record(self.now, self.node, || TraceData::Drop {
+            pkt: None,
+            reason: detail(),
+        });
     }
 
     /// Records a drop trace entry carrying the dropped packet's
@@ -538,8 +614,10 @@ impl Ctx<'_> {
     pub fn trace_drop_pkt(&mut self, pkt: &Packet, reason: impl FnOnce() -> String) {
         if self.trace.is_enabled() {
             let info = pkt_info(pkt);
-            self.trace
-                .record(self.now, self.node, || TraceData::Drop { pkt: Some(info), reason: reason() });
+            self.trace.record(self.now, self.node, || TraceData::Drop {
+                pkt: Some(info),
+                reason: reason(),
+            });
         }
     }
 
@@ -733,7 +811,9 @@ impl Sim {
         let mut processed = 0;
         while self.queue.peek_until(deadline).is_some() {
             let (at, seq, event) = self.queue.pop().expect("peeked");
-            let Some(event) = self.settle_timer(at, seq, event) else { continue };
+            let Some(event) = self.settle_timer(at, seq, event) else {
+                continue;
+            };
             self.now = at;
             self.dispatch(event);
             processed += 1;
@@ -756,7 +836,9 @@ impl Sim {
             let Some((at, seq, event)) = self.queue.pop() else {
                 return RunOutcome::Quiescent(processed);
             };
-            let Some(event) = self.settle_timer(at, seq, event) else { continue };
+            let Some(event) = self.settle_timer(at, seq, event) else {
+                continue;
+            };
             self.now = at;
             self.dispatch(event);
             processed += 1;
@@ -774,7 +856,9 @@ impl Sim {
     /// whose slot was re-armed to a later key is pushed again at exactly
     /// that key.
     fn settle_timer(&mut self, at: SimTime, seq: u64, event: Event) -> Option<Event> {
-        let Event::Timer { token, .. } = &event else { return Some(event) };
+        let Event::Timer { token, .. } = &event else {
+            return Some(event);
+        };
         let token = *token;
         let Some(slot) = self.slots.live_mut(token) else {
             self.stats.stale_timer_pops += 1;
@@ -783,7 +867,10 @@ impl Sim {
         match slot.due {
             Some(due) if due == (at.as_nanos(), seq) => Some(event),
             Some((due_at, due_seq)) => {
-                debug_assert!((due_at, due_seq) > (at.as_nanos(), seq), "a slot's entry runs ahead of its key");
+                debug_assert!(
+                    (due_at, due_seq) > (at.as_nanos(), seq),
+                    "a slot's entry runs ahead of its key"
+                );
                 slot.queued_at = due_at;
                 self.stats.scheduled += 1;
                 self.queue.push(SimTime(due_at), due_seq, event);
@@ -809,7 +896,9 @@ impl Sim {
         let table = &self.slots.slots;
         let mut free = vec![false; table.len()];
         for &slot in &self.slots.free {
-            let seen = free.get_mut(slot as usize).ok_or(format!("free slot {slot} out of range"))?;
+            let seen = free
+                .get_mut(slot as usize)
+                .ok_or(format!("free slot {slot} out of range"))?;
             if std::mem::replace(seen, true) {
                 return Err(format!("slot {slot} is free twice"));
             }
@@ -818,25 +907,40 @@ impl Sim {
         let mut queued = 0;
         for (at, seq, event) in self.queue.iter() {
             queued += 1;
-            let Event::Timer { token, .. } = event else { continue };
+            let Event::Timer { token, .. } = event else {
+                continue;
+            };
             let i = token.slot as usize;
             let slot = table.get(i).ok_or(format!("entry for unknown slot {i}"))?;
             if slot.gen != token.gen {
                 continue; // a dead token's entry, discarded when it pops
             }
             if free[i] {
-                return Err(format!("free slot {i} has an entry with its current generation"));
+                return Err(format!(
+                    "free slot {i} has an entry with its current generation"
+                ));
             }
             entries[i] += 1;
             if at.as_nanos() != slot.queued_at {
-                return Err(format!("slot {i}: entry at {} but queued_at {}", at.as_nanos(), slot.queued_at));
+                return Err(format!(
+                    "slot {i}: entry at {} but queued_at {}",
+                    at.as_nanos(),
+                    slot.queued_at
+                ));
             }
             if slot.due.is_some_and(|due| (at.as_nanos(), seq) > due) {
-                return Err(format!("slot {i}: entry ({}, {seq}) is later than its key {:?}", at.as_nanos(), slot.due));
+                return Err(format!(
+                    "slot {i}: entry ({}, {seq}) is later than its key {:?}",
+                    at.as_nanos(),
+                    slot.due
+                ));
             }
         }
         if queued != self.queue.len() {
-            return Err(format!("queue tiers hold {queued} entries, len is {}", self.queue.len()));
+            return Err(format!(
+                "queue tiers hold {queued} entries, len is {}",
+                self.queue.len()
+            ));
         }
         match (0..table.len()).find(|&i| !free[i] && entries[i] != 1) {
             Some(i) => Err(format!("live slot {i} has {} queued entries", entries[i])),
@@ -850,7 +954,8 @@ impl Sim {
         match event {
             Event::PacketArrive { node, iface, pkt } => {
                 self.metrics.inc(self.engine_ids.ev_packet);
-                self.metrics.observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
+                self.metrics
+                    .observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
                 if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {
                     return; // node removed mid-flight; drop silently
                 }
@@ -859,7 +964,8 @@ impl Sim {
                     return;
                 }
                 self.with_node(node, |n, ctx| {
-                    ctx.trace.record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
+                    ctx.trace
+                        .record(ctx.now, node, || TraceData::Rx(pkt_info(&pkt)));
                     n.handle_packet(iface, pkt, ctx);
                 });
             }
@@ -888,9 +994,16 @@ impl Sim {
                 }
                 let l = &mut self.world.links[link.0];
                 let ids = self.engine_ids;
-                if let Some((at, arrival)) =
-                    link_transmit(l, from, self.now, pkt, draws, &mut self.metrics, ids, &mut self.trace)
-                {
+                if let Some((at, arrival)) = link_transmit(
+                    l,
+                    from,
+                    self.now,
+                    pkt,
+                    draws,
+                    &mut self.metrics,
+                    ids,
+                    &mut self.trace,
+                ) {
                     self.seq += 1;
                     self.stats.scheduled += 1;
                     self.queue.push(at, self.seq, arrival);
@@ -907,11 +1020,19 @@ impl Sim {
         let (node, counter, detail) = match &action {
             FaultAction::LinkDown(l) => {
                 self.world.links[l.0].set_admin_down(true);
-                (self.world.links[l.0].a.node, "fault.link_down.episodes", format!("link {} down", l.0))
+                (
+                    self.world.links[l.0].a.node,
+                    "fault.link_down.episodes",
+                    format!("link {} down", l.0),
+                )
             }
             FaultAction::LinkUp(l) => {
                 self.world.links[l.0].set_admin_down(false);
-                (self.world.links[l.0].a.node, "fault.link_up.episodes", format!("link {} up", l.0))
+                (
+                    self.world.links[l.0].a.node,
+                    "fault.link_up.episodes",
+                    format!("link {} up", l.0),
+                )
             }
             FaultAction::BurstStart { link, loss } => {
                 self.world.links[link.0].set_burst_loss(*loss);
@@ -923,39 +1044,74 @@ impl Sim {
             }
             FaultAction::BurstEnd { link } => {
                 self.world.links[link.0].set_burst_loss(0.0);
-                (self.world.links[link.0].a.node, "fault.loss_burst.cleared", format!("link {} loss burst cleared", link.0))
+                (
+                    self.world.links[link.0].a.node,
+                    "fault.loss_burst.cleared",
+                    format!("link {} loss burst cleared", link.0),
+                )
             }
             FaultAction::SpikeStart { link, extra } => {
                 self.world.links[link.0].set_extra_latency(*extra);
                 (
                     self.world.links[link.0].a.node,
                     "fault.latency_spike.episodes",
-                    format!("link {} latency spike +{:.1}ms", link.0, extra.as_secs_f64() * 1e3),
+                    format!(
+                        "link {} latency spike +{:.1}ms",
+                        link.0,
+                        extra.as_secs_f64() * 1e3
+                    ),
                 )
             }
             FaultAction::SpikeEnd { link } => {
                 self.world.links[link.0].set_extra_latency(SimDuration::ZERO);
-                (self.world.links[link.0].a.node, "fault.latency_spike.cleared", format!("link {} latency spike cleared", link.0))
+                (
+                    self.world.links[link.0].a.node,
+                    "fault.latency_spike.cleared",
+                    format!("link {} latency spike cleared", link.0),
+                )
             }
-            FaultAction::NodeCrash(n) => (*n, "fault.node_crash.episodes", format!("node {} crash", n.0)),
-            FaultAction::NodeRestart(n) => (*n, "fault.node_restart.episodes", format!("node {} restart", n.0)),
+            FaultAction::NodeCrash(n) => (
+                *n,
+                "fault.node_crash.episodes",
+                format!("node {} crash", n.0),
+            ),
+            FaultAction::NodeRestart(n) => (
+                *n,
+                "fault.node_restart.episodes",
+                format!("node {} restart", n.0),
+            ),
             FaultAction::Partition { links } => {
                 for l in links {
                     self.world.links[l.0].set_partitioned(true);
                 }
-                let first = links.first().map(|l| self.world.links[l.0].a.node).unwrap_or(NodeId(0));
-                (first, "fault.partition.episodes", format!("partition cut {} links", links.len()))
+                let first = links
+                    .first()
+                    .map(|l| self.world.links[l.0].a.node)
+                    .unwrap_or(NodeId(0));
+                (
+                    first,
+                    "fault.partition.episodes",
+                    format!("partition cut {} links", links.len()),
+                )
             }
             FaultAction::Heal { links } => {
                 for l in links {
                     self.world.links[l.0].set_partitioned(false);
                 }
-                let first = links.first().map(|l| self.world.links[l.0].a.node).unwrap_or(NodeId(0));
-                (first, "fault.heal.episodes", format!("healed {} links", links.len()))
+                let first = links
+                    .first()
+                    .map(|l| self.world.links[l.0].a.node)
+                    .unwrap_or(NodeId(0));
+                (
+                    first,
+                    "fault.heal.episodes",
+                    format!("healed {} links", links.len()),
+                )
             }
         };
         self.metrics.add_name(counter, 1);
-        self.trace.record(self.now, node, || TraceData::Fault { detail });
+        self.trace
+            .record(self.now, node, || TraceData::Fault { detail });
         match action {
             // Idempotent: crashing a crashed node is a no-op (fault
             // plans may overlap crash windows).
@@ -983,7 +1139,9 @@ impl Sim {
     /// Runs `f` with the node temporarily taken out of the world so the
     /// node gets `&mut self` while the context can still mutate links.
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx)) {
-        let mut node = self.world.nodes[id.0].take().expect("node exists and not mid-dispatch");
+        let mut node = self.world.nodes[id.0]
+            .take()
+            .expect("node exists and not mid-dispatch");
         let mut ctx = Ctx {
             now: self.now,
             node: id,
@@ -1052,14 +1210,27 @@ mod tests {
         Packet::new(
             v4(10, 0, 0, 1),
             v4(10, 0, 0, 2),
-            Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoRequest, ident: 1, seq: 1, payload_len: 56 }),
+            Payload::Icmp(IcmpMessage {
+                kind: IcmpKind::EchoRequest,
+                ident: 1,
+                seq: 1,
+                payload_len: 56,
+            }),
         )
     }
 
     fn two_node_sim() -> (Sim, NodeId, NodeId) {
         let mut sim = Sim::new(1);
-        let a = sim.world.add_node(Box::new(Echo { link: LinkId(0), received: 0, echo: false }));
-        let b = sim.world.add_node(Box::new(Echo { link: LinkId(0), received: 0, echo: true }));
+        let a = sim.world.add_node(Box::new(Echo {
+            link: LinkId(0),
+            received: 0,
+            echo: false,
+        }));
+        let b = sim.world.add_node(Box::new(Echo {
+            link: LinkId(0),
+            received: 0,
+            echo: true,
+        }));
         sim.world.connect(
             Endpoint { node: a, iface: 0 },
             Endpoint { node: b, iface: 0 },
@@ -1073,7 +1244,11 @@ mod tests {
         let (mut sim, a, b) = two_node_sim();
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: a, iface: 0, pkt: icmp_packet() },
+            Event::PacketArrive {
+                node: a,
+                iface: 0,
+                pkt: icmp_packet(),
+            },
         );
         // a does not echo, so we inject at a... actually send from a to b:
         sim.with_node_ctx(a, |_n, ctx| {
@@ -1119,9 +1294,27 @@ mod tests {
         }
         impl Node for TimerNode {
             fn start(&mut self, ctx: &mut Ctx) {
-                ctx.set_timer(SimDuration::from_millis(20), TimerHandle { owner: TimerOwner::Node, token: 2 });
-                ctx.set_timer(SimDuration::from_millis(10), TimerHandle { owner: TimerOwner::Node, token: 1 });
-                ctx.set_timer(SimDuration::from_millis(20), TimerHandle { owner: TimerOwner::Node, token: 3 });
+                ctx.set_timer(
+                    SimDuration::from_millis(20),
+                    TimerHandle {
+                        owner: TimerOwner::Node,
+                        token: 2,
+                    },
+                );
+                ctx.set_timer(
+                    SimDuration::from_millis(10),
+                    TimerHandle {
+                        owner: TimerOwner::Node,
+                        token: 1,
+                    },
+                );
+                ctx.set_timer(
+                    SimDuration::from_millis(20),
+                    TimerHandle {
+                        owner: TimerOwner::Node,
+                        token: 3,
+                    },
+                );
             }
             fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
             fn handle_timer(&mut self, t: TimerHandle, _: &mut Ctx) {
@@ -1152,12 +1345,21 @@ mod tests {
                 for tok in 1..=4u64 {
                     let t = ctx.set_timer(
                         SimDuration::from_millis(10 * tok),
-                        TimerHandle { owner: TimerOwner::Node, token: tok },
+                        TimerHandle {
+                            owner: TimerOwner::Node,
+                            token: tok,
+                        },
                     );
                     self.pending.push(t);
                 }
                 // A timer whose token is dropped fires like any other.
-                ctx.set_timer(SimDuration::from_millis(50), TimerHandle { owner: TimerOwner::Node, token: 5 });
+                ctx.set_timer(
+                    SimDuration::from_millis(50),
+                    TimerHandle {
+                        owner: TimerOwner::Node,
+                        token: 5,
+                    },
+                );
                 // Cancel 2 and 4 immediately; 1 and 3 must still fire.
                 let second = self.pending[1];
                 let fourth = self.pending[3];
@@ -1182,10 +1384,16 @@ mod tests {
             }
         }
         let mut sim = Sim::new(0);
-        let n = sim.world.add_node(Box::new(CancelNode { pending: vec![], fired: vec![] }));
+        let n = sim.world.add_node(Box::new(CancelNode {
+            pending: vec![],
+            fired: vec![],
+        }));
         let outcome = sim.run_to_quiescence(100);
         assert!(outcome.is_quiescent());
-        assert_eq!(sim.world.node::<CancelNode>(n).unwrap().fired, vec![1, 3, 5]);
+        assert_eq!(
+            sim.world.node::<CancelNode>(n).unwrap().fired,
+            vec![1, 3, 5]
+        );
         let stats = sim.stats();
         assert_eq!(stats.timers_cancelled, 2);
         assert_eq!(stats.stale_timer_pops, 2);
@@ -1216,12 +1424,21 @@ mod tests {
         }
         fn run(script: fn(&mut Ctx)) -> (Vec<(u64, u64)>, SimStats) {
             let mut sim = Sim::new(0);
-            let n = sim.world.add_node(Box::new(Rearm { script, fired: vec![] }));
+            let n = sim.world.add_node(Box::new(Rearm {
+                script,
+                fired: vec![],
+            }));
             assert!(sim.run_to_quiescence(100).is_quiescent());
             sim.check_invariants().expect("timer slots consistent");
-            (sim.world.node::<Rearm>(n).unwrap().fired.clone(), sim.stats())
+            (
+                sim.world.node::<Rearm>(n).unwrap().fired.clone(),
+                sim.stats(),
+            )
         }
-        const H: TimerHandle = TimerHandle { owner: TimerOwner::Node, token: 1 };
+        const H: TimerHandle = TimerHandle {
+            owner: TimerOwner::Node,
+            token: 1,
+        };
 
         // Later re-arms keep the token and queue nothing; the entry is
         // pushed on once, to the last key, when it pops at 10 ms.
@@ -1231,7 +1448,15 @@ mod tests {
             assert_eq!(ctx.rearm_timer(t, SimDuration::from_millis(30), H), t);
         });
         assert_eq!(fired, vec![(30, 1)]);
-        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (2, 1, 0, 0));
+        assert_eq!(
+            (
+                st.scheduled,
+                st.dispatched,
+                st.timers_cancelled,
+                st.stale_timer_pops
+            ),
+            (2, 1, 0, 0)
+        );
 
         // An earlier time is cancel-and-set: a new token, one dead entry.
         let (fired, st) = run(|ctx| {
@@ -1239,7 +1464,15 @@ mod tests {
             assert_ne!(ctx.rearm_timer(t, SimDuration::from_millis(5), H), t);
         });
         assert_eq!(fired, vec![(5, 1)]);
-        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (2, 1, 1, 1));
+        assert_eq!(
+            (
+                st.scheduled,
+                st.dispatched,
+                st.timers_cancelled,
+                st.stale_timer_pops
+            ),
+            (2, 1, 1, 1)
+        );
 
         // A disarmed timer's entry pops stale; re-arming it revives it.
         let (fired, st) = run(|ctx| {
@@ -1248,10 +1481,25 @@ mod tests {
             assert!(!ctx.disarm_timer(t), "already disarmed");
             let u = ctx.set_timer(SimDuration::from_millis(10), TimerHandle { token: 2, ..H });
             assert!(ctx.disarm_timer(u));
-            assert_eq!(ctx.rearm_timer(u, SimDuration::from_millis(15), TimerHandle { token: 2, ..H }), u);
+            assert_eq!(
+                ctx.rearm_timer(
+                    u,
+                    SimDuration::from_millis(15),
+                    TimerHandle { token: 2, ..H }
+                ),
+                u
+            );
         });
         assert_eq!(fired, vec![(15, 2)]);
-        assert_eq!((st.scheduled, st.dispatched, st.timers_cancelled, st.stale_timer_pops), (3, 1, 0, 1));
+        assert_eq!(
+            (
+                st.scheduled,
+                st.dispatched,
+                st.timers_cancelled,
+                st.stale_timer_pops
+            ),
+            (3, 1, 0, 1)
+        );
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl fmt::Display for FaultPlanError {
         match self {
             FaultPlanError::UnknownLink(l) => write!(f, "fault plan names unknown link {}", l.0),
             FaultPlanError::UnknownNode(n) => write!(f, "fault plan names unknown node {}", n.0),
-            FaultPlanError::LossOutOfRange(p) => write!(f, "loss burst probability {p} is not in [0, 1)"),
+            FaultPlanError::LossOutOfRange(p) => {
+                write!(f, "loss burst probability {p} is not in [0, 1)")
+            }
         }
     }
 }
@@ -175,12 +177,32 @@ impl FaultPlan {
                 FaultEpisode::LinkUp { link } => {
                     sim.schedule_fault(*at, FaultAction::LinkUp(*link));
                 }
-                FaultEpisode::LossBurst { link, prob, duration } => {
-                    sim.schedule_fault(*at, FaultAction::BurstStart { link: *link, loss: *prob });
+                FaultEpisode::LossBurst {
+                    link,
+                    prob,
+                    duration,
+                } => {
+                    sim.schedule_fault(
+                        *at,
+                        FaultAction::BurstStart {
+                            link: *link,
+                            loss: *prob,
+                        },
+                    );
                     sim.schedule_fault(*at + *duration, FaultAction::BurstEnd { link: *link });
                 }
-                FaultEpisode::LatencySpike { link, extra, duration } => {
-                    sim.schedule_fault(*at, FaultAction::SpikeStart { link: *link, extra: *extra });
+                FaultEpisode::LatencySpike {
+                    link,
+                    extra,
+                    duration,
+                } => {
+                    sim.schedule_fault(
+                        *at,
+                        FaultAction::SpikeStart {
+                            link: *link,
+                            extra: *extra,
+                        },
+                    );
                     sim.schedule_fault(*at + *duration, FaultAction::SpikeEnd { link: *link });
                 }
                 FaultEpisode::NodeCrash { node } => {
@@ -189,7 +211,11 @@ impl FaultPlan {
                 FaultEpisode::NodeRestart { node } => {
                     sim.schedule_fault(*at, FaultAction::NodeRestart(*node));
                 }
-                FaultEpisode::Partition { group_a, group_b, duration } => {
+                FaultEpisode::Partition {
+                    group_a,
+                    group_b,
+                    duration,
+                } => {
                     let cut = crossing_links(sim.world.links(), group_a, group_b);
                     sim.schedule_fault(*at, FaultAction::Partition { links: cut.clone() });
                     sim.schedule_fault(*at + *duration, FaultAction::Heal { links: cut });
@@ -201,10 +227,18 @@ impl FaultPlan {
 
     fn validate(&self, sim: &Sim) -> Result<(), FaultPlanError> {
         let link = |l: &LinkId| {
-            if l.0 < sim.world.links().len() { Ok(()) } else { Err(FaultPlanError::UnknownLink(*l)) }
+            if l.0 < sim.world.links().len() {
+                Ok(())
+            } else {
+                Err(FaultPlanError::UnknownLink(*l))
+            }
         };
         let node = |n: &NodeId| {
-            if n.0 < sim.world.node_count() { Ok(()) } else { Err(FaultPlanError::UnknownNode(*n)) }
+            if n.0 < sim.world.node_count() {
+                Ok(())
+            } else {
+                Err(FaultPlanError::UnknownNode(*n))
+            }
         };
         for (_, ep) in &self.episodes {
             match ep {
@@ -217,8 +251,12 @@ impl FaultPlan {
                         return Err(FaultPlanError::LossOutOfRange(*prob));
                     }
                 }
-                FaultEpisode::NodeCrash { node: n } | FaultEpisode::NodeRestart { node: n } => node(n)?,
-                FaultEpisode::Partition { group_a, group_b, .. } => {
+                FaultEpisode::NodeCrash { node: n } | FaultEpisode::NodeRestart { node: n } => {
+                    node(n)?
+                }
+                FaultEpisode::Partition {
+                    group_a, group_b, ..
+                } => {
                     group_a.iter().chain(group_b).try_for_each(node)?;
                 }
             }
@@ -292,12 +330,26 @@ impl FaultPlan {
                 1 if !links.is_empty() => {
                     let link = links[rng.random_range(0..links.len() as u64) as usize];
                     let prob = 0.2 + rng.random::<f64>() * 0.7;
-                    plan.push(start, FaultEpisode::LossBurst { link, prob, duration: dur });
+                    plan.push(
+                        start,
+                        FaultEpisode::LossBurst {
+                            link,
+                            prob,
+                            duration: dur,
+                        },
+                    );
                 }
                 2 if !links.is_empty() => {
                     let link = links[rng.random_range(0..links.len() as u64) as usize];
                     let extra = SimDuration::from_millis(1 + rng.random_range(0..50u64));
-                    plan.push(start, FaultEpisode::LatencySpike { link, extra, duration: dur });
+                    plan.push(
+                        start,
+                        FaultEpisode::LatencySpike {
+                            link,
+                            extra,
+                            duration: dur,
+                        },
+                    );
                 }
                 3 if !nodes.is_empty() => {
                     let node = nodes[rng.random_range(0..nodes.len() as u64) as usize];
@@ -327,8 +379,8 @@ mod tests {
     use super::*;
     use crate::engine::{Ctx, Event, Node, TimerHandle};
     use crate::link::{Endpoint, LinkParams};
-    use crate::packet::{v4, IcmpKind, IcmpMessage, Payload};
     use crate::packet::Packet;
+    use crate::packet::{v4, IcmpKind, IcmpMessage, Payload};
     use crate::time::SimTime;
     use crate::trace::{Trace, TraceData, TraceKind};
     use std::any::Any;
@@ -361,14 +413,27 @@ mod tests {
         Packet::new(
             v4(10, 0, 0, 1),
             v4(10, 0, 0, 2),
-            Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoRequest, ident: 1, seq: 1, payload_len: 56 }),
+            Payload::Icmp(IcmpMessage {
+                kind: IcmpKind::EchoRequest,
+                ident: 1,
+                seq: 1,
+                payload_len: 56,
+            }),
         )
     }
 
     fn pair() -> (Sim, NodeId, NodeId, LinkId) {
         let mut sim = Sim::new(3);
-        let a = sim.world.add_node(Box::new(Counter { received: 0, crashes: 0, restarts: 0 }));
-        let b = sim.world.add_node(Box::new(Counter { received: 0, crashes: 0, restarts: 0 }));
+        let a = sim.world.add_node(Box::new(Counter {
+            received: 0,
+            crashes: 0,
+            restarts: 0,
+        }));
+        let b = sim.world.add_node(Box::new(Counter {
+            received: 0,
+            crashes: 0,
+            restarts: 0,
+        }));
         let l = sim.world.connect(
             Endpoint { node: a, iface: 0 },
             Endpoint { node: b, iface: 0 },
@@ -381,8 +446,14 @@ mod tests {
     fn link_down_window_drops_then_restores() {
         let (mut sim, a, b, l) = pair();
         let plan = FaultPlan::new()
-            .at(SimDuration::from_millis(10), FaultEpisode::LinkDown { link: l })
-            .at(SimDuration::from_millis(30), FaultEpisode::LinkUp { link: l });
+            .at(
+                SimDuration::from_millis(10),
+                FaultEpisode::LinkDown { link: l },
+            )
+            .at(
+                SimDuration::from_millis(30),
+                FaultEpisode::LinkUp { link: l },
+            );
         assert!(plan.ends_restored());
         assert_eq!(plan.horizon(), SimDuration::from_millis(30));
         sim.trace = Trace::enabled(1000);
@@ -391,11 +462,19 @@ mod tests {
         for at_ms in [5u64, 20, 40] {
             sim.schedule(
                 SimDuration::from_millis(at_ms),
-                Event::LinkTx { from: a, link: l, pkt: pkt() },
+                Event::LinkTx {
+                    from: a,
+                    link: l,
+                    pkt: pkt(),
+                },
             );
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        assert_eq!(sim.world.node::<Counter>(b).unwrap().received, 2, "middle packet dropped");
+        assert_eq!(
+            sim.world.node::<Counter>(b).unwrap().received,
+            2,
+            "middle packet dropped"
+        );
         assert!(!sim.world.links()[l.0].is_faulted(), "link restored");
         let drops: Vec<_> = sim
             .trace
@@ -404,23 +483,44 @@ mod tests {
             .collect();
         assert_eq!(drops.len(), 1);
         assert!(drops[0].contains("fault.link_down"), "{drops:?}");
-        assert_eq!(sim.trace.of_kind(TraceKind::Fault).count(), 2, "down + up transitions traced");
-        assert_eq!(sim.metrics.counter_value("fault.link_down.episodes"), Some(1));
-        assert_eq!(sim.metrics.counter_value("fault.link_down"), Some(1), "one packet refused");
+        assert_eq!(
+            sim.trace.of_kind(TraceKind::Fault).count(),
+            2,
+            "down + up transitions traced"
+        );
+        assert_eq!(
+            sim.metrics.counter_value("fault.link_down.episodes"),
+            Some(1)
+        );
+        assert_eq!(
+            sim.metrics.counter_value("fault.link_down"),
+            Some(1),
+            "one packet refused"
+        );
     }
 
     #[test]
     fn crash_window_discards_and_hooks_fire() {
         let (mut sim, a, b, l) = pair();
         let plan = FaultPlan::new()
-            .at(SimDuration::from_millis(10), FaultEpisode::NodeCrash { node: b })
-            .at(SimDuration::from_millis(30), FaultEpisode::NodeRestart { node: b });
+            .at(
+                SimDuration::from_millis(10),
+                FaultEpisode::NodeCrash { node: b },
+            )
+            .at(
+                SimDuration::from_millis(30),
+                FaultEpisode::NodeRestart { node: b },
+            );
         assert!(plan.ends_restored());
         plan.schedule(&mut sim).expect("valid plan");
         for at_ms in [5u64, 20, 40] {
             sim.schedule(
                 SimDuration::from_millis(at_ms),
-                Event::LinkTx { from: a, link: l, pkt: pkt() },
+                Event::LinkTx {
+                    from: a,
+                    link: l,
+                    pkt: pkt(),
+                },
             );
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
@@ -438,16 +538,32 @@ mod tests {
         // b is down while a's 20 ms packet arrives; a is down when its
         // own 60 ms transmission leaves.
         FaultPlan::new()
-            .at(SimDuration::from_millis(10), FaultEpisode::NodeCrash { node: b })
-            .at(SimDuration::from_millis(30), FaultEpisode::NodeRestart { node: b })
-            .at(SimDuration::from_millis(50), FaultEpisode::NodeCrash { node: a })
-            .at(SimDuration::from_millis(70), FaultEpisode::NodeRestart { node: a })
+            .at(
+                SimDuration::from_millis(10),
+                FaultEpisode::NodeCrash { node: b },
+            )
+            .at(
+                SimDuration::from_millis(30),
+                FaultEpisode::NodeRestart { node: b },
+            )
+            .at(
+                SimDuration::from_millis(50),
+                FaultEpisode::NodeCrash { node: a },
+            )
+            .at(
+                SimDuration::from_millis(70),
+                FaultEpisode::NodeRestart { node: a },
+            )
             .schedule(&mut sim)
             .expect("valid plan");
         for at_ms in [5u64, 20, 40, 60, 80] {
             sim.schedule(
                 SimDuration::from_millis(at_ms),
-                Event::LinkTx { from: a, link: l, pkt: pkt() },
+                Event::LinkTx {
+                    from: a,
+                    link: l,
+                    pkt: pkt(),
+                },
             );
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
@@ -458,7 +574,10 @@ mod tests {
             .iter()
             .filter(|e| matches!(&e.data, TraceData::Drop { reason, .. } if reason == "fault.node_down"))
             .count() as u64;
-        assert_eq!(traced, 2, "one drop at the crashed receiver, one at the crashed sender");
+        assert_eq!(
+            traced, 2,
+            "one drop at the crashed receiver, one at the crashed sender"
+        );
         assert_eq!(sim.metrics.counter_value("fault.node_down"), Some(traced));
     }
 
@@ -466,14 +585,26 @@ mod tests {
     fn partition_resolves_crossing_links() {
         let mut sim = Sim::new(5);
         let n: Vec<NodeId> = (0..4)
-            .map(|_| sim.world.add_node(Box::new(Counter { received: 0, crashes: 0, restarts: 0 })))
+            .map(|_| {
+                sim.world.add_node(Box::new(Counter {
+                    received: 0,
+                    crashes: 0,
+                    restarts: 0,
+                }))
+            })
             .collect();
         // 0-1, 1-2, 2-3: partition {0,1} | {2,3} must cut only 1-2.
         let mut links = Vec::new();
         for w in n.windows(2) {
             links.push(sim.world.connect(
-                Endpoint { node: w[0], iface: 0 },
-                Endpoint { node: w[1], iface: 1 },
+                Endpoint {
+                    node: w[0],
+                    iface: 0,
+                },
+                Endpoint {
+                    node: w[1],
+                    iface: 1,
+                },
                 LinkParams::datacenter(),
             ));
         }
@@ -502,11 +633,18 @@ mod tests {
         let (mut sim, _, b, _) = pair();
         let before = sim.stats().scheduled;
         let err = FaultPlan::new()
-            .at(SimDuration::from_millis(1), FaultEpisode::NodeCrash { node: b })
+            .at(
+                SimDuration::from_millis(1),
+                FaultEpisode::NodeCrash { node: b },
+            )
             .at(SimDuration::from_millis(2), bad)
             .schedule(&mut sim)
             .expect_err("malformed plan accepted");
-        assert_eq!(sim.stats().scheduled, before, "a refused plan scheduled events");
+        assert_eq!(
+            sim.stats().scheduled,
+            before,
+            "a refused plan scheduled events"
+        );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         err
     }
@@ -535,24 +673,41 @@ mod tests {
 
     #[test]
     fn loss_outside_unit_interval_is_refused() {
-        let burst = |prob| FaultEpisode::LossBurst { link: LinkId(0), prob, duration: SimDuration::from_millis(5) };
+        let burst = |prob| FaultEpisode::LossBurst {
+            link: LinkId(0),
+            prob,
+            duration: SimDuration::from_millis(5),
+        };
         for prob in [1.0, -0.1] {
             assert_eq!(refused(burst(prob)), FaultPlanError::LossOutOfRange(prob));
         }
-        assert!(matches!(refused(burst(f64::NAN)), FaultPlanError::LossOutOfRange(p) if p.is_nan()));
+        assert!(
+            matches!(refused(burst(f64::NAN)), FaultPlanError::LossOutOfRange(p) if p.is_nan())
+        );
     }
 
     #[test]
     fn unbalanced_plans_are_flagged() {
         let l = LinkId(0);
-        assert!(!FaultPlan::new().at(SimDuration::ZERO, FaultEpisode::LinkDown { link: l }).ends_restored());
         assert!(!FaultPlan::new()
-            .at(SimDuration::ZERO, FaultEpisode::NodeCrash { node: NodeId(1) })
+            .at(SimDuration::ZERO, FaultEpisode::LinkDown { link: l })
+            .ends_restored());
+        assert!(!FaultPlan::new()
+            .at(
+                SimDuration::ZERO,
+                FaultEpisode::NodeCrash { node: NodeId(1) }
+            )
             .ends_restored());
         // Up-then-down (wrong order at different offsets) stays broken.
         assert!(!FaultPlan::new()
-            .at(SimDuration::from_millis(5), FaultEpisode::LinkDown { link: l })
-            .at(SimDuration::from_millis(1), FaultEpisode::LinkUp { link: l })
+            .at(
+                SimDuration::from_millis(5),
+                FaultEpisode::LinkDown { link: l }
+            )
+            .at(
+                SimDuration::from_millis(1),
+                FaultEpisode::LinkUp { link: l }
+            )
             .ends_restored());
     }
 
@@ -564,7 +719,10 @@ mod tests {
             let a = FaultPlan::random(seed, &links, &nodes, SimDuration::from_secs(5));
             let b = FaultPlan::random(seed, &links, &nodes, SimDuration::from_secs(5));
             assert_eq!(a, b, "same seed, same plan");
-            assert!(a.ends_restored(), "seed {seed}: generated plan must self-restore");
+            assert!(
+                a.ends_restored(),
+                "seed {seed}: generated plan must self-restore"
+            );
             assert!(a.horizon() <= SimDuration::from_secs(5));
         }
     }

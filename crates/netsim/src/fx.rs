@@ -21,7 +21,10 @@
 //! `HashSet`, so every map and set in the workspace is one of the
 //! aliases below.
 
-#![allow(clippy::disallowed_types, reason = "the Fx aliases are defined over the std types")]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the Fx aliases are defined over the std types"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -106,7 +109,12 @@ mod tests {
 
     #[test]
     fn deterministic_across_builders() {
-        let key = (crate::packet::v4(10, 0, 0, 1), 443u16, crate::packet::v4(10, 0, 0, 2), 49152u16);
+        let key = (
+            crate::packet::v4(10, 0, 0, 1),
+            443u16,
+            crate::packet::v4(10, 0, 0, 2),
+            49152u16,
+        );
         assert_eq!(hash_of(&key), hash_of(&key));
         // Two independent builders agree (no RandomState).
         let a = FxBuildHasher::default().hash_one(key);
@@ -116,8 +124,18 @@ mod tests {
 
     #[test]
     fn distinguishes_nearby_tuples() {
-        let k1 = (crate::packet::v4(10, 0, 0, 1), 443u16, crate::packet::v4(10, 0, 0, 2), 49152u16);
-        let k2 = (crate::packet::v4(10, 0, 0, 1), 443u16, crate::packet::v4(10, 0, 0, 2), 49153u16);
+        let k1 = (
+            crate::packet::v4(10, 0, 0, 1),
+            443u16,
+            crate::packet::v4(10, 0, 0, 2),
+            49152u16,
+        );
+        let k2 = (
+            crate::packet::v4(10, 0, 0, 1),
+            443u16,
+            crate::packet::v4(10, 0, 0, 2),
+            49153u16,
+        );
         assert_ne!(hash_of(&k1), hash_of(&k2));
     }
 
@@ -125,10 +143,16 @@ mod tests {
     fn map_roundtrip() {
         let mut m: FxHashMap<(IpAddr, u16), u32> = FxHashMap::default();
         for p in 0..1000u16 {
-            m.insert((crate::packet::v4(10, 0, (p >> 8) as u8, p as u8), p), u32::from(p));
+            m.insert(
+                (crate::packet::v4(10, 0, (p >> 8) as u8, p as u8), p),
+                u32::from(p),
+            );
         }
         for p in 0..1000u16 {
-            assert_eq!(m.get(&(crate::packet::v4(10, 0, (p >> 8) as u8, p as u8), p)), Some(&u32::from(p)));
+            assert_eq!(
+                m.get(&(crate::packet::v4(10, 0, (p >> 8) as u8, p as u8), p)),
+                Some(&u32::from(p))
+            );
         }
     }
 }

@@ -20,9 +20,7 @@ use crate::cpu::CpuModel;
 use crate::engine::{Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERNAL};
 use crate::fx::FxHashMap;
 use crate::link::LinkId;
-use crate::packet::{
-    proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram,
-};
+use crate::packet::{proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram};
 use crate::tcp::{SockId, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
@@ -174,7 +172,11 @@ impl HostCore {
 
     /// Adds a static route.
     pub fn add_route(&mut self, prefix: IpAddr, prefix_len: u8, iface: usize) {
-        self.routes.push(HostRoute { prefix, prefix_len, iface });
+        self.routes.push(HostRoute {
+            prefix,
+            prefix_len,
+            iface,
+        });
     }
 
     /// Replaces the addresses of an existing interface (VM migration /
@@ -225,7 +227,10 @@ impl HostCore {
             .or_else(|| {
                 // v6 destination but only v4 ifaces: Teredo if available.
                 if peer_locator.is_ipv6() {
-                    self.teredo.as_ref().and_then(|t| t.address()).map(IpAddr::V6)
+                    self.teredo
+                        .as_ref()
+                        .and_then(|t| t.address())
+                        .map(IpAddr::V6)
                 } else {
                     None
                 }
@@ -258,7 +263,11 @@ impl HostCore {
                 best = Some((r.prefix_len, r.iface));
             }
         }
-        best.map(|(_, i)| i).or(if self.ifaces.is_empty() { None } else { Some(0) })
+        best.map(|(_, i)| i).or(if self.ifaces.is_empty() {
+            None
+        } else {
+            Some(0)
+        })
     }
 
     /// Sends a locator-addressed packet toward the network after `delay`
@@ -308,7 +317,10 @@ impl HostCore {
                     let reply = Packet::new(
                         pkt.dst,
                         pkt.src,
-                        Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoReply, ..icmp }),
+                        Payload::Icmp(IcmpMessage {
+                            kind: IcmpKind::EchoReply,
+                            ..icmp
+                        }),
                     );
                     self.upper_out.push_back(reply);
                 }
@@ -316,7 +328,11 @@ impl HostCore {
                     if let Some(&app) = self.icmp_owner.get(&icmp.ident) {
                         self.app_events.push_back((
                             app,
-                            AppEvent::EchoReply { ident: icmp.ident, seq: icmp.seq, from: pkt.src },
+                            AppEvent::EchoReply {
+                                ident: icmp.ident,
+                                seq: icmp.seq,
+                                from: pkt.src,
+                            },
                         ));
                     }
                 }
@@ -344,12 +360,19 @@ impl HostCore {
             }
         }
         for sock in self.tcp.released.drain(..) {
-            if let Some(t) = self.tcp_timer_tokens.get_mut(sock as usize).and_then(Option::take) {
+            if let Some(t) = self
+                .tcp_timer_tokens
+                .get_mut(sock as usize)
+                .and_then(Option::take)
+            {
                 ctx.cancel_timer(t);
             }
         }
         for (delay, sock) in self.tcp.timer_reqs.drain(..) {
-            let timer = TimerHandle { owner: TimerOwner::Tcp, token: sock };
+            let timer = TimerHandle {
+                owner: TimerOwner::Tcp,
+                token: sock,
+            };
             let i = sock as usize;
             if i >= self.tcp_timer_tokens.len() {
                 self.tcp_timer_tokens.resize(i + 1, None);
@@ -431,7 +454,11 @@ impl UdpLayer {
         self.out.push(Packet::new(
             src,
             dst,
-            Payload::Udp(UdpDatagram { src_port, dst_port, data }),
+            Payload::Udp(UdpDatagram {
+                src_port,
+                dst_port,
+                data,
+            }),
         ));
     }
 }
@@ -448,7 +475,12 @@ pub struct Host {
 impl Host {
     /// Creates a host with no interfaces, apps or shim.
     pub fn new(name: &str) -> Self {
-        Host { core: HostCore::new(name), apps: Vec::new(), app_in_flight: Vec::new(), shim: None }
+        Host {
+            core: HostCore::new(name),
+            apps: Vec::new(),
+            app_in_flight: Vec::new(),
+            shim: None,
+        }
     }
 
     /// Installs an application; returns its index (used in events).
@@ -485,7 +517,12 @@ impl Host {
 
     /// Runs `f` with a [`HostApi`] for app `idx` — lets experiment
     /// harnesses drive applications from outside the event loop.
-    pub fn with_api(&mut self, idx: usize, ctx: &mut Ctx, f: impl FnOnce(&mut dyn App, &mut HostApi)) {
+    pub fn with_api(
+        &mut self,
+        idx: usize,
+        ctx: &mut Ctx,
+        f: impl FnOnce(&mut dyn App, &mut HostApi),
+    ) {
         self.dispatch_with(idx, ctx, f);
         self.pump(ctx);
     }
@@ -513,7 +550,11 @@ impl Host {
         // Temporarily move the Box out (cheap pointer move).
         let mut app = std::mem::replace(&mut self.apps[idx], Box::new(NullApp));
         {
-            let mut api = HostApi { core: &mut self.core, ctx, app_idx: idx };
+            let mut api = HostApi {
+                core: &mut self.core,
+                ctx,
+                app_idx: idx,
+            };
             f(app.as_mut(), &mut api);
         }
         self.apps[idx] = app;
@@ -523,7 +564,10 @@ impl Host {
     fn shim_call(&mut self, ctx: &mut Ctx, f: impl FnOnce(&mut dyn L35Shim, &mut ShimApi)) {
         if let Some(mut shim) = self.shim.take() {
             {
-                let mut api = ShimApi { core: &mut self.core, ctx };
+                let mut api = ShimApi {
+                    core: &mut self.core,
+                    ctx,
+                };
                 f(shim.as_mut(), &mut api);
             }
             self.shim = Some(shim);
@@ -618,7 +662,12 @@ impl Host {
     /// Flushes packets the Teredo client has queued (control messages,
     /// and tunneled packets once qualification completes).
     fn flush_teredo(&mut self, ctx: &mut Ctx) {
-        let ready = self.core.teredo.as_mut().map(TeredoClient::drain_ready).unwrap_or_default();
+        let ready = self
+            .core
+            .teredo
+            .as_mut()
+            .map(TeredoClient::drain_ready)
+            .unwrap_or_default();
         for p in ready {
             self.core.send_wire(ctx, SimDuration::ZERO, p);
         }
@@ -764,7 +813,11 @@ impl HostApi<'_, '_> {
         let candidates = self.core.all_addrs();
         let src = select_source(&candidates, &remote)?;
         let iss = self.ctx.random_u64() as u32;
-        Some(self.core.tcp.connect(src, (remote, port), self.app_idx, iss, self.ctx.now))
+        Some(
+            self.core
+                .tcp
+                .connect(src, (remote, port), self.app_idx, iss, self.ctx.now),
+        )
     }
 
     /// Queues bytes on a socket. TCP keeps `data` itself until the
@@ -801,7 +854,9 @@ impl HostApi<'_, '_> {
     /// Sends a UDP datagram (source address auto-selected).
     pub fn udp_send(&mut self, src_port: u16, dst: IpAddr, dst_port: u16, data: UdpData) {
         let candidates = self.core.all_addrs();
-        let Some(src) = select_source(&candidates, &dst) else { return };
+        let Some(src) = select_source(&candidates, &dst) else {
+            return;
+        };
         self.core.udp.send(src, src_port, dst, dst_port, data);
     }
 
@@ -810,11 +865,18 @@ impl HostApi<'_, '_> {
     pub fn ping(&mut self, dst: IpAddr, ident: u16, seq: u16, payload_len: usize) {
         self.core.icmp_owner.insert(ident, self.app_idx);
         let candidates = self.core.all_addrs();
-        let Some(src) = select_source(&candidates, &dst) else { return };
+        let Some(src) = select_source(&candidates, &dst) else {
+            return;
+        };
         let pkt = Packet::new(
             src,
             dst,
-            Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoRequest, ident, seq, payload_len }),
+            Payload::Icmp(IcmpMessage {
+                kind: IcmpKind::EchoRequest,
+                ident,
+                seq,
+                payload_len,
+            }),
         );
         self.core.upper_out.push_back(pkt);
     }
@@ -872,7 +934,13 @@ impl ShimApi<'_, '_> {
 
     /// Arms a shim timer; keep the returned token to cancel it.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerToken {
-        self.ctx.set_timer(delay, TimerHandle { owner: TimerOwner::Shim, token })
+        self.ctx.set_timer(
+            delay,
+            TimerHandle {
+                owner: TimerOwner::Shim,
+                token,
+            },
+        )
     }
 
     /// Cancels a timer armed with [`Self::set_timer`].
@@ -1002,8 +1070,16 @@ mod tests {
             Endpoint { node: b, iface: 0 },
             LinkParams::datacenter(),
         );
-        sim.world.node_mut::<Host>(a).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 1)]);
-        sim.world.node_mut::<Host>(b).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(a)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 1)]);
+        sim.world
+            .node_mut::<Host>(b)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 2)]);
         (sim, a, b, client, server)
     }
 
@@ -1023,7 +1099,7 @@ mod tests {
     fn host_crash_restart_relistens_and_serves() {
         let (mut sim, a, b, client, server) = build_pair();
         sim.run_until(SimTime(1_000_000_000)); // first echo completes
-        // Crash the server host, then bring it back up.
+                                               // Crash the server host, then bring it back up.
         sim.schedule_fault(SimDuration::ZERO, FaultAction::NodeCrash(b));
         sim.schedule_fault(SimDuration::from_millis(100), FaultAction::NodeRestart(b));
         sim.run_until(SimTime(2_000_000_000));
@@ -1107,10 +1183,24 @@ mod tests {
             Endpoint { node: b, iface: 0 },
             LinkParams::datacenter(),
         );
-        sim.world.node_mut::<Host>(a).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 1)]);
-        sim.world.node_mut::<Host>(b).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(a)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 1)]);
+        sim.world
+            .node_mut::<Host>(b)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 2)]);
         sim.run_until(SimTime(1_000_000_000));
-        let rtt = sim.world.node::<Host>(a).unwrap().app::<Pinger>(pinger).unwrap().rtt;
+        let rtt = sim
+            .world
+            .node::<Host>(a)
+            .unwrap()
+            .app::<Pinger>(pinger)
+            .unwrap()
+            .rtt;
         let rtt = rtt.expect("got echo reply");
         // ≥ 2× link latency (500 µs), plus serialization.
         assert!(rtt >= SimDuration::from_micros(500), "rtt={rtt:?}");
@@ -1124,7 +1214,12 @@ mod tests {
         }
         impl App for Sender {
             fn start(&mut self, api: &mut HostApi) {
-                api.udp_send(5000, self.dst, 53, UdpData::Raw(Bytes::from_static(b"query")));
+                api.udp_send(
+                    5000,
+                    self.dst,
+                    53,
+                    UdpData::Raw(Bytes::from_static(b"query")),
+                );
             }
             fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
             fn as_any(&self) -> &dyn Any {
@@ -1142,7 +1237,11 @@ mod tests {
                 assert!(api.udp_bind(53));
             }
             fn on_event(&mut self, ev: AppEvent, _: &mut HostApi) {
-                if let AppEvent::UdpDatagram { data: UdpData::Raw(b), .. } = ev {
+                if let AppEvent::UdpDatagram {
+                    data: UdpData::Raw(b),
+                    ..
+                } = ev
+                {
                     self.got.extend_from_slice(&b);
                 }
             }
@@ -1155,7 +1254,9 @@ mod tests {
         }
         let mut sim = Sim::new(1);
         let mut ha = Host::new("a");
-        ha.add_app(Box::new(Sender { dst: v4(10, 0, 0, 2) }));
+        ha.add_app(Box::new(Sender {
+            dst: v4(10, 0, 0, 2),
+        }));
         let mut hb = Host::new("b");
         let recv = hb.add_app(Box::new(Receiver { got: vec![] }));
         let a = sim.world.add_node(Box::new(ha));
@@ -1165,10 +1266,26 @@ mod tests {
             Endpoint { node: b, iface: 0 },
             LinkParams::datacenter(),
         );
-        sim.world.node_mut::<Host>(a).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 1)]);
-        sim.world.node_mut::<Host>(b).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(a)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 1)]);
+        sim.world
+            .node_mut::<Host>(b)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 2)]);
         sim.run_until(SimTime(1_000_000_000));
-        assert_eq!(sim.world.node::<Host>(b).unwrap().app::<Receiver>(recv).unwrap().got, b"query");
+        assert_eq!(
+            sim.world
+                .node::<Host>(b)
+                .unwrap()
+                .app::<Receiver>(recv)
+                .unwrap()
+                .got,
+            b"query"
+        );
     }
 
     #[test]
@@ -1183,8 +1300,16 @@ mod tests {
             Endpoint { node: b, iface: 0 },
             LinkParams::datacenter(),
         );
-        sim.world.node_mut::<Host>(a).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 1)]);
-        sim.world.node_mut::<Host>(b).unwrap().core.add_iface(link, vec![v4(10, 0, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(a)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 1)]);
+        sim.world
+            .node_mut::<Host>(b)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 2)]);
         sim.trace = crate::trace::Trace::enabled(100);
         // Send a packet to an address b does not own.
         sim.with_node_ctx(a, |node, ctx| {
@@ -1217,7 +1342,11 @@ mod tests {
         assert!(!prefix_match(&v4(11, 1, 2, 3), &v4(10, 0, 0, 0), 8));
         assert!(prefix_match(&v4(10, 1, 2, 3), &v4(10, 1, 0, 0), 16));
         assert!(prefix_match(&v4(192, 168, 1, 77), &v4(192, 168, 1, 64), 26));
-        assert!(!prefix_match(&v4(192, 168, 1, 10), &v4(192, 168, 1, 64), 26));
+        assert!(!prefix_match(
+            &v4(192, 168, 1, 10),
+            &v4(192, 168, 1, 64),
+            26
+        ));
         assert!(prefix_match(&v4(1, 2, 3, 4), &v4(0, 0, 0, 0), 0));
     }
 }
@@ -1284,12 +1413,32 @@ mod routing_tests {
             core.add_route(v4(10, 1, 0, 0), 16, 0);
             core.add_route(v4(10, 2, 0, 0), 16, 1);
         }
-        sim.world.node_mut::<Host>(l).expect("l").core.add_iface(ll, vec![v4(10, 1, 0, 2)]);
-        sim.world.node_mut::<Host>(r).expect("r").core.add_iface(lr, vec![v4(10, 2, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(l)
+            .expect("l")
+            .core
+            .add_iface(ll, vec![v4(10, 1, 0, 2)]);
+        sim.world
+            .node_mut::<Host>(r)
+            .expect("r")
+            .core
+            .add_iface(lr, vec![v4(10, 2, 0, 2)]);
         sim.run_until(SimTime(1_000_000_000));
-        let replies = &sim.world.node::<Host>(h).expect("hub").app::<Probe>(probe).expect("probe").replies;
-        assert!(replies.contains(&v4(10, 1, 0, 2)), "left reachable via iface 0: {replies:?}");
-        assert!(replies.contains(&v4(10, 2, 0, 2)), "right reachable via iface 1: {replies:?}");
+        let replies = &sim
+            .world
+            .node::<Host>(h)
+            .expect("hub")
+            .app::<Probe>(probe)
+            .expect("probe")
+            .replies;
+        assert!(
+            replies.contains(&v4(10, 1, 0, 2)),
+            "left reachable via iface 0: {replies:?}"
+        );
+        assert!(
+            replies.contains(&v4(10, 2, 0, 2)),
+            "right reachable via iface 1: {replies:?}"
+        );
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub use engine::{
 pub use fault::{FaultEpisode, FaultPlan, FaultPlanError};
 pub use host::{App, AppEvent, Host, HostApi, HostCore, L35Shim, ShimApi};
 pub use link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId};
-pub use packet::{Packet, Payload};
-pub use tcp::{SockId, TcpEvent};
-pub use time::{SimDuration, SimTime};
 /// The metrics crate: [`HostApi::metrics`] hands apps its registry, and
 /// apps that cache metric handles name its types through this path.
 pub use obs;
+pub use packet::{Packet, Payload};
+pub use tcp::{SockId, TcpEvent};
+pub use time::{SimDuration, SimTime};

@@ -256,30 +256,45 @@ impl Link {
         // Fault checks happen after the caller's RNG draws, so a fault
         // episode never changes the draw sequence of the rest of the run.
         if self.admin_down {
-            return TxResult::Dropped { cause: DropCause::LinkDown };
+            return TxResult::Dropped {
+                cause: DropCause::LinkDown,
+            };
         }
         if self.partitioned {
-            return TxResult::Dropped { cause: DropCause::Partition };
+            return TxResult::Dropped {
+                cause: DropCause::Partition,
+            };
         }
         if loss_draw < self.params.loss {
-            return TxResult::Dropped { cause: DropCause::Loss };
+            return TxResult::Dropped {
+                cause: DropCause::Loss,
+            };
         }
         if loss_draw < self.burst_loss {
-            return TxResult::Dropped { cause: DropCause::Burst };
+            return TxResult::Dropped {
+                cause: DropCause::Burst,
+            };
         }
-        let ser_ns = (wire_len as u64 * 8).saturating_mul(1_000_000_000) / self.params.bandwidth_bps;
+        let ser_ns =
+            (wire_len as u64 * 8).saturating_mul(1_000_000_000) / self.params.bandwidth_bps;
         let ser = SimDuration::from_nanos(ser_ns.max(1));
         let start = self.busy_until[dir].max(now);
         // Tail drop: how many bytes are already queued ahead of us?
         let backlog_ns = start.since(now).as_nanos();
-        let backlog_bytes = (backlog_ns.saturating_mul(self.params.bandwidth_bps) / 8 / 1_000_000_000) as usize;
+        let backlog_bytes =
+            (backlog_ns.saturating_mul(self.params.bandwidth_bps) / 8 / 1_000_000_000) as usize;
         if backlog_bytes > self.params.queue_bytes {
-            return TxResult::Dropped { cause: DropCause::QueueOverflow };
+            return TxResult::Dropped {
+                cause: DropCause::QueueOverflow,
+            };
         }
         self.busy_until[dir] = start + ser;
         let jitter =
             SimDuration::from_nanos((jitter_draw * self.params.jitter.as_nanos() as f64) as u64);
-        TxResult::Deliver { to, at: self.busy_until[dir] + self.params.latency + self.extra_latency + jitter }
+        TxResult::Deliver {
+            to,
+            at: self.busy_until[dir] + self.params.latency + self.extra_latency + jitter,
+        }
     }
 }
 
@@ -290,8 +305,14 @@ mod tests {
     fn link() -> Link {
         Link::new(
             LinkId(0),
-            Endpoint { node: NodeId(0), iface: 0 },
-            Endpoint { node: NodeId(1), iface: 0 },
+            Endpoint {
+                node: NodeId(0),
+                iface: 0,
+            },
+            Endpoint {
+                node: NodeId(1),
+                iface: 0,
+            },
             LinkParams {
                 latency: SimDuration::from_millis(1),
                 bandwidth_bps: 8_000_000, // 1 byte/µs
@@ -327,7 +348,11 @@ mod tests {
             TxResult::Deliver { at, .. } => at,
             _ => panic!(),
         };
-        assert_eq!(t2.since(t1), SimDuration::from_millis(1), "second serializes after first");
+        assert_eq!(
+            t2.since(t1),
+            SimDuration::from_millis(1),
+            "second serializes after first"
+        );
     }
 
     #[test]
@@ -350,7 +375,9 @@ mod tests {
         l.params.loss = 0.5;
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.49, 0.0),
-            TxResult::Dropped { cause: DropCause::Loss }
+            TxResult::Dropped {
+                cause: DropCause::Loss
+            }
         );
         assert!(matches!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.51, 0.0),
@@ -373,7 +400,10 @@ mod tests {
                 }
             }
         }
-        assert!(delivered >= 2 && dropped > 0, "delivered={delivered} dropped={dropped}");
+        assert!(
+            delivered >= 2 && dropped > 0,
+            "delivered={delivered} dropped={dropped}"
+        );
     }
 
     #[test]
@@ -382,7 +412,9 @@ mod tests {
         l.set_admin_down(true);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),
-            TxResult::Dropped { cause: DropCause::LinkDown }
+            TxResult::Dropped {
+                cause: DropCause::LinkDown
+            }
         );
         // Partition is tracked independently: clearing admin-down while
         // partitioned keeps the link dead, and vice versa.
@@ -390,7 +422,9 @@ mod tests {
         l.set_admin_down(false);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),
-            TxResult::Dropped { cause: DropCause::Partition }
+            TxResult::Dropped {
+                cause: DropCause::Partition
+            }
         );
         l.set_partitioned(false);
         assert!(!l.is_faulted());
@@ -398,7 +432,9 @@ mod tests {
         l.set_burst_loss(0.8);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.5, 0.0),
-            TxResult::Dropped { cause: DropCause::Burst }
+            TxResult::Dropped {
+                cause: DropCause::Burst
+            }
         );
         assert!(matches!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),

@@ -129,7 +129,11 @@ impl Nat {
     fn alloc_port(&mut self, proto: u8) -> u16 {
         loop {
             let p = self.next_port;
-            self.next_port = if self.next_port == u16::MAX { 40000 } else { self.next_port + 1 };
+            self.next_port = if self.next_port == u16::MAX {
+                40000
+            } else {
+                self.next_port + 1
+            };
             if !self.by_port.contains_key(&(proto, p)) {
                 return p;
             }
@@ -140,7 +144,9 @@ impl Nat {
         let Some((src_port, dst_port)) = Self::flow_ports(&pkt.payload) else {
             self.dropped += 1;
             ctx.metrics().add_name("nat.drop.no_ports", 1);
-            ctx.trace_drop_pkt(&pkt, || format!("{}: protocol has no ports, dropped", self.name));
+            ctx.trace_drop_pkt(&pkt, || {
+                format!("{}: protocol has no ports, dropped", self.name)
+            });
             return;
         };
         let protocol = pkt.protocol();
@@ -159,7 +165,11 @@ impl Nat {
                 self.mappings.insert(key, p);
                 self.by_port.insert(
                     (protocol, p),
-                    Mapping { external_port: p, internal: (pkt.src, src_port), last_used: ctx.now },
+                    Mapping {
+                        external_port: p,
+                        internal: (pkt.src, src_port),
+                        last_used: ctx.now,
+                    },
                 );
                 p
             }
@@ -182,7 +192,9 @@ impl Nat {
         let Some(m) = self.by_port.get_mut(&(protocol, dst_port)) else {
             self.dropped += 1;
             ctx.metrics().add_name("nat.drop.unsolicited", 1);
-            ctx.trace_drop_pkt(&pkt, || format!("{}: unsolicited inbound to port {dst_port}", self.name));
+            ctx.trace_drop_pkt(&pkt, || {
+                format!("{}: unsolicited inbound to port {dst_port}", self.name)
+            });
             return;
         };
         // Symmetric filtering: only the mapped remote may use the port.
@@ -193,7 +205,9 @@ impl Nat {
             if !allowed {
                 self.dropped += 1;
                 ctx.metrics().add_name("nat.drop.symmetric_filter", 1);
-                ctx.trace_drop_pkt(&pkt, || format!("{}: symmetric filter rejected {}", self.name, pkt.src));
+                ctx.trace_drop_pkt(&pkt, || {
+                    format!("{}: symmetric filter rejected {}", self.name, pkt.src)
+                });
                 return;
             }
         }
@@ -223,7 +237,10 @@ impl Node for Nat {
     fn start(&mut self, ctx: &mut Ctx) {
         ctx.set_timer(
             SimDuration::from_secs(30),
-            TimerHandle { owner: TimerOwner::Node, token: 1 },
+            TimerHandle {
+                owner: TimerOwner::Node,
+                token: 1,
+            },
         );
     }
 
@@ -239,7 +256,10 @@ impl Node for Nat {
         self.gc(ctx.now);
         ctx.set_timer(
             SimDuration::from_secs(30),
-            TimerHandle { owner: TimerOwner::Node, token: 1 },
+            TimerHandle {
+                owner: TimerOwner::Node,
+                token: 1,
+            },
         );
     }
 
@@ -271,7 +291,14 @@ mod tests {
 
     /// Runs a closure with a Ctx wired to a throwaway world; returns the
     /// packets the NAT transmitted (captured via a sink node on each side).
-    fn harness(kind: NatKind) -> (crate::engine::Sim, crate::link::NodeId, crate::link::NodeId, crate::link::NodeId) {
+    fn harness(
+        kind: NatKind,
+    ) -> (
+        crate::engine::Sim,
+        crate::link::NodeId,
+        crate::link::NodeId,
+        crate::link::NodeId,
+    ) {
         use crate::engine::Sim;
         use crate::link::{Endpoint, LinkParams};
 
@@ -292,19 +319,38 @@ mod tests {
 
         let mut sim = Sim::new(3);
         let inside = sim.world.add_node(Box::new(Sink { got: vec![] }));
-        let nat_node = sim.world.add_node(Box::new(Nat::new("nat", Ipv4Addr::new(203, 0, 113, 1), kind)));
+        let nat_node = sim.world.add_node(Box::new(Nat::new(
+            "nat",
+            Ipv4Addr::new(203, 0, 113, 1),
+            kind,
+        )));
         let outside = sim.world.add_node(Box::new(Sink { got: vec![] }));
         let l_in = sim.world.connect(
-            Endpoint { node: inside, iface: 0 },
-            Endpoint { node: nat_node, iface: 0 },
+            Endpoint {
+                node: inside,
+                iface: 0,
+            },
+            Endpoint {
+                node: nat_node,
+                iface: 0,
+            },
             LinkParams::access(),
         );
         let l_out = sim.world.connect(
-            Endpoint { node: nat_node, iface: 1 },
-            Endpoint { node: outside, iface: 0 },
+            Endpoint {
+                node: nat_node,
+                iface: 1,
+            },
+            Endpoint {
+                node: outside,
+                iface: 0,
+            },
             LinkParams::access(),
         );
-        sim.world.node_mut::<Nat>(nat_node).unwrap().set_links(l_in, l_out);
+        sim.world
+            .node_mut::<Nat>(nat_node)
+            .unwrap()
+            .set_links(l_in, l_out);
         (sim, inside, nat_node, outside)
     }
 
@@ -317,7 +363,11 @@ mod tests {
         let remote = v4(8, 8, 8, 8);
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, remote, 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, remote, 53),
+            },
         );
         sim.run_until(SimTime(1_000_000_000));
         // The mapping table records the translation.
@@ -331,7 +381,11 @@ mod tests {
         // Reply comes back to the external port and is accepted.
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 1, pkt: udp_packet(remote, 53, ext_src, ext_port) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 1,
+                pkt: udp_packet(remote, 53, ext_src, ext_port),
+            },
         );
         sim.run_until(SimTime(2_000_000_000));
         let nat = sim.world.node::<Nat>(nat_node).unwrap();
@@ -361,14 +415,37 @@ mod tests {
         use crate::packet::EspPacket;
         use crate::time::SimTime;
         let (mut sim, _inside, nat_node, _outside) = harness(NatKind::Cone);
-        let hip = Packet::new(v4(192, 168, 1, 10), v4(8, 8, 8, 8), Payload::HipControl(Bytes::from_static(b"I1")));
+        let hip = Packet::new(
+            v4(192, 168, 1, 10),
+            v4(8, 8, 8, 8),
+            Payload::HipControl(Bytes::from_static(b"I1")),
+        );
         let esp = Packet::new(
             v4(192, 168, 1, 10),
             v4(8, 8, 8, 8),
-            Payload::Esp(EspPacket { spi: 1, seq: 1, ciphertext: Bytes::new(), icv: [0; 16] }),
+            Payload::Esp(EspPacket {
+                spi: 1,
+                seq: 1,
+                ciphertext: Bytes::new(),
+                icv: [0; 16],
+            }),
         );
-        sim.schedule(SimDuration::ZERO, Event::PacketArrive { node: nat_node, iface: 0, pkt: hip });
-        sim.schedule(SimDuration::ZERO, Event::PacketArrive { node: nat_node, iface: 0, pkt: esp });
+        sim.schedule(
+            SimDuration::ZERO,
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: hip,
+            },
+        );
+        sim.schedule(
+            SimDuration::ZERO,
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: esp,
+            },
+        );
         sim.run_until(SimTime(1_000_000_000));
         assert_eq!(
             sim.world.node::<Nat>(nat_node).unwrap().dropped,
@@ -385,11 +462,19 @@ mod tests {
         let internal = v4(192, 168, 1, 10);
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53),
+            },
         );
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, v4(9, 9, 9, 9), 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, v4(9, 9, 9, 9), 53),
+            },
         );
         sim.run_until(SimTime(1_000_000_000));
         assert_eq!(sim.world.node::<Nat>(nat_node).unwrap().mapping_count(), 1);
@@ -403,11 +488,19 @@ mod tests {
         let internal = v4(192, 168, 1, 10);
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53),
+            },
         );
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, v4(9, 9, 9, 9), 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, v4(9, 9, 9, 9), 53),
+            },
         );
         sim.run_until(SimTime(1_000_000_000));
         assert_eq!(sim.world.node::<Nat>(nat_node).unwrap().mapping_count(), 2);
@@ -421,7 +514,11 @@ mod tests {
         let internal = v4(192, 168, 1, 10);
         sim.schedule(
             SimDuration::ZERO,
-            Event::PacketArrive { node: nat_node, iface: 0, pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53) },
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: udp_packet(internal, 5000, v4(8, 8, 8, 8), 53),
+            },
         );
         sim.run_until(SimTime(500_000_000));
         let port = {
@@ -449,9 +546,21 @@ mod tests {
         let ping = Packet::new(
             v4(192, 168, 1, 10),
             v4(8, 8, 8, 8),
-            Payload::Icmp(IcmpMessage { kind: IcmpKind::EchoRequest, ident: 77, seq: 1, payload_len: 56 }),
+            Payload::Icmp(IcmpMessage {
+                kind: IcmpKind::EchoRequest,
+                ident: 77,
+                seq: 1,
+                payload_len: 56,
+            }),
         );
-        sim.schedule(SimDuration::ZERO, Event::PacketArrive { node: nat_node, iface: 0, pkt: ping });
+        sim.schedule(
+            SimDuration::ZERO,
+            Event::PacketArrive {
+                node: nat_node,
+                iface: 0,
+                pkt: ping,
+            },
+        );
         sim.run_until(SimTime(1_000_000_000));
         let nat = sim.world.node::<Nat>(nat_node).unwrap();
         assert_eq!(nat.mapping_count(), 1);
@@ -465,10 +574,18 @@ mod tests {
         nat.mapping_timeout = SimDuration::from_secs(1);
         nat.by_port.insert(
             (proto::UDP, 40000),
-            Mapping { external_port: 40000, internal: (v4(10, 0, 0, 1), 5), last_used: SimTime::ZERO },
+            Mapping {
+                external_port: 40000,
+                internal: (v4(10, 0, 0, 1), 5),
+                last_used: SimTime::ZERO,
+            },
         );
         nat.mappings.insert(
-            FlowKey { proto: proto::UDP, internal: (v4(10, 0, 0, 1), 5), remote: None },
+            FlowKey {
+                proto: proto::UDP,
+                internal: (v4(10, 0, 0, 1), 5),
+                remote: None,
+            },
             40000,
         );
         nat.gc(SimTime(2_000_000_000));

@@ -59,7 +59,12 @@ pub enum Payload {
 impl Packet {
     /// Builds a packet with the default TTL.
     pub fn new(src: IpAddr, dst: IpAddr, payload: Payload) -> Self {
-        Packet { src, dst, ttl: DEFAULT_TTL, payload }
+        Packet {
+            src,
+            dst,
+            ttl: DEFAULT_TTL,
+            payload,
+        }
     }
 
     /// IP protocol number of the payload.
@@ -75,7 +80,11 @@ impl Packet {
 
     /// Size of the IP header on the wire for this address family.
     fn ip_header_len(&self) -> usize {
-        if self.dst.is_ipv6() { 40 } else { 20 }
+        if self.dst.is_ipv6() {
+            40
+        } else {
+            20
+        }
     }
 
     /// Total bytes this packet occupies on a link.
@@ -132,15 +141,40 @@ impl fmt::Debug for TcpFlags {
 
 impl TcpFlags {
     /// Just SYN.
-    pub const SYN: TcpFlags = TcpFlags { syn: true, ack: false, fin: false, rst: false };
+    pub const SYN: TcpFlags = TcpFlags {
+        syn: true,
+        ack: false,
+        fin: false,
+        rst: false,
+    };
     /// SYN+ACK.
-    pub const SYN_ACK: TcpFlags = TcpFlags { syn: true, ack: true, fin: false, rst: false };
+    pub const SYN_ACK: TcpFlags = TcpFlags {
+        syn: true,
+        ack: true,
+        fin: false,
+        rst: false,
+    };
     /// Just ACK.
-    pub const ACK: TcpFlags = TcpFlags { syn: false, ack: true, fin: false, rst: false };
+    pub const ACK: TcpFlags = TcpFlags {
+        syn: false,
+        ack: true,
+        fin: false,
+        rst: false,
+    };
     /// FIN+ACK.
-    pub const FIN_ACK: TcpFlags = TcpFlags { syn: false, ack: true, fin: true, rst: false };
+    pub const FIN_ACK: TcpFlags = TcpFlags {
+        syn: false,
+        ack: true,
+        fin: true,
+        rst: false,
+    };
     /// RST.
-    pub const RST: TcpFlags = TcpFlags { syn: false, ack: false, fin: false, rst: true };
+    pub const RST: TcpFlags = TcpFlags {
+        syn: false,
+        ack: false,
+        fin: false,
+        rst: true,
+    };
 }
 
 /// A TCP segment.

@@ -37,7 +37,13 @@ pub struct Router {
 impl Router {
     /// Creates a router with no interfaces.
     pub fn new(name: &str) -> Self {
-        Router { name: name.to_owned(), ifaces: Vec::new(), routes: Vec::new(), forwarded: 0, dropped: 0 }
+        Router {
+            name: name.to_owned(),
+            ifaces: Vec::new(),
+            routes: Vec::new(),
+            forwarded: 0,
+            dropped: 0,
+        }
     }
 
     /// Attaches an interface; returns its index.
@@ -48,7 +54,11 @@ impl Router {
 
     /// Adds a forwarding entry.
     pub fn add_route(&mut self, prefix: IpAddr, prefix_len: u8, out_iface: usize) {
-        self.routes.push(Route { prefix, prefix_len, out_iface });
+        self.routes.push(Route {
+            prefix,
+            prefix_len,
+            out_iface,
+        });
     }
 
     /// Longest-prefix lookup.

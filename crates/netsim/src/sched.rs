@@ -234,7 +234,11 @@ impl<T> CalendarQueue<T> {
                 slot
             }
         };
-        self.push_entry(Entry { at: at.as_nanos(), seq, slot });
+        self.push_entry(Entry {
+            at: at.as_nanos(),
+            seq,
+            slot,
+        });
     }
 
     fn push_entry(&mut self, e: Entry) {
@@ -271,7 +275,9 @@ impl<T> CalendarQueue<T> {
                 return false;
             }
             let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
-            let wheel_next = self.next_occupied_distance().map(|d| self.cur_start + d * self.width());
+            let wheel_next = self
+                .next_occupied_distance()
+                .map(|d| self.cur_start + d * self.width());
             if let Some(m) = over_min.filter(|&m| wheel_next.is_none_or(|next| m < next)) {
                 if (m & !(self.width() - 1)) > limit {
                     return false;
@@ -304,7 +310,11 @@ impl<T> CalendarQueue<T> {
         // or they would pop after later wheel events from the same
         // bucket.
         let window_end = start.saturating_add(self.width());
-        while self.overflow.peek().is_some_and(|Reverse(e)| e.at < window_end) {
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse(e)| e.at < window_end)
+        {
             let Reverse(e) = self.overflow.pop().expect("peeked");
             self.stats.migrated += 1;
             self.push_entry(e);
@@ -342,7 +352,9 @@ impl<T> CalendarQueue<T> {
         if e.at > limit {
             return None;
         }
-        let item = self.items[e.slot as usize].as_ref().expect("queued slot holds its item");
+        let item = self.items[e.slot as usize]
+            .as_ref()
+            .expect("queued slot holds its item");
         Some((SimTime(e.at), e.seq, item))
     }
 
@@ -364,7 +376,9 @@ impl<T> CalendarQueue<T> {
         let wheel = self.wheel.iter().flatten();
         let overflow = self.overflow.iter().map(|Reverse(e)| e);
         self.cur.iter().chain(wheel).chain(overflow).map(|e| {
-            let item = self.items[e.slot as usize].as_ref().expect("queued slot holds its item");
+            let item = self.items[e.slot as usize]
+                .as_ref()
+                .expect("queued slot holds its item");
             (SimTime(e.at), e.seq, item)
         })
     }
@@ -375,7 +389,9 @@ impl<T> CalendarQueue<T> {
             return None;
         }
         let e = self.cur.pop().expect("advance filled cur");
-        let item = self.items[e.slot as usize].take().expect("queued slot holds its item");
+        let item = self.items[e.slot as usize]
+            .take()
+            .expect("queued slot holds its item");
         self.free.push(e.slot);
         self.len -= 1;
         Some((SimTime(e.at), e.seq, item))
@@ -403,7 +419,10 @@ mod tests {
         q.push(SimTime(5_000), 3, 0); // wheel
         q.push(SimTime(500), 4, 0); // FIFO tie with seq 2
         assert_eq!(q.len(), 4);
-        assert_eq!(drain(&mut q), vec![(500, 2), (500, 4), (5_000, 3), (20_000_000, 1)]);
+        assert_eq!(
+            drain(&mut q),
+            vec![(500, 2), (500, 4), (5_000, 3), (20_000_000, 1)]
+        );
         assert!(q.is_empty());
     }
 
@@ -421,7 +440,10 @@ mod tests {
         q.push(SimTime(horizon + 100), 2, 0);
         // B later than A but within the (advanced) wheel window.
         q.push(SimTime(horizon + 9_000), 3, 0);
-        assert_eq!(drain(&mut q), vec![(horizon + 100, 2), (horizon + 9_000, 3)]);
+        assert_eq!(
+            drain(&mut q),
+            vec![(horizon + 100, 2), (horizon + 9_000, 3)]
+        );
     }
 
     #[test]
@@ -451,7 +473,10 @@ mod tests {
         }
         let popped = drain(&mut q);
         assert_eq!(popped.len(), 50);
-        assert!(popped.windows(2).all(|w| w[0].1 < w[1].1), "FIFO at equal time");
+        assert!(
+            popped.windows(2).all(|w| w[0].1 < w[1].1),
+            "FIFO at equal time"
+        );
     }
 
     #[test]
@@ -476,9 +501,9 @@ mod tests {
                 seq += 1;
                 // Mix of short (µs), medium (ms) and long (s) delays.
                 let delay = match rng() % 10 {
-                    0 => rng() % 1_000_000_000,       // up to 1 s
-                    1..=3 => rng() % 50_000_000,      // up to 50 ms
-                    _ => rng() % 300_000,             // up to 300 µs
+                    0 => rng() % 1_000_000_000,  // up to 1 s
+                    1..=3 => rng() % 50_000_000, // up to 50 ms
+                    _ => rng() % 300_000,        // up to 300 µs
                 };
                 let at = now + delay;
                 q.push(SimTime(at), seq, 0u32);
@@ -551,4 +576,3 @@ mod tests {
         assert_eq!(q.free.len(), 8);
     }
 }
-

@@ -75,7 +75,11 @@ impl SendBuf {
     /// inside one chunk shares that chunk's storage; a range across
     /// chunks is copied.
     fn range(&self, off: usize, len: usize) -> Bytes {
-        assert!(off + len <= self.len, "range {off}+{len} past buffer of {}", self.len);
+        assert!(
+            off + len <= self.len,
+            "range {off}+{len} past buffer of {}",
+            self.len
+        );
         if len == 0 {
             return Bytes::new();
         }
@@ -111,7 +115,10 @@ impl SendBuf {
         }
         let sum: usize = self.chunks.iter().map(Bytes::len).sum();
         if sum != self.len {
-            return Err(format!("send buffer counts {} bytes, chunks hold {sum}", self.len));
+            return Err(format!(
+                "send buffer counts {} bytes, chunks hold {sum}",
+                self.len
+            ));
         }
         Ok(())
     }
@@ -327,7 +334,8 @@ impl TcpLayer {
         sock.opened_at = now;
         sock.snd_una = iss;
         sock.snd_nxt = iss.wrapping_add(1);
-        self.conn_map.insert((local_addr, local_port, remote.0, remote.1), id);
+        self.conn_map
+            .insert((local_addr, local_port, remote.0, remote.1), id);
         let syn = sock.make_segment(iss, TcpFlags::SYN, Bytes::new());
         sock.arm_rtx(now, &mut self.timer_reqs);
         self.out.push(syn);
@@ -338,7 +346,9 @@ impl TcpLayer {
     /// Queues `data` for transmission. The buffer keeps `data` itself
     /// (no copy) until the peer acknowledges it.
     pub fn send(&mut self, sock: SockId, data: impl Into<Bytes>, now: SimTime) {
-        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else { return };
+        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
+            return;
+        };
         if !matches!(s.state, TcpState::Established | TcpState::CloseWait) {
             return;
         }
@@ -370,7 +380,9 @@ impl TcpLayer {
 
     /// Closes the sending direction (sends FIN after queued data).
     pub fn close(&mut self, sock: SockId, now: SimTime) {
-        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else { return };
+        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
+            return;
+        };
         match s.state {
             TcpState::Established => {
                 s.fin_pending = true;
@@ -393,7 +405,9 @@ impl TcpLayer {
 
     /// Aborts with RST.
     pub fn abort(&mut self, sock: SockId) {
-        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else { return };
+        let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
+            return;
+        };
         let rst = s.make_segment(s.snd_nxt, TcpFlags::RST, Bytes::new());
         self.out.push(rst);
         let id = s.id;
@@ -410,7 +424,9 @@ impl TcpLayer {
     pub fn abort_to(&mut self, remote: IpAddr) {
         // Slot order: event order is part of the determinism contract.
         for i in 0..self.sockets.len() {
-            let Some(s) = self.sockets[i].as_ref().filter(|s| s.remote.0 == remote) else { continue };
+            let Some(s) = self.sockets[i].as_ref().filter(|s| s.remote.0 == remote) else {
+                continue;
+            };
             let id = s.id;
             let app = s.owner_app;
             let ev = if s.state == TcpState::SynSent {
@@ -470,7 +486,9 @@ impl TcpLayer {
                     src_port: seg.dst_port,
                     dst_port: seg.src_port,
                     seq: if seg.flags.ack { seg.ack } else { 0 },
-                    ack: seg.seq.wrapping_add(seg.data.len() as u32 + u32::from(seg.flags.syn)),
+                    ack: seg
+                        .seq
+                        .wrapping_add(seg.data.len() as u32 + u32::from(seg.flags.syn)),
                     flags: TcpFlags::RST,
                     window: 0,
                     data: Bytes::new(),
@@ -484,7 +502,9 @@ impl TcpLayer {
     /// A TCP timer fired; `token` is the socket index.
     pub fn on_timer(&mut self, token: u64, now: SimTime) {
         let idx = token as usize;
-        let Some(Some(s)) = self.sockets.get_mut(idx) else { return };
+        let Some(Some(s)) = self.sockets.get_mut(idx) else {
+            return;
+        };
         // TIME-WAIT expiry.
         if let Some(tw) = s.time_wait_deadline {
             if now >= tw {
@@ -495,7 +515,9 @@ impl TcpLayer {
                 return;
             }
         }
-        let Some(deadline) = s.rtx_deadline else { return };
+        let Some(deadline) = s.rtx_deadline else {
+            return;
+        };
         if now < deadline {
             return; // stale timer; a fresher one is queued
         }
@@ -533,7 +555,9 @@ impl TcpLayer {
     }
 
     fn on_segment(&mut self, id: SockId, seg: TcpSegment, now: SimTime) {
-        let Some(s) = self.sockets.get_mut(id.0).and_then(Option::as_mut) else { return };
+        let Some(s) = self.sockets.get_mut(id.0).and_then(Option::as_mut) else {
+            return;
+        };
         let app = s.owner_app;
 
         if seg.flags.rst {
@@ -578,7 +602,13 @@ impl TcpLayer {
                     self.cancel_reqs.push(id.0 as u64);
                     s.rto = RTO_INITIAL;
                     let port = s.local.1;
-                    self.events.push((app, TcpEvent::Accepted { listener_port: port, sock: id }));
+                    self.events.push((
+                        app,
+                        TcpEvent::Accepted {
+                            listener_port: port,
+                            sock: id,
+                        },
+                    ));
                     self.metric_evs.push(TcpMetric::AcceptNs(
                         now.as_nanos().saturating_sub(s.opened_at.as_nanos()),
                     ));
@@ -594,7 +624,9 @@ impl TcpLayer {
 
     /// Data/ACK/FIN processing common to synchronized states.
     fn process_established(&mut self, id: SockId, seg: TcpSegment, now: SimTime) {
-        let Some(s) = self.sockets.get_mut(id.0).and_then(Option::as_mut) else { return };
+        let Some(s) = self.sockets.get_mut(id.0).and_then(Option::as_mut) else {
+            return;
+        };
         let app = s.owner_app;
         let mut need_ack = false;
         let mut had_new_data = false;
@@ -731,7 +763,11 @@ impl TcpLayer {
 
     fn alloc_port(&mut self) -> u16 {
         let p = self.next_ephemeral;
-        self.next_ephemeral = if self.next_ephemeral == u16::MAX { 49152 } else { self.next_ephemeral + 1 };
+        self.next_ephemeral = if self.next_ephemeral == u16::MAX {
+            49152
+        } else {
+            self.next_ephemeral + 1
+        };
         p
     }
 
@@ -756,7 +792,8 @@ impl TcpLayer {
     /// first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         for s in self.sockets.iter().flatten() {
-            s.check_invariants().map_err(|e| format!("socket {}: {e}", s.id.0))?;
+            s.check_invariants()
+                .map_err(|e| format!("socket {}: {e}", s.id.0))?;
         }
         Ok(())
     }
@@ -796,10 +833,16 @@ impl TcpSocket {
 
     fn check_invariants(&self) -> Result<(), String> {
         if !seq_le(self.snd_una, self.snd_nxt) {
-            return Err(format!("snd_una {} is past snd_nxt {}", self.snd_una, self.snd_nxt));
+            return Err(format!(
+                "snd_una {} is past snd_nxt {}",
+                self.snd_una, self.snd_nxt
+            ));
         }
         self.send_buf.check()?;
-        let syn = u32::from(matches!(self.state, TcpState::SynSent | TcpState::SynReceived));
+        let syn = u32::from(matches!(
+            self.state,
+            TcpState::SynSent | TcpState::SynReceived
+        ));
         let fin = u32::from(self.fin_seq.is_some_and(|f| seq_le(self.snd_una, f)));
         let flight = self.snd_nxt.wrapping_sub(self.snd_una);
         match flight.checked_sub(syn + fin) {
@@ -848,7 +891,11 @@ impl TcpSocket {
     ) {
         if !matches!(
             self.state,
-            TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::LastAck | TcpState::Closing
+            TcpState::Established
+                | TcpState::CloseWait
+                | TcpState::FinWait1
+                | TcpState::LastAck
+                | TcpState::Closing
         ) {
             return;
         }
@@ -1073,7 +1120,10 @@ mod tests {
         let mut b = TcpLayer::new();
         let ca = a.connect(addr_a(), (addr_b(), 81), 0, 5, SimTime::ZERO);
         pump(&mut a, &mut b, SimTime::ZERO);
-        assert!(a.events.iter().any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)));
+        assert!(a
+            .events
+            .iter()
+            .any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)));
         assert!(!a.is_open(ca));
     }
 
@@ -1117,16 +1167,34 @@ mod tests {
         let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1, SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let mut expiries = 0;
-        while !a.events.iter().any(|(_, e)| *e == TcpEvent::ConnectFailed(ca)) {
-            assert!(expiries <= SYN_RETRIES, "still connecting after {expiries} expiries");
-            let (delay, token) = a.timer_reqs.pop().expect("a SYN retransmission timer is armed");
+        while !a
+            .events
+            .iter()
+            .any(|(_, e)| *e == TcpEvent::ConnectFailed(ca))
+        {
+            assert!(
+                expiries <= SYN_RETRIES,
+                "still connecting after {expiries} expiries"
+            );
+            let (delay, token) = a
+                .timer_reqs
+                .pop()
+                .expect("a SYN retransmission timer is armed");
             now += delay;
             a.on_timer(token, now);
             expiries += 1;
         }
         assert_eq!(expiries, SYN_RETRIES + 1);
-        let syns = a.out.iter().filter(|p| matches!(&p.payload, Payload::Tcp(s) if s.flags.syn)).count();
-        assert_eq!(syns as u32, 1 + SYN_RETRIES, "the first SYN and one per retry");
+        let syns = a
+            .out
+            .iter()
+            .filter(|p| matches!(&p.payload, Payload::Tcp(s) if s.flags.syn))
+            .count();
+        assert_eq!(
+            syns as u32,
+            1 + SYN_RETRIES,
+            "the first SYN and one per retry"
+        );
         assert!(!a.is_open(ca));
     }
 
@@ -1189,7 +1257,10 @@ mod tests {
         for round in 2.. {
             let s = a.sockets[ca.0].as_ref().expect("open");
             let flight = s.snd_nxt.wrapping_sub(s.snd_una);
-            assert!(flight <= RECV_WINDOW, "round {round}: {flight} bytes in flight, window {RECV_WINDOW}");
+            assert!(
+                flight <= RECV_WINDOW,
+                "round {round}: {flight} bytes in flight, window {RECV_WINDOW}"
+            );
             max_flight = max_flight.max(flight);
             max_cwnd = max_cwnd.max(s.cwnd);
             if a.out.is_empty() {
@@ -1199,7 +1270,10 @@ mod tests {
             deliver(std::mem::take(&mut a.out), &mut b, SimTime(round));
             deliver(std::mem::take(&mut b.out), &mut a, SimTime(round));
         }
-        assert!(max_cwnd > u64::from(RECV_WINDOW), "cwnd {max_cwnd} never passed the window");
+        assert!(
+            max_cwnd > u64::from(RECV_WINDOW),
+            "cwnd {max_cwnd} never passed the window"
+        );
         assert!(
             max_flight >= RECV_WINDOW - MSS as u32,
             "flight peaked at {max_flight}, more than one MSS short of the window"
@@ -1245,10 +1319,18 @@ mod tests {
         let seg_c = std::mem::take(&mut a.out);
         deliver(seg_b, &mut b, ms(110));
         deliver(std::mem::take(&mut b.out), &mut a, ms(120));
-        assert_eq!(srtt(&a, ca), Some(100e6), "the ACK of B leaves C's sample open");
+        assert_eq!(
+            srtt(&a, ca),
+            Some(100e6),
+            "the ACK of B leaves C's sample open"
+        );
         deliver(seg_c, &mut b, ms(200));
         deliver(std::mem::take(&mut b.out), &mut a, ms(300));
-        assert_eq!(srtt(&a, ca), Some(112.5e6), "C's 200 ms sample: 7/8 × 100 + 1/8 × 200");
+        assert_eq!(
+            srtt(&a, ca),
+            Some(112.5e6),
+            "C's 200 ms sample: 7/8 × 100 + 1/8 × 200"
+        );
     }
 
     #[test]
@@ -1265,7 +1347,11 @@ mod tests {
         let (mut a, mut b, ca, sb) = connected_pair();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         let mut off = 0;
-        for (i, len) in [0, 1, 7, 1448, 3000, 1, 0, 65_536].iter().cycle().enumerate() {
+        for (i, len) in [0, 1, 7, 1448, 3000, 1, 0, 65_536]
+            .iter()
+            .cycle()
+            .enumerate()
+        {
             let end = (off + len).min(data.len());
             a.send(ca, data[off..end].to_vec(), SimTime(1 + i as u64));
             pump(&mut a, &mut b, SimTime(1 + i as u64));
@@ -1287,9 +1373,14 @@ mod tests {
         let chunk = Bytes::from(vec![9u8; 10_000]);
         let span = chunk.as_ptr() as usize..chunk.as_ptr() as usize + chunk.len();
         a.send(ca, chunk.clone(), SimTime(1));
-        assert!(a.out.len() >= 2, "the initial window sends several segments");
+        assert!(
+            a.out.len() >= 2,
+            "the initial window sends several segments"
+        );
         for p in &a.out {
-            let Payload::Tcp(seg) = &p.payload else { panic!("tcp") };
+            let Payload::Tcp(seg) = &p.payload else {
+                panic!("tcp")
+            };
             let start = seg.data.as_ptr() as usize;
             assert!(
                 span.contains(&start) && start + seg.data.len() <= span.end,
@@ -1317,10 +1408,22 @@ mod tests {
             corrupt(a.sockets[ca.0].as_mut().expect("open"));
             a.check_invariants()
         };
-        assert!(corrupted(|s| s.snd_nxt = s.snd_una.wrapping_sub(1)).is_err(), "snd_una past snd_nxt");
-        assert!(corrupted(|s| s.send_buf.len += 1).is_err(), "count out of step with chunks");
-        assert!(corrupted(|s| s.send_buf.chunks.push_back(Bytes::new())).is_err(), "empty chunk");
-        assert!(corrupted(|s| s.send_buf.consume(1)).is_err(), "flight exceeds the buffer");
+        assert!(
+            corrupted(|s| s.snd_nxt = s.snd_una.wrapping_sub(1)).is_err(),
+            "snd_una past snd_nxt"
+        );
+        assert!(
+            corrupted(|s| s.send_buf.len += 1).is_err(),
+            "count out of step with chunks"
+        );
+        assert!(
+            corrupted(|s| s.send_buf.chunks.push_back(Bytes::new())).is_err(),
+            "empty chunk"
+        );
+        assert!(
+            corrupted(|s| s.send_buf.consume(1)).is_err(),
+            "flight exceeds the buffer"
+        );
     }
 
     #[test]

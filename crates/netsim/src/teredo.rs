@@ -85,7 +85,10 @@ impl TeredoClient {
         self.send_rs();
         ctx.set_timer(
             SimDuration::from_millis(500),
-            crate::engine::TimerHandle { owner: crate::engine::TimerOwner::Node, token: TIMER_QUALIFY },
+            crate::engine::TimerHandle {
+                owner: crate::engine::TimerOwner::Node,
+                token: TIMER_QUALIFY,
+            },
         );
     }
 
@@ -121,7 +124,9 @@ impl TeredoClient {
     /// Examines a wire packet. Returns the (possibly decapsulated) packet
     /// to keep processing, or `None` if the client consumed it.
     pub fn wire_in(&mut self, pkt: Packet, ctx: &mut Ctx) -> Option<Packet> {
-        let Payload::Udp(udp) = &pkt.payload else { return Some(pkt) };
+        let Payload::Udp(udp) = &pkt.payload else {
+            return Some(pkt);
+        };
         if udp.dst_port != TEREDO_PORT {
             return Some(pkt);
         }
@@ -184,7 +189,11 @@ pub struct TeredoServer {
 impl TeredoServer {
     /// Creates a server reachable at `addr` on `link`.
     pub fn new(addr: Ipv4Addr, link: LinkId) -> Self {
-        TeredoServer { addr, link, served: 0 }
+        TeredoServer {
+            addr,
+            link,
+            served: 0,
+        }
     }
 
     /// Rebinds the uplink (topology builders learn the link id late).
@@ -195,12 +204,16 @@ impl TeredoServer {
 
 impl Node for TeredoServer {
     fn handle_packet(&mut self, _iface: usize, pkt: Packet, ctx: &mut Ctx) {
-        let Payload::Udp(udp) = &pkt.payload else { return };
+        let Payload::Udp(udp) = &pkt.payload else {
+            return;
+        };
         let UdpData::Raw(b) = &udp.data else { return };
         if udp.dst_port != TEREDO_PORT || &b[..] != RS_MAGIC {
             return;
         }
-        let IpAddr::V4(observed) = pkt.src else { return };
+        let IpAddr::V4(observed) = pkt.src else {
+            return;
+        };
         self.served += 1;
         // Origin indication: the source address and port *we* observed —
         // after any NAT rewriting, which is the whole point.
@@ -243,7 +256,11 @@ pub struct TeredoRelay {
 impl TeredoRelay {
     /// Creates a relay with its IPv4-facing link.
     pub fn new(addr: Ipv4Addr, v4_link: LinkId) -> Self {
-        TeredoRelay { addr, v4_link, relayed: 0 }
+        TeredoRelay {
+            addr,
+            v4_link,
+            relayed: 0,
+        }
     }
 
     /// Rebinds the IPv4 uplink (topology builders learn the id late).
@@ -270,7 +287,9 @@ impl Node for TeredoRelay {
         match &pkt.payload {
             // From a client: decapsulate and forward the inner packet.
             Payload::Udp(udp) if udp.dst_port == TEREDO_PORT => {
-                let UdpData::Teredo(inner) = &udp.data else { return };
+                let UdpData::Teredo(inner) = &udp.data else {
+                    return;
+                };
                 let inner = (**inner).clone();
                 match inner.dst {
                     IpAddr::V6(v6) if is_teredo(&inner.dst) => {
@@ -334,19 +353,29 @@ mod tests {
         let relay_v4 = Ipv4Addr::new(198, 51, 100, 2);
 
         let mut ha = Host::new("a");
-        ha.core.teredo = Some(TeredoClient::new(Ipv4Addr::new(10, 0, 0, 1), server_v4, relay_v4));
+        ha.core.teredo = Some(TeredoClient::new(
+            Ipv4Addr::new(10, 0, 0, 1),
+            server_v4,
+            relay_v4,
+        ));
         for app in apps_a {
             ha.add_app(app);
         }
         let mut hb = Host::new("b");
-        hb.core.teredo = Some(TeredoClient::new(Ipv4Addr::new(10, 0, 0, 2), server_v4, relay_v4));
+        hb.core.teredo = Some(TeredoClient::new(
+            Ipv4Addr::new(10, 0, 0, 2),
+            server_v4,
+            relay_v4,
+        ));
         for app in apps_b {
             hb.add_app(app);
         }
 
         let a = sim.world.add_node(Box::new(ha));
         let b = sim.world.add_node(Box::new(hb));
-        let r = sim.world.add_node(Box::new(crate::router::Router::new("sw")));
+        let r = sim
+            .world
+            .add_node(Box::new(crate::router::Router::new("sw")));
         let la = sim.world.connect(
             Endpoint { node: a, iface: 0 },
             Endpoint { node: r, iface: 0 },
@@ -402,10 +431,20 @@ mod tests {
         let mut net = build(vec![], vec![]);
         net.sim.run_until(SimTime(3_000_000_000));
         let ha = net.sim.world.node::<Host>(net.a).unwrap();
-        let addr = ha.core.teredo.as_ref().unwrap().address().expect("qualified");
+        let addr = ha
+            .core
+            .teredo
+            .as_ref()
+            .unwrap()
+            .address()
+            .expect("qualified");
         assert!(is_teredo(&IpAddr::V6(addr)));
         let (_s, client, port) = teredo_decode(&addr).unwrap();
-        assert_eq!(client, Ipv4Addr::new(10, 0, 0, 1), "no NAT: external == internal");
+        assert_eq!(
+            client,
+            Ipv4Addr::new(10, 0, 0, 1),
+            "no NAT: external == internal"
+        );
         assert_eq!(port, TEREDO_PORT);
     }
 
@@ -465,7 +504,10 @@ mod tests {
     #[test]
     fn tcp_over_teredo_relay_hairpin() {
         let mut net = build(
-            vec![Box::new(V6Client { peer: None, reply: vec![] })],
+            vec![Box::new(V6Client {
+                peer: None,
+                reply: vec![],
+            })],
             vec![Box::new(V6Server)],
         );
         // Let qualification finish, then learn B's address and set it on A.
@@ -489,8 +531,15 @@ mod tests {
             .unwrap()
             .peer = Some(b_addr);
         net.sim.run_until(SimTime(10_000_000_000));
-        let reply =
-            net.sim.world.node::<Host>(net.a).unwrap().app::<V6Client>(0).unwrap().reply.clone();
+        let reply = net
+            .sim
+            .world
+            .node::<Host>(net.a)
+            .unwrap()
+            .app::<V6Client>(0)
+            .unwrap()
+            .reply
+            .clone();
         assert_eq!(reply, b"over teredo");
     }
 }

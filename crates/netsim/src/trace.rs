@@ -114,8 +114,14 @@ impl TraceEntry {
             TraceData::Tx(p) | TraceData::Rx(p) => {
                 format!("{} -> {} proto {} len {}", p.src, p.dst, p.proto, p.len)
             }
-            TraceData::Drop { pkt: Some(p), reason } => {
-                format!("{reason} ({} -> {} proto {} len {})", p.src, p.dst, p.proto, p.len)
+            TraceData::Drop {
+                pkt: Some(p),
+                reason,
+            } => {
+                format!(
+                    "{reason} ({} -> {} proto {} len {})",
+                    p.src, p.dst, p.proto, p.len
+                )
             }
             TraceData::Drop { pkt: None, reason } => reason.clone(),
             TraceData::State { detail } => detail.clone(),
@@ -184,7 +190,11 @@ impl Trace {
 
     /// An enabled trace retaining up to `cap` entries.
     pub fn enabled(cap: usize) -> Self {
-        Trace { enabled: true, cap, ..Default::default() }
+        Trace {
+            enabled: true,
+            cap,
+            ..Default::default()
+        }
     }
 
     /// Whether recording is on.
@@ -201,7 +211,12 @@ impl Trace {
         }
         if self.entries.len() < self.cap {
             let data = data();
-            self.entries.push(TraceEntry { at, node, kind: data.kind(), data });
+            self.entries.push(TraceEntry {
+                at,
+                node,
+                kind: data.kind(),
+                data,
+            });
         } else {
             self.dropped += 1;
         }
@@ -273,42 +288,78 @@ mod tests {
     /// and a newline are escaped, IPv6 addresses print compressed, and
     /// a near-`u64::MAX` timestamp keeps every digit.
     fn sample_entries() -> Vec<(TraceEntry, &'static str)> {
-        let mk = |at, data: TraceData| TraceEntry { at, kind: data.kind(), node: NodeId(3), data };
+        let mk = |at, data: TraceData| TraceEntry {
+            at,
+            kind: data.kind(),
+            node: NodeId(3),
+            data,
+        };
         vec![
             (
                 mk(
                     SimTime(1),
-                    TraceData::Tx(PktInfo { src: ip("10.0.0.1"), dst: ip("10.0.0.2"), proto: 6, len: 1500 }),
+                    TraceData::Tx(PktInfo {
+                        src: ip("10.0.0.1"),
+                        dst: ip("10.0.0.2"),
+                        proto: 6,
+                        len: 1500,
+                    }),
                 ),
                 r#"{"t":1,"node":3,"kind":"tx","src":"10.0.0.1","dst":"10.0.0.2","proto":6,"len":1500}"#,
             ),
             (
                 mk(
                     SimTime(u64::MAX - 1),
-                    TraceData::Rx(PktInfo { src: ip("fd00::1"), dst: ip("fd00::2"), proto: 50, len: 96 }),
+                    TraceData::Rx(PktInfo {
+                        src: ip("fd00::1"),
+                        dst: ip("fd00::2"),
+                        proto: 50,
+                        len: 96,
+                    }),
                 ),
                 r#"{"t":18446744073709551614,"node":3,"kind":"rx","src":"fd00::1","dst":"fd00::2","proto":50,"len":96}"#,
             ),
             (
-                mk(SimTime(5), TraceData::Drop { pkt: None, reason: "no route, \"dark\" dest".into() }),
+                mk(
+                    SimTime(5),
+                    TraceData::Drop {
+                        pkt: None,
+                        reason: "no route, \"dark\" dest".into(),
+                    },
+                ),
                 r#"{"t":5,"node":3,"kind":"drop","reason":"no route, \"dark\" dest"}"#,
             ),
             (
                 mk(
                     SimTime(6),
                     TraceData::Drop {
-                        pkt: Some(PktInfo { src: ip("192.168.1.9"), dst: ip("8.8.8.8"), proto: 17, len: 64 }),
+                        pkt: Some(PktInfo {
+                            src: ip("192.168.1.9"),
+                            dst: ip("8.8.8.8"),
+                            proto: 17,
+                            len: 64,
+                        }),
                         reason: "queue overflow".into(),
                     },
                 ),
                 r#"{"t":6,"node":3,"kind":"drop","reason":"queue overflow","src":"192.168.1.9","dst":"8.8.8.8","proto":17,"len":64}"#,
             ),
             (
-                mk(SimTime(7), TraceData::State { detail: "I1 -> R1, puzzle k=10\nline2".into() }),
+                mk(
+                    SimTime(7),
+                    TraceData::State {
+                        detail: "I1 -> R1, puzzle k=10\nline2".into(),
+                    },
+                ),
                 r#"{"t":7,"node":3,"kind":"state","detail":"I1 -> R1, puzzle k=10\nline2"}"#,
             ),
             (
-                mk(SimTime(10), TraceData::Fault { detail: "link 2 down".into() }),
+                mk(
+                    SimTime(10),
+                    TraceData::Fault {
+                        detail: "link 2 down".into(),
+                    },
+                ),
                 r#"{"t":10,"node":3,"kind":"fault","detail":"link 2 down"}"#,
             ),
         ]
@@ -336,7 +387,9 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(SimTime::ZERO, NodeId(0), || TraceData::State { detail: "x".into() });
+        t.record(SimTime::ZERO, NodeId(0), || TraceData::State {
+            detail: "x".into(),
+        });
         assert!(t.entries().is_empty());
         assert_eq!(t.truncated(), 0);
     }
@@ -345,7 +398,9 @@ mod tests {
     fn enabled_records_up_to_cap_and_counts_overflow() {
         let mut t = Trace::enabled(2);
         for i in 0..5 {
-            t.record(SimTime(i), NodeId(0), || TraceData::State { detail: format!("p{i}") });
+            t.record(SimTime(i), NodeId(0), || TraceData::State {
+                detail: format!("p{i}"),
+            });
         }
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.truncated(), 3);

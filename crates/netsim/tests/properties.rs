@@ -18,7 +18,8 @@ struct Sender {
 }
 impl App for Sender {
     fn start(&mut self, api: &mut HostApi) {
-        api.tcp_connect(self.target, 7).expect("source address exists");
+        api.tcp_connect(self.target, 7)
+            .expect("source address exists");
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
@@ -68,12 +69,25 @@ impl App for Receiver {
 /// Builds a two-host world with the given link characteristics, sends
 /// `data` over TCP, checks both TCP layers' invariants, and returns
 /// what arrived.
-fn transfer(data: Vec<u8>, loss: f64, latency_us: u64, jitter_us: u64, seed: u64) -> (Vec<u8>, bool) {
+fn transfer(
+    data: Vec<u8>,
+    loss: f64,
+    latency_us: u64,
+    jitter_us: u64,
+    seed: u64,
+) -> (Vec<u8>, bool) {
     let mut sim = Sim::new(seed);
     let mut ha = Host::new("a");
-    ha.add_app(Box::new(Sender { target: v4(10, 0, 0, 2), data, done: false }));
+    ha.add_app(Box::new(Sender {
+        target: v4(10, 0, 0, 2),
+        data,
+        done: false,
+    }));
     let mut hb = Host::new("b");
-    let recv = hb.add_app(Box::new(Receiver { got: vec![], eof: false }));
+    let recv = hb.add_app(Box::new(Receiver {
+        got: vec![],
+        eof: false,
+    }));
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
     let params = LinkParams::datacenter()
@@ -85,15 +99,35 @@ fn transfer(data: Vec<u8>, loss: f64, latency_us: u64, jitter_us: u64, seed: u64
         Endpoint { node: b, iface: 0 },
         params,
     );
-    sim.world.node_mut::<Host>(a).expect("a").core.add_iface(link, vec![v4(10, 0, 0, 1)]);
-    sim.world.node_mut::<Host>(b).expect("b").core.add_iface(link, vec![v4(10, 0, 0, 2)]);
+    sim.world
+        .node_mut::<Host>(a)
+        .expect("a")
+        .core
+        .add_iface(link, vec![v4(10, 0, 0, 1)]);
+    sim.world
+        .node_mut::<Host>(b)
+        .expect("b")
+        .core
+        .add_iface(link, vec![v4(10, 0, 0, 2)]);
     sim.run_until(SimTime(400_000_000_000));
     for node in [a, b] {
-        if let Err(e) = sim.world.node::<Host>(node).expect("host").core.tcp.check_invariants() {
+        if let Err(e) = sim
+            .world
+            .node::<Host>(node)
+            .expect("host")
+            .core
+            .tcp
+            .check_invariants()
+        {
             panic!("TCP invariant broken on {node:?}: {e}");
         }
     }
-    let r = sim.world.node::<Host>(b).expect("b").app::<Receiver>(recv).expect("receiver");
+    let r = sim
+        .world
+        .node::<Host>(b)
+        .expect("b")
+        .app::<Receiver>(recv)
+        .expect("receiver");
     (r.got.clone(), r.eof)
 }
 

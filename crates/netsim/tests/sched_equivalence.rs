@@ -41,8 +41,8 @@ impl RefHeap {
 /// sub-bucket, wheel-scale, and beyond-horizon delays.
 fn scale_delta(class: u8, delta: u64) -> u64 {
     match class % 3 {
-        0 => delta % 4_000,                  // within one 4.1 µs bucket
-        1 => delta % 50_000_000,             // wheel scale (≤ 50 ms)
+        0 => delta % 4_000,                       // within one 4.1 µs bucket
+        1 => delta % 50_000_000,                  // wheel scale (≤ 50 ms)
         _ => 100_000_000 + delta % 2_000_000_000, // overflow (0.1 s – 2.1 s)
     }
 }
@@ -277,6 +277,9 @@ fn tiny_geometry_stress_matches_reference() {
         }
     }
     let stats = cal.stats();
-    assert!(stats.pushed_overflow > 0, "stress must hit the overflow tier");
+    assert!(
+        stats.pushed_overflow > 0,
+        "stress must hit the overflow tier"
+    );
     assert!(stats.migrated > 0, "stress must migrate overflow events");
 }

@@ -20,7 +20,8 @@ struct Sender {
 }
 impl App for Sender {
     fn start(&mut self, api: &mut HostApi) {
-        api.tcp_connect(self.target, 7).expect("source address exists");
+        api.tcp_connect(self.target, 7)
+            .expect("source address exists");
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
@@ -97,9 +98,16 @@ fn check_tcp(sim: &Sim, node: NodeId) {
 fn transfer(data: &[u8], chunk: usize, path: Path) -> (Vec<u8>, bool) {
     let mut sim = Sim::new(path.seed);
     let mut ha = Host::new("a");
-    ha.add_app(Box::new(Sender { target: v4(10, 0, 0, 2), data: data.to_vec(), chunk }));
+    ha.add_app(Box::new(Sender {
+        target: v4(10, 0, 0, 2),
+        data: data.to_vec(),
+        chunk,
+    }));
     let mut hb = Host::new("b");
-    let recv = hb.add_app(Box::new(Receiver { got: vec![], eof: false }));
+    let recv = hb.add_app(Box::new(Receiver {
+        got: vec![],
+        eof: false,
+    }));
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
     let params = LinkParams::datacenter()
@@ -112,13 +120,21 @@ fn transfer(data: &[u8], chunk: usize, path: Path) -> (Vec<u8>, bool) {
         params,
     );
     for (node, ip) in [(a, v4(10, 0, 0, 1)), (b, v4(10, 0, 0, 2))] {
-        sim.world.node_mut::<Host>(node).expect("host").core.add_iface(link, vec![ip]);
+        sim.world
+            .node_mut::<Host>(node)
+            .expect("host")
+            .core
+            .add_iface(link, vec![ip]);
     }
     let bu = path.burst;
     FaultPlan::new()
         .at(
             SimDuration::from_millis(bu.offset_ms),
-            FaultEpisode::LossBurst { link, prob: bu.prob, duration: SimDuration::from_millis(bu.dur_ms) },
+            FaultEpisode::LossBurst {
+                link,
+                prob: bu.prob,
+                duration: SimDuration::from_millis(bu.dur_ms),
+            },
         )
         .schedule(&mut sim)
         .expect("valid burst");
@@ -128,7 +144,12 @@ fn transfer(data: &[u8], chunk: usize, path: Path) -> (Vec<u8>, bool) {
         check_tcp(&sim, a);
         check_tcp(&sim, b);
     }
-    let r = sim.world.node::<Host>(b).expect("b").app::<Receiver>(recv).expect("receiver");
+    let r = sim
+        .world
+        .node::<Host>(b)
+        .expect("b")
+        .app::<Receiver>(recv)
+        .expect("receiver");
     (r.got.clone(), r.eof)
 }
 

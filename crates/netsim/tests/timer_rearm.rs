@@ -52,7 +52,10 @@ fn op(kind: u8, k: usize, delay: usize) -> Op {
 }
 
 fn handle(k: usize) -> TimerHandle {
-    TimerHandle { owner: TimerOwner::Node, token: k as u64 }
+    TimerHandle {
+        owner: TimerOwner::Node,
+        token: k as u64,
+    }
 }
 
 /// Runs the next step of its script, cyclically, on each of its first
@@ -71,7 +74,12 @@ struct Scripted {
 impl Scripted {
     fn packet(&mut self) -> Packet {
         self.next_pkt += 1;
-        let icmp = IcmpMessage { kind: IcmpKind::EchoRequest, ident: 1, seq: self.next_pkt, payload_len: 8 };
+        let icmp = IcmpMessage {
+            kind: IcmpKind::EchoRequest,
+            ident: 1,
+            seq: self.next_pkt,
+            payload_len: 8,
+        };
         Packet::new(v4(10, 0, 0, 1), v4(10, 0, 0, 2), Payload::Icmp(icmp))
     }
 
@@ -126,9 +134,12 @@ impl Node for Scripted {
     }
 
     fn handle_packet(&mut self, iface: usize, pkt: Packet, ctx: &mut Ctx) {
-        let Payload::Icmp(icmp) = pkt.payload else { panic!("only ICMP is sent") };
+        let Payload::Icmp(icmp) = pkt.payload else {
+            panic!("only ICMP is sent")
+        };
         assert!(iface == 0 || iface == IFACE_INTERNAL);
-        self.log.push((ctx.now.as_nanos(), 100 + u64::from(icmp.seq)));
+        self.log
+            .push((ctx.now.as_nanos(), 100 + u64::from(icmp.seq)));
         self.step(ctx);
     }
 
@@ -204,10 +215,17 @@ fn run(case: &Case, rearm: bool) -> (Vec<(u64, u64)>, u64) {
     };
     let a = sim.world.add_node(Box::new(node));
     let b = sim.world.add_node(Box::new(Echo { link: LinkId(0) }));
-    sim.world.connect(Endpoint { node: a, iface: 0 }, Endpoint { node: b, iface: 0 }, LinkParams::datacenter());
+    sim.world.connect(
+        Endpoint { node: a, iface: 0 },
+        Endpoint { node: b, iface: 0 },
+        LinkParams::datacenter(),
+    );
     if let Some((at, after)) = case.crash {
         sim.schedule_fault(SimDuration::from_micros(at), FaultAction::NodeCrash(a));
-        sim.schedule_fault(SimDuration::from_micros(at + after), FaultAction::NodeRestart(a));
+        sim.schedule_fault(
+            SimDuration::from_micros(at + after),
+            FaultAction::NodeRestart(a),
+        );
     }
     for &slice in &case.slices_us {
         sim.run_until(sim.now() + SimDuration::from_micros(slice));
@@ -216,7 +234,12 @@ fn run(case: &Case, rearm: bool) -> (Vec<(u64, u64)>, u64) {
     let outcome = sim.run_to_quiescence(1_000_000);
     assert!(outcome.is_quiescent(), "rearm={rearm}: {outcome:?}");
     check(&sim);
-    let log = sim.world.node::<Scripted>(a).expect("scripted node").log.clone();
+    let log = sim
+        .world
+        .node::<Scripted>(a)
+        .expect("scripted node")
+        .log
+        .clone();
     (log, sim.stats().dispatched)
 }
 
