@@ -20,11 +20,26 @@ fn run_bex(id_seed: u64) -> u64 {
     let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
     let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
     let (addr_a, addr_b) = (v4(10, 0, 0, 1), v4(10, 0, 0, 2));
-    let cfg = HipConfig { costs: CostModel::free(), ..HipConfig::default() };
+    let cfg = HipConfig {
+        costs: CostModel::free(),
+        ..HipConfig::default()
+    };
     let mut shim_a = HipShim::new(id_a, cfg.clone());
-    shim_a.add_peer(hit_b, PeerInfo { locators: vec![addr_b], via_rvs: None });
+    shim_a.add_peer(
+        hit_b,
+        PeerInfo {
+            locators: vec![addr_b],
+            via_rvs: None,
+        },
+    );
     let mut shim_b = HipShim::new(id_b, cfg);
-    shim_b.add_peer(hit_a, PeerInfo { locators: vec![addr_a], via_rvs: None });
+    shim_b.add_peer(
+        hit_a,
+        PeerInfo {
+            locators: vec![addr_a],
+            via_rvs: None,
+        },
+    );
 
     let mut sim = Sim::new(1);
     let mut ha = Host::new("a");
@@ -38,8 +53,16 @@ fn run_bex(id_seed: u64) -> u64 {
         Endpoint { node: b, iface: 0 },
         LinkParams::datacenter(),
     );
-    sim.world.node_mut::<Host>(a).expect("host").core.add_iface(link, vec![addr_a]);
-    sim.world.node_mut::<Host>(b).expect("host").core.add_iface(link, vec![addr_b]);
+    sim.world
+        .node_mut::<Host>(a)
+        .expect("host")
+        .core
+        .add_iface(link, vec![addr_a]);
+    sim.world
+        .node_mut::<Host>(b)
+        .expect("host")
+        .core
+        .add_iface(link, vec![addr_b]);
     // Kick off the BEX by pushing an ICMP echo through the identity
     // path: the shim queues it and runs I1/R1/I2/R2.
     sim.start();
@@ -61,7 +84,12 @@ fn run_bex(id_seed: u64) -> u64 {
         });
     });
     sim.run_until(SimTime(5_000_000_000));
-    let shim = sim.world.node::<Host>(a).expect("host").shim::<HipShim>().expect("hip");
+    let shim = sim
+        .world
+        .node::<Host>(a)
+        .expect("host")
+        .shim::<HipShim>()
+        .expect("hip");
     assert!(shim.is_established(&hit_b), "BEX completed");
     shim.stats.bex_completed
 }

@@ -34,7 +34,11 @@ fn bench_identities(c: &mut Criterion) {
         b.iter(|| assert!(rsa.public().verify(std::hint::black_box(&msg), &rsa_sig)))
     });
     g.bench_function("ecdsa_p256", |b| {
-        b.iter(|| assert!(ecdsa.public().verify(std::hint::black_box(&msg), &ecdsa_sig)))
+        b.iter(|| {
+            assert!(ecdsa
+                .public()
+                .verify(std::hint::black_box(&msg), &ecdsa_sig))
+        })
     });
     g.finish();
 

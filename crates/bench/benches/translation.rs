@@ -58,7 +58,13 @@ fn bench_modes(c: &mut Criterion) {
                     ),
                 };
                 let _ = (src, dst);
-                rebuild_inner(&rx, m, inner_payload, IpAddr::V4(lsi_peer), IpAddr::V4(lsi_my))
+                rebuild_inner(
+                    &rx,
+                    m,
+                    inner_payload,
+                    IpAddr::V4(lsi_peer),
+                    IpAddr::V4(lsi_my),
+                )
             })
         });
     }

@@ -47,7 +47,13 @@ struct I2Flooder {
 
 impl Node for I2Flooder {
     fn start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.interval, TimerHandle { owner: TimerOwner::Node, token: 1 });
+        ctx.set_timer(
+            self.interval,
+            TimerHandle {
+                owner: TimerOwner::Node,
+                token: 1,
+            },
+        );
     }
     fn handle_packet(&mut self, _: usize, _: Packet, _: &mut Ctx) {}
     fn handle_timer(&mut self, _: TimerHandle, ctx: &mut Ctx) {
@@ -62,18 +68,39 @@ impl Node for I2Flooder {
             Hit(hit),
             self.target_hit,
             vec![
-                Param::Solution { k: 10, opaque: 0, i: ctx.random_u64(), j: ctx.random_u64() },
-                Param::DiffieHellman { group: 255, public: vec![2; 64] },
-                Param::EspInfo { old_spi: 0, new_spi: 1 },
+                Param::Solution {
+                    k: 10,
+                    opaque: 0,
+                    i: ctx.random_u64(),
+                    j: ctx.random_u64(),
+                },
+                Param::DiffieHellman {
+                    group: 255,
+                    public: vec![2; 64],
+                },
+                Param::EspInfo {
+                    old_spi: 0,
+                    new_spi: 1,
+                },
                 Param::HostId(vec![5, 0, 0, 0, 4, 1, 2, 3, 4, 0, 0, 0, 1, 3]),
                 Param::Signature(vec![0; 64]),
             ],
         );
         ctx.transmit(
             self.link,
-            Packet::new(v4(66, 6, 6, 6), self.target, Payload::HipControl(forged.encode())),
+            Packet::new(
+                v4(66, 6, 6, 6),
+                self.target,
+                Payload::HipControl(forged.encode()),
+            ),
         );
-        ctx.set_timer(self.interval, TimerHandle { owner: TimerOwner::Node, token: 1 });
+        ctx.set_timer(
+            self.interval,
+            TimerHandle {
+                owner: TimerOwner::Node,
+                token: 1,
+            },
+        );
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -150,7 +177,10 @@ fn main() {
     }
     println!(
         "{}",
-        table(&["K", "avg attempts", "solve µs", "verify ns", "asymmetry"], &rows)
+        table(
+            &["K", "avg attempts", "solve µs", "verify ns", "asymmetry"],
+            &rows
+        )
     );
 
     // ---- Part 2: garbage-I2 flood against a live responder. ----
@@ -162,9 +192,21 @@ fn main() {
     let (addr_r, addr_c, addr_x) = (v4(10, 0, 0, 1), v4(10, 0, 0, 2), v4(10, 0, 0, 3));
 
     let mut shim_r = HipShim::new(id_r, HipConfig::default());
-    shim_r.add_peer(hit_c, PeerInfo { locators: vec![addr_c], via_rvs: None });
+    shim_r.add_peer(
+        hit_c,
+        PeerInfo {
+            locators: vec![addr_c],
+            via_rvs: None,
+        },
+    );
     let mut shim_c = HipShim::new(id_c, HipConfig::default());
-    shim_c.add_peer(hit_r, PeerInfo { locators: vec![addr_r], via_rvs: None });
+    shim_c.add_peer(
+        hit_r,
+        PeerInfo {
+            locators: vec![addr_r],
+            via_rvs: None,
+        },
+    );
 
     let mut sim = Sim::new(2);
     let trace_path = trace_out();
@@ -177,7 +219,10 @@ fn main() {
     let mut hc = Host::new("client");
     hc.set_shim(Box::new(shim_c));
     // The client starts its BEX mid-flood.
-    hc.add_app(Box::new(Pinger { target: hit_r.to_ip(), connected_at: None }));
+    hc.add_app(Box::new(Pinger {
+        target: hit_r.to_ip(),
+        connected_at: None,
+    }));
 
     let r = sim.world.add_node(Box::new(hr_host));
     let c = sim.world.add_node(Box::new(hc));
@@ -188,15 +233,40 @@ fn main() {
         interval: SimDuration::from_millis(1),
         sent: 0,
     }));
-    let sw = sim.world.add_node(Box::new(netsim::router::Router::new("sw")));
-    let lr = sim.world.connect(Endpoint { node: r, iface: 0 }, Endpoint { node: sw, iface: 0 }, LinkParams::datacenter());
-    let lc = sim.world.connect(Endpoint { node: c, iface: 0 }, Endpoint { node: sw, iface: 1 }, LinkParams::datacenter());
-    let lx = sim.world.connect(Endpoint { node: x, iface: 0 }, Endpoint { node: sw, iface: 2 }, LinkParams::datacenter());
-    sim.world.node_mut::<Host>(r).expect("r").core.add_iface(lr, vec![addr_r]);
-    sim.world.node_mut::<Host>(c).expect("c").core.add_iface(lc, vec![addr_c]);
+    let sw = sim
+        .world
+        .add_node(Box::new(netsim::router::Router::new("sw")));
+    let lr = sim.world.connect(
+        Endpoint { node: r, iface: 0 },
+        Endpoint { node: sw, iface: 0 },
+        LinkParams::datacenter(),
+    );
+    let lc = sim.world.connect(
+        Endpoint { node: c, iface: 0 },
+        Endpoint { node: sw, iface: 1 },
+        LinkParams::datacenter(),
+    );
+    let lx = sim.world.connect(
+        Endpoint { node: x, iface: 0 },
+        Endpoint { node: sw, iface: 2 },
+        LinkParams::datacenter(),
+    );
+    sim.world
+        .node_mut::<Host>(r)
+        .expect("r")
+        .core
+        .add_iface(lr, vec![addr_r]);
+    sim.world
+        .node_mut::<Host>(c)
+        .expect("c")
+        .core
+        .add_iface(lc, vec![addr_c]);
     sim.world.node_mut::<I2Flooder>(x).expect("x").link = lx;
     {
-        let router = sim.world.node_mut::<netsim::router::Router>(sw).expect("sw");
+        let router = sim
+            .world
+            .node_mut::<netsim::router::Router>(sw)
+            .expect("sw");
         router.add_iface(lr);
         router.add_iface(lc);
         router.add_iface(lx);
@@ -211,17 +281,37 @@ fn main() {
     let responder = sim.world.node::<Host>(r).expect("r");
     let stats = responder.shim::<HipShim>().expect("shim").stats;
     let flooded = sim.world.node::<I2Flooder>(x).expect("x").sent;
-    let client = sim.world.node::<Host>(c).expect("c").app::<Pinger>(0).expect("pinger");
+    let client = sim
+        .world
+        .node::<Host>(c)
+        .expect("c")
+        .app::<Pinger>(0)
+        .expect("pinger");
     println!("  forged I2s sent:          {flooded}");
-    println!("  rejected by responder:    {} (puzzle/auth checks)", stats.drops_auth);
-    println!("  responder CPU busy:       {:.1} ms over 10 s", responder.core.cpu.busy_time().as_millis_f64());
+    println!(
+        "  rejected by responder:    {} (puzzle/auth checks)",
+        stats.drops_auth
+    );
+    println!(
+        "  responder CPU busy:       {:.1} ms over 10 s",
+        responder.core.cpu.busy_time().as_millis_f64()
+    );
     println!("  legitimate BEX completed: {}", stats.bex_completed);
     match client.connected_at {
-        Some(t) => println!("  legitimate client connected at t={:.3} s — unaffected", t.as_secs_f64()),
+        Some(t) => println!(
+            "  legitimate client connected at t={:.3} s — unaffected",
+            t.as_secs_f64()
+        ),
         None => println!("  legitimate client FAILED to connect"),
     }
-    assert!(stats.bex_completed >= 1, "legitimate BEX must survive the flood");
-    assert!(stats.drops_auth as f64 >= flooded as f64 * 0.9, "flood rejected");
+    assert!(
+        stats.bex_completed >= 1,
+        "legitimate BEX must survive the flood"
+    );
+    assert!(
+        stats.drops_auth as f64 >= flooded as f64 * 0.9,
+        "flood rejected"
+    );
     println!("\nthe responder rejects each forged I2 with one hash (puzzle check\nbefore any DH/RSA work) and answers I1s from a pre-computed R1 pool —\nthe DoS cost stays with the attacker, growing 2^K per attempt.");
 
     let dispatched = sim.stats().dispatched;

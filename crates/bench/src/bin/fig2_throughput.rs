@@ -62,7 +62,11 @@ fn main() {
     }
     println!("\nFigure 2 — RUBiS throughput (requests/second) in the simulated EC2:");
     println!("{}", table(&["clients", "Basic", "HIP", "SSL"], &rows));
-    if let Ok(path) = write_csv("fig2_throughput", &["clients", "basic", "hip", "ssl"], &rows) {
+    if let Ok(path) = write_csv(
+        "fig2_throughput",
+        &["clients", "basic", "hip", "ssl"],
+        &rows,
+    ) {
         eprintln!("wrote {}", path.display());
     }
 
@@ -74,7 +78,10 @@ fn main() {
             merged.merge(&c.metrics);
             events += c.dispatched;
         }
-        println!("per-stage latency, {} (all client counts merged):", s.label());
+        println!(
+            "per-stage latency, {} (all client counts merged):",
+            s.label()
+        );
         match stage_table(&merged, &STAGES) {
             Some(t) => println!("{t}"),
             None => println!("  (no stage histograms recorded)"),
@@ -95,8 +102,16 @@ fn main() {
     for &s in &scenarios {
         println!("{:>6}:", s.label());
         for &clients in &CLIENT_COUNTS {
-            let p = points.iter().find(|p| p.scenario == s && p.clients == clients).expect("point");
-            println!("  {:>3} | {} {:.0}", clients, bar(p.throughput, max, 40), p.throughput);
+            let p = points
+                .iter()
+                .find(|p| p.scenario == s && p.clients == clients)
+                .expect("point");
+            println!(
+                "  {:>3} | {} {:.0}",
+                clients,
+                bar(p.throughput, max, 40),
+                p.throughput
+            );
         }
     }
     println!("\npaper (Fig. 2): Basic rises to ~250 req/s at 50 clients while HIP and");
@@ -106,7 +121,10 @@ fn main() {
     if let Some(path) = trace_out() {
         // A traced representative run (HIP, 4 clients, short window):
         // the full sweep is too chatty to trace end to end.
-        eprintln!("tracing a representative HIP cell for {}...", path.display());
+        eprintln!(
+            "tracing a representative HIP cell for {}...",
+            path.display()
+        );
         let cell = run_cell(
             Scenario::HipLsi,
             4,

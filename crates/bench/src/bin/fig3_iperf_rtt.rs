@@ -13,7 +13,11 @@ use std::time::Instant;
 fn main() {
     let seed = 42u64;
     let quick = std::env::args().any(|a| a == "--quick");
-    let duration = if quick { SimDuration::from_secs(3) } else { SimDuration::from_secs(10) };
+    let duration = if quick {
+        SimDuration::from_secs(3)
+    } else {
+        SimDuration::from_secs(10)
+    };
     eprintln!(
         "fig3: iperf ({}s transfer) + 20-ping RTT across 6 modes (parallel)...",
         duration.as_secs_f64()
@@ -35,8 +39,15 @@ fn main() {
         })
         .collect();
     println!("\nFigure 3 — iperf bandwidth and ICMP RTT between two EC2 VMs:");
-    println!("{}", table(&["mode", "iperf Mbit/s", "RTT ms", "pings"], &rows));
-    if let Ok(path) = write_csv("fig3_iperf_rtt", &["mode", "iperf_mbits", "rtt_ms", "pings"], &rows) {
+    println!(
+        "{}",
+        table(&["mode", "iperf Mbit/s", "RTT ms", "pings"], &rows)
+    );
+    if let Ok(path) = write_csv(
+        "fig3_iperf_rtt",
+        &["mode", "iperf_mbits", "rtt_ms", "pings"],
+        &rows,
+    ) {
         eprintln!("wrote {}", path.display());
     }
     for c in &cells {
@@ -55,11 +66,21 @@ fn main() {
     let max_rtt = points.iter().map(|p| p.rtt_ms).fold(0.0, f64::max);
     println!("bandwidth:");
     for p in &points {
-        println!("  {:>12} | {} {:.1}", p.mode.label(), bar(p.mbits, max_bw, 36), p.mbits);
+        println!(
+            "  {:>12} | {} {:.1}",
+            p.mode.label(),
+            bar(p.mbits, max_bw, 36),
+            p.mbits
+        );
     }
     println!("RTT:");
     for p in &points {
-        println!("  {:>12} | {} {:.2}", p.mode.label(), bar(p.rtt_ms, max_rtt, 36), p.rtt_ms);
+        println!(
+            "  {:>12} | {} {:.2}",
+            p.mode.label(),
+            bar(p.rtt_ms, max_rtt, 36),
+            p.rtt_ms
+        );
     }
     println!("\npaper (Fig. 3): plain IPv4 is the fastest path; HIT(IPv4) close behind;");
     println!("\"LSI translation is slower than with HITs due to some extra processing");

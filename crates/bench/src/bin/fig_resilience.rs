@@ -16,7 +16,11 @@ use websvc::proxy;
 fn main() {
     let seed = 42u64;
     let quick = std::env::args().any(|a| a == "--quick");
-    let story = if quick { Storyline::quick() } else { Storyline::standard() };
+    let story = if quick {
+        Storyline::quick()
+    } else {
+        Storyline::standard()
+    };
     eprintln!(
         "fig_resilience: 3 scenarios x {} clients, {}s storyline (crash@{}s, burst@{}s, partition@{}s; parallel)...",
         CLIENTS,
@@ -49,13 +53,33 @@ fn main() {
     println!(
         "{}",
         table(
-            &["scenario", "base req/s", "ok", "err", "err rate", "p99 ms", "ttr crash", "ttr burst", "ttr part"],
+            &[
+                "scenario",
+                "base req/s",
+                "ok",
+                "err",
+                "err rate",
+                "p99 ms",
+                "ttr crash",
+                "ttr burst",
+                "ttr part"
+            ],
             &rows
         )
     );
     if let Ok(path) = write_csv(
         "fig_resilience",
-        &["scenario", "baseline", "ok", "err", "err_rate", "p99_ms", "ttr_crash", "ttr_burst", "ttr_partition"],
+        &[
+            "scenario",
+            "baseline",
+            "ok",
+            "err",
+            "err_rate",
+            "p99_ms",
+            "ttr_crash",
+            "ttr_burst",
+            "ttr_partition",
+        ],
         &rows,
     ) {
         eprintln!("wrote {}", path.display());
@@ -79,7 +103,10 @@ fn main() {
     println!("proxy failover + HIP recovery counters:");
     println!(
         "{}",
-        table(&["scenario", "ejects", "recovers", "retries", "probes", "timeouts", "503s", "re-BEX"], &frows)
+        table(
+            &["scenario", "ejects", "recovers", "retries", "probes", "timeouts", "503s", "re-BEX"],
+            &frows
+        )
     );
 
     // Goodput timelines, one bar row per second.
@@ -89,10 +116,18 @@ fn main() {
         .max()
         .unwrap_or(0) as f64;
     for c in &cells {
-        println!("goodput timeline, {} (█ ≈ {:.0} req/s; !n = n errors):", c.point.scenario.label(), max / 30.0);
+        println!(
+            "goodput timeline, {} (█ ≈ {:.0} req/s; !n = n errors):",
+            c.point.scenario.label(),
+            max / 30.0
+        );
         for b in 0..c.timeline.len() {
             let (ok, err) = c.timeline.at(b);
-            let marks = if err > 0 { format!("  !{err}") } else { String::new() };
+            let marks = if err > 0 {
+                format!("  !{err}")
+            } else {
+                String::new()
+            };
             println!("  {:>3}s | {} {}{}", b, bar(ok as f64, max, 30), ok, marks);
         }
     }
@@ -111,7 +146,10 @@ fn main() {
             .num("baseline_goodput", format!("{:.3}", p.baseline_goodput))
             .num("ok_total", p.ok_total)
             .num("err_total", p.err_total)
-            .num("post_fault_error_rate", format!("{:.5}", p.post_fault_error_rate))
+            .num(
+                "post_fault_error_rate",
+                format!("{:.5}", p.post_fault_error_rate),
+            )
             .num("p99_ms", format!("{:.3}", p.p99_ms))
             .str_field("ttr_crash", &fmt_ttr(p.ttr_crash_s))
             .str_field("ttr_burst", &fmt_ttr(p.ttr_burst_s))
@@ -132,10 +170,16 @@ fn main() {
     // Determinism invariant (asserted in CI): the same seed + storyline
     // must dispatch a bit-identical event count.
     let recheck = bench::resilience::run_cell(websvc::Scenario::HipLsi, seed, story);
-    let first = cells.iter().find(|c| c.point.scenario == websvc::Scenario::HipLsi).expect("HIP cell");
+    let first = cells
+        .iter()
+        .find(|c| c.point.scenario == websvc::Scenario::HipLsi)
+        .expect("HIP cell");
     assert_eq!(
         recheck.dispatched, first.dispatched,
         "nondeterminism: same seed + fault plan dispatched a different event count"
     );
-    eprintln!("determinism: re-run dispatched {} events, bit-identical ✓", recheck.dispatched);
+    eprintln!(
+        "determinism: re-run dispatched {} events, bit-identical ✓",
+        recheck.dispatched
+    );
 }

@@ -64,13 +64,27 @@ fn main() {
     println!(
         "{}",
         table(
-            &["scenario", "completed", "mean ms", "stddev ms", "p99 ms", "paper mean ms"],
+            &[
+                "scenario",
+                "completed",
+                "mean ms",
+                "stddev ms",
+                "p99 ms",
+                "paper mean ms"
+            ],
             &table_rows
         )
     );
     if let Ok(path) = write_csv(
         "tab_response_times",
-        &["scenario", "completed", "mean_ms", "stddev_ms", "p99_ms", "paper_mean_ms"],
+        &[
+            "scenario",
+            "completed",
+            "mean_ms",
+            "stddev_ms",
+            "p99_ms",
+            "paper_mean_ms",
+        ],
         &table_rows,
     ) {
         eprintln!("wrote {}", path.display());

@@ -16,9 +16,14 @@ use netsim::{Sim, SimDuration, SimTime};
 use std::any::Any;
 use std::net::IpAddr;
 
-struct Sender { target: IpAddr, data: Vec<u8> }
+struct Sender {
+    target: IpAddr,
+    data: Vec<u8>,
+}
 impl App for Sender {
-    fn start(&mut self, api: &mut HostApi) { api.tcp_connect(self.target, 7).unwrap(); }
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_connect(self.target, 7).unwrap();
+    }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         if let AppEvent::Tcp(TcpEvent::Connected(s)) = ev {
             let d = self.data.clone();
@@ -26,20 +31,34 @@ impl App for Sender {
             api.tcp_close(s);
         }
     }
-    fn as_any(&self) -> &dyn Any { self }
-    fn as_any_mut(&mut self) -> &mut dyn Any { self }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
-struct Receiver { got: Vec<u8> }
+struct Receiver {
+    got: Vec<u8>,
+}
 impl App for Receiver {
-    fn start(&mut self, api: &mut HostApi) { api.tcp_listen(7); }
+    fn start(&mut self, api: &mut HostApi) {
+        api.tcp_listen(7);
+    }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
-            AppEvent::Tcp(TcpEvent::Data(s)) | AppEvent::Tcp(TcpEvent::PeerClosed(s)) => self.got.extend(api.tcp_recv(s)),
+            AppEvent::Tcp(TcpEvent::Data(s)) | AppEvent::Tcp(TcpEvent::PeerClosed(s)) => {
+                self.got.extend(api.tcp_recv(s))
+            }
             _ => {}
         }
     }
-    fn as_any(&self) -> &dyn Any { self }
-    fn as_any_mut(&mut self) -> &mut dyn Any { self }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 fn main() {
@@ -50,27 +69,61 @@ fn main() {
     let mut mismatches = 0u64;
     let mut total_events = 0u64;
     let mut total_metrics = obs::MetricsRegistry::new();
-    for seed in debug_seed.map(|s| s..s+1).unwrap_or(0..2000u64) {
-        let data: Vec<u8> = (0..5000u32).map(|i| ((i * 7 + seed as u32) % 251) as u8).collect();
+    for seed in debug_seed.map(|s| s..s + 1).unwrap_or(0..2000u64) {
+        let data: Vec<u8> = (0..5000u32)
+            .map(|i| ((i * 7 + seed as u32) % 251) as u8)
+            .collect();
         let mut sim = Sim::new(seed);
-        if debug_seed.is_some() { sim.trace = netsim::trace::Trace::enabled(100000); }
+        if debug_seed.is_some() {
+            sim.trace = netsim::trace::Trace::enabled(100000);
+        }
         let mut ha = Host::new("a");
-        ha.add_app(Box::new(Sender { target: v4(10,0,0,2), data: data.clone() }));
+        ha.add_app(Box::new(Sender {
+            target: v4(10, 0, 0, 2),
+            data: data.clone(),
+        }));
         let mut hb = Host::new("b");
         let recv = hb.add_app(Box::new(Receiver { got: vec![] }));
         let a = sim.world.add_node(Box::new(ha));
         let b = sim.world.add_node(Box::new(hb));
-        let params = LinkParams::datacenter().with_loss(0.15).with_latency(SimDuration::from_micros(300)).with_jitter(SimDuration::from_micros(400));
-        let link = sim.world.connect(Endpoint{node:a,iface:0},Endpoint{node:b,iface:0},params);
-        sim.world.node_mut::<Host>(a).unwrap().core.add_iface(link, vec![v4(10,0,0,1)]);
-        sim.world.node_mut::<Host>(b).unwrap().core.add_iface(link, vec![v4(10,0,0,2)]);
+        let params = LinkParams::datacenter()
+            .with_loss(0.15)
+            .with_latency(SimDuration::from_micros(300))
+            .with_jitter(SimDuration::from_micros(400));
+        let link = sim.world.connect(
+            Endpoint { node: a, iface: 0 },
+            Endpoint { node: b, iface: 0 },
+            params,
+        );
+        sim.world
+            .node_mut::<Host>(a)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 1)]);
+        sim.world
+            .node_mut::<Host>(b)
+            .unwrap()
+            .core
+            .add_iface(link, vec![v4(10, 0, 0, 2)]);
         sim.run_until(SimTime(400_000_000_000));
-        let got = &sim.world.node::<Host>(b).unwrap().app::<Receiver>(recv).unwrap().got;
+        let got = &sim
+            .world
+            .node::<Host>(b)
+            .unwrap()
+            .app::<Receiver>(recv)
+            .unwrap()
+            .got;
         if debug_seed.is_some() {
             for e in sim.trace.entries() {
                 let tcp = matches!(e.data.pkt(), Some(p) if p.proto == 6);
                 if tcp || e.kind == netsim::trace::TraceKind::Drop {
-                    println!("{:>10.4} n{} {:?} {}", e.at.as_secs_f64(), e.node.0, e.kind, e.detail());
+                    println!(
+                        "{:>10.4} n{} {:?} {}",
+                        e.at.as_secs_f64(),
+                        e.node.0,
+                        e.kind,
+                        e.detail()
+                    );
                 }
             }
             if let Some(path) = &trace_path {
@@ -89,9 +142,13 @@ fn main() {
         if got != &data {
             mismatches += 1;
             let prefix = got.len() <= data.len() && data[..got.len()] == got[..];
-            println!("seed {seed}: MISMATCH got {} of {} bytes, prefix_ok={prefix}", got.len(), data.len());
+            println!(
+                "seed {seed}: MISMATCH got {} of {} bytes, prefix_ok={prefix}",
+                got.len(),
+                data.len()
+            );
             if !prefix {
-                let first_bad = got.iter().zip(&data).position(|(a,b)| a!=b);
+                let first_bad = got.iter().zip(&data).position(|(a, b)| a != b);
                 println!("  first differing byte at {:?}", first_bad);
             }
         }
@@ -101,7 +158,12 @@ fn main() {
     println!("scan done");
     let mut m = manifest("tcploss_scan", "scan", debug_seed.unwrap_or(0));
     m.num("worlds", scanned).num("mismatches", mismatches);
-    match write_manifest(m, wall_start.elapsed().as_secs_f64(), total_events, &total_metrics) {
+    match write_manifest(
+        m,
+        wall_start.elapsed().as_secs_f64(),
+        total_events,
+        &total_metrics,
+    ) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("manifest write failed: {e}"),
     }

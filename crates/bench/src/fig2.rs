@@ -64,7 +64,11 @@ pub fn run_cell(
     app.measure_from = SimTime::ZERO + warmup;
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
     dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
-    let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<JmeterApp>(idx)
+        .expect("generator");
     let point = Fig2Point {
         scenario,
         clients,
@@ -97,7 +101,10 @@ pub fn run_point(
 /// uses threads, never inside a run). Output is ordered by
 /// (scenario, clients), matching the cell grid.
 pub fn run_sweep(seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<Fig2Point> {
-    run_sweep_cells(seed, warmup, measure).into_iter().map(|c| c.point).collect()
+    run_sweep_cells(seed, warmup, measure)
+        .into_iter()
+        .map(|c| c.point)
+        .collect()
 }
 
 /// Like [`run_sweep`] but keeps each cell's metrics registry and event
@@ -142,7 +149,13 @@ mod tests {
         [2usize, 6]
             .iter()
             .map(|&c| {
-                let p = run_point(Scenario::Basic, c, seed, SimDuration::from_millis(500), measure);
+                let p = run_point(
+                    Scenario::Basic,
+                    c,
+                    seed,
+                    SimDuration::from_millis(500),
+                    measure,
+                );
                 (c, (p.throughput * 1000.0) as u64)
             })
             .collect()

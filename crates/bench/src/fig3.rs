@@ -68,7 +68,10 @@ impl Fig3Mode {
     }
 
     fn uses_teredo(self) -> bool {
-        matches!(self, Fig3Mode::Teredo | Fig3Mode::HitTeredo | Fig3Mode::LsiTeredo)
+        matches!(
+            self,
+            Fig3Mode::Teredo | Fig3Mode::HitTeredo | Fig3Mode::LsiTeredo
+        )
     }
 }
 
@@ -105,10 +108,7 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
     topo.wan_params = LinkParams::wan().with_latency(SimDuration::from_millis(1));
     let cloud = topo.add_cloud("ec2", CloudKind::Public);
     // EC2 instance NICs of the era: ~150 Mbit/s usable between VMs.
-    topo.set_cloud_link_params(
-        cloud,
-        LinkParams::datacenter().with_bandwidth(150_000_000),
-    );
+    topo.set_cloud_link_params(cloud, LinkParams::datacenter().with_bandwidth(150_000_000));
     let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
     let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
 
@@ -121,13 +121,21 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
             IpAddr::V4(TEREDO_SERVER_V4),
             0,
         );
-        topo.sim.world.node_mut::<TeredoServer>(srv).expect("server").set_link(srv_link);
+        topo.sim
+            .world
+            .node_mut::<TeredoServer>(srv)
+            .expect("server")
+            .set_link(srv_link);
         let (rly, rly_link) = topo.attach_infrastructure(
             Box::new(TeredoRelay::new(TEREDO_RELAY_V4, netsim::LinkId(0))),
             IpAddr::V4(TEREDO_RELAY_V4),
             0,
         );
-        topo.sim.world.node_mut::<TeredoRelay>(rly).expect("relay").set_v4_link(rly_link);
+        topo.sim
+            .world
+            .node_mut::<TeredoRelay>(rly)
+            .expect("relay")
+            .set_v4_link(rly_link);
         // The relay's access link: 30 Mbit/s, 5 ms — public relays are
         // shared, best-effort infrastructure.
         {
@@ -136,7 +144,9 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
             links[rly_link.0].params.latency = SimDuration::from_millis(5);
         }
         for vm in [a, b] {
-            let IpAddr::V4(v4) = vm.addr else { unreachable!("VMs are IPv4") };
+            let IpAddr::V4(v4) = vm.addr else {
+                unreachable!("VMs are IPv4")
+            };
             topo.host_mut(vm).core.teredo =
                 Some(TeredoClient::new(v4, TEREDO_SERVER_V4, TEREDO_RELAY_V4));
         }
@@ -145,7 +155,9 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
     // Locators the peers use for each other at the HIP level.
     let locator = |vm: &cloudsim::VmHandle| -> IpAddr {
         if mode.uses_teredo() {
-            let IpAddr::V4(v4) = vm.addr else { unreachable!() };
+            let IpAddr::V4(v4) = vm.addr else {
+                unreachable!()
+            };
             // No NAT between VM and relay: external address/port are the
             // VM's own, so the Teredo address is known a priori.
             IpAddr::V6(teredo_address(TEREDO_SERVER_V4, v4, TEREDO_PORT))
@@ -159,11 +171,26 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
         let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
         let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
         let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
-        let cfg = HipConfig { costs: CostModel::paper_era(), ..HipConfig::default() };
+        let cfg = HipConfig {
+            costs: CostModel::paper_era(),
+            ..HipConfig::default()
+        };
         let mut shim_a = HipShim::new(id_a, cfg.clone());
-        let lsi_b = shim_a.add_peer(hit_b, PeerInfo { locators: vec![locator(&b)], via_rvs: None });
+        let lsi_b = shim_a.add_peer(
+            hit_b,
+            PeerInfo {
+                locators: vec![locator(&b)],
+                via_rvs: None,
+            },
+        );
         let mut shim_b = HipShim::new(id_b, cfg);
-        shim_b.add_peer(hit_a, PeerInfo { locators: vec![locator(&a)], via_rvs: None });
+        shim_b.add_peer(
+            hit_a,
+            PeerInfo {
+                locators: vec![locator(&a)],
+                via_rvs: None,
+            },
+        );
         topo.host_mut(a).set_shim(Box::new(shim_a));
         topo.host_mut(b).set_shim(Box::new(shim_b));
         match mode {
@@ -174,21 +201,37 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
         locator(&b)
     };
 
-    Fig3World { topo, a, b, target_b }
+    Fig3World {
+        topo,
+        a,
+        b,
+        target_b,
+    }
 }
 
 /// Measures iperf goodput for `mode` over `duration` of transfer,
 /// returning the run's metrics registry and dispatched-event count too.
-pub fn iperf_obs(mode: Fig3Mode, seed: u64, duration: SimDuration) -> (f64, obs::MetricsRegistry, u64) {
+pub fn iperf_obs(
+    mode: Fig3Mode,
+    seed: u64,
+    duration: SimDuration,
+) -> (f64, obs::MetricsRegistry, u64) {
     let mut w = build(mode, seed);
-    let srv_idx = w.topo.host_mut(w.b).add_app(Box::new(IperfServerApp::new(IPERF_PORT)));
+    let srv_idx = w
+        .topo
+        .host_mut(w.b)
+        .add_app(Box::new(IperfServerApp::new(IPERF_PORT)));
     let mut client = BulkSendApp::for_duration((w.target_b, IPERF_PORT), duration);
     // Give Teredo qualification and the HIP BEX a second to settle.
     client.start_delay = SimDuration::from_secs(2);
     w.topo.host_mut(w.a).add_app(Box::new(client));
     let deadline = SimTime::ZERO + SimDuration::from_secs(4) + duration.saturating_mul(3);
     w.topo.sim.run_until(deadline);
-    let srv = w.topo.host(w.b).app::<IperfServerApp>(srv_idx).expect("server");
+    let srv = w
+        .topo
+        .host(w.b)
+        .app::<IperfServerApp>(srv_idx)
+        .expect("server");
     assert!(srv.bytes > 0, "{mode:?}: no bytes received");
     let mbits = srv.mbits_per_sec();
     let dispatched = w.topo.sim.stats().dispatched;
@@ -216,7 +259,9 @@ pub fn rtt_obs(
     let mut ping = PingApp::new(w.target_b, count, SimDuration::from_millis(200), 7);
     ping.start_delay = SimDuration::from_secs(2);
     let idx = w.topo.host_mut(w.a).add_app(Box::new(ping));
-    w.topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(5) + SimDuration::from_millis(200 * count as u64));
+    w.topo.sim.run_until(
+        SimTime::ZERO + SimDuration::from_secs(5) + SimDuration::from_millis(200 * count as u64),
+    );
     let app = w.topo.host(w.a).app::<PingApp>(idx).expect("ping");
     let out = (app.rtts.mean(), app.received);
     let dispatched = w.topo.sim.stats().dispatched;
@@ -243,7 +288,10 @@ pub struct Fig3Cell {
 /// Runs the complete Figure 3 (both series, all modes, in parallel).
 /// Output is in `Fig3Mode::ALL` order.
 pub fn run_all(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<Fig3Point> {
-    run_all_cells(seed, iperf_duration, ping_count).into_iter().map(|c| c.point).collect()
+    run_all_cells(seed, iperf_duration, ping_count)
+        .into_iter()
+        .map(|c| c.point)
+        .collect()
 }
 
 /// Like [`run_all`] but keeps each mode's merged metrics registry.
@@ -253,7 +301,12 @@ pub fn run_all_cells(seed: u64, iperf_duration: SimDuration, ping_count: u16) ->
         let ((rtt_ms, received), rtt_metrics, d2, _) = rtt_obs(mode, seed ^ 1, ping_count, 0);
         metrics.merge(&rtt_metrics);
         Fig3Cell {
-            point: Fig3Point { mode, mbits, rtt_ms, pings_received: received },
+            point: Fig3Point {
+                mode,
+                mbits,
+                rtt_ms,
+                pings_received: received,
+            },
             metrics,
             dispatched: d1 + d2,
         }
@@ -269,7 +322,10 @@ mod tests {
         let plain = iperf(Fig3Mode::Ipv4, 2, SimDuration::from_secs(3));
         let teredo = iperf(Fig3Mode::Teredo, 2, SimDuration::from_secs(3));
         assert!(plain > 50.0, "plain {plain:.1} Mbit/s");
-        assert!(teredo < plain * 0.5, "teredo {teredo:.1} ≪ plain {plain:.1}");
+        assert!(
+            teredo < plain * 0.5,
+            "teredo {teredo:.1} ≪ plain {plain:.1}"
+        );
     }
 
     #[test]
@@ -277,9 +333,15 @@ mod tests {
         let plain = iperf(Fig3Mode::Ipv4, 3, SimDuration::from_secs(3));
         let hit = iperf(Fig3Mode::HitIpv4, 3, SimDuration::from_secs(3));
         let lsi = iperf(Fig3Mode::LsiIpv4, 3, SimDuration::from_secs(3));
-        assert!(hit > plain * 0.5, "hit {hit:.1} within range of plain {plain:.1}");
+        assert!(
+            hit > plain * 0.5,
+            "hit {hit:.1} within range of plain {plain:.1}"
+        );
         assert!(hit <= plain, "crypto cannot beat cleartext");
-        assert!(lsi <= hit, "lsi {lsi:.1} ≤ hit {hit:.1} (extra translations)");
+        assert!(
+            lsi <= hit,
+            "lsi {lsi:.1} ≤ hit {hit:.1} (extra translations)"
+        );
     }
 
     #[test]

@@ -54,7 +54,11 @@ pub fn csv_cell(cell: &str) -> String {
 /// Writes rows as a CSV file under `results/` (creating the directory),
 /// so figures can be re-plotted externally. Cells are escaped with
 /// [`csv_cell`]. Returns the path written.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<std::path::PathBuf> {
+pub fn write_csv(
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
@@ -151,12 +155,19 @@ pub fn stage_table(metrics: &MetricsRegistry, stages: &[&str]) -> Option<String>
     if rows.is_empty() {
         return None;
     }
-    Some(table(&["stage", "count", "p50 ms", "p90 ms", "p99 ms", "max ms"], &rows))
+    Some(table(
+        &["stage", "count", "p50 ms", "p90 ms", "p99 ms", "max ms"],
+        &rows,
+    ))
 }
 
 /// A crude horizontal bar for terminal "figures".
 pub fn bar(value: f64, max: f64, width: usize) -> String {
-    let filled = if max > 0.0 { ((value / max) * width as f64).round() as usize } else { 0 };
+    let filled = if max > 0.0 {
+        ((value / max) * width as f64).round() as usize
+    } else {
+        0
+    };
     "█".repeat(filled.min(width))
 }
 

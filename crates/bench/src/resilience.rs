@@ -168,19 +168,30 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
     // The storyline.
     let (web0, web1, db) = (dep.webs[0], dep.webs[1], dep.db);
     dep.topo.crash_vm(web0, story.crash_at);
-    dep.topo.restart_vm(web0, story.crash_at + story.crash_outage);
-    dep.topo.loss_burst(db, story.burst_at, story.burst_loss, story.burst_len);
     dep.topo
-        .sim
-        .schedule_fault(story.partition_at, FaultAction::Partition { links: vec![web1.link] });
+        .restart_vm(web0, story.crash_at + story.crash_outage);
+    dep.topo
+        .loss_burst(db, story.burst_at, story.burst_loss, story.burst_len);
+    dep.topo.sim.schedule_fault(
+        story.partition_at,
+        FaultAction::Partition {
+            links: vec![web1.link],
+        },
+    );
     dep.topo.sim.schedule_fault(
         story.partition_at + story.partition_len,
-        FaultAction::Heal { links: vec![web1.link] },
+        FaultAction::Heal {
+            links: vec![web1.link],
+        },
     );
 
     dep.topo.sim.run_until(SimTime::ZERO + story.end);
 
-    let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<JmeterApp>(idx)
+        .expect("generator");
     let timeline = gen.timeline.clone();
     let p99_ms = gen.latency.percentile(99.0);
 
@@ -199,7 +210,11 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
         }
     }
     let post_total = ok_post + err_post;
-    let post_fault_error_rate = if post_total > 0 { err_post as f64 / post_total as f64 } else { 0.0 };
+    let post_fault_error_rate = if post_total > 0 {
+        err_post as f64 / post_total as f64
+    } else {
+        0.0
+    };
 
     let sec = |d: SimDuration| (d.as_nanos() / 1_000_000_000) as usize;
     let ttr_crash_s = time_to_recover(&timeline, baseline, sec(story.crash_at));
@@ -257,7 +272,10 @@ mod tests {
     use super::*;
 
     fn tl(ok: &[u64]) -> Timeline {
-        Timeline { ok: ok.to_vec(), err: vec![] }
+        Timeline {
+            ok: ok.to_vec(),
+            err: vec![],
+        }
     }
 
     #[test]

@@ -49,7 +49,11 @@ where
     });
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("no poisoning").expect("worker filled every claimed slot"))
+        .map(|s| {
+            s.into_inner()
+                .expect("no poisoning")
+                .expect("worker filled every claimed slot")
+        })
         .collect()
 }
 

@@ -67,7 +67,11 @@ pub fn run_cell(
     app.measure_from = SimTime::ZERO + warmup;
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
     dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
-    let gen = dep.topo.host(gen_host).app::<HttperfApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<HttperfApp>(idx)
+        .expect("generator");
     let row = TabRtRow {
         scenario,
         completed: gen.completed,
@@ -86,18 +90,32 @@ pub fn run_cell(
 }
 
 /// Runs the open-loop response-time measurement for one scenario.
-pub fn run(scenario: Scenario, rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> TabRtRow {
+pub fn run(
+    scenario: Scenario,
+    rate: f64,
+    seed: u64,
+    warmup: SimDuration,
+    measure: SimDuration,
+) -> TabRtRow {
     run_cell(scenario, rate, seed, warmup, measure, 0).row
 }
 
 /// Runs all three scenarios (in parallel; independent simulations).
 /// Output is in scenario order: Basic, HipLsi, Ssl.
 pub fn run_all(rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<TabRtRow> {
-    run_all_cells(rate, seed, warmup, measure).into_iter().map(|c| c.row).collect()
+    run_all_cells(rate, seed, warmup, measure)
+        .into_iter()
+        .map(|c| c.row)
+        .collect()
 }
 
 /// Like [`run_all`] but keeps each scenario's metrics and event count.
-pub fn run_all_cells(rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<TabRtCell> {
+pub fn run_all_cells(
+    rate: f64,
+    seed: u64,
+    warmup: SimDuration,
+    measure: SimDuration,
+) -> Vec<TabRtCell> {
     let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
     crate::sweep::par_sweep(&scenarios, |&s| run_cell(s, rate, seed, warmup, measure, 0))
 }
@@ -115,13 +133,24 @@ mod tests {
             SimDuration::from_secs(5),
             SimDuration::from_secs(15),
         );
-        let mean = |s: Scenario| rows.iter().find(|r| r.scenario == s).expect("present").mean_ms;
+        let mean = |s: Scenario| {
+            rows.iter()
+                .find(|r| r.scenario == s)
+                .expect("present")
+                .mean_ms
+        };
         let basic = mean(Scenario::Basic);
         let hip = mean(Scenario::HipLsi);
         let ssl = mean(Scenario::Ssl);
         assert!(basic < ssl, "basic {basic:.1} < ssl {ssl:.1}");
-        assert!(ssl < hip, "ssl {ssl:.1} < hip {hip:.1} (LSI translation penalty)");
+        assert!(
+            ssl < hip,
+            "ssl {ssl:.1} < hip {hip:.1} (LSI translation penalty)"
+        );
         // All stable (no overload): comparable magnitudes.
-        assert!(hip < basic * 3.0, "hip {hip:.1} not exploded vs basic {basic:.1}");
+        assert!(
+            hip < basic * 3.0,
+            "hip {hip:.1} not exploded vs basic {basic:.1}"
+        );
     }
 }

@@ -35,7 +35,12 @@ struct Outcome {
 fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
     let mut topo = CloudTopology::new(seed);
     let cloud = topo.add_cloud("ec2", CloudKind::Public);
-    topo.set_cloud_link_params(cloud, LinkParams::datacenter().with_bandwidth(150_000_000).with_loss(loss));
+    topo.set_cloud_link_params(
+        cloud,
+        LinkParams::datacenter()
+            .with_bandwidth(150_000_000)
+            .with_loss(loss),
+    );
     let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
     let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
 
@@ -43,21 +48,39 @@ fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
     let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
     let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
     let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
-    let cfg = HipConfig { costs, ..HipConfig::default() };
+    let cfg = HipConfig {
+        costs,
+        ..HipConfig::default()
+    };
     let mut shim_a = HipShim::new(id_a, cfg.clone());
-    shim_a.add_peer(hit_b, PeerInfo { locators: vec![b.addr], via_rvs: None });
+    shim_a.add_peer(
+        hit_b,
+        PeerInfo {
+            locators: vec![b.addr],
+            via_rvs: None,
+        },
+    );
     let mut shim_b = HipShim::new(id_b, cfg);
-    shim_b.add_peer(hit_a, PeerInfo { locators: vec![a.addr], via_rvs: None });
+    shim_b.add_peer(
+        hit_a,
+        PeerInfo {
+            locators: vec![a.addr],
+            via_rvs: None,
+        },
+    );
     topo.host_mut(a).set_shim(Box::new(shim_a));
     topo.host_mut(b).set_shim(Box::new(shim_b));
 
-    let srv_idx = topo.host_mut(b).add_app(Box::new(IperfServerApp::new(PORT)));
+    let srv_idx = topo
+        .host_mut(b)
+        .add_app(Box::new(IperfServerApp::new(PORT)));
     let mut client = BulkSendApp::new((hit_b.to_ip(), PORT), BYTES);
     // Let the HIP base exchange settle before the flow starts.
     client.start_delay = SimDuration::from_secs(1);
     topo.host_mut(a).add_app(Box::new(client));
 
-    topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+    topo.sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(120));
     for vm in [a, b] {
         if let Err(e) = topo.host(vm).core.tcp.check_invariants() {
             panic!("TCP invariant broken on {vm:?}: {e}");
@@ -85,18 +108,102 @@ fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
 type Pinned = (&'static str, f64, u64, [u64; 9], u64, u64);
 
 const PINNED: [Pinned; 12] = [
-    ("paper_era", 0.0, 1, [2962, 2957, 3, 5, 8, 2954, 7, 7, 2421], 524_288, 1_080_840_350),
-    ("paper_era", 0.0, 2, [2962, 2957, 3, 5, 8, 2954, 7, 7, 2421], 524_288, 1_078_746_350),
-    ("paper_era", 0.0, 3, [2962, 2957, 3, 5, 8, 2954, 7, 7, 2399], 524_288, 1_079_026_550),
-    ("paper_era", 0.01, 1, [3021, 3007, 3, 4, 17, 3003, 17, 16, 2303], 338_471, 103_289_583_360),
-    ("paper_era", 0.01, 2, [2495, 2481, 3, 4, 17, 2477, 17, 16, 1866], 215_058, 103_285_514_654),
-    ("paper_era", 0.01, 3, [2755, 2733, 5, 5, 25, 2728, 26, 24, 2281], 370_660, 109_706_803_242),
-    ("free", 0.0, 1, [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306], 524_288, 1_033_666_261),
-    ("free", 0.0, 2, [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306], 524_288, 1_033_666_261),
-    ("free", 0.0, 3, [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306], 524_288, 1_033_666_261),
-    ("free", 0.01, 1, [24_496, 24_481, 3, 4, 232, 24_263, 15, 14, 24_213], 93_935, 103_222_146_977),
-    ("free", 0.01, 2, [24_497, 24_481, 4, 5, 233, 24_263, 17, 16, 24_222], 97_039, 103_426_533_644),
-    ("free", 0.01, 3, [1290, 1276, 3, 4, 429, 860, 15, 14, 765], 213_427, 103_230_036_309),
+    (
+        "paper_era",
+        0.0,
+        1,
+        [2962, 2957, 3, 5, 8, 2954, 7, 7, 2421],
+        524_288,
+        1_080_840_350,
+    ),
+    (
+        "paper_era",
+        0.0,
+        2,
+        [2962, 2957, 3, 5, 8, 2954, 7, 7, 2421],
+        524_288,
+        1_078_746_350,
+    ),
+    (
+        "paper_era",
+        0.0,
+        3,
+        [2962, 2957, 3, 5, 8, 2954, 7, 7, 2399],
+        524_288,
+        1_079_026_550,
+    ),
+    (
+        "paper_era",
+        0.01,
+        1,
+        [3021, 3007, 3, 4, 17, 3003, 17, 16, 2303],
+        338_471,
+        103_289_583_360,
+    ),
+    (
+        "paper_era",
+        0.01,
+        2,
+        [2495, 2481, 3, 4, 17, 2477, 17, 16, 1866],
+        215_058,
+        103_285_514_654,
+    ),
+    (
+        "paper_era",
+        0.01,
+        3,
+        [2755, 2733, 5, 5, 25, 2728, 26, 24, 2281],
+        370_660,
+        109_706_803_242,
+    ),
+    (
+        "free",
+        0.0,
+        1,
+        [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306],
+        524_288,
+        1_033_666_261,
+    ),
+    (
+        "free",
+        0.0,
+        2,
+        [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306],
+        524_288,
+        1_033_666_261,
+    ),
+    (
+        "free",
+        0.0,
+        3,
+        [2222, 2217, 3, 5, 739, 1483, 6, 6, 1306],
+        524_288,
+        1_033_666_261,
+    ),
+    (
+        "free",
+        0.01,
+        1,
+        [24_496, 24_481, 3, 4, 232, 24_263, 15, 14, 24_213],
+        93_935,
+        103_222_146_977,
+    ),
+    (
+        "free",
+        0.01,
+        2,
+        [24_497, 24_481, 4, 5, 233, 24_263, 17, 16, 24_222],
+        97_039,
+        103_426_533_644,
+    ),
+    (
+        "free",
+        0.01,
+        3,
+        [1290, 1276, 3, 4, 429, 860, 15, 14, 765],
+        213_427,
+        103_230_036_309,
+    ),
 ];
 
 fn pinned_stats(s: [u64; 9]) -> SimStats {
@@ -117,13 +224,21 @@ fn pinned_stats(s: [u64; 9]) -> SimStats {
 #[test]
 fn hip_bulk_outcomes_match_pinned_values() {
     for (cost_name, loss, seed, stats, delivered, last_byte_ns) in PINNED {
-        let costs = if cost_name == "paper_era" { CostModel::paper_era() } else { CostModel::free() };
+        let costs = if cost_name == "paper_era" {
+            CostModel::paper_era()
+        } else {
+            CostModel::free()
+        };
         let out = hip_bulk(costs, loss, seed);
         let case = format!("costs={cost_name} loss={loss} seed={seed}");
         if loss == 0.0 {
             assert_eq!(out.delivered, BYTES, "{case}: clean transfer must complete");
         }
         assert_eq!(out.stats, pinned_stats(stats), "{case}");
-        assert_eq!((out.delivered, out.last_byte_ns), (delivered, last_byte_ns), "{case}");
+        assert_eq!(
+            (out.delivered, out.last_byte_ns),
+            (delivered, last_byte_ns),
+            "{case}"
+        );
     }
 }

@@ -36,17 +36,27 @@ fn smoke_run_metrics(scenario: Scenario, seed: u64, metrics_on: bool) -> RunFing
     let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
     let app = JmeterApp::new(dep.frontend, 16, WorkloadMix::default(), users, items);
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
-    dep.topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(4));
+    dep.topo
+        .sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(4));
     if let Err(e) = dep.topo.sim.check_invariants() {
         panic!("engine invariant broken: {e}");
     }
-    let vms = dep.lb.into_iter().chain(dep.webs.iter().copied()).chain([dep.db, gen_host]);
+    let vms = dep
+        .lb
+        .into_iter()
+        .chain(dep.webs.iter().copied())
+        .chain([dep.db, gen_host]);
     for vm in vms {
         if let Err(e) = dep.topo.host(vm).core.tcp.check_invariants() {
             panic!("TCP invariant broken on {vm:?}: {e}");
         }
     }
-    let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<JmeterApp>(idx)
+        .expect("generator");
     RunFingerprint {
         completed: gen.completed,
         errors: gen.errors,
@@ -69,7 +79,11 @@ fn same_seed_same_run_hip() {
     assert_eq!(a.final_time_ns, b.final_time_ns);
     assert_eq!(a.trace, b.trace, "traces must be bit-identical");
     // The run exercised the new machinery, not a trivial path.
-    assert!(a.stats.dispatched > 10_000, "dispatched {}", a.stats.dispatched);
+    assert!(
+        a.stats.dispatched > 10_000,
+        "dispatched {}",
+        a.stats.dispatched
+    );
     assert!(a.stats.timers_cancelled > 0, "cancellable timers unused");
 }
 
@@ -108,15 +122,30 @@ fn metrics_never_perturb_the_run() {
     let off = smoke_run_metrics(Scenario::HipLsi, 7, false);
     assert_eq!(on.completed, off.completed);
     assert_eq!(on.errors, off.errors);
-    assert_eq!(on.stats, off.stats, "metrics on/off changed the event schedule");
+    assert_eq!(
+        on.stats, off.stats,
+        "metrics on/off changed the event schedule"
+    );
     assert_eq!(on.final_time_ns, off.final_time_ns);
-    assert_eq!(on.trace, off.trace, "metrics on/off changed the trace sequence");
+    assert_eq!(
+        on.trace, off.trace,
+        "metrics on/off changed the trace sequence"
+    );
     // On actually recorded something; off recorded nothing.
-    assert!(on.metrics_json.contains("tcp.connect"), "metrics-on run populated stage histograms");
-    assert!(!off.metrics_json.contains("tcp.connect"), "disabled registry stayed empty");
+    assert!(
+        on.metrics_json.contains("tcp.connect"),
+        "metrics-on run populated stage histograms"
+    );
+    assert!(
+        !off.metrics_json.contains("tcp.connect"),
+        "disabled registry stayed empty"
+    );
     // And the dump itself is deterministic.
     let on2 = smoke_run_metrics(Scenario::HipLsi, 7, true);
-    assert_eq!(on.metrics_json, on2.metrics_json, "metrics dump must be reproducible");
+    assert_eq!(
+        on.metrics_json, on2.metrics_json,
+        "metrics dump must be reproducible"
+    );
 }
 
 #[test]
@@ -143,7 +172,10 @@ fn fault_storyline_is_deterministic() {
     let a = run_cell(Scenario::HipLsi, 13, story);
     let b = run_cell(Scenario::HipLsi, 13, story);
     assert!(a.point.ok_total > 0, "storyline run must serve requests");
-    assert_eq!(a.dispatched, b.dispatched, "event counts diverged under faults");
+    assert_eq!(
+        a.dispatched, b.dispatched,
+        "event counts diverged under faults"
+    );
     assert_eq!(a.point.ok_total, b.point.ok_total);
     assert_eq!(a.point.err_total, b.point.err_total);
     assert_eq!(a.timeline.ok, b.timeline.ok, "goodput timelines diverged");

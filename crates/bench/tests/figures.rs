@@ -18,20 +18,27 @@ fn assert_same(what: &str, actual: &[u8], golden: &[u8]) {
     if actual == golden {
         return;
     }
-    let (actual, golden) = (String::from_utf8_lossy(actual), String::from_utf8_lossy(golden));
+    let (actual, golden) = (
+        String::from_utf8_lossy(actual),
+        String::from_utf8_lossy(golden),
+    );
     let mut a = actual.lines();
     let mut g = golden.lines();
     for line in 1.. {
         match (a.next(), g.next()) {
             (Some(x), Some(y)) if x == y => {}
             (None, None) => panic!("{what}: line endings differ from the golden file"),
-            (x, y) => panic!("{what}: first difference at line {line}\n  golden: {y:?}\n  actual: {x:?}"),
+            (x, y) => {
+                panic!("{what}: first difference at line {line}\n  golden: {y:?}\n  actual: {x:?}")
+            }
         }
     }
 }
 
 fn golden(file: &str) -> Vec<u8> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -45,11 +52,23 @@ fn fresh_dir(bin: &str) -> PathBuf {
 
 fn check(bin: &str, exe: &str) {
     let dir = fresh_dir(bin);
-    let out = Command::new(exe).arg("--quick").current_dir(&dir).output().expect("run figure binary");
-    assert!(out.status.success(), "{bin} failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let out = Command::new(exe)
+        .arg("--quick")
+        .current_dir(&dir)
+        .output()
+        .expect("run figure binary");
+    assert!(
+        out.status.success(),
+        "{bin} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let csv = std::fs::read(dir.join("results").join(format!("{bin}.csv"))).expect("CSV written");
     let _ = std::fs::remove_dir_all(&dir);
-    assert_same(&format!("{bin} stdout"), &out.stdout, &golden(&format!("{bin}.stdout")));
+    assert_same(
+        &format!("{bin} stdout"),
+        &out.stdout,
+        &golden(&format!("{bin}.stdout")),
+    );
     assert_same(&format!("{bin}.csv"), &csv, &golden(&format!("{bin}.csv")));
 }
 
@@ -60,7 +79,10 @@ fn fig2_throughput_matches_golden() {
 
 #[test]
 fn tab_response_times_matches_golden() {
-    check("tab_response_times", env!("CARGO_BIN_EXE_tab_response_times"));
+    check(
+        "tab_response_times",
+        env!("CARGO_BIN_EXE_tab_response_times"),
+    );
 }
 
 #[test]

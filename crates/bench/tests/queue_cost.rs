@@ -40,11 +40,26 @@ fn bulk(hip: bool, seed: u64) -> SimStats {
         let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
         let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
         let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
-        let cfg = HipConfig { costs: CostModel::paper_era(), ..HipConfig::default() };
+        let cfg = HipConfig {
+            costs: CostModel::paper_era(),
+            ..HipConfig::default()
+        };
         let mut shim_a = HipShim::new(id_a, cfg.clone());
-        shim_a.add_peer(hit_b, PeerInfo { locators: vec![b.addr], via_rvs: None });
+        shim_a.add_peer(
+            hit_b,
+            PeerInfo {
+                locators: vec![b.addr],
+                via_rvs: None,
+            },
+        );
         let mut shim_b = HipShim::new(id_b, cfg);
-        shim_b.add_peer(hit_a, PeerInfo { locators: vec![a.addr], via_rvs: None });
+        shim_b.add_peer(
+            hit_a,
+            PeerInfo {
+                locators: vec![a.addr],
+                via_rvs: None,
+            },
+        );
         topo.host_mut(a).set_shim(Box::new(shim_a));
         topo.host_mut(b).set_shim(Box::new(shim_b));
         hit_b.to_ip()
@@ -52,12 +67,15 @@ fn bulk(hip: bool, seed: u64) -> SimStats {
         b.addr
     };
 
-    let srv_idx = topo.host_mut(b).add_app(Box::new(IperfServerApp::new(PORT)));
+    let srv_idx = topo
+        .host_mut(b)
+        .add_app(Box::new(IperfServerApp::new(PORT)));
     let mut client = BulkSendApp::new((target, PORT), BYTES);
     client.start_delay = SimDuration::from_secs(1);
     topo.host_mut(a).add_app(Box::new(client));
 
-    topo.sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+    topo.sim
+        .run_until(SimTime::ZERO + SimDuration::from_secs(10));
 
     let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");
     assert_eq!(srv.bytes, BYTES, "hip={hip}: the transfer must complete");
@@ -80,7 +98,10 @@ fn bulk_pushes_stay_off_the_sorted_insert_path() {
             "hip={hip}: {s:?}"
         );
         let share = s.queue_current_pushes as f64 / s.scheduled as f64;
-        assert!(share <= 0.05, "hip={hip}: current-bucket push share {share:.4} > 0.05: {s:?}");
+        assert!(
+            share <= 0.05,
+            "hip={hip}: current-bucket push share {share:.4} > 0.05: {s:?}"
+        );
     }
 }
 
@@ -98,6 +119,9 @@ fn bulk_flows_queue_no_dead_retransmission_timers() {
             s.queue_overflow_pushes
         );
         let dead = s.timers_cancelled + s.stale_timer_pops;
-        assert!(dead <= DEAD_TIMER_CAP, "hip={hip}: {dead} dead timers > {DEAD_TIMER_CAP}: {s:?}");
+        assert!(
+            dead <= DEAD_TIMER_CAP,
+            "hip={hip}: {dead} dead timers > {DEAD_TIMER_CAP}: {s:?}"
+        );
     }
 }

@@ -84,11 +84,18 @@ fn rubis_request_path_allocations_stay_under_ceiling() {
     COUNTING.store(false, Relaxed);
     let allocs = ALLOCS.load(Relaxed);
 
-    let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<JmeterApp>(idx)
+        .expect("generator");
     assert_eq!(gen.errors, 0);
     assert!(gen.completed > 300, "completed {}", gen.completed);
     let per_request = allocs as f64 / gen.completed as f64;
-    println!("{allocs} allocations, {} requests: {per_request:.2} per request", gen.completed);
+    println!(
+        "{allocs} allocations, {} requests: {per_request:.2} per request",
+        gen.completed
+    );
     assert!(
         per_request <= CEILING,
         "{per_request:.2} allocations per request (ceiling {CEILING})"
