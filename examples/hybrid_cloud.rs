@@ -95,20 +95,36 @@ fn main() {
     registry.register(evil, evil_pub, id_evil.hit());
 
     let hit_acme_priv = id_acme_priv.hit();
-    println!("tenant ACME: frontend {} + private DB {}", id_acme_pub.hit(), hit_acme_priv);
+    println!(
+        "tenant ACME: frontend {} + private DB {}",
+        id_acme_pub.hit(),
+        hit_acme_priv
+    );
     println!("tenant EVIL: {}", id_evil.hit());
 
     // Shims. EVIL *does* know the victim's HIT and locator (HITs are
     // public!) — the firewall is what stops it.
     let mut shim_acme_pub = HipShim::new(id_acme_pub, HipConfig::default());
-    shim_acme_pub.add_peer(hit_acme_priv, PeerInfo { locators: vec![acme_priv.addr], via_rvs: None });
+    shim_acme_pub.add_peer(
+        hit_acme_priv,
+        PeerInfo {
+            locators: vec![acme_priv.addr],
+            via_rvs: None,
+        },
+    );
     shim_acme_pub.firewall = registry.isolation_firewall(acme);
 
     let mut shim_acme_priv = HipShim::new(id_acme_priv, HipConfig::default());
     shim_acme_priv.firewall = registry.isolation_firewall(acme);
 
     let mut shim_evil = HipShim::new(id_evil, HipConfig::default());
-    shim_evil.add_peer(hit_acme_priv, PeerInfo { locators: vec![acme_priv.addr], via_rvs: None });
+    shim_evil.add_peer(
+        hit_acme_priv,
+        PeerInfo {
+            locators: vec![acme_priv.addr],
+            via_rvs: None,
+        },
+    );
     shim_evil.firewall = registry.isolation_firewall(evil);
 
     topo.host_mut(acme_pub).set_shim(Box::new(shim_acme_pub));
@@ -135,7 +151,11 @@ fn main() {
         println!(
             "{}: {}",
             probe.label,
-            if probe.replied { "SUCCEEDED (over ESP, across the WAN)" } else { "BLOCKED" }
+            if probe.replied {
+                "SUCCEEDED (over ESP, across the WAN)"
+            } else {
+                "BLOCKED"
+            }
         );
     }
     let victim = topo.host(acme_priv).shim::<HipShim>().expect("shim");
@@ -143,7 +163,18 @@ fn main() {
         "\nACME private DB firewall: {} exchanges denied, {} completed",
         victim.firewall.denied, victim.stats.bex_completed
     );
-    assert!(topo.host(acme_pub).app::<Probe>(acme_probe).expect("p").replied);
-    assert!(!topo.host(evil_pub).app::<Probe>(evil_probe).expect("p").replied);
+    assert!(
+        topo.host(acme_pub)
+            .app::<Probe>(acme_probe)
+            .expect("p")
+            .replied
+    );
+    assert!(
+        !topo
+            .host(evil_pub)
+            .app::<Probe>(evil_probe)
+            .expect("p")
+            .replied
+    );
     println!("tenants share the cloud; the HIT firewall keeps them apart.");
 }

@@ -32,7 +32,10 @@ fn main() {
     };
     let clients: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);
 
-    println!("deploying RUBiS in the simulated EC2 — scenario: {} ...", scenario.label());
+    println!(
+        "deploying RUBiS in the simulated EC2 — scenario: {} ...",
+        scenario.label()
+    );
     let cfg = RubisConfig::fig2(scenario, 2026);
     let (users, items) = (cfg.users, cfg.items);
     let mut dep = deploy_rubis(cfg);
@@ -51,13 +54,28 @@ fn main() {
     app.measure_from = SimTime::ZERO + warmup;
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
 
-    println!("\ndriving {clients} concurrent clients for {}s (+{}s warm-up)...", measure.as_secs_f64(), warmup.as_secs_f64());
+    println!(
+        "\ndriving {clients} concurrent clients for {}s (+{}s warm-up)...",
+        measure.as_secs_f64(),
+        warmup.as_secs_f64()
+    );
     dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
 
-    let gen = dep.topo.host(gen_host).app::<JmeterApp>(idx).expect("generator");
+    let gen = dep
+        .topo
+        .host(gen_host)
+        .app::<JmeterApp>(idx)
+        .expect("generator");
     println!("\nresults ({}):", scenario.label());
-    println!("  throughput: {:.1} requests/second", gen.completed as f64 / measure.as_secs_f64());
-    println!("  mean response time: {:.1} ms (p99 {:.1} ms)", gen.latency.mean(), gen.latency.percentile(99.0));
+    println!(
+        "  throughput: {:.1} requests/second",
+        gen.completed as f64 / measure.as_secs_f64()
+    );
+    println!(
+        "  mean response time: {:.1} ms (p99 {:.1} ms)",
+        gen.latency.mean(),
+        gen.latency.percentile(99.0)
+    );
 
     println!("\nper-tier accounting:");
     for (i, w) in dep.webs.iter().enumerate() {

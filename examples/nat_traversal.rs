@@ -89,13 +89,21 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
         IpAddr::V4(TEREDO_SERVER),
         0,
     );
-    topo.sim.world.node_mut::<TeredoServer>(srv).expect("srv").set_link(srv_link);
+    topo.sim
+        .world
+        .node_mut::<TeredoServer>(srv)
+        .expect("srv")
+        .set_link(srv_link);
     let (rly, rly_link) = topo.attach_infrastructure(
         Box::new(TeredoRelay::new(TEREDO_RELAY, hipcloud::net::LinkId(0))),
         IpAddr::V4(TEREDO_RELAY),
         0,
     );
-    topo.sim.world.node_mut::<TeredoRelay>(rly).expect("rly").set_v4_link(rly_link);
+    topo.sim
+        .world
+        .node_mut::<TeredoRelay>(rly)
+        .expect("rly")
+        .set_v4_link(rly_link);
 
     // The admin's laptop sits behind a full-cone NAT whose outside face
     // attaches to the internet core.
@@ -105,11 +113,21 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
     let laptop_host = Host::new("laptop");
     let laptop = topo.sim.world.add_node(Box::new(laptop_host));
     let inside_link = topo.sim.world.connect(
-        Endpoint { node: laptop, iface: 0 },
-        Endpoint { node: nat_node, iface: 0 },
+        Endpoint {
+            node: laptop,
+            iface: 0,
+        },
+        Endpoint {
+            node: nat_node,
+            iface: 0,
+        },
         LinkParams::access(),
     );
-    topo.sim.world.node_mut::<Nat>(nat_node).expect("nat").set_links(inside_link, nat_out_link);
+    topo.sim
+        .world
+        .node_mut::<Nat>(nat_node)
+        .expect("nat")
+        .set_links(inside_link, nat_out_link);
     topo.sim
         .world
         .node_mut::<Host>(laptop)
@@ -136,20 +154,38 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
     // Teredo addresses so all HIP/ESP traffic rides inside UDP — the
     // only thing the NAT can translate.
     let vm_locator: IpAddr = if use_teredo {
-        let IpAddr::V4(vm_v4) = vm.addr else { unreachable!() };
+        let IpAddr::V4(vm_v4) = vm.addr else {
+            unreachable!()
+        };
         IpAddr::V6(teredo_address(TEREDO_SERVER, vm_v4, TEREDO_PORT))
     } else {
         vm.addr
     };
     let mut shim_admin = HipShim::new(id_admin, HipConfig::default());
-    shim_admin.add_peer(hit_vm, PeerInfo { locators: vec![vm_locator], via_rvs: None });
+    shim_admin.add_peer(
+        hit_vm,
+        PeerInfo {
+            locators: vec![vm_locator],
+            via_rvs: None,
+        },
+    );
     let mut shim_vm = HipShim::new(id_vm, HipConfig::default());
-    shim_vm.add_peer(hit_admin, PeerInfo { locators: vec![admin_locator], via_rvs: None });
+    shim_vm.add_peer(
+        hit_admin,
+        PeerInfo {
+            locators: vec![admin_locator],
+            via_rvs: None,
+        },
+    );
 
     {
         let host = topo.sim.world.node_mut::<Host>(laptop).expect("laptop");
         if use_teredo {
-            host.core.teredo = Some(TeredoClient::new(LAPTOP_PRIVATE, TEREDO_SERVER, TEREDO_RELAY));
+            host.core.teredo = Some(TeredoClient::new(
+                LAPTOP_PRIVATE,
+                TEREDO_SERVER,
+                TEREDO_RELAY,
+            ));
         }
         host.set_shim(Box::new(shim_admin));
         host.add_app(Box::new(Admin {
@@ -161,7 +197,9 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
     // With Teredo the VM must also be Teredo-capable so its ESP/HIP
     // replies ride UDP (the admin's locator is an IPv6 Teredo address).
     if use_teredo {
-        let IpAddr::V4(vm_v4) = vm.addr else { unreachable!() };
+        let IpAddr::V4(vm_v4) = vm.addr else {
+            unreachable!()
+        };
         topo.host_mut(vm).core.teredo = Some(TeredoClient::new(vm_v4, TEREDO_SERVER, TEREDO_RELAY));
     }
     topo.host_mut(vm).set_shim(Box::new(shim_vm));
@@ -173,7 +211,12 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
         let host = topo.sim.world.node::<Host>(laptop).expect("laptop");
         host.app::<Admin>(0).expect("admin").output.clone()
     };
-    let bex = topo.host(vm).shim::<HipShim>().expect("shim").stats.bex_completed;
+    let bex = topo
+        .host(vm)
+        .shim::<HipShim>()
+        .expect("shim")
+        .stats
+        .bex_completed;
     let nat_drops = topo.sim.world.node::<Nat>(nat_node).expect("nat").dropped;
     (bex, output, nat_drops)
 }
@@ -190,7 +233,10 @@ fn main() {
     println!("attempt 2: HIP over Teredo (the paper's approach)");
     let (bex, output, _) = run(true);
     println!("  base exchanges completed: {bex}");
-    println!("  ssh-like session output: {:?}", String::from_utf8_lossy(&output));
+    println!(
+        "  ssh-like session output: {:?}",
+        String::from_utf8_lossy(&output)
+    );
     assert!(bex >= 1);
     assert!(output.starts_with(b"up 42 days"));
     println!("  -> SUCCESS: the admin reached the VM through NAT + Teredo, fully encrypted.");

@@ -46,17 +46,25 @@ struct Client {
 impl App for Client {
     fn start(&mut self, api: &mut HostApi) {
         println!("[client] connecting to HIT {} ...", self.server_hit);
-        api.tcp_connect(self.server_hit, 7777).expect("HIT is routable via the shim");
+        api.tcp_connect(self.server_hit, 7777)
+            .expect("HIT is routable via the shim");
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(sock)) => {
-                println!("[client] connected (BEX done, SAs installed) at t={}s", api.now());
+                println!(
+                    "[client] connected (BEX done, SAs installed) at t={}s",
+                    api.now()
+                );
                 api.tcp_send(sock, b"ping through ESP");
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
                 let msg = api.tcp_recv(sock);
-                println!("[client] got {:?} at t={}s", String::from_utf8_lossy(&msg), api.now());
+                println!(
+                    "[client] got {:?} at t={}s",
+                    String::from_utf8_lossy(&msg),
+                    api.now()
+                );
             }
             _ => {}
         }
@@ -87,14 +95,28 @@ fn main() {
     //    (DNS and rendezvous are the dynamic alternatives).
     let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
     let mut shim_a = HipShim::new(id_a, HipConfig::default());
-    shim_a.add_peer(hit_b, PeerInfo { locators: vec![vm_b.addr], via_rvs: None });
+    shim_a.add_peer(
+        hit_b,
+        PeerInfo {
+            locators: vec![vm_b.addr],
+            via_rvs: None,
+        },
+    );
     let mut shim_b = HipShim::new(id_b, HipConfig::default());
-    shim_b.add_peer(hit_a, PeerInfo { locators: vec![vm_a.addr], via_rvs: None });
+    shim_b.add_peer(
+        hit_a,
+        PeerInfo {
+            locators: vec![vm_a.addr],
+            via_rvs: None,
+        },
+    );
     topo.host_mut(vm_a).set_shim(Box::new(shim_a));
     topo.host_mut(vm_b).set_shim(Box::new(shim_b));
 
     // 4. Apps talk TCP to a HIT as if it were any IPv6 address.
-    topo.host_mut(vm_a).add_app(Box::new(Client { server_hit: hit_b.to_ip() }));
+    topo.host_mut(vm_a).add_app(Box::new(Client {
+        server_hit: hit_b.to_ip(),
+    }));
     topo.host_mut(vm_b).add_app(Box::new(Server));
 
     // 5. Run.
@@ -106,8 +128,14 @@ fn main() {
     println!("\nHIP layer on the client VM:");
     println!("  base exchanges completed: {}", s.bex_completed);
     println!("  ESP packets out/in:       {}/{}", s.esp_out, s.esp_in);
-    println!("  ESP payload bytes out/in: {}/{}", s.esp_bytes_out, s.esp_bytes_in);
-    println!("  auth/replay drops:        {}/{}", s.drops_auth, s.drops_replay);
+    println!(
+        "  ESP payload bytes out/in: {}/{}",
+        s.esp_bytes_out, s.esp_bytes_in
+    );
+    println!(
+        "  auth/replay drops:        {}/{}",
+        s.drops_auth, s.drops_replay
+    );
     assert!(shim.is_established(&hit_b));
     let _ = SimTime::ZERO;
     println!("\nEverything the application sent crossed the wire as IPsec ESP.");

@@ -84,9 +84,21 @@ fn main() {
     let (hit_mover, hit_peer) = (id_mover.hit(), id_peer.hit());
 
     let mut shim_m = HipShim::new(id_mover, HipConfig::default());
-    shim_m.add_peer(hit_peer, PeerInfo { locators: vec![peer.addr], via_rvs: None });
+    shim_m.add_peer(
+        hit_peer,
+        PeerInfo {
+            locators: vec![peer.addr],
+            via_rvs: None,
+        },
+    );
     let mut shim_p = HipShim::new(id_peer, HipConfig::default());
-    shim_p.add_peer(hit_mover, PeerInfo { locators: vec![mover.addr], via_rvs: None });
+    shim_p.add_peer(
+        hit_mover,
+        PeerInfo {
+            locators: vec![mover.addr],
+            via_rvs: None,
+        },
+    );
     topo.host_mut(mover).set_shim(Box::new(shim_m));
     topo.host_mut(peer).set_shim(Box::new(shim_p));
 
@@ -105,10 +117,17 @@ fn main() {
 
     println!("\n>>> migrating app-vm to the PRIVATE cloud (200 ms downtime)...");
     let report = migrate_with_hip(&mut topo, mover, private, SimDuration::from_millis(200));
-    println!("    locator changed: {} -> {}", report.old_addr, report.vm.addr);
+    println!(
+        "    locator changed: {} -> {}",
+        report.old_addr, report.vm.addr
+    );
 
     topo.run_for(SimDuration::from_secs(10));
-    let after = topo.host(report.vm).app::<Heartbeat>(hb).expect("app").echoes;
+    let after = topo
+        .host(report.vm)
+        .app::<Heartbeat>(hb)
+        .expect("app")
+        .echoes;
     println!("\nheartbeats echoed after migration:  {after} (same TCP connection)");
 
     let peer_shim = topo.host(peer).shim::<HipShim>().expect("shim");

@@ -71,12 +71,27 @@ fn hip_across_hybrid_cloud_through_umbrella_crate() {
     let id_b = HostIdentity::generate_rsa(512, &mut rng);
     let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
     let mut shim_a = HipShim::new(id_a, HipConfig::default());
-    shim_a.add_peer(hit_b, PeerInfo { locators: vec![b.addr], via_rvs: None });
+    shim_a.add_peer(
+        hit_b,
+        PeerInfo {
+            locators: vec![b.addr],
+            via_rvs: None,
+        },
+    );
     let mut shim_b = HipShim::new(id_b, HipConfig::default());
-    shim_b.add_peer(hit_a, PeerInfo { locators: vec![a.addr], via_rvs: None });
+    shim_b.add_peer(
+        hit_a,
+        PeerInfo {
+            locators: vec![a.addr],
+            via_rvs: None,
+        },
+    );
     topo.host_mut(a).set_shim(Box::new(shim_a));
     topo.host_mut(b).set_shim(Box::new(shim_b));
-    topo.host_mut(a).add_app(Box::new(Caller { target: hit_b.to_ip(), reply: vec![] }));
+    topo.host_mut(a).add_app(Box::new(Caller {
+        target: hit_b.to_ip(),
+        reply: vec![],
+    }));
     topo.host_mut(b).add_app(Box::new(Echo));
 
     topo.run_for(SimDuration::from_secs(5));
@@ -101,7 +116,12 @@ fn rubis_deployment_serves_each_scenario() {
         app.measure_from = SimTime(1_000_000_000);
         let idx = dep.topo.host_mut(gen).add_app(Box::new(app));
         dep.topo.sim.run_until(SimTime(4_000_000_000));
-        let completed = dep.topo.host(gen).app::<JmeterApp>(idx).expect("gen").completed;
+        let completed = dep
+            .topo
+            .host(gen)
+            .app::<JmeterApp>(idx)
+            .expect("gen")
+            .completed;
         assert!(completed > 20, "{scenario:?}: only {completed} requests");
     }
 }
@@ -123,14 +143,26 @@ fn dns_discovers_hip_peers() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let id = HostIdentity::generate_rsa(512, &mut rng);
     let mut zone = Zone::new();
-    dns_ext::publish(&mut zone, "web1.cloud", id.public(), &[server_vm.addr], vec![]);
-    topo.host_mut(dns_vm).add_app(Box::new(DnsServerApp::new(zone)));
-    let lookup = topo
-        .host_mut(client_vm)
-        .add_app(Box::new(DnsLookupApp::new(dns_vm.addr, "web1.cloud", RecordType::Any)));
+    dns_ext::publish(
+        &mut zone,
+        "web1.cloud",
+        id.public(),
+        &[server_vm.addr],
+        vec![],
+    );
+    topo.host_mut(dns_vm)
+        .add_app(Box::new(DnsServerApp::new(zone)));
+    let lookup = topo.host_mut(client_vm).add_app(Box::new(DnsLookupApp::new(
+        dns_vm.addr,
+        "web1.cloud",
+        RecordType::Any,
+    )));
 
     topo.run_for(SimDuration::from_secs(2));
-    let app = topo.host(client_vm).app::<DnsLookupApp>(lookup).expect("lookup");
+    let app = topo
+        .host(client_vm)
+        .app::<DnsLookupApp>(lookup)
+        .expect("lookup");
     assert!(app.responded);
     // Rebuild a zone from the answers and resolve with verification.
     let mut answer_zone = Zone::new();
@@ -144,18 +176,25 @@ fn dns_discovers_hip_peers() {
 
 /// Determinism across the whole stack: same seed, same result.
 #[test]
-fn whole_stack_is_deterministic()  {
+fn whole_stack_is_deterministic() {
     let run = || {
         let cfg = RubisConfig::fig2(Scenario::HipLsi, 77);
         let (users, items) = (cfg.users, cfg.items);
         let mut dep = deploy_rubis(cfg);
         let gen = dep.topo.add_external_host("gen", Flavor::Dedicated);
-        let idx = dep
-            .topo
-            .host_mut(gen)
-            .add_app(Box::new(JmeterApp::new(dep.frontend, 5, WorkloadMix::default(), users, items)));
+        let idx = dep.topo.host_mut(gen).add_app(Box::new(JmeterApp::new(
+            dep.frontend,
+            5,
+            WorkloadMix::default(),
+            users,
+            items,
+        )));
         dep.topo.sim.run_until(SimTime(3_000_000_000));
-        dep.topo.host(gen).app::<JmeterApp>(idx).expect("gen").completed
+        dep.topo
+            .host(gen)
+            .app::<JmeterApp>(idx)
+            .expect("gen")
+            .completed
     };
     assert_eq!(run(), run());
 }
