@@ -23,11 +23,14 @@ use crate::wire::{encode_locator, param_type, HipPacket, PacketType, Param};
 use netsim::fx::FxHashMap;
 use netsim::packet::{Packet, Payload};
 use netsim::{L35Shim, ShimApi, SimDuration, SimTime};
+use obs::MetricsRegistry;
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::HmacKey;
 use sim_crypto::kdf::keymat;
 use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
+use AssocState::{I1Sent, Keyed};
+use Phase::{Closing, Established, I2Sent};
 
 /// BEX/UPDATE retransmission interval.
 const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
@@ -104,18 +107,68 @@ pub struct HipStats {
     pub stale_spi_rebex: u64,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Where an association is, with the data that exists there. Keys exist
+/// from I2 on, so a keyed association keeps them beside its [`Phase`]:
+/// moving between phases never moves the keys.
+#[allow(clippy::large_enum_variant, reason = "ESP frames reach SAs inline")]
 enum AssocState {
-    I1Sent,
-    I2Sent,
-    Established,
-    Closing,
+    /// I1 sent, awaiting R1.
+    I1Sent(Pending),
+    /// KEYMAT derived: our I2 sent, or the peer's answered.
+    Keyed(Keys, Phase),
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Role {
-    Initiator,
-    Responder,
+/// The states of an association that holds [`Keys`].
+#[allow(clippy::large_enum_variant, reason = "ESP frames reach SAs inline")]
+enum Phase {
+    /// I2 sent, awaiting R2, which names the peer's SPI for these
+    /// outbound keys.
+    I2Sent(SaKeys, Pending),
+    /// Both SAs installed (the outbound one here): data flows.
+    Established(Sa, Mobility),
+    /// CLOSE sent, awaiting the CLOSE_ACK that echoes this nonce.
+    Closing(u64),
+}
+
+/// A base exchange this host started and is still running.
+#[derive(Default)]
+struct Pending {
+    /// Upper-layer packets waiting for the SA.
+    queued: Vec<Packet>,
+    /// When the I1 went out, for the `hip.bex` latency span.
+    started: SimTime,
+}
+
+/// An SA's encryption and authentication keys, cut from KEYMAT.
+type SaKeys = ([u8; 16], [u8; 32]);
+
+/// What an association holds from I2 on.
+struct Keys {
+    peer_hi: PublicHi,
+    /// Cached HMAC transcripts for outbound/inbound control packets
+    /// (ipad/opad absorbed once at KEYMAT time, cloned per packet).
+    hmac_out: HmacKey,
+    hmac_in: HmacKey,
+    /// Our inbound SA, under the SPI we sent the peer.
+    sa_in: Sa,
+}
+
+/// One direction of ESP: the SA and its metric handles, registered when
+/// the SA is installed while metrics are enabled.
+struct Sa {
+    esp: EspSa,
+    ids: Option<EspMetricIds>,
+}
+
+/// Mobility (RFC 5206) state of an established association.
+#[derive(Default)]
+struct Mobility {
+    /// Our last UPDATE SEQ.
+    seq: u32,
+    /// We moved and await the peer's echo.
+    in_flight: bool,
+    /// The peer moved; we sent an echo and await the response.
+    verify: Option<PendingVerify>,
 }
 
 struct Rtx {
@@ -127,6 +180,46 @@ struct Rtx {
     engine_timer: netsim::TimerToken,
 }
 
+/// An association's control-packet retransmission.
+struct Retransmit {
+    /// The shim timer token; a key of `HipShim::timers` exactly while
+    /// `armed` is set.
+    token: u64,
+    armed: Option<Rtx>,
+}
+
+impl Retransmit {
+    /// Arms a retransmission of `bytes` to `dst` in place of any armed one.
+    fn arm(
+        &mut self,
+        api: &mut ShimApi,
+        timers: &mut FxHashMap<u64, Hit>,
+        peer: Hit,
+        bytes: bytes::Bytes,
+        dst: IpAddr,
+        tries: u32,
+    ) {
+        let engine_timer = api.set_timer(RETRANSMIT_TIMEOUT, self.token);
+        if let Some(old) = self.armed.replace(Rtx {
+            bytes,
+            dst,
+            tries,
+            engine_timer,
+        }) {
+            api.cancel_timer(old.engine_timer);
+        }
+        timers.insert(self.token, peer);
+    }
+
+    /// Cancels the armed retransmission, if any, releasing the token.
+    fn cancel(&mut self, api: &mut ShimApi, timers: &mut FxHashMap<u64, Hit>) {
+        if let Some(rtx) = self.armed.take() {
+            api.cancel_timer(rtx.engine_timer);
+            timers.remove(&self.token);
+        }
+    }
+}
+
 /// Peer-side mobility verification in progress.
 struct PendingVerify {
     nonce: u64,
@@ -135,38 +228,10 @@ struct PendingVerify {
 }
 
 struct Association {
-    state: AssocState,
     local_locator: IpAddr,
     peer_locator: IpAddr,
-    /// Cached HMAC transcripts for outbound/inbound control packets
-    /// (ipad/opad absorbed once at KEYMAT time, cloned per packet).
-    hmac_out: HmacKey,
-    hmac_in: HmacKey,
-    sa_out: Option<EspSa>,
-    sa_in: Option<EspSa>,
-    /// Our inbound SPI (sent to the peer during BEX).
-    local_spi: u32,
-    queued: Vec<Packet>,
-    /// The shim timer token of this association's retransmissions; it is
-    /// a key of `HipShim::timers` exactly while `rtx` is armed.
-    timer: u64,
-    rtx: Option<Rtx>,
-    update_seq: u32,
-    /// Mobility: we moved and await the peer's echo.
-    update_in_flight: bool,
-    /// Mobility: peer moved; we sent an echo and await the response.
-    pending_verify: Option<PendingVerify>,
-    /// CLOSE nonce awaiting CLOSE_ACK.
-    close_nonce: Option<u64>,
-    peer_hi: Option<PublicHi>,
-    /// Outbound SA keys derived at I2 time, installed when R2 arrives
-    /// with the peer's SPI.
-    pending_out_keys: Option<([u8; 16], [u8; 32])>,
-    /// When the BEX started (I1 sent), for the `hip.bex` latency span.
-    bex_started: SimTime,
-    /// Per-SA metric handles, registered when the SA is installed.
-    esp_out_ids: Option<EspMetricIds>,
-    esp_in_ids: Option<EspMetricIds>,
+    rtx: Retransmit,
+    state: AssocState,
 }
 
 /// Metric handles for one direction of an SA, registered once when the
@@ -181,24 +246,32 @@ struct EspMetricIds {
     bytes: obs::HistId,
 }
 
-impl EspMetricIds {
-    fn outbound(m: &mut obs::MetricsRegistry, spi: u32) -> Self {
-        EspMetricIds {
-            packets: m.counter(&format!("esp.tx{{spi={spi:08x}}}")),
-            work: m.hist("esp.encrypt"),
-            bytes: m.hist("esp.out_bytes"),
-        }
-    }
-
-    fn inbound(m: &mut obs::MetricsRegistry, spi: u32) -> Self {
-        EspMetricIds {
+impl Sa {
+    /// Our inbound SA `spi`, carrying `peer` → `me`.
+    fn inbound(m: &mut MetricsRegistry, spi: u32, (enc, mac): SaKeys, peer: Hit, me: Hit) -> Self {
+        let ids = m.is_enabled().then(|| EspMetricIds {
             packets: m.counter(&format!("esp.rx{{spi={spi:08x}}}")),
             work: m.hist("esp.decrypt"),
             bytes: m.hist("esp.in_bytes"),
-        }
+        });
+        let esp = EspSa::new(spi, enc, mac, peer.to_ip(), me.to_ip());
+        Sa { esp, ids }
     }
 
-    fn record(self, m: &mut obs::MetricsRegistry, work: SimDuration, bytes: usize) {
+    /// The outbound SA `spi`, carrying `me` → `peer`.
+    fn outbound(m: &mut MetricsRegistry, spi: u32, (enc, mac): SaKeys, me: Hit, peer: Hit) -> Self {
+        let ids = m.is_enabled().then(|| EspMetricIds {
+            packets: m.counter(&format!("esp.tx{{spi={spi:08x}}}")),
+            work: m.hist("esp.encrypt"),
+            bytes: m.hist("esp.out_bytes"),
+        });
+        let esp = EspSa::new(spi, enc, mac, me.to_ip(), peer.to_ip());
+        Sa { esp, ids }
+    }
+}
+
+impl EspMetricIds {
+    fn record(self, m: &mut MetricsRegistry, work: SimDuration, bytes: usize) {
         m.add(self.packets, 1);
         m.observe(self.work, work.as_nanos());
         m.observe(self.bytes, bytes as u64);
@@ -209,7 +282,6 @@ impl EspMetricIds {
 struct R1Entry {
     params: Vec<Param>,
     dh: DhKeyPair,
-    k: u8,
 }
 
 /// Statically configured peer knowledge (the paper pre-configures HITs;
@@ -231,6 +303,7 @@ pub struct HipShim {
     my_lsi: Ipv4Addr,
     peers: FxHashMap<Hit, PeerInfo>,
     assocs: FxHashMap<Hit, Association>,
+    /// Inbound SPI → peer, one entry per live inbound SA.
     spi_in: FxHashMap<u32, Hit>,
     /// The HIT-based packet filter.
     pub firewall: Firewall,
@@ -313,7 +386,7 @@ impl HipShim {
     pub fn is_established(&self, peer: &Hit) -> bool {
         self.assocs
             .get(peer)
-            .is_some_and(|a| a.state == AssocState::Established)
+            .is_some_and(|a| matches!(a.state, Keyed(_, Established(..))))
     }
 
     /// The peer locator currently used for `peer` (tests/mobility).
@@ -325,154 +398,42 @@ impl HipShim {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// Checks the retransmission bookkeeping: every timer token maps to
-    /// an association whose retransmission is armed under that token,
-    /// and every armed retransmission has its token, so the shim holds
-    /// exactly one token per pending retransmission.
+    /// Checks the shim's bookkeeping against its associations: `timers`
+    /// holds one token per armed retransmission, `spi_in` one SPI per
+    /// live inbound SA, and `active_puzzles` at most one puzzle per R1
+    /// pool entry, each pointing into the pool.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (token, peer) in &self.timers {
-            match self.assocs.get(peer) {
-                Some(a) if a.timer == *token && a.rtx.is_some() => {}
-                _ => {
-                    return Err(format!(
-                        "timer token {token} ({peer:?}) has no armed retransmission"
-                    ))
-                }
-            }
+        let armed = self.assocs.iter().filter(|(_, a)| a.rtx.armed.is_some());
+        let timers: FxHashMap<u64, Hit> = armed.map(|(p, a)| (a.rtx.token, *p)).collect();
+        if timers != self.timers {
+            return Err(format!("timer tokens {:?}, armed {timers:?}", self.timers));
         }
-        let pending = self.assocs.values().filter(|a| a.rtx.is_some()).count();
-        if self.timers.len() != pending {
-            return Err(format!(
-                "{} timer tokens for {pending} pending retransmissions",
-                self.timers.len()
-            ));
+        let sas_in = self.assocs.iter().filter_map(|(p, a)| match &a.state {
+            Keyed(keys, _) => Some((keys.sa_in.esp.spi, *p)),
+            I1Sent(_) => None,
+        });
+        let spi_in: FxHashMap<u32, Hit> = sas_in.collect();
+        if spi_in != self.spi_in {
+            return Err(format!("inbound SPIs {:?}, SAs {spi_in:?}", self.spi_in));
+        }
+        let pool = self.r1_pool.len();
+        let puzzles = self.active_puzzles.len();
+        if puzzles > R1_POOL_SIZE || self.active_puzzles.values().any(|&idx| idx >= pool) {
+            return Err(format!("{puzzles} active puzzles for an R1 pool of {pool}"));
         }
         Ok(())
     }
 
-    /// A new association; it takes the next timer token.
-    fn new_assoc(&mut self, local_locator: IpAddr, peer_locator: IpAddr) -> Association {
+    /// A new association from `src` to `dst` in `state`; it takes the
+    /// next timer token.
+    fn new_assoc(&mut self, src: IpAddr, dst: IpAddr, state: AssocState) -> Association {
         self.next_timer += 1;
-        Association::new(self.next_timer, local_locator, peer_locator)
-    }
-
-    fn send_control(
-        &mut self,
-        api: &mut ShimApi,
-        work: SimDuration,
-        pkt: &HipPacket,
-        src: IpAddr,
-        dst: IpAddr,
-    ) -> bytes::Bytes {
-        let bytes = pkt.encode();
-        let delay = api.charge_cpu(work);
-        api.send_wire(
-            delay,
-            Packet::new(src, dst, Payload::HipControl(bytes.clone())),
-        );
-        bytes
-    }
-
-    /// Arms `peer`'s retransmission of `bytes` under its association's
-    /// timer token, cancelling the retransmission it replaces.
-    fn arm_rtx(
-        &mut self,
-        api: &mut ShimApi,
-        peer: Hit,
-        bytes: bytes::Bytes,
-        dst: IpAddr,
-        tries: u32,
-    ) {
-        let Some(a) = self.assocs.get_mut(&peer) else {
-            return;
-        };
-        let engine_timer = api.set_timer(RETRANSMIT_TIMEOUT, a.timer);
-        if let Some(old) = a.rtx.replace(Rtx {
-            bytes,
-            dst,
-            tries,
-            engine_timer,
-        }) {
-            api.cancel_timer(old.engine_timer);
-        }
-        self.timers.insert(a.timer, peer);
-    }
-
-    /// Cancels `peer`'s pending retransmission, if any, and releases its
-    /// timer token.
-    fn cancel_rtx(&mut self, api: &mut ShimApi, peer: &Hit) {
-        let Some(a) = self.assocs.get_mut(peer) else {
-            return;
-        };
-        if let Some(rtx) = a.rtx.take() {
-            api.cancel_timer(rtx.engine_timer);
-            self.timers.remove(&a.timer);
-        }
-    }
-
-    /// Signs a packet's parameter list: appends HMAC (if `hmac_key`) and
-    /// SIGNATURE in the right order and returns the finished packet.
-    fn seal(
-        &self,
-        api: &mut ShimApi,
-        ptype: PacketType,
-        receiver: Hit,
-        mut params: Vec<Param>,
-        hmac_key: Option<&HmacKey>,
-    ) -> HipPacket {
-        if let Some(key) = hmac_key {
-            let unsealed = HipPacket::new(ptype, self.hit(), receiver, params.clone());
-            let covered = unsealed.bytes_before(param_type::HMAC);
-            params.push(Param::Hmac(key.mac(&covered)));
-        }
-        let with_mac = HipPacket::new(ptype, self.hit(), receiver, params.clone());
-        let covered = with_mac.bytes_before(param_type::HIP_SIGNATURE);
-        let sig = self.identity.sign(&covered, api.rng());
-        params.push(Param::Signature(sig));
-        HipPacket::new(ptype, self.hit(), receiver, params)
-    }
-
-    /// Verifies HMAC (against `hmac_key`) and signature (against `hi`).
-    fn verify_sealed(&self, pkt: &HipPacket, hi: &PublicHi, hmac_key: Option<&HmacKey>) -> bool {
-        if let Some(key) = hmac_key {
-            let Some(mac) = pkt.hmac() else { return false };
-            let covered = pkt.bytes_before(param_type::HMAC);
-            let expect = key.mac(&covered);
-            if !sim_crypto::hmac::verify_mac(&expect, mac) {
-                return false;
-            }
-        }
-        let Some(sig) = pkt.signature() else {
-            return false;
-        };
-        let covered = pkt.bytes_before(param_type::HIP_SIGNATURE);
-        hi.verify(&covered, sig)
-    }
-
-    /// KEYMAT → (hmac_out, hmac_in, sa_out_keys, sa_in_keys) by role.
-    #[allow(clippy::type_complexity)]
-    fn derive_keys(
-        &self,
-        kij: &[u8],
-        peer: Hit,
-        i: u64,
-        j: u64,
-        role: Role,
-    ) -> (HmacKey, HmacKey, ([u8; 16], [u8; 32]), ([u8; 16], [u8; 32])) {
-        let my = self.hit();
-        let km = keymat(kij, &my.0, &peer.0, i, j, 160);
-        // Control-packet HMAC keys become cached transcripts right here,
-        // so every later seal/verify clones midstates instead of
-        // re-deriving the key block.
-        let hmac_i2r = HmacKey::new(&km[0..32]);
-        let hmac_r2i = HmacKey::new(&km[32..64]);
-        let enc_i2r: [u8; 16] = km[64..80].try_into().expect("slice");
-        let auth_i2r: [u8; 32] = km[80..112].try_into().expect("slice");
-        let enc_r2i: [u8; 16] = km[112..128].try_into().expect("slice");
-        let auth_r2i: [u8; 32] = km[128..160].try_into().expect("slice");
-        match role {
-            Role::Initiator => (hmac_i2r, hmac_r2i, (enc_i2r, auth_i2r), (enc_r2i, auth_r2i)),
-            Role::Responder => (hmac_r2i, hmac_i2r, (enc_r2i, auth_r2i), (enc_i2r, auth_i2r)),
+        let token = self.next_timer;
+        Association {
+            local_locator: src,
+            peer_locator: dst,
+            rtx: Retransmit { token, armed: None },
+            state,
         }
     }
 
@@ -481,11 +442,10 @@ impl HipShim {
         for idx in 0..R1_POOL_SIZE {
             let dh = DhKeyPair::generate(self.config.dh_group, api.rng());
             let i = api.random_u64();
-            let k = self.config.puzzle_k;
             let mut params = vec![
                 Param::R1Counter(idx as u64),
                 Param::Puzzle {
-                    k,
+                    k: self.config.puzzle_k,
                     lifetime: 120,
                     opaque: idx as u16,
                     i,
@@ -503,7 +463,7 @@ impl HipShim {
             let covered = unsigned.bytes_before_with_zero_receiver(param_type::HIP_SIGNATURE);
             params.push(Param::Signature(self.identity.sign(&covered, api.rng())));
             self.active_puzzles.insert(i, idx);
-            self.r1_pool.push(R1Entry { params, dh, k });
+            self.r1_pool.push(R1Entry { params, dh });
         }
     }
 
@@ -525,16 +485,15 @@ impl HipShim {
             return;
         };
         let i1 = HipPacket::new(PacketType::I1, self.hit(), peer, vec![]);
-        let bytes = self.send_control(api, self.config.costs.hit_lookup, &i1, src, dst);
+        let bytes = send_control(api, self.config.costs.hit_lookup, &i1, src, dst);
         self.stats.bex_initiated += 1;
-        let mut assoc = self.new_assoc(src, dst);
-        assoc.state = AssocState::I1Sent;
-        assoc.bex_started = api.now();
-        if let Some(p) = first_packet {
-            assoc.queued.push(p);
-        }
+        let mut queued = Vec::new();
+        queued.extend(first_packet);
+        let started = api.now();
+        let state = I1Sent(Pending { queued, started });
+        let mut assoc = self.new_assoc(src, dst, state);
+        assoc.rtx.arm(api, &mut self.timers, peer, bytes, dst, 0);
         self.assocs.insert(peer, assoc);
-        self.arm_rtx(api, peer, bytes, dst, 0);
         api.trace_state(|| format!("BEX: I1 -> {peer:?} via {dst}"));
     }
 
@@ -572,18 +531,18 @@ impl HipShim {
         };
         // Precomputed: only a table lookup is charged — this is the DoS
         // resilience property (§IV-B).
-        self.send_control(api, self.config.costs.hit_lookup, &r1, src, reply_to);
+        send_control(api, self.config.costs.hit_lookup, &r1, src, reply_to);
         self.stats.bex_responded += 1;
     }
 
     fn on_r1(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get(&peer) else {
+        let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        if assoc.state != AssocState::I1Sent {
+        let I1Sent(pending) = &mut assoc.state else {
             return;
-        }
+        };
         // Validate the host identity and signature.
         let Some(hi_bytes) = pkt.host_id() else {
             return;
@@ -616,8 +575,9 @@ impl HipShim {
         };
 
         // Solve the puzzle (really).
+        let my_hit = self.identity.hit();
         let j0 = api.random_u64();
-        let (j, attempts) = puzzle::solve(i, k, &self.hit(), &peer, j0);
+        let (j, attempts) = puzzle::solve(i, k, &my_hit, &peer, j0);
         api.metrics().observe_name("hip.puzzle.attempts", attempts);
 
         // DH: generate our ephemeral pair and compute the shared secret.
@@ -626,8 +586,8 @@ impl HipShim {
             self.stats.drops_auth += 1;
             return;
         };
-        let (hmac_out, hmac_in, out_keys, in_keys) =
-            self.derive_keys(&kij, peer, i, j, Role::Initiator);
+        // As initiator we send under the I→R keys.
+        let [(hmac_out, out_keys), (hmac_in, in_keys)] = derive_keys(&kij, my_hit, peer, i, j);
 
         let local_spi = (api.random_u64() as u32) | 1;
         let params = vec![
@@ -644,7 +604,14 @@ impl HipShim {
             },
             Param::HostId(self.identity.public().to_bytes()),
         ];
-        let i2 = self.seal(api, PacketType::I2, peer, params, Some(&hmac_out));
+        let i2 = seal(
+            &self.identity,
+            api,
+            PacketType::I2,
+            peer,
+            params,
+            Some(&hmac_out),
+        );
 
         // Total control-plane CPU: R1 verify + puzzle + 2 DH ops + I2 sign.
         let costs = &self.config.costs;
@@ -660,33 +627,24 @@ impl HipShim {
         let Some(src) = api.local_locator(&peer_locator) else {
             return;
         };
-        let bytes = self.send_control(api, work, &i2, src, peer_locator);
+        let bytes = send_control(api, work, &i2, src, peer_locator);
 
-        let my_hit = self.hit();
-        let assoc = self.assocs.get_mut(&peer).expect("checked above");
-        assoc.state = AssocState::I2Sent;
+        // The inbound SA can be installed now (the peer will use our
+        // SPI); the outbound one waits for the peer's SPI in R2.
+        let sa_in = Sa::inbound(api.metrics(), local_spi, in_keys, peer, my_hit);
+        let keys = Keys {
+            peer_hi: hi,
+            hmac_out,
+            hmac_in,
+            sa_in,
+        };
+        assoc.state = Keyed(keys, I2Sent(out_keys, std::mem::take(pending)));
         assoc.peer_locator = peer_locator;
         assoc.local_locator = src;
-        assoc.hmac_out = hmac_out;
-        assoc.hmac_in = hmac_in;
-        assoc.local_spi = local_spi;
-        assoc.peer_hi = Some(hi);
-        // Inbound SA can be installed now (peer will use our SPI).
-        assoc.sa_in = Some(EspSa::new(
-            local_spi,
-            in_keys.0,
-            in_keys.1,
-            peer.to_ip(),
-            my_hit.to_ip(),
-        ));
-        if api.metrics().is_enabled() {
-            assoc.esp_in_ids = Some(EspMetricIds::inbound(api.metrics(), local_spi));
-        }
-        // Outbound SA waits for the peer's SPI in R2; stash keys in the
-        // assoc via a placeholder SA created on R2 using derived keys.
-        assoc.pending_out_keys = Some(out_keys);
         self.spi_in.insert(local_spi, peer);
-        self.arm_rtx(api, peer, bytes, peer_locator, 0);
+        assoc
+            .rtx
+            .arm(api, &mut self.timers, peer, bytes, peer_locator, 0);
         api.trace_state(|| {
             format!("BEX: R1 ok, I2 -> {peer:?} (puzzle k={k}, {attempts} attempts)")
         });
@@ -699,16 +657,23 @@ impl HipShim {
             api.metrics().add_name("hip.drop.firewall", 1);
             return;
         }
-        let Some((k, opaque, i, j)) = pkt.solution() else {
+        let my_hit = self.hit();
+        // Both ends sent an I2 (RFC 5201 §4.4.2): the larger HIT answers
+        // as responder, the smaller drops this I2 and awaits the R2 to
+        // its own.
+        let state = self.assocs.get(&peer).map(|a| &a.state);
+        if matches!(state, Some(Keyed(_, I2Sent(..)))) && my_hit < peer {
+            return;
+        }
+        let Some((k, _, i, j)) = pkt.solution() else {
             return;
         };
-        let _ = opaque;
         // The puzzle must be one we issued (pool membership) and solved.
         let Some(&pool_idx) = self.active_puzzles.get(&i) else {
             self.stats.drops_auth += 1;
             return;
         };
-        if self.r1_pool[pool_idx].k != k || !puzzle::verify(i, k, &peer, &self.hit(), j) {
+        if k != self.config.puzzle_k || !puzzle::verify(i, k, &peer, &my_hit, j) {
             self.stats.drops_auth += 1;
             return;
         }
@@ -729,10 +694,10 @@ impl HipShim {
             self.stats.drops_auth += 1;
             return;
         };
-        let (hmac_out, hmac_in, out_keys, in_keys) =
-            self.derive_keys(&kij, peer, i, j, Role::Responder);
+        // As responder we send under the R→I keys.
+        let [(hmac_in, in_keys), (hmac_out, out_keys)] = derive_keys(&kij, my_hit, peer, i, j);
         // HMAC then signature.
-        if !self.verify_sealed(pkt, &hi, Some(&hmac_in)) {
+        if !verify_sealed(pkt, &hi, &hmac_in) {
             self.stats.drops_auth += 1;
             return;
         }
@@ -745,7 +710,14 @@ impl HipShim {
             old_spi: 0,
             new_spi: local_spi,
         }];
-        let r2 = self.seal(api, PacketType::R2, peer, params, Some(&hmac_out));
+        let r2 = seal(
+            &self.identity,
+            api,
+            PacketType::R2,
+            peer,
+            params,
+            Some(&hmac_out),
+        );
 
         let costs = &self.config.costs;
         let work = costs.hash_attempt // puzzle verification: one hash
@@ -756,48 +728,36 @@ impl HipShim {
         let Some(src) = api.local_locator(&peer_locator) else {
             return;
         };
-        self.send_control(api, work, &r2, src, peer_locator);
+        send_control(api, work, &r2, src, peer_locator);
 
-        let mut assoc = self.new_assoc(src, peer_locator);
-        assoc.state = AssocState::Established;
-        assoc.hmac_out = hmac_out;
-        assoc.hmac_in = hmac_in;
-        assoc.local_spi = local_spi;
-        assoc.peer_hi = Some(hi);
-        assoc.sa_in = Some(EspSa::new(
-            local_spi,
-            in_keys.0,
-            in_keys.1,
-            peer.to_ip(),
-            self.hit().to_ip(),
-        ));
-        assoc.sa_out = Some(EspSa::new(
-            peer_spi,
-            out_keys.0,
-            out_keys.1,
-            self.hit().to_ip(),
-            peer.to_ip(),
-        ));
-        if api.metrics().is_enabled() {
-            assoc.esp_in_ids = Some(EspMetricIds::inbound(api.metrics(), local_spi));
-            assoc.esp_out_ids = Some(EspMetricIds::outbound(api.metrics(), peer_spi));
-        }
-        self.spi_in.insert(local_spi, peer);
+        let sa_in = Sa::inbound(api.metrics(), local_spi, in_keys, peer, my_hit);
+        let sa_out = Sa::outbound(api.metrics(), peer_spi, out_keys, my_hit, peer);
+        let keys = Keys {
+            peer_hi: hi,
+            hmac_out,
+            hmac_in,
+            sa_in,
+        };
+        let state = Keyed(keys, Established(sa_out, Mobility::default()));
+        let assoc = self.new_assoc(src, peer_locator, state);
         // Make sure the peer has an LSI for legacy traffic.
         self.lsi.lsi_for(peer);
         self.peers.entry(peer).or_insert_with(|| PeerInfo {
             locators: vec![peer_locator],
             via_rvs: None,
         });
-        // An association this one replaces keeps its engine timer, which
-        // fires unheard once its token is released.
-        if let Some(old) = self.assocs.insert(peer, assoc) {
-            if old.rtx.is_some() {
-                self.timers.remove(&old.timer);
-            }
-        }
+        // An association this one replaces is released, and what it had
+        // queued goes out through the new SA.
+        let queued = match self.assocs.insert(peer, assoc) {
+            Some(old) => self.release(api, old),
+            None => Vec::new(),
+        };
+        self.spi_in.insert(local_spi, peer);
         self.stats.bex_completed += 1;
         api.trace_state(|| format!("BEX: established (responder) with {peer:?}"));
+        for pkt in queued {
+            self.encap_and_send(api, peer, pkt, SimDuration::ZERO);
+        }
     }
 
     fn on_r2(&mut self, api: &mut ShimApi, pkt: &HipPacket, _wire: &Packet) {
@@ -805,50 +765,36 @@ impl HipShim {
         let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        if assoc.state != AssocState::I2Sent {
-            return;
-        }
-        let Some(hi) = assoc.peer_hi.clone() else {
+        let Keyed(keys, phase) = &mut assoc.state else {
             return;
         };
-        let hmac_in = assoc.hmac_in.clone();
-        if !self.verify_sealed(pkt, &hi, Some(&hmac_in)) {
+        let I2Sent(out_keys, pending) = phase else {
+            return;
+        };
+        if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
             self.stats.drops_auth += 1;
             return;
         }
         let Some((_, peer_spi)) = pkt.esp_info() else {
             return;
         };
-        let costs = self.config.costs;
-        let work = costs.verify(hi.algorithm());
+        let work = self.config.costs.verify(keys.peer_hi.algorithm());
         let delay = api.charge_cpu(work);
 
-        let my_hit = self.hit();
-        let assoc = self.assocs.get_mut(&peer).expect("present");
-        let out_keys = assoc.pending_out_keys.take().expect("keys derived at I2");
-        assoc.sa_out = Some(EspSa::new(
-            peer_spi,
-            out_keys.0,
-            out_keys.1,
-            my_hit.to_ip(),
-            peer.to_ip(),
-        ));
-        assoc.state = AssocState::Established;
         // The full base exchange span, I1 sent → R2 verified.
-        let bex_ns = api
-            .now()
-            .as_nanos()
-            .saturating_sub(assoc.bex_started.as_nanos());
+        let bex_ns = api.now().since(pending.started).as_nanos();
         if api.metrics().is_enabled() {
             api.metrics().observe_name("hip.bex", bex_ns);
-            assoc.esp_out_ids = Some(EspMetricIds::outbound(api.metrics(), peer_spi));
         }
-        self.cancel_rtx(api, &peer);
+        let my_hit = self.identity.hit();
+        let sa_out = Sa::outbound(api.metrics(), peer_spi, *out_keys, my_hit, peer);
+        let queued = std::mem::take(&mut pending.queued);
+        *phase = Established(sa_out, Mobility::default());
+        assoc.rtx.cancel(api, &mut self.timers);
         self.lsi.lsi_for(peer);
         self.stats.bex_completed += 1;
         api.trace_state(|| format!("BEX: established (initiator) with {peer:?}"));
         // Flush queued upper packets through the new SA.
-        let queued = std::mem::take(&mut self.assocs.get_mut(&peer).expect("present").queued);
         for pkt in queued {
             self.encap_and_send(api, peer, pkt, delay);
         }
@@ -856,26 +802,22 @@ impl HipShim {
 
     fn on_update(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get(&peer) else {
+        let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        if assoc.state != AssocState::Established {
-            return;
-        }
-        let Some(hi) = assoc.peer_hi.clone() else {
+        let Keyed(keys, Established(_, mobility)) = &mut assoc.state else {
             return;
         };
-        let hmac_in = assoc.hmac_in.clone();
-        if !self.verify_sealed(pkt, &hi, Some(&hmac_in)) {
+        if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
             self.stats.drops_auth += 1;
             return;
         }
-        let verify_cost = self.config.costs.verify(hi.algorithm());
+        let verify_cost = self.config.costs.verify(keys.peer_hi.algorithm());
         let sign_cost = self.config.costs.sign(self.identity.algorithm());
 
         let locators = pkt.locators();
         let seq = pkt.seq();
-        let ack = pkt.ack().map(<[u32]>::to_vec);
+        let ack = pkt.ack();
         let echo_req = pkt.find(|p| match p {
             Param::EchoRequest(n) => Some(*n),
             _ => None,
@@ -888,82 +830,77 @@ impl HipShim {
         // Case 1: peer announces a new locator (it moved).
         if let (Some(new_loc), Some(peer_seq)) = (locators.first().copied(), seq) {
             let nonce = api.random_u64();
-            let assoc = self.assocs.get_mut(&peer).expect("present");
-            assoc.update_seq += 1;
-            let our_seq = assoc.update_seq;
-            assoc.pending_verify = Some(PendingVerify {
+            mobility.seq += 1;
+            mobility.verify = Some(PendingVerify {
                 nonce,
                 new_locator: new_loc,
-                seq_ours: our_seq,
+                seq_ours: mobility.seq,
             });
-            let hmac_out = assoc.hmac_out.clone();
             let params = vec![
-                Param::Seq(our_seq),
+                Param::Seq(mobility.seq),
                 Param::Ack(vec![peer_seq]),
                 Param::EchoRequest(nonce),
             ];
-            let reply = self.seal(api, PacketType::Update, peer, params, Some(&hmac_out));
+            let reply = seal(
+                &self.identity,
+                api,
+                PacketType::Update,
+                peer,
+                params,
+                Some(&keys.hmac_out),
+            );
             // Address verification: the echo goes to the *new* locator.
             let Some(src) = api.local_locator(&new_loc) else {
                 return;
             };
-            self.send_control(api, verify_cost + sign_cost, &reply, src, new_loc);
+            send_control(api, verify_cost + sign_cost, &reply, src, new_loc);
             api.trace_state(|| format!("UPDATE: {peer:?} moved to {new_loc}, verifying"));
             return;
         }
 
         // Case 2: we moved; the peer echoes — answer from the new address.
         if let (Some(nonce), Some(peer_seq)) = (echo_req, seq) {
-            let assoc = &self.assocs[&peer];
-            let acked = ack
-                .as_deref()
-                .is_some_and(|a| a.contains(&assoc.update_seq));
+            if ack.is_some_and(|a| a.contains(&mobility.seq)) {
+                assoc.rtx.cancel(api, &mut self.timers);
+            }
+            mobility.in_flight = false;
+            let params = vec![Param::Ack(vec![peer_seq]), Param::EchoResponse(nonce)];
+            let reply = seal(
+                &self.identity,
+                api,
+                PacketType::Update,
+                peer,
+                params,
+                Some(&keys.hmac_out),
+            );
             // Return routability: the response must leave from the
             // locator we announced, proving we are reachable there.
-            let (hmac_out, dst, src) = (
-                assoc.hmac_out.clone(),
-                assoc.peer_locator,
-                assoc.local_locator,
-            );
-            if acked {
-                self.cancel_rtx(api, &peer);
-            }
-            let params = vec![Param::Ack(vec![peer_seq]), Param::EchoResponse(nonce)];
-            let reply = self.seal(api, PacketType::Update, peer, params, Some(&hmac_out));
-            self.send_control(api, verify_cost + sign_cost, &reply, src, dst);
-            let assoc = self.assocs.get_mut(&peer).expect("present");
-            assoc.update_in_flight = false;
+            let work = verify_cost + sign_cost;
+            send_control(api, work, &reply, assoc.local_locator, assoc.peer_locator);
             self.stats.updates_completed += 1;
             return;
         }
 
         // Case 3: echo response completes our verification of their move.
-        if let Some(nonce) = echo_resp {
-            let assoc = self.assocs.get_mut(&peer).expect("present");
-            if let Some(pv) = &assoc.pending_verify {
-                if pv.nonce == nonce && wire.src == pv.new_locator {
-                    assoc.peer_locator = pv.new_locator;
-                    if ack.as_deref().is_some_and(|a| a.contains(&pv.seq_ours)) {
-                        assoc.pending_verify = None;
-                    }
-                    api.charge_cpu(verify_cost);
-                    self.stats.updates_completed += 1;
-                    api.trace_state(|| format!("UPDATE: verified {peer:?} at {}", wire.src));
+        if let (Some(nonce), Some(pv)) = (echo_resp, &mobility.verify) {
+            if pv.nonce == nonce && wire.src == pv.new_locator {
+                assoc.peer_locator = pv.new_locator;
+                if ack.is_some_and(|a| a.contains(&pv.seq_ours)) {
+                    mobility.verify = None;
                 }
+                api.charge_cpu(verify_cost);
+                self.stats.updates_completed += 1;
+                api.trace_state(|| format!("UPDATE: verified {peer:?} at {}", wire.src));
             }
         }
     }
 
     fn on_close(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get(&peer) else {
+        let Some(Keyed(keys, _)) = self.assocs.get(&peer).map(|a| &a.state) else {
             return;
         };
-        let Some(hi) = assoc.peer_hi.clone() else {
-            return;
-        };
-        let hmac_in = assoc.hmac_in.clone();
-        if !self.verify_sealed(pkt, &hi, Some(&hmac_in)) {
+        if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
             self.stats.drops_auth += 1;
             return;
         }
@@ -971,52 +908,60 @@ impl HipShim {
             Param::EchoRequest(n) => Some(*n),
             _ => None,
         });
-        let hmac_out = assoc.hmac_out.clone();
-        let mut params = Vec::new();
-        if let Some(n) = nonce {
-            params.push(Param::EchoResponse(n));
-        }
-        let ack = self.seal(api, PacketType::CloseAck, peer, params, Some(&hmac_out));
+        let params = nonce.map(Param::EchoResponse).into_iter().collect();
+        let ack = seal(
+            &self.identity,
+            api,
+            PacketType::CloseAck,
+            peer,
+            params,
+            Some(&keys.hmac_out),
+        );
         let dst = wire.src;
         let Some(src) = api.local_locator(&dst) else {
             return;
         };
         let costs = self.config.costs;
-        self.send_control(
-            api,
-            costs.verify(hi.algorithm()) + costs.sign(self.identity.algorithm()),
-            &ack,
-            src,
-            dst,
-        );
+        let work = costs.verify(keys.peer_hi.algorithm()) + costs.sign(self.identity.algorithm());
+        send_control(api, work, &ack, src, dst);
         self.teardown(api, &peer);
         self.stats.closes += 1;
     }
 
     fn on_close_ack(&mut self, api: &mut ShimApi, pkt: &HipPacket) {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get(&peer) else {
+        let Some(&Keyed(_, Closing(nonce))) = self.assocs.get(&peer).map(|a| &a.state) else {
             return;
         };
-        if assoc.state != AssocState::Closing {
-            return;
-        }
-        let expected = assoc.close_nonce;
         let got = pkt.find(|p| match p {
             Param::EchoResponse(n) => Some(*n),
             _ => None,
         });
-        if expected.is_some() && expected == got {
+        if got == Some(nonce) {
             self.teardown(api, &peer);
             self.stats.closes += 1;
         }
     }
 
-    /// Removes the association, cancelling its pending retransmission.
+    /// Removes the association with `peer` and releases it.
     fn teardown(&mut self, api: &mut ShimApi, peer: &Hit) {
-        self.cancel_rtx(api, peer);
-        if let Some(a) = self.assocs.remove(peer) {
-            self.spi_in.remove(&a.local_spi);
+        if let Some(old) = self.assocs.remove(peer) {
+            self.release(api, old);
+        }
+    }
+
+    /// Cancels `old`'s retransmission and releases its inbound SPI;
+    /// returns the upper-layer packets it had queued.
+    fn release(&mut self, api: &mut ShimApi, mut old: Association) -> Vec<Packet> {
+        old.rtx.cancel(api, &mut self.timers);
+        let (keys, phase) = match old.state {
+            I1Sent(pending) => return pending.queued,
+            Keyed(keys, phase) => (keys, phase),
+        };
+        self.spi_in.remove(&keys.sa_in.esp.spi);
+        match phase {
+            I2Sent(_, pending) => pending.queued,
+            Established(..) | Closing(_) => Vec::new(),
         }
     }
 
@@ -1024,13 +969,7 @@ impl HipShim {
     // Data plane
     // ------------------------------------------------------------------
 
-    fn encap_and_send(
-        &mut self,
-        api: &mut ShimApi,
-        peer: Hit,
-        pkt: Packet,
-        extra_delay: SimDuration,
-    ) {
+    fn encap_and_send(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, after: SimDuration) {
         let mode = if netsim::addr::is_lsi(&pkt.dst) {
             InnerMode::Lsi
         } else {
@@ -1040,22 +979,22 @@ impl HipShim {
         let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        let Some(sa) = assoc.sa_out.as_mut() else {
+        let Keyed(_, Established(sa_out, _)) = &mut assoc.state else {
             self.stats.drops_no_sa += 1;
             return;
         };
         let payload_len = pkt.payload.wire_len();
         let iv_seed = api.random_u64();
-        let esp = sa.encapsulate(mode, &pkt.payload, iv_seed);
+        let esp = sa_out.esp.encapsulate(mode, &pkt.payload, iv_seed);
         let wire = Packet::new(assoc.local_locator, assoc.peer_locator, Payload::Esp(esp));
         let mut work = costs.symmetric(payload_len) + costs.hit_lookup;
         if mode == InnerMode::Lsi {
             work += costs.lsi_translation;
         }
-        let delay = api.charge_cpu(work) + extra_delay;
+        let delay = api.charge_cpu(work) + after;
         self.stats.esp_out += 1;
         self.stats.esp_bytes_out += payload_len as u64;
-        if let Some(ids) = assoc.esp_out_ids {
+        if let Some(ids) = sa_out.ids {
             ids.record(api.metrics(), work, payload_len);
         }
         api.send_wire(delay, wire);
@@ -1082,15 +1021,16 @@ impl HipShim {
         let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        let Some(sa) = assoc.sa_in.as_mut() else {
+        let Keyed(keys, _) = &mut assoc.state else {
             self.stats.drops_no_sa += 1;
             return;
         };
-        match sa.decapsulate(esp) {
+        let sa = &mut keys.sa_in;
+        match sa.esp.decapsulate(esp) {
             Ok((mode, payload)) => {
                 let len = payload.wire_len();
                 let inner = crate::esp::rebuild_inner(
-                    sa,
+                    &sa.esp,
                     mode,
                     payload,
                     IpAddr::V4(peer_lsi),
@@ -1103,7 +1043,7 @@ impl HipShim {
                 let delay = api.charge_cpu(work);
                 self.stats.esp_in += 1;
                 self.stats.esp_bytes_in += len as u64;
-                if let Some(ids) = assoc.esp_in_ids {
+                if let Some(ids) = sa.ids {
                     ids.record(api.metrics(), work, len);
                 }
                 api.deliver_upper(delay, inner);
@@ -1152,7 +1092,7 @@ impl HipShim {
                 new_spi: 0,
             }],
         );
-        self.send_control(api, self.config.costs.hit_lookup, &notify, src, dst);
+        send_control(api, self.config.costs.hit_lookup, &notify, src, dst);
         self.stats.notifies_sent += 1;
         api.metrics().add_name("hip.notify.stale_spi", 1);
         api.trace_state(|| format!("NOTIFY: stale SPI {spi:08x} -> {dst}"));
@@ -1169,11 +1109,11 @@ impl HipShim {
         let Some((old_spi, _)) = pkt.esp_info() else {
             return;
         };
-        let peer = self.assocs.iter().find_map(|(h, a)| {
-            (a.state == AssocState::Established
-                && a.peer_locator == wire.src
-                && a.sa_out.as_ref().is_some_and(|sa| sa.spi == old_spi))
-            .then_some(*h)
+        let peer = self.assocs.iter().find_map(|(h, a)| match &a.state {
+            Keyed(_, Established(sa_out, _)) if a.peer_locator == wire.src => {
+                (sa_out.esp.spi == old_spi).then_some(*h)
+            }
+            _ => None,
         });
         let Some(peer) = peer else { return };
         self.teardown(api, &peer);
@@ -1191,29 +1131,30 @@ impl HipShim {
     /// migration / mobility). Called by the cloud layer after moving the
     /// host's interface.
     pub fn relocate(&mut self, api: &mut ShimApi, new_locator: IpAddr) {
-        let peers: Vec<Hit> = self
-            .assocs
-            .iter()
-            .filter(|(_, a)| a.state == AssocState::Established)
-            .map(|(h, _)| *h)
-            .collect();
-        for peer in peers {
-            let (hmac_out, dst, seq) = {
-                let assoc = self.assocs.get_mut(&peer).expect("present");
-                assoc.local_locator = new_locator;
-                assoc.update_seq += 1;
-                assoc.update_in_flight = true;
-                (assoc.hmac_out.clone(), assoc.peer_locator, assoc.update_seq)
+        for (&peer, assoc) in &mut self.assocs {
+            let Keyed(keys, Established(_, mobility)) = &mut assoc.state else {
+                continue;
             };
+            assoc.local_locator = new_locator;
+            mobility.seq += 1;
+            mobility.in_flight = true;
             let params = vec![
                 Param::Locator(vec![encode_locator(&new_locator)]),
-                Param::Seq(seq),
+                Param::Seq(mobility.seq),
             ];
-            let update = self.seal(api, PacketType::Update, peer, params, Some(&hmac_out));
+            let update = seal(
+                &self.identity,
+                api,
+                PacketType::Update,
+                peer,
+                params,
+                Some(&keys.hmac_out),
+            );
             let work = self.config.costs.sign(self.identity.algorithm());
-            let bytes = self.send_control(api, work, &update, new_locator, dst);
+            let dst = assoc.peer_locator;
+            let bytes = send_control(api, work, &update, new_locator, dst);
             self.stats.updates_sent += 1;
-            self.arm_rtx(api, peer, bytes, dst, 0);
+            assoc.rtx.arm(api, &mut self.timers, peer, bytes, dst, 0);
         }
     }
 
@@ -1222,54 +1163,96 @@ impl HipShim {
         let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        if assoc.state != AssocState::Established {
+        let Keyed(keys, phase @ Established(..)) = &mut assoc.state else {
             return;
-        }
+        };
         let nonce = api.random_u64();
-        assoc.close_nonce = Some(nonce);
-        assoc.state = AssocState::Closing;
-        let hmac_out = assoc.hmac_out.clone();
-        let dst = assoc.peer_locator;
-        let src = assoc.local_locator;
-        let close = self.seal(
+        *phase = Closing(nonce);
+        let params = vec![Param::EchoRequest(nonce)];
+        let close = seal(
+            &self.identity,
             api,
             PacketType::Close,
             peer,
-            vec![Param::EchoRequest(nonce)],
-            Some(&hmac_out),
+            params,
+            Some(&keys.hmac_out),
         );
         let work = self.config.costs.sign(self.identity.algorithm());
-        self.send_control(api, work, &close, src, dst);
+        send_control(api, work, &close, assoc.local_locator, assoc.peer_locator);
     }
 }
 
-impl Association {
-    fn new(timer: u64, local_locator: IpAddr, peer_locator: IpAddr) -> Self {
-        Association {
-            state: AssocState::I1Sent,
-            local_locator,
-            peer_locator,
-            // Placeholders; overwritten when KEYMAT is derived (the
-            // state machine never MACs before that).
-            hmac_out: HmacKey::new(&[]),
-            hmac_in: HmacKey::new(&[]),
-            sa_out: None,
-            sa_in: None,
-            local_spi: 0,
-            queued: Vec::new(),
-            timer,
-            rtx: None,
-            update_seq: 0,
-            update_in_flight: false,
-            pending_verify: None,
-            close_nonce: None,
-            peer_hi: None,
-            pending_out_keys: None,
-            bex_started: SimTime::ZERO,
-            esp_out_ids: None,
-            esp_in_ids: None,
-        }
+/// Sends a control packet after charging `work`; returns its bytes for
+/// retransmission.
+fn send_control(
+    api: &mut ShimApi,
+    work: SimDuration,
+    pkt: &HipPacket,
+    src: IpAddr,
+    dst: IpAddr,
+) -> bytes::Bytes {
+    let bytes = pkt.encode();
+    let delay = api.charge_cpu(work);
+    api.send_wire(
+        delay,
+        Packet::new(src, dst, Payload::HipControl(bytes.clone())),
+    );
+    bytes
+}
+
+/// Signs a packet's parameter list: appends HMAC (if `hmac_key`) and
+/// SIGNATURE in the right order and returns the finished packet.
+fn seal(
+    identity: &HostIdentity,
+    api: &mut ShimApi,
+    ptype: PacketType,
+    receiver: Hit,
+    mut params: Vec<Param>,
+    hmac_key: Option<&HmacKey>,
+) -> HipPacket {
+    let me = identity.hit();
+    if let Some(key) = hmac_key {
+        let unsealed = HipPacket::new(ptype, me, receiver, params.clone());
+        let covered = unsealed.bytes_before(param_type::HMAC);
+        params.push(Param::Hmac(key.mac(&covered)));
     }
+    let with_mac = HipPacket::new(ptype, me, receiver, params.clone());
+    let covered = with_mac.bytes_before(param_type::HIP_SIGNATURE);
+    let sig = identity.sign(&covered, api.rng());
+    params.push(Param::Signature(sig));
+    HipPacket::new(ptype, me, receiver, params)
+}
+
+/// Verifies HMAC (against `hmac_key`) and signature (against `hi`).
+fn verify_sealed(pkt: &HipPacket, hi: &PublicHi, hmac_key: &HmacKey) -> bool {
+    let Some(mac) = pkt.hmac() else { return false };
+    let covered = pkt.bytes_before(param_type::HMAC);
+    let expect = hmac_key.mac(&covered);
+    if !sim_crypto::hmac::verify_mac(&expect, mac) {
+        return false;
+    }
+    let Some(sig) = pkt.signature() else {
+        return false;
+    };
+    let covered = pkt.bytes_before(param_type::HIP_SIGNATURE);
+    hi.verify(&covered, sig)
+}
+
+/// KEYMAT → the I→R and R→I keys: each a control-packet HMAC
+/// transcript and an SA's keys.
+fn derive_keys(kij: &[u8], my: Hit, peer: Hit, i: u64, j: u64) -> [(HmacKey, SaKeys); 2] {
+    let km = keymat(kij, &my.0, &peer.0, i, j, 160);
+    let enc_i2r: [u8; 16] = km[64..80].try_into().expect("slice");
+    let auth_i2r: [u8; 32] = km[80..112].try_into().expect("slice");
+    let enc_r2i: [u8; 16] = km[112..128].try_into().expect("slice");
+    let auth_r2i: [u8; 32] = km[128..160].try_into().expect("slice");
+    // Control-packet HMAC keys become cached transcripts right here,
+    // so every later seal/verify clones midstates instead of
+    // re-deriving the key block.
+    [
+        (HmacKey::new(&km[0..32]), (enc_i2r, auth_i2r)),
+        (HmacKey::new(&km[32..64]), (enc_r2i, auth_r2i)),
+    ]
 }
 
 impl L35Shim for HipShim {
@@ -1291,9 +1274,16 @@ impl L35Shim for HipShim {
                 Param::Locator(vec![encode_locator(&src)]),
                 Param::Seq(reg_seq),
             ];
-            let reg = self.seal(api, PacketType::RegRequest, Hit::NULL, params, None);
+            let reg = seal(
+                &self.identity,
+                api,
+                PacketType::RegRequest,
+                Hit::NULL,
+                params,
+                None,
+            );
             let work = self.config.costs.sign(self.identity.algorithm());
-            self.send_control(api, work, &reg, src, rvs);
+            send_control(api, work, &reg, src, rvs);
         }
     }
 
@@ -1316,13 +1306,13 @@ impl L35Shim for HipShim {
         } else {
             return;
         };
-        match self.assocs.get(&peer).map(|a| a.state) {
-            Some(AssocState::Established) => self.encap_and_send(api, peer, pkt, SimDuration::ZERO),
-            Some(_) => {
-                if let Some(a) = self.assocs.get_mut(&peer) {
-                    a.queued.push(pkt);
-                }
+        match self.assocs.get_mut(&peer).map(|a| &mut a.state) {
+            Some(Keyed(_, Established(..))) => {
+                self.encap_and_send(api, peer, pkt, SimDuration::ZERO)
             }
+            Some(I1Sent(p) | Keyed(_, I2Sent(_, p))) => p.queued.push(pkt),
+            // Teardown would drop it unsent.
+            Some(Keyed(_, Closing(_))) => {}
             None => self.initiate(api, peer, Some(pkt)),
         }
     }
@@ -1371,14 +1361,18 @@ impl L35Shim for HipShim {
         let Some(assoc) = self.assocs.get_mut(&peer) else {
             return;
         };
-        let Some(rtx) = assoc.rtx.take() else { return };
-        if assoc.state == AssocState::Established && !assoc.update_in_flight {
+        let Some(rtx) = assoc.rtx.armed.take() else {
             return;
-        }
+        };
+        // Established, only an UPDATE whose echo has not come is resent.
+        let established = match &assoc.state {
+            Keyed(_, Established(_, mobility)) if !mobility.in_flight => return,
+            Keyed(_, Established(..)) => true,
+            _ => false,
+        };
         if rtx.tries >= max {
             // Give up.
-            let state = assoc.state;
-            self.stats.bex_failed += u64::from(state != AssocState::Established);
+            self.stats.bex_failed += u64::from(!established);
             self.teardown(api, &peer);
             api.trace_state(|| format!("BEX/UPDATE with {peer:?} failed after {max} retries"));
             api.metrics().add_name("hip.bex.exhausted", 1);
@@ -1396,7 +1390,10 @@ impl L35Shim for HipShim {
             SimDuration::ZERO,
             Packet::new(src, rtx.dst, Payload::HipControl(rtx.bytes.clone())),
         );
-        self.arm_rtx(api, peer, rtx.bytes, rtx.dst, rtx.tries + 1);
+        let tries = rtx.tries + 1;
+        assoc
+            .rtx
+            .arm(api, &mut self.timers, peer, rtx.bytes, rtx.dst, tries);
     }
 
     fn on_crash(&mut self, api: &mut ShimApi) {
@@ -1407,15 +1404,12 @@ impl L35Shim for HipShim {
         // and re-registers with the RVS (reg_seq stays monotonic so the
         // replay guard holds across the restart).
         for a in self.assocs.values_mut() {
-            if let Some(rtx) = a.rtx.take() {
-                api.cancel_timer(rtx.engine_timer);
-            }
+            a.rtx.cancel(api, &mut self.timers);
         }
         self.assocs.clear();
         self.spi_in.clear();
         self.r1_pool.clear();
         self.active_puzzles.clear();
-        self.timers.clear();
         self.notify_limiter.clear();
         self.rvs_registered = false;
     }

@@ -13,10 +13,12 @@ use netsim::link::LinkId;
 use netsim::packet::{v4, Packet, Payload};
 use netsim::tcp::TcpEvent;
 use netsim::{Endpoint, LinkParams, Sim, SimTime};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::net::IpAddr;
+use std::sync::OnceLock;
 
 /// A malicious middlebox on the path between the two hosts. Forwards
 /// everything, but can also duplicate ESP packets (replay), flip bits
@@ -35,6 +37,8 @@ struct Mitm {
     /// Attack only the n-th ESP packet (1-based) heading right.
     frame_attack: Option<(u64, FrameAttack)>,
     esp_right: u64,
+    /// Every HIP control packet forwarded, and whether it headed right.
+    control: Vec<(bool, Packet)>,
 }
 
 /// What to do to the one ESP frame singled out by `Mitm::frame_attack`.
@@ -70,6 +74,9 @@ impl Node for Mitm {
 
     fn handle_packet(&mut self, iface: usize, pkt: Packet, ctx: &mut Ctx) {
         let out = if iface == 0 { self.right } else { self.left };
+        if let Payload::HipControl(_) = &pkt.payload {
+            self.control.push((iface == 0, pkt.clone()));
+        }
         if let Payload::Esp(_) = &pkt.payload {
             self.esp_seen += 1;
             if iface == 0 {
@@ -165,6 +172,7 @@ struct World {
     sim: Sim,
     a: netsim::NodeId,
     b: netsim::NodeId,
+    m: netsim::NodeId,
     hit_a: Hit,
     hit_b: Hit,
 }
@@ -232,6 +240,7 @@ fn build_with(
         esp_seen: 0,
         frame_attack: None,
         esp_right: 0,
+        control: Vec::new(),
     };
     mitm_cfg(&mut mitm);
     let m = sim.world.add_node(Box::new(mitm));
@@ -265,18 +274,31 @@ fn build_with(
         sim,
         a,
         b,
+        m,
         hit_a,
         hit_b,
     }
 }
 
 fn shim_stats(sim: &Sim, node: netsim::NodeId) -> hip_core::HipStats {
+    shim_of(sim, node).stats
+}
+
+fn shim_of(sim: &Sim, node: netsim::NodeId) -> &HipShim {
     sim.world
         .node::<Host>(node)
         .expect("host")
         .shim::<HipShim>()
         .expect("shim")
-        .stats
+}
+
+/// Panics unless both hosts' shims pass `check_invariants`.
+fn check_shims(w: &World) {
+    for node in [w.a, w.b] {
+        if let Err(e) = shim_of(&w.sim, node).check_invariants() {
+            panic!("shim of {node:?}: {e}");
+        }
+    }
 }
 
 #[test]
@@ -299,6 +321,7 @@ fn replayed_esp_packets_are_dropped_and_chat_survives() {
         sb.drops_replay > 0,
         "duplicates were detected and dropped: {sb:?}"
     );
+    check_shims(&w);
 }
 
 #[test]
@@ -324,6 +347,7 @@ fn tampered_esp_packets_rejected_tcp_recovers() {
         sa.drops_auth + sb.drops_auth > 0,
         "tampered packets failed authentication: a={sa:?} b={sb:?}"
     );
+    check_shims(&w);
 }
 
 #[test]
@@ -402,6 +426,7 @@ fn forged_i2_cannot_hijack_an_identity() {
         .app::<Chat>(0)
         .expect("chat");
     assert_eq!(chat.replies, 10);
+    check_shims(&w);
 }
 
 #[test]
@@ -427,6 +452,7 @@ fn injected_esp_with_unknown_spi_is_dropped() {
     w.sim.run_until(SimTime(4_000_000_000));
     let after = shim_stats(&w.sim, w.b);
     assert_eq!(after.drops_no_sa, before.drops_no_sa + 1);
+    check_shims(&w);
 }
 
 #[test]
@@ -445,6 +471,7 @@ fn attacker_observing_wire_learns_nothing_plaintext() {
         }
     }
     let _ = (w.hit_a, w.hit_b);
+    check_shims(&w);
 }
 
 /// Sends `data` to port 7 in one write, then closes.
@@ -542,6 +569,7 @@ fn bulk_under_attack(attack: FrameAttack) -> BulkOutcome {
             panic!("{attack:?}: TCP invariant broken on {node:?}: {e}");
         }
     }
+    check_shims(&w);
     BulkOutcome {
         delivered: got.clone(),
         stats_a: shim_stats(&w.sim, w.a),
@@ -658,4 +686,184 @@ fn sprayed_spis_leave_the_notify_limiter_bounded() {
         .app::<Chat>(0)
         .expect("chat");
     assert_eq!(chat.replies, 10, "the legitimate association is unaffected");
+    check_shims(&w);
+}
+
+/// The seed of the world the adversary below records and attacks.
+const RECORDED_SEED: u64 = 7;
+
+/// The control packets of one real run between a and b, with whether
+/// each headed to b: the BEX, the UPDATEs after a moves, then a's CLOSE
+/// and b's CLOSE_ACK.
+fn recorded_control() -> &'static [(bool, Packet)] {
+    static RECORDED: OnceLock<Vec<(bool, Packet)>> = OnceLock::new();
+    RECORDED.get_or_init(|| {
+        let mut w = build(|_m| {}, RECORDED_SEED);
+        w.sim.run_until(SimTime(3_000_000_000));
+        let (hit_b, moved) = (w.hit_b, v4(10, 0, 0, 3));
+        w.sim.with_node_ctx(w.a, |node, ctx| {
+            let host = node.as_any_mut().downcast_mut::<Host>().expect("a");
+            host.core.replace_iface_addrs(0, vec![moved]);
+            host.shim_command(ctx, |shim, api| {
+                let shim = shim.as_any_mut().downcast_mut::<HipShim>().expect("shim");
+                shim.relocate(api, moved);
+            });
+        });
+        w.sim.run_until(SimTime(4_000_000_000));
+        w.sim.with_node_ctx(w.a, |node, ctx| {
+            let host = node.as_any_mut().downcast_mut::<Host>().expect("a");
+            host.shim_command(ctx, |shim, api| {
+                let shim = shim.as_any_mut().downcast_mut::<HipShim>().expect("shim");
+                shim.close(api, hit_b);
+            });
+        });
+        w.sim.run_until(SimTime(5_000_000_000));
+        let control = w.sim.world.node::<Mitm>(w.m).expect("mitm").control.clone();
+        let types: Vec<PacketType> = control
+            .iter()
+            .map(|(_, p)| {
+                let Payload::HipControl(bytes) = &p.payload else {
+                    unreachable!("only control packets are recorded")
+                };
+                HipPacket::decode(bytes)
+                    .expect("recorded packet decodes")
+                    .packet_type
+            })
+            .collect();
+        for t in [
+            PacketType::I1,
+            PacketType::R1,
+            PacketType::I2,
+            PacketType::R2,
+            PacketType::Update,
+            PacketType::Close,
+            PacketType::CloseAck,
+        ] {
+            assert!(types.contains(&t), "no {t:?} recorded: {types:?}");
+        }
+        control
+    })
+}
+
+/// One packet the adversary delivers.
+#[derive(Clone, Debug)]
+enum Attack {
+    /// Recorded control packet `n` (mod the count), again.
+    Replay(usize),
+    /// Recorded packet `n`, cut to `len` (mod its length) bytes.
+    Truncate(usize, usize),
+    /// Recorded packet `n` with bit `bit` (mod its bits) flipped.
+    Flip(usize, usize),
+    /// ESP under a random SPI.
+    Esp(u32, u32),
+    /// NOTIFY(stale SPI) from a HIT neither host has met.
+    Notify([u8; 16], u32),
+    /// CLOSE from a HIT neither host has met.
+    Close([u8; 16], u64),
+}
+
+impl Attack {
+    /// The packet, and whether it goes to b: recorded packets keep
+    /// their direction, forged ones go where `to_b` says.
+    fn packet(&self, to_b: bool) -> (bool, Packet) {
+        let recorded = recorded_control();
+        let control = |n: usize, edit: &dyn Fn(&mut Vec<u8>)| {
+            let (to_b, pkt) = &recorded[n % recorded.len()];
+            let Payload::HipControl(bytes) = &pkt.payload else {
+                unreachable!("only control packets are recorded")
+            };
+            let mut bytes = bytes.to_vec();
+            edit(&mut bytes);
+            let pkt = Packet::new(pkt.src, pkt.dst, Payload::HipControl(Bytes::from(bytes)));
+            (*to_b, pkt)
+        };
+        let src = v4(10, 0, 0, 66);
+        let dst = if to_b {
+            v4(10, 0, 0, 2)
+        } else {
+            v4(10, 0, 0, 1)
+        };
+        let forged = |ptype, sender: [u8; 16], params| {
+            let pkt = HipPacket::new(ptype, Hit(sender), Hit::NULL, params);
+            (
+                to_b,
+                Packet::new(src, dst, Payload::HipControl(pkt.encode())),
+            )
+        };
+        match *self {
+            Attack::Replay(n) => control(n, &|_| {}),
+            Attack::Truncate(n, len) => control(n, &|b| b.truncate(len % b.len())),
+            Attack::Flip(n, bit) => control(n, &|b| {
+                let bit = bit % (b.len() * 8);
+                b[bit / 8] ^= 1 << (bit % 8);
+            }),
+            Attack::Esp(spi, seq) => {
+                let esp = netsim::packet::EspPacket {
+                    spi,
+                    seq,
+                    ciphertext: Bytes::from(vec![0x41u8; 64]),
+                    icv: [0x41u8; 16],
+                };
+                (to_b, Packet::new(src, dst, Payload::Esp(esp)))
+            }
+            Attack::Notify(sender, spi) => forged(
+                PacketType::Notify,
+                sender,
+                vec![Param::EspInfo {
+                    old_spi: spi,
+                    new_spi: 0,
+                }],
+            ),
+            Attack::Close(sender, nonce) => {
+                forged(PacketType::Close, sender, vec![Param::EchoRequest(nonce)])
+            }
+        }
+    }
+}
+
+fn arb_attack() -> impl Strategy<Value = Attack> {
+    prop_oneof![
+        any::<usize>().prop_map(Attack::Replay),
+        (any::<usize>(), any::<usize>()).prop_map(|(n, len)| Attack::Truncate(n, len)),
+        (any::<usize>(), any::<usize>()).prop_map(|(n, bit)| Attack::Flip(n, bit)),
+        (any::<u32>(), any::<u32>()).prop_map(|(spi, seq)| Attack::Esp(spi, seq)),
+        (any::<[u8; 16]>(), any::<u32>()).prop_map(|(h, spi)| Attack::Notify(h, spi)),
+        (any::<[u8; 16]>(), any::<u64>()).prop_map(|(h, n)| Attack::Close(h, n)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replays, reorderings, truncations and bit flips of a real run's
+    /// control packets, random-SPI ESP, and NOTIFY and CLOSE from
+    /// strangers, all landing in the first two seconds of a fresh run
+    /// (its BEX and chat included): no shim panics, both keep their
+    /// bookkeeping, the legitimate BEX completes and the chat finishes.
+    #[test]
+    fn recorded_control_traffic_under_attack(
+        attacks in proptest::collection::vec((arb_attack(), 0u64..2_000_000, any::<bool>()), 1..24)
+    ) {
+        let mut w = build(|_m| {}, RECORDED_SEED);
+        for (attack, at_us, to_b) in &attacks {
+            let (to_b, pkt) = attack.packet(*to_b);
+            w.sim.schedule(
+                netsim::SimDuration::from_micros(*at_us),
+                netsim::Event::PacketArrive {
+                    node: if to_b { w.b } else { w.a },
+                    iface: 0,
+                    pkt,
+                },
+            );
+        }
+        w.sim.run_until(SimTime(20_000_000_000));
+        check_shims(&w);
+        let (sa, sb) = (shim_stats(&w.sim, w.a), shim_stats(&w.sim, w.b));
+        prop_assert!(
+            sa.bex_completed >= 1 && sb.bex_completed >= 1,
+            "{attacks:?}: a={sa:?} b={sb:?}"
+        );
+        let chat = w.sim.world.node::<Host>(w.a).expect("a").app::<Chat>(0).expect("chat");
+        prop_assert_eq!(chat.replies, 10, "{:?}: a={:?} b={:?}", attacks, sa, sb);
+    }
 }

@@ -168,6 +168,21 @@ fn stats_of(sim: &Sim, node: NodeId) -> HipStats {
         .stats
 }
 
+/// Panics unless every listed host's shim passes `check_invariants`.
+fn check_shims(sim: &Sim, nodes: &[NodeId]) {
+    for &node in nodes {
+        let shim = sim
+            .world
+            .node::<Host>(node)
+            .unwrap()
+            .shim::<HipShim>()
+            .unwrap();
+        if let Err(e) = shim.check_invariants() {
+            panic!("shim of {node:?}: {e}");
+        }
+    }
+}
+
 #[test]
 fn bex_establishes_and_tcp_flows_over_hits() {
     let mut net = two_hip_hosts(HipConfig::default, |_a, _b| {});
@@ -204,6 +219,7 @@ fn bex_establishes_and_tcp_flows_over_hits() {
     // Both shims agree the association is up.
     let shim_a = host_a.shim::<HipShim>().unwrap();
     assert!(shim_a.is_established(&hit_b));
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -235,6 +251,7 @@ fn no_plaintext_on_the_wire_with_hip() {
         }
     }
     assert!(saw_esp);
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -267,6 +284,7 @@ fn lsi_mode_carries_legacy_ipv4_traffic() {
     assert!(client.connected, "LSI-addressed TCP connected");
     assert_eq!(client.reply, b"legacy app data");
     let _ = hit_a;
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -300,6 +318,7 @@ fn bex_exhaustion_delivers_connect_failed() {
     let sa = stats_of(&net.sim, net.a);
     assert_eq!(sa.bex_failed, 1);
     assert_eq!(sa.retransmissions, 5);
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -379,6 +398,7 @@ fn peer_restart_triggers_rebex_and_traffic_resumes() {
         .shim::<HipShim>()
         .unwrap();
     assert!(shim_a.is_established(&hit_b));
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -416,6 +436,7 @@ fn firewall_denies_unauthorized_tenant() {
     let sa = stats_of(&net.sim, net.a);
     assert!(sa.retransmissions > 0);
     assert_eq!(sa.bex_completed, 0);
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -441,6 +462,7 @@ fn firewall_allows_whitelisted_tenant() {
         .app::<EchoClient>(0)
         .unwrap();
     assert_eq!(client.reply, b"authorized");
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -512,6 +534,7 @@ fn bex_survives_packet_loss() {
         .app::<EchoClient>(0)
         .unwrap();
     assert_eq!(client.reply, b"lossy", "BEX + TCP survive 20% loss");
+    check_shims(&sim, &[a, b]);
 }
 
 #[test]
@@ -563,15 +586,14 @@ fn close_tears_down_association() {
     );
     assert!(stats_of(&net.sim, net.b).closes >= 1);
     // The answered I1 and I2 retransmissions released their tokens.
-    shim_a.check_invariants().expect("a's shim bookkeeping");
-    shim_b.check_invariants().expect("b's shim bookkeeping");
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
 fn simultaneous_bex_releases_replaced_retransmissions() {
-    // Both hosts dial each other at once, so each answers the other's I2
-    // while its own I2 still awaits R2: the responder association
-    // replaces one whose retransmission is armed.
+    // Both hosts dial each other at once, so the larger HIT answers the
+    // other's I2 while its own I2 still awaits R2: the responder
+    // association replaces one whose retransmission is armed.
     let mut net = two_hip_hosts(HipConfig::default, |_a, _b| {});
     let (hit_a, hit_b) = (net.hit_a, net.hit_b);
     for (node, target) in [(net.a, hit_b), (net.b, hit_a)] {
@@ -592,6 +614,88 @@ fn simultaneous_bex_releases_replaced_retransmissions() {
             }
         }
     }
+}
+
+#[test]
+fn simultaneous_dial_connects_both_clients() {
+    // RFC 5201 §4.4.2: when both ends send an I2, the larger HIT answers
+    // as responder and the smaller waits for its R2, so both ends keep
+    // the keys of one exchange and both TCP clients get their echo.
+    let mut net = two_hip_hosts(HipConfig::default, |_a, _b| {});
+    let (hit_a, hit_b) = (net.hit_a, net.hit_b);
+    for (node, target) in [(net.a, hit_b), (net.b, hit_a)] {
+        let host = net.sim.world.node_mut::<Host>(node).unwrap();
+        host.add_app(Box::new(EchoServer { served: 0 }));
+        host.add_app(Box::new(EchoClient::new(target.to_ip(), b"hi")));
+    }
+    net.sim.run_until(SimTime(10_000_000_000));
+    for node in [net.a, net.b] {
+        let host = net.sim.world.node::<Host>(node).unwrap();
+        let client = host.app::<EchoClient>(1).unwrap();
+        assert!(client.connected, "{node:?}'s client connected");
+        assert_eq!(client.reply, b"hi", "{node:?}'s client got its echo");
+        let stats = stats_of(&net.sim, node);
+        assert_eq!(stats.drops_auth, 0, "{node:?}: {stats:?}");
+        assert_eq!(stats.bex_completed, 1, "{node:?}: {stats:?}");
+    }
+    assert!(net
+        .sim
+        .world
+        .node::<Host>(net.a)
+        .unwrap()
+        .shim::<HipShim>()
+        .unwrap()
+        .is_established(&hit_b));
+    check_shims(&net.sim, &[net.a, net.b]);
+}
+
+#[test]
+fn restarted_peer_dialing_first_replaces_the_association() {
+    // b dials a, crashes, and on restart dials again before a notices:
+    // a answers the new I2 over its established association, whose
+    // inbound SPI must be released with it.
+    let mut net = two_hip_hosts(HipConfig::default, |_a, _b| {});
+    let hit_a = net.hit_a;
+    {
+        let host = net.sim.world.node_mut::<Host>(net.a).unwrap();
+        host.add_app(Box::new(EchoServer { served: 0 }));
+        let host = net.sim.world.node_mut::<Host>(net.b).unwrap();
+        host.add_app(Box::new(EchoClient::new(hit_a.to_ip(), b"ping")));
+    }
+    net.sim.run_until(SimTime(3_000_000_000));
+    check_shims(&net.sim, &[net.a, net.b]);
+    net.sim
+        .schedule_fault(SimDuration::ZERO, FaultAction::NodeCrash(net.b));
+    net.sim.schedule_fault(
+        SimDuration::from_millis(100),
+        FaultAction::NodeRestart(net.b),
+    );
+    net.sim.run_until(SimTime(3_050_000_000));
+    // After the restart the client dials a's LSI: a fresh TCP layer
+    // reuses the old source port, and a still holds the HIT-addressed
+    // connection on that 4-tuple.
+    {
+        let host = net.sim.world.node_mut::<Host>(net.b).unwrap();
+        let lsi_a = host.shim::<HipShim>().unwrap().lsi.lsi_of(&hit_a).unwrap();
+        let client = host.app_mut::<EchoClient>(0).unwrap();
+        client.target = IpAddr::V4(lsi_a);
+        client.reply.clear();
+    }
+    net.sim.run_until(SimTime(8_000_000_000));
+
+    let client = net
+        .sim
+        .world
+        .node::<Host>(net.b)
+        .unwrap()
+        .app::<EchoClient>(0)
+        .unwrap();
+    assert_eq!(client.reply, b"ping", "echoed over the new association");
+    let (sa, sb) = (stats_of(&net.sim, net.a), stats_of(&net.sim, net.b));
+    assert_eq!(sa.bex_completed, 2, "a answered both exchanges: {sa:?}");
+    assert_eq!(sb.bex_initiated, 2, "{sb:?}");
+    assert_eq!(sa.drops_auth + sb.drops_auth, 0, "a={sa:?} b={sb:?}");
+    check_shims(&net.sim, &[net.a, net.b]);
 }
 
 #[test]
@@ -704,6 +808,7 @@ fn mobility_update_switches_locator_and_traffic_continues() {
         client.reply, b"after move",
         "traffic continues after relocation"
     );
+    check_shims(&sim, &[a, b]);
 }
 
 #[test]
@@ -815,6 +920,7 @@ fn rendezvous_relays_initial_contact() {
         .shim::<HipShim>()
         .unwrap();
     assert!(shim_b.rvs_registered);
+    check_shims(&sim, &[a, b]);
 }
 
 #[test]
@@ -944,6 +1050,7 @@ fn cross_family_handover_v4_to_v6() {
         })
         .count();
     assert!(v6_esp > 0, "ESP packets with IPv6 locators observed");
+    check_shims(&sim, &[a, b]);
 }
 
 #[test]
@@ -1068,6 +1175,7 @@ fn midbox_firewall_enforces_tenant_policy_on_path() {
     );
     let fwn = sim.world.node::<HipMidboxFirewall>(fw).unwrap();
     assert!(fwn.dropped > 0, "drops recorded: {}", fwn.dropped);
+    check_shims(&sim, &[a, b]);
 }
 
 #[test]
@@ -1264,6 +1372,7 @@ fn relocate_with_two_peers(seed: u64) -> String {
     }
     assert_eq!(stats_of(&sim, a).updates_sent, 2);
     assert_eq!(sim.trace.truncated(), 0);
+    check_shims(&sim, &[a, b, c]);
     let mut out = sim.trace.dump();
     for node in [a, b, c] {
         out.push_str(&format!("{:?}\n", stats_of(&sim, node)));
