@@ -7,6 +7,7 @@
 //!
 //! Writes a run manifest to `results/tcploss_scan-scan.json`; with a
 //! debug seed, `--trace-out` exports that run's typed trace as JSONL.
+//! Exits with status 1 when any world mismatches.
 use bench::report::{manifest, trace_out, write_manifest};
 use netsim::host::{App, AppEvent, Host, HostApi};
 use netsim::link::{Endpoint, LinkParams};
@@ -166,5 +167,9 @@ fn main() {
     ) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("manifest write failed: {e}"),
+    }
+    if mismatches > 0 {
+        eprintln!("{mismatches} of {scanned} worlds broke exactly-once delivery");
+        std::process::exit(1);
     }
 }

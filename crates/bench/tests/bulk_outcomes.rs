@@ -13,7 +13,7 @@ use cloudsim::{CloudKind, CloudTopology, Flavor};
 use hip_core::identity::HostIdentity;
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
 use netsim::link::LinkParams;
-use netsim::{SimDuration, SimStats, SimTime};
+use netsim::{DropReason, SimDuration, SimStats, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use websvc::loadgen::{BulkSendApp, IperfServerApp};
@@ -28,6 +28,10 @@ struct Outcome {
     delivered: u64,
     /// Arrival of the last byte at the server, in simulated ns.
     last_byte_ns: u64,
+    /// The `link.drops` aggregate.
+    link_drops: u64,
+    /// Each link drop reason's counter.
+    link_reasons: Vec<(DropReason, u64)>,
 }
 
 /// Runs one `BYTES`-sized HIP bulk transfer for 120 simulated seconds
@@ -91,10 +95,14 @@ fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
     }
 
     let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");
+    let ctr = |name| topo.sim.metrics.counter_value(name).unwrap_or(0);
+    let link_reasons = DropReason::ALL.iter().filter(|r| r.is_link());
     Outcome {
         stats: topo.sim.stats(),
         delivered: srv.bytes,
         last_byte_ns: srv.last_byte.map_or(0, SimTime::as_nanos),
+        link_drops: ctr("link.drops"),
+        link_reasons: link_reasons.map(|&r| (r, ctr(r.name()))).collect(),
     }
 }
 
@@ -233,6 +241,15 @@ fn hip_bulk_outcomes_match_pinned_values() {
         let case = format!("costs={cost_name} loss={loss} seed={seed}");
         if loss == 0.0 {
             assert_eq!(out.delivered, BYTES, "{case}: clean transfer must complete");
+        } else {
+            // Every link drop is counted under its reason, and with no
+            // fault injected the configured loss is the only one.
+            let by_reason: u64 = out.link_reasons.iter().map(|&(_, n)| n).sum();
+            assert_eq!(by_reason, out.link_drops, "{case}: {:?}", out.link_reasons);
+            for &(r, n) in &out.link_reasons {
+                let organic = r == DropReason::LinkLoss;
+                assert_eq!(n > 0, organic, "{case}: {r} counted {n}");
+            }
         }
         assert_eq!(out.stats, pinned_stats(stats), "{case}");
         assert_eq!(

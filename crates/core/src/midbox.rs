@@ -25,6 +25,7 @@ use netsim::engine::{Ctx, Node};
 use netsim::fx::FxHashMap;
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
+use netsim::DropReason;
 use std::any::Any;
 
 /// A stateful HIP middlebox firewall bridging two links.
@@ -129,15 +130,7 @@ impl Node for HipMidboxFirewall {
             }
             Action::Deny => {
                 self.dropped += 1;
-                ctx.trace_drop(|| {
-                    format!(
-                        "{}: policy drop {} -> {} proto {}",
-                        self.name,
-                        pkt.src,
-                        pkt.dst,
-                        pkt.protocol()
-                    )
-                });
+                ctx.drop_packet(&pkt, DropReason::MidboxPolicy);
             }
         }
     }

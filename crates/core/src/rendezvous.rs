@@ -18,6 +18,7 @@ use netsim::engine::{Ctx, Node};
 use netsim::fx::FxHashMap;
 use netsim::link::LinkId;
 use netsim::packet::{Packet, Payload};
+use netsim::DropReason;
 use std::any::Any;
 use std::net::IpAddr;
 
@@ -32,7 +33,8 @@ pub struct RendezvousServer {
     reg_seq: FxHashMap<Hit, u32>,
     /// I1 packets relayed (diagnostics).
     pub relayed: u64,
-    /// Registrations rejected for bad signatures (diagnostics).
+    /// Registrations rejected for a bad signature or a stale SEQ
+    /// (diagnostics).
     pub rejected: u64,
 }
 
@@ -64,41 +66,44 @@ impl RendezvousServer {
         self.registrations.is_empty()
     }
 
-    fn on_reg_request(&mut self, hip: &HipPacket, wire: &Packet, ctx: &mut Ctx) {
-        // The registration must be signed by the key that owns the HIT.
-        let Some(hi_bytes) = hip.host_id() else {
-            return;
+    /// Handles one packet; `Err` names why it was dropped.
+    fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) -> Result<(), DropReason> {
+        let Payload::HipControl(bytes) = &pkt.payload else {
+            return Err(DropReason::HipUnexpected);
         };
-        let Some(hi) = PublicHi::from_bytes(hi_bytes) else {
-            return;
-        };
-        if hi.hit() != hip.sender_hit {
-            self.rejected += 1;
-            return;
+        let hip = HipPacket::decode(bytes).ok_or(DropReason::HipDecode)?;
+        match hip.packet_type {
+            PacketType::RegRequest => self.on_reg_request(&hip, pkt, ctx),
+            PacketType::I1 => self.on_i1(&hip, pkt, ctx),
+            _ => Err(DropReason::HipUnexpected),
         }
-        let Some(sig) = hip.signature() else {
-            self.rejected += 1;
-            return;
-        };
+    }
+
+    fn on_reg_request(
+        &mut self,
+        hip: &HipPacket,
+        wire: &Packet,
+        ctx: &mut Ctx,
+    ) -> Result<(), DropReason> {
+        // The registration must be signed by the key that owns the HIT.
+        let hi_bytes = hip.host_id().ok_or(DropReason::HipMalformed)?;
+        let hi = PublicHi::from_bytes(hi_bytes).ok_or(DropReason::HipMalformed)?;
+        if hi.hit() != hip.sender_hit {
+            return Err(DropReason::HipAuth);
+        }
+        let sig = hip.signature().ok_or(DropReason::HipAuth)?;
         let covered = hip.bytes_before(param_type::HIP_SIGNATURE);
         if !hi.verify(&covered, sig) {
-            self.rejected += 1;
-            ctx.trace_drop(|| format!("rvs: bad registration signature from {:?}", hip.sender_hit));
-            return;
+            return Err(DropReason::HipAuth);
         }
         // Replay guard: the signed SEQ must strictly increase per HIT.
         let seq = hip.seq().unwrap_or(0);
-        if let Some(&last) = self.reg_seq.get(&hip.sender_hit) {
-            if seq <= last {
-                self.rejected += 1;
-                ctx.trace_drop(|| {
-                    format!(
-                        "rvs: stale registration seq {seq} (have {last}) from {:?}",
-                        hip.sender_hit
-                    )
-                });
-                return;
-            }
+        if self
+            .reg_seq
+            .get(&hip.sender_hit)
+            .is_some_and(|&last| seq <= last)
+        {
+            return Err(DropReason::RvsStaleSeq);
         }
         self.reg_seq.insert(hip.sender_hit, seq);
         let locator = hip.locators().first().copied().unwrap_or(wire.src);
@@ -114,13 +119,14 @@ impl RendezvousServer {
             Packet::new(self.addr, wire.src, Payload::HipControl(resp.encode())),
         );
         ctx.trace_state(|| format!("rvs: registered {:?} at {locator}", hip.sender_hit));
+        Ok(())
     }
 
-    fn on_i1(&mut self, hip: &HipPacket, wire: &Packet, ctx: &mut Ctx) {
-        let Some(&locator) = self.registrations.get(&hip.receiver_hit) else {
-            ctx.trace_drop(|| format!("rvs: no registration for {:?}", hip.receiver_hit));
-            return;
-        };
+    fn on_i1(&mut self, hip: &HipPacket, wire: &Packet, ctx: &mut Ctx) -> Result<(), DropReason> {
+        let &locator = self
+            .registrations
+            .get(&hip.receiver_hit)
+            .ok_or(DropReason::RvsUnregistered)?;
         // Relay with FROM (initiator's locator) and VIA_RVS (ours).
         let mut params = hip.params.clone();
         params.push(Param::From(encode_locator(&wire.src)));
@@ -131,21 +137,17 @@ impl RendezvousServer {
             self.link,
             Packet::new(self.addr, locator, Payload::HipControl(relayed.encode())),
         );
+        Ok(())
     }
 }
 
 impl Node for RendezvousServer {
     fn handle_packet(&mut self, _iface: usize, pkt: Packet, ctx: &mut Ctx) {
-        let Payload::HipControl(bytes) = &pkt.payload else {
-            return;
-        };
-        let Some(hip) = HipPacket::decode(bytes) else {
-            return;
-        };
-        match hip.packet_type {
-            PacketType::RegRequest => self.on_reg_request(&hip, &pkt, ctx),
-            PacketType::I1 => self.on_i1(&hip, &pkt, ctx),
-            _ => {}
+        if let Err(reason) = self.on_packet(&pkt, ctx) {
+            if matches!(reason, DropReason::HipAuth | DropReason::RvsStaleSeq) {
+                self.rejected += 1;
+            }
+            ctx.drop_packet(&pkt, reason);
         }
     }
 

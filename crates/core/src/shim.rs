@@ -22,7 +22,7 @@ use crate::puzzle;
 use crate::wire::{encode_locator, param_type, HipPacket, PacketType, Param};
 use netsim::fx::FxHashMap;
 use netsim::packet::{Packet, Payload};
-use netsim::{L35Shim, ShimApi, SimDuration, SimTime};
+use netsim::{DropReason, L35Shim, ShimApi, SimDuration, SimTime};
 use obs::MetricsRegistry;
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::HmacKey;
@@ -30,12 +30,23 @@ use sim_crypto::kdf::keymat;
 use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr};
 use AssocState::{I1Sent, Keyed};
+use DropReason::{
+    EspAuth, EspNoSa, EspReplay, HipAuth, HipClosing, HipCollision, HipDecode, HipFirewall,
+    HipMalformed, HipNoLocator, HipNotOurs, HipUnexpected, HipUnknownPeer,
+};
 use Phase::{Closing, Established, I2Sent};
 
 /// BEX/UPDATE retransmission interval.
 const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 /// Number of pre-computed R1s (each with its own puzzle and DH key).
 const R1_POOL_SIZE: usize = 8;
+/// At most one NOTIFY(stale SPI) per SPI per window; the rate limiter
+/// is swept once per window.
+const NOTIFY_WINDOW: SimDuration = SimDuration::from_secs(1);
+
+/// What a packet handler returns: `Err` names why the packet was
+/// dropped, and `inbound`/`outbound` record it.
+type Verdict = Result<(), DropReason>;
 
 /// Shim configuration.
 #[derive(Clone)]
@@ -84,13 +95,18 @@ pub struct HipStats {
     pub esp_bytes_out: u64,
     /// Plaintext payload bytes recovered inbound.
     pub esp_bytes_in: u64,
-    /// Inbound ESP rejected by the anti-replay window.
+    /// Inbound ESP rejected by the anti-replay window
+    /// ([`DropReason::EspReplay`]).
     pub drops_replay: u64,
-    /// Packets rejected by signature/HMAC/ICV/puzzle checks.
+    /// Packets rejected by signature/HMAC/ICV/puzzle checks, or control
+    /// packets that do not decode ([`DropReason::EspAuth`],
+    /// [`DropReason::HipAuth`], [`DropReason::HipDecode`]).
     pub drops_auth: u64,
-    /// Exchanges/packets refused by the HIT firewall.
+    /// Exchanges/packets refused by the HIT firewall
+    /// ([`DropReason::HipFirewall`]).
     pub drops_firewall: u64,
-    /// ESP for an unknown SPI or an SA-less association.
+    /// ESP for an unknown SPI or an SA-less association
+    /// ([`DropReason::EspNoSa`]).
     pub drops_no_sa: u64,
     /// Mobility UPDATEs announced.
     pub updates_sent: u64,
@@ -322,7 +338,7 @@ pub struct HipShim {
     reg_seq: u32,
     /// Last NOTIFY(stale SPI) per unknown SPI, for rate limiting. Each
     /// SPI a peer sprays adds an entry, so entries whose window has
-    /// expired are swept out once per window.
+    /// expired are swept out once per [`NOTIFY_WINDOW`].
     notify_limiter: FxHashMap<u32, SimTime>,
     /// When `notify_limiter` was last swept.
     notify_swept: SimTime,
@@ -400,8 +416,10 @@ impl HipShim {
 
     /// Checks the shim's bookkeeping against its associations: `timers`
     /// holds one token per armed retransmission, `spi_in` one SPI per
-    /// live inbound SA, and `active_puzzles` at most one puzzle per R1
-    /// pool entry, each pointing into the pool.
+    /// live inbound SA, `active_puzzles` at most one puzzle per R1 pool
+    /// entry, each pointing into the pool, and every `notify_limiter`
+    /// entry lies within one window of the last sweep (so the limiter
+    /// holds at most the SPIs notified in two windows).
     pub fn check_invariants(&self) -> Result<(), String> {
         let armed = self.assocs.iter().filter(|(_, a)| a.rtx.armed.is_some());
         let timers: FxHashMap<u64, Hit> = armed.map(|(p, a)| (a.rtx.token, *p)).collect();
@@ -420,6 +438,16 @@ impl HipShim {
         let puzzles = self.active_puzzles.len();
         if puzzles > R1_POOL_SIZE || self.active_puzzles.values().any(|&idx| idx >= pool) {
             return Err(format!("{puzzles} active puzzles for an R1 pool of {pool}"));
+        }
+        let swept = self.notify_swept;
+        let unswept = self
+            .notify_limiter
+            .iter()
+            .find(|(_, &t)| swept.since(t) >= NOTIFY_WINDOW || t.since(swept) >= NOTIFY_WINDOW);
+        if let Some((spi, t)) = unswept {
+            return Err(format!(
+                "NOTIFY limiter entry {spi:08x} at {t:?} is a window or more from the sweep at {swept:?}"
+            ));
         }
         Ok(())
     }
@@ -467,28 +495,28 @@ impl HipShim {
         }
     }
 
-    /// Starts a BEX toward `peer` (queuing `first_packet` if given).
-    fn initiate(&mut self, api: &mut ShimApi, peer: Hit, first_packet: Option<Packet>) {
-        let Some(info) = self.peers.get(&peer).cloned() else {
-            api.trace_state(|| format!("no locator for {peer:?}, dropping"));
-            return;
-        };
-        let dst = match (info.locators.first(), info.via_rvs) {
-            (Some(&loc), _) => loc,
-            (None, Some(rvs)) => rvs,
-            (None, None) => {
-                api.trace_state(|| format!("peer {peer:?} unreachable"));
-                return;
-            }
-        };
-        let Some(src) = api.local_locator(&dst) else {
-            return;
-        };
+    /// Where an I1 for `peer` goes: our locator, and the peer's first
+    /// known locator or else its rendezvous server.
+    fn bex_route(&self, api: &ShimApi, peer: &Hit) -> Result<(IpAddr, IpAddr), DropReason> {
+        let info = self.peers.get(peer).ok_or(HipUnknownPeer)?;
+        let dst = info.locators.first().copied().or(info.via_rvs);
+        let dst = dst.ok_or(HipNoLocator)?;
+        let src = api.local_locator(&dst).ok_or(HipNoLocator)?;
+        Ok((src, dst))
+    }
+
+    /// Starts a BEX toward `peer` along `route`, holding `queued` until
+    /// the SA is up.
+    fn initiate(
+        &mut self,
+        api: &mut ShimApi,
+        peer: Hit,
+        (src, dst): (IpAddr, IpAddr),
+        queued: Vec<Packet>,
+    ) {
         let i1 = HipPacket::new(PacketType::I1, self.hit(), peer, vec![]);
         let bytes = send_control(api, self.config.costs.hit_lookup, &i1, src, dst);
         self.stats.bex_initiated += 1;
-        let mut queued = Vec::new();
-        queued.extend(first_packet);
         let started = api.now();
         let state = I1Sent(Pending { queued, started });
         let mut assoc = self.new_assoc(src, dst, state);
@@ -501,11 +529,9 @@ impl HipShim {
     // Inbound control handling
     // ------------------------------------------------------------------
 
-    fn on_i1(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
+    fn on_i1(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
         if self.firewall.check(&pkt.sender_hit) == Action::Deny {
-            self.stats.drops_firewall += 1;
-            api.metrics().add_name("hip.drop.firewall", 1);
-            return;
+            return Err(HipFirewall);
         }
         if self.r1_pool.is_empty() {
             self.build_r1_pool(api);
@@ -526,53 +552,37 @@ impl HipShim {
                 _ => None,
             })
             .unwrap_or(wire.src);
-        let Some(src) = api.local_locator(&reply_to) else {
-            return;
-        };
+        let src = api.local_locator(&reply_to).ok_or(HipNoLocator)?;
         // Precomputed: only a table lookup is charged — this is the DoS
         // resilience property (§IV-B).
         send_control(api, self.config.costs.hit_lookup, &r1, src, reply_to);
         self.stats.bex_responded += 1;
+        Ok(())
     }
 
-    fn on_r1(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
+    fn on_r1(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get_mut(&peer) else {
-            return;
-        };
+        let assoc = self.assocs.get_mut(&peer).ok_or(HipUnexpected)?;
         let I1Sent(pending) = &mut assoc.state else {
-            return;
+            return Err(HipUnexpected);
         };
         // Validate the host identity and signature.
-        let Some(hi_bytes) = pkt.host_id() else {
-            return;
-        };
-        let Some(hi) = PublicHi::from_bytes(hi_bytes) else {
-            return;
-        };
+        let hi_bytes = pkt.host_id().ok_or(HipMalformed)?;
+        let hi = PublicHi::from_bytes(hi_bytes).ok_or(HipMalformed)?;
         if hi.hit() != peer {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some(sig) = pkt.signature() else { return };
+        let sig = pkt.signature().ok_or(HipMalformed)?;
         let covered = pkt.bytes_before_with_zero_receiver(param_type::HIP_SIGNATURE);
         if !hi.verify(&covered, sig) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some((k, _lifetime, opaque, i)) = pkt.puzzle() else {
-            return;
-        };
+        let (k, _lifetime, opaque, i) = pkt.puzzle().ok_or(HipMalformed)?;
         if k > puzzle::MAX_K {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some((group_id, peer_dh_pub)) = pkt.diffie_hellman() else {
-            return;
-        };
-        let Some(group) = DhGroup::from_group_id(group_id) else {
-            return;
-        };
+        let (group_id, peer_dh_pub) = pkt.diffie_hellman().ok_or(HipMalformed)?;
+        let group = DhGroup::from_group_id(group_id).ok_or(HipMalformed)?;
 
         // Solve the puzzle (really).
         let my_hit = self.identity.hit();
@@ -582,10 +592,7 @@ impl HipShim {
 
         // DH: generate our ephemeral pair and compute the shared secret.
         let dh = DhKeyPair::generate(group, api.rng());
-        let Some(kij) = dh.shared_secret(peer_dh_pub) else {
-            self.stats.drops_auth += 1;
-            return;
-        };
+        let kij = dh.shared_secret(peer_dh_pub).ok_or(HipAuth)?;
         // As initiator we send under the I→R keys.
         let [(hmac_out, out_keys), (hmac_in, in_keys)] = derive_keys(&kij, my_hit, peer, i, j);
 
@@ -624,9 +631,7 @@ impl HipShim {
         // R1 may arrive from a different locator than the I1 went to
         // (rendezvous case): follow the wire source.
         let peer_locator = wire.src;
-        let Some(src) = api.local_locator(&peer_locator) else {
-            return;
-        };
+        let src = api.local_locator(&peer_locator).ok_or(HipNoLocator)?;
         let bytes = send_control(api, work, &i2, src, peer_locator);
 
         // The inbound SA can be installed now (the peer will use our
@@ -648,14 +653,13 @@ impl HipShim {
         api.trace_state(|| {
             format!("BEX: R1 ok, I2 -> {peer:?} (puzzle k={k}, {attempts} attempts)")
         });
+        Ok(())
     }
 
-    fn on_i2(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
+    fn on_i2(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
         let peer = pkt.sender_hit;
         if self.firewall.check(&peer) == Action::Deny {
-            self.stats.drops_firewall += 1;
-            api.metrics().add_name("hip.drop.firewall", 1);
-            return;
+            return Err(HipFirewall);
         }
         let my_hit = self.hit();
         // Both ends sent an I2 (RFC 5201 §4.4.2): the larger HIT answers
@@ -663,47 +667,31 @@ impl HipShim {
         // its own.
         let state = self.assocs.get(&peer).map(|a| &a.state);
         if matches!(state, Some(Keyed(_, I2Sent(..)))) && my_hit < peer {
-            return;
+            return Err(HipCollision);
         }
-        let Some((k, _, i, j)) = pkt.solution() else {
-            return;
-        };
+        let (k, _, i, j) = pkt.solution().ok_or(HipMalformed)?;
         // The puzzle must be one we issued (pool membership) and solved.
-        let Some(&pool_idx) = self.active_puzzles.get(&i) else {
-            self.stats.drops_auth += 1;
-            return;
-        };
+        let &pool_idx = self.active_puzzles.get(&i).ok_or(HipAuth)?;
         if k != self.config.puzzle_k || !puzzle::verify(i, k, &peer, &my_hit, j) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some(hi_bytes) = pkt.host_id() else {
-            return;
-        };
-        let Some(hi) = PublicHi::from_bytes(hi_bytes) else {
-            return;
-        };
+        let hi_bytes = pkt.host_id().ok_or(HipMalformed)?;
+        let hi = PublicHi::from_bytes(hi_bytes).ok_or(HipMalformed)?;
         if hi.hit() != peer {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some((_group_id, peer_dh_pub)) = pkt.diffie_hellman() else {
-            return;
-        };
-        let Some(kij) = self.r1_pool[pool_idx].dh.shared_secret(peer_dh_pub) else {
-            self.stats.drops_auth += 1;
-            return;
-        };
+        let (_group_id, peer_dh_pub) = pkt.diffie_hellman().ok_or(HipMalformed)?;
+        let kij = self.r1_pool[pool_idx]
+            .dh
+            .shared_secret(peer_dh_pub)
+            .ok_or(HipAuth)?;
         // As responder we send under the R→I keys.
         let [(hmac_in, in_keys), (hmac_out, out_keys)] = derive_keys(&kij, my_hit, peer, i, j);
         // HMAC then signature.
         if !verify_sealed(pkt, &hi, &hmac_in) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some((_, peer_spi)) = pkt.esp_info() else {
-            return;
-        };
+        let (_, peer_spi) = pkt.esp_info().ok_or(HipMalformed)?;
 
         let local_spi = (api.random_u64() as u32) | 1;
         let params = vec![Param::EspInfo {
@@ -725,9 +713,7 @@ impl HipShim {
             + costs.verify(hi.algorithm())
             + costs.sign(self.identity.algorithm());
         let peer_locator = wire.src;
-        let Some(src) = api.local_locator(&peer_locator) else {
-            return;
-        };
+        let src = api.local_locator(&peer_locator).ok_or(HipNoLocator)?;
         send_control(api, work, &r2, src, peer_locator);
 
         let sa_in = Sa::inbound(api.metrics(), local_spi, in_keys, peer, my_hit);
@@ -755,29 +741,25 @@ impl HipShim {
         self.spi_in.insert(local_spi, peer);
         self.stats.bex_completed += 1;
         api.trace_state(|| format!("BEX: established (responder) with {peer:?}"));
-        for pkt in queued {
-            self.encap_and_send(api, peer, pkt, SimDuration::ZERO);
+        for pkt in &queued {
+            self.encap_and_send(api, peer, pkt, SimDuration::ZERO)?;
         }
+        Ok(())
     }
 
-    fn on_r2(&mut self, api: &mut ShimApi, pkt: &HipPacket, _wire: &Packet) {
+    fn on_r2(&mut self, api: &mut ShimApi, pkt: &HipPacket) -> Verdict {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get_mut(&peer) else {
-            return;
-        };
+        let assoc = self.assocs.get_mut(&peer).ok_or(HipUnexpected)?;
         let Keyed(keys, phase) = &mut assoc.state else {
-            return;
+            return Err(HipUnexpected);
         };
         let I2Sent(out_keys, pending) = phase else {
-            return;
+            return Err(HipUnexpected);
         };
         if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
-        let Some((_, peer_spi)) = pkt.esp_info() else {
-            return;
-        };
+        let (_, peer_spi) = pkt.esp_info().ok_or(HipMalformed)?;
         let work = self.config.costs.verify(keys.peer_hi.algorithm());
         let delay = api.charge_cpu(work);
 
@@ -795,22 +777,20 @@ impl HipShim {
         self.stats.bex_completed += 1;
         api.trace_state(|| format!("BEX: established (initiator) with {peer:?}"));
         // Flush queued upper packets through the new SA.
-        for pkt in queued {
-            self.encap_and_send(api, peer, pkt, delay);
+        for pkt in &queued {
+            self.encap_and_send(api, peer, pkt, delay)?;
         }
+        Ok(())
     }
 
-    fn on_update(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
+    fn on_update(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
         let peer = pkt.sender_hit;
-        let Some(assoc) = self.assocs.get_mut(&peer) else {
-            return;
-        };
+        let assoc = self.assocs.get_mut(&peer).ok_or(HipUnexpected)?;
         let Keyed(keys, Established(_, mobility)) = &mut assoc.state else {
-            return;
+            return Err(HipUnexpected);
         };
         if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
         let verify_cost = self.config.costs.verify(keys.peer_hi.algorithm());
         let sign_cost = self.config.costs.sign(self.identity.algorithm());
@@ -850,12 +830,10 @@ impl HipShim {
                 Some(&keys.hmac_out),
             );
             // Address verification: the echo goes to the *new* locator.
-            let Some(src) = api.local_locator(&new_loc) else {
-                return;
-            };
+            let src = api.local_locator(&new_loc).ok_or(HipNoLocator)?;
             send_control(api, verify_cost + sign_cost, &reply, src, new_loc);
             api.trace_state(|| format!("UPDATE: {peer:?} moved to {new_loc}, verifying"));
-            return;
+            return Ok(());
         }
 
         // Case 2: we moved; the peer echoes — answer from the new address.
@@ -878,31 +856,32 @@ impl HipShim {
             let work = verify_cost + sign_cost;
             send_control(api, work, &reply, assoc.local_locator, assoc.peer_locator);
             self.stats.updates_completed += 1;
-            return;
+            return Ok(());
         }
 
         // Case 3: echo response completes our verification of their move.
-        if let (Some(nonce), Some(pv)) = (echo_resp, &mobility.verify) {
-            if pv.nonce == nonce && wire.src == pv.new_locator {
-                assoc.peer_locator = pv.new_locator;
-                if ack.is_some_and(|a| a.contains(&pv.seq_ours)) {
-                    mobility.verify = None;
-                }
-                api.charge_cpu(verify_cost);
-                self.stats.updates_completed += 1;
-                api.trace_state(|| format!("UPDATE: verified {peer:?} at {}", wire.src));
-            }
+        let pv = mobility.verify.as_ref();
+        let Some(pv) = pv.filter(|pv| echo_resp == Some(pv.nonce) && wire.src == pv.new_locator)
+        else {
+            return Err(HipUnexpected);
+        };
+        assoc.peer_locator = pv.new_locator;
+        if ack.is_some_and(|a| a.contains(&pv.seq_ours)) {
+            mobility.verify = None;
         }
+        api.charge_cpu(verify_cost);
+        self.stats.updates_completed += 1;
+        api.trace_state(|| format!("UPDATE: verified {peer:?} at {}", wire.src));
+        Ok(())
     }
 
-    fn on_close(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
+    fn on_close(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
         let peer = pkt.sender_hit;
         let Some(Keyed(keys, _)) = self.assocs.get(&peer).map(|a| &a.state) else {
-            return;
+            return Err(HipUnexpected);
         };
         if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
-            self.stats.drops_auth += 1;
-            return;
+            return Err(HipAuth);
         }
         let nonce = pkt.find(|p| match p {
             Param::EchoRequest(n) => Some(*n),
@@ -918,29 +897,30 @@ impl HipShim {
             Some(&keys.hmac_out),
         );
         let dst = wire.src;
-        let Some(src) = api.local_locator(&dst) else {
-            return;
-        };
+        let src = api.local_locator(&dst).ok_or(HipNoLocator)?;
         let costs = self.config.costs;
         let work = costs.verify(keys.peer_hi.algorithm()) + costs.sign(self.identity.algorithm());
         send_control(api, work, &ack, src, dst);
         self.teardown(api, &peer);
         self.stats.closes += 1;
+        Ok(())
     }
 
-    fn on_close_ack(&mut self, api: &mut ShimApi, pkt: &HipPacket) {
+    fn on_close_ack(&mut self, api: &mut ShimApi, pkt: &HipPacket) -> Verdict {
         let peer = pkt.sender_hit;
         let Some(&Keyed(_, Closing(nonce))) = self.assocs.get(&peer).map(|a| &a.state) else {
-            return;
+            return Err(HipUnexpected);
         };
         let got = pkt.find(|p| match p {
             Param::EchoResponse(n) => Some(*n),
             _ => None,
         });
-        if got == Some(nonce) {
-            self.teardown(api, &peer);
-            self.stats.closes += 1;
+        if got != Some(nonce) {
+            return Err(HipUnexpected);
         }
+        self.teardown(api, &peer);
+        self.stats.closes += 1;
+        Ok(())
     }
 
     /// Removes the association with `peer` and releases it.
@@ -969,19 +949,51 @@ impl HipShim {
     // Data plane
     // ------------------------------------------------------------------
 
-    fn encap_and_send(&mut self, api: &mut ShimApi, peer: Hit, pkt: Packet, after: SimDuration) {
+    /// Handles an upper-layer packet for an identity: encapsulates it,
+    /// queues it behind a running BEX, or starts one.
+    fn send_upper(&mut self, api: &mut ShimApi, pkt: &Packet) -> Verdict {
+        // Resolve the destination identity to a peer HIT.
+        let lsi_peer = || match pkt.dst {
+            IpAddr::V4(lsi) => self.lsi.hit_of(&lsi),
+            IpAddr::V6(_) => None,
+        };
+        let peer = Hit::from_ip(&pkt.dst)
+            .or_else(lsi_peer)
+            .ok_or(HipUnknownPeer)?;
+        match self.assocs.get_mut(&peer).map(|a| &mut a.state) {
+            Some(Keyed(_, Established(..))) => {
+                self.encap_and_send(api, peer, pkt, SimDuration::ZERO)
+            }
+            Some(I1Sent(p) | Keyed(_, I2Sent(_, p))) => {
+                p.queued.push(pkt.clone());
+                Ok(())
+            }
+            // Teardown would drop it unsent.
+            Some(Keyed(_, Closing(_))) => Err(HipClosing),
+            None => {
+                let route = self.bex_route(api, &peer)?;
+                self.initiate(api, peer, route, vec![pkt.clone()]);
+                Ok(())
+            }
+        }
+    }
+
+    fn encap_and_send(
+        &mut self,
+        api: &mut ShimApi,
+        peer: Hit,
+        pkt: &Packet,
+        after: SimDuration,
+    ) -> Verdict {
         let mode = if netsim::addr::is_lsi(&pkt.dst) {
             InnerMode::Lsi
         } else {
             InnerMode::Hit
         };
         let costs = self.config.costs;
-        let Some(assoc) = self.assocs.get_mut(&peer) else {
-            return;
-        };
+        let assoc = self.assocs.get_mut(&peer).ok_or(EspNoSa)?;
         let Keyed(_, Established(sa_out, _)) = &mut assoc.state else {
-            self.stats.drops_no_sa += 1;
-            return;
+            return Err(EspNoSa);
         };
         let payload_len = pkt.payload.wire_len();
         let iv_seed = api.random_u64();
@@ -998,82 +1010,75 @@ impl HipShim {
             ids.record(api.metrics(), work, payload_len);
         }
         api.send_wire(delay, wire);
+        Ok(())
     }
 
-    fn on_esp(&mut self, api: &mut ShimApi, esp: &netsim::packet::EspPacket, wire: &Packet) {
+    fn on_esp(
+        &mut self,
+        api: &mut ShimApi,
+        esp: &netsim::packet::EspPacket,
+        wire: &Packet,
+    ) -> Verdict {
         let Some(&peer) = self.spi_in.get(&esp.spi) else {
-            self.stats.drops_no_sa += 1;
             // The sender believes this SPI is live — most likely we
             // crashed and lost the SA. Tell it so it can re-run BEX
             // instead of blackholing ESP forever; at most one NOTIFY per
-            // SPI per sim-second so a blast of stale ESP costs one reply.
+            // SPI per window so a blast of stale ESP costs one reply.
             self.notify_stale_spi(api, esp.spi, wire.src);
-            return;
+            return Err(EspNoSa);
         };
         if self.firewall.check(&peer) == Action::Deny {
-            self.stats.drops_firewall += 1;
-            api.metrics().add_name("hip.drop.firewall", 1);
-            return;
+            return Err(HipFirewall);
         }
         let costs = self.config.costs;
         let my_lsi = self.my_lsi;
         let peer_lsi = self.lsi.lsi_for(peer);
-        let Some(assoc) = self.assocs.get_mut(&peer) else {
-            return;
-        };
+        let assoc = self.assocs.get_mut(&peer).ok_or(EspNoSa)?;
         let Keyed(keys, _) = &mut assoc.state else {
-            self.stats.drops_no_sa += 1;
-            return;
+            return Err(EspNoSa);
         };
         let sa = &mut keys.sa_in;
-        match sa.esp.decapsulate(esp) {
-            Ok((mode, payload)) => {
-                let len = payload.wire_len();
-                let inner = crate::esp::rebuild_inner(
-                    &sa.esp,
-                    mode,
-                    payload,
-                    IpAddr::V4(peer_lsi),
-                    IpAddr::V4(my_lsi),
-                );
-                let mut work = costs.symmetric(len) + costs.hit_lookup;
-                if mode == InnerMode::Lsi {
-                    work += costs.lsi_translation;
-                }
-                let delay = api.charge_cpu(work);
-                self.stats.esp_in += 1;
-                self.stats.esp_bytes_in += len as u64;
-                if let Some(ids) = sa.ids {
-                    ids.record(api.metrics(), work, len);
-                }
-                api.deliver_upper(delay, inner);
-            }
-            Err(EspError::Replay) => {
-                self.stats.drops_replay += 1;
-                api.metrics().add_name("esp.drop.replay", 1);
-            }
-            Err(_) => {
-                self.stats.drops_auth += 1;
-                api.metrics().add_name("esp.drop.auth", 1);
-            }
+        let (mode, payload) = sa.esp.decapsulate(esp).map_err(|e| match e {
+            EspError::Replay => EspReplay,
+            _ => EspAuth,
+        })?;
+        let len = payload.wire_len();
+        let inner = crate::esp::rebuild_inner(
+            &sa.esp,
+            mode,
+            payload,
+            IpAddr::V4(peer_lsi),
+            IpAddr::V4(my_lsi),
+        );
+        let mut work = costs.symmetric(len) + costs.hit_lookup;
+        if mode == InnerMode::Lsi {
+            work += costs.lsi_translation;
         }
+        let delay = api.charge_cpu(work);
+        self.stats.esp_in += 1;
+        self.stats.esp_bytes_in += len as u64;
+        if let Some(ids) = sa.ids {
+            ids.record(api.metrics(), work, len);
+        }
+        api.deliver_upper(delay, inner);
+        Ok(())
     }
 
     /// Sends NOTIFY(stale SPI) to `dst`: ESP arrived for an SPI we have
-    /// no SA for. Rate-limited to one per SPI per sim-second.
+    /// no SA for. Rate-limited to one per SPI per [`NOTIFY_WINDOW`].
     fn notify_stale_spi(&mut self, api: &mut ShimApi, spi: u32, dst: IpAddr) {
-        const WINDOW: SimDuration = SimDuration::from_secs(1);
         let now = api.now();
         // An entry whose window has expired decides nothing (it reads as
         // absent below), so sweeping those out changes no send.
-        if now.since(self.notify_swept) >= WINDOW {
-            self.notify_limiter.retain(|_, t| now.since(*t) < WINDOW);
+        if now.since(self.notify_swept) >= NOTIFY_WINDOW {
+            self.notify_limiter
+                .retain(|_, t| now.since(*t) < NOTIFY_WINDOW);
             self.notify_swept = now;
         }
         if self
             .notify_limiter
             .get(&spi)
-            .is_some_and(|t| now.since(*t) < WINDOW)
+            .is_some_and(|t| now.since(*t) < NOTIFY_WINDOW)
         {
             return;
         }
@@ -1105,22 +1110,66 @@ impl HipShim {
     /// association *and* echoes the SPI we are currently sending on —
     /// two values an off-path attacker does not know. Tear the
     /// association down and re-run the base exchange.
-    fn on_notify(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) {
-        let Some((old_spi, _)) = pkt.esp_info() else {
-            return;
-        };
+    fn on_notify(&mut self, api: &mut ShimApi, pkt: &HipPacket, wire: &Packet) -> Verdict {
+        let (old_spi, _) = pkt.esp_info().ok_or(HipMalformed)?;
         let peer = self.assocs.iter().find_map(|(h, a)| match &a.state {
             Keyed(_, Established(sa_out, _)) if a.peer_locator == wire.src => {
                 (sa_out.esp.spi == old_spi).then_some(*h)
             }
             _ => None,
         });
-        let Some(peer) = peer else { return };
+        let peer = peer.ok_or(HipUnexpected)?;
         self.teardown(api, &peer);
         self.stats.stale_spi_rebex += 1;
         api.metrics().add_name("hip.rebex.stale_spi", 1);
         api.trace_state(|| format!("NOTIFY: peer {peer:?} lost SPI {old_spi:08x}, re-running BEX"));
-        self.initiate(api, peer, None);
+        let route = self.bex_route(api, &peer)?;
+        self.initiate(api, peer, route, Vec::new());
+        Ok(())
+    }
+
+    /// Handles a packet from the wire; `Err` names why it was dropped.
+    fn on_wire(&mut self, api: &mut ShimApi, pkt: &Packet) -> Verdict {
+        let bytes = match &pkt.payload {
+            Payload::Esp(esp) => return self.on_esp(api, esp, pkt),
+            Payload::HipControl(bytes) => bytes,
+            _ => return Err(HipUnexpected),
+        };
+        let hip = HipPacket::decode(bytes).ok_or(HipDecode)?;
+        // Control packets addressed to another HIT are not ours.
+        if !hip.receiver_hit.is_null() && hip.receiver_hit != self.hit() {
+            return Err(HipNotOurs);
+        }
+        match hip.packet_type {
+            PacketType::I1 => self.on_i1(api, &hip, pkt),
+            PacketType::R1 => self.on_r1(api, &hip, pkt),
+            PacketType::I2 => self.on_i2(api, &hip, pkt),
+            PacketType::R2 => self.on_r2(api, &hip),
+            PacketType::Update => self.on_update(api, &hip, pkt),
+            PacketType::Close => self.on_close(api, &hip, pkt),
+            PacketType::CloseAck => self.on_close_ack(api, &hip),
+            PacketType::RegResponse => {
+                self.rvs_registered = true;
+                Ok(())
+            }
+            PacketType::Notify => self.on_notify(api, &hip, pkt),
+            PacketType::RegRequest => Err(HipUnexpected),
+        }
+    }
+
+    /// Records a packet the shim refused: traced and counted under
+    /// `reason`, and in the [`HipStats`] field that counts it, if any.
+    fn record_drop(&mut self, api: &mut ShimApi, pkt: &Packet, reason: DropReason) {
+        api.drop_packet(pkt, reason);
+        let s = &mut self.stats;
+        let field = match reason {
+            EspReplay => &mut s.drops_replay,
+            EspAuth | HipAuth | HipDecode => &mut s.drops_auth,
+            HipFirewall => &mut s.drops_firewall,
+            EspNoSa => &mut s.drops_no_sa,
+            _ => return,
+        };
+        *field += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1292,62 +1341,14 @@ impl L35Shim for HipShim {
     }
 
     fn outbound(&mut self, pkt: Packet, api: &mut ShimApi) {
-        // Resolve the destination identity to a peer HIT.
-        let peer = if let Some(hit) = Hit::from_ip(&pkt.dst) {
-            hit
-        } else if let IpAddr::V4(lsi) = pkt.dst {
-            match self.lsi.hit_of(&lsi) {
-                Some(h) => h,
-                None => {
-                    api.trace_state(|| format!("unknown LSI {lsi}"));
-                    return;
-                }
-            }
-        } else {
-            return;
-        };
-        match self.assocs.get_mut(&peer).map(|a| &mut a.state) {
-            Some(Keyed(_, Established(..))) => {
-                self.encap_and_send(api, peer, pkt, SimDuration::ZERO)
-            }
-            Some(I1Sent(p) | Keyed(_, I2Sent(_, p))) => p.queued.push(pkt),
-            // Teardown would drop it unsent.
-            Some(Keyed(_, Closing(_))) => {}
-            None => self.initiate(api, peer, Some(pkt)),
+        if let Err(reason) = self.send_upper(api, &pkt) {
+            self.record_drop(api, &pkt, reason);
         }
     }
 
     fn inbound(&mut self, pkt: Packet, api: &mut ShimApi) {
-        match &pkt.payload {
-            Payload::Esp(esp) => {
-                let esp = esp.clone();
-                self.on_esp(api, &esp, &pkt);
-            }
-            Payload::HipControl(bytes) => {
-                let Some(hip) = HipPacket::decode(bytes) else {
-                    self.stats.drops_auth += 1;
-                    return;
-                };
-                // Control packets addressed to another HIT are not ours.
-                if !hip.receiver_hit.is_null() && hip.receiver_hit != self.hit() {
-                    return;
-                }
-                match hip.packet_type {
-                    PacketType::I1 => self.on_i1(api, &hip, &pkt),
-                    PacketType::R1 => self.on_r1(api, &hip, &pkt),
-                    PacketType::I2 => self.on_i2(api, &hip, &pkt),
-                    PacketType::R2 => self.on_r2(api, &hip, &pkt),
-                    PacketType::Update => self.on_update(api, &hip, &pkt),
-                    PacketType::Close => self.on_close(api, &hip, &pkt),
-                    PacketType::CloseAck => self.on_close_ack(api, &hip),
-                    PacketType::RegResponse => {
-                        self.rvs_registered = true;
-                    }
-                    PacketType::Notify => self.on_notify(api, &hip, &pkt),
-                    PacketType::RegRequest => {}
-                }
-            }
-            _ => {}
+        if let Err(reason) = self.on_wire(api, &pkt) {
+            self.record_drop(api, &pkt, reason);
         }
     }
 

@@ -32,7 +32,8 @@
 //! earlier time than the queued entry, or of a token that already fired
 //! or was cancelled, falls back to cancel-and-set.
 
-use crate::link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId, TxResult};
+use crate::drops::DropReason;
+use crate::link::{Endpoint, Link, LinkId, LinkParams, NodeId};
 use crate::packet::{Packet, Payload};
 use crate::sched::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
@@ -42,15 +43,17 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::any::Any;
 
-/// Pre-registered handles for the engine's own metrics, so the
-/// dispatch fast path bumps an index instead of hashing a name.
-#[derive(Clone, Copy)]
+/// Registered handles for the engine's own metrics and for one counter
+/// per [`DropReason`], so the dispatch fast path and every drop bump an
+/// index instead of hashing a name.
 pub(crate) struct EngineIds {
     ev_packet: CtrId,
     ev_timer: CtrId,
     ev_linktx: CtrId,
     pkt_bytes: HistId,
     link_drops: CtrId,
+    /// Indexed by [`DropReason`]; empty until [`Self::register_drops`].
+    drops: Vec<CtrId>,
 }
 
 impl EngineIds {
@@ -61,6 +64,22 @@ impl EngineIds {
             ev_linktx: m.counter("engine.ev.linktx"),
             pkt_bytes: m.hist("engine.pkt.bytes"),
             link_drops: m.counter("link.drops"),
+            drops: Vec::new(),
+        }
+    }
+
+    /// Registers every reason's counter in `m`, once: at the first drop,
+    /// and when the metrics are taken, so every taken registry (and so
+    /// every run manifest) lists every reason. Registering them in
+    /// `Sim::new` instead made building a `Sim` almost four times as
+    /// slow (3.3 → 12.5 µs on a 2-vCPU x86-64 VM), and for a two-host
+    /// topology that is most of the set-up.
+    fn register_drops(&mut self, m: &mut MetricsRegistry) {
+        if self.drops.is_empty() {
+            self.drops = DropReason::ALL
+                .iter()
+                .map(|r| m.counter(r.name()))
+                .collect();
         }
     }
 }
@@ -74,29 +93,33 @@ fn pkt_info(pkt: &Packet) -> PktInfo {
     }
 }
 
-/// Trace reason and counter name for packets discarded because their
-/// sender or receiver is crashed.
-const NODE_DOWN: &str = "fault.node_down";
-
-/// Counts a packet discarded at a crashed node and traces the drop.
-fn drop_node_down(
+/// Records that `node` dropped `pkt` for `reason`: bumps the reason's
+/// counter (and `link.drops` for a link reason) and traces the drop.
+/// Every drop in the simulator goes through here.
+#[allow(clippy::too_many_arguments)]
+fn record_drop(
     metrics: &mut MetricsRegistry,
+    ids: &mut EngineIds,
     trace: &mut Trace,
     now: SimTime,
     node: NodeId,
     pkt: &Packet,
+    reason: DropReason,
 ) {
-    metrics.add_name(NODE_DOWN, 1);
+    ids.register_drops(metrics);
+    metrics.inc(ids.drops[reason as usize]);
+    if reason.is_link() {
+        metrics.inc(ids.link_drops);
+    }
     trace.record(now, node, || TraceData::Drop {
-        pkt: Some(pkt_info(pkt)),
-        reason: NODE_DOWN.to_string(),
+        pkt: pkt_info(pkt),
+        reason,
     });
 }
 
 /// Offers one wire frame to `link` — the only place link delivery and
 /// link drops are accounted. A delivered frame is traced and returned
-/// as its arrival event; a dropped one bumps `link.drops` (and the
-/// fault counter named by its cause) and is traced.
+/// as its arrival event; a dropped one is recorded under its reason.
 #[allow(clippy::too_many_arguments)]
 fn link_transmit(
     link: &mut Link,
@@ -105,7 +128,7 @@ fn link_transmit(
     pkt: Packet,
     (loss_draw, jitter_draw): (f64, f64),
     metrics: &mut MetricsRegistry,
-    ids: EngineIds,
+    ids: &mut EngineIds,
     trace: &mut Trace,
 ) -> Option<(SimTime, Event)> {
     debug_assert!(
@@ -114,7 +137,7 @@ fn link_transmit(
         link.id.0
     );
     match link.transmit(from, pkt.wire_len(), now, loss_draw, jitter_draw) {
-        TxResult::Deliver { to, at } => {
+        Ok((to, at)) => {
             trace.record(now, from, || TraceData::Tx(pkt_info(&pkt)));
             Some((
                 at,
@@ -125,18 +148,8 @@ fn link_transmit(
                 },
             ))
         }
-        TxResult::Dropped { cause } => {
-            metrics.inc(ids.link_drops);
-            if matches!(
-                cause,
-                DropCause::Burst | DropCause::LinkDown | DropCause::Partition
-            ) {
-                metrics.add_name(cause.reason(), 1);
-            }
-            trace.record(now, from, || TraceData::Drop {
-                pkt: Some(pkt_info(&pkt)),
-                reason: cause.reason().to_string(),
-            });
+        Err(reason) => {
+            record_drop(metrics, ids, trace, now, from, &pkt, reason);
             None
         }
     }
@@ -438,7 +451,7 @@ pub struct Ctx<'a> {
     slots: &'a mut TimerSlots,
     stats: &'a mut SimStats,
     metrics: &'a mut MetricsRegistry,
-    ids: EngineIds,
+    ids: &'a mut EngineIds,
     /// The engine's `seq` before this dispatch: the flush gives the
     /// `i`-th emission `seq_base + i + 1`.
     seq_base: u64,
@@ -600,25 +613,18 @@ impl Ctx<'_> {
         });
     }
 
-    /// Records a drop trace entry (no packet in hand; see
-    /// [`Ctx::trace_drop_pkt`] when the packet is known).
-    pub fn trace_drop(&mut self, detail: impl FnOnce() -> String) {
-        self.trace.record(self.now, self.node, || TraceData::Drop {
-            pkt: None,
-            reason: detail(),
-        });
-    }
-
-    /// Records a drop trace entry carrying the dropped packet's
-    /// identity, so harnesses can filter drops by protocol/address.
-    pub fn trace_drop_pkt(&mut self, pkt: &Packet, reason: impl FnOnce() -> String) {
-        if self.trace.is_enabled() {
-            let info = pkt_info(pkt);
-            self.trace.record(self.now, self.node, || TraceData::Drop {
-                pkt: Some(info),
-                reason: reason(),
-            });
-        }
+    /// Drops `pkt` for `reason`: bumps the reason's counter and traces
+    /// the drop. The one way a node records a packet it refuses.
+    pub fn drop_packet(&mut self, pkt: &Packet, reason: DropReason) {
+        record_drop(
+            self.metrics,
+            self.ids,
+            self.trace,
+            self.now,
+            self.node,
+            pkt,
+            reason,
+        );
     }
 
     /// The metrics registry (counters, gauges, histograms). Recording
@@ -741,9 +747,11 @@ impl Sim {
         self.metrics.set_enabled(on);
     }
 
-    /// Takes the accumulated metrics, leaving a fresh enabled registry
-    /// (with the engine's own metrics re-registered) in place.
+    /// Takes the accumulated metrics, with a counter for every
+    /// [`DropReason`], leaving a fresh enabled registry (with the
+    /// engine's own metrics re-registered) in place.
     pub fn take_metrics(&mut self) -> MetricsRegistry {
+        self.engine_ids.register_drops(&mut self.metrics);
         let mut fresh = MetricsRegistry::new();
         self.engine_ids = EngineIds::register(&mut fresh);
         std::mem::replace(&mut self.metrics, fresh)
@@ -960,7 +968,7 @@ impl Sim {
                     return; // node removed mid-flight; drop silently
                 }
                 if self.is_crashed(node) {
-                    drop_node_down(&mut self.metrics, &mut self.trace, self.now, node, &pkt);
+                    self.drop_packet(node, &pkt, DropReason::NodeDown);
                     return;
                 }
                 self.with_node(node, |n, ctx| {
@@ -989,11 +997,11 @@ impl Sim {
                 // the surviving traffic within the same plan.
                 let draws = (self.rng.random(), self.rng.random());
                 if self.is_crashed(from) {
-                    drop_node_down(&mut self.metrics, &mut self.trace, self.now, from, &pkt);
+                    self.drop_packet(from, &pkt, DropReason::NodeDown);
                     return;
                 }
                 let l = &mut self.world.links[link.0];
-                let ids = self.engine_ids;
+                let ids = &mut self.engine_ids;
                 if let Some((at, arrival)) = link_transmit(
                     l,
                     from,
@@ -1011,6 +1019,21 @@ impl Sim {
             }
             Event::Fault { action } => self.apply_fault(action),
         }
+    }
+
+    /// Records that `node` dropped `pkt` for `reason`, as
+    /// [`Ctx::drop_packet`] does from inside a node.
+    fn drop_packet(&mut self, node: NodeId, pkt: &Packet, reason: DropReason) {
+        let (ids, now) = (&mut self.engine_ids, self.now);
+        record_drop(
+            &mut self.metrics,
+            ids,
+            &mut self.trace,
+            now,
+            node,
+            pkt,
+            reason,
+        );
     }
 
     /// Applies one fault transition: mutates link/node fault state,
@@ -1151,7 +1174,7 @@ impl Sim {
             slots: &mut self.slots,
             stats: &mut self.stats,
             metrics: &mut self.metrics,
-            ids: self.engine_ids,
+            ids: &mut self.engine_ids,
             seq_base: self.seq,
             emitted: std::mem::take(&mut self.scratch_emitted),
         };

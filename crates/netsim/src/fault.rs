@@ -377,6 +377,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drops::DropReason;
     use crate::engine::{Ctx, Event, Node, TimerHandle};
     use crate::link::{Endpoint, LinkParams};
     use crate::packet::Packet;
@@ -572,7 +573,15 @@ mod tests {
             .trace
             .entries()
             .iter()
-            .filter(|e| matches!(&e.data, TraceData::Drop { reason, .. } if reason == "fault.node_down"))
+            .filter(|e| {
+                matches!(
+                    e.data,
+                    TraceData::Drop {
+                        reason: DropReason::NodeDown,
+                        ..
+                    }
+                )
+            })
             .count() as u64;
         assert_eq!(
             traced, 2,

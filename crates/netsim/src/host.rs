@@ -17,6 +17,7 @@
 
 use crate::addr::{is_identity, select_source};
 use crate::cpu::CpuModel;
+use crate::drops::DropReason;
 use crate::engine::{Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERNAL};
 use crate::fx::FxHashMap;
 use crate::link::LinkId;
@@ -276,7 +277,7 @@ impl HostCore {
         // IPv6 destination with no native IPv6: tunnel through Teredo.
         if pkt.dst.is_ipv6() && !self.has_native_v6() {
             let Some(t) = &mut self.teredo else {
-                ctx.trace_drop(|| format!("no v6 route and no teredo for {}", pkt.dst));
+                ctx.drop_packet(&pkt, DropReason::NoV6Route);
                 return;
             };
             match t.encapsulate(pkt) {
@@ -285,7 +286,7 @@ impl HostCore {
             }
         }
         let Some(iface_idx) = self.route_iface(&pkt.dst) else {
-            ctx.trace_drop(|| format!("no route to {}", pkt.dst));
+            ctx.drop_packet(&pkt, DropReason::NoRoute);
             return;
         };
         let link = self.ifaces[iface_idx].link;
@@ -602,7 +603,7 @@ impl Host {
         if claimed {
             self.shim_call(ctx, |s, api| s.outbound(pkt, api));
         } else if is_identity(&pkt.dst) {
-            ctx.trace_drop(|| format!("identity dst {} but no shim", pkt.dst));
+            ctx.drop_packet(&pkt, DropReason::NoShim);
         } else {
             self.core.send_wire(ctx, SimDuration::ZERO, pkt);
         }
@@ -626,7 +627,7 @@ impl Host {
             pkt
         };
         if !self.core.is_local_dst(&pkt.dst) {
-            ctx.trace_drop(|| format!("host {}: not local dst {}", self.core.name, pkt.dst));
+            ctx.drop_packet(&pkt, DropReason::NotLocal);
             return;
         }
         match pkt.protocol() {
@@ -634,7 +635,7 @@ impl Host {
                 if self.shim.is_some() {
                     self.shim_call(ctx, |s, api| s.inbound(pkt, api));
                 } else {
-                    ctx.trace_drop(|| format!("host {}: ESP/HIP but no shim", self.core.name));
+                    ctx.drop_packet(&pkt, DropReason::NoShim);
                 }
             }
             _ => {
@@ -980,6 +981,12 @@ impl ShimApi<'_, '_> {
     /// Records a protocol state-change trace entry.
     pub fn trace_state(&mut self, detail: impl FnOnce() -> String) {
         self.ctx.trace_state(detail);
+    }
+
+    /// Records that the shim dropped `pkt` for `reason` (see
+    /// [`Ctx::drop_packet`]).
+    pub fn drop_packet(&mut self, pkt: &Packet, reason: DropReason) {
+        self.ctx.drop_packet(pkt, reason);
     }
 
     /// The metrics registry (purely observational; see [`Ctx::metrics`]).

@@ -12,6 +12,8 @@
 //! - [`tcp`] — windowed TCP with congestion control and retransmission
 //! - [`router`], [`nat`], [`teredo`], [`dns`] — middleboxes and naming
 //! - [`addr`] — ORCHID/LSI/Teredo address classification
+//! - [`drops`] — the typed reason every dropped packet is counted and
+//!   traced under
 //! - [`cpu`], [`time`], [`trace`] — supporting models
 //!
 //! Runs are bit-for-bit reproducible for a given seed: one clock, one
@@ -24,6 +26,7 @@
 pub mod addr;
 pub mod cpu;
 pub mod dns;
+pub mod drops;
 pub mod engine;
 pub mod fault;
 pub mod fx;
@@ -39,13 +42,14 @@ pub mod time;
 pub mod trace;
 
 pub use cpu::CpuModel;
+pub use drops::DropReason;
 pub use engine::{
     Ctx, Event, FaultAction, Node, RunOutcome, Sim, SimStats, TimerHandle, TimerOwner, TimerToken,
     World, IFACE_INTERNAL,
 };
 pub use fault::{FaultEpisode, FaultPlan, FaultPlanError};
 pub use host::{App, AppEvent, Host, HostApi, HostCore, L35Shim, ShimApi};
-pub use link::{DropCause, Endpoint, Link, LinkId, LinkParams, NodeId};
+pub use link::{Endpoint, Link, LinkId, LinkParams, NodeId};
 /// The metrics crate: [`HostApi::metrics`] hands apps its registry, and
 /// apps that cache metric handles name its types through this path.
 pub use obs;

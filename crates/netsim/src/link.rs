@@ -6,6 +6,7 @@
 //! queue: back-to-back packets queue behind each other, so TCP sees a
 //! genuine bandwidth bottleneck rather than an abstract rate cap.
 
+use crate::drops::DropReason;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a link within the simulation world.
@@ -128,52 +129,6 @@ pub struct Link {
     extra_latency: SimDuration,
 }
 
-/// Why a link refused a packet (drives the trace `drop` reason, so
-/// `jq`-based triage can split injected faults from organic loss).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropCause {
-    /// Random loss from `LinkParams::loss` (organic).
-    Loss,
-    /// Loss from an injected `LossBurst` episode.
-    Burst,
-    /// Output queue tail drop (organic congestion).
-    QueueOverflow,
-    /// The link is administratively down (`LinkDown` episode).
-    LinkDown,
-    /// The link is severed by a `Partition` episode.
-    Partition,
-}
-
-impl DropCause {
-    /// The trace `drop` reason string for this cause.
-    pub fn reason(self) -> &'static str {
-        match self {
-            DropCause::Loss => "link drop",
-            DropCause::Burst => "fault.loss_burst",
-            DropCause::QueueOverflow => "queue overflow",
-            DropCause::LinkDown => "fault.link_down",
-            DropCause::Partition => "fault.partition",
-        }
-    }
-}
-
-/// The outcome of offering a packet to a link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxResult {
-    /// Packet will arrive at the far endpoint at this time.
-    Deliver {
-        /// The receiving endpoint.
-        to: Endpoint,
-        /// Arrival time.
-        at: SimTime,
-    },
-    /// Packet was dropped.
-    Dropped {
-        /// Why the link refused it.
-        cause: DropCause,
-    },
-}
-
 impl Link {
     /// Creates a link between two endpoints.
     pub fn new(id: LinkId, a: Endpoint, b: Endpoint, params: LinkParams) -> Self {
@@ -237,7 +192,9 @@ impl Link {
     ///
     /// `loss_draw` and `jitter_draw` are uniform samples in [0,1) supplied
     /// by the caller so the link itself stays RNG-free (determinism is
-    /// owned by the simulator's single seeded RNG).
+    /// owned by the simulator's single seeded RNG). Returns the far
+    /// endpoint and the arrival time, or why the link dropped the packet
+    /// (one of the [`DropReason::is_link`] reasons).
     pub fn transmit(
         &mut self,
         from: NodeId,
@@ -245,7 +202,7 @@ impl Link {
         now: SimTime,
         loss_draw: f64,
         jitter_draw: f64,
-    ) -> TxResult {
+    ) -> Result<(Endpoint, SimTime), DropReason> {
         let (dir, to) = if self.a.node == from {
             (0, self.b)
         } else if self.b.node == from {
@@ -256,24 +213,16 @@ impl Link {
         // Fault checks happen after the caller's RNG draws, so a fault
         // episode never changes the draw sequence of the rest of the run.
         if self.admin_down {
-            return TxResult::Dropped {
-                cause: DropCause::LinkDown,
-            };
+            return Err(DropReason::LinkDown);
         }
         if self.partitioned {
-            return TxResult::Dropped {
-                cause: DropCause::Partition,
-            };
+            return Err(DropReason::Partition);
         }
         if loss_draw < self.params.loss {
-            return TxResult::Dropped {
-                cause: DropCause::Loss,
-            };
+            return Err(DropReason::LinkLoss);
         }
         if loss_draw < self.burst_loss {
-            return TxResult::Dropped {
-                cause: DropCause::Burst,
-            };
+            return Err(DropReason::LossBurst);
         }
         let ser_ns =
             (wire_len as u64 * 8).saturating_mul(1_000_000_000) / self.params.bandwidth_bps;
@@ -284,17 +233,13 @@ impl Link {
         let backlog_bytes =
             (backlog_ns.saturating_mul(self.params.bandwidth_bps) / 8 / 1_000_000_000) as usize;
         if backlog_bytes > self.params.queue_bytes {
-            return TxResult::Dropped {
-                cause: DropCause::QueueOverflow,
-            };
+            return Err(DropReason::QueueOverflow);
         }
         self.busy_until[dir] = start + ser;
         let jitter =
             SimDuration::from_nanos((jitter_draw * self.params.jitter.as_nanos() as f64) as u64);
-        TxResult::Deliver {
-            to,
-            at: self.busy_until[dir] + self.params.latency + self.extra_latency + jitter,
-        }
+        let at = self.busy_until[dir] + self.params.latency + self.extra_latency + jitter;
+        Ok((to, at))
     }
 }
 
@@ -326,28 +271,25 @@ mod tests {
     #[test]
     fn delivery_time_includes_serialization_and_latency() {
         let mut l = link();
-        let r = l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0);
+        let (to, at) = l
+            .transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent");
         // 1000 bytes at 1 byte/µs = 1 ms serialization + 1 ms latency.
-        match r {
-            TxResult::Deliver { to, at } => {
-                assert_eq!(to.node, NodeId(1));
-                assert_eq!(at, SimTime(2_000_000));
-            }
-            _ => panic!("dropped"),
-        }
+        assert_eq!(to.node, NodeId(1));
+        assert_eq!(at, SimTime(2_000_000));
     }
 
     #[test]
     fn back_to_back_packets_queue() {
         let mut l = link();
-        let t1 = match l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0) {
-            TxResult::Deliver { at, .. } => at,
-            _ => panic!(),
-        };
-        let t2 = match l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0) {
-            TxResult::Deliver { at, .. } => at,
-            _ => panic!(),
-        };
+        let t1 = l
+            .transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent")
+            .1;
+        let t2 = l
+            .transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent")
+            .1;
         assert_eq!(
             t2.since(t1),
             SimDuration::from_millis(1),
@@ -358,14 +300,14 @@ mod tests {
     #[test]
     fn directions_independent() {
         let mut l = link();
-        let a = match l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0) {
-            TxResult::Deliver { at, .. } => at,
-            _ => panic!(),
-        };
-        let b = match l.transmit(NodeId(1), 1000, SimTime::ZERO, 0.9, 0.0) {
-            TxResult::Deliver { at, .. } => at,
-            _ => panic!(),
-        };
+        let a = l
+            .transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent")
+            .1;
+        let b = l
+            .transmit(NodeId(1), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent")
+            .1;
         assert_eq!(a, b, "reverse direction does not queue behind forward");
     }
 
@@ -375,14 +317,9 @@ mod tests {
         l.params.loss = 0.5;
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.49, 0.0),
-            TxResult::Dropped {
-                cause: DropCause::Loss
-            }
+            Err(DropReason::LinkLoss)
         );
-        assert!(matches!(
-            l.transmit(NodeId(0), 10, SimTime::ZERO, 0.51, 0.0),
-            TxResult::Deliver { .. }
-        ));
+        assert!(l.transmit(NodeId(0), 10, SimTime::ZERO, 0.51, 0.0).is_ok());
     }
 
     #[test]
@@ -393,9 +330,9 @@ mod tests {
         let mut dropped = 0;
         for _ in 0..10 {
             match l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0) {
-                TxResult::Deliver { .. } => delivered += 1,
-                TxResult::Dropped { cause } => {
-                    assert_eq!(cause, DropCause::QueueOverflow);
+                Ok(_) => delivered += 1,
+                Err(reason) => {
+                    assert_eq!(reason, DropReason::QueueOverflow);
                     dropped += 1;
                 }
             }
@@ -412,9 +349,7 @@ mod tests {
         l.set_admin_down(true);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),
-            TxResult::Dropped {
-                cause: DropCause::LinkDown
-            }
+            Err(DropReason::LinkDown)
         );
         // Partition is tracked independently: clearing admin-down while
         // partitioned keeps the link dead, and vice versa.
@@ -422,9 +357,7 @@ mod tests {
         l.set_admin_down(false);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),
-            TxResult::Dropped {
-                cause: DropCause::Partition
-            }
+            Err(DropReason::Partition)
         );
         l.set_partitioned(false);
         assert!(!l.is_faulted());
@@ -432,14 +365,9 @@ mod tests {
         l.set_burst_loss(0.8);
         assert_eq!(
             l.transmit(NodeId(0), 10, SimTime::ZERO, 0.5, 0.0),
-            TxResult::Dropped {
-                cause: DropCause::Burst
-            }
+            Err(DropReason::LossBurst)
         );
-        assert!(matches!(
-            l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0),
-            TxResult::Deliver { .. }
-        ));
+        assert!(l.transmit(NodeId(0), 10, SimTime::ZERO, 0.9, 0.0).is_ok());
         l.set_burst_loss(0.0);
         assert!(!l.is_faulted());
     }
@@ -448,11 +376,11 @@ mod tests {
     fn latency_spike_adds_delay() {
         let mut l = link();
         l.set_extra_latency(SimDuration::from_millis(5));
-        match l.transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0) {
-            // 1 ms serialization + 1 ms latency + 5 ms spike.
-            TxResult::Deliver { at, .. } => assert_eq!(at, SimTime(7_000_000)),
-            _ => panic!("dropped"),
-        }
+        let (_, at) = l
+            .transmit(NodeId(0), 1000, SimTime::ZERO, 0.9, 0.0)
+            .expect("sent");
+        // 1 ms serialization + 1 ms latency + 5 ms spike.
+        assert_eq!(at, SimTime(7_000_000));
         l.set_extra_latency(SimDuration::ZERO);
         assert!(!l.is_faulted());
     }

@@ -14,6 +14,7 @@
 //! - **Symmetric**: one external port per (internal, remote) pair, and
 //!   only that remote may reply (breaks Teredo's relay hairpin).
 
+use crate::drops::DropReason;
 use crate::engine::{Ctx, Node, TimerHandle, TimerOwner};
 use crate::fx::FxHashMap;
 use crate::link::LinkId;
@@ -140,15 +141,10 @@ impl Nat {
         }
     }
 
-    fn outbound(&mut self, mut pkt: Packet, ctx: &mut Ctx) {
-        let Some((src_port, dst_port)) = Self::flow_ports(&pkt.payload) else {
-            self.dropped += 1;
-            ctx.metrics().add_name("nat.drop.no_ports", 1);
-            ctx.trace_drop_pkt(&pkt, || {
-                format!("{}: protocol has no ports, dropped", self.name)
-            });
-            return;
-        };
+    /// Translates an outbound packet in place; returns the link to send
+    /// it on, or why it is dropped.
+    fn outbound(&mut self, pkt: &mut Packet, now: SimTime) -> Result<LinkId, DropReason> {
+        let (src_port, dst_port) = Self::flow_ports(&pkt.payload).ok_or(DropReason::NatNoPorts)?;
         let protocol = pkt.protocol();
         let key = FlowKey {
             proto: protocol,
@@ -168,53 +164,41 @@ impl Nat {
                     Mapping {
                         external_port: p,
                         internal: (pkt.src, src_port),
-                        last_used: ctx.now,
+                        last_used: now,
                     },
                 );
                 p
             }
         };
         if let Some(m) = self.by_port.get_mut(&(protocol, external_port)) {
-            m.last_used = ctx.now;
+            m.last_used = now;
         }
-        Self::rewrite_src(&mut pkt, IpAddr::V4(self.public_addr), external_port);
-        ctx.transmit(self.outside, pkt);
+        Self::rewrite_src(pkt, IpAddr::V4(self.public_addr), external_port);
+        Ok(self.outside)
     }
 
-    fn inbound(&mut self, mut pkt: Packet, ctx: &mut Ctx) {
-        let Some((src_port, dst_port)) = Self::flow_ports(&pkt.payload) else {
-            self.dropped += 1;
-            ctx.metrics().add_name("nat.drop.no_ports", 1);
-            ctx.trace_drop_pkt(&pkt, || format!("{}: inbound protocol dropped", self.name));
-            return;
-        };
+    /// Translates an inbound packet in place; returns the link to send
+    /// it on, or why it is dropped.
+    fn inbound(&mut self, pkt: &mut Packet, now: SimTime) -> Result<LinkId, DropReason> {
+        let (src_port, dst_port) = Self::flow_ports(&pkt.payload).ok_or(DropReason::NatNoPorts)?;
         let protocol = pkt.protocol();
-        let Some(m) = self.by_port.get_mut(&(protocol, dst_port)) else {
-            self.dropped += 1;
-            ctx.metrics().add_name("nat.drop.unsolicited", 1);
-            ctx.trace_drop_pkt(&pkt, || {
-                format!("{}: unsolicited inbound to port {dst_port}", self.name)
-            });
-            return;
-        };
+        let m = self
+            .by_port
+            .get_mut(&(protocol, dst_port))
+            .ok_or(DropReason::NatUnsolicited)?;
         // Symmetric filtering: only the mapped remote may use the port.
         if self.kind == NatKind::Symmetric {
             let allowed = self.mappings.iter().any(|(k, &p)| {
                 p == dst_port && k.proto == protocol && k.remote == Some((pkt.src, src_port))
             });
             if !allowed {
-                self.dropped += 1;
-                ctx.metrics().add_name("nat.drop.symmetric_filter", 1);
-                ctx.trace_drop_pkt(&pkt, || {
-                    format!("{}: symmetric filter rejected {}", self.name, pkt.src)
-                });
-                return;
+                return Err(DropReason::NatSymmetricFilter);
             }
         }
-        m.last_used = ctx.now;
+        m.last_used = now;
         let internal = m.internal;
-        Self::rewrite_dst(&mut pkt, internal.0, internal.1);
-        ctx.transmit(self.inside, pkt);
+        Self::rewrite_dst(pkt, internal.0, internal.1);
+        Ok(self.inside)
     }
 
     fn gc(&mut self, now: SimTime) {
@@ -244,11 +228,18 @@ impl Node for Nat {
         );
     }
 
-    fn handle_packet(&mut self, iface: usize, pkt: Packet, ctx: &mut Ctx) {
-        match iface {
-            0 => self.outbound(pkt, ctx),
-            1 => self.inbound(pkt, ctx),
-            _ => {}
+    fn handle_packet(&mut self, iface: usize, mut pkt: Packet, ctx: &mut Ctx) {
+        let translated = match iface {
+            0 => self.outbound(&mut pkt, ctx.now),
+            1 => self.inbound(&mut pkt, ctx.now),
+            _ => return,
+        };
+        match translated {
+            Ok(link) => ctx.transmit(link, pkt),
+            Err(reason) => {
+                self.dropped += 1;
+                ctx.drop_packet(&pkt, reason);
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! paying each link's latency and serialization, so multi-hop paths cost
 //! what they should.
 
+use crate::drops::DropReason;
 use crate::engine::{Ctx, Node};
 use crate::link::LinkId;
 use crate::packet::Packet;
@@ -100,7 +101,7 @@ impl Node for Router {
     fn handle_packet(&mut self, in_iface: usize, mut pkt: Packet, ctx: &mut Ctx) {
         if pkt.ttl <= 1 {
             self.dropped += 1;
-            ctx.trace_drop(|| format!("{}: ttl expired for {}", self.name, pkt.dst));
+            ctx.drop_packet(&pkt, DropReason::TtlExpired);
             return;
         }
         pkt.ttl -= 1;
@@ -112,11 +113,11 @@ impl Node for Router {
             Some(_) => {
                 // Route points back where it came from: drop to avoid loops.
                 self.dropped += 1;
-                ctx.trace_drop(|| format!("{}: hairpin to {}", self.name, pkt.dst));
+                ctx.drop_packet(&pkt, DropReason::Hairpin);
             }
             None => {
                 self.dropped += 1;
-                ctx.trace_drop(|| format!("{}: no route to {}", self.name, pkt.dst));
+                ctx.drop_packet(&pkt, DropReason::NoRoute);
             }
         }
     }

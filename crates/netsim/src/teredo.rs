@@ -18,6 +18,7 @@
 //!   address embedded in the Teredo destination.
 
 use crate::addr::{is_teredo, teredo_address, teredo_decode};
+use crate::drops::DropReason;
 use crate::engine::{Ctx, Node};
 use crate::link::LinkId;
 use crate::packet::{Packet, Payload, UdpData, UdpDatagram};
@@ -288,36 +289,35 @@ impl Node for TeredoRelay {
             // From a client: decapsulate and forward the inner packet.
             Payload::Udp(udp) if udp.dst_port == TEREDO_PORT => {
                 let UdpData::Teredo(inner) = &udp.data else {
+                    ctx.drop_packet(&pkt, DropReason::TeredoUnhandled);
                     return;
                 };
-                let inner = (**inner).clone();
                 match inner.dst {
                     IpAddr::V6(v6) if is_teredo(&inner.dst) => {
                         // Hairpin: client → relay → other client.
-                        if let Some(out) = self.encap_toward(inner.clone(), &v6) {
+                        if let Some(out) = self.encap_toward((**inner).clone(), &v6) {
                             self.relayed += 1;
                             ctx.transmit(self.v4_link, out);
                         }
                     }
                     IpAddr::V6(_) => {
-                        ctx.trace_drop(|| "relay: no v6 uplink".to_owned());
+                        ctx.drop_packet(&pkt, DropReason::TeredoNoUplink);
                     }
                     IpAddr::V4(_) => {
-                        ctx.trace_drop(|| "relay: v4 inside teredo".to_owned());
+                        ctx.drop_packet(&pkt, DropReason::TeredoV4Inner);
                     }
                 }
             }
-            // Native IPv6 toward a Teredo client.
-            _ if pkt.dst.is_ipv6() && is_teredo(&pkt.dst) => {
-                let IpAddr::V6(v6) = pkt.dst else { return };
-                if let Some(out) = self.encap_toward(pkt, &v6) {
-                    self.relayed += 1;
-                    ctx.transmit(self.v4_link, out);
+            _ => match pkt.dst {
+                // Native IPv6 toward a Teredo client.
+                IpAddr::V6(v6) if is_teredo(&pkt.dst) => {
+                    if let Some(out) = self.encap_toward(pkt, &v6) {
+                        self.relayed += 1;
+                        ctx.transmit(self.v4_link, out);
+                    }
                 }
-            }
-            _ => {
-                ctx.trace_drop(|| format!("relay: unhandled {} -> {}", pkt.src, pkt.dst));
-            }
+                _ => ctx.drop_packet(&pkt, DropReason::TeredoUnhandled),
+            },
         }
     }
 

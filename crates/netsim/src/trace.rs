@@ -12,6 +12,7 @@
 //! the number of entries lost is counted ([`Trace::truncated`]) so
 //! harnesses can warn instead of silently reporting a short trace.
 
+use crate::drops::DropReason;
 use crate::link::NodeId;
 use crate::time::SimTime;
 use std::net::IpAddr;
@@ -36,13 +37,12 @@ pub enum TraceData {
     Tx(PktInfo),
     /// Packet delivered to a node.
     Rx(PktInfo),
-    /// Packet dropped (loss, queue overflow, no route, TTL, policy).
-    /// `pkt` is present when the dropper still had the packet in hand.
+    /// Packet dropped (recorded by `Ctx::drop_packet`).
     Drop {
-        /// The dropped packet, if known at the drop site.
-        pkt: Option<PktInfo>,
+        /// The dropped packet.
+        pkt: PktInfo,
         /// Why it was dropped.
-        reason: String,
+        reason: DropReason,
     },
     /// A protocol state change worth seeing (BEX transitions, TCP states).
     State {
@@ -87,8 +87,7 @@ impl TraceData {
     /// The packet info, for Tx/Rx/Drop records that carry one.
     pub fn pkt(&self) -> Option<&PktInfo> {
         match self {
-            TraceData::Tx(p) | TraceData::Rx(p) => Some(p),
-            TraceData::Drop { pkt, .. } => pkt.as_ref(),
+            TraceData::Tx(p) | TraceData::Rx(p) | TraceData::Drop { pkt: p, .. } => Some(p),
             _ => None,
         }
     }
@@ -114,16 +113,12 @@ impl TraceEntry {
             TraceData::Tx(p) | TraceData::Rx(p) => {
                 format!("{} -> {} proto {} len {}", p.src, p.dst, p.proto, p.len)
             }
-            TraceData::Drop {
-                pkt: Some(p),
-                reason,
-            } => {
+            TraceData::Drop { pkt: p, reason } => {
                 format!(
                     "{reason} ({} -> {} proto {} len {})",
                     p.src, p.dst, p.proto, p.len
                 )
             }
-            TraceData::Drop { pkt: None, reason } => reason.clone(),
             TraceData::State { detail } => detail.clone(),
             TraceData::Fault { detail } => detail.clone(),
         }
@@ -144,29 +139,21 @@ impl TraceEntry {
             TraceKind::Fault => "fault",
         };
         w.str_field("kind", kind);
-        match &self.data {
-            TraceData::Tx(p) | TraceData::Rx(p) => {
-                w.str_field("src", &p.src.to_string());
-                w.str_field("dst", &p.dst.to_string());
-                w.raw_field("proto", p.proto);
-                w.raw_field("len", p.len);
-            }
+        let p = match &self.data {
+            TraceData::Tx(p) | TraceData::Rx(p) => p,
             TraceData::Drop { pkt, reason } => {
-                w.str_field("reason", reason);
-                if let Some(p) = pkt {
-                    w.str_field("src", &p.src.to_string());
-                    w.str_field("dst", &p.dst.to_string());
-                    w.raw_field("proto", p.proto);
-                    w.raw_field("len", p.len);
-                }
+                w.str_field("reason", reason.name());
+                pkt
             }
-            TraceData::State { detail } => {
+            TraceData::State { detail } | TraceData::Fault { detail } => {
                 w.str_field("detail", detail);
+                return w.finish();
             }
-            TraceData::Fault { detail } => {
-                w.str_field("detail", detail);
-            }
-        }
+        };
+        w.str_field("src", &p.src.to_string());
+        w.str_field("dst", &p.dst.to_string());
+        w.raw_field("proto", p.proto);
+        w.raw_field("len", p.len);
         w.finish()
     }
 }
@@ -195,11 +182,6 @@ impl Trace {
             cap,
             ..Default::default()
         }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records an entry if enabled and below the cap. `data` is built
@@ -283,9 +265,9 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// One entry of every record kind (a drop with and without its
-    /// packet), each with the JSON line it must serialize to: a quote
-    /// and a newline are escaped, IPv6 addresses print compressed, and
+    /// One entry of every record kind, each with the JSON line it must
+    /// serialize to: a quote and a newline are escaped, IPv6 addresses
+    /// print compressed, a drop is labelled with its reason's name, and
     /// a near-`u64::MAX` timestamp keeps every digit.
     fn sample_entries() -> Vec<(TraceEntry, &'static str)> {
         let mk = |at, data: TraceData| TraceEntry {
@@ -321,37 +303,27 @@ mod tests {
             ),
             (
                 mk(
-                    SimTime(5),
-                    TraceData::Drop {
-                        pkt: None,
-                        reason: "no route, \"dark\" dest".into(),
-                    },
-                ),
-                r#"{"t":5,"node":3,"kind":"drop","reason":"no route, \"dark\" dest"}"#,
-            ),
-            (
-                mk(
                     SimTime(6),
                     TraceData::Drop {
-                        pkt: Some(PktInfo {
+                        pkt: PktInfo {
                             src: ip("192.168.1.9"),
                             dst: ip("8.8.8.8"),
                             proto: 17,
                             len: 64,
-                        }),
-                        reason: "queue overflow".into(),
+                        },
+                        reason: DropReason::QueueOverflow,
                     },
                 ),
-                r#"{"t":6,"node":3,"kind":"drop","reason":"queue overflow","src":"192.168.1.9","dst":"8.8.8.8","proto":17,"len":64}"#,
+                r#"{"t":6,"node":3,"kind":"drop","reason":"link.drop.queue_overflow","src":"192.168.1.9","dst":"8.8.8.8","proto":17,"len":64}"#,
             ),
             (
                 mk(
                     SimTime(7),
                     TraceData::State {
-                        detail: "I1 -> R1, puzzle k=10\nline2".into(),
+                        detail: "I1 -> R1, \"puzzle\" k=10\nline2".into(),
                     },
                 ),
-                r#"{"t":7,"node":3,"kind":"state","detail":"I1 -> R1, puzzle k=10\nline2"}"#,
+                r#"{"t":7,"node":3,"kind":"state","detail":"I1 -> R1, \"puzzle\" k=10\nline2"}"#,
             ),
             (
                 mk(
