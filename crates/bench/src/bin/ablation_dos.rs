@@ -233,9 +233,7 @@ fn main() {
         interval: SimDuration::from_millis(1),
         sent: 0,
     }));
-    let sw = sim
-        .world
-        .add_node(Box::new(netsim::router::Router::new("sw")));
+    let sw = sim.world.add_node(Box::new(netsim::router::Router::new()));
     let lr = sim.world.connect(
         Endpoint { node: r, iface: 0 },
         Endpoint { node: sw, iface: 0 },

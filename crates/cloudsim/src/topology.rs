@@ -79,7 +79,7 @@ impl CloudTopology {
     /// Creates a topology with an internet core router.
     pub fn new(seed: u64) -> Self {
         let mut sim = Sim::new(seed);
-        let internet = sim.world.add_node(Box::new(Router::new("internet")));
+        let internet = sim.world.add_node(Box::new(Router::new()));
         CloudTopology {
             sim,
             internet,
@@ -93,10 +93,7 @@ impl CloudTopology {
     pub fn add_cloud(&mut self, name: &str, kind: CloudKind) -> CloudId {
         let idx = self.clouds.len();
         let subnet = (idx + 1) as u8;
-        let router = self
-            .sim
-            .world
-            .add_node(Box::new(Router::new(&format!("{name}-router"))));
+        let router = self.sim.world.add_node(Box::new(Router::new()));
         // WAN link: cloud router iface 0 ↔ internet.
         let internet_iface;
         let cloud_wan_iface;

@@ -30,8 +30,6 @@ use std::any::Any;
 
 /// A stateful HIP middlebox firewall bridging two links.
 pub struct HipMidboxFirewall {
-    /// Diagnostics name.
-    pub name: String,
     left: LinkId,
     right: LinkId,
     /// Identity policy applied to the *pair* (checked for both HITs).
@@ -51,9 +49,8 @@ pub struct HipMidboxFirewall {
 impl HipMidboxFirewall {
     /// Creates a firewall bridging `left` and `right`. Wire the links
     /// after topology construction via [`Self::set_links`].
-    pub fn new(name: &str, policy: Firewall) -> Self {
+    pub fn new(policy: Firewall) -> Self {
         HipMidboxFirewall {
-            name: name.to_owned(),
             left: LinkId(usize::MAX),
             right: LinkId(usize::MAX),
             policy,
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn learns_spis_and_attributes_esp() {
-        let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
+        let mut fw = HipMidboxFirewall::new(Firewall::allow_all());
         let (a, b) = (Hit([1; 16]), Hit([2; 16]));
         assert_eq!(
             fw.inspect(&control(
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn unknown_spi_denied() {
-        let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
+        let mut fw = HipMidboxFirewall::new(Firewall::allow_all());
         assert_eq!(
             fw.inspect(&esp(0xdead)),
             Action::Deny,
@@ -224,7 +221,7 @@ mod tests {
         let peer = Hit([2; 16]);
         policy.allow(good);
         policy.allow(peer);
-        let mut fw = HipMidboxFirewall::new("hv", policy);
+        let mut fw = HipMidboxFirewall::new(policy);
         let evil = Hit([9; 16]);
         assert_eq!(
             fw.inspect(&control(PacketType::I1, evil, peer, vec![])),
@@ -238,7 +235,7 @@ mod tests {
 
     #[test]
     fn garbage_hip_control_denied() {
-        let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
+        let mut fw = HipMidboxFirewall::new(Firewall::allow_all());
         let pkt = Packet::new(
             v4(1, 1, 1, 1),
             v4(2, 2, 2, 2),
@@ -249,7 +246,7 @@ mod tests {
 
     #[test]
     fn cleartext_policy_is_configurable() {
-        let mut fw = HipMidboxFirewall::new("hv", Firewall::allow_all());
+        let mut fw = HipMidboxFirewall::new(Firewall::allow_all());
         let tcp = Packet::new(
             v4(10, 0, 0, 1),
             v4(10, 0, 0, 2),

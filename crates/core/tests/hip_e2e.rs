@@ -854,9 +854,7 @@ fn rendezvous_relays_initial_contact() {
 
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
-    let r = sim
-        .world
-        .add_node(Box::new(netsim::router::Router::new("sw")));
+    let r = sim.world.add_node(Box::new(netsim::router::Router::new()));
     let la = sim.world.connect(
         Endpoint { node: a, iface: 0 },
         Endpoint { node: r, iface: 0 },
@@ -1099,9 +1097,7 @@ fn midbox_firewall_enforces_tenant_policy_on_path() {
     hb.add_app(Box::new(EchoServer { served: 0 }));
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
-    let fw = sim
-        .world
-        .add_node(Box::new(HipMidboxFirewall::new("hypervisor", policy)));
+    let fw = sim.world.add_node(Box::new(HipMidboxFirewall::new(policy)));
     let la = sim.world.connect(
         Endpoint { node: a, iface: 0 },
         Endpoint { node: fw, iface: 0 },
@@ -1315,9 +1311,7 @@ fn relocate_with_two_peers(seed: u64) -> String {
     let a = sim.world.add_node(Box::new(ha));
     let b = sim.world.add_node(Box::new(hb));
     let c = sim.world.add_node(Box::new(hc));
-    let r = sim
-        .world
-        .add_node(Box::new(netsim::router::Router::new("sw")));
+    let r = sim.world.add_node(Box::new(netsim::router::Router::new()));
     let mut links = Vec::new();
     for (i, (node, addr)) in [(a, addr_a1), (b, addr_b), (c, addr_c)]
         .into_iter()

@@ -22,6 +22,7 @@ use crate::engine::{Ctx, Node, TimerHandle, TimerOwner, TimerToken, IFACE_INTERN
 use crate::fx::FxHashMap;
 use crate::link::LinkId;
 use crate::packet::{proto, IcmpKind, IcmpMessage, Packet, Payload, UdpData, UdpDatagram};
+use crate::router::RouteTable;
 use crate::tcp::{SockId, TcpEvent, TcpLayer};
 use crate::teredo::TeredoClient;
 use crate::time::{SimDuration, SimTime};
@@ -110,17 +111,6 @@ pub struct Iface {
     pub addrs: Vec<IpAddr>,
 }
 
-/// A static route: destination prefix → interface index.
-#[derive(Clone, Debug)]
-pub struct HostRoute {
-    /// Destination prefix.
-    pub prefix: IpAddr,
-    /// Prefix length in bits.
-    pub prefix_len: u8,
-    /// Outgoing interface index.
-    pub iface: usize,
-}
-
 /// Everything in the host except the pluggable apps and shim (so those
 /// can be dispatched with `&mut` while the rest of the host stays
 /// reachable through this struct).
@@ -128,7 +118,7 @@ pub struct HostCore {
     /// Human-readable name (diagnostics only).
     pub name: String,
     ifaces: Vec<Iface>,
-    routes: Vec<HostRoute>,
+    routes: RouteTable,
     /// The TCP layer.
     pub tcp: TcpLayer,
     /// The UDP layer.
@@ -152,7 +142,7 @@ impl HostCore {
         HostCore {
             name: name.to_owned(),
             ifaces: Vec::new(),
-            routes: Vec::new(),
+            routes: RouteTable::default(),
             tcp: TcpLayer::new(),
             udp: UdpLayer::default(),
             cpu: CpuModel::default(),
@@ -172,12 +162,11 @@ impl HostCore {
     }
 
     /// Adds a static route.
+    ///
+    /// # Panics
+    /// If `prefix_len` exceeds the width of `prefix`'s family.
     pub fn add_route(&mut self, prefix: IpAddr, prefix_len: u8, iface: usize) {
-        self.routes.push(HostRoute {
-            prefix,
-            prefix_len,
-            iface,
-        });
+        self.routes.add(prefix, prefix_len, iface);
     }
 
     /// Replaces the addresses of an existing interface (VM migration /
@@ -255,16 +244,10 @@ impl HostCore {
             .any(|a| a.is_ipv6() && !is_identity(a))
     }
 
-    fn route_iface(&self, dst: &IpAddr) -> Option<usize> {
-        let mut best: Option<(u8, usize)> = None;
-        for r in &self.routes {
-            if prefix_match(dst, &r.prefix, r.prefix_len)
-                && best.is_none_or(|(len, _)| r.prefix_len > len)
-            {
-                best = Some((r.prefix_len, r.iface));
-            }
-        }
-        best.map(|(_, i)| i).or(if self.ifaces.is_empty() {
+    /// The interface of the longest static route to `dst`, else the
+    /// first interface.
+    pub(crate) fn route_iface(&self, dst: &IpAddr) -> Option<usize> {
+        self.routes.lookup(dst).or(if self.ifaces.is_empty() {
             None
         } else {
             Some(0)
@@ -408,27 +391,6 @@ impl HostCore {
             || !self.tcp.cancel_reqs.is_empty()
             || !self.tcp.released.is_empty()
             || !self.udp.out.is_empty()
-    }
-}
-
-/// Longest-prefix matching for static routes.
-fn prefix_match(addr: &IpAddr, prefix: &IpAddr, len: u8) -> bool {
-    fn match_bits(a: &[u8], p: &[u8], len: u8) -> bool {
-        let full = (len / 8) as usize;
-        if a[..full] != p[..full] {
-            return false;
-        }
-        let rem = len % 8;
-        if rem == 0 {
-            return true;
-        }
-        let mask = 0xffu8 << (8 - rem);
-        (a[full] & mask) == (p[full] & mask)
-    }
-    match (addr, prefix) {
-        (IpAddr::V4(a), IpAddr::V4(p)) => match_bits(&a.octets(), &p.octets(), len),
-        (IpAddr::V6(a), IpAddr::V6(p)) => match_bits(&a.octets(), &p.octets(), len),
-        _ => false,
     }
 }
 
@@ -1341,20 +1303,6 @@ mod tests {
             sim.trace.of_kind(crate::trace::TraceKind::Drop).count() > 0,
             "non-local packet must be dropped"
         );
-    }
-
-    #[test]
-    fn prefix_matching() {
-        assert!(prefix_match(&v4(10, 1, 2, 3), &v4(10, 0, 0, 0), 8));
-        assert!(!prefix_match(&v4(11, 1, 2, 3), &v4(10, 0, 0, 0), 8));
-        assert!(prefix_match(&v4(10, 1, 2, 3), &v4(10, 1, 0, 0), 16));
-        assert!(prefix_match(&v4(192, 168, 1, 77), &v4(192, 168, 1, 64), 26));
-        assert!(!prefix_match(
-            &v4(192, 168, 1, 10),
-            &v4(192, 168, 1, 64),
-            26
-        ));
-        assert!(prefix_match(&v4(1, 2, 3, 4), &v4(0, 0, 0, 0), 0));
     }
 }
 

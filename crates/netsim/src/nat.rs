@@ -49,8 +49,6 @@ struct Mapping {
 
 /// A NAT box with an inside interface (0) and an outside interface (1).
 pub struct Nat {
-    /// Diagnostics name.
-    pub name: String,
     /// The NAT's public address.
     pub public_addr: Ipv4Addr,
     kind: NatKind,
@@ -70,9 +68,8 @@ pub struct Nat {
 impl Nat {
     /// Creates a NAT. Links must be set with [`Nat::set_links`] once the
     /// topology is wired.
-    pub fn new(name: &str, public_addr: Ipv4Addr, kind: NatKind) -> Self {
+    pub fn new(public_addr: Ipv4Addr, kind: NatKind) -> Self {
         Nat {
-            name: name.to_owned(),
             public_addr,
             kind,
             inside: LinkId(usize::MAX),
@@ -310,11 +307,9 @@ mod tests {
 
         let mut sim = Sim::new(3);
         let inside = sim.world.add_node(Box::new(Sink { got: vec![] }));
-        let nat_node = sim.world.add_node(Box::new(Nat::new(
-            "nat",
-            Ipv4Addr::new(203, 0, 113, 1),
-            kind,
-        )));
+        let nat_node = sim
+            .world
+            .add_node(Box::new(Nat::new(Ipv4Addr::new(203, 0, 113, 1), kind)));
         let outside = sim.world.add_node(Box::new(Sink { got: vec![] }));
         let l_in = sim.world.connect(
             Endpoint {
@@ -561,7 +556,7 @@ mod tests {
 
     #[test]
     fn gc_expires_idle_mappings() {
-        let mut nat = Nat::new("n", Ipv4Addr::new(1, 1, 1, 1), NatKind::Cone);
+        let mut nat = Nat::new(Ipv4Addr::new(1, 1, 1, 1), NatKind::Cone);
         nat.mapping_timeout = SimDuration::from_secs(1);
         nat.by_port.insert(
             (proto::UDP, 40000),

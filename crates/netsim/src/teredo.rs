@@ -373,9 +373,7 @@ mod tests {
 
         let a = sim.world.add_node(Box::new(ha));
         let b = sim.world.add_node(Box::new(hb));
-        let r = sim
-            .world
-            .add_node(Box::new(crate::router::Router::new("sw")));
+        let r = sim.world.add_node(Box::new(crate::router::Router::new()));
         let la = sim.world.connect(
             Endpoint { node: a, iface: 0 },
             Endpoint { node: r, iface: 0 },

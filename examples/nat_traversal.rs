@@ -107,7 +107,7 @@ fn run(use_teredo: bool) -> (u64, Vec<u8>, u64) {
 
     // The admin's laptop sits behind a full-cone NAT whose outside face
     // attaches to the internet core.
-    let nat = Nat::new("home-nat", NAT_PUBLIC, NatKind::Cone);
+    let nat = Nat::new(NAT_PUBLIC, NatKind::Cone);
     let (nat_node, nat_out_link) =
         topo.attach_infrastructure(Box::new(nat), IpAddr::V4(NAT_PUBLIC), 1);
     let laptop_host = Host::new("laptop");
