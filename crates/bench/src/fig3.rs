@@ -238,11 +238,6 @@ pub fn iperf_obs(
     (mbits, w.topo.sim.take_metrics(), dispatched)
 }
 
-/// Measures iperf goodput for `mode` over `duration` of transfer.
-pub fn iperf(mode: Fig3Mode, seed: u64, duration: SimDuration) -> f64 {
-    iperf_obs(mode, seed, duration).0
-}
-
 /// Measures mean ICMP RTT for `mode` over `count` echoes, returning the
 /// run's metrics, dispatched-event count, and (when `trace_cap > 0`)
 /// the typed trace.
@@ -269,11 +264,6 @@ pub fn rtt_obs(
     (out, w.topo.sim.take_metrics(), dispatched, trace)
 }
 
-/// Measures mean ICMP RTT for `mode` over `count` echoes.
-pub fn rtt(mode: Fig3Mode, seed: u64, count: u16) -> (f64, u16) {
-    rtt_obs(mode, seed, count, 0).0
-}
-
 /// One Figure 3 bar with its observability outputs (iperf and RTT runs
 /// merged into a single registry).
 pub struct Fig3Cell {
@@ -285,16 +275,9 @@ pub struct Fig3Cell {
     pub dispatched: u64,
 }
 
-/// Runs the complete Figure 3 (both series, all modes, in parallel).
-/// Output is in `Fig3Mode::ALL` order.
-pub fn run_all(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<Fig3Point> {
-    run_all_cells(seed, iperf_duration, ping_count)
-        .into_iter()
-        .map(|c| c.point)
-        .collect()
-}
-
-/// Like [`run_all`] but keeps each mode's merged metrics registry.
+/// Runs the complete Figure 3 (both series, all modes, in parallel),
+/// keeping each mode's merged metrics registry. Output is in
+/// `Fig3Mode::ALL` order.
 pub fn run_all_cells(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<Fig3Cell> {
     crate::sweep::par_sweep(&Fig3Mode::ALL, |&mode| {
         let (mbits, mut metrics, d1) = iperf_obs(mode, seed, iperf_duration);
@@ -319,8 +302,8 @@ mod tests {
 
     #[test]
     fn ipv4_beats_teredo_bandwidth() {
-        let plain = iperf(Fig3Mode::Ipv4, 2, SimDuration::from_secs(3));
-        let teredo = iperf(Fig3Mode::Teredo, 2, SimDuration::from_secs(3));
+        let plain = iperf_obs(Fig3Mode::Ipv4, 2, SimDuration::from_secs(3)).0;
+        let teredo = iperf_obs(Fig3Mode::Teredo, 2, SimDuration::from_secs(3)).0;
         assert!(plain > 50.0, "plain {plain:.1} Mbit/s");
         assert!(
             teredo < plain * 0.5,
@@ -330,9 +313,9 @@ mod tests {
 
     #[test]
     fn hit_close_to_ipv4_lsi_slightly_lower() {
-        let plain = iperf(Fig3Mode::Ipv4, 3, SimDuration::from_secs(3));
-        let hit = iperf(Fig3Mode::HitIpv4, 3, SimDuration::from_secs(3));
-        let lsi = iperf(Fig3Mode::LsiIpv4, 3, SimDuration::from_secs(3));
+        let plain = iperf_obs(Fig3Mode::Ipv4, 3, SimDuration::from_secs(3)).0;
+        let hit = iperf_obs(Fig3Mode::HitIpv4, 3, SimDuration::from_secs(3)).0;
+        let lsi = iperf_obs(Fig3Mode::LsiIpv4, 3, SimDuration::from_secs(3)).0;
         assert!(
             hit > plain * 0.5,
             "hit {hit:.1} within range of plain {plain:.1}"
@@ -346,9 +329,9 @@ mod tests {
 
     #[test]
     fn teredo_has_worst_rtt() {
-        let (plain, r1) = rtt(Fig3Mode::Ipv4, 4, 5);
-        let (hit, r2) = rtt(Fig3Mode::HitIpv4, 4, 5);
-        let (teredo, r3) = rtt(Fig3Mode::Teredo, 4, 5);
+        let (plain, r1) = rtt_obs(Fig3Mode::Ipv4, 4, 5, 0).0;
+        let (hit, r2) = rtt_obs(Fig3Mode::HitIpv4, 4, 5, 0).0;
+        let (teredo, r3) = rtt_obs(Fig3Mode::Teredo, 4, 5, 0).0;
         assert_eq!((r1, r2, r3), (5, 5, 5), "all pings answered");
         assert!(plain <= hit, "plain {plain:.2} <= hit {hit:.2}");
         assert!(teredo > hit * 2.0, "teredo {teredo:.2} is the worst");
@@ -356,7 +339,7 @@ mod tests {
 
     #[test]
     fn hip_over_teredo_works() {
-        let (rtt_ms, received) = rtt(Fig3Mode::HitTeredo, 5, 5);
+        let (rtt_ms, received) = rtt_obs(Fig3Mode::HitTeredo, 5, 5, 0).0;
         assert_eq!(received, 5, "ESP-over-Teredo echoes all answered");
         assert!(rtt_ms > 1.0);
     }

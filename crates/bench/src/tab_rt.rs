@@ -67,6 +67,9 @@ pub fn run_cell(
     app.measure_from = SimTime::ZERO + warmup;
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
     dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
+    if let Err(e) = dep.check_invariants() {
+        panic!("{scenario:?}: invariant broken: {e}");
+    }
     let gen = dep
         .topo
         .host(gen_host)
@@ -89,27 +92,9 @@ pub fn run_cell(
     }
 }
 
-/// Runs the open-loop response-time measurement for one scenario.
-pub fn run(
-    scenario: Scenario,
-    rate: f64,
-    seed: u64,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> TabRtRow {
-    run_cell(scenario, rate, seed, warmup, measure, 0).row
-}
-
-/// Runs all three scenarios (in parallel; independent simulations).
-/// Output is in scenario order: Basic, HipLsi, Ssl.
-pub fn run_all(rate: f64, seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<TabRtRow> {
-    run_all_cells(rate, seed, warmup, measure)
-        .into_iter()
-        .map(|c| c.row)
-        .collect()
-}
-
-/// Like [`run_all`] but keeps each scenario's metrics and event count.
+/// Runs all three scenarios (in parallel; independent simulations),
+/// keeping each one's metrics and event count. Output is in scenario
+/// order: Basic, HipLsi, Ssl.
 pub fn run_all_cells(
     rate: f64,
     seed: u64,
@@ -127,14 +112,16 @@ mod tests {
     #[test]
     fn ordering_matches_paper() {
         // Short windows for test speed; the bin uses longer ones.
-        let rows = run_all(
+        let cells = run_all_cells(
             PAPER_RATE,
             5,
             SimDuration::from_secs(5),
             SimDuration::from_secs(15),
         );
         let mean = |s: Scenario| {
-            rows.iter()
+            cells
+                .iter()
+                .map(|c| c.row)
                 .find(|r| r.scenario == s)
                 .expect("present")
                 .mean_ms

@@ -4,7 +4,8 @@
 //! exercised; then Basic and SSL) is run twice and every observable —
 //! completed requests, event counts, the full `SimStats` block, final
 //! virtual time, and the trace — must match exactly. Every run ends with
-//! the engine's and each host's TCP invariant checks.
+//! the deployment's invariant checks: the engine's, and each host's TCP
+//! layer and HIP shim.
 
 use cloudsim::Flavor;
 use netsim::trace::Trace;
@@ -39,18 +40,8 @@ fn smoke_run_metrics(scenario: Scenario, seed: u64, metrics_on: bool) -> RunFing
     dep.topo
         .sim
         .run_until(SimTime::ZERO + SimDuration::from_secs(4));
-    if let Err(e) = dep.topo.sim.check_invariants() {
-        panic!("engine invariant broken: {e}");
-    }
-    let vms = dep
-        .lb
-        .into_iter()
-        .chain(dep.webs.iter().copied())
-        .chain([dep.db, gen_host]);
-    for vm in vms {
-        if let Err(e) = dep.topo.host(vm).core.tcp.check_invariants() {
-            panic!("TCP invariant broken on {vm:?}: {e}");
-        }
+    if let Err(e) = dep.check_invariants() {
+        panic!("invariant broken: {e}");
     }
     let gen = dep
         .topo

@@ -1099,7 +1099,6 @@ impl HipShim {
         );
         send_control(api, self.config.costs.hit_lookup, &notify, src, dst);
         self.stats.notifies_sent += 1;
-        api.metrics().add_name("hip.notify.stale_spi", 1);
         api.trace_state(|| format!("NOTIFY: stale SPI {spi:08x} -> {dst}"));
     }
 
@@ -1121,7 +1120,6 @@ impl HipShim {
         let peer = peer.ok_or(HipUnexpected)?;
         self.teardown(api, &peer);
         self.stats.stale_spi_rebex += 1;
-        api.metrics().add_name("hip.rebex.stale_spi", 1);
         api.trace_state(|| format!("NOTIFY: peer {peer:?} lost SPI {old_spi:08x}, re-running BEX"));
         let route = self.bex_route(api, &peer)?;
         self.initiate(api, peer, route, Vec::new());

@@ -63,6 +63,8 @@ drop_reasons! {
     NotLocal => "host.drop.not_local",
     /// Identity (HIT/LSI) or ESP/HIP traffic at a host with no shim.
     NoShim => "host.drop.no_shim",
+    /// A UDP datagram to a port no app has bound.
+    UdpNoListener => "udp.drop.no_listener",
     /// The Teredo relay got IPv6 for a non-Teredo address (it has no
     /// native IPv6 uplink).
     TeredoNoUplink => "teredo.drop.no_v6_uplink",

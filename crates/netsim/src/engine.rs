@@ -47,7 +47,6 @@ use std::any::Any;
 /// per [`DropReason`], so the dispatch fast path and every drop bump an
 /// index instead of hashing a name.
 pub(crate) struct EngineIds {
-    ev_packet: CtrId,
     ev_timer: CtrId,
     ev_linktx: CtrId,
     pkt_bytes: HistId,
@@ -59,7 +58,6 @@ pub(crate) struct EngineIds {
 impl EngineIds {
     fn register(m: &mut MetricsRegistry) -> Self {
         EngineIds {
-            ev_packet: m.counter("engine.ev.packet"),
             ev_timer: m.counter("engine.ev.timer"),
             ev_linktx: m.counter("engine.ev.linktx"),
             pkt_bytes: m.hist("engine.pkt.bytes"),
@@ -69,8 +67,8 @@ impl EngineIds {
     }
 
     /// Registers every reason's counter in `m`, once: at the first drop,
-    /// and when the metrics are taken, so every taken registry (and so
-    /// every run manifest) lists every reason. Registering them in
+    /// or when the metrics are first taken, so every taken registry (and
+    /// so every run manifest) lists every reason. Registering them in
     /// `Sim::new` instead made building a `Sim` almost four times as
     /// slow (3.3 → 12.5 µs on a 2-vCPU x86-64 VM), and for a two-host
     /// topology that is most of the set-up.
@@ -748,13 +746,12 @@ impl Sim {
     }
 
     /// Takes the accumulated metrics, with a counter for every
-    /// [`DropReason`], leaving a fresh enabled registry (with the
-    /// engine's own metrics re-registered) in place.
+    /// [`DropReason`]. The same names stay registered at zero, and
+    /// recording stays on or off as it was, so every handle into
+    /// [`Sim::metrics`] keeps counting (see [`MetricsRegistry::take`]).
     pub fn take_metrics(&mut self) -> MetricsRegistry {
         self.engine_ids.register_drops(&mut self.metrics);
-        let mut fresh = MetricsRegistry::new();
-        self.engine_ids = EngineIds::register(&mut fresh);
-        std::mem::replace(&mut self.metrics, fresh)
+        self.metrics.take()
     }
 
     /// Current simulation time.
@@ -961,7 +958,6 @@ impl Sim {
         self.stats.dispatched += 1;
         match event {
             Event::PacketArrive { node, iface, pkt } => {
-                self.metrics.inc(self.engine_ids.ev_packet);
                 self.metrics
                     .observe(self.engine_ids.pkt_bytes, pkt.wire_len() as u64);
                 if self.world.nodes.get(node.0).map(Option::is_some) != Some(true) {

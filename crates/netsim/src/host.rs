@@ -278,23 +278,25 @@ impl HostCore {
 
     /// Layer-4 input: a packet addressed to this host (identities or
     /// locators both land here once the shim has done its work).
-    pub fn l4_in(&mut self, pkt: Packet, now: SimTime) {
+    pub fn l4_in(&mut self, pkt: Packet, ctx: &mut Ctx) {
         match pkt.payload {
             Payload::Tcp(seg) => {
-                self.tcp.segment_arrives(pkt.src, pkt.dst, seg, now);
+                self.tcp.segment_arrives(pkt.src, pkt.dst, seg, ctx.now);
+            }
+            Payload::Udp(ref udp) if !self.udp.bindings.contains_key(&udp.dst_port) => {
+                ctx.drop_packet(&pkt, DropReason::UdpNoListener);
             }
             Payload::Udp(udp) => {
-                if let Some(&app) = self.udp.bindings.get(&udp.dst_port) {
-                    self.app_events.push_back((
-                        app,
-                        AppEvent::UdpDatagram {
-                            dst_port: udp.dst_port,
-                            src: pkt.src,
-                            src_port: udp.src_port,
-                            data: udp.data,
-                        },
-                    ));
-                }
+                let app = self.udp.bindings[&udp.dst_port];
+                self.app_events.push_back((
+                    app,
+                    AppEvent::UdpDatagram {
+                        dst_port: udp.dst_port,
+                        src: pkt.src,
+                        src_port: udp.src_port,
+                        data: udp.data,
+                    },
+                ));
             }
             Payload::Icmp(icmp) => match icmp.kind {
                 IcmpKind::EchoRequest => {
@@ -600,10 +602,7 @@ impl Host {
                     ctx.drop_packet(&pkt, DropReason::NoShim);
                 }
             }
-            _ => {
-                let now = ctx.now;
-                self.core.l4_in(pkt, now);
-            }
+            _ => self.core.l4_in(pkt, ctx),
         }
         self.pump(ctx);
     }
@@ -652,8 +651,7 @@ impl Node for Host {
 
     fn handle_packet(&mut self, iface: usize, pkt: Packet, ctx: &mut Ctx) {
         if iface == IFACE_INTERNAL {
-            let now = ctx.now;
-            self.core.l4_in(pkt, now);
+            self.core.l4_in(pkt, ctx);
             self.pump(ctx);
         } else {
             self.wire_in(pkt, ctx);
@@ -1302,6 +1300,83 @@ mod tests {
         assert!(
             sim.trace.of_kind(crate::trace::TraceKind::Drop).count() > 0,
             "non-local packet must be dropped"
+        );
+    }
+
+    #[test]
+    fn udp_to_an_unbound_port_is_counted_and_traced() {
+        /// Binds `port`, then sends one datagram to `dst:dst_port`.
+        struct UdpOnce {
+            port: u16,
+            dst: IpAddr,
+            dst_port: u16,
+            received: usize,
+        }
+        impl App for UdpOnce {
+            fn start(&mut self, api: &mut HostApi) {
+                assert!(api.udp_bind(self.port));
+                let data = UdpData::Raw(Bytes::from_static(b"ping"));
+                api.udp_send(self.port, self.dst, self.dst_port, data);
+            }
+            fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
+                if let AppEvent::UdpDatagram { .. } = ev {
+                    self.received += 1;
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim = Sim::new(1);
+        let mut ha = Host::new("a");
+        let mut hb = Host::new("b");
+        // a sends to b's port 9; b listens on 7 only and sends to a's
+        // bound port 5000, which a receives.
+        let sender = ha.add_app(Box::new(UdpOnce {
+            port: 5000,
+            dst: v4(10, 0, 0, 2),
+            dst_port: 9,
+            received: 0,
+        }));
+        hb.add_app(Box::new(UdpOnce {
+            port: 7,
+            dst: v4(10, 0, 0, 1),
+            dst_port: 5000,
+            received: 0,
+        }));
+        let a = sim.world.add_node(Box::new(ha));
+        let b = sim.world.add_node(Box::new(hb));
+        let link = sim.world.connect(
+            Endpoint { node: a, iface: 0 },
+            Endpoint { node: b, iface: 0 },
+            LinkParams::datacenter(),
+        );
+        for (node, addr) in [(a, v4(10, 0, 0, 1)), (b, v4(10, 0, 0, 2))] {
+            let host = sim.world.node_mut::<Host>(node).unwrap();
+            host.core.add_iface(link, vec![addr]);
+        }
+        sim.trace = crate::trace::Trace::enabled(100);
+        assert!(sim.run_to_quiescence(100).is_quiescent());
+
+        let ha = sim.world.node::<Host>(a).unwrap();
+        assert_eq!(ha.app::<UdpOnce>(sender).unwrap().received, 1);
+        let reason = DropReason::UdpNoListener;
+        assert_eq!(sim.metrics.counter_value(reason.name()), Some(1));
+        let drops: Vec<_> = sim
+            .trace
+            .of_kind(crate::trace::TraceKind::Drop)
+            .map(|e| (e.node, e.data.clone()))
+            .collect();
+        assert!(
+            matches!(
+                drops.as_slice(),
+                [(node, crate::trace::TraceData::Drop { pkt, reason: r })]
+                    if *node == b && *r == reason && pkt.dst == v4(10, 0, 0, 2)
+            ),
+            "one drop at b, for the unbound port: {drops:?}"
         );
     }
 }

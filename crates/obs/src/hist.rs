@@ -3,10 +3,10 @@
 //! Values below 2^SUB_BITS+1 are exact; above that, each power-of-two
 //! range is split into 2^SUB_BITS linear sub-buckets, bounding relative
 //! error at 1/2^SUB_BITS (~3% with SUB_BITS = 5). The bucket array is a
-//! fixed ~1.9k slots (15 KiB), so recording is a shift, a subtract and
-//! an increment — cheap enough to stay on in release sweeps — and two
-//! histograms merge by element-wise addition, which is what
-//! `par_sweep` shards need.
+//! fixed ~1.9k slots (15 KiB), allocated at the first observation, so
+//! recording is a shift, a subtract and an increment — cheap enough to
+//! stay on in release sweeps — and two histograms merge by element-wise
+//! addition, which is what `par_sweep` shards need.
 
 /// Linear sub-buckets per power-of-two range, as a bit count.
 const SUB_BITS: u32 = 5;
@@ -42,6 +42,8 @@ fn bucket_low(idx: usize) -> u64 {
 /// A mergeable log-linear histogram with min/max/sum tracking.
 #[derive(Clone)]
 pub struct Histogram {
+    /// Per-bucket counts; empty until the first observation, so a
+    /// histogram that never records costs no bucket array.
     counts: Box<[u64]>,
     count: u64,
     sum: u64,
@@ -59,7 +61,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0u64; NUM_BUCKETS].into_boxed_slice(),
+            counts: Box::default(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -70,7 +72,7 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
+        *self.bucket(v) += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
         if v < self.min {
@@ -86,7 +88,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket_index(v)] += n;
+        *self.bucket(v) += n;
         self.count += n;
         self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
         if v < self.min {
@@ -95,6 +97,15 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
+    }
+
+    /// The bucket holding `v`, allocating the bucket array on first use.
+    #[inline]
+    fn bucket(&mut self, v: u64) -> &mut u64 {
+        if self.counts.is_empty() {
+            self.counts = vec![0u64; NUM_BUCKETS].into_boxed_slice();
+        }
+        &mut self.counts[bucket_index(v)]
     }
 
     /// Number of observations.
@@ -150,8 +161,12 @@ impl Histogram {
 
     /// Merges `other` into `self` (element-wise bucket addition).
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if self.counts.is_empty() {
+            self.counts = other.counts.clone();
+        } else {
+            for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
@@ -332,6 +347,17 @@ mod tests {
         let mut e = Histogram::new();
         e.merge(&before);
         assert_eq!(e.quantile(0.5), before.quantile(0.5));
+    }
+
+    #[test]
+    fn buckets_are_allocated_at_the_first_observation() {
+        let mut h = Histogram::new();
+        assert!(h.counts.is_empty());
+        h.record_n(5, 0);
+        assert!(h.counts.is_empty(), "no observation, no buckets");
+        h.record(5);
+        assert_eq!(h.counts.len(), NUM_BUCKETS);
+        assert_eq!(h.quantile(0.5), 5);
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod registry;
 
 pub use hist::Histogram;
 pub use manifest::RunManifest;
-pub use registry::{CtrId, GaugeId, HistId, MetricsRegistry};
+pub use registry::{CtrId, HistId, MetricsRegistry};

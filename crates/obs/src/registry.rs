@@ -4,21 +4,19 @@
 //! handle) and then bump it with an index plus one `enabled` branch —
 //! no hashing, no allocation. Rare events (a BEX completing, an SA
 //! being installed) can use the by-name API, which lazily registers.
+//! A handle stays valid for as long as its registry lives:
+//! [`MetricsRegistry::take`] hands over the values but keeps every name
+//! registered, at zero.
 //!
 //! Registries from parallel sweep shards merge by name; dumps are
 //! sorted by name so output is deterministic.
 
 use crate::hist::Histogram;
 use crate::json;
-use std::collections::BTreeMap;
 
 /// Handle to a pre-registered counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CtrId(usize);
-
-/// Handle to a pre-registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a pre-registered histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,10 +26,12 @@ pub struct HistId(usize);
 #[derive(Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, i64)>,
-    hists: Vec<(String, Histogram)>,
-    by_name: BTreeMap<String, Slot>,
+    /// Every name, once, sorted, with where its value lives. One binary
+    /// search finds a name or the place to insert it.
+    names: Vec<(String, Slot)>,
+    counters: Vec<u64>,
+    gauges: Vec<i64>,
+    hists: Vec<Histogram>,
 }
 
 #[derive(Clone, Copy)]
@@ -66,45 +66,52 @@ impl MetricsRegistry {
         self.enabled = on;
     }
 
-    /// Registers (or finds) a counter, returning its handle.
-    pub fn counter(&mut self, name: &str) -> CtrId {
-        match self.by_name.get(name) {
-            Some(Slot::Ctr(i)) => CtrId(*i),
-            Some(_) => panic!("metric {name:?} already registered with a different type"),
-            None => {
-                let i = self.counters.len();
-                self.counters.push((name.to_string(), 0));
-                self.by_name.insert(name.to_string(), Slot::Ctr(i));
-                CtrId(i)
+    /// The slot of `name`; if the name is new, `push` adds its value
+    /// and returns where.
+    fn register(&mut self, name: &str, push: impl FnOnce(&mut Self) -> Slot) -> Slot {
+        match self.search(name) {
+            Ok(i) => self.names[i].1,
+            Err(i) => {
+                let slot = push(self);
+                self.names.insert(i, (name.to_string(), slot));
+                slot
             }
         }
     }
 
-    /// Registers (or finds) a gauge, returning its handle.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        match self.by_name.get(name) {
-            Some(Slot::Gauge(i)) => GaugeId(*i),
-            Some(_) => panic!("metric {name:?} already registered with a different type"),
-            None => {
-                let i = self.gauges.len();
-                self.gauges.push((name.to_string(), 0));
-                self.by_name.insert(name.to_string(), Slot::Gauge(i));
-                GaugeId(i)
-            }
+    /// Registers (or finds) a counter, returning its handle.
+    pub fn counter(&mut self, name: &str) -> CtrId {
+        let slot = self.register(name, |r| {
+            r.counters.push(0);
+            Slot::Ctr(r.counters.len() - 1)
+        });
+        match slot {
+            Slot::Ctr(i) => CtrId(i),
+            _ => panic!("metric {name:?} already registered with a different type"),
+        }
+    }
+
+    /// Registers (or finds) a gauge, returning its index.
+    fn gauge(&mut self, name: &str) -> usize {
+        let slot = self.register(name, |r| {
+            r.gauges.push(0);
+            Slot::Gauge(r.gauges.len() - 1)
+        });
+        match slot {
+            Slot::Gauge(i) => i,
+            _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
 
     /// Registers (or finds) a histogram, returning its handle.
     pub fn hist(&mut self, name: &str) -> HistId {
-        match self.by_name.get(name) {
-            Some(Slot::Hist(i)) => HistId(*i),
-            Some(_) => panic!("metric {name:?} already registered with a different type"),
-            None => {
-                let i = self.hists.len();
-                self.hists.push((name.to_string(), Histogram::new()));
-                self.by_name.insert(name.to_string(), Slot::Hist(i));
-                HistId(i)
-            }
+        let slot = self.register(name, |r| {
+            r.hists.push(Histogram::new());
+            Slot::Hist(r.hists.len() - 1)
+        });
+        match slot {
+            Slot::Hist(i) => HistId(i),
+            _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
 
@@ -112,7 +119,7 @@ impl MetricsRegistry {
     #[inline]
     pub fn inc(&mut self, id: CtrId) {
         if self.enabled {
-            self.counters[id.0].1 += 1;
+            self.counters[id.0] += 1;
         }
     }
 
@@ -120,23 +127,7 @@ impl MetricsRegistry {
     #[inline]
     pub fn add(&mut self, id: CtrId, n: u64) {
         if self.enabled {
-            self.counters[id.0].1 += n;
-        }
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: i64) {
-        if self.enabled {
-            self.gauges[id.0].1 = v;
-        }
-    }
-
-    /// Adjusts a gauge by `delta`.
-    #[inline]
-    pub fn gauge_add(&mut self, id: GaugeId, delta: i64) {
-        if self.enabled {
-            self.gauges[id.0].1 += delta;
+            self.counters[id.0] += n;
         }
     }
 
@@ -144,7 +135,7 @@ impl MetricsRegistry {
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
         if self.enabled {
-            self.hists[id.0].1.record(v);
+            self.hists[id.0].record(v);
         }
     }
 
@@ -152,15 +143,15 @@ impl MetricsRegistry {
     pub fn add_name(&mut self, name: &str, n: u64) {
         if self.enabled {
             let id = self.counter(name);
-            self.counters[id.0].1 += n;
+            self.counters[id.0] += n;
         }
     }
 
     /// By-name gauge set (lazy registration; rare paths only).
     pub fn set_gauge_name(&mut self, name: &str, v: i64) {
         if self.enabled {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 = v;
+            let i = self.gauge(name);
+            self.gauges[i] = v;
         }
     }
 
@@ -169,23 +160,20 @@ impl MetricsRegistry {
     pub fn observe_name(&mut self, name: &str, v: u64) {
         if self.enabled {
             let id = self.hist(name);
-            self.hists[id.0].1.record(v);
+            self.hists[id.0].record(v);
         }
     }
 
     /// Counter add through a handle cached in `slot`, for per-request
     /// paths that cannot register up front. The handle is resolved on
     /// first use, so the registry gains `name` exactly when
-    /// [`Self::add_name`] would add it; a handle from a registry since
-    /// replaced (see `take_metrics` in netsim) is resolved again.
+    /// [`Self::add_name`] would add it; once filled, `slot` must only
+    /// be used with this registry.
     #[inline]
     pub fn add_cached(&mut self, slot: &mut Option<CtrId>, name: &str, n: u64) {
         if self.enabled {
-            let id = match *slot {
-                Some(id) if self.counters.get(id.0).is_some_and(|(k, _)| k == name) => id,
-                _ => *slot.insert(self.counter(name)),
-            };
-            self.counters[id.0].1 += n;
+            let id = *slot.get_or_insert_with(|| self.counter(name));
+            self.counters[id.0] += n;
         }
     }
 
@@ -194,107 +182,100 @@ impl MetricsRegistry {
     #[inline]
     pub fn observe_cached(&mut self, slot: &mut Option<HistId>, name: &str, v: u64) {
         if self.enabled {
-            let id = match *slot {
-                Some(id) if self.hists.get(id.0).is_some_and(|(k, _)| k == name) => id,
-                _ => *slot.insert(self.hist(name)),
-            };
-            self.hists[id.0].1.record(v);
+            let id = *slot.get_or_insert_with(|| self.hist(name));
+            self.hists[id.0].record(v);
         }
+    }
+
+    /// Where `name` is in `names`, or where it would go.
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.names.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
+    /// The slot of `name`, if it is registered.
+    fn find(&self, name: &str) -> Option<Slot> {
+        Some(self.names[self.search(name).ok()?].1)
     }
 
     /// Current value of a counter, by name.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.by_name.get(name)? {
-            Slot::Ctr(i) => Some(self.counters[*i].1),
+        match self.find(name)? {
+            Slot::Ctr(i) => Some(self.counters[i]),
             _ => None,
         }
     }
 
     /// Current value of a gauge, by name.
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        match self.by_name.get(name)? {
-            Slot::Gauge(i) => Some(self.gauges[*i].1),
+        match self.find(name)? {
+            Slot::Gauge(i) => Some(self.gauges[i]),
             _ => None,
         }
     }
 
     /// A histogram, by name.
     pub fn hist_get(&self, name: &str) -> Option<&Histogram> {
-        match self.by_name.get(name)? {
-            Slot::Hist(i) => Some(&self.hists[*i].1),
+        match self.find(name)? {
+            Slot::Hist(i) => Some(&self.hists[i]),
             _ => None,
         }
     }
 
-    /// Iterates counters as `(name, value)`.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// Iterates gauges as `(name, value)`.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// Iterates histograms as `(name, hist)`.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(n, h)| (n.as_str(), h))
+    /// Hands over the accumulated values. `self` keeps every name
+    /// registered, at zero, and its enabled flag, so handles into it
+    /// stay valid.
+    pub fn take(&mut self) -> MetricsRegistry {
+        let zeroed = MetricsRegistry {
+            enabled: self.enabled,
+            names: self.names.clone(),
+            counters: vec![0; self.counters.len()],
+            gauges: vec![0; self.gauges.len()],
+            hists: self.hists.iter().map(|_| Histogram::new()).collect(),
+        };
+        std::mem::replace(self, zeroed)
     }
 
     /// Merges `other` into `self` by metric name: counters add, gauges
     /// add (shard totals), histograms merge bucket-wise. Metrics only
     /// present in `other` are created here.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.counters[id.0].1 += v;
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 += v;
-        }
-        for (name, h) in &other.hists {
-            let id = self.hist(name);
-            self.hists[id.0].1.merge(h);
+        for (name, slot) in &other.names {
+            match *slot {
+                Slot::Ctr(i) => {
+                    let id = self.counter(name);
+                    self.counters[id.0] += other.counters[i];
+                }
+                Slot::Gauge(i) => {
+                    let j = self.gauge(name);
+                    self.gauges[j] += other.gauges[i];
+                }
+                Slot::Hist(i) => {
+                    let id = self.hist(name);
+                    self.hists[id.0].merge(&other.hists[i]);
+                }
+            }
         }
     }
 
     /// Full dump as a JSON object with `counters`, `gauges` and
     /// `hists` sections, all sorted by name (deterministic output).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut ctrs: Vec<_> = self.counters.iter().collect();
-        ctrs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (name, v)) in ctrs.iter().enumerate() {
-            if i > 0 {
+        let mut sections = [String::new(), String::new(), String::new()];
+        for (name, slot) in &self.names {
+            let (out, value) = match *slot {
+                Slot::Ctr(i) => (&mut sections[0], self.counters[i].to_string()),
+                Slot::Gauge(i) => (&mut sections[1], self.gauges[i].to_string()),
+                Slot::Hist(i) => (&mut sections[2], self.hists[i].summary_json()),
+            };
+            if !out.is_empty() {
                 out.push(',');
             }
-            json::write_str(&mut out, name);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        let mut gs: Vec<_> = self.gauges.iter().collect();
-        gs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (name, v)) in gs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, name);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"hists\":{");
-        let mut hs: Vec<_> = self.hists.iter().collect();
-        hs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (name, h)) in hs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, name);
+            json::write_str(out, name);
             out.push(':');
-            out.push_str(&h.summary_json());
+            out.push_str(&value);
         }
-        out.push_str("}}");
-        out
+        let [c, g, h] = sections;
+        format!("{{\"counters\":{{{c}}},\"gauges\":{{{g}}},\"hists\":{{{h}}}}}")
     }
 }
 
@@ -306,12 +287,11 @@ mod tests {
     fn handles_and_names_agree() {
         let mut r = MetricsRegistry::new();
         let c = r.counter("pkts");
-        let g = r.gauge("queue_depth");
         let h = r.hist("latency");
         r.inc(c);
         r.add(c, 4);
-        r.set_gauge(g, 7);
-        r.gauge_add(g, -2);
+        r.set_gauge_name("queue_depth", 7);
+        r.set_gauge_name("queue_depth", 5);
         r.observe(h, 100);
         r.observe_name("latency", 200);
         assert_eq!(r.counter_value("pkts"), Some(5));
@@ -388,14 +368,43 @@ mod tests {
         }
         assert_eq!(r.to_json(), by_name.to_json());
 
-        // A replaced registry: the stale handles are resolved again.
-        let mut fresh = MetricsRegistry::new();
-        fresh.add_name("other", 1);
-        fresh.add_cached(&mut ctr, "fwd", 3);
-        fresh.observe_cached(&mut hist, "lat", 7);
-        assert_eq!(fresh.counter_value("fwd"), Some(3));
-        assert_eq!(fresh.counter_value("other"), Some(1));
-        assert_eq!(fresh.hist_get("lat").unwrap().count(), 1);
+        // A handle registered before `take` still bumps its own name
+        // after it, in the registry that was left behind.
+        let taken = r.take();
+        r.add_name("later", 1);
+        r.add_cached(&mut ctr, "fwd", 3);
+        r.observe_cached(&mut hist, "lat", 7);
+        assert_eq!(r.counter_value("fwd"), Some(3));
+        assert_eq!(r.counter_value("later"), Some(1));
+        assert_eq!(r.hist_get("lat").unwrap().count(), 1);
+        assert_eq!(taken.counter_value("fwd"), Some(4));
+        assert_eq!(taken.counter_value("later"), None);
+    }
+
+    #[test]
+    fn take_hands_over_values_and_keeps_names_at_zero() {
+        let mut r = MetricsRegistry::new();
+        let c = r.counter("pkts");
+        let h = r.hist("lat");
+        r.add(c, 3);
+        r.observe(h, 9);
+        r.set_gauge_name("depth", -4);
+        let before = r.to_json();
+        let taken = r.take();
+        assert_eq!(taken.to_json(), before);
+        assert_eq!(r.counter_value("pkts"), Some(0));
+        assert_eq!(r.gauge_value("depth"), Some(0));
+        assert_eq!(r.hist_get("lat").unwrap().count(), 0);
+        r.inc(c);
+        r.observe(h, 1);
+        assert_eq!(r.counter_value("pkts"), Some(1));
+        assert_eq!(r.hist_get("lat").unwrap().max(), 1);
+
+        let mut off = MetricsRegistry::disabled();
+        off.counter("pkts");
+        let _ = off.take();
+        assert!(!off.is_enabled(), "take keeps the enabled flag");
+        assert_eq!(off.counter_value("pkts"), Some(0));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::webserver::{WebConfig, WebServerApp};
 use cloudsim::{CloudKind, CloudTopology, Flavor, VmHandle};
 use hip_core::identity::{Hit, HostIdentity};
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
+use netsim::{Host, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::rsa::RsaKeyPair;
@@ -106,8 +107,10 @@ impl RubisDeployment {
     /// - `vm.<role>.cpu.credits_milli`: banked burst credits × 1000,
     ///   for burstable flavors only.
     ///
-    /// `<role>` is `web0`, `web1`, …, `db` and `lb`. Call it just before
-    /// `take_metrics()`: the values are a snapshot, not running totals.
+    /// `<role>` is `web0`, `web1`, …, `db` and `lb`. The values are a
+    /// snapshot, not running totals: call it just before
+    /// `take_metrics()`, which hands them over and leaves the gauges
+    /// registered at zero.
     pub fn record_cpu_gauges(&mut self) {
         let mut roles: Vec<(String, VmHandle)> = self
             .webs
@@ -130,6 +133,40 @@ impl RubisDeployment {
                 );
             }
         }
+    }
+
+    /// Every host in the topology: the service VMs and any load
+    /// generator added since.
+    fn hosts(&self) -> impl Iterator<Item = &Host> {
+        let world = &self.topo.sim.world;
+        (0..world.node_count()).filter_map(|i| world.node::<Host>(NodeId(i)))
+    }
+
+    /// The HIP shims installed on the topology's hosts.
+    pub fn hip_shims(&self) -> impl Iterator<Item = &HipShim> {
+        self.hosts().filter_map(Host::shim::<HipShim>)
+    }
+
+    /// Checks the engine's invariants ([`netsim::Sim::check_invariants`]),
+    /// then every host's TCP layer and, where one is installed, its HIP
+    /// shim. The error names the host whose check failed.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.topo
+            .sim
+            .check_invariants()
+            .map_err(|e| format!("engine: {e}"))?;
+        for host in self.hosts() {
+            let name = &host.core.name;
+            host.core
+                .tcp
+                .check_invariants()
+                .map_err(|e| format!("TCP on {name}: {e}"))?;
+            if let Some(shim) = host.shim::<HipShim>() {
+                shim.check_invariants()
+                    .map_err(|e| format!("HIP shim on {name}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 }
 
