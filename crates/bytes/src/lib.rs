@@ -57,9 +57,13 @@ impl Bytes {
         Bytes::from(s.to_vec())
     }
 
-    /// Length in bytes.
+    /// Length in bytes. A shared buffer's comes from its window alone,
+    /// without loading the `Vec` behind the `Arc`.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        match &self.repr {
+            Repr::Static(s) => s.len(),
+            Repr::Shared { start, end, .. } => end - start,
+        }
     }
 
     /// Whether the buffer is empty.
@@ -383,6 +387,17 @@ mod tests {
         assert_eq!(s.as_slice().as_ptr(), b.as_slice()[2..].as_ptr());
         let s2 = s.slice(1..);
         assert_eq!(&s2[..], &[3, 4]);
+    }
+
+    #[test]
+    fn len_is_the_window() {
+        let b = Bytes::from(vec![0; 10]);
+        for (from, to) in [(0, 10), (3, 7), (4, 4), (10, 10)] {
+            let s = b.slice(from..to);
+            assert_eq!(s.len(), to - from);
+            assert_eq!(s.len(), s.as_slice().len());
+            assert_eq!(s.is_empty(), from == to);
+        }
     }
 
     #[test]

@@ -756,6 +756,82 @@ mod tests {
         }
     }
 
+    /// One arrival of a replay schedule, placed relative to `h`, the
+    /// highest sequence number accepted so far.
+    #[derive(Clone, Copy, Debug)]
+    enum Arrival {
+        /// `h + 1`.
+        Fresh,
+        /// An accepted sequence number, the `n`-th modulo their count.
+        Duplicate(usize),
+        /// `h - d` with `d < 64`: in the window, seen or not.
+        InWindow(u32),
+        /// `h - 64 - d`: behind the window.
+        Behind(u32),
+        /// `h + 2 + d`: skips ahead, past the whole window when `d >= 62`.
+        Ahead(u32),
+    }
+
+    fn arrival() -> impl proptest::prelude::Strategy<Value = Arrival> {
+        use proptest::prelude::{any, prop_oneof, Just, Strategy};
+        prop_oneof![
+            Just(Arrival::Fresh),
+            any::<usize>().prop_map(Arrival::Duplicate),
+            (0..REPLAY_WINDOW).prop_map(Arrival::InWindow),
+            (0..REPLAY_WINDOW).prop_map(Arrival::Behind),
+            (0..2 * REPLAY_WINDOW).prop_map(Arrival::Ahead),
+            // A jump of 63, 64 or 65: the window's last bit survives,
+            // then none does.
+            (REPLAY_WINDOW - 3..REPLAY_WINDOW).prop_map(Arrival::Ahead),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn replay_window_matches_a_set_oracle(
+            schedule in proptest::collection::vec(arrival(), 1..160),
+        ) {
+            // RFC 4303 §3.4.3 over the set of accepted sequence numbers:
+            // a frame passes if it is ahead of all of them, or within 64
+            // of the highest and not among them.
+            const FRAMES: u32 = 1024;
+            let (mut tx, mut rx) = pair();
+            let frames: Vec<EspPacket> = (0..FRAMES)
+                .map(|i| tx.encapsulate(InnerMode::Hit, &tcp_payload(b"r"), i.into()))
+                .collect();
+            let mut accepted = std::collections::BTreeSet::new();
+            for step in schedule {
+                let h = accepted.last().copied().unwrap_or(0u32);
+                let seq = match step {
+                    Arrival::Fresh => Some(h + 1),
+                    Arrival::Duplicate(n) => {
+                        let n = n.checked_rem(accepted.len());
+                        n.and_then(|n| accepted.iter().nth(n).copied())
+                    }
+                    Arrival::InWindow(d) => h.checked_sub(d),
+                    Arrival::Behind(d) => h.checked_sub(REPLAY_WINDOW + d),
+                    Arrival::Ahead(d) => Some(h + 2 + d),
+                };
+                // Only the frames that were sent: seq 1..=FRAMES.
+                let Some(seq) = seq.filter(|s| (1..=FRAMES).contains(s)) else {
+                    continue;
+                };
+                let want = seq > h || (h - seq < REPLAY_WINDOW && !accepted.contains(&seq));
+                let got = rx.decapsulate(&frames[seq as usize - 1]);
+                let verdict = if want { None } else { Some(EspError::Replay) };
+                proptest::prop_assert_eq!(got.err(), verdict, "{:?} seq={} h={}", step, seq, h);
+                if want {
+                    accepted.insert(seq);
+                }
+                let highest = accepted.last().copied().unwrap_or(0);
+                proptest::prop_assert!(rx.rcv_highest >= h, "rcv_highest fell below {}", h);
+                proptest::prop_assert_eq!(rx.rcv_highest, highest);
+            }
+        }
+    }
+
     #[test]
     fn gso_interleaves_with_unbatched_traffic() {
         let (mut tx, mut rx) = pair();

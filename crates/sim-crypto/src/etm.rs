@@ -114,8 +114,9 @@ mod ni {
     //! The MAC input `aad | ivct` is hashed in 64-byte blocks from the
     //! HMAC inner midstate. Block 0 straddles `aad` and is assembled on
     //! the stack; block `j > 0` is read in place at `ivct[64j - 8..]`.
-    //! The bytes after the last whole block go through [`Sha256`] for
-    //! padding, then [`HmacKey::finish`] runs the outer hash.
+    //! The whole MAC stays in [`Lanes`]: [`Lanes::finish_tail`] pads and
+    //! hashes the bytes after the last whole block, and the outer hash
+    //! over the inner digest starts from [`HmacKey::outer_state`].
 
     use super::{AAD_LEN, BLOCK_LEN, DIGEST_LEN};
     use crate::aes::ni::{
@@ -124,7 +125,7 @@ mod ni {
     use crate::aes::Aes128;
     use crate::hmac::HmacKey;
     use crate::sha256::ni::{Lanes, ShaNi};
-    use crate::sha256::{Sha256, BLOCK_LEN as SHA_BLOCK};
+    use crate::sha256::BLOCK_LEN as SHA_BLOCK;
     use core::arch::x86_64::{__m128i, _mm_xor_si128};
 
     /// Proof that the running CPU has both AES-NI and SHA-NI (with the
@@ -190,24 +191,28 @@ mod ni {
         }
     }
 
-    /// Pads and hashes what follows the first `whole` MAC blocks, then
-    /// runs the outer hash.
+    /// Ends the MAC once `inner` has absorbed the ipad block and the
+    /// first `whole` MAC blocks: pads and hashes what follows them, then
+    /// hashes the inner digest from the outer midstate.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
     fn finish(
         key: &HmacKey,
-        state: [u32; 8],
+        mut inner: Lanes,
+        first: &[u8; SHA_BLOCK],
         whole: usize,
-        aad: &[u8; AAD_LEN],
         ivct: &[u8],
     ) -> [u8; DIGEST_LEN] {
-        // The inner hash has absorbed the ipad block and `whole` blocks.
-        let mut inner = Sha256::resume(state, (SHA_BLOCK * (1 + whole)) as u64);
-        if whole == 0 {
-            inner.update(aad);
-            inner.update(ivct);
+        // With no whole block, all of `aad | ivct` is in `first`.
+        let tail = if whole == 0 {
+            &first[..AAD_LEN + ivct.len()]
         } else {
-            inner.update(&ivct[SHA_BLOCK * whole - AAD_LEN..]);
-        }
-        key.finish(inner)
+            &ivct[SHA_BLOCK * whole - AAD_LEN..]
+        };
+        inner.finish_tail(tail, (SHA_BLOCK + AAD_LEN + ivct.len()) as u64);
+        let mut outer = Lanes::from_state(&key.outer_state());
+        outer.finish_tail(&inner.digest(), (SHA_BLOCK + DIGEST_LEN) as u64);
+        outer.digest()
     }
 
     /// MAC block `j` needs `ivct` up to byte `64j + 56`, i.e. blocks
@@ -231,7 +236,7 @@ mod ni {
             lanes.compress_block(mac_block(&first, ivct, j));
         }
         debug_assert_eq!(done, blocks);
-        finish(key, lanes.to_state(), whole, aad, ivct)
+        finish(key, lanes, &first, whole, ivct)
     }
 
     /// The ciphertext is final on entry, so iteration `j` decrypts the
@@ -277,7 +282,7 @@ mod ni {
             store(b, p);
             prev = c;
         }
-        finish(key, lanes.to_state(), whole, aad, ivct)
+        finish(key, lanes, &first, whole, ivct)
     }
 }
 

@@ -69,15 +69,11 @@ impl HmacKey {
         self.inner.chaining_value()
     }
 
-    /// Finishes a MAC whose inner hash ran outside this type: `inner`
-    /// has absorbed the ipad block and the whole message.
+    /// The outer chaining value after the opad block: where the outer
+    /// hash of such a MAC starts.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn finish(&self, inner: Sha256) -> [u8; DIGEST_LEN] {
-        HmacSha256 {
-            inner,
-            outer: self.outer.clone(),
-        }
-        .finalize()
+    pub(crate) fn outer_state(&self) -> [u32; 8] {
+        self.outer.chaining_value()
     }
 
     /// Starts an incremental MAC from the cached midstates.

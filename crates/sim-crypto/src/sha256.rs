@@ -4,10 +4,12 @@
 //! digests and the KEYMAT KDF. Implemented from the standard and pinned to
 //! the FIPS test vectors below.
 //!
-//! Everything funnels into one compression function over a run of whole
-//! blocks: [`Sha256::update`] passes every whole block of its input in one
-//! call, and [`Sha256::finalize`] builds the one or two padding blocks on
-//! the stack and compresses them in one call. On x86-64 CPUs with the SHA
+//! Every [`Sha256`] funnels into one compression function over a run of
+//! whole blocks: [`Sha256::update`] passes every whole block of its input
+//! in one call, and [`Sha256::finalize`] builds the one or two padding
+//! blocks on the stack and compresses them in one call. (The stitched
+//! encrypt-then-MAC loops in `crate::etm` hash in SHA-NI lanes from
+//! midstates instead, padding included.) On x86-64 CPUs with the SHA
 //! extensions (`is_x86_feature_detected!("sha")`, plus the SSSE3/SSE4.1
 //! shuffles it needs) the compression runs on `sha256rnds2`/`sha256msg1`/
 //! `sha256msg2` (private module `ni`); elsewhere the scalar rounds below
@@ -84,19 +86,6 @@ impl Sha256 {
         }
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buf_len = rest.len();
-    }
-
-    /// A hasher that has absorbed `total_len` bytes, a whole number of
-    /// blocks, ending in chaining value `state`.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn resume(state: [u32; 8], total_len: u64) -> Self {
-        debug_assert!(total_len.is_multiple_of(BLOCK_LEN as u64));
-        Sha256 {
-            state,
-            buf: [0; BLOCK_LEN],
-            buf_len: 0,
-            total_len,
-        }
     }
 
     /// The chaining value after the whole blocks absorbed so far; the
@@ -192,9 +181,11 @@ pub(crate) mod ni {
     //! [`compress`] here and the stitched encrypt-then-MAC loop in
     //! `crate::etm` share the [`Lanes`] helpers. They are `#[inline]`
     //! target-feature functions, so they inline into any caller that
-    //! enables `sha`, `ssse3` and `sse4.1`.
+    //! enables `sha`, `ssse3` and `sse4.1`. [`Lanes::finish_tail`] and
+    //! [`Lanes::digest`] end a hash in lanes, so a caller that hashes
+    //! from a known midstate never builds a [`super::Sha256`].
 
-    use super::{BLOCK_LEN, K};
+    use super::{BLOCK_LEN, DIGEST_LEN, K};
     use core::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
         _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
@@ -229,6 +220,24 @@ pub(crate) mod ni {
         // SAFETY: `bytes` is 16 readable bytes and `loadu` has no alignment
         // requirement; SSE2 is part of the x86-64 baseline.
         unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline]
+    fn store(v: __m128i, bytes: &mut [u8]) {
+        let bytes: &mut [u8; 16] = bytes.try_into().expect("16 bytes");
+        // SAFETY: `bytes` is 16 writable bytes and `storeu` has no alignment
+        // requirement; SSE2 is part of the x86-64 baseline.
+        unsafe { _mm_storeu_si128(bytes.as_mut_ptr().cast(), v) }
+    }
+
+    /// Byte-swaps each 32-bit lane: SHA-256 words are big-endian.
+    #[inline]
+    #[target_feature(enable = "ssse3")]
+    fn bswap32(v: __m128i) -> __m128i {
+        _mm_shuffle_epi8(
+            v,
+            _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203),
+        )
     }
 
     #[inline]
@@ -268,16 +277,61 @@ pub(crate) mod ni {
             }
         }
 
+        /// The state words as two vectors, A..D and E..H.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        fn words(self) -> [__m128i; 2] {
+            let feba = _mm_shuffle_epi32(self.abef, 0x1b);
+            let dchg = _mm_shuffle_epi32(self.cdgh, 0xb1);
+            [
+                _mm_blend_epi16(feba, dchg, 0xf0),
+                _mm_alignr_epi8(dchg, feba, 8),
+            ]
+        }
+
         /// The state words A..H.
         #[inline]
         #[target_feature(enable = "ssse3,sse4.1")]
         pub(crate) fn to_state(self) -> [u32; 8] {
-            let feba = _mm_shuffle_epi32(self.abef, 0x1b);
-            let dchg = _mm_shuffle_epi32(self.cdgh, 0xb1);
+            let [abcd, efgh] = self.words();
             let mut state = [0u32; 8];
-            store_words(_mm_blend_epi16(feba, dchg, 0xf0), &mut state[0..4]);
-            store_words(_mm_alignr_epi8(dchg, feba, 8), &mut state[4..8]);
+            store_words(abcd, &mut state[0..4]);
+            store_words(efgh, &mut state[4..8]);
             state
+        }
+
+        /// The digest of a finished hash: the state words, big-endian.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        pub(crate) fn digest(self) -> [u8; DIGEST_LEN] {
+            let [abcd, efgh] = self.words();
+            let mut out = [0u8; DIGEST_LEN];
+            store(bswap32(abcd), &mut out[..16]);
+            store(bswap32(efgh), &mut out[16..]);
+            out
+        }
+
+        /// Ends a message of `total_len` bytes whose whole blocks are
+        /// already compressed: pads `tail`, the bytes after the last whole
+        /// block, with 0x80, zeros and the big-endian bit length, and
+        /// compresses the result, one block if the length still fits after
+        /// the 0x80 (a tail shorter than 56 bytes), otherwise two.
+        #[inline]
+        #[target_feature(enable = "sha,ssse3,sse4.1")]
+        pub(crate) fn finish_tail(&mut self, tail: &[u8], total_len: u64) {
+            debug_assert!(tail.len() < BLOCK_LEN);
+            debug_assert_eq!(total_len % BLOCK_LEN as u64, tail.len() as u64);
+            let mut pad = [0u8; 2 * BLOCK_LEN];
+            pad[..tail.len()].copy_from_slice(tail);
+            pad[tail.len()] = 0x80;
+            let two = tail.len() >= BLOCK_LEN - 8;
+            let end = if two { 2 * BLOCK_LEN } else { BLOCK_LEN };
+            pad[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+            let (first, second) = pad.split_at(BLOCK_LEN);
+            self.compress_block(first.try_into().expect("one block"));
+            if two {
+                self.compress_block(second.try_into().expect("one block"));
+            }
         }
 
         /// Runs the 64 rounds of one block and adds the result into the
@@ -294,10 +348,8 @@ pub(crate) mod ni {
         #[inline]
         #[target_feature(enable = "sha,ssse3,sse4.1")]
         pub(crate) fn compress_block(&mut self, block: &[u8; BLOCK_LEN]) {
-            // Byte-swaps each 32-bit lane: message words are big-endian.
-            let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
             let Lanes { mut abef, mut cdgh } = *self;
-            let word = |i: usize| _mm_shuffle_epi8(load(&block[16 * i..16 * i + 16]), bswap);
+            let word = |i: usize| bswap32(load(&block[16 * i..16 * i + 16]));
             let (mut w0, mut w1, mut w2, mut w3) = (word(0), word(1), word(2), word(3));
             // Four rounds on W[4i..4i+4], held in `$w`.
             macro_rules! rounds {
@@ -345,6 +397,48 @@ pub(crate) mod ni {
             lanes.compress_block(block.try_into().expect("one block"));
         }
         *state = lanes.to_state();
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::{sha256, BLOCK_LEN, DIGEST_LEN, H0};
+        use super::{Lanes, ShaNi};
+
+        /// SHA-256 of `data` entirely in lanes: whole blocks through
+        /// `compress_block`, the rest through `finish_tail`, then `digest`.
+        #[target_feature(enable = "sha,ssse3,sse4.1")]
+        fn lanes_sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
+            let mut lanes = Lanes::from_state(&H0);
+            let blocks = data.chunks_exact(BLOCK_LEN);
+            let tail = blocks.remainder();
+            for block in blocks {
+                lanes.compress_block(block.try_into().expect("one block"));
+            }
+            lanes.finish_tail(tail, data.len() as u64);
+            lanes.digest()
+        }
+
+        #[test]
+        fn lanes_finish_tail_matches_finalize() {
+            if ShaNi::detect().is_none() {
+                return;
+            }
+            // Every length 0..128 past 0, 1 and 23 whole blocks, so both
+            // the one-block (tail < 56) and two-block padding, and their
+            // split at 55/56, are hit at several block offsets.
+            let data: Vec<u8> = (0..24 * BLOCK_LEN + 128)
+                .map(|i| (i * 7 + 3) as u8)
+                .collect();
+            for whole in [0usize, 1, 23] {
+                for extra in 0..128 {
+                    let msg = &data[..whole * BLOCK_LEN + extra];
+                    // SAFETY: `ShaNi::detect` returned a token, so the CPU
+                    // has "sha", "ssse3" and "sse4.1".
+                    let fast = unsafe { lanes_sha256(msg) };
+                    assert_eq!(fast, sha256(msg), "whole={whole} extra={extra}");
+                }
+            }
+        }
     }
 }
 
