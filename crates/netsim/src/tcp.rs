@@ -7,6 +7,11 @@
 //! advertised window (`RECV_WINDOW`, the 85.3 KB default window of
 //! the paper's iperf run), and FIN/RST teardown.
 //!
+//! Each connection state owns the data that exists in it: a
+//! `SendWindow` from the first SYN on, a `ReceiveWindow` once the
+//! peer's SYN is in, and in TIME-WAIT only the deadline and the two
+//! sequence numbers its ACKs carry.
+//!
 //! Every tuning value is a constant: each experiment in the paper
 //! measures one stack, so no caller sets them.
 //!
@@ -14,6 +19,8 @@
 //! touches the event queue directly; it accumulates outgoing packets,
 //! application events and timer requests which the host drains after
 //! each call — keeping this module purely about protocol state.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::fx::FxHashMap;
 use crate::packet::{Packet, Payload, TcpFlags, TcpSegment};
@@ -60,14 +67,15 @@ impl SendBuf {
         let mut n = n.min(self.len);
         self.len -= n;
         while n > 0 {
-            let front = self.chunks.front_mut().expect("len counts chunk bytes");
-            if front.len() <= n {
-                n -= front.len();
-                self.chunks.pop_front();
-            } else {
+            let Some(front) = self.chunks.front_mut() else {
+                break;
+            };
+            if front.len() > n {
                 *front = front.slice(n..);
-                n = 0;
+                break;
             }
+            n -= front.len();
+            self.chunks.pop_front();
         }
     }
 
@@ -80,31 +88,28 @@ impl SendBuf {
             "range {off}+{len} past buffer of {}",
             self.len
         );
-        if len == 0 {
-            return Bytes::new();
-        }
         let mut chunks = self.chunks.iter();
         let mut skip = off;
-        let first = loop {
-            let c = chunks.next().expect("off lies inside the buffer");
-            if skip < c.len() {
-                break c;
+        while let Some(first) = chunks.next() {
+            if skip >= first.len() {
+                skip -= first.len();
+                continue;
             }
-            skip -= c.len();
-        };
-        if skip + len <= first.len() {
-            return first.slice(skip..skip + len);
-        }
-        let mut copy = Vec::with_capacity(len);
-        copy.extend_from_slice(&first[skip..]);
-        for c in chunks {
-            let need = len - copy.len();
-            if need == 0 {
-                break;
+            if skip + len <= first.len() {
+                return first.slice(skip..skip + len);
             }
-            copy.extend_from_slice(&c[..need.min(c.len())]);
+            let mut copy = Vec::with_capacity(len);
+            copy.extend_from_slice(&first[skip..]);
+            for c in chunks {
+                let need = len - copy.len();
+                if need == 0 {
+                    break;
+                }
+                copy.extend_from_slice(&c[..need.min(c.len())]);
+            }
+            return Bytes::from(copy);
         }
-        Bytes::from(copy)
+        Bytes::new()
     }
 
     /// Checks that `len` is the sum of the chunk lengths and that no
@@ -162,38 +167,56 @@ const INIT_CWND_SEGMENTS: u64 = 10;
 const RTO_INITIAL: SimDuration = SimDuration::from_millis(1000);
 /// Lower bound on the RTO.
 const RTO_MIN: SimDuration = SimDuration::from_millis(200);
+/// Upper bound on the backed-off RTO.
+const RTO_MAX: SimDuration = SimDuration::from_secs(60);
 /// SYN retransmissions before an active open gives up.
 const SYN_RETRIES: u32 = 5;
+/// Retransmissions of one flight before the connection is reset.
+const RTX_RETRIES: u32 = 15;
+/// How long TIME-WAIT lingers (2×MSL, shortened for simulations).
+const TIME_WAIT: SimDuration = SimDuration::from_millis(500);
 
-/// Connection states (simplified TIME-WAIT).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TcpState {
-    SynSent,
-    SynReceived,
-    Established,
-    FinWait1,
-    FinWait2,
-    CloseWait,
-    LastAck,
-    Closing,
-    TimeWait,
-    Closed,
+fn segment(key: &ConnKey, seq: u32, ack: u32, flags: TcpFlags, data: Bytes) -> Packet {
+    Packet::new(
+        key.0,
+        key.2,
+        Payload::Tcp(TcpSegment {
+            src_port: key.1,
+            dst_port: key.3,
+            seq,
+            ack,
+            flags,
+            window: RECV_WINDOW,
+            data,
+            gso_mss: 0,
+        }),
+    )
 }
 
-struct TcpSocket {
-    id: SockId,
-    owner_app: usize,
-    local: (IpAddr, u16),
-    remote: (IpAddr, u16),
-    state: TcpState,
+/// The RFC 6298 round-trip estimate.
+#[derive(Clone, Copy)]
+enum Rtt {
+    /// No segment has been timed yet.
+    Unmeasured,
+    /// Smoothed RTT and its mean deviation, in ns.
+    Measured { srtt: f64, rttvar: f64 },
+}
 
-    // --- send state ---
+/// Our FIN, from the application's close until the peer acknowledges it.
+#[derive(Clone, Copy)]
+enum Fin {
+    Queued,
+    /// Sent with this sequence number.
+    Sent(u32),
+}
+
+struct SendWindow {
     /// Oldest unacknowledged sequence number.
     snd_una: u32,
     /// Next sequence number to send.
     snd_nxt: u32,
     /// Bytes awaiting ACK or transmission, starting at `snd_una`.
-    send_buf: SendBuf,
+    buf: SendBuf,
     /// Peer's advertised window.
     snd_wnd: u32,
     /// Congestion window (bytes).
@@ -201,33 +224,322 @@ struct TcpSocket {
     /// Slow-start threshold (bytes).
     ssthresh: u64,
     dup_acks: u32,
-    /// FIN queued after the data currently buffered.
-    fin_pending: bool,
-    /// Sequence number consumed by our FIN once sent.
-    fin_seq: Option<u32>,
-
-    // --- RTT estimation ---
-    srtt: Option<f64>,
-    rttvar: f64,
+    rtt: Rtt,
     rto: SimDuration,
     /// One outstanding RTT sample: (seq that must be acked, send time).
     rtt_sample: Option<(u32, SimTime)>,
-    /// Retransmission deadline (lazy-cancelled timers check this).
-    rtx_deadline: Option<SimTime>,
-    rtx_count: u32,
-    /// When the handshake started (SYN sent or received), for the
-    /// connect/accept latency metric.
-    opened_at: SimTime,
+    /// The retransmission timer, when armed: (due time, timeouts since
+    /// everything was last acknowledged).
+    rtx: Option<(SimTime, u32)>,
+}
 
-    // --- receive state ---
-    rcv_nxt: u32,
-    recv_buf: Vec<u8>,
+impl SendWindow {
+    fn new(snd_una: u32, snd_nxt: u32, snd_wnd: u32) -> Self {
+        SendWindow {
+            snd_una,
+            snd_nxt,
+            buf: SendBuf::default(),
+            snd_wnd,
+            cwnd: INIT_CWND_SEGMENTS * MSS as u64,
+            ssthresh: u64::MAX / 2,
+            dup_acks: 0,
+            rtt: Rtt::Unmeasured,
+            rto: RTO_INITIAL,
+            rtt_sample: None,
+            rtx: None,
+        }
+    }
+
+    fn flight(&self) -> u32 {
+        self.snd_nxt.wrapping_sub(self.snd_una)
+    }
+
+    fn arm(&mut self, now: SimTime) -> SimDuration {
+        let retries = self.rtx.map_or(0, |(_, retries)| retries);
+        self.rtx = Some((now + self.rto, retries));
+        self.rto
+    }
+
+    /// Takes an ACK of new data up to `ack`, and of our FIN if `fin_acked`.
+    fn acked(&mut self, ack: u32, fin_acked: bool, now: SimTime) {
+        let data_acked = ack.wrapping_sub(self.snd_una) as usize - usize::from(fin_acked);
+        self.buf.consume(data_acked);
+        self.snd_una = ack;
+        self.dup_acks = 0;
+        // RTT sample (Karn: only for non-retransmitted data).
+        if let Some((sample_seq, sent_at)) = self.rtt_sample {
+            if seq_le(sample_seq, ack) {
+                self.update_rtt(now.since(sent_at));
+                self.rtt_sample = None;
+            }
+        }
+        // Congestion window growth.
+        if self.cwnd < self.ssthresh {
+            self.cwnd += (data_acked as u64).min(MSS as u64);
+        } else {
+            self.cwnd += (MSS as u64 * MSS as u64 / self.cwnd.max(1)).max(1);
+        }
+    }
+
+    /// RFC 6298 SRTT/RTTVAR update.
+    fn update_rtt(&mut self, sample: SimDuration) {
+        let r = sample.as_nanos() as f64;
+        let (srtt, rttvar) = match self.rtt {
+            Rtt::Unmeasured => (r, r / 2.0),
+            Rtt::Measured { srtt, rttvar } => (
+                0.875 * srtt + 0.125 * r,
+                0.75 * rttvar + 0.25 * (srtt - r).abs(),
+            ),
+        };
+        self.rtt = Rtt::Measured { srtt, rttvar };
+        self.rto = SimDuration::from_nanos((srtt + 4.0 * rttvar) as u64).max(RTO_MIN);
+    }
+
+    /// Sends as much buffered data as windows allow, one MSS-sized
+    /// segment per packet; sends a queued `fin` when the buffer drains.
+    /// Returns whether anything went out.
+    ///
+    /// Each segment's payload is [`SendBuf::range`]: a zero-copy slice
+    /// of the application's chunk unless the segment straddles two
+    /// chunks.
+    fn output(
+        &mut self,
+        fin: Option<&mut Fin>,
+        key: &ConnKey,
+        ack: u32,
+        now: SimTime,
+        out: &mut Vec<Packet>,
+    ) -> bool {
+        let before = out.len();
+        let queued = matches!(fin, Some(Fin::Queued));
+        let flight = self.flight() as usize;
+        let wnd = self.cwnd.min(u64::from(self.snd_wnd));
+        // When a FIN is in flight the buffer offset excludes it.
+        let mut off = flight.min(self.buf.len());
+        let mut budget = match fin {
+            Some(Fin::Sent(_)) => 0,
+            _ => (self.buf.len() - off).min(wnd.saturating_sub(flight as u64) as usize),
+        };
+        let mut fin_seq = None;
+        while budget > 0 {
+            let take = budget.min(MSS);
+            // Piggyback FIN on the last segment if closing and this
+            // drains the buffer.
+            let mut flags = TcpFlags::ACK;
+            flags.fin = queued && off + take == self.buf.len();
+            let pkt = segment(key, self.snd_nxt, ack, flags, self.buf.range(off, take));
+            self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
+            if flags.fin {
+                fin_seq = Some(self.snd_nxt);
+                self.snd_nxt = self.snd_nxt.wrapping_add(1);
+            }
+            if self.rtt_sample.is_none() {
+                self.rtt_sample = Some((self.snd_nxt, now));
+            }
+            out.push(pkt);
+            off += take;
+            budget -= take;
+        }
+        // Bare FIN (no data left to carry it).
+        if queued && fin_seq.is_none() && off == self.buf.len() {
+            out.push(segment(
+                key,
+                self.snd_nxt,
+                ack,
+                TcpFlags::FIN_ACK,
+                Bytes::new(),
+            ));
+            fin_seq = Some(self.snd_nxt);
+            self.snd_nxt = self.snd_nxt.wrapping_add(1);
+        }
+        if let (Some(fin), Some(seq)) = (fin, fin_seq) {
+            *fin = Fin::Sent(seq);
+        }
+        out.len() > before
+    }
+
+    /// Retransmits the first unacknowledged segment. It carries `ctl`
+    /// (SYN, SYN-ACK or FIN-ACK) only if it ends the buffer and that
+    /// control's sequence number is in flight after the data.
+    fn retransmit_head(&self, ctl: TcpFlags, key: &ConnKey, ack: u32, out: &mut Vec<Packet>) {
+        let take = self.buf.len().min(MSS);
+        let tail = take == self.buf.len() && self.flight() as usize == take + 1;
+        let flags = if tail { ctl } else { TcpFlags::ACK };
+        let data = self.buf.range(0, take);
+        out.push(segment(key, self.snd_una, ack, flags, data));
+    }
+
+    /// The send-side invariants; `ctl` is the unacknowledged SYN or FIN.
+    fn check(&self, ctl: u32) -> Result<(), String> {
+        if !seq_le(self.snd_una, self.snd_nxt) {
+            return Err(format!(
+                "snd_una {} is past snd_nxt {}",
+                self.snd_una, self.snd_nxt
+            ));
+        }
+        self.buf.check()?;
+        match self.flight().checked_sub(ctl) {
+            Some(data) if data as usize <= self.buf.len() => Ok(()),
+            _ => Err(format!(
+                "{} sequence numbers in flight ({ctl} SYN or FIN) but {} bytes buffered",
+                self.flight(),
+                self.buf.len()
+            )),
+        }
+    }
+}
+
+/// The receive side of a connection. Its sequence numbers count on from
+/// the peer's ISS in 64 bits, so stream order is integer order across
+/// the 32-bit wrap; segments carry the low 32 bits.
+#[derive(Default)]
+struct ReceiveWindow {
+    rcv_nxt: u64,
     /// Out-of-order segments keyed by sequence number.
-    ooo: BTreeMap<u32, Bytes>,
-    peer_fin_seq: Option<u32>,
+    ooo: BTreeMap<u64, Bytes>,
+    /// The peer's FIN, seen ahead of `rcv_nxt`.
+    fin: Option<u64>,
+}
 
-    /// TIME-WAIT expiry.
-    time_wait_deadline: Option<SimTime>,
+impl ReceiveWindow {
+    fn new(irs: u32) -> Self {
+        ReceiveWindow {
+            rcv_nxt: u64::from(irs) + 1,
+            ..Self::default()
+        }
+    }
+
+    fn ack(&self) -> u32 {
+        self.rcv_nxt as u32
+    }
+
+    /// Unwraps a `seq` that is not behind `rcv_nxt`.
+    fn unwrapped(&self, seq: u32) -> u64 {
+        self.rcv_nxt + u64::from(seq.wrapping_sub(self.ack()))
+    }
+
+    /// Takes a segment's data; returns whether any was delivered in order.
+    fn data(&mut self, seq: u32, data: Bytes, recv_buf: &mut Vec<u8>) -> bool {
+        if seq != self.ack() {
+            if seq_lt(self.ack(), seq) {
+                self.ooo.insert(self.unwrapped(seq), data);
+            }
+            return false;
+        }
+        // In-window check against our advertised window is skipped:
+        // the sender honours it, and the sim has no renege path.
+        recv_buf.extend_from_slice(&data);
+        self.rcv_nxt += data.len() as u64;
+        // Drain contiguous out-of-order segments; stale or overlapping
+        // ones are dropped.
+        while let Some(entry) = self.ooo.first_entry() {
+            if *entry.key() > self.rcv_nxt {
+                break;
+            }
+            let stale = *entry.key() < self.rcv_nxt;
+            let data = entry.remove();
+            if !stale {
+                recv_buf.extend_from_slice(&data);
+                self.rcv_nxt += data.len() as u64;
+            }
+        }
+        true
+    }
+
+    /// Records a FIN at `seq` unless it is behind `rcv_nxt` (one already
+    /// taken, retransmitted), then steps past the FIN if it is reached.
+    /// Returns whether it was.
+    fn take_fin(&mut self, seq: Option<u32>) -> bool {
+        if let Some(seq) = seq.filter(|&f| !seq_lt(f, self.ack())) {
+            self.fin = Some(self.unwrapped(seq));
+        }
+        if self.fin != Some(self.rcv_nxt) {
+            return false;
+        }
+        self.rcv_nxt += 1;
+        self.fin = None;
+        true
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if let Some((&seq, _)) = self.ooo.first_key_value() {
+            if seq <= self.rcv_nxt {
+                return Err(format!(
+                    "out-of-order segment at {seq} does not start after rcv_nxt {}",
+                    self.rcv_nxt
+                ));
+            }
+        }
+        match self.fin {
+            Some(fin) if fin < self.rcv_nxt => Err(format!(
+                "peer FIN at {fin} is behind rcv_nxt {}",
+                self.rcv_nxt
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The synchronized states (RFC 9293 §3.3.2).
+#[derive(Clone, Copy)]
+enum Phase {
+    Established,
+    FinWait1(Fin),
+    FinWait2,
+    CloseWait,
+    LastAck(Fin),
+    /// The peer's FIN came in while ours was unacknowledged.
+    Closing(Fin),
+}
+
+impl Phase {
+    fn fin(&mut self) -> Option<&mut Fin> {
+        match self {
+            Phase::FinWait1(fin) | Phase::LastAck(fin) | Phase::Closing(fin) => Some(fin),
+            _ => None,
+        }
+    }
+}
+
+/// A connection's state and the data that exists in it.
+enum TcpState {
+    /// Our SYN is out; without the peer's ISS there is no receive
+    /// window, and the SYN carries ack 0.
+    SynSent { tx: SendWindow, opened_at: SimTime },
+    SynReceived {
+        tx: SendWindow,
+        rx: ReceiveWindow,
+        opened_at: SimTime,
+    },
+    Synced {
+        tx: SendWindow,
+        rx: ReceiveWindow,
+        phase: Phase,
+    },
+    /// Both FINs are acknowledged. The socket lingers until `expiry`,
+    /// re-ACKing retransmitted data with `seq` and `ack`.
+    TimeWait { expiry: SimTime, seq: u32, ack: u32 },
+}
+
+struct TcpSocket {
+    id: SockId,
+    owner_app: usize,
+    key: ConnKey,
+    /// In-order bytes the application has not read yet. TIME-WAIT can
+    /// begin in the call that delivers the last data, so they outlive
+    /// the receive window.
+    recv_buf: Vec<u8>,
+    state: TcpState,
+}
+
+impl TcpSocket {
+    /// What the application hears when the connection dies.
+    fn failure(&self) -> TcpEvent {
+        match self.state {
+            TcpState::SynSent { .. } => TcpEvent::ConnectFailed(self.id),
+            _ => TcpEvent::Reset(self.id),
+        }
+    }
 }
 
 /// Sequence-number comparison helpers (RFC 793 modular arithmetic).
@@ -327,19 +639,14 @@ impl TcpLayer {
         iss: u32,
         now: SimTime,
     ) -> SockId {
-        let local_port = self.alloc_port();
+        let key = (local_addr, self.alloc_port(), remote.0, remote.1);
         let id = self.alloc_sock();
-        let mut sock = TcpSocket::new(id, app, (local_addr, local_port), remote);
-        sock.state = TcpState::SynSent;
-        sock.opened_at = now;
-        sock.snd_una = iss;
-        sock.snd_nxt = iss.wrapping_add(1);
-        self.conn_map
-            .insert((local_addr, local_port, remote.0, remote.1), id);
-        let syn = sock.make_segment(iss, TcpFlags::SYN, Bytes::new());
-        sock.arm_rtx(now, &mut self.timer_reqs);
-        self.out.push(syn);
-        self.sockets[id.0] = Some(sock);
+        let mut tx = SendWindow::new(iss, iss.wrapping_add(1), RECV_WINDOW);
+        self.out
+            .push(segment(&key, iss, 0, TcpFlags::SYN, Bytes::new()));
+        self.timer_reqs.push((tx.arm(now), id.0 as u64));
+        let state = TcpState::SynSent { tx, opened_at: now };
+        self.install(id, app, key, state);
         id
     }
 
@@ -349,11 +656,19 @@ impl TcpLayer {
         let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
             return;
         };
-        if !matches!(s.state, TcpState::Established | TcpState::CloseWait) {
+        // Only a connection the application has not closed takes data.
+        let TcpState::Synced {
+            tx,
+            rx,
+            phase: Phase::Established | Phase::CloseWait,
+        } = &mut s.state
+        else {
             return;
+        };
+        tx.buf.push(data.into());
+        if tx.output(None, &s.key, rx.ack(), now, &mut self.out) {
+            self.timer_reqs.push((tx.arm(now), sock.0 as u64));
         }
-        s.send_buf.push(data.into());
-        s.try_output(&mut self.out, now, &mut self.timer_reqs);
     }
 
     /// Reads and drains all in-order received bytes.
@@ -367,10 +682,13 @@ impl TcpLayer {
     /// Bytes queued in the send buffer (unacked + unsent) — lets bulk
     /// senders (iperf) keep the pipe full without unbounded buffering.
     pub fn buffered(&self, sock: SockId) -> usize {
-        self.sockets
-            .get(sock.0)
-            .and_then(Option::as_ref)
-            .map_or(0, |s| s.send_buf.len())
+        match self.sockets.get(sock.0) {
+            Some(Some(s)) => match &s.state {
+                TcpState::Synced { tx, .. } => tx.buf.len(),
+                _ => 0,
+            },
+            _ => 0,
+        }
     }
 
     /// Whether the socket still exists (not fully closed).
@@ -383,24 +701,21 @@ impl TcpLayer {
         let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
             return;
         };
-        match s.state {
-            TcpState::Established => {
-                s.fin_pending = true;
-                s.state = TcpState::FinWait1;
+        match &mut s.state {
+            // Abort before establishment.
+            TcpState::SynSent { .. } => self.release(sock),
+            TcpState::Synced { tx, rx, phase } => {
+                *phase = match phase {
+                    Phase::Established => Phase::FinWait1(Fin::Queued),
+                    Phase::CloseWait => Phase::LastAck(Fin::Queued),
+                    _ => return,
+                };
+                if tx.output(phase.fin(), &s.key, rx.ack(), now, &mut self.out) {
+                    self.timer_reqs.push((tx.arm(now), sock.0 as u64));
+                }
             }
-            TcpState::CloseWait => {
-                s.fin_pending = true;
-                s.state = TcpState::LastAck;
-            }
-            TcpState::SynSent => {
-                // Abort before establishment.
-                let id = s.id;
-                self.release(id);
-                return;
-            }
-            _ => return,
+            _ => {}
         }
-        s.try_output(&mut self.out, now, &mut self.timer_reqs);
     }
 
     /// Aborts with RST.
@@ -408,12 +723,18 @@ impl TcpLayer {
         let Some(s) = self.sockets.get_mut(sock.0).and_then(Option::as_mut) else {
             return;
         };
-        let rst = s.make_segment(s.snd_nxt, TcpFlags::RST, Bytes::new());
-        self.out.push(rst);
-        let id = s.id;
+        let (seq, ack) = match &s.state {
+            TcpState::SynSent { tx, .. } => (tx.snd_nxt, 0),
+            TcpState::SynReceived { tx, rx, .. } | TcpState::Synced { tx, rx, .. } => {
+                (tx.snd_nxt, rx.ack())
+            }
+            TcpState::TimeWait { seq, ack, .. } => (*seq, *ack),
+        };
+        self.out
+            .push(segment(&s.key, seq, ack, TcpFlags::RST, Bytes::new()));
         let app = s.owner_app;
-        self.release(id);
-        self.events.push((app, TcpEvent::Closed(id)));
+        self.release(sock);
+        self.events.push((app, TcpEvent::Closed(sock)));
     }
 
     /// Aborts every connection whose remote address is `remote` — used
@@ -424,16 +745,10 @@ impl TcpLayer {
     pub fn abort_to(&mut self, remote: IpAddr) {
         // Slot order: event order is part of the determinism contract.
         for i in 0..self.sockets.len() {
-            let Some(s) = self.sockets[i].as_ref().filter(|s| s.remote.0 == remote) else {
+            let Some(s) = self.sockets[i].as_ref().filter(|s| s.key.2 == remote) else {
                 continue;
             };
-            let id = s.id;
-            let app = s.owner_app;
-            let ev = if s.state == TcpState::SynSent {
-                TcpEvent::ConnectFailed(id)
-            } else {
-                TcpEvent::Reset(id)
-            };
+            let (id, app, ev) = (s.id, s.owner_app, s.failure());
             self.release(id);
             self.events.push((app, ev));
         }
@@ -459,21 +774,25 @@ impl TcpLayer {
         if seg.flags.syn && !seg.flags.ack {
             if let Some(&app) = self.listeners.get(&seg.dst_port) {
                 let id = self.alloc_sock();
-                let mut sock = TcpSocket::new(id, app, (dst, seg.dst_port), (src, seg.src_port));
-                sock.state = TcpState::SynReceived;
-                sock.opened_at = now;
                 // Derive our ISS deterministically from the peer's (the
                 // host layer has the RNG; this keeps the API small).
                 let iss = seg.seq.wrapping_mul(2654435761).wrapping_add(0x9e3779b9);
-                sock.snd_una = iss;
-                sock.snd_nxt = iss.wrapping_add(1);
-                sock.rcv_nxt = seg.seq.wrapping_add(1);
-                sock.snd_wnd = seg.window;
-                let synack = sock.make_segment(iss, TcpFlags::SYN_ACK, Bytes::new());
-                sock.arm_rtx(now, &mut self.timer_reqs);
-                self.conn_map.insert(key, id);
-                self.out.push(synack);
-                self.sockets[id.0] = Some(sock);
+                let mut tx = SendWindow::new(iss, iss.wrapping_add(1), seg.window);
+                let rx = ReceiveWindow::new(seg.seq);
+                self.out.push(segment(
+                    &key,
+                    iss,
+                    rx.ack(),
+                    TcpFlags::SYN_ACK,
+                    Bytes::new(),
+                ));
+                self.timer_reqs.push((tx.arm(now), id.0 as u64));
+                let state = TcpState::SynReceived {
+                    tx,
+                    rx,
+                    opened_at: now,
+                };
+                self.install(id, app, key, state);
                 return;
             }
         }
@@ -501,57 +820,49 @@ impl TcpLayer {
 
     /// A TCP timer fired; `token` is the socket index.
     pub fn on_timer(&mut self, token: u64, now: SimTime) {
-        let idx = token as usize;
-        let Some(Some(s)) = self.sockets.get_mut(idx) else {
+        let Some(Some(s)) = self.sockets.get_mut(token as usize) else {
             return;
         };
-        // TIME-WAIT expiry.
-        if let Some(tw) = s.time_wait_deadline {
-            if now >= tw {
-                let id = s.id;
-                let app = s.owner_app;
-                self.release(id);
-                self.events.push((app, TcpEvent::Closed(id)));
+        let (id, app) = (s.id, s.owner_app);
+        // The socket's one deadline: TIME-WAIT's expiry, or else the
+        // retransmission timer.
+        let (tx, limit, ack, ctl) = match &mut s.state {
+            TcpState::TimeWait { expiry, .. } => {
+                if now >= *expiry {
+                    self.release(id);
+                    self.events.push((app, TcpEvent::Closed(id)));
+                }
                 return;
             }
-        }
-        let Some(deadline) = s.rtx_deadline else {
+            TcpState::SynSent { tx, .. } => (tx, SYN_RETRIES, 0, TcpFlags::SYN),
+            TcpState::SynReceived { tx, rx, .. } => (tx, RTX_RETRIES, rx.ack(), TcpFlags::SYN_ACK),
+            TcpState::Synced { tx, rx, .. } => (tx, RTX_RETRIES, rx.ack(), TcpFlags::FIN_ACK),
+        };
+        let Some((at, retries)) = tx.rtx else {
             return;
         };
-        if now < deadline {
+        if now < at {
             return; // stale timer; a fresher one is queued
         }
         // Retransmission timeout.
-        s.rtx_count += 1;
+        let retries = retries + 1;
         self.metric_evs.push(TcpMetric::Rtx);
-        if s.state == TcpState::SynSent && s.rtx_count > SYN_RETRIES {
-            let id = s.id;
-            let app = s.owner_app;
-            self.events.push((app, TcpEvent::ConnectFailed(id)));
+        if retries > limit {
+            self.events.push((app, s.failure()));
             self.release(id);
             return;
         }
-        if s.rtx_count > 15 {
-            let id = s.id;
-            let app = s.owner_app;
-            self.events.push((app, TcpEvent::Reset(id)));
-            self.release(id);
-            return;
-        }
-        // Exponential backoff, collapse cwnd, retransmit one segment.
-        s.rto = SimDuration::from_nanos(s.rto.as_nanos().saturating_mul(2).min(60_000_000_000));
-        // Congestion state only exists once data flows: handshake
-        // timeouts must not collapse the initial window (RFC 5681 sets
-        // IW at establishment, not before).
-        if !matches!(s.state, TcpState::SynSent | TcpState::SynReceived) {
-            let flight = s.snd_nxt.wrapping_sub(s.snd_una) as u64;
-            s.ssthresh = (flight / 2).max(2 * MSS as u64);
-            s.cwnd = MSS as u64;
-        }
-        s.dup_acks = 0;
-        s.rtt_sample = None; // Karn's algorithm
-        s.retransmit_head(&mut self.out);
-        s.arm_rtx(now, &mut self.timer_reqs);
+        tx.rtx = Some((at, retries));
+        // Exponential backoff, collapse cwnd, retransmit one segment. A
+        // handshake state's window is replaced at establishment, where
+        // RFC 5681 sets the initial window, so its collapse is moot.
+        tx.rto = SimDuration::from_nanos(tx.rto.as_nanos().saturating_mul(2)).min(RTO_MAX);
+        tx.ssthresh = (u64::from(tx.flight()) / 2).max(2 * MSS as u64);
+        tx.cwnd = MSS as u64;
+        tx.dup_acks = 0;
+        tx.rtt_sample = None; // Karn's algorithm
+        tx.retransmit_head(ctl, &s.key, ack, &mut self.out);
+        self.timer_reqs.push((tx.arm(now), token));
     }
 
     fn on_segment(&mut self, id: SockId, seg: TcpSegment, now: SimTime) {
@@ -561,115 +872,89 @@ impl TcpLayer {
         let app = s.owner_app;
 
         if seg.flags.rst {
-            let ev = if s.state == TcpState::SynSent {
-                TcpEvent::ConnectFailed(id)
-            } else {
-                TcpEvent::Reset(id)
-            };
-            self.events.push((app, ev));
+            self.events.push((app, s.failure()));
             self.release(id);
             return;
         }
 
-        match s.state {
-            TcpState::SynSent => {
-                if seg.flags.syn && seg.flags.ack && seg.ack == s.snd_nxt {
-                    s.rcv_nxt = seg.seq.wrapping_add(1);
-                    s.snd_una = seg.ack;
-                    s.snd_wnd = seg.window;
-                    s.state = TcpState::Established;
-                    s.rtx_deadline = None;
-                    s.rtx_count = 0;
-                    self.cancel_reqs.push(id.0 as u64);
-                    // RFC 6298 §5.7: the RTO backed off by SYN losses must
-                    // be re-initialized when data transmission begins.
-                    s.rto = RTO_INITIAL;
-                    let ack = s.make_segment(s.snd_nxt, TcpFlags::ACK, Bytes::new());
-                    self.out.push(ack);
-                    self.events.push((app, TcpEvent::Connected(id)));
-                    self.metric_evs.push(TcpMetric::ConnectNs(
-                        now.as_nanos().saturating_sub(s.opened_at.as_nanos()),
-                    ));
-                }
+        let acked = |tx: &SendWindow| seg.flags.ack && seg.ack == tx.snd_nxt;
+        let since = |t: &SimTime| now.as_nanos().saturating_sub(t.as_nanos());
+        let (rx, event, metric) = match &mut s.state {
+            TcpState::SynSent { tx, opened_at } if seg.flags.syn && acked(tx) => {
+                let rx = ReceiveWindow::new(seg.seq);
+                let ack = segment(&s.key, seg.ack, rx.ack(), TcpFlags::ACK, Bytes::new());
+                self.out.push(ack);
+                let metric = TcpMetric::ConnectNs(since(opened_at));
+                (rx, TcpEvent::Connected(id), metric)
             }
-            TcpState::SynReceived => {
-                if seg.flags.ack && seg.ack == s.snd_nxt {
-                    s.state = TcpState::Established;
-                    s.snd_una = seg.ack;
-                    s.snd_wnd = seg.window;
-                    s.rtx_deadline = None;
-                    s.rtx_count = 0;
-                    self.cancel_reqs.push(id.0 as u64);
-                    s.rto = RTO_INITIAL;
-                    let port = s.local.1;
-                    self.events.push((
-                        app,
-                        TcpEvent::Accepted {
-                            listener_port: port,
-                            sock: id,
-                        },
-                    ));
-                    self.metric_evs.push(TcpMetric::AcceptNs(
-                        now.as_nanos().saturating_sub(s.opened_at.as_nanos()),
-                    ));
-                    // The handshake-completing ACK may carry data.
-                    if !seg.data.is_empty() || seg.flags.fin {
-                        self.process_established(id, seg, now);
-                    }
-                }
+            TcpState::SynReceived { tx, rx, opened_at } if acked(tx) => {
+                let accepted = TcpEvent::Accepted {
+                    listener_port: s.key.1,
+                    sock: id,
+                };
+                let metric = TcpMetric::AcceptNs(since(opened_at));
+                (std::mem::take(rx), accepted, metric)
             }
-            _ => self.process_established(id, seg, now),
+            TcpState::Synced { .. } => return self.process(id, seg, now),
+            // TIME-WAIT re-ACKs retransmitted data only, not a
+            // retransmitted bare FIN (RFC 9293 §3.10.7.4 ACKs that too).
+            TcpState::TimeWait { seq, ack, .. } if !seg.data.is_empty() => {
+                self.out
+                    .push(segment(&s.key, *seq, *ack, TcpFlags::ACK, Bytes::new()));
+                return;
+            }
+            _ => return,
+        };
+        self.cancel_reqs.push(id.0 as u64);
+        self.events.push((app, event));
+        self.metric_evs.push(metric);
+        // Establishment starts a fresh send window: RFC 5681 sets the
+        // initial window then, and RFC 6298 §5.7 re-initializes the RTO
+        // that SYN losses backed off.
+        let tx = SendWindow::new(seg.ack, seg.ack, seg.window);
+        s.state = TcpState::Synced {
+            tx,
+            rx,
+            phase: Phase::Established,
+        };
+        // The handshake-completing ACK may carry data.
+        if !seg.data.is_empty() || seg.flags.fin {
+            self.process(id, seg, now);
         }
     }
 
-    /// Data/ACK/FIN processing common to synchronized states.
-    fn process_established(&mut self, id: SockId, seg: TcpSegment, now: SimTime) {
+    /// ACK, data and FIN processing in the synchronized states.
+    fn process(&mut self, id: SockId, seg: TcpSegment, now: SimTime) {
         let Some(s) = self.sockets.get_mut(id.0).and_then(Option::as_mut) else {
             return;
         };
-        let app = s.owner_app;
+        let TcpState::Synced { tx, rx, phase } = &mut s.state else {
+            return;
+        };
+        let (app, token) = (s.owner_app, id.0 as u64);
         let mut need_ack = false;
-        let mut had_new_data = false;
+        let mut time_wait = false;
 
         // --- ACK processing ---
         if seg.flags.ack {
-            s.snd_wnd = seg.window;
+            tx.snd_wnd = seg.window;
             let ack = seg.ack;
-            if seq_lt(s.snd_una, ack) && seq_le(ack, s.snd_nxt) {
-                let newly_acked = ack.wrapping_sub(s.snd_una) as usize;
+            if seq_lt(tx.snd_una, ack) && seq_le(ack, tx.snd_nxt) {
                 // Account for FIN occupying one sequence number.
-                let fin_acked = s.fin_seq.is_some_and(|f| seq_lt(f, ack));
-                let data_acked = newly_acked - usize::from(fin_acked);
-                s.send_buf.consume(data_acked);
-                s.snd_una = ack;
-                s.dup_acks = 0;
-                // RTT sample (Karn: only for non-retransmitted data).
-                if let Some((sample_seq, sent_at)) = s.rtt_sample {
-                    if seq_le(sample_seq, ack) {
-                        s.update_rtt(now.since(sent_at));
-                        s.rtt_sample = None;
-                    }
-                }
-                // Congestion window growth.
-                if s.cwnd < s.ssthresh {
-                    s.cwnd += (data_acked as u64).min(MSS as u64);
+                let fin_acked = matches!(phase.fin(), Some(&mut Fin::Sent(f)) if seq_lt(f, ack));
+                tx.acked(ack, fin_acked, now);
+                if tx.flight() == 0 {
+                    tx.rtx = None;
+                    self.cancel_reqs.push(token);
                 } else {
-                    let inc = (MSS as u64 * MSS as u64 / s.cwnd.max(1)).max(1);
-                    s.cwnd += inc;
-                }
-                if s.snd_una == s.snd_nxt {
-                    s.rtx_deadline = None;
-                    s.rtx_count = 0;
-                    self.cancel_reqs.push(id.0 as u64);
-                } else {
-                    s.arm_rtx(now, &mut self.timer_reqs);
+                    self.timer_reqs.push((tx.arm(now), token));
                 }
                 // State advances on FIN ack.
                 if fin_acked {
-                    match s.state {
-                        TcpState::FinWait1 => s.state = TcpState::FinWait2,
-                        TcpState::Closing => s.enter_time_wait(now, &mut self.timer_reqs),
-                        TcpState::LastAck => {
+                    match phase {
+                        Phase::FinWait1(_) => *phase = Phase::FinWait2,
+                        Phase::Closing(_) => time_wait = true,
+                        Phase::LastAck(_) => {
                             self.events.push((app, TcpEvent::Closed(id)));
                             self.release(id);
                             return;
@@ -677,74 +962,56 @@ impl TcpLayer {
                         _ => {}
                     }
                 }
-            } else if ack == s.snd_una && s.snd_una != s.snd_nxt && seg.data.is_empty() {
+            } else if ack == tx.snd_una && tx.flight() != 0 && seg.data.is_empty() {
                 // Duplicate ACK.
-                s.dup_acks += 1;
-                if s.dup_acks == 3 {
-                    let flight = s.snd_nxt.wrapping_sub(s.snd_una) as u64;
-                    s.ssthresh = (flight / 2).max(2 * MSS as u64);
-                    s.cwnd = s.ssthresh;
-                    s.rtt_sample = None;
-                    s.retransmit_head(&mut self.out);
-                    s.arm_rtx(now, &mut self.timer_reqs);
+                tx.dup_acks += 1;
+                if tx.dup_acks == 3 {
+                    tx.ssthresh = (u64::from(tx.flight()) / 2).max(2 * MSS as u64);
+                    tx.cwnd = tx.ssthresh;
+                    tx.rtt_sample = None;
+                    tx.retransmit_head(TcpFlags::FIN_ACK, &s.key, rx.ack(), &mut self.out);
+                    self.timer_reqs.push((tx.arm(now), token));
                 }
             }
         }
 
         // --- data ---
+        let fin_seq = seg.seq.wrapping_add(seg.data.len() as u32);
+        let mut had_new_data = false;
         if !seg.data.is_empty() {
             need_ack = true;
-            if seg.seq == s.rcv_nxt {
-                // In-window check against our advertised window is skipped:
-                // the sender honours it, and the sim has no renege path.
-                s.recv_buf.extend_from_slice(&seg.data);
-                s.rcv_nxt = s.rcv_nxt.wrapping_add(seg.data.len() as u32);
-                had_new_data = true;
-                // Drain contiguous out-of-order segments.
-                while let Some((&q_seq, _)) = s.ooo.first_key_value() {
-                    if q_seq != s.rcv_nxt {
-                        if seq_lt(q_seq, s.rcv_nxt) {
-                            // Stale/overlapping: drop it.
-                            s.ooo.pop_first();
-                            continue;
-                        }
-                        break;
-                    }
-                    let (_, data) = s.ooo.pop_first().expect("peeked");
-                    s.rcv_nxt = s.rcv_nxt.wrapping_add(data.len() as u32);
-                    s.recv_buf.extend_from_slice(&data);
-                }
-            } else if seq_lt(s.rcv_nxt, seg.seq) {
-                s.ooo.insert(seg.seq, seg.data.clone());
-            }
-            // else: old retransmission — just re-ACK.
+            had_new_data = rx.data(seg.seq, seg.data, &mut s.recv_buf);
         }
 
         // --- FIN ---
-        if seg.flags.fin {
-            let fin_seq = seg.seq.wrapping_add(seg.data.len() as u32);
-            s.peer_fin_seq = Some(fin_seq);
-        }
-        if let Some(fin_seq) = s.peer_fin_seq {
-            if s.rcv_nxt == fin_seq {
-                s.rcv_nxt = s.rcv_nxt.wrapping_add(1);
-                s.peer_fin_seq = None;
-                need_ack = true;
-                self.events.push((app, TcpEvent::PeerClosed(id)));
-                match s.state {
-                    TcpState::Established => s.state = TcpState::CloseWait,
-                    TcpState::FinWait1 => s.state = TcpState::Closing,
-                    TcpState::FinWait2 => s.enter_time_wait(now, &mut self.timer_reqs),
-                    _ => {}
-                }
+        if rx.take_fin(seg.flags.fin.then_some(fin_seq)) {
+            need_ack = true;
+            self.events.push((app, TcpEvent::PeerClosed(id)));
+            match *phase {
+                Phase::Established => *phase = Phase::CloseWait,
+                Phase::FinWait1(fin) => *phase = Phase::Closing(fin),
+                Phase::FinWait2 => time_wait = true,
+                _ => {}
             }
         }
 
         // Try to transmit anything newly permitted (window opened, etc.).
-        s.try_output(&mut self.out, now, &mut self.timer_reqs);
+        if tx.output(phase.fin(), &s.key, rx.ack(), now, &mut self.out) {
+            self.timer_reqs.push((tx.arm(now), token));
+        }
         if need_ack {
-            let ack = s.make_segment(s.snd_nxt_wire(), TcpFlags::ACK, Bytes::new());
-            self.out.push(ack);
+            self.out.push(segment(
+                &s.key,
+                tx.snd_nxt,
+                rx.ack(),
+                TcpFlags::ACK,
+                Bytes::new(),
+            ));
+        }
+        if time_wait {
+            let (expiry, seq, ack) = (now + TIME_WAIT, tx.snd_nxt, rx.ack());
+            s.state = TcpState::TimeWait { expiry, seq, ack };
+            self.timer_reqs.push((TIME_WAIT, token));
         }
         if had_new_data {
             self.events.push((app, TcpEvent::Data(id)));
@@ -771,237 +1038,50 @@ impl TcpLayer {
         p
     }
 
+    fn install(&mut self, id: SockId, owner_app: usize, key: ConnKey, state: TcpState) {
+        self.conn_map.insert(key, id);
+        self.sockets[id.0] = Some(TcpSocket {
+            id,
+            owner_app,
+            key,
+            recv_buf: Vec::new(),
+            state,
+        });
+    }
+
     fn release(&mut self, id: SockId) {
-        if let Some(Some(s)) = self.sockets.get(id.0) {
-            let key = (s.local.0, s.local.1, s.remote.0, s.remote.1);
-            self.conn_map.remove(&key);
+        if let Some(s) = self.sockets.get_mut(id.0).and_then(Option::take) {
+            self.conn_map.remove(&s.key);
             if self.last_flow.is_some_and(|(_, hint_id)| hint_id == id) {
                 self.last_flow = None;
             }
             self.released.push(id.0 as u64);
         }
-        if let Some(slot) = self.sockets.get_mut(id.0) {
-            *slot = None;
-        }
     }
 
-    /// Checks every socket's send-side sequence space: `snd_una <=
+    /// Checks every socket's windows. The send window: `snd_una <=
     /// snd_nxt`, the send buffer's byte count equals its chunks' and no
     /// chunk is empty, and the data in flight (`snd_nxt - snd_una` less
-    /// an unacknowledged SYN or FIN) is still buffered. Returns the
-    /// first violation.
+    /// an unacknowledged SYN or FIN) is still buffered. The receive
+    /// window: every queued out-of-order segment starts after
+    /// `rcv_nxt`, in stream order, and a recorded peer FIN is not
+    /// behind it. Returns the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         for s in self.sockets.iter().flatten() {
-            s.check_invariants()
-                .map_err(|e| format!("socket {}: {e}", s.id.0))?;
+            match &s.state {
+                TcpState::SynSent { tx, .. } => tx.check(1),
+                TcpState::SynReceived { tx, rx, .. } => tx.check(1).and_then(|()| rx.check()),
+                TcpState::Synced { tx, rx, phase } => {
+                    let mut phase = *phase;
+                    let fin =
+                        matches!(phase.fin(), Some(&mut Fin::Sent(f)) if seq_le(tx.snd_una, f));
+                    tx.check(u32::from(fin)).and_then(|()| rx.check())
+                }
+                TcpState::TimeWait { .. } => Ok(()),
+            }
+            .map_err(|e| format!("socket {}: {e}", s.id.0))?;
         }
         Ok(())
-    }
-}
-
-impl TcpSocket {
-    fn new(id: SockId, owner_app: usize, local: (IpAddr, u16), remote: (IpAddr, u16)) -> Self {
-        TcpSocket {
-            id,
-            owner_app,
-            local,
-            remote,
-            state: TcpState::Closed,
-            snd_una: 0,
-            snd_nxt: 0,
-            send_buf: SendBuf::default(),
-            snd_wnd: RECV_WINDOW,
-            cwnd: INIT_CWND_SEGMENTS * MSS as u64,
-            ssthresh: u64::MAX / 2,
-            dup_acks: 0,
-            fin_pending: false,
-            fin_seq: None,
-            srtt: None,
-            rttvar: 0.0,
-            rto: RTO_INITIAL,
-            rtt_sample: None,
-            rtx_deadline: None,
-            rtx_count: 0,
-            opened_at: SimTime::ZERO,
-            rcv_nxt: 0,
-            recv_buf: Vec::new(),
-            ooo: BTreeMap::new(),
-            peer_fin_seq: None,
-            time_wait_deadline: None,
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        if !seq_le(self.snd_una, self.snd_nxt) {
-            return Err(format!(
-                "snd_una {} is past snd_nxt {}",
-                self.snd_una, self.snd_nxt
-            ));
-        }
-        self.send_buf.check()?;
-        let syn = u32::from(matches!(
-            self.state,
-            TcpState::SynSent | TcpState::SynReceived
-        ));
-        let fin = u32::from(self.fin_seq.is_some_and(|f| seq_le(self.snd_una, f)));
-        let flight = self.snd_nxt.wrapping_sub(self.snd_una);
-        match flight.checked_sub(syn + fin) {
-            Some(data) if data as usize <= self.send_buf.len() => Ok(()),
-            _ => Err(format!(
-                "{flight} sequence numbers in flight (SYN {syn}, FIN {fin}) but {} bytes buffered",
-                self.send_buf.len()
-            )),
-        }
-    }
-
-    fn make_segment(&self, seq: u32, flags: TcpFlags, data: Bytes) -> Packet {
-        Packet::new(
-            self.local.0,
-            self.remote.0,
-            Payload::Tcp(TcpSegment {
-                src_port: self.local.1,
-                dst_port: self.remote.1,
-                seq,
-                ack: self.rcv_nxt,
-                flags,
-                window: RECV_WINDOW,
-                data,
-                gso_mss: 0,
-            }),
-        )
-    }
-
-    /// The sequence number an empty ACK should carry (past FIN if sent).
-    fn snd_nxt_wire(&self) -> u32 {
-        self.snd_nxt
-    }
-
-    /// Sends as much buffered data as windows allow, one MSS-sized
-    /// segment per packet; sends FIN when the buffer drains and a close
-    /// is pending.
-    ///
-    /// Each segment's payload is [`SendBuf::range`]: a zero-copy slice
-    /// of the application's chunk unless the segment straddles two
-    /// chunks.
-    fn try_output(
-        &mut self,
-        out: &mut Vec<Packet>,
-        now: SimTime,
-        timer_reqs: &mut Vec<(SimDuration, u64)>,
-    ) {
-        if !matches!(
-            self.state,
-            TcpState::Established
-                | TcpState::CloseWait
-                | TcpState::FinWait1
-                | TcpState::LastAck
-                | TcpState::Closing
-        ) {
-            return;
-        }
-        let mut sent_any = false;
-        let flight = self.snd_nxt.wrapping_sub(self.snd_una) as u64;
-        let wnd = self.cwnd.min(self.snd_wnd as u64);
-        // When a FIN is in flight the buffer offset excludes it.
-        let mut off = (flight as usize).min(self.send_buf.len());
-        let mut budget = if self.fin_seq.is_none() {
-            (self.send_buf.len() - off).min(wnd.saturating_sub(flight) as usize)
-        } else {
-            0
-        };
-        while budget > 0 {
-            let take = budget.min(MSS);
-            let seq = self.snd_nxt;
-            let mut flags = TcpFlags::ACK;
-            // Piggyback FIN on the last segment if closing and this
-            // drains the buffer.
-            if self.fin_pending && off + take == self.send_buf.len() {
-                flags.fin = true;
-            }
-            let pkt = self.make_segment(seq, flags, self.send_buf.range(off, take));
-            self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
-            if flags.fin {
-                self.fin_seq = Some(self.snd_nxt);
-                self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                self.fin_pending = false;
-            }
-            if self.rtt_sample.is_none() {
-                self.rtt_sample = Some((self.snd_nxt, now));
-            }
-            out.push(pkt);
-            sent_any = true;
-            off += take;
-            budget -= take;
-        }
-        // Bare FIN (no data left to carry it).
-        if self.fin_pending && off == self.send_buf.len() && self.fin_seq.is_none() {
-            let seq = self.snd_nxt;
-            let pkt = self.make_segment(seq, TcpFlags::FIN_ACK, Bytes::new());
-            self.fin_seq = Some(seq);
-            self.snd_nxt = self.snd_nxt.wrapping_add(1);
-            self.fin_pending = false;
-            out.push(pkt);
-            sent_any = true;
-        }
-        if sent_any {
-            self.arm_rtx(now, timer_reqs);
-        }
-    }
-
-    /// Retransmits the first unacknowledged segment.
-    fn retransmit_head(&mut self, out: &mut Vec<Packet>) {
-        let flight_data = self.send_buf.len();
-        if flight_data > 0 {
-            let take = flight_data.min(MSS);
-            let chunk = self.send_buf.range(0, take);
-            let mut flags = TcpFlags::ACK;
-            if self.fin_seq.is_some() && take == flight_data {
-                // FIN rides again on the tail retransmission.
-                flags.fin = self.snd_nxt.wrapping_sub(self.snd_una) as usize == flight_data + 1;
-            }
-            let pkt = self.make_segment(self.snd_una, flags, chunk);
-            out.push(pkt);
-        } else if self.fin_seq.is_some() {
-            let pkt = self.make_segment(self.snd_una, TcpFlags::FIN_ACK, Bytes::new());
-            out.push(pkt);
-        } else if self.state == TcpState::SynSent {
-            let pkt = self.make_segment(self.snd_una, TcpFlags::SYN, Bytes::new());
-            out.push(pkt);
-        } else if self.state == TcpState::SynReceived {
-            let pkt = self.make_segment(self.snd_una, TcpFlags::SYN_ACK, Bytes::new());
-            out.push(pkt);
-        }
-    }
-
-    fn arm_rtx(&mut self, now: SimTime, timer_reqs: &mut Vec<(SimDuration, u64)>) {
-        let deadline = now + self.rto;
-        self.rtx_deadline = Some(deadline);
-        timer_reqs.push((self.rto, self.id.0 as u64));
-    }
-
-    fn enter_time_wait(&mut self, now: SimTime, timer_reqs: &mut Vec<(SimDuration, u64)>) {
-        self.state = TcpState::TimeWait;
-        let linger = SimDuration::from_millis(500); // 2*MSL shortened for sims
-        self.time_wait_deadline = Some(now + linger);
-        self.rtx_deadline = None;
-        timer_reqs.push((linger, self.id.0 as u64));
-    }
-
-    /// RFC 6298 SRTT/RTTVAR update.
-    fn update_rtt(&mut self, sample: SimDuration) {
-        let r = sample.as_nanos() as f64;
-        match self.srtt {
-            None => {
-                self.srtt = Some(r);
-                self.rttvar = r / 2.0;
-            }
-            Some(srtt) => {
-                self.rttvar = 0.75 * self.rttvar + 0.25 * (srtt - r).abs();
-                self.srtt = Some(0.875 * srtt + 0.125 * r);
-            }
-        }
-        let rto_ns = (self.srtt.unwrap() + 4.0 * self.rttvar) as u64;
-        self.rto = SimDuration::from_nanos(rto_ns).max(RTO_MIN);
     }
 }
 
@@ -1046,20 +1126,31 @@ mod tests {
         moved
     }
 
-    /// Hands `pkts` to `to` at `now`, one segment at a time.
+    /// Hands `pkts` to `to` at `now`, one segment at a time. The
+    /// receiver's invariants must hold after each.
     fn deliver(pkts: Vec<Packet>, to: &mut TcpLayer, now: SimTime) {
         for p in pkts {
             if let Payload::Tcp(seg) = p.payload {
                 to.segment_arrives(p.src, p.dst, seg, now);
+                to.check_invariants().expect("receiver invariants");
             }
         }
     }
 
-    fn connected_pair() -> (TcpLayer, TcpLayer, SockId, SockId) {
+    /// The send window of a synchronized socket.
+    fn tx(layer: &TcpLayer, sock: SockId) -> &SendWindow {
+        match layer.sockets[sock.0].as_ref().map(|s| &s.state) {
+            Some(TcpState::Synced { tx, .. }) => tx,
+            _ => panic!("socket {} is not synchronized", sock.0),
+        }
+    }
+
+    /// A connection from `a` (initial sequence number `iss`) to `b`.
+    fn connected_pair(iss: u32) -> (TcpLayer, TcpLayer, SockId, SockId) {
         let mut a = TcpLayer::new();
         let mut b = TcpLayer::new();
         b.listen(80, 0);
-        let ca = a.connect(addr_a(), (addr_b(), 80), 0, 1000, SimTime::ZERO);
+        let ca = a.connect(addr_a(), (addr_b(), 80), 0, iss, SimTime::ZERO);
         pump(&mut a, &mut b, SimTime::ZERO);
         let sb = b
             .events
@@ -1077,13 +1168,13 @@ mod tests {
 
     #[test]
     fn three_way_handshake() {
-        let (_a, b, _ca, sb) = connected_pair();
+        let (_a, b, _ca, sb) = connected_pair(1000);
         assert!(b.is_open(sb));
     }
 
     #[test]
     fn data_transfer_small() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         a.send(ca, b"hello tcp", SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
         assert_eq!(b.recv(sb), b"hello tcp");
@@ -1092,7 +1183,7 @@ mod tests {
 
     #[test]
     fn data_transfer_large_multi_segment() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         a.send(ca, data.clone(), SimTime(1));
         // Repeated pumping simulates many RTTs for window growth.
@@ -1106,7 +1197,7 @@ mod tests {
 
     #[test]
     fn bidirectional_transfer() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         a.send(ca, b"ping", SimTime(1));
         b.send(sb, b"pong", SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
@@ -1129,7 +1220,7 @@ mod tests {
 
     #[test]
     fn graceful_close_both_sides() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         a.send(ca, b"bye", SimTime(1));
         a.close(ca, SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
@@ -1145,7 +1236,7 @@ mod tests {
 
     #[test]
     fn retransmission_recovers_lost_segment() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         a.send(ca, b"lost in the mail", SimTime(1));
         // Drop the data packet.
         let dropped = std::mem::take(&mut a.out);
@@ -1198,51 +1289,48 @@ mod tests {
         assert!(!a.is_open(ca));
     }
 
+    /// Initial sequence numbers for the reordering tests: one whose
+    /// segments stay below 2^32, and one whose second and third
+    /// segments of data straddle the wrap to 0.
+    const ISSS: [u32; 2] = [1000, u32::MAX - 2000];
+
     #[test]
     fn out_of_order_segments_reassembled() {
-        let (mut a, mut b, ca, sb) = connected_pair();
-        a.send(ca, vec![7u8; 4000], SimTime(1)); // 3 segments at mss 1448
-        let mut pkts = std::mem::take(&mut a.out);
-        assert!(pkts.len() >= 2);
-        pkts.reverse(); // deliver out of order
-        for p in pkts {
-            if let Payload::Tcp(seg) = p.payload {
-                b.segment_arrives(p.src, p.dst, seg, SimTime(1));
-            }
+        for iss in ISSS {
+            let (mut a, mut b, ca, sb) = connected_pair(iss);
+            a.send(ca, vec![7u8; 4000], SimTime(1)); // 3 segments at mss 1448
+            let mut pkts = std::mem::take(&mut a.out);
+            assert!(pkts.len() >= 2);
+            pkts.reverse(); // deliver out of order
+            deliver(pkts, &mut b, SimTime(1));
+            pump(&mut a, &mut b, SimTime(2));
+            assert_eq!(b.recv(sb).len(), 4000, "iss {iss}");
         }
-        pump(&mut a, &mut b, SimTime(2));
-        assert_eq!(b.recv(sb).len(), 4000);
     }
 
     #[test]
     fn fast_retransmit_on_triple_dupack() {
-        let (mut a, mut b, ca, sb) = connected_pair();
-        let data: Vec<u8> = vec![1u8; MSS * 5];
-        a.send(ca, data.clone(), SimTime(1));
-        let mut pkts = std::mem::take(&mut a.out);
-        assert!(pkts.len() >= 4, "got {}", pkts.len());
-        // Drop the first data segment; deliver the rest → dupacks.
-        pkts.remove(0);
-        for p in pkts {
-            if let Payload::Tcp(seg) = p.payload {
-                b.segment_arrives(p.src, p.dst, seg, SimTime(1));
-            }
+        for iss in ISSS {
+            let (mut a, mut b, ca, sb) = connected_pair(iss);
+            let data: Vec<u8> = vec![1u8; MSS * 5];
+            a.send(ca, data.clone(), SimTime(1));
+            let mut pkts = std::mem::take(&mut a.out);
+            assert!(pkts.len() >= 4, "got {}", pkts.len());
+            // Drop the first data segment; deliver the rest → dupacks.
+            pkts.remove(0);
+            deliver(pkts, &mut b, SimTime(1));
+            // Feed the dupacks back to a.
+            let acks = std::mem::take(&mut b.out);
+            assert!(acks.len() >= 3);
+            deliver(acks, &mut a, SimTime(2));
+            // a should have fast-retransmitted the head segment.
+            assert!(
+                !a.out.is_empty(),
+                "fast retransmit after 3 dupacks should emit the missing segment"
+            );
+            pump(&mut a, &mut b, SimTime(3));
+            assert_eq!(b.recv(sb).len(), data.len(), "iss {iss}");
         }
-        // Feed the dupacks back to a.
-        let acks = std::mem::take(&mut b.out);
-        assert!(acks.len() >= 3);
-        for p in acks {
-            if let Payload::Tcp(seg) = p.payload {
-                a.segment_arrives(p.src, p.dst, seg, SimTime(2));
-            }
-        }
-        // a should have fast-retransmitted the head segment.
-        assert!(
-            !a.out.is_empty(),
-            "fast retransmit after 3 dupacks should emit the missing segment"
-        );
-        pump(&mut a, &mut b, SimTime(3));
-        assert_eq!(b.recv(sb).len(), data.len());
     }
 
     #[test]
@@ -1250,13 +1338,13 @@ mod tests {
         // 1 MiB, ACKed round by round: slow start doubles cwnd each
         // round until it passes the peer's window, which then caps the
         // data in flight.
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         let total = 1 << 20;
         a.send(ca, vec![0u8; total], SimTime(1));
         let (mut max_flight, mut max_cwnd) = (0, 0);
         for round in 2.. {
-            let s = a.sockets[ca.0].as_ref().expect("open");
-            let flight = s.snd_nxt.wrapping_sub(s.snd_una);
+            let s = tx(&a, ca);
+            let flight = s.flight();
             assert!(
                 flight <= RECV_WINDOW,
                 "round {round}: {flight} bytes in flight, window {RECV_WINDOW}"
@@ -1283,7 +1371,7 @@ mod tests {
 
     #[test]
     fn rst_on_established_reports_reset() {
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         b.abort(sb);
         pump(&mut a, &mut b, SimTime(1));
         assert!(a.events.iter().any(|(_, e)| *e == TcpEvent::Reset(ca)));
@@ -1292,7 +1380,7 @@ mod tests {
 
     #[test]
     fn rtt_estimation_updates_rto() {
-        let mut s = TcpSocket::new(SockId(0), 0, (addr_a(), 1), (addr_b(), 2));
+        let mut s = SendWindow::new(0, 0, RECV_WINDOW);
         s.update_rtt(SimDuration::from_millis(100));
         // First sample: RTO = srtt + 4*rttvar = 100 + 200 = 300ms.
         assert_eq!(s.rto, SimDuration::from_millis(300));
@@ -1306,8 +1394,11 @@ mod tests {
         // An ACK that covers only data sent before the sampled segment
         // must not complete the sample.
         let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
-        let srtt = |a: &TcpLayer, ca: SockId| a.sockets[ca.0].as_ref().expect("open").srtt;
-        let (mut a, mut b, ca, _sb) = connected_pair();
+        let srtt = |a: &TcpLayer, ca: SockId| match tx(a, ca).rtt {
+            Rtt::Measured { srtt, .. } => Some(srtt),
+            Rtt::Unmeasured => None,
+        };
+        let (mut a, mut b, ca, _sb) = connected_pair(1000);
         a.send(ca, vec![1u8; MSS], ms(0)); // sampled
         let seg_a = std::mem::take(&mut a.out);
         a.send(ca, vec![2u8; MSS], ms(1)); // not sampled
@@ -1344,7 +1435,7 @@ mod tests {
     fn chunked_sends_reassemble_across_chunk_boundaries() {
         // Uneven writes, including empty and 1-byte ones, so segments
         // straddle chunk boundaries as well as lying inside one chunk.
-        let (mut a, mut b, ca, sb) = connected_pair();
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         let mut off = 0;
         for (i, len) in [0, 1, 7, 1448, 3000, 1, 0, 65_536]
@@ -1369,7 +1460,7 @@ mod tests {
 
     #[test]
     fn segment_inside_one_chunk_shares_its_storage() {
-        let (mut a, _b, ca, _sb) = connected_pair();
+        let (mut a, _b, ca, _sb) = connected_pair(1000);
         let chunk = Bytes::from(vec![9u8; 10_000]);
         let span = chunk.as_ptr() as usize..chunk.as_ptr() as usize + chunk.len();
         a.send(ca, chunk.clone(), SimTime(1));
@@ -1400,29 +1491,60 @@ mod tests {
 
     #[test]
     fn check_invariants_reports_violations() {
-        // One socket with 5000 bytes queued, then one corruption.
-        let corrupted = |corrupt: fn(&mut TcpSocket)| {
-            let (mut a, _b, ca, _sb) = connected_pair();
+        // One socket with 5000 bytes queued, then one corruption of
+        // its send or receive window.
+        let corrupted = |corrupt: fn(&mut SendWindow, &mut ReceiveWindow)| {
+            let (mut a, _b, ca, _sb) = connected_pair(1000);
             a.send(ca, vec![3u8; 5000], SimTime(1));
             assert_eq!(a.check_invariants(), Ok(()));
-            corrupt(a.sockets[ca.0].as_mut().expect("open"));
+            let Some(TcpState::Synced { tx, rx, .. }) =
+                a.sockets[ca.0].as_mut().map(|s| &mut s.state)
+            else {
+                panic!("synchronized");
+            };
+            corrupt(tx, rx);
             a.check_invariants()
         };
         assert!(
-            corrupted(|s| s.snd_nxt = s.snd_una.wrapping_sub(1)).is_err(),
+            corrupted(|tx, _| tx.snd_nxt = tx.snd_una.wrapping_sub(1)).is_err(),
             "snd_una past snd_nxt"
         );
         assert!(
-            corrupted(|s| s.send_buf.len += 1).is_err(),
+            corrupted(|tx, _| tx.buf.len += 1).is_err(),
             "count out of step with chunks"
         );
         assert!(
-            corrupted(|s| s.send_buf.chunks.push_back(Bytes::new())).is_err(),
+            corrupted(|tx, _| tx.buf.chunks.push_back(Bytes::new())).is_err(),
             "empty chunk"
         );
         assert!(
-            corrupted(|s| s.send_buf.consume(1)).is_err(),
+            corrupted(|tx, _| tx.buf.consume(1)).is_err(),
             "flight exceeds the buffer"
+        );
+        fn queue_at(rx: &mut ReceiveWindow, seq: u64) {
+            rx.ooo.insert(seq, Bytes::from_static(b"x"));
+        }
+        assert_eq!(
+            corrupted(|_, rx| queue_at(rx, rx.rcv_nxt + 1)),
+            Ok(()),
+            "a segment queued past rcv_nxt"
+        );
+        assert!(
+            corrupted(|_, rx| queue_at(rx, rx.rcv_nxt)).is_err(),
+            "a segment queued at rcv_nxt"
+        );
+        assert!(
+            corrupted(|_, rx| queue_at(rx, rx.rcv_nxt - 1)).is_err(),
+            "a segment queued behind rcv_nxt"
+        );
+        assert_eq!(
+            corrupted(|_, rx| rx.fin = Some(rx.rcv_nxt)),
+            Ok(()),
+            "the peer's FIN at rcv_nxt"
+        );
+        assert!(
+            corrupted(|_, rx| rx.fin = Some(rx.rcv_nxt - 1)).is_err(),
+            "the peer's FIN behind rcv_nxt"
         );
     }
 
