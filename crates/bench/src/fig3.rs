@@ -227,6 +227,9 @@ pub fn iperf_obs(
     w.topo.host_mut(w.a).add_app(Box::new(client));
     let deadline = SimTime::ZERO + SimDuration::from_secs(4) + duration.saturating_mul(3);
     w.topo.sim.run_until(deadline);
+    if let Err(e) = w.topo.check_invariants() {
+        panic!("{mode:?} iperf: invariant broken: {e}");
+    }
     let srv = w
         .topo
         .host(w.b)
@@ -257,6 +260,9 @@ pub fn rtt_obs(
     w.topo.sim.run_until(
         SimTime::ZERO + SimDuration::from_secs(5) + SimDuration::from_millis(200 * count as u64),
     );
+    if let Err(e) = w.topo.check_invariants() {
+        panic!("{mode:?} ping: invariant broken: {e}");
+    }
     let app = w.topo.host(w.a).app::<PingApp>(idx).expect("ping");
     let out = (app.rtts.mean(), app.received);
     let dispatched = w.topo.sim.stats().dispatched;

@@ -221,10 +221,10 @@ pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCe
     let ttr_burst_s = time_to_recover(&timeline, baseline, sec(story.burst_at));
     let ttr_partition_s = time_to_recover(&timeline, baseline, sec(story.partition_at));
 
-    if let Err(e) = dep.check_invariants() {
+    if let Err(e) = dep.topo.check_invariants() {
         panic!("{scenario:?}: invariant broken: {e}");
     }
-    let rebex = dep.hip_shims().map(|s| s.stats.stale_spi_rebex).sum();
+    let rebex = dep.topo.hip_shims().map(|s| s.stats.stale_spi_rebex).sum();
     let dispatched = dep.topo.sim.stats().dispatched;
     dep.record_cpu_gauges();
     let metrics = dep.topo.sim.take_metrics();

@@ -67,7 +67,7 @@ pub fn run_cell(
     app.measure_from = SimTime::ZERO + warmup;
     let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
     dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
-    if let Err(e) = dep.check_invariants() {
+    if let Err(e) = dep.topo.check_invariants() {
         panic!("{scenario:?}: invariant broken: {e}");
     }
     let gen = dep

@@ -85,13 +85,8 @@ fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
 
     topo.sim
         .run_until(SimTime::ZERO + SimDuration::from_secs(120));
-    for vm in [a, b] {
-        if let Err(e) = topo.host(vm).core.tcp.check_invariants() {
-            panic!("TCP invariant broken on {vm:?}: {e}");
-        }
-    }
-    if let Err(e) = topo.sim.check_invariants() {
-        panic!("engine invariant broken: {e}");
+    if let Err(e) = topo.check_invariants() {
+        panic!("invariant broken: {e}");
     }
 
     let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");

@@ -40,7 +40,7 @@ fn smoke_run_metrics(scenario: Scenario, seed: u64, metrics_on: bool) -> RunFing
     dep.topo
         .sim
         .run_until(SimTime::ZERO + SimDuration::from_secs(4));
-    if let Err(e) = dep.check_invariants() {
+    if let Err(e) = dep.topo.check_invariants() {
         panic!("invariant broken: {e}");
     }
     let gen = dep

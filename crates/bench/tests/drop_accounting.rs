@@ -11,9 +11,9 @@
 //! HIP's stale-SPI recovery must show up under their own reasons.
 
 use cloudsim::Flavor;
-use hip_core::{HipShim, HipStats};
+use hip_core::HipStats;
 use netsim::trace::{Trace, TraceData, TraceKind};
-use netsim::{DropReason, FaultEpisode, FaultPlan, Host, NodeId, SimDuration, SimTime};
+use netsim::{DropReason, FaultEpisode, FaultPlan, SimDuration, SimTime};
 use websvc::deploy::{deploy_rubis, RubisConfig};
 use websvc::loadgen::JmeterApp;
 use websvc::rubis::WorkloadMix;
@@ -110,16 +110,12 @@ fn drop_counters_match_the_trace_under_the_fault_storyline() {
         assert!(count(r) > 0, "{r} never counted: {traced:?}");
     }
 
+    if let Err(e) = dep.topo.check_invariants() {
+        panic!("invariant broken: {e}");
+    }
     // The shims count the same drops in their per-host stats.
     let mut stats = HipStats::default();
-    for i in 0..sim.world.node_count() {
-        let host = sim.world.node::<Host>(NodeId(i));
-        let Some(shim) = host.and_then(|h| h.shim::<HipShim>()) else {
-            continue;
-        };
-        if let Err(e) = shim.check_invariants() {
-            panic!("shim invariant broken on node {i}: {e}");
-        }
+    for shim in dep.topo.hip_shims() {
         let s = &shim.stats;
         stats.drops_replay += s.drops_replay;
         stats.drops_auth += s.drops_auth;

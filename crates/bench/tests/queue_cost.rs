@@ -79,7 +79,7 @@ fn bulk(hip: bool, seed: u64) -> SimStats {
 
     let srv = topo.host(b).app::<IperfServerApp>(srv_idx).expect("server");
     assert_eq!(srv.bytes, BYTES, "hip={hip}: the transfer must complete");
-    if let Err(e) = topo.sim.check_invariants() {
+    if let Err(e) = topo.check_invariants() {
         panic!("hip={hip}: {e}");
     }
     topo.sim.stats()

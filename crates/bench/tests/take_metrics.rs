@@ -1,7 +1,7 @@
 //! Taking the metrics mid-run: `Sim::take_metrics` hands over what was
 //! counted so far and the run goes on counting into the same names.
 //! Every handle registered before the take (the engine's, the HIP
-//! shim's per-SA ESP handles, the apps' cached ones) must keep working
+//! shims' cached ESP handles, the apps' cached ones) must keep working
 //! after it, and the two takes together must hold exactly what one
 //! uninterrupted run counts.
 
@@ -29,7 +29,7 @@ fn run(takes_at: &[u64]) -> Vec<MetricsRegistry> {
             .run_until(SimTime::ZERO + SimDuration::from_secs(s));
         taken.push(dep.topo.sim.take_metrics());
     }
-    if let Err(e) = dep.check_invariants() {
+    if let Err(e) = dep.topo.check_invariants() {
         panic!("invariant broken: {e}");
     }
     taken

@@ -18,6 +18,7 @@
 //! in §IV-A.
 
 use crate::flavor::Flavor;
+use hip_core::HipShim;
 use netsim::host::Host;
 use netsim::link::{Endpoint, LinkId, LinkParams, NodeId};
 use netsim::packet::v4;
@@ -353,6 +354,39 @@ impl CloudTopology {
     pub fn run_for(&mut self, d: SimDuration) {
         let deadline = self.sim.now() + d;
         self.sim.run_until(deadline);
+    }
+
+    /// Every host in the topology: VMs, external hosts and any other
+    /// [`Host`] node added to the world.
+    fn hosts(&self) -> impl Iterator<Item = &Host> {
+        let world = &self.sim.world;
+        (0..world.node_count()).filter_map(|i| world.node::<Host>(NodeId(i)))
+    }
+
+    /// The HIP shims installed on the topology's hosts.
+    pub fn hip_shims(&self) -> impl Iterator<Item = &HipShim> {
+        self.hosts().filter_map(Host::shim::<HipShim>)
+    }
+
+    /// Checks the engine's invariants ([`netsim::Sim::check_invariants`]),
+    /// then every host's TCP layer and, where one is installed, its HIP
+    /// shim. The error names the host whose check failed.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.sim
+            .check_invariants()
+            .map_err(|e| format!("engine: {e}"))?;
+        for host in self.hosts() {
+            let name = &host.core.name;
+            host.core
+                .tcp
+                .check_invariants()
+                .map_err(|e| format!("TCP on {name}: {e}"))?;
+            if let Some(shim) = host.shim::<HipShim>() {
+                shim.check_invariants()
+                    .map_err(|e| format!("HIP shim on {name}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 
     // ----- fault injection (thin wrappers over `netsim::FaultAction`) -----

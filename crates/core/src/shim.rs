@@ -23,7 +23,7 @@ use crate::wire::{encode_locator, param_type, HipPacket, PacketType, Param};
 use netsim::fx::FxHashMap;
 use netsim::packet::{Packet, Payload};
 use netsim::{DropReason, L35Shim, ShimApi, SimDuration, SimTime};
-use obs::MetricsRegistry;
+use obs::HistId;
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::HmacKey;
 use sim_crypto::kdf::keymat;
@@ -81,8 +81,6 @@ impl Default for HipConfig {
 pub struct HipStats {
     /// Base exchanges this host started (I1 sent).
     pub bex_initiated: u64,
-    /// I1s answered with an R1.
-    pub bex_responded: u64,
     /// Associations fully established (either role).
     pub bex_completed: u64,
     /// Exchanges abandoned after retransmission exhaustion.
@@ -141,7 +139,7 @@ enum Phase {
     /// outbound keys.
     I2Sent(SaKeys, Pending),
     /// Both SAs installed (the outbound one here): data flows.
-    Established(Sa, Mobility),
+    Established(EspSa, Mobility),
     /// CLOSE sent, awaiting the CLOSE_ACK that echoes this nonce.
     Closing(u64),
 }
@@ -166,14 +164,7 @@ struct Keys {
     hmac_out: HmacKey,
     hmac_in: HmacKey,
     /// Our inbound SA, under the SPI we sent the peer.
-    sa_in: Sa,
-}
-
-/// One direction of ESP: the SA and its metric handles, registered when
-/// the SA is installed while metrics are enabled.
-struct Sa {
-    esp: EspSa,
-    ids: Option<EspMetricIds>,
+    sa_in: EspSa,
 }
 
 /// Mobility (RFC 5206) state of an established association.
@@ -250,50 +241,6 @@ struct Association {
     state: AssocState,
 }
 
-/// Metric handles for one direction of an SA, registered once when the
-/// SA is installed so the per-packet path does no by-name lookups.
-#[derive(Clone, Copy, Debug)]
-struct EspMetricIds {
-    /// Per-SPI packet counter (`esp.tx{spi=…}` or `esp.rx{spi=…}`).
-    packets: obs::CtrId,
-    /// CPU work charged per packet (`esp.encrypt` or `esp.decrypt`).
-    work: obs::HistId,
-    /// Inner payload bytes per packet (`esp.out_bytes` or `esp.in_bytes`).
-    bytes: obs::HistId,
-}
-
-impl Sa {
-    /// Our inbound SA `spi`, carrying `peer` → `me`.
-    fn inbound(m: &mut MetricsRegistry, spi: u32, (enc, mac): SaKeys, peer: Hit, me: Hit) -> Self {
-        let ids = m.is_enabled().then(|| EspMetricIds {
-            packets: m.counter(&format!("esp.rx{{spi={spi:08x}}}")),
-            work: m.hist("esp.decrypt"),
-            bytes: m.hist("esp.in_bytes"),
-        });
-        let esp = EspSa::new(spi, enc, mac, peer.to_ip(), me.to_ip());
-        Sa { esp, ids }
-    }
-
-    /// The outbound SA `spi`, carrying `me` → `peer`.
-    fn outbound(m: &mut MetricsRegistry, spi: u32, (enc, mac): SaKeys, me: Hit, peer: Hit) -> Self {
-        let ids = m.is_enabled().then(|| EspMetricIds {
-            packets: m.counter(&format!("esp.tx{{spi={spi:08x}}}")),
-            work: m.hist("esp.encrypt"),
-            bytes: m.hist("esp.out_bytes"),
-        });
-        let esp = EspSa::new(spi, enc, mac, me.to_ip(), peer.to_ip());
-        Sa { esp, ids }
-    }
-}
-
-impl EspMetricIds {
-    fn record(self, m: &mut MetricsRegistry, work: SimDuration, bytes: usize) {
-        m.add(self.packets, 1);
-        m.observe(self.work, work.as_nanos());
-        m.observe(self.bytes, bytes as u64);
-    }
-}
-
 /// A pre-computed R1 (signature covers the zero-receiver form).
 struct R1Entry {
     params: Vec<Param>,
@@ -332,6 +279,13 @@ pub struct HipShim {
     timers: FxHashMap<u64, Hit>,
     /// Protocol counters.
     pub stats: HipStats,
+    /// Handles of the per-packet ESP histograms: CPU work charged
+    /// (`esp.encrypt`, `esp.decrypt`) and inner payload bytes
+    /// (`esp.out_bytes`, `esp.in_bytes`), each resolved on first use.
+    encrypt_hist: Option<HistId>,
+    out_bytes_hist: Option<HistId>,
+    decrypt_hist: Option<HistId>,
+    in_bytes_hist: Option<HistId>,
     /// Registered with the rendezvous server?
     pub rvs_registered: bool,
     /// Monotonic registration sequence (RVS replay guard).
@@ -363,6 +317,10 @@ impl HipShim {
             next_timer: 0,
             timers: FxHashMap::default(),
             stats: HipStats::default(),
+            encrypt_hist: None,
+            out_bytes_hist: None,
+            decrypt_hist: None,
+            in_bytes_hist: None,
             rvs_registered: false,
             reg_seq: 0,
             notify_limiter: FxHashMap::default(),
@@ -427,7 +385,7 @@ impl HipShim {
             return Err(format!("timer tokens {:?}, armed {timers:?}", self.timers));
         }
         let sas_in = self.assocs.iter().filter_map(|(p, a)| match &a.state {
-            Keyed(keys, _) => Some((keys.sa_in.esp.spi, *p)),
+            Keyed(keys, _) => Some((keys.sa_in.spi, *p)),
             I1Sent(_) => None,
         });
         let spi_in: FxHashMap<u32, Hit> = sas_in.collect();
@@ -556,7 +514,6 @@ impl HipShim {
         // Precomputed: only a table lookup is charged — this is the DoS
         // resilience property (§IV-B).
         send_control(api, self.config.costs.hit_lookup, &r1, src, reply_to);
-        self.stats.bex_responded += 1;
         Ok(())
     }
 
@@ -594,7 +551,7 @@ impl HipShim {
         let dh = DhKeyPair::generate(group, api.rng());
         let kij = dh.shared_secret(peer_dh_pub).ok_or(HipAuth)?;
         // As initiator we send under the I→R keys.
-        let [(hmac_out, out_keys), (hmac_in, in_keys)] = derive_keys(&kij, my_hit, peer, i, j);
+        let [(hmac_out, out_keys), (hmac_in, (enc, mac))] = derive_keys(&kij, my_hit, peer, i, j);
 
         let local_spi = (api.random_u64() as u32) | 1;
         let params = vec![
@@ -636,7 +593,7 @@ impl HipShim {
 
         // The inbound SA can be installed now (the peer will use our
         // SPI); the outbound one waits for the peer's SPI in R2.
-        let sa_in = Sa::inbound(api.metrics(), local_spi, in_keys, peer, my_hit);
+        let sa_in = EspSa::new(local_spi, enc, mac, peer.to_ip(), my_hit.to_ip());
         let keys = Keys {
             peer_hi: hi,
             hmac_out,
@@ -686,7 +643,8 @@ impl HipShim {
             .shared_secret(peer_dh_pub)
             .ok_or(HipAuth)?;
         // As responder we send under the R→I keys.
-        let [(hmac_in, in_keys), (hmac_out, out_keys)] = derive_keys(&kij, my_hit, peer, i, j);
+        let [(hmac_in, (enc_in, mac_in)), (hmac_out, (enc_out, mac_out))] =
+            derive_keys(&kij, my_hit, peer, i, j);
         // HMAC then signature.
         if !verify_sealed(pkt, &hi, &hmac_in) {
             return Err(HipAuth);
@@ -716,8 +674,8 @@ impl HipShim {
         let src = api.local_locator(&peer_locator).ok_or(HipNoLocator)?;
         send_control(api, work, &r2, src, peer_locator);
 
-        let sa_in = Sa::inbound(api.metrics(), local_spi, in_keys, peer, my_hit);
-        let sa_out = Sa::outbound(api.metrics(), peer_spi, out_keys, my_hit, peer);
+        let sa_in = EspSa::new(local_spi, enc_in, mac_in, peer.to_ip(), my_hit.to_ip());
+        let sa_out = EspSa::new(peer_spi, enc_out, mac_out, my_hit.to_ip(), peer.to_ip());
         let keys = Keys {
             peer_hi: hi,
             hmac_out,
@@ -753,7 +711,7 @@ impl HipShim {
         let Keyed(keys, phase) = &mut assoc.state else {
             return Err(HipUnexpected);
         };
-        let I2Sent(out_keys, pending) = phase else {
+        let I2Sent((enc, mac), pending) = phase else {
             return Err(HipUnexpected);
         };
         if !verify_sealed(pkt, &keys.peer_hi, &keys.hmac_in) {
@@ -769,7 +727,7 @@ impl HipShim {
             api.metrics().observe_name("hip.bex", bex_ns);
         }
         let my_hit = self.identity.hit();
-        let sa_out = Sa::outbound(api.metrics(), peer_spi, *out_keys, my_hit, peer);
+        let sa_out = EspSa::new(peer_spi, *enc, *mac, my_hit.to_ip(), peer.to_ip());
         let queued = std::mem::take(&mut pending.queued);
         *phase = Established(sa_out, Mobility::default());
         assoc.rtx.cancel(api, &mut self.timers);
@@ -938,7 +896,7 @@ impl HipShim {
             I1Sent(pending) => return pending.queued,
             Keyed(keys, phase) => (keys, phase),
         };
-        self.spi_in.remove(&keys.sa_in.esp.spi);
+        self.spi_in.remove(&keys.sa_in.spi);
         match phase {
             I2Sent(_, pending) => pending.queued,
             Established(..) | Closing(_) => Vec::new(),
@@ -997,7 +955,7 @@ impl HipShim {
         };
         let payload_len = pkt.payload.wire_len();
         let iv_seed = api.random_u64();
-        let esp = sa_out.esp.encapsulate(mode, &pkt.payload, iv_seed);
+        let esp = sa_out.encapsulate(mode, &pkt.payload, iv_seed);
         let wire = Packet::new(assoc.local_locator, assoc.peer_locator, Payload::Esp(esp));
         let mut work = costs.symmetric(payload_len) + costs.hit_lookup;
         if mode == InnerMode::Lsi {
@@ -1006,9 +964,13 @@ impl HipShim {
         let delay = api.charge_cpu(work) + after;
         self.stats.esp_out += 1;
         self.stats.esp_bytes_out += payload_len as u64;
-        if let Some(ids) = sa_out.ids {
-            ids.record(api.metrics(), work, payload_len);
-        }
+        let m = api.metrics();
+        m.observe_cached(&mut self.encrypt_hist, "esp.encrypt", work.as_nanos());
+        m.observe_cached(
+            &mut self.out_bytes_hist,
+            "esp.out_bytes",
+            payload_len as u64,
+        );
         api.send_wire(delay, wire);
         Ok(())
     }
@@ -1038,18 +1000,13 @@ impl HipShim {
             return Err(EspNoSa);
         };
         let sa = &mut keys.sa_in;
-        let (mode, payload) = sa.esp.decapsulate(esp).map_err(|e| match e {
+        let (mode, payload) = sa.decapsulate(esp).map_err(|e| match e {
             EspError::Replay => EspReplay,
             _ => EspAuth,
         })?;
         let len = payload.wire_len();
-        let inner = crate::esp::rebuild_inner(
-            &sa.esp,
-            mode,
-            payload,
-            IpAddr::V4(peer_lsi),
-            IpAddr::V4(my_lsi),
-        );
+        let inner =
+            crate::esp::rebuild_inner(sa, mode, payload, IpAddr::V4(peer_lsi), IpAddr::V4(my_lsi));
         let mut work = costs.symmetric(len) + costs.hit_lookup;
         if mode == InnerMode::Lsi {
             work += costs.lsi_translation;
@@ -1057,9 +1014,9 @@ impl HipShim {
         let delay = api.charge_cpu(work);
         self.stats.esp_in += 1;
         self.stats.esp_bytes_in += len as u64;
-        if let Some(ids) = sa.ids {
-            ids.record(api.metrics(), work, len);
-        }
+        let m = api.metrics();
+        m.observe_cached(&mut self.decrypt_hist, "esp.decrypt", work.as_nanos());
+        m.observe_cached(&mut self.in_bytes_hist, "esp.in_bytes", len as u64);
         api.deliver_upper(delay, inner);
         Ok(())
     }
@@ -1113,7 +1070,7 @@ impl HipShim {
         let (old_spi, _) = pkt.esp_info().ok_or(HipMalformed)?;
         let peer = self.assocs.iter().find_map(|(h, a)| match &a.state {
             Keyed(_, Established(sa_out, _)) if a.peer_locator == wire.src => {
-                (sa_out.esp.spi == old_spi).then_some(*h)
+                (sa_out.spi == old_spi).then_some(*h)
             }
             _ => None,
         });

@@ -6,7 +6,7 @@ use hip_core::identity::{Hit, HostIdentity};
 use hip_core::{Firewall, HipConfig, HipShim, HipStats, PeerInfo, RendezvousServer};
 use netsim::host::{App, AppEvent, Host, HostApi};
 use netsim::packet::v4;
-use netsim::tcp::TcpEvent;
+use netsim::tcp::{SockId, TcpEvent};
 use netsim::{Endpoint, FaultAction, LinkParams, NodeId, Sim, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,6 +219,64 @@ fn bex_establishes_and_tcp_flows_over_hits() {
     // Both shims agree the association is up.
     let shim_a = host_a.shim::<HipShim>().unwrap();
     assert!(shim_a.is_established(&hit_b));
+    check_shims(&net.sim, &[net.a, net.b]);
+}
+
+/// Test app: connects to `target` at start, then sends a few bytes
+/// every 100 ms, so data keeps flowing over SAs installed long before.
+struct Ticker {
+    target: IpAddr,
+    sock: Option<SockId>,
+}
+impl App for Ticker {
+    fn start(&mut self, api: &mut HostApi) {
+        self.sock = api.tcp_connect(self.target, 7);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        match (ev, self.sock) {
+            (AppEvent::Tcp(TcpEvent::Connected(_)), _) => {}
+            (AppEvent::Timer { .. }, Some(s)) => api.tcp_send(s, b"tick".to_vec()),
+            _ => return,
+        }
+        api.set_timer(SimDuration::from_millis(100), 0);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn esp_over_sas_installed_with_metrics_off_is_counted() {
+    // The SAs come up while metrics are off; every frame they carry
+    // after metrics are turned on lands in `esp.encrypt`/`esp.decrypt`.
+    let mut net = two_hip_hosts(HipConfig::default, |_a, _b| {});
+    net.sim.set_metrics_enabled(false);
+    let target = net.hit_b.to_ip();
+    let host = net.sim.world.node_mut::<Host>(net.a).unwrap();
+    host.add_app(Box::new(Ticker { target, sock: None }));
+    let host = net.sim.world.node_mut::<Host>(net.b).unwrap();
+    host.add_app(Box::new(EchoServer { served: 0 }));
+    let esp = |sim: &Sim| {
+        let (sa, sb) = (stats_of(sim, net.a), stats_of(sim, net.b));
+        (sa.esp_out + sb.esp_out, sa.esp_in + sb.esp_in)
+    };
+
+    net.sim.run_until(SimTime(1_000_000_000));
+    let (out_before, in_before) = esp(&net.sim);
+    assert!(out_before > 0, "the SAs are up and carrying data");
+    net.sim.set_metrics_enabled(true);
+    net.sim.run_until(SimTime(2_000_000_000));
+    let (out_after, in_after) = esp(&net.sim);
+    assert!(out_after > out_before, "data keeps flowing");
+
+    let count = |name| net.sim.metrics.hist_get(name).map_or(0, |h| h.count());
+    assert_eq!(count("esp.encrypt"), out_after - out_before);
+    assert_eq!(count("esp.out_bytes"), out_after - out_before);
+    assert_eq!(count("esp.decrypt"), in_after - in_before);
+    assert_eq!(count("esp.in_bytes"), in_after - in_before);
     check_shims(&net.sim, &[net.a, net.b]);
 }
 

@@ -99,10 +99,6 @@ fn prefix_match(addr: &IpAddr, prefix: &IpAddr, len: u8) -> bool {
 pub struct Router {
     ifaces: Vec<LinkId>,
     routes: RouteTable,
-    /// Packets forwarded (diagnostics).
-    pub forwarded: u64,
-    /// Packets dropped for lack of a route or TTL expiry.
-    pub dropped: u64,
 }
 
 impl Router {
@@ -134,25 +130,15 @@ impl Router {
 impl Node for Router {
     fn handle_packet(&mut self, in_iface: usize, mut pkt: Packet, ctx: &mut Ctx) {
         if pkt.ttl <= 1 {
-            self.dropped += 1;
             ctx.drop_packet(&pkt, DropReason::TtlExpired);
             return;
         }
         pkt.ttl -= 1;
         match self.lookup(&pkt.dst) {
-            Some(out) if out != in_iface => {
-                self.forwarded += 1;
-                ctx.transmit(self.ifaces[out], pkt);
-            }
-            Some(_) => {
-                // Route points back where it came from: drop to avoid loops.
-                self.dropped += 1;
-                ctx.drop_packet(&pkt, DropReason::Hairpin);
-            }
-            None => {
-                self.dropped += 1;
-                ctx.drop_packet(&pkt, DropReason::NoRoute);
-            }
+            Some(out) if out != in_iface => ctx.transmit(self.ifaces[out], pkt),
+            // Route points back where it came from: drop to avoid loops.
+            Some(_) => ctx.drop_packet(&pkt, DropReason::Hairpin),
+            None => ctx.drop_packet(&pkt, DropReason::NoRoute),
         }
     }
 

@@ -183,18 +183,12 @@ pub struct TeredoServer {
     /// The server's own IPv4 address.
     pub addr: Ipv4Addr,
     link: LinkId,
-    /// Qualifications served (diagnostics).
-    pub served: u64,
 }
 
 impl TeredoServer {
     /// Creates a server reachable at `addr` on `link`.
     pub fn new(addr: Ipv4Addr, link: LinkId) -> Self {
-        TeredoServer {
-            addr,
-            link,
-            served: 0,
-        }
+        TeredoServer { addr, link }
     }
 
     /// Rebinds the uplink (topology builders learn the link id late).
@@ -215,7 +209,6 @@ impl Node for TeredoServer {
         let IpAddr::V4(observed) = pkt.src else {
             return;
         };
-        self.served += 1;
         // Origin indication: the source address and port *we* observed —
         // after any NAT rewriting, which is the whole point.
         let mut ra = Vec::with_capacity(10);
@@ -250,18 +243,12 @@ pub struct TeredoRelay {
     /// The relay's IPv4 address.
     pub addr: Ipv4Addr,
     v4_link: LinkId,
-    /// Packets relayed toward Teredo clients (diagnostics).
-    pub relayed: u64,
 }
 
 impl TeredoRelay {
     /// Creates a relay with its IPv4-facing link.
     pub fn new(addr: Ipv4Addr, v4_link: LinkId) -> Self {
-        TeredoRelay {
-            addr,
-            v4_link,
-            relayed: 0,
-        }
+        TeredoRelay { addr, v4_link }
     }
 
     /// Rebinds the IPv4 uplink (topology builders learn the id late).
@@ -296,7 +283,6 @@ impl Node for TeredoRelay {
                     IpAddr::V6(v6) if is_teredo(&inner.dst) => {
                         // Hairpin: client → relay → other client.
                         if let Some(out) = self.encap_toward((**inner).clone(), &v6) {
-                            self.relayed += 1;
                             ctx.transmit(self.v4_link, out);
                         }
                     }
@@ -312,7 +298,6 @@ impl Node for TeredoRelay {
                 // Native IPv6 toward a Teredo client.
                 IpAddr::V6(v6) if is_teredo(&pkt.dst) => {
                     if let Some(out) = self.encap_toward(pkt, &v6) {
-                        self.relayed += 1;
                         ctx.transmit(self.v4_link, out);
                     }
                 }

@@ -63,8 +63,6 @@ pub struct DbStats {
     pub cache_hits: u64,
     /// Mutating queries executed (each clears the cache).
     pub writes: u64,
-    /// Malformed queries rejected.
-    pub errors: u64,
 }
 
 struct DbConn {
@@ -109,7 +107,6 @@ impl DbServerApp {
     fn handle_query(&mut self, sock: SockId, text: &str, api: &mut HostApi) {
         self.stats.queries += 1;
         let Some(query) = Query::decode(text) else {
-            self.stats.errors += 1;
             self.respond(
                 sock,
                 frame(b"ERROR bad query"),

@@ -19,7 +19,6 @@ use crate::webserver::{WebConfig, WebServerApp};
 use cloudsim::{CloudKind, CloudTopology, Flavor, VmHandle};
 use hip_core::identity::{Hit, HostIdentity};
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
-use netsim::{Host, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::rsa::RsaKeyPair;
@@ -133,40 +132,6 @@ impl RubisDeployment {
                 );
             }
         }
-    }
-
-    /// Every host in the topology: the service VMs and any load
-    /// generator added since.
-    fn hosts(&self) -> impl Iterator<Item = &Host> {
-        let world = &self.topo.sim.world;
-        (0..world.node_count()).filter_map(|i| world.node::<Host>(NodeId(i)))
-    }
-
-    /// The HIP shims installed on the topology's hosts.
-    pub fn hip_shims(&self) -> impl Iterator<Item = &HipShim> {
-        self.hosts().filter_map(Host::shim::<HipShim>)
-    }
-
-    /// Checks the engine's invariants ([`netsim::Sim::check_invariants`]),
-    /// then every host's TCP layer and, where one is installed, its HIP
-    /// shim. The error names the host whose check failed.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.topo
-            .sim
-            .check_invariants()
-            .map_err(|e| format!("engine: {e}"))?;
-        for host in self.hosts() {
-            let name = &host.core.name;
-            host.core
-                .tcp
-                .check_invariants()
-                .map_err(|e| format!("TCP on {name}: {e}"))?;
-            if let Some(shim) = host.shim::<HipShim>() {
-                shim.check_invariants()
-                    .map_err(|e| format!("HIP shim on {name}: {e}"))?;
-            }
-        }
-        Ok(())
     }
 }
 

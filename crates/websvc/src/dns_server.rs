@@ -13,20 +13,12 @@ use std::any::Any;
 pub struct DnsServerApp {
     /// The zone being served (mutable: dynamic DNS re-registration).
     pub zone: Zone,
-    /// Queries answered (diagnostics).
-    pub served: u64,
-    /// Queries for unknown names (diagnostics).
-    pub nxdomain: u64,
 }
 
 impl DnsServerApp {
     /// Serves `zone`.
     pub fn new(zone: Zone) -> Self {
-        DnsServerApp {
-            zone,
-            served: 0,
-            nxdomain: 0,
-        }
+        DnsServerApp { zone }
     }
 }
 
@@ -49,11 +41,6 @@ impl App for DnsServerApp {
             return;
         };
         let answers = self.zone.lookup(&name, rtype);
-        if answers.is_empty() {
-            self.nxdomain += 1;
-        } else {
-            self.served += 1;
-        }
         let resp = DnsMessage::Response { id, name, answers };
         api.udp_send(DNS_PORT, src, src_port, UdpData::Dns(resp));
     }

@@ -63,12 +63,6 @@ impl WebConfig {
 pub struct WebStats {
     /// HTTP requests parsed.
     pub requests: u64,
-    /// HTTP responses sent.
-    pub responses: u64,
-    /// Unroutable paths / backend failures.
-    pub errors: u64,
-    /// Queries dispatched to the database tier.
-    pub db_queries: u64,
 }
 
 struct ClientConn {
@@ -166,7 +160,6 @@ impl WebServerApp {
     const MAX_BACKLOG: usize = 1024;
 
     fn dispatch_query(&mut self, client: SockId, query: Query, api: &mut HostApi) {
-        self.stats.db_queries += 1;
         // Round-robin over connected links.
         let n = self.db_links.len();
         for probe in 0..n {
@@ -186,7 +179,6 @@ impl WebServerApp {
         if (n > 0 || self.reconnect_pending) && self.backlog.len() < Self::MAX_BACKLOG {
             self.backlog.push_back((client, query));
         } else {
-            self.stats.errors += 1;
             let resp = HttpResponse::error(500, "database unavailable").encode();
             if let Some(c) = self.clients.get_mut(&client) {
                 c.conn.send(resp, api);
@@ -232,7 +224,6 @@ impl WebServerApp {
         match Query::from_path(&req.path) {
             Some(q) => self.dispatch_query(sock, q, api),
             None => {
-                self.stats.errors += 1;
                 let resp = HttpResponse::error(404, "no such page").encode();
                 if let Some(c) = self.clients.get_mut(&sock) {
                     c.conn.send(resp, api);
@@ -288,7 +279,6 @@ impl App for WebServerApp {
                 }
             }
             AppEvent::Tcp(TcpEvent::ConnectFailed(sock)) if self.db_state.contains_key(&sock) => {
-                self.stats.errors += 1;
                 self.db_link_lost(sock, api);
             }
             // --- client side ---
@@ -341,7 +331,6 @@ impl App for WebServerApp {
             AppEvent::Timer { token } => {
                 if let Some((client, resp)) = self.pending.remove(&token) {
                     if let Some(c) = self.clients.get_mut(&client) {
-                        self.stats.responses += 1;
                         c.conn.send(resp, api);
                     }
                 }
