@@ -19,7 +19,8 @@
 //! Writes a run manifest to `results/ablation_dos-flood.json`;
 //! `--trace-out` exports the flood run's typed trace as JSONL.
 
-use bench::report::{manifest, table, trace_out, write_manifest};
+use bench::cli::Flag::TraceOut;
+use bench::report::{table, timed, Output};
 use hip_core::identity::{Hit, HostIdentity};
 use hip_core::wire::{HipPacket, PacketType, Param};
 use hip_core::{puzzle, HipConfig, HipShim, PeerInfo};
@@ -33,7 +34,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::net::IpAddr;
+use std::process::ExitCode;
 use std::time::Instant;
+use websvc::loadgen::IperfServerApp;
+
+/// The flood simulation's seed.
+const FLOOD_SEED: u64 = 2;
 
 /// Floods garbage I2 packets (random HITs, bogus puzzle solutions) at a
 /// fixed rate.
@@ -131,21 +137,9 @@ impl App for Pinger {
     }
 }
 
-struct Listener;
-impl App for Listener {
-    fn start(&mut self, api: &mut HostApi) {
-        api.tcp_listen(7);
-    }
-    fn on_event(&mut self, _: AppEvent, _: &mut HostApi) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = bench::cli::args("ablation_dos", &[TraceOut]);
+    let mut out = Output::new("ablation_dos", FLOOD_SEED);
     // ---- Part 1: puzzle asymmetry (real wall-clock). ----
     println!("puzzle asymmetry (attacker solve vs responder verify, real wall-clock):");
     let hi = Hit([0xaa; 16]);
@@ -208,14 +202,13 @@ fn main() {
         },
     );
 
-    let mut sim = Sim::new(2);
-    let trace_path = trace_out();
-    if trace_path.is_some() {
+    let mut sim = Sim::new(FLOOD_SEED);
+    if args.trace_out.is_some() {
         sim.trace = netsim::trace::Trace::enabled(500_000);
     }
     let mut hr_host = Host::new("responder");
     hr_host.set_shim(Box::new(shim_r));
-    hr_host.add_app(Box::new(Listener));
+    hr_host.add_app(Box::new(IperfServerApp::new(7)));
     let mut hc = Host::new("client");
     hc.set_shim(Box::new(shim_c));
     // The client starts its BEX mid-flood.
@@ -272,9 +265,7 @@ fn main() {
         router.add_route(addr_c, 32, 1);
         router.add_route(addr_x, 32, 2);
     }
-    let wall_start = Instant::now();
-    sim.run_until(SimTime(10_000_000_000));
-    let wall = wall_start.elapsed().as_secs_f64();
+    let (_, wall) = timed(|| sim.run_until(SimTime(10_000_000_000)));
 
     let responder = sim.world.node::<Host>(r).expect("r");
     let stats = responder.shim::<HipShim>().expect("shim").stats;
@@ -314,23 +305,13 @@ fn main() {
 
     let dispatched = sim.stats().dispatched;
     let metrics = sim.take_metrics();
-    let mut m = manifest("ablation_dos", "flood", 2);
+    let mut m = out.manifest("flood");
     m.num("forged_i2s", flooded)
         .num("rejected", stats.drops_auth)
         .num("bex_completed", stats.bex_completed);
-    match write_manifest(m, wall, dispatched, &metrics) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest write failed: {e}"),
+    out.write_manifest(m, wall, dispatched, &metrics);
+    if let Some(path) = args.trace_out {
+        out.write_trace(&sim.trace, &path);
     }
-    if let Some(path) = trace_path {
-        match sim.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                sim.trace.entries().len(),
-                path.display(),
-                sim.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
-    }
+    out.finish()
 }

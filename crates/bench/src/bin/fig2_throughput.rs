@@ -9,29 +9,19 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig2_throughput [--quick] [--trace-out <path>]`
 
-use bench::fig2::{run_cell, run_sweep_cells, CLIENT_COUNTS};
-use bench::report::{bar, manifest, stage_table, table, trace_out, write_csv, write_manifest};
+use bench::cli::Flag::{Quick, TraceOut};
+use bench::fig2::{run_cell, run_sweep_cells, Fig2Point, CLIENT_COUNTS};
+use bench::harness::SCENARIOS;
+use bench::report::{bar, stage_table, timed, Output, STAGES};
 use netsim::SimDuration;
-use std::time::Instant;
+use std::process::ExitCode;
 use websvc::Scenario;
 
-/// Protocol stages reported per scenario (absent stages are skipped —
-/// Basic has no BEX, SSL has no ESP).
-const STAGES: [&str; 8] = [
-    "hip.bex",
-    "esp.encrypt",
-    "esp.decrypt",
-    "tcp.connect",
-    "proxy.queue",
-    "web.render",
-    "db.service",
-    "client.latency",
-];
-
-fn main() {
+fn main() -> ExitCode {
+    let args = bench::cli::args("fig2_throughput", &[Quick, TraceOut]);
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warmup, measure) = if quick {
+    let mut out = Output::new("fig2_throughput", seed);
+    let (warmup, measure) = if args.quick {
         (SimDuration::from_secs(6), SimDuration::from_secs(6))
     } else {
         (SimDuration::from_secs(10), SimDuration::from_secs(20))
@@ -42,36 +32,31 @@ fn main() {
         warmup.as_secs_f64(),
         measure.as_secs_f64()
     );
-    let wall_start = Instant::now();
-    let cells = run_sweep_cells(seed, warmup, measure);
-    let wall = wall_start.elapsed().as_secs_f64();
+    let (cells, wall) = timed(|| run_sweep_cells(seed, warmup, measure));
     let points: Vec<_> = cells.iter().map(|c| c.point).collect();
+    let throughput = |s: Scenario, clients: usize| {
+        let at = |p: &&Fig2Point| p.scenario == s && p.clients == clients;
+        points.iter().find(at).expect("point present").throughput
+    };
 
-    let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
-    let mut rows = Vec::new();
-    for &clients in &CLIENT_COUNTS {
-        let mut row = vec![clients.to_string()];
-        for &s in &scenarios {
-            let p = points
-                .iter()
-                .find(|p| p.scenario == s && p.clients == clients)
-                .expect("point present");
-            row.push(format!("{:.1}", p.throughput));
-        }
-        rows.push(row);
-    }
+    let rows: Vec<Vec<String>> = CLIENT_COUNTS
+        .iter()
+        .map(|&clients| {
+            let cols = SCENARIOS.map(|s| format!("{:.1}", throughput(s, clients)));
+            std::iter::once(clients.to_string()).chain(cols).collect()
+        })
+        .collect();
     println!("\nFigure 2 — RUBiS throughput (requests/second) in the simulated EC2:");
-    println!("{}", table(&["clients", "Basic", "HIP", "SSL"], &rows));
-    if let Ok(path) = write_csv(
-        "fig2_throughput",
-        &["clients", "basic", "hip", "ssl"],
-        &rows,
-    ) {
-        eprintln!("wrote {}", path.display());
-    }
+    let columns = [
+        ("clients", "clients"),
+        ("Basic", "basic"),
+        ("HIP", "hip"),
+        ("SSL", "ssl"),
+    ];
+    out.write_table(&columns, &rows);
 
     // Per-stage latency quantiles, merged across each scenario's cells.
-    for &s in &scenarios {
+    for s in SCENARIOS {
         let mut merged = obs::MetricsRegistry::new();
         let mut events = 0u64;
         for c in cells.iter().filter(|c| c.point.scenario == s) {
@@ -86,39 +71,28 @@ fn main() {
             Some(t) => println!("{t}"),
             None => println!("  (no stage histograms recorded)"),
         }
-        let mut m = manifest("fig2_throughput", s.label(), seed);
+        let mut m = out.manifest(s.label());
         m.num("warmup_secs", warmup.as_secs_f64())
             .num("measure_secs", measure.as_secs_f64())
             .num("client_counts", CLIENT_COUNTS.len());
-        match write_manifest(m, wall, events, &merged) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        out.write_manifest(m, wall, events, &merged);
     }
 
     // Terminal rendition of the figure.
     let max = points.iter().map(|p| p.throughput).fold(0.0, f64::max);
     println!("throughput (each █ ≈ {:.0} req/s):", max / 40.0);
-    for &s in &scenarios {
+    for s in SCENARIOS {
         println!("{:>6}:", s.label());
         for &clients in &CLIENT_COUNTS {
-            let p = points
-                .iter()
-                .find(|p| p.scenario == s && p.clients == clients)
-                .expect("point");
-            println!(
-                "  {:>3} | {} {:.0}",
-                clients,
-                bar(p.throughput, max, 40),
-                p.throughput
-            );
+            let t = throughput(s, clients);
+            println!("  {:>3} | {} {:.0}", clients, bar(t, max, 40), t);
         }
     }
     println!("\npaper (Fig. 2): Basic rises to ~250 req/s at 50 clients while HIP and");
     println!("SSL saturate in the ~150-160 range from ~20 clients on, HIP slightly");
     println!("below SSL (LSI translations). Compare shapes, not absolute values.");
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         // A traced representative run (HIP, 4 clients, short window):
         // the full sweep is too chatty to trace end to end.
         eprintln!(
@@ -133,14 +107,7 @@ fn main() {
             SimDuration::from_secs(2),
             200_000,
         );
-        match cell.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                cell.trace.entries().len(),
-                path.display(),
-                cell.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        out.write_trace(&cell.trace, &path);
     }
+    out.finish()
 }

@@ -5,15 +5,17 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig3_iperf_rtt [--quick] [--trace-out <path>]`
 
+use bench::cli::Flag::{Quick, TraceOut};
 use bench::fig3::{rtt_obs, run_all_cells, Fig3Mode};
-use bench::report::{bar, manifest, table, trace_out, write_csv, write_manifest};
+use bench::report::{bar, timed, Output};
 use netsim::SimDuration;
-use std::time::Instant;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = bench::cli::args("fig3_iperf_rtt", &[Quick, TraceOut]);
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let duration = if quick {
+    let mut out = Output::new("fig3_iperf_rtt", seed);
+    let duration = if args.quick {
         SimDuration::from_secs(3)
     } else {
         SimDuration::from_secs(10)
@@ -22,9 +24,7 @@ fn main() {
         "fig3: iperf ({}s transfer) + 20-ping RTT across 6 modes (parallel)...",
         duration.as_secs_f64()
     );
-    let wall_start = Instant::now();
-    let cells = run_all_cells(seed, duration, 20);
-    let wall = wall_start.elapsed().as_secs_f64();
+    let (cells, wall) = timed(|| run_all_cells(seed, duration, 20));
     let points: Vec<_> = cells.iter().map(|c| c.point).collect();
 
     let rows: Vec<Vec<String>> = points
@@ -39,27 +39,20 @@ fn main() {
         })
         .collect();
     println!("\nFigure 3 — iperf bandwidth and ICMP RTT between two EC2 VMs:");
-    println!(
-        "{}",
-        table(&["mode", "iperf Mbit/s", "RTT ms", "pings"], &rows)
-    );
-    if let Ok(path) = write_csv(
-        "fig3_iperf_rtt",
-        &["mode", "iperf_mbits", "rtt_ms", "pings"],
-        &rows,
-    ) {
-        eprintln!("wrote {}", path.display());
-    }
+    let columns = [
+        ("mode", "mode"),
+        ("iperf Mbit/s", "iperf_mbits"),
+        ("RTT ms", "rtt_ms"),
+        ("pings", "pings"),
+    ];
+    out.write_table(&columns, &rows);
     for c in &cells {
-        let mut m = manifest("fig3_iperf_rtt", c.point.mode.label(), seed);
+        let mut m = out.manifest(c.point.mode.label());
         m.num("iperf_secs", duration.as_secs_f64())
             .num("ping_count", 20)
             .num("iperf_mbits", format!("{:.2}", c.point.mbits))
             .num("rtt_ms", format!("{:.3}", c.point.rtt_ms));
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        out.write_manifest(m, wall, c.dispatched, &c.metrics);
     }
 
     let max_bw = points.iter().map(|p| p.mbits).fold(0.0, f64::max);
@@ -86,19 +79,11 @@ fn main() {
     println!("\"LSI translation is slower than with HITs due to some extra processing");
     println!("overhead, while Teredo has the worst latency\" — the Teredo modes pay the");
     println!("external relay detour in both bandwidth and RTT.");
-    let _ = Fig3Mode::ALL;
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         eprintln!("tracing an LSI(IPv4) RTT run for {}...", path.display());
-        let (_, _, _, trace) = rtt_obs(Fig3Mode::LsiIpv4, seed ^ 1, 20, 200_000);
-        match trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                trace.entries().len(),
-                path.display(),
-                trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        let cell = rtt_obs(Fig3Mode::LsiIpv4, seed ^ 1, 20, 200_000);
+        out.write_trace(&cell.trace, &path);
     }
+    out.finish()
 }

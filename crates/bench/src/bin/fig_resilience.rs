@@ -8,15 +8,17 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig_resilience [--quick]`
 
-use bench::report::{bar, manifest, table, write_csv, write_manifest};
+use bench::cli::Flag::Quick;
+use bench::report::{bar, table, timed, Output};
 use bench::resilience::{run_sweep, timeline_json, Storyline, CLIENTS};
-use std::time::Instant;
+use std::process::ExitCode;
 use websvc::proxy;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = bench::cli::args("fig_resilience", &[Quick]);
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let story = if quick {
+    let mut out = Output::new("fig_resilience", seed);
+    let story = if args.quick {
         Storyline::quick()
     } else {
         Storyline::standard()
@@ -29,9 +31,7 @@ fn main() {
         story.burst_at.as_secs_f64(),
         story.partition_at.as_secs_f64(),
     );
-    let wall_start = Instant::now();
-    let cells = run_sweep(seed, story);
-    let wall = wall_start.elapsed().as_secs_f64();
+    let (cells, wall) = timed(|| run_sweep(seed, story));
 
     let fmt_ttr = |t: Option<u64>| t.map_or("never".to_string(), |s| format!("{s}s"));
     let mut rows = Vec::new();
@@ -50,40 +50,18 @@ fn main() {
         ]);
     }
     println!("\nResilience under the fault storyline (crash / loss burst / partition):");
-    println!(
-        "{}",
-        table(
-            &[
-                "scenario",
-                "base req/s",
-                "ok",
-                "err",
-                "err rate",
-                "p99 ms",
-                "ttr crash",
-                "ttr burst",
-                "ttr part"
-            ],
-            &rows
-        )
-    );
-    if let Ok(path) = write_csv(
-        "fig_resilience",
-        &[
-            "scenario",
-            "baseline",
-            "ok",
-            "err",
-            "err_rate",
-            "p99_ms",
-            "ttr_crash",
-            "ttr_burst",
-            "ttr_partition",
-        ],
-        &rows,
-    ) {
-        eprintln!("wrote {}", path.display());
-    }
+    let columns = [
+        ("scenario", "scenario"),
+        ("base req/s", "baseline"),
+        ("ok", "ok"),
+        ("err", "err"),
+        ("err rate", "err_rate"),
+        ("p99 ms", "p99_ms"),
+        ("ttr crash", "ttr_crash"),
+        ("ttr burst", "ttr_burst"),
+        ("ttr part", "ttr_partition"),
+    ];
+    out.write_table(&columns, &rows);
 
     // Failover machinery counters.
     let mut frows = Vec::new();
@@ -112,7 +90,7 @@ fn main() {
     // Goodput timelines, one bar row per second.
     let max = cells
         .iter()
-        .flat_map(|c| (0..c.timeline.len()).map(|b| c.timeline.at(b).0))
+        .flat_map(|c| (0..c.point.timeline.len()).map(|b| c.point.timeline.at(b).0))
         .max()
         .unwrap_or(0) as f64;
     for c in &cells {
@@ -121,8 +99,8 @@ fn main() {
             c.point.scenario.label(),
             max / 30.0
         );
-        for b in 0..c.timeline.len() {
-            let (ok, err) = c.timeline.at(b);
+        for b in 0..c.point.timeline.len() {
+            let (ok, err) = c.point.timeline.at(b);
             let marks = if err > 0 {
                 format!("  !{err}")
             } else {
@@ -140,7 +118,7 @@ fn main() {
     for c in &cells {
         let p = &c.point;
         let ctr = |name| c.metrics.counter_value(name).unwrap_or(0);
-        let mut m = manifest("fig_resilience", p.scenario.label(), seed);
+        let mut m = out.manifest(p.scenario.label());
         m.num("clients", CLIENTS)
             .num("storyline_secs", story.end.as_secs_f64())
             .num("baseline_goodput", format!("{:.3}", p.baseline_goodput))
@@ -160,11 +138,8 @@ fn main() {
             .num("proxy_probes", ctr(proxy::PROBES))
             .num("proxy_unavailable", ctr(proxy::UNAVAILABLE))
             .num("hip_rebex", p.rebex)
-            .raw("timeline", timeline_json(&c.timeline));
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+            .raw("timeline", timeline_json(&p.timeline));
+        out.write_manifest(m, wall, c.dispatched, &c.metrics);
     }
 
     // Determinism invariant (asserted in CI): the same seed + storyline
@@ -182,4 +157,5 @@ fn main() {
         "determinism: re-run dispatched {} events, bit-identical ✓",
         recheck.dispatched
     );
+    out.finish()
 }

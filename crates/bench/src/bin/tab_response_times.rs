@@ -8,26 +8,18 @@
 //!
 //! Usage: `cargo run -p bench --release --bin tab_response_times [--quick] [--trace-out <path>]`
 
-use bench::report::{manifest, stage_table, table, trace_out, write_csv, write_manifest};
+use bench::cli::Flag::{Quick, TraceOut};
+use bench::report::{stage_table, timed, Output, STAGES};
 use bench::tab_rt::{run_all_cells, run_cell, PAPER_RATE};
 use netsim::SimDuration;
-use std::time::Instant;
+use std::process::ExitCode;
 use websvc::Scenario;
 
-const STAGES: [&str; 7] = [
-    "hip.bex",
-    "esp.encrypt",
-    "esp.decrypt",
-    "tcp.connect",
-    "web.render",
-    "db.service",
-    "client.latency",
-];
-
-fn main() {
+fn main() -> ExitCode {
+    let args = bench::cli::args("tab_response_times", &[Quick, TraceOut]);
     let seed = 42u64;
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warmup, measure) = if quick {
+    let mut out = Output::new("tab_response_times", seed);
+    let (warmup, measure) = if args.quick {
         (SimDuration::from_secs(5), SimDuration::from_secs(20))
     } else {
         (SimDuration::from_secs(10), SimDuration::from_secs(60))
@@ -37,10 +29,8 @@ fn main() {
         warmup.as_secs_f64(),
         measure.as_secs_f64()
     );
-    let wall_start = Instant::now();
-    let cells = run_all_cells(PAPER_RATE, seed, warmup, measure);
-    let wall = wall_start.elapsed().as_secs_f64();
-    let rows: Vec<_> = cells.iter().map(|c| c.row).collect();
+    let (cells, wall) = timed(|| run_all_cells(PAPER_RATE, seed, warmup, measure));
+    let rows: Vec<_> = cells.iter().map(|c| c.point).collect();
     let paper = [("Basic", 116.4), ("HIP", 132.2), ("SSL", 128.3)];
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -61,49 +51,27 @@ fn main() {
         })
         .collect();
     println!("\nResponse times at {PAPER_RATE} req/s (single web server, query cache ON):");
-    println!(
-        "{}",
-        table(
-            &[
-                "scenario",
-                "completed",
-                "mean ms",
-                "stddev ms",
-                "p99 ms",
-                "paper mean ms"
-            ],
-            &table_rows
-        )
-    );
-    if let Ok(path) = write_csv(
-        "tab_response_times",
-        &[
-            "scenario",
-            "completed",
-            "mean_ms",
-            "stddev_ms",
-            "p99_ms",
-            "paper_mean_ms",
-        ],
-        &table_rows,
-    ) {
-        eprintln!("wrote {}", path.display());
-    }
+    let columns = [
+        ("scenario", "scenario"),
+        ("completed", "completed"),
+        ("mean ms", "mean_ms"),
+        ("stddev ms", "stddev_ms"),
+        ("p99 ms", "p99_ms"),
+        ("paper mean ms", "paper_mean_ms"),
+    ];
+    out.write_table(&columns, &table_rows);
     for c in &cells {
-        println!("per-stage latency, {}:", c.row.scenario.label());
+        println!("per-stage latency, {}:", c.point.scenario.label());
         match stage_table(&c.metrics, &STAGES) {
             Some(t) => println!("{t}"),
             None => println!("  (no stage histograms recorded)"),
         }
-        let mut m = manifest("tab_response_times", c.row.scenario.label(), seed);
+        let mut m = out.manifest(c.point.scenario.label());
         m.num("rate", PAPER_RATE)
             .num("warmup_secs", warmup.as_secs_f64())
             .num("measure_secs", measure.as_secs_f64())
-            .num("completed", c.row.completed);
-        match write_manifest(m, wall, c.dispatched, &c.metrics) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+            .num("completed", c.point.completed);
+        out.write_manifest(m, wall, c.dispatched, &c.metrics);
     }
     println!("paper: \"the response times and standard deviations were largely");
     println!("comparable... the performance degradation of HIP in comparison with");
@@ -111,7 +79,7 @@ fn main() {
     println!("The reproduction preserves the ordering Basic < SSL < HIP; absolute");
     println!("values differ (our base path is leaner than the paper's full LAMP stack).");
 
-    if let Some(path) = trace_out() {
+    if let Some(path) = args.trace_out {
         eprintln!("tracing a representative HIP run for {}...", path.display());
         let cell = run_cell(
             Scenario::HipLsi,
@@ -121,14 +89,7 @@ fn main() {
             SimDuration::from_secs(2),
             200_000,
         );
-        match cell.trace.write_jsonl(&path) {
-            Ok(()) => eprintln!(
-                "wrote {} trace records to {} ({} dropped at cap)",
-                cell.trace.entries().len(),
-                path.display(),
-                cell.trace.truncated()
-            ),
-            Err(e) => eprintln!("trace write failed: {e}"),
-        }
+        out.write_trace(&cell.trace, &path);
     }
+    out.finish()
 }

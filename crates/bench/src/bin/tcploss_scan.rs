@@ -6,9 +6,12 @@
 //! Usage: `cargo run -p bench --release --bin tcploss_scan [seed] [--trace-out <path>]`
 //!
 //! Writes a run manifest to `results/tcploss_scan-scan.json`; with a
-//! debug seed, `--trace-out` exports that run's typed trace as JSONL.
-//! Exits with status 1 when any world mismatches.
-use bench::report::{manifest, trace_out, write_manifest};
+//! debug seed, `--trace-out` exports that run's typed trace as JSONL
+//! (without one it is refused). Exits with status 1 when any world
+//! mismatches or an output cannot be written, and with status 2 on a
+//! command line it does not accept.
+use bench::cli::Flag::{Seed, TraceOut};
+use bench::report::Output;
 use netsim::host::{App, AppEvent, Host, HostApi};
 use netsim::link::{Endpoint, LinkParams};
 use netsim::packet::v4;
@@ -16,6 +19,7 @@ use netsim::tcp::TcpEvent;
 use netsim::{Sim, SimDuration, SimTime};
 use std::any::Any;
 use std::net::IpAddr;
+use std::process::ExitCode;
 
 struct Sender {
     target: IpAddr,
@@ -62,9 +66,10 @@ impl App for Receiver {
     }
 }
 
-fn main() {
-    let debug_seed: Option<u64> = std::env::args().nth(1).and_then(|a| a.parse().ok());
-    let trace_path = trace_out();
+fn main() -> ExitCode {
+    let args = bench::cli::args("tcploss_scan", &[Seed, TraceOut]);
+    let debug_seed = args.seed;
+    let mut out = Output::new("tcploss_scan", debug_seed.unwrap_or(0));
     let wall_start = std::time::Instant::now();
     let mut scanned = 0u64;
     let mut mismatches = 0u64;
@@ -127,16 +132,8 @@ fn main() {
                     );
                 }
             }
-            if let Some(path) = &trace_path {
-                match sim.trace.write_jsonl(path) {
-                    Ok(()) => eprintln!(
-                        "wrote {} trace records to {} ({} dropped at cap)",
-                        sim.trace.entries().len(),
-                        path.display(),
-                        sim.trace.truncated()
-                    ),
-                    Err(e) => eprintln!("trace write failed: {e}"),
-                }
+            if let Some(path) = &args.trace_out {
+                out.write_trace(&sim.trace, path);
             }
         }
         scanned += 1;
@@ -157,19 +154,17 @@ fn main() {
         total_metrics.merge(&sim.take_metrics());
     }
     println!("scan done");
-    let mut m = manifest("tcploss_scan", "scan", debug_seed.unwrap_or(0));
+    let mut m = out.manifest("scan");
     m.num("worlds", scanned).num("mismatches", mismatches);
-    match write_manifest(
+    out.write_manifest(
         m,
         wall_start.elapsed().as_secs_f64(),
         total_events,
         &total_metrics,
-    ) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest write failed: {e}"),
-    }
+    );
     if mismatches > 0 {
         eprintln!("{mismatches} of {scanned} worlds broke exactly-once delivery");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    out.finish()
 }

@@ -6,9 +6,9 @@
 //! number of successful requests served per second) for the three
 //! scenarios. Database caching was not employed."
 
-use cloudsim::Flavor;
-use netsim::{SimDuration, SimTime};
-use websvc::deploy::{deploy_rubis, RubisConfig};
+use crate::harness::{run_rubis, Cell, SCENARIOS};
+use netsim::SimDuration;
+use websvc::deploy::RubisConfig;
 use websvc::loadgen::JmeterApp;
 use websvc::rubis::WorkloadMix;
 use websvc::Scenario;
@@ -25,22 +25,6 @@ pub struct Fig2Point {
     pub clients: usize,
     /// Successful requests per second in the measurement window.
     pub throughput: f64,
-    /// Mean response time (ms).
-    pub mean_latency_ms: f64,
-}
-
-/// One cell plus its observability outputs: the metrics registry the
-/// simulation filled (per-stage latency histograms, drop counters), the
-/// dispatched-event count, and the trace (empty unless `trace_cap > 0`).
-pub struct Fig2Cell {
-    /// The measured point.
-    pub point: Fig2Point,
-    /// The cell's full metrics registry (mergeable across cells).
-    pub metrics: obs::MetricsRegistry,
-    /// Events dispatched by this cell's simulation.
-    pub dispatched: u64,
-    /// Typed trace of the run (disabled unless requested).
-    pub trace: netsim::trace::Trace,
 }
 
 /// Runs one (scenario, clients) cell, returning metrics and (when
@@ -52,40 +36,22 @@ pub fn run_cell(
     warmup: SimDuration,
     measure: SimDuration,
     trace_cap: usize,
-) -> Fig2Cell {
-    let cfg = RubisConfig::fig2(scenario, seed);
-    let (users, items) = (cfg.users, cfg.items);
-    let mut dep = deploy_rubis(cfg);
-    if trace_cap > 0 {
-        dep.topo.sim.trace = netsim::trace::Trace::enabled(trace_cap);
-    }
-    let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
-    let mut app = JmeterApp::new(dep.frontend, clients, WorkloadMix::default(), users, items);
-    app.measure_from = SimTime::ZERO + warmup;
-    let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
-    dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
-    if let Err(e) = dep.topo.check_invariants() {
-        panic!("{scenario:?} at {clients} clients: invariant broken: {e}");
-    }
-    let gen = dep
-        .topo
-        .host(gen_host)
-        .app::<JmeterApp>(idx)
-        .expect("generator");
-    let point = Fig2Point {
-        scenario,
-        clients,
-        throughput: gen.completed as f64 / measure.as_secs_f64(),
-        mean_latency_ms: gen.latency.mean(),
-    };
-    let dispatched = dep.topo.sim.stats().dispatched;
-    dep.record_cpu_gauges();
-    Fig2Cell {
-        point,
-        metrics: dep.topo.sim.take_metrics(),
-        dispatched,
-        trace: std::mem::replace(&mut dep.topo.sim.trace, netsim::trace::Trace::disabled()),
-    }
+) -> Cell<Fig2Point> {
+    run_rubis(
+        RubisConfig::fig2(scenario, seed),
+        warmup,
+        warmup + measure,
+        trace_cap,
+        |frontend, users, items| {
+            JmeterApp::new(frontend, clients, WorkloadMix::default(), users, items)
+        },
+        |_| {},
+        |gen, _| Fig2Point {
+            scenario,
+            clients,
+            throughput: gen.completed as f64 / measure.as_secs_f64(),
+        },
+    )
 }
 
 /// Runs the full sweep, parallelized across cells (each cell is an
@@ -94,9 +60,12 @@ pub fn run_cell(
 /// (scenario, clients), matching the cell grid; each cell keeps its
 /// metrics registry and event count, so the driver can merge
 /// per-scenario stage histograms.
-pub fn run_sweep_cells(seed: u64, warmup: SimDuration, measure: SimDuration) -> Vec<Fig2Cell> {
-    let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
-    let cells: Vec<(Scenario, usize)> = scenarios
+pub fn run_sweep_cells(
+    seed: u64,
+    warmup: SimDuration,
+    measure: SimDuration,
+) -> Vec<Cell<Fig2Point>> {
+    let cells: Vec<(Scenario, usize)> = SCENARIOS
         .iter()
         .flat_map(|&s| CLIENT_COUNTS.iter().map(move |&c| (s, c)))
         .collect();
@@ -109,17 +78,18 @@ mod tests {
 
     #[test]
     fn single_point_has_sane_output() {
-        let p = run_cell(
+        let cell = run_cell(
             Scenario::Basic,
             4,
             1,
             SimDuration::from_secs(1),
             SimDuration::from_secs(3),
             0,
-        )
-        .point;
+        );
+        let p = cell.point;
         assert!(p.throughput > 10.0, "throughput {}", p.throughput);
-        assert!(p.mean_latency_ms > 1.0);
+        let latency = cell.metrics.hist_get("client.latency").expect("latency");
+        assert!(latency.mean() > 1e6, "mean latency {} ns", latency.mean());
     }
 
     #[test]

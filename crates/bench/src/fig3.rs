@@ -8,8 +8,9 @@
 //! Teredo modes tunnel IPv6-in-UDP through an *external* relay, whose
 //! detour is what makes Teredo's RTT the worst of the set.
 
-use cloudsim::{CloudKind, CloudTopology, Flavor};
-use hip_core::identity::HostIdentity;
+use crate::harness::{finish, Cell};
+use cloudsim::{CloudKind, CloudTopology, Flavor, VmHandle};
+use hip_core::identity::{Hit, HostIdentity};
 use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
 use netsim::addr::teredo_address;
 use netsim::link::LinkParams;
@@ -61,10 +62,7 @@ impl Fig3Mode {
     }
 
     fn uses_hip(self) -> bool {
-        matches!(
-            self,
-            Fig3Mode::LsiIpv4 | Fig3Mode::HitIpv4 | Fig3Mode::HitTeredo | Fig3Mode::LsiTeredo
-        )
+        !matches!(self, Fig3Mode::Teredo | Fig3Mode::Ipv4)
     }
 
     fn uses_teredo(self) -> bool {
@@ -88,27 +86,49 @@ pub struct Fig3Point {
     pub pings_received: u16,
 }
 
+/// One ping run's result.
+#[derive(Clone, Copy, Debug)]
+pub struct RttPoint {
+    /// Mean ICMP RTT over the ping run (ms).
+    pub rtt_ms: f64,
+    /// Echo replies received (of the requested count).
+    pub pings_received: u16,
+}
+
 const TEREDO_SERVER_V4: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 201);
 const TEREDO_RELAY_V4: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 202);
 const IPERF_PORT: u16 = 5001;
 
-/// The experiment environment for one mode.
-struct Fig3World {
-    topo: CloudTopology,
-    a: cloudsim::VmHandle,
-    b: cloudsim::VmHandle,
-    /// What host A should address host B as in this mode.
-    target_b: IpAddr,
+/// The intra-cloud link of Figure 3: EC2 instance NICs of the era,
+/// ~150 Mbit/s usable between VMs.
+pub fn ec2_link() -> LinkParams {
+    LinkParams::datacenter().with_bandwidth(150_000_000)
 }
 
-fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
+/// Two Small VMs in one EC2 region, wired for one addressing mode.
+pub struct Fig3World {
+    /// The world; add apps to `a` and `b`, then run it.
+    pub topo: CloudTopology,
+    /// The VM that sends.
+    pub a: VmHandle,
+    /// The VM that serves.
+    pub b: VmHandle,
+    /// What host A should address host B as in this mode.
+    pub target_b: IpAddr,
+}
+
+/// Builds the EC2 pair for `mode`: intra-cloud links `cloud_link`
+/// (Figure 3 uses [`ec2_link`]), Teredo server and relay when the mode
+/// tunnels, and, when it runs HIP, shims charging `costs` whose RSA-512
+/// identities are drawn for `a`, then `b`, from one RNG seeded from
+/// `seed`.
+pub fn build(mode: Fig3Mode, seed: u64, cloud_link: LinkParams, costs: CostModel) -> Fig3World {
     let mut topo = CloudTopology::new(seed);
     // The EC2 region sits close to the internet core in this experiment;
     // the Teredo infrastructure hangs off that core.
     topo.wan_params = LinkParams::wan().with_latency(SimDuration::from_millis(1));
     let cloud = topo.add_cloud("ec2", CloudKind::Public);
-    // EC2 instance NICs of the era: ~150 Mbit/s usable between VMs.
-    topo.set_cloud_link_params(cloud, LinkParams::datacenter().with_bandwidth(150_000_000));
+    topo.set_cloud_link_params(cloud, cloud_link);
     let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
     let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
 
@@ -138,11 +158,9 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
             .set_v4_link(rly_link);
         // The relay's access link: 30 Mbit/s, 5 ms — public relays are
         // shared, best-effort infrastructure.
-        {
-            let links = topo.sim.world.links_mut();
-            links[rly_link.0].params.bandwidth_bps = 30_000_000;
-            links[rly_link.0].params.latency = SimDuration::from_millis(5);
-        }
+        let relay = &mut topo.sim.world.links_mut()[rly_link.0].params;
+        relay.bandwidth_bps = 30_000_000;
+        relay.latency = SimDuration::from_millis(5);
         for vm in [a, b] {
             let IpAddr::V4(v4) = vm.addr else {
                 unreachable!("VMs are IPv4")
@@ -153,7 +171,7 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
     }
 
     // Locators the peers use for each other at the HIP level.
-    let locator = |vm: &cloudsim::VmHandle| -> IpAddr {
+    let locator = |vm: &VmHandle| -> IpAddr {
         if mode.uses_teredo() {
             let IpAddr::V4(v4) = vm.addr else {
                 unreachable!()
@@ -172,27 +190,26 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
         let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
         let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
         let cfg = HipConfig {
-            costs: CostModel::paper_era(),
+            costs,
             ..HipConfig::default()
         };
-        let mut shim_a = HipShim::new(id_a, cfg.clone());
-        let lsi_b = shim_a.add_peer(
-            hit_b,
-            PeerInfo {
-                locators: vec![locator(&b)],
-                via_rvs: None,
-            },
-        );
-        let mut shim_b = HipShim::new(id_b, cfg);
-        shim_b.add_peer(
-            hit_a,
-            PeerInfo {
-                locators: vec![locator(&a)],
-                via_rvs: None,
-            },
-        );
-        topo.host_mut(a).set_shim(Box::new(shim_a));
-        topo.host_mut(b).set_shim(Box::new(shim_b));
+        // Installs `id`'s shim on `vm`, knowing `peer` at `at`'s locator;
+        // returns the peer's LSI.
+        let mut install = |vm: VmHandle, id: HostIdentity, peer: Hit, at: &VmHandle| {
+            let mut shim = HipShim::new(id, cfg.clone());
+            let locators = vec![locator(at)];
+            let lsi = shim.add_peer(
+                peer,
+                PeerInfo {
+                    locators,
+                    via_rvs: None,
+                },
+            );
+            topo.host_mut(vm).set_shim(Box::new(shim));
+            lsi
+        };
+        let lsi_b = install(a, id_a, hit_b, &b);
+        install(b, id_b, hit_a, &a);
         match mode {
             Fig3Mode::HitIpv4 | Fig3Mode::HitTeredo => hit_b.to_ip(),
             _ => IpAddr::V4(lsi_b),
@@ -209,14 +226,10 @@ fn build(mode: Fig3Mode, seed: u64) -> Fig3World {
     }
 }
 
-/// Measures iperf goodput for `mode` over `duration` of transfer,
-/// returning the run's metrics registry and dispatched-event count too.
-pub fn iperf_obs(
-    mode: Fig3Mode,
-    seed: u64,
-    duration: SimDuration,
-) -> (f64, obs::MetricsRegistry, u64) {
-    let mut w = build(mode, seed);
+/// Measures iperf goodput (Mbit/s) for `mode` over `duration` of
+/// transfer.
+pub fn iperf_obs(mode: Fig3Mode, seed: u64, duration: SimDuration) -> Cell<f64> {
+    let mut w = build(mode, seed, ec2_link(), CostModel::paper_era());
     let srv_idx = w
         .topo
         .host_mut(w.b)
@@ -227,9 +240,6 @@ pub fn iperf_obs(
     w.topo.host_mut(w.a).add_app(Box::new(client));
     let deadline = SimTime::ZERO + SimDuration::from_secs(4) + duration.saturating_mul(3);
     w.topo.sim.run_until(deadline);
-    if let Err(e) = w.topo.check_invariants() {
-        panic!("{mode:?} iperf: invariant broken: {e}");
-    }
     let srv = w
         .topo
         .host(w.b)
@@ -237,20 +247,13 @@ pub fn iperf_obs(
         .expect("server");
     assert!(srv.bytes > 0, "{mode:?}: no bytes received");
     let mbits = srv.mbits_per_sec();
-    let dispatched = w.topo.sim.stats().dispatched;
-    (mbits, w.topo.sim.take_metrics(), dispatched)
+    finish(&mut w.topo, format_args!("{mode:?} iperf"), mbits)
 }
 
-/// Measures mean ICMP RTT for `mode` over `count` echoes, returning the
-/// run's metrics, dispatched-event count, and (when `trace_cap > 0`)
-/// the typed trace.
-pub fn rtt_obs(
-    mode: Fig3Mode,
-    seed: u64,
-    count: u16,
-    trace_cap: usize,
-) -> ((f64, u16), obs::MetricsRegistry, u64, netsim::trace::Trace) {
-    let mut w = build(mode, seed);
+/// Measures mean ICMP RTT for `mode` over `count` echoes, tracing up to
+/// `trace_cap` records when it is non-zero.
+pub fn rtt_obs(mode: Fig3Mode, seed: u64, count: u16, trace_cap: usize) -> Cell<RttPoint> {
+    let mut w = build(mode, seed, ec2_link(), CostModel::paper_era());
     if trace_cap > 0 {
         w.topo.sim.trace = netsim::trace::Trace::enabled(trace_cap);
     }
@@ -260,44 +263,37 @@ pub fn rtt_obs(
     w.topo.sim.run_until(
         SimTime::ZERO + SimDuration::from_secs(5) + SimDuration::from_millis(200 * count as u64),
     );
-    if let Err(e) = w.topo.check_invariants() {
-        panic!("{mode:?} ping: invariant broken: {e}");
-    }
     let app = w.topo.host(w.a).app::<PingApp>(idx).expect("ping");
-    let out = (app.rtts.mean(), app.received);
-    let dispatched = w.topo.sim.stats().dispatched;
-    let trace = std::mem::replace(&mut w.topo.sim.trace, netsim::trace::Trace::disabled());
-    (out, w.topo.sim.take_metrics(), dispatched, trace)
-}
-
-/// One Figure 3 bar with its observability outputs (iperf and RTT runs
-/// merged into a single registry).
-pub struct Fig3Cell {
-    /// The measured bar pair.
-    pub point: Fig3Point,
-    /// Combined metrics from the iperf and RTT simulations.
-    pub metrics: obs::MetricsRegistry,
-    /// Combined dispatched-event count of both simulations.
-    pub dispatched: u64,
+    let point = RttPoint {
+        rtt_ms: app.rtts.mean(),
+        pings_received: app.received,
+    };
+    finish(&mut w.topo, format_args!("{mode:?} ping"), point)
 }
 
 /// Runs the complete Figure 3 (both series, all modes, in parallel),
-/// keeping each mode's merged metrics registry. Output is in
+/// merging each mode's iperf and RTT runs into one cell: one metrics
+/// registry and the sum of their dispatched events. Output is in
 /// `Fig3Mode::ALL` order.
-pub fn run_all_cells(seed: u64, iperf_duration: SimDuration, ping_count: u16) -> Vec<Fig3Cell> {
+pub fn run_all_cells(
+    seed: u64,
+    iperf_duration: SimDuration,
+    ping_count: u16,
+) -> Vec<Cell<Fig3Point>> {
     crate::sweep::par_sweep(&Fig3Mode::ALL, |&mode| {
-        let (mbits, mut metrics, d1) = iperf_obs(mode, seed, iperf_duration);
-        let ((rtt_ms, received), rtt_metrics, d2, _) = rtt_obs(mode, seed ^ 1, ping_count, 0);
-        metrics.merge(&rtt_metrics);
-        Fig3Cell {
+        let mut iperf = iperf_obs(mode, seed, iperf_duration);
+        let rtt = rtt_obs(mode, seed ^ 1, ping_count, 0);
+        iperf.metrics.merge(&rtt.metrics);
+        Cell {
             point: Fig3Point {
                 mode,
-                mbits,
-                rtt_ms,
-                pings_received: received,
+                mbits: iperf.point,
+                rtt_ms: rtt.point.rtt_ms,
+                pings_received: rtt.point.pings_received,
             },
-            metrics,
-            dispatched: d1 + d2,
+            metrics: iperf.metrics,
+            dispatched: iperf.dispatched + rtt.dispatched,
+            trace: rtt.trace,
         }
     })
 }
@@ -308,8 +304,8 @@ mod tests {
 
     #[test]
     fn ipv4_beats_teredo_bandwidth() {
-        let plain = iperf_obs(Fig3Mode::Ipv4, 2, SimDuration::from_secs(3)).0;
-        let teredo = iperf_obs(Fig3Mode::Teredo, 2, SimDuration::from_secs(3)).0;
+        let plain = iperf_obs(Fig3Mode::Ipv4, 2, SimDuration::from_secs(3)).point;
+        let teredo = iperf_obs(Fig3Mode::Teredo, 2, SimDuration::from_secs(3)).point;
         assert!(plain > 50.0, "plain {plain:.1} Mbit/s");
         assert!(
             teredo < plain * 0.5,
@@ -319,9 +315,9 @@ mod tests {
 
     #[test]
     fn hit_close_to_ipv4_lsi_slightly_lower() {
-        let plain = iperf_obs(Fig3Mode::Ipv4, 3, SimDuration::from_secs(3)).0;
-        let hit = iperf_obs(Fig3Mode::HitIpv4, 3, SimDuration::from_secs(3)).0;
-        let lsi = iperf_obs(Fig3Mode::LsiIpv4, 3, SimDuration::from_secs(3)).0;
+        let plain = iperf_obs(Fig3Mode::Ipv4, 3, SimDuration::from_secs(3)).point;
+        let hit = iperf_obs(Fig3Mode::HitIpv4, 3, SimDuration::from_secs(3)).point;
+        let lsi = iperf_obs(Fig3Mode::LsiIpv4, 3, SimDuration::from_secs(3)).point;
         assert!(
             hit > plain * 0.5,
             "hit {hit:.1} within range of plain {plain:.1}"
@@ -335,9 +331,13 @@ mod tests {
 
     #[test]
     fn teredo_has_worst_rtt() {
-        let (plain, r1) = rtt_obs(Fig3Mode::Ipv4, 4, 5, 0).0;
-        let (hit, r2) = rtt_obs(Fig3Mode::HitIpv4, 4, 5, 0).0;
-        let (teredo, r3) = rtt_obs(Fig3Mode::Teredo, 4, 5, 0).0;
+        let rtt = |mode| {
+            let p = rtt_obs(mode, 4, 5, 0).point;
+            (p.rtt_ms, p.pings_received)
+        };
+        let (plain, r1) = rtt(Fig3Mode::Ipv4);
+        let (hit, r2) = rtt(Fig3Mode::HitIpv4);
+        let (teredo, r3) = rtt(Fig3Mode::Teredo);
         assert_eq!((r1, r2, r3), (5, 5, 5), "all pings answered");
         assert!(plain <= hit, "plain {plain:.2} <= hit {hit:.2}");
         assert!(teredo > hit * 2.0, "teredo {teredo:.2} is the worst");
@@ -345,8 +345,8 @@ mod tests {
 
     #[test]
     fn hip_over_teredo_works() {
-        let (rtt_ms, received) = rtt_obs(Fig3Mode::HitTeredo, 5, 5, 0).0;
-        assert_eq!(received, 5, "ESP-over-Teredo echoes all answered");
-        assert!(rtt_ms > 1.0);
+        let p = rtt_obs(Fig3Mode::HitTeredo, 5, 5, 0).point;
+        assert_eq!(p.pings_received, 5, "ESP-over-Teredo echoes all answered");
+        assert!(p.rtt_ms > 1.0);
     }
 }

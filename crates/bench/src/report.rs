@@ -1,42 +1,30 @@
-//! Small text-table helpers for the experiment binaries, plus the one
-//! shared run-manifest / trace-export path every binary goes through:
-//! [`manifest`] seeds an [`obs::RunManifest`] with provenance (seed,
-//! git revision), [`write_manifest`] finishes it with wall-clock, event
-//! count and the full metrics dump, and [`trace_out`] parses the
-//! `--trace-out <path>` flag for structured JSONL trace export.
+//! Small text-table helpers for the experiment binaries, plus
+//! [`Output`], the one path every binary writes its files through: the
+//! CSV and the run manifests under `results/`, and the JSONL trace.
 
+use netsim::trace::Trace;
 use obs::{Histogram, MetricsRegistry, RunManifest};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
+use std::process::ExitCode;
 
 /// Renders an ASCII table: header row + data rows, columns padded.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            line.push_str(&format!(" {:<w$} |", c, w = widths[i]));
-        }
-        line.push('\n');
-        line
+    let line = |cells: Vec<&str>| -> String {
+        let padded = cells.iter().zip(&widths);
+        let padded: String = padded.map(|(c, w)| format!(" {c:<w$} |")).collect();
+        format!("|{padded}\n")
     };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    let mut sep = String::from("|");
-    for w in &widths {
-        sep.push_str(&format!("{}|", "-".repeat(w + 2)));
-    }
-    sep.push('\n');
-    out.push_str(&sep);
+    let sep: String = widths.iter().map(|w| "-".repeat(w + 2) + "|").collect();
+    let mut out = line(headers.to_vec()) + "|" + &sep + "\n";
     for row in rows {
-        out.push_str(&fmt_row(row, &widths));
+        out += &line(row.iter().map(String::as_str).collect());
     }
     out
 }
@@ -51,34 +39,29 @@ pub fn csv_cell(cell: &str) -> String {
     }
 }
 
-/// Writes rows as a CSV file under `results/` (creating the directory),
-/// so figures can be re-plotted externally. Cells are escaped with
-/// [`csv_cell`]. Returns the path written.
-pub fn write_csv(
-    name: &str,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = String::new();
-    let join = |cells: &mut dyn Iterator<Item = &str>| -> String {
-        cells.map(csv_cell).collect::<Vec<_>>().join(",")
+/// Renders rows as CSV, cells escaped with [`csv_cell`].
+fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let line = |cells: Vec<&str>| -> String {
+        let cells: Vec<String> = cells.into_iter().map(csv_cell).collect();
+        cells.join(",") + "\n"
     };
-    out.push_str(&join(&mut headers.iter().copied()));
-    out.push('\n');
+    let mut out = line(headers.to_vec());
     for row in rows {
-        out.push_str(&join(&mut row.iter().map(String::as_str)));
-        out.push('\n');
+        out += &line(row.iter().map(String::as_str).collect());
     }
-    std::fs::write(&path, out)?;
-    Ok(path)
+    out
+}
+
+/// Runs `f`, returning its result and the wall-clock seconds it took.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let start = std::time::Instant::now();
+    let r = f();
+    (r, start.elapsed().as_secs_f64())
 }
 
 /// The short git revision of the working tree, or `"unknown"` when git
 /// is unavailable (e.g. running from an exported tarball).
-pub fn git_rev() -> String {
+fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -90,44 +73,100 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Starts a run manifest for `bin`/`scenario` with the common
-/// provenance fields every experiment records: seed and git revision.
-pub fn manifest(bin: &str, scenario: &str, seed: u64) -> RunManifest {
-    let mut m = RunManifest::new(bin, scenario);
-    m.num("seed", seed).str_field("git_rev", &git_rev());
-    m
+/// Where one binary writes its files: `results/<bin>.csv`, the run
+/// manifests `results/<bin>-<scenario>.json` and a JSONL trace. Each
+/// write names what it wrote on stderr; a failed write is reported
+/// there too and makes [`Output::finish`] fail the process.
+pub struct Output {
+    bin: &'static str,
+    seed: u64,
+    failed: bool,
 }
 
-/// Finishes a manifest with the run outcome — wall-clock seconds,
-/// dispatched event count, and the full metrics dump — and writes it
-/// under `results/`. Returns the path written.
-pub fn write_manifest(
-    mut m: RunManifest,
-    wall_secs: f64,
-    events: u64,
-    metrics: &MetricsRegistry,
-) -> std::io::Result<PathBuf> {
-    m.num("wall_secs", format!("{wall_secs:.3}"))
-        .num("events", events)
-        .raw("metrics", metrics.to_json());
-    m.write_to(Path::new("results"))
-}
-
-/// Parses `--trace-out <path>` (or `--trace-out=<path>`) from the
-/// process arguments; when present the binary runs a traced
-/// representative simulation and exports it as JSONL.
-pub fn trace_out() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(PathBuf::from(p));
+impl Output {
+    /// The outputs of `bin`, whose manifests record `seed`.
+    pub fn new(bin: &'static str, seed: u64) -> Self {
+        Output {
+            bin,
+            seed,
+            failed: false,
         }
     }
-    None
+
+    /// Starts a run manifest for `scenario` with the provenance every
+    /// experiment records: seed and git revision.
+    pub fn manifest(&self, scenario: &str) -> RunManifest {
+        let mut m = RunManifest::new(self.bin, scenario);
+        m.num("seed", self.seed).str_field("git_rev", &git_rev());
+        m
+    }
+
+    /// Prints `rows` as a table under the first name of each column and
+    /// writes them as `results/<bin>.csv` under the second, so figures
+    /// can be re-plotted externally.
+    pub fn write_table(&mut self, columns: &[(&str, &str)], rows: &[Vec<String>]) {
+        let (shown, named): (Vec<&str>, Vec<&str>) = columns.iter().copied().unzip();
+        println!("{}", table(&shown, rows));
+        let path = Path::new("results").join(format!("{}.csv", self.bin));
+        let written = std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write(&path, csv(&named, rows)));
+        self.report("CSV", written.map(|()| path.display().to_string()));
+    }
+
+    /// Finishes `m` with the run outcome — wall-clock seconds,
+    /// dispatched event count and the full metrics dump — and writes it
+    /// under `results/`.
+    pub fn write_manifest(
+        &mut self,
+        mut m: RunManifest,
+        wall_secs: f64,
+        events: u64,
+        metrics: &MetricsRegistry,
+    ) {
+        m.num("wall_secs", format!("{wall_secs:.3}"))
+            .num("events", events)
+            .raw("metrics", metrics.to_json());
+        let written = m.write_to(Path::new("results"));
+        self.report("manifest", written.map(|p| p.display().to_string()));
+    }
+
+    /// Exports `trace` to `path` as JSONL, one record per line.
+    pub fn write_trace(&mut self, trace: &Trace, path: &Path) {
+        let (n, cut, shown) = (trace.entries().len(), trace.truncated(), path.display());
+        let written = trace.write_jsonl(path);
+        let what = || format!("{n} trace records to {shown} ({cut} dropped at cap)");
+        self.report("trace", written.map(|()| what()));
+    }
+
+    /// Success, or failure when any write failed.
+    pub fn finish(self) -> ExitCode {
+        ExitCode::from(u8::from(self.failed))
+    }
+
+    fn report(&mut self, what: &str, written: io::Result<String>) {
+        match written {
+            Ok(done) => eprintln!("wrote {done}"),
+            Err(e) => {
+                eprintln!("{}: {what} write failed: {e}", self.bin);
+                self.failed = true;
+            }
+        }
+    }
 }
+
+/// The protocol stages whose latency the RUBiS binaries report, in
+/// table order; [`stage_table`] skips those a run did not observe
+/// (Basic has no BEX, SSL no ESP, a single web server no proxy).
+pub const STAGES: [&str; 8] = [
+    "hip.bex",
+    "esp.encrypt",
+    "esp.decrypt",
+    "tcp.connect",
+    "proxy.queue",
+    "web.render",
+    "db.service",
+    "client.latency",
+];
 
 /// One table/CSV row summarizing a nanosecond-valued latency histogram
 /// in milliseconds: `[stage, count, p50, p90, p99, max]`.
@@ -163,12 +202,8 @@ pub fn stage_table(metrics: &MetricsRegistry, stages: &[&str]) -> Option<String>
 
 /// A crude horizontal bar for terminal "figures".
 pub fn bar(value: f64, max: f64, width: usize) -> String {
-    let filled = if max > 0.0 {
-        ((value / max) * width as f64).round() as usize
-    } else {
-        0
-    };
-    "█".repeat(filled.min(width))
+    let filled = (value / max * width as f64).round() as usize;
+    "█".repeat(if max > 0.0 { filled.min(width) } else { 0 })
 }
 
 #[cfg(test)]

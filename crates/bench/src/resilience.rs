@@ -21,9 +21,10 @@
 //! each episode (first second where goodput is back at ≥ 80% of the
 //! pre-fault baseline, sustained for two consecutive seconds).
 
-use cloudsim::Flavor;
-use netsim::{FaultAction, SimDuration, SimTime};
-use websvc::deploy::{deploy_rubis, RubisConfig};
+use crate::harness::{run_rubis, Cell, SCENARIOS};
+use cloudsim::CloudTopology;
+use netsim::{FaultAction, SimDuration};
+use websvc::deploy::RubisConfig;
 use websvc::loadgen::{JmeterApp, Timeline};
 use websvc::rubis::WorkloadMix;
 use websvc::Scenario;
@@ -116,18 +117,8 @@ pub struct ResiliencePoint {
     /// HIP base exchanges re-run after a stale-SPI NOTIFY (0 outside
     /// the HIP scenario).
     pub rebex: u64,
-}
-
-/// A point plus its raw observables.
-pub struct ResilienceCell {
-    /// The measured point.
-    pub point: ResiliencePoint,
     /// Per-second goodput/error buckets.
     pub timeline: Timeline,
-    /// The run's metrics registry.
-    pub metrics: obs::MetricsRegistry,
-    /// Events dispatched by the simulation.
-    pub dispatched: u64,
 }
 
 /// Mean goodput over the warm, pre-fault buckets (bucket 0 is skipped:
@@ -152,122 +143,89 @@ pub fn time_to_recover(tl: &Timeline, baseline: f64, onset_s: usize) -> Option<u
 }
 
 /// Runs one scenario through the storyline.
-pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> ResilienceCell {
-    let cfg = RubisConfig::fig2(scenario, seed);
-    let (users, items) = (cfg.users, cfg.items);
-    let mut dep = deploy_rubis(cfg);
-    assert!(dep.webs.len() >= 2, "storyline needs at least two web VMs");
-    assert!(dep.lb.is_some(), "fig2 deployment has a load balancer");
-
-    // Load.
-    let gen_host = dep.topo.add_external_host("jmeter", Flavor::Dedicated);
-    let mut app = JmeterApp::new(dep.frontend, CLIENTS, WorkloadMix::default(), users, items);
-    app.measure_from = SimTime::ZERO + story.warmup;
-    let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
-
-    // The storyline.
-    let (web0, web1, db) = (dep.webs[0], dep.webs[1], dep.db);
-    dep.topo.crash_vm(web0, story.crash_at);
-    dep.topo
-        .restart_vm(web0, story.crash_at + story.crash_outage);
-    dep.topo
-        .loss_burst(db, story.burst_at, story.burst_loss, story.burst_len);
-    dep.topo.sim.schedule_fault(
-        story.partition_at,
-        FaultAction::Partition {
-            links: vec![web1.link],
+pub fn run_cell(scenario: Scenario, seed: u64, story: Storyline) -> Cell<ResiliencePoint> {
+    run_rubis(
+        RubisConfig::fig2(scenario, seed),
+        story.warmup,
+        story.end,
+        0,
+        |frontend, users, items| {
+            JmeterApp::new(frontend, CLIENTS, WorkloadMix::default(), users, items)
         },
-    );
-    dep.topo.sim.schedule_fault(
-        story.partition_at + story.partition_len,
-        FaultAction::Heal {
-            links: vec![web1.link],
+        |dep| {
+            assert!(dep.webs.len() >= 2, "storyline needs at least two web VMs");
+            assert!(dep.lb.is_some(), "fig2 deployment has a load balancer");
+            let (web0, web1, db) = (dep.webs[0], dep.webs[1], dep.db);
+            dep.topo.crash_vm(web0, story.crash_at);
+            dep.topo
+                .restart_vm(web0, story.crash_at + story.crash_outage);
+            dep.topo
+                .loss_burst(db, story.burst_at, story.burst_loss, story.burst_len);
+            let links = vec![web1.link];
+            let partition = FaultAction::Partition {
+                links: links.clone(),
+            };
+            dep.topo.sim.schedule_fault(story.partition_at, partition);
+            let heal = FaultAction::Heal { links };
+            let healed_at = story.partition_at + story.partition_len;
+            dep.topo.sim.schedule_fault(healed_at, heal);
         },
-    );
+        |gen, topo| point(scenario, story, gen, topo),
+    )
+}
 
-    dep.topo.sim.run_until(SimTime::ZERO + story.end);
-
-    let gen = dep
-        .topo
-        .host(gen_host)
-        .app::<JmeterApp>(idx)
-        .expect("generator");
+/// Reads a storyline run's point off its generator and shims.
+fn point(
+    scenario: Scenario,
+    story: Storyline,
+    gen: &JmeterApp,
+    topo: &CloudTopology,
+) -> ResiliencePoint {
     let timeline = gen.timeline.clone();
-    let p99_ms = gen.latency.percentile(99.0);
-
-    let warmup_s = (story.warmup.as_nanos() / 1_000_000_000) as usize;
-    let first_fault_s = (story.crash_at.as_nanos() / 1_000_000_000) as usize;
-    let baseline = baseline_goodput(&timeline, warmup_s);
-    let (mut ok_total, mut err_total) = (0u64, 0u64);
-    let (mut ok_post, mut err_post) = (0u64, 0u64);
-    for b in 0..timeline.len() {
-        let (ok, err) = timeline.at(b);
-        ok_total += ok;
-        err_total += err;
-        if b >= first_fault_s {
-            ok_post += ok;
-            err_post += err;
-        }
-    }
+    let sec = |d: SimDuration| (d.as_nanos() / 1_000_000_000) as usize;
+    let baseline = baseline_goodput(&timeline, sec(story.warmup));
+    let sum = |from: usize| {
+        (from..timeline.len())
+            .map(|b| timeline.at(b))
+            .fold((0, 0), |(ok, err), (o, e)| (ok + o, err + e))
+    };
+    let (ok_total, err_total) = sum(0);
+    let (ok_post, err_post) = sum(sec(story.crash_at));
     let post_total = ok_post + err_post;
     let post_fault_error_rate = if post_total > 0 {
         err_post as f64 / post_total as f64
     } else {
         0.0
     };
-
-    let sec = |d: SimDuration| (d.as_nanos() / 1_000_000_000) as usize;
-    let ttr_crash_s = time_to_recover(&timeline, baseline, sec(story.crash_at));
-    let ttr_burst_s = time_to_recover(&timeline, baseline, sec(story.burst_at));
-    let ttr_partition_s = time_to_recover(&timeline, baseline, sec(story.partition_at));
-
-    if let Err(e) = dep.topo.check_invariants() {
-        panic!("{scenario:?}: invariant broken: {e}");
-    }
-    let rebex = dep.topo.hip_shims().map(|s| s.stats.stale_spi_rebex).sum();
-    let dispatched = dep.topo.sim.stats().dispatched;
-    dep.record_cpu_gauges();
-    let metrics = dep.topo.sim.take_metrics();
-
-    ResilienceCell {
-        point: ResiliencePoint {
-            scenario,
-            baseline_goodput: baseline,
-            ok_total,
-            err_total,
-            post_fault_error_rate,
-            p99_ms,
-            ttr_crash_s,
-            ttr_burst_s,
-            ttr_partition_s,
-            rebex,
-        },
+    let ttr = |onset: SimDuration| time_to_recover(&timeline, baseline, sec(onset));
+    ResiliencePoint {
+        scenario,
+        baseline_goodput: baseline,
+        ok_total,
+        err_total,
+        post_fault_error_rate,
+        p99_ms: gen.latency.percentile(99.0),
+        ttr_crash_s: ttr(story.crash_at),
+        ttr_burst_s: ttr(story.burst_at),
+        ttr_partition_s: ttr(story.partition_at),
+        rebex: topo.hip_shims().map(|s| s.stats.stale_spi_rebex).sum(),
         timeline,
-        metrics,
-        dispatched,
     }
 }
 
 /// Runs the three scenarios in parallel (each cell is an independent
 /// deterministic simulation); output order is Basic, HIP, SSL.
-pub fn run_sweep(seed: u64, story: Storyline) -> Vec<ResilienceCell> {
-    let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
-    crate::sweep::par_sweep(&scenarios, |&s| run_cell(s, seed, story))
+pub fn run_sweep(seed: u64, story: Storyline) -> Vec<Cell<ResiliencePoint>> {
+    crate::sweep::par_sweep(&SCENARIOS, |&s| run_cell(s, seed, story))
 }
 
 /// Serializes a timeline as a JSON array of `[ok, err]` pairs (index =
 /// sim-second), for the run manifest.
 pub fn timeline_json(tl: &Timeline) -> String {
-    let mut out = String::from("[");
-    for b in 0..tl.len() {
-        let (ok, err) = tl.at(b);
-        if b > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{ok},{err}]"));
-    }
-    out.push(']');
-    out
+    let pairs: Vec<String> = (0..tl.len())
+        .map(|b| format!("[{},{}]", tl.at(b).0, tl.at(b).1))
+        .collect();
+    format!("[{}]", pairs.join(","))
 }
 
 #[cfg(test)]

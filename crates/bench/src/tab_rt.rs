@@ -7,9 +7,9 @@
 //! Basic, HIP and SSL cases were 116.4 ms, 132.2 ms and 128.3 ms
 //! respectively."
 
-use cloudsim::Flavor;
-use netsim::{SimDuration, SimTime};
-use websvc::deploy::{deploy_rubis, RubisConfig};
+use crate::harness::{run_rubis, Cell, SCENARIOS};
+use netsim::SimDuration;
+use websvc::deploy::RubisConfig;
 use websvc::loadgen::HttperfApp;
 use websvc::rubis::WorkloadMix;
 use websvc::Scenario;
@@ -32,20 +32,6 @@ pub struct TabRtRow {
     pub p99_ms: f64,
 }
 
-/// One scenario's row plus observability outputs: the simulation's
-/// metrics registry, its dispatched-event count, and the trace (empty
-/// unless `trace_cap > 0`).
-pub struct TabRtCell {
-    /// The measured row.
-    pub row: TabRtRow,
-    /// The run's full metrics registry.
-    pub metrics: obs::MetricsRegistry,
-    /// Events dispatched by this run's simulation.
-    pub dispatched: u64,
-    /// Typed trace of the run (disabled unless requested).
-    pub trace: netsim::trace::Trace,
-}
-
 /// Runs the open-loop response-time measurement for one scenario,
 /// keeping the metrics registry and (when `trace_cap > 0`) the trace.
 pub fn run_cell(
@@ -55,41 +41,24 @@ pub fn run_cell(
     warmup: SimDuration,
     measure: SimDuration,
     trace_cap: usize,
-) -> TabRtCell {
-    let cfg = RubisConfig::tab_rt(scenario, seed);
-    let (users, items) = (cfg.users, cfg.items);
-    let mut dep = deploy_rubis(cfg);
-    if trace_cap > 0 {
-        dep.topo.sim.trace = netsim::trace::Trace::enabled(trace_cap);
-    }
-    let gen_host = dep.topo.add_external_host("httperf", Flavor::Dedicated);
-    let mut app = HttperfApp::new(dep.frontend, rate, WorkloadMix::read_only(), users, items);
-    app.measure_from = SimTime::ZERO + warmup;
-    let idx = dep.topo.host_mut(gen_host).add_app(Box::new(app));
-    dep.topo.sim.run_until(SimTime::ZERO + warmup + measure);
-    if let Err(e) = dep.topo.check_invariants() {
-        panic!("{scenario:?}: invariant broken: {e}");
-    }
-    let gen = dep
-        .topo
-        .host(gen_host)
-        .app::<HttperfApp>(idx)
-        .expect("generator");
-    let row = TabRtRow {
-        scenario,
-        completed: gen.completed,
-        mean_ms: gen.latency.mean(),
-        stddev_ms: gen.latency.stddev(),
-        p99_ms: gen.latency.percentile(99.0),
-    };
-    let dispatched = dep.topo.sim.stats().dispatched;
-    dep.record_cpu_gauges();
-    TabRtCell {
-        row,
-        metrics: dep.topo.sim.take_metrics(),
-        dispatched,
-        trace: std::mem::replace(&mut dep.topo.sim.trace, netsim::trace::Trace::disabled()),
-    }
+) -> Cell<TabRtRow> {
+    run_rubis(
+        RubisConfig::tab_rt(scenario, seed),
+        warmup,
+        warmup + measure,
+        trace_cap,
+        |frontend, users, items| {
+            HttperfApp::new(frontend, rate, WorkloadMix::read_only(), users, items)
+        },
+        |_| {},
+        |gen, _| TabRtRow {
+            scenario,
+            completed: gen.completed,
+            mean_ms: gen.latency.mean(),
+            stddev_ms: gen.latency.stddev(),
+            p99_ms: gen.latency.percentile(99.0),
+        },
+    )
 }
 
 /// Runs all three scenarios (in parallel; independent simulations),
@@ -100,9 +69,8 @@ pub fn run_all_cells(
     seed: u64,
     warmup: SimDuration,
     measure: SimDuration,
-) -> Vec<TabRtCell> {
-    let scenarios = [Scenario::Basic, Scenario::HipLsi, Scenario::Ssl];
-    crate::sweep::par_sweep(&scenarios, |&s| run_cell(s, rate, seed, warmup, measure, 0))
+) -> Vec<Cell<TabRtRow>> {
+    crate::sweep::par_sweep(&SCENARIOS, |&s| run_cell(s, rate, seed, warmup, measure, 0))
 }
 
 #[cfg(test)]
@@ -121,7 +89,7 @@ mod tests {
         let mean = |s: Scenario| {
             cells
                 .iter()
-                .map(|c| c.row)
+                .map(|c| c.point)
                 .find(|r| r.scenario == s)
                 .expect("present")
                 .mean_ms

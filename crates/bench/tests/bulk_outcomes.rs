@@ -9,13 +9,9 @@
 //! draws or retransmission timing shows up here — including when a
 //! zero CPU cost sends frames straight to the link.
 
-use cloudsim::{CloudKind, CloudTopology, Flavor};
-use hip_core::identity::HostIdentity;
-use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
-use netsim::link::LinkParams;
+use bench::fig3::{build, ec2_link, Fig3Mode, Fig3World};
+use hip_core::CostModel;
 use netsim::{DropReason, SimDuration, SimStats, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use websvc::loadgen::{BulkSendApp, IperfServerApp};
 
 const PORT: u16 = 5001;
@@ -37,48 +33,17 @@ struct Outcome {
 /// Runs one `BYTES`-sized HIP bulk transfer for 120 simulated seconds
 /// over a 150 Mbit/s cloud link with per-link `loss`.
 fn hip_bulk(costs: CostModel, loss: f64, seed: u64) -> Outcome {
-    let mut topo = CloudTopology::new(seed);
-    let cloud = topo.add_cloud("ec2", CloudKind::Public);
-    topo.set_cloud_link_params(
-        cloud,
-        LinkParams::datacenter()
-            .with_bandwidth(150_000_000)
-            .with_loss(loss),
-    );
-    let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
-    let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
-
-    let mut key_rng = StdRng::seed_from_u64(seed ^ 0x33);
-    let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
-    let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
-    let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
-    let cfg = HipConfig {
-        costs,
-        ..HipConfig::default()
-    };
-    let mut shim_a = HipShim::new(id_a, cfg.clone());
-    shim_a.add_peer(
-        hit_b,
-        PeerInfo {
-            locators: vec![b.addr],
-            via_rvs: None,
-        },
-    );
-    let mut shim_b = HipShim::new(id_b, cfg);
-    shim_b.add_peer(
-        hit_a,
-        PeerInfo {
-            locators: vec![a.addr],
-            via_rvs: None,
-        },
-    );
-    topo.host_mut(a).set_shim(Box::new(shim_a));
-    topo.host_mut(b).set_shim(Box::new(shim_b));
+    let Fig3World {
+        mut topo,
+        a,
+        b,
+        target_b,
+    } = build(Fig3Mode::HitIpv4, seed, ec2_link().with_loss(loss), costs);
 
     let srv_idx = topo
         .host_mut(b)
         .add_app(Box::new(IperfServerApp::new(PORT)));
-    let mut client = BulkSendApp::new((hit_b.to_ip(), PORT), BYTES);
+    let mut client = BulkSendApp::new((target_b, PORT), BYTES);
     // Let the HIP base exchange settle before the flow starts.
     client.start_delay = SimDuration::from_secs(1);
     topo.host_mut(a).add_app(Box::new(client));

@@ -169,8 +169,9 @@ fn fault_storyline_is_deterministic() {
     );
     assert_eq!(a.point.ok_total, b.point.ok_total);
     assert_eq!(a.point.err_total, b.point.err_total);
-    assert_eq!(a.timeline.ok, b.timeline.ok, "goodput timelines diverged");
-    assert_eq!(a.timeline.err, b.timeline.err, "error timelines diverged");
+    let (ta, tb) = (&a.point.timeline, &b.point.timeline);
+    assert_eq!(ta.ok, tb.ok, "goodput timelines diverged");
+    assert_eq!(ta.err, tb.err, "error timelines diverged");
     assert_eq!(
         a.metrics.to_json(),
         b.metrics.to_json(),

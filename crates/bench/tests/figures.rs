@@ -1,21 +1,23 @@
-//! The figure binaries reproduce their pinned `--quick` output.
+//! The experiment binaries reproduce their pinned output.
 //!
-//! Each binary runs with `--quick` in a fresh temporary directory. Its
-//! stdout and `results/<bin>.csv` must equal `tests/golden/<bin>.stdout`
-//! and `tests/golden/<bin>.csv` byte for byte. Each run manifest
-//! `results/<bin>-<scenario>.json` must match
+//! Each binary runs in a fresh temporary directory: the four figure
+//! binaries with `--quick`, `tcploss_scan` and `ablation_dos` with no
+//! arguments. Where pinned, its stdout and `results/<bin>.csv` must
+//! equal `tests/golden/<bin>.stdout` and `tests/golden/<bin>.csv` byte
+//! for byte: the figures pin both, `tcploss_scan` its stdout, and
+//! `ablation_dos` neither (its puzzle table is wall-clock). Each run
+//! manifest `results/<bin>-<scenario>.json` must match
 //! `tests/golden/<bin>-<scenario>.manifest`: the manifest flattened to
 //! one `path value` line per field (see [`flatten`]), without the
 //! fields that differ between runs (`git_rev`, `wall_secs`) and with
 //! each histogram pinned by its `count` and `sum`. A manifest mismatch
-//! lists every path whose value moved. `ablation_dos` is not pinned
-//! (its table has wall-clock columns).
+//! lists every path whose value moved.
 //!
 //! After a deliberate change to a figure, regenerate the golden files:
-//! run the binary with `--quick` from an empty directory and copy its
-//! stdout and CSV here; a failing run writes each flattened manifest it
-//! saw to `figures/` under Cargo's per-test scratch directory
-//! (`target/tmp`), from where the `.manifest` files are copied.
+//! run the binary from an empty directory and copy its stdout and CSV
+//! here; a failing run writes each flattened manifest it saw to
+//! `figures/` under Cargo's per-test scratch directory (`target/tmp`),
+//! from where the `.manifest` files are copied.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -244,20 +246,31 @@ fn check_manifests(bin: &str, manifests: &[(String, String)]) {
     );
 }
 
-fn check(bin: &str, exe: &str) {
+/// Which of a binary's outputs besides its manifests are pinned.
+#[derive(Clone, Copy, PartialEq)]
+enum Pinned {
+    StdoutAndCsv,
+    Stdout,
+    ManifestsOnly,
+}
+
+/// Runs `exe args` in a fresh directory and checks what `pinned` names
+/// plus every run manifest against the golden files.
+fn check(bin: &str, exe: &str, args: &[&str], pinned: Pinned) {
     let dir = fresh_dir(bin);
     let out = Command::new(exe)
-        .arg("--quick")
+        .args(args)
         .current_dir(&dir)
         .output()
-        .expect("run figure binary");
+        .expect("run experiment binary");
     assert!(
         out.status.success(),
         "{bin} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let results = dir.join("results");
-    let csv = std::fs::read(results.join(format!("{bin}.csv"))).expect("CSV written");
+    let csv = (pinned == Pinned::StdoutAndCsv)
+        .then(|| std::fs::read(results.join(format!("{bin}.csv"))).expect("CSV written"));
     let read = |stem: String| {
         let json = std::fs::read_to_string(results.join(format!("{stem}.json")));
         (stem, json.expect("manifest"))
@@ -267,12 +280,16 @@ fn check(bin: &str, exe: &str) {
         .map(read)
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_same(
-        &format!("{bin} stdout"),
-        &out.stdout,
-        &golden(&format!("{bin}.stdout")),
-    );
-    assert_same(&format!("{bin}.csv"), &csv, &golden(&format!("{bin}.csv")));
+    if pinned != Pinned::ManifestsOnly {
+        assert_same(
+            &format!("{bin} stdout"),
+            &out.stdout,
+            &golden(&format!("{bin}.stdout")),
+        );
+    }
+    if let Some(csv) = csv {
+        assert_same(&format!("{bin}.csv"), &csv, &golden(&format!("{bin}.csv")));
+    }
     check_manifests(bin, &manifests);
 }
 
@@ -303,7 +320,12 @@ fn flatten_keeps_deterministic_fields() {
 
 #[test]
 fn fig2_throughput_matches_golden() {
-    check("fig2_throughput", env!("CARGO_BIN_EXE_fig2_throughput"));
+    check(
+        "fig2_throughput",
+        env!("CARGO_BIN_EXE_fig2_throughput"),
+        &["--quick"],
+        Pinned::StdoutAndCsv,
+    );
 }
 
 #[test]
@@ -311,15 +333,47 @@ fn tab_response_times_matches_golden() {
     check(
         "tab_response_times",
         env!("CARGO_BIN_EXE_tab_response_times"),
+        &["--quick"],
+        Pinned::StdoutAndCsv,
     );
 }
 
 #[test]
 fn fig3_iperf_rtt_matches_golden() {
-    check("fig3_iperf_rtt", env!("CARGO_BIN_EXE_fig3_iperf_rtt"));
+    check(
+        "fig3_iperf_rtt",
+        env!("CARGO_BIN_EXE_fig3_iperf_rtt"),
+        &["--quick"],
+        Pinned::StdoutAndCsv,
+    );
 }
 
 #[test]
 fn fig_resilience_matches_golden() {
-    check("fig_resilience", env!("CARGO_BIN_EXE_fig_resilience"));
+    check(
+        "fig_resilience",
+        env!("CARGO_BIN_EXE_fig_resilience"),
+        &["--quick"],
+        Pinned::StdoutAndCsv,
+    );
+}
+
+#[test]
+fn tcploss_scan_matches_golden() {
+    check(
+        "tcploss_scan",
+        env!("CARGO_BIN_EXE_tcploss_scan"),
+        &[],
+        Pinned::Stdout,
+    );
+}
+
+#[test]
+fn ablation_dos_matches_golden() {
+    check(
+        "ablation_dos",
+        env!("CARGO_BIN_EXE_ablation_dos"),
+        &[],
+        Pinned::ManifestsOnly,
+    );
 }

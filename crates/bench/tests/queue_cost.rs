@@ -14,13 +14,9 @@
 //! timer that pops stale (about 2 900 per flow here). One re-armed
 //! timer per socket keeps both counts to a handful.
 
-use cloudsim::{CloudKind, CloudTopology, Flavor};
-use hip_core::identity::HostIdentity;
-use hip_core::{CostModel, HipConfig, HipShim, PeerInfo};
-use netsim::link::LinkParams;
+use bench::fig3::{build, ec2_link, Fig3Mode, Fig3World};
+use hip_core::CostModel;
 use netsim::{SimDuration, SimStats, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use websvc::loadgen::{BulkSendApp, IperfServerApp};
 
 const PORT: u16 = 5001;
@@ -29,48 +25,22 @@ const BYTES: u64 = 2 * 1024 * 1024;
 /// One `BYTES`-sized flow between two Small VMs at 150 Mbit/s, over
 /// HIP/ESP or plain IPv4; returns the run's stats once every byte is in.
 fn bulk(hip: bool, seed: u64) -> SimStats {
-    let mut topo = CloudTopology::new(seed);
-    let cloud = topo.add_cloud("ec2", CloudKind::Public);
-    topo.set_cloud_link_params(cloud, LinkParams::datacenter().with_bandwidth(150_000_000));
-    let a = topo.launch_vm(cloud, "vm-a", Flavor::Small);
-    let b = topo.launch_vm(cloud, "vm-b", Flavor::Small);
-
-    let target = if hip {
-        let mut key_rng = StdRng::seed_from_u64(seed ^ 0x33);
-        let id_a = HostIdentity::generate_rsa(512, &mut key_rng);
-        let id_b = HostIdentity::generate_rsa(512, &mut key_rng);
-        let (hit_a, hit_b) = (id_a.hit(), id_b.hit());
-        let cfg = HipConfig {
-            costs: CostModel::paper_era(),
-            ..HipConfig::default()
-        };
-        let mut shim_a = HipShim::new(id_a, cfg.clone());
-        shim_a.add_peer(
-            hit_b,
-            PeerInfo {
-                locators: vec![b.addr],
-                via_rvs: None,
-            },
-        );
-        let mut shim_b = HipShim::new(id_b, cfg);
-        shim_b.add_peer(
-            hit_a,
-            PeerInfo {
-                locators: vec![a.addr],
-                via_rvs: None,
-            },
-        );
-        topo.host_mut(a).set_shim(Box::new(shim_a));
-        topo.host_mut(b).set_shim(Box::new(shim_b));
-        hit_b.to_ip()
+    let mode = if hip {
+        Fig3Mode::HitIpv4
     } else {
-        b.addr
+        Fig3Mode::Ipv4
     };
+    let Fig3World {
+        mut topo,
+        a,
+        b,
+        target_b,
+    } = build(mode, seed, ec2_link(), CostModel::paper_era());
 
     let srv_idx = topo
         .host_mut(b)
         .add_app(Box::new(IperfServerApp::new(PORT)));
-    let mut client = BulkSendApp::new((target, PORT), BYTES);
+    let mut client = BulkSendApp::new((target_b, PORT), BYTES);
     client.start_delay = SimDuration::from_secs(1);
     topo.host_mut(a).add_app(Box::new(client));
 
