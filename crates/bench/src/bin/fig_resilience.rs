@@ -132,10 +132,6 @@ fn main() -> ExitCode {
             .str_field("ttr_crash", &fmt_ttr(p.ttr_crash_s))
             .str_field("ttr_burst", &fmt_ttr(p.ttr_burst_s))
             .str_field("ttr_partition", &fmt_ttr(p.ttr_partition_s))
-            .num("proxy_ejections", ctr(proxy::EJECTS))
-            .num("proxy_recoveries", ctr(proxy::RECOVERS))
-            .num("proxy_retries", ctr(proxy::RETRIES))
-            .num("proxy_probes", ctr(proxy::PROBES))
             .num("proxy_unavailable", ctr(proxy::UNAVAILABLE))
             .num("hip_rebex", p.rebex)
             .raw("timeline", timeline_json(&p.timeline));

@@ -69,8 +69,7 @@ fn main() -> ExitCode {
         let mut m = out.manifest(c.point.scenario.label());
         m.num("rate", PAPER_RATE)
             .num("warmup_secs", warmup.as_secs_f64())
-            .num("measure_secs", measure.as_secs_f64())
-            .num("completed", c.point.completed);
+            .num("measure_secs", measure.as_secs_f64());
         out.write_manifest(m, wall, c.dispatched, &c.metrics);
     }
     println!("paper: \"the response times and standard deviations were largely");

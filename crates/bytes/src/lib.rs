@@ -3,7 +3,8 @@
 //! The build environment has no access to crates.io, so this crate
 //! provides the subset of the real `bytes` API the workspace uses:
 //! [`Bytes`] (a cheaply clonable, sliceable shared buffer) and
-//! [`BytesMut`] (a growable buffer that freezes into `Bytes`). Clones
+//! [`BytesMut`] (a growable buffer consumed from the front, as a
+//! decoder reads it). Clones
 //! share the underlying allocation via `Arc`, which is exactly the
 //! zero-copy property the simulator's packet hot path relies on: a
 //! packet forwarded across five hops clones the `Arc`, not the payload.
@@ -14,7 +15,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut, RangeBounds};
+use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply clonable contiguous slice of memory.
@@ -266,103 +267,59 @@ impl FromIterator<u8> for Bytes {
     }
 }
 
-/// A unique, growable byte buffer that can be frozen into [`Bytes`].
-#[derive(Clone, Default)]
+/// A growable receive buffer: bytes are appended at the back and
+/// consumed from the front.
+///
+/// [`BytesMut::advance`] only moves the front; the consumed prefix is
+/// shed by the next append, so consuming several messages from one read
+/// moves the rest of the buffer at most once.
+#[derive(Default)]
 pub struct BytesMut {
     buf: Vec<u8>,
+    /// Start of the bytes not yet consumed.
+    start: usize,
 }
 
 impl BytesMut {
     /// An empty buffer.
     pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// An empty buffer with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Ensures space for `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        BytesMut::default()
     }
 
     /// Appends a slice.
     pub fn extend_from_slice(&mut self, s: &[u8]) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(s);
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+    /// Consumes the first `cnt` bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `cnt` exceeds the length.
+    pub fn advance(&mut self, cnt: usize) {
+        let len = self.buf.len() - self.start;
+        assert!(cnt <= len, "advance {cnt} past length {len}");
+        self.start += cnt;
+        if self.start == self.buf.len() {
+            self.clear();
+        }
     }
 
     /// Clears contents, keeping the allocation.
     pub fn clear(&mut self) {
         self.buf.clear();
-    }
-
-    /// Splits off the filled portion, leaving `self` empty (the real
-    /// crate shares the allocation; here the split takes it, and the
-    /// next write grows a fresh one).
-    pub fn split(&mut self) -> BytesMut {
-        BytesMut {
-            buf: std::mem::take(&mut self.buf),
-        }
-    }
-
-    /// Converts into an immutable `Bytes` without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
+        self.start = 0;
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
-        self.buf.extend(iter);
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BytesMut({} bytes)", self.buf.len())
+        &self.buf[self.start..]
     }
 }
 
@@ -419,12 +376,18 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_freeze() {
-        let mut m = BytesMut::with_capacity(16);
-        m.extend_from_slice(b"abc");
-        m.put_u8(b'd');
-        let split = m.split();
+    fn bytes_mut_advance_sheds_the_prefix_on_append() {
+        let mut m = BytesMut::new();
+        m.extend_from_slice(b"abcd");
+        m.advance(1);
+        assert_eq!(&m[..], b"bcd");
+        m.advance(2);
+        m.extend_from_slice(b"ef");
+        assert_eq!(&m[..], b"def");
+        assert_eq!(m.len(), 3);
+        m.advance(3);
         assert!(m.is_empty());
-        assert_eq!(split.freeze(), *b"abcd");
+        m.extend_from_slice(b"g");
+        assert_eq!(&m[..], b"g");
     }
 }

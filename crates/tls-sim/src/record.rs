@@ -50,54 +50,30 @@ pub fn frame(rtype: RecordType, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// An incremental record deframer (handles partial TCP reads).
-#[derive(Default)]
-pub struct Deframer {
-    buf: Vec<u8>,
-    desynced: bool,
-}
+/// Length of a record header: type (1) and body length (4, BE).
+pub const HEADER_LEN: usize = 5;
 
-impl Deframer {
-    /// Feeds bytes; returns the complete records. A header with an
-    /// unknown type leaves no frame boundary to trust: the records before
-    /// it are returned, and it and every byte after it, in this call or
-    /// a later one, are dropped (see [`Self::is_desynced`]).
-    pub fn feed(&mut self, data: &[u8]) -> Vec<(RecordType, Vec<u8>)> {
-        let mut out = Vec::new();
-        if self.desynced {
-            return out;
-        }
-        self.buf.extend_from_slice(data);
-        while let Some(&id) = self.buf.first() {
-            let Some(rtype) = RecordType::from_id(id) else {
-                self.desynced = true;
-                self.buf.clear();
-                break;
-            };
-            if self.buf.len() < 5 {
-                break;
-            }
-            let len = u32::from_be_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
-            if self.buf.len() < 5 + len {
-                break;
-            }
-            let body = self.buf[5..5 + len].to_vec();
-            self.buf.drain(..5 + len);
-            out.push((rtype, body));
-        }
-        out
-    }
+/// A record header with an unknown content type: the stream has no
+/// frame boundary to trust from there on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnknownType;
 
-    /// Bytes buffered awaiting a complete record.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True once a header with an unknown type arrived: the stream is
-    /// unreadable from there on.
-    pub fn is_desynced(&self) -> bool {
-        self.desynced
-    }
+/// The record at the front of `buf`: its type and body (it spans
+/// [`HEADER_LEN`] `+ body.len()` bytes), or `None` while it has not
+/// fully arrived. A header with an unknown type is an error as soon as
+/// its first byte is in.
+pub fn decode(buf: &[u8]) -> Result<Option<(RecordType, &[u8])>, UnknownType> {
+    let Some(&id) = buf.first() else {
+        return Ok(None);
+    };
+    let rtype = RecordType::from_id(id).ok_or(UnknownType)?;
+    let Some(len) = buf.get(1..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(len.try_into().expect("4 bytes")) as usize;
+    Ok(buf
+        .get(HEADER_LEN..HEADER_LEN + len)
+        .map(|body| (rtype, body)))
 }
 
 /// One direction of record protection.
@@ -171,10 +147,32 @@ impl RecordCipher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+
+    type Record = (RecordType, Vec<u8>);
+
+    /// Appends `data` to `buf` and takes every complete record off its
+    /// front, as a session reads them, up to a header with an unknown
+    /// type, which stays in `buf` and is returned too.
+    fn feed(buf: &mut BytesMut, data: &[u8]) -> (Vec<Record>, Option<UnknownType>) {
+        buf.extend_from_slice(data);
+        let mut records = Vec::new();
+        loop {
+            match decode(buf) {
+                Ok(Some((rtype, body))) => {
+                    let record = (rtype, body.to_vec());
+                    buf.advance(HEADER_LEN + record.1.len());
+                    records.push(record);
+                }
+                Ok(None) => return (records, None),
+                Err(e) => return (records, Some(e)),
+            }
+        }
+    }
 
     #[test]
     fn frame_deframe_round_trip() {
-        let mut d = Deframer::default();
+        let mut buf = BytesMut::new();
         let wire = [
             frame(RecordType::Handshake, b"hello"),
             frame(RecordType::ApplicationData, b"data"),
@@ -183,12 +181,14 @@ mod tests {
         // Feed in awkward chunks.
         let mut records = Vec::new();
         for chunk in wire.chunks(3) {
-            records.extend(d.feed(chunk));
+            let (got, unknown) = feed(&mut buf, chunk);
+            assert_eq!(unknown, None);
+            records.extend(got);
         }
         assert_eq!(records.len(), 2);
         assert_eq!(records[0], (RecordType::Handshake, b"hello".to_vec()));
         assert_eq!(records[1], (RecordType::ApplicationData, b"data".to_vec()));
-        assert_eq!(d.pending(), 0);
+        assert_eq!(buf.len(), 0);
     }
 
     #[test]
@@ -252,22 +252,32 @@ mod tests {
 
     #[test]
     fn garbage_framing_does_not_panic() {
-        let mut d = Deframer::default();
-        assert!(d.feed(&[0xff, 1, 2, 3, 4, 5]).is_empty());
-        assert!(d.is_desynced());
+        let mut buf = BytesMut::new();
+        assert_eq!(
+            feed(&mut buf, &[0xff, 1, 2, 3, 4, 5]),
+            (vec![], Some(UnknownType))
+        );
         // The records ahead of the bad header arrive; nothing after it
-        // does, in that call or a later one.
-        let mut d = Deframer::default();
+        // does, in that call or a later one (a session drops the rest
+        // of the stream: `session::tests::unknown_record_type_fails_the_session`).
+        let mut buf = BytesMut::new();
         let wire = [
             frame(RecordType::Handshake, b"ok"),
             vec![0xff, 0, 0, 0, 1, 0],
             frame(RecordType::Handshake, b"lost"),
         ]
         .concat();
-        assert_eq!(d.feed(&wire), vec![(RecordType::Handshake, b"ok".to_vec())]);
-        assert!(d.is_desynced());
-        assert!(d.feed(&frame(RecordType::Handshake, b"later")).is_empty());
-        assert_eq!(d.pending(), 0);
+        assert_eq!(
+            feed(&mut buf, &wire),
+            (
+                vec![(RecordType::Handshake, b"ok".to_vec())],
+                Some(UnknownType)
+            )
+        );
+        assert_eq!(
+            feed(&mut buf, &frame(RecordType::Handshake, b"later")),
+            (vec![], Some(UnknownType))
+        );
     }
 
     const ENC_KEY: [u8; 16] = [1; 16];

@@ -16,7 +16,8 @@
 //! 5246 §8.1 in shape.
 
 use crate::cert::Certificate;
-use crate::record::{frame, Deframer, RecordCipher, RecordType};
+use crate::record::{decode, frame, RecordCipher, RecordType, HEADER_LEN};
+use bytes::BytesMut;
 use netsim::SimDuration;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -126,7 +127,8 @@ pub struct TlsSession {
     role: Role,
     state: State,
     costs: TlsCosts,
-    deframer: Deframer,
+    /// Received bytes that do not yet complete a record.
+    received: BytesMut,
     transcript: Vec<u8>,
     client_random: [u8; 32],
     server_random: [u8; 32],
@@ -153,7 +155,7 @@ impl TlsSession {
             role: Role::Client { ca, dh: None },
             state: State::ClientStart,
             costs,
-            deframer: Deframer::default(),
+            received: BytesMut::new(),
             transcript: Vec::new(),
             client_random: [0; 32],
             server_random: [0; 32],
@@ -174,7 +176,7 @@ impl TlsSession {
             },
             state: State::ServerAwaitClientHello,
             costs,
-            deframer: Deframer::default(),
+            received: BytesMut::new(),
             transcript: Vec::new(),
             client_random: [0; 32],
             server_random: [0; 32],
@@ -220,25 +222,53 @@ impl TlsSession {
         frame(RecordType::Handshake, &body)
     }
 
-    /// Feeds received bytes through the state machine.
+    /// Feeds received bytes through the state machine; bytes that do
+    /// not complete a record wait for the next call. The first error
+    /// fails the session, and a failed session reads nothing more: the
+    /// records after the failing one, and every later byte, are dropped.
     pub fn on_bytes(&mut self, data: &[u8], rng: &mut StdRng) -> TlsOutput {
         let mut out = TlsOutput::default();
-        let records = self.deframer.feed(data);
-        for (rtype, body) in records {
+        if self.is_failed() {
+            return out;
+        }
+        self.received.extend_from_slice(data);
+        while out.error.is_none() {
+            let (rtype, body) = match decode(&self.received) {
+                Ok(Some(record)) => record,
+                Ok(None) => break,
+                Err(_) => {
+                    out.error = Some(TlsError::BadFraming);
+                    break;
+                }
+            };
+            let len = HEADER_LEN + body.len();
             match rtype {
-                RecordType::Handshake => self.on_handshake(&body, rng, &mut out),
-                RecordType::ApplicationData => self.on_app_record(&body, &mut out),
+                RecordType::Handshake => {
+                    let body = body.to_vec();
+                    self.on_handshake(&body, rng, &mut out);
+                }
+                RecordType::ApplicationData => {
+                    let opened = self.rx.as_mut().map(|rx| rx.open(body));
+                    match opened {
+                        None => out.error = Some(TlsError::UnexpectedMessage),
+                        Some(None) => out.error = Some(TlsError::BadRecord),
+                        Some(Some(plain)) => {
+                            out.work += self.costs.symmetric(plain.len());
+                            if out.app_data.is_empty() {
+                                out.app_data = plain;
+                            } else {
+                                out.app_data.extend_from_slice(&plain);
+                            }
+                        }
+                    }
+                }
                 RecordType::Alert => out.error = Some(TlsError::BadRecord),
             }
-            if out.error.is_some() {
-                break;
-            }
-        }
-        if out.error.is_none() && self.deframer.is_desynced() {
-            out.error = Some(TlsError::BadFraming);
+            self.received.advance(len);
         }
         if out.error.is_some() {
             self.state = State::Failed;
+            self.received.clear();
         }
         out
     }
@@ -250,20 +280,6 @@ impl TlsSession {
         let body = tx.seal(app_data, iv);
         let work = self.costs.symmetric(app_data.len());
         (frame(RecordType::ApplicationData, &body), work)
-    }
-
-    fn on_app_record(&mut self, body: &[u8], out: &mut TlsOutput) {
-        let Some(rx) = self.rx.as_mut() else {
-            out.error = Some(TlsError::UnexpectedMessage);
-            return;
-        };
-        match rx.open(body) {
-            Some(plain) => {
-                out.work += self.costs.symmetric(plain.len());
-                out.app_data.extend_from_slice(&plain);
-            }
-            None => out.error = Some(TlsError::BadRecord),
-        }
     }
 
     fn derive_keys(&mut self, kij: &[u8]) {
@@ -581,6 +597,12 @@ mod tests {
         assert_eq!(out.app_data, b"before");
         assert_eq!(out.error, Some(TlsError::BadFraming));
         assert!(s.is_failed());
+        // Nothing after the bad header is read, in that call or a later
+        // one, and the failure is reported once.
+        let (wire, _) = c.seal(b"after");
+        let out = s.on_bytes(&wire, &mut rng);
+        assert!(out.app_data.is_empty());
+        assert_eq!(out.error, None);
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! optional **query cache** (the paper enables MySQL query caching for
 //! its httperf response-time experiment, §V-B) short-circuits repeated
 //! reads.
+//!
+//! Each connection is a [`Conn`] whose inbox a [`FrameDecoder`] splits
+//! into queries, so a query is read straight out of the connection's
+//! receive buffer.
 
 use crate::rubis::{execute, Query, RubisData, CACHE_HIT_COST};
-use crate::secure::{Conn, ServerSecurity};
+use crate::secure::{Conn, Decoder, ServerSecurity};
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::HistId;
@@ -18,31 +22,18 @@ use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SockId};
 use std::any::Any;
 
-/// Length-prefixed frame parser (`u32 BE length | payload`). Frames are
-/// handed out as slices of the receive buffer, which sheds the frames
-/// already returned once per [`FrameParser::push`].
+/// Splits a stream of length-prefixed frames (`u32 BE length |
+/// payload`) into payloads, each a slice of the receive buffer.
 #[derive(Default)]
-pub struct FrameParser {
-    buf: Vec<u8>,
-    /// Start of the first frame not yet returned.
-    start: usize,
-}
+pub struct FrameDecoder;
 
-impl FrameParser {
-    /// Feeds received bytes.
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.drain(..self.start);
-        self.start = 0;
-        self.buf.extend_from_slice(data);
-    }
+impl Decoder for FrameDecoder {
+    type Item<'a> = &'a [u8];
 
-    /// The payload of the next complete frame, if any.
-    pub fn next_frame(&mut self) -> Option<&[u8]> {
-        let rest = &self.buf[self.start..];
-        let len = u32::from_be_bytes(rest.get(..4)?.try_into().expect("4 bytes")) as usize;
-        let payload = rest.get(4..4 + len)?;
-        self.start += 4 + len;
-        Some(payload)
+    fn decode<'a>(&mut self, buf: &'a [u8]) -> Option<(usize, Option<&'a [u8]>)> {
+        let len = u32::from_be_bytes(buf.get(..4)?.try_into().expect("4 bytes")) as usize;
+        let payload = buf.get(4..4 + len)?;
+        Some((4 + len, Some(payload)))
     }
 }
 
@@ -65,11 +56,6 @@ pub struct DbStats {
     pub writes: u64,
 }
 
-struct DbConn {
-    conn: Conn,
-    frames: FrameParser,
-}
-
 /// The database server application.
 pub struct DbServerApp {
     port: u16,
@@ -77,7 +63,7 @@ pub struct DbServerApp {
     /// Query text → framed result.
     cache: Option<FxHashMap<String, Vec<u8>>>,
     security: ServerSecurity,
-    conns: FxHashMap<SockId, DbConn>,
+    conns: FxHashMap<SockId, Conn<FrameDecoder>>,
     pending: FxHashMap<u64, (SockId, Vec<u8>)>,
     next_token: u64,
     service_hist: Option<HistId>,
@@ -103,58 +89,42 @@ impl DbServerApp {
             stats: DbStats::default(),
         }
     }
+}
 
-    fn handle_query(&mut self, sock: SockId, text: &str, api: &mut HostApi) {
-        self.stats.queries += 1;
-        let Some(query) = Query::decode(text) else {
-            self.respond(
-                sock,
-                frame(b"ERROR bad query"),
-                SimDuration::from_micros(50),
-                api,
-            );
-            return;
-        };
-        // Query cache.
-        if let Some(cache) = &self.cache {
-            if !query.is_write() {
-                if let Some(hit) = cache.get(text) {
-                    self.stats.cache_hits += 1;
-                    let framed = hit.clone();
-                    self.respond(sock, framed, CACHE_HIT_COST, api);
-                    return;
-                }
+/// Answers one query from `data` (or the query cache): the framed
+/// result and the service time it costs.
+fn serve(
+    data: &mut RubisData,
+    cache: &mut Option<FxHashMap<String, Vec<u8>>>,
+    stats: &mut DbStats,
+    text: &str,
+) -> (Vec<u8>, SimDuration) {
+    stats.queries += 1;
+    let Some(query) = Query::decode(text) else {
+        return (frame(b"ERROR bad query"), SimDuration::from_micros(50));
+    };
+    // Query cache.
+    if let Some(cache) = cache {
+        if !query.is_write() {
+            if let Some(hit) = cache.get(text) {
+                stats.cache_hits += 1;
+                return (hit.clone(), CACHE_HIT_COST);
             }
         }
-        let cost = query.cost();
-        let framed = frame(execute(&mut self.data, &query).as_bytes());
-        if query.is_write() {
-            self.stats.writes += 1;
-            if let Some(cache) = &mut self.cache {
-                // MySQL invalidates cached results for modified tables;
-                // our single-table-set model clears everything.
-                cache.clear();
-            }
-        } else if let Some(cache) = &mut self.cache {
-            cache.insert(text.to_owned(), framed.clone());
+    }
+    let cost = query.cost();
+    let framed = frame(execute(data, &query).as_bytes());
+    if query.is_write() {
+        stats.writes += 1;
+        if let Some(cache) = cache {
+            // MySQL invalidates cached results for modified tables;
+            // our single-table-set model clears everything.
+            cache.clear();
         }
-        self.respond(sock, framed, cost, api);
+    } else if let Some(cache) = cache {
+        cache.insert(text.to_owned(), framed.clone());
     }
-
-    /// Schedules the response after the query's service time has been
-    /// served by this host's CPU.
-    fn respond(&mut self, sock: SockId, framed: Vec<u8>, cost: SimDuration, api: &mut HostApi) {
-        let delay = api.cpu_charge(cost);
-        // `db.service` is the pure execution cost; `db.sojourn` includes
-        // time spent queued behind other work on this host's CPU.
-        let m = api.metrics();
-        m.observe_cached(&mut self.service_hist, "db.service", cost.as_nanos());
-        m.observe_cached(&mut self.sojourn_hist, "db.sojourn", delay.as_nanos());
-        self.next_token += 1;
-        let token = self.next_token;
-        self.pending.insert(token, (sock, framed));
-        api.set_timer(delay, token);
-    }
+    (framed, cost)
 }
 
 impl App for DbServerApp {
@@ -173,34 +143,34 @@ impl App for DbServerApp {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
-                self.conns.insert(
-                    sock,
-                    DbConn {
-                        conn: self.security.accept(sock),
-                        frames: FrameParser::default(),
-                    },
-                );
+                self.conns.insert(sock, self.security.accept(sock));
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
                 let raw = api.tcp_recv(sock);
-                let Some(dc) = self.conns.get_mut(&sock) else {
+                let Some(conn) = self.conns.get_mut(&sock) else {
                     return;
                 };
-                let out = dc.conn.on_bytes(raw, api);
-                if out.failed {
+                if !conn.on_bytes(&raw, api) {
                     self.conns.remove(&sock);
                     api.tcp_abort(sock);
                     return;
                 }
-                dc.frames.push(&out.app_data);
-                // Answering a query never drops the connection, so the
-                // parser goes back once its frames are handled.
-                let mut frames = std::mem::take(&mut dc.frames);
-                while let Some(f) = frames.next_frame() {
-                    self.handle_query(sock, &String::from_utf8_lossy(f), api);
-                }
-                if let Some(dc) = self.conns.get_mut(&sock) {
-                    dc.frames = frames;
+                while let Some(f) = conn.next_message() {
+                    let text = String::from_utf8_lossy(f);
+                    let (framed, cost) =
+                        serve(&mut self.data, &mut self.cache, &mut self.stats, &text);
+                    // The response goes out once the query's service
+                    // time has been served by this host's CPU.
+                    // `db.service` is the pure execution cost;
+                    // `db.sojourn` includes time spent queued behind
+                    // other work on this host's CPU.
+                    let delay = api.cpu_charge(cost);
+                    let m = api.metrics();
+                    m.observe_cached(&mut self.service_hist, "db.service", cost.as_nanos());
+                    m.observe_cached(&mut self.sojourn_hist, "db.sojourn", delay.as_nanos());
+                    self.next_token += 1;
+                    self.pending.insert(self.next_token, (sock, framed));
+                    api.set_timer(delay, self.next_token);
                 }
             }
             AppEvent::Tcp(TcpEvent::PeerClosed(sock))
@@ -210,8 +180,8 @@ impl App for DbServerApp {
             }
             AppEvent::Timer { token } => {
                 if let Some((sock, bytes)) = self.pending.remove(&token) {
-                    if let Some(dc) = self.conns.get_mut(&sock) {
-                        dc.conn.send(bytes, api);
+                    if let Some(conn) = self.conns.get_mut(&sock) {
+                        conn.send(bytes, api);
                     }
                 }
             }
@@ -230,16 +200,17 @@ impl App for DbServerApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::Inbox;
 
     #[test]
     fn frame_parser_handles_fragmentation_and_pipelining() {
-        let mut p = FrameParser::default();
+        let mut p = Inbox::<FrameDecoder>::default();
         let mut wire = frame(b"first");
         wire.extend(frame(b"second"));
         let mut frames = Vec::new();
         for chunk in wire.chunks(3) {
             p.push(chunk);
-            while let Some(f) = p.next_frame() {
+            while let Some(f) = p.next_message() {
                 frames.push(f.to_vec());
             }
         }
@@ -248,9 +219,9 @@ mod tests {
 
     #[test]
     fn empty_frame_round_trip() {
-        let mut p = FrameParser::default();
+        let mut p = Inbox::<FrameDecoder>::default();
         p.push(&frame(b""));
-        assert_eq!(p.next_frame(), Some(&b""[..]));
-        assert_eq!(p.next_frame(), None);
+        assert_eq!(p.next_message(), Some(&b""[..]));
+        assert_eq!(p.next_message(), None);
     }
 }

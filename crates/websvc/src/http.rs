@@ -9,6 +9,16 @@
 //! invalid UTF-8 decodes to exactly what decoding the whole head first
 //! would give (every delimiter is ASCII). Encoders size their output
 //! exactly and write it in one pass.
+//!
+//! [`RequestDecoder`] and [`ResponseDecoder`] split a connection's
+//! received bytes ([`crate::secure::Inbox`]) into messages. Two
+//! malformed streams keep the behaviour the figures were made with: a
+//! complete head that is not a request is consumed without yielding a
+//! request, and a response head without a numeric status is never
+//! consumed, so nothing after it on that stream is ever decoded.
+
+use crate::secure::Decoder;
+use std::ops::Range;
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -283,31 +293,25 @@ fn content_length(headers: &[(String, String)]) -> usize {
         .unwrap_or(0)
 }
 
-/// Incremental parser for a stream of requests (server side).
+/// Splits a stream of requests (server side) into [`HttpRequest`]s.
 #[derive(Default)]
-pub struct RequestParser {
-    buf: Vec<u8>,
+pub struct RequestDecoder {
     /// Where the search for the end of the next head resumes.
     scanned: usize,
 }
 
-impl RequestParser {
-    /// Feeds raw bytes.
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
+impl Decoder for RequestDecoder {
+    type Item<'a> = HttpRequest;
 
-    /// Extracts the next complete request, if any. A complete head that
-    /// is not a request is consumed and yields `None`.
-    pub fn next_request(&mut self) -> Option<HttpRequest> {
-        let Some(end) = find_head_end(&self.buf, self.scanned) else {
-            self.scanned = resume_at(self.buf.len());
+    /// A complete head that is not a request is consumed and yields
+    /// `None`.
+    fn decode(&mut self, buf: &[u8]) -> Option<(usize, Option<HttpRequest>)> {
+        let Some(end) = find_head_end(buf, self.scanned) else {
+            self.scanned = resume_at(buf.len());
             return None;
         };
-        let req = parse_request_head(&self.buf[..end]);
-        self.buf.drain(..end + 4);
         self.scanned = 0;
-        req
+        Some((end + 4, parse_request_head(&buf[..end])))
     }
 }
 
@@ -315,58 +319,48 @@ impl RequestParser {
 struct PendingHead {
     status: u16,
     headers: Vec<(String, String)>,
-    body_start: usize,
-    /// Buffer length at which the body is complete.
-    end: usize,
+    /// Where the body starts and ends in the buffer.
+    body: Range<usize>,
 }
 
-/// Incremental parser for a stream of responses (client side).
+/// Splits a stream of responses (client side) into [`HttpResponse`]s.
 #[derive(Default)]
-pub struct ResponseParser {
-    buf: Vec<u8>,
+pub struct ResponseDecoder {
     /// Where the search for the end of the next head resumes.
     scanned: usize,
     /// The current response's head, once it has arrived.
     head: Option<PendingHead>,
 }
 
-impl ResponseParser {
-    /// Feeds raw bytes.
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
+impl Decoder for ResponseDecoder {
+    type Item<'a> = HttpResponse;
 
-    /// Extracts the next complete response, if any. A head without a
-    /// numeric status stays in the buffer and blocks the stream.
-    pub fn next_response(&mut self) -> Option<HttpResponse> {
+    /// A head without a numeric status is never consumed: it blocks
+    /// the stream.
+    fn decode(&mut self, buf: &[u8]) -> Option<(usize, Option<HttpResponse>)> {
         if self.head.is_none() {
-            let Some(head_end) = find_head_end(&self.buf, self.scanned) else {
-                self.scanned = resume_at(self.buf.len());
+            let Some(head_end) = find_head_end(buf, self.scanned) else {
+                self.scanned = resume_at(buf.len());
                 return None;
             };
             self.scanned = head_end;
-            let (status, headers) = parse_response_head(&self.buf[..head_end])?;
+            let (status, headers) = parse_response_head(&buf[..head_end])?;
             let body_start = head_end + 4;
             self.head = Some(PendingHead {
                 status,
-                end: body_start.saturating_add(content_length(&headers)),
+                body: body_start..body_start.saturating_add(content_length(&headers)),
                 headers,
-                body_start,
             });
         }
-        let end = self.head.as_ref()?.end;
-        if self.buf.len() < end {
-            return None;
-        }
+        let body = buf.get(self.head.as_ref()?.body.clone())?.to_vec();
         let head = self.head.take()?;
-        let body = self.buf[head.body_start..end].to_vec();
-        self.buf.drain(..end);
         self.scanned = 0;
-        Some(HttpResponse {
+        let resp = HttpResponse {
             status: head.status,
             headers: head.headers,
             body,
-        })
+        };
+        Some((head.body.end, Some(resp)))
     }
 }
 
@@ -480,6 +474,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::Inbox;
     use proptest::prelude::*;
 
     #[test]
@@ -487,21 +482,21 @@ mod tests {
         let mut req = HttpRequest::get("/item?id=7");
         req.headers.push(("Host".into(), "rubis.cloud".into()));
         let wire = req.encode();
-        let mut p = RequestParser::default();
+        let mut p = Inbox::<RequestDecoder>::default();
         p.push(&wire);
-        let parsed = p.next_request().unwrap();
+        let parsed = p.next_message().unwrap();
         assert_eq!(parsed, req);
         assert_eq!(parsed.header("host"), Some("rubis.cloud"));
-        assert!(p.next_request().is_none());
+        assert!(p.next_message().is_none());
     }
 
     #[test]
     fn response_round_trip() {
         let resp = HttpResponse::ok(b"<html>item</html>".to_vec());
         let wire = resp.encode();
-        let mut p = ResponseParser::default();
+        let mut p = Inbox::<ResponseDecoder>::default();
         p.push(&wire);
-        let parsed = p.next_response().unwrap();
+        let parsed = p.next_message().unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, b"<html>item</html>");
     }
@@ -510,11 +505,11 @@ mod tests {
     fn fragmented_parsing() {
         let resp = HttpResponse::ok(vec![b'x'; 1000]);
         let wire = resp.encode();
-        let mut p = ResponseParser::default();
+        let mut p = Inbox::<ResponseDecoder>::default();
         let mut got = None;
         for chunk in wire.chunks(7) {
             p.push(chunk);
-            if let Some(r) = p.next_response() {
+            if let Some(r) = p.next_message() {
                 got = Some(r);
             }
         }
@@ -523,23 +518,23 @@ mod tests {
 
     #[test]
     fn pipelined_requests() {
-        let mut p = RequestParser::default();
+        let mut p = Inbox::<RequestDecoder>::default();
         let mut wire = HttpRequest::get("/a").encode();
         wire.extend(HttpRequest::get("/b").encode());
         p.push(&wire);
-        assert_eq!(p.next_request().unwrap().path, "/a");
-        assert_eq!(p.next_request().unwrap().path, "/b");
-        assert!(p.next_request().is_none());
+        assert_eq!(p.next_message().unwrap().path, "/a");
+        assert_eq!(p.next_message().unwrap().path, "/b");
+        assert!(p.next_message().is_none());
     }
 
     #[test]
     fn pipelined_responses() {
-        let mut p = ResponseParser::default();
+        let mut p = Inbox::<ResponseDecoder>::default();
         let mut wire = HttpResponse::ok(b"one".to_vec()).encode();
         wire.extend(HttpResponse::error(404, "nope").encode());
         p.push(&wire);
-        assert_eq!(p.next_response().unwrap().body, b"one");
-        assert_eq!(p.next_response().unwrap().status, 404);
+        assert_eq!(p.next_message().unwrap().body, b"one");
+        assert_eq!(p.next_message().unwrap().status, 404);
     }
 
     #[test]
@@ -692,13 +687,13 @@ mod tests {
             wire in arb_request_stream(),
             cuts in prop::collection::vec(any::<usize>(), 0..8),
         ) {
-            let mut new = RequestParser::default();
+            let mut new = Inbox::<RequestDecoder>::default();
             let mut old = oracle::RequestParser::default();
             for chunk in fragment(&wire, &cuts) {
                 new.push(&chunk);
                 old.push(&chunk);
                 loop {
-                    let (a, b) = (new.next_request(), old.next_request());
+                    let (a, b) = (new.next_message(), old.next_request());
                     prop_assert_eq!(&a, &b, "after {:?}", wire);
                     let Some(req) = a else { break };
                     prop_assert_eq!(req.encode(), oracle::encode_request(&req));
@@ -711,13 +706,13 @@ mod tests {
             wire in arb_response_stream(),
             cuts in prop::collection::vec(any::<usize>(), 0..8),
         ) {
-            let mut new = ResponseParser::default();
+            let mut new = Inbox::<ResponseDecoder>::default();
             let mut old = oracle::ResponseParser::default();
             for chunk in fragment(&wire, &cuts) {
                 new.push(&chunk);
                 old.push(&chunk);
                 loop {
-                    let (a, b) = (new.next_response(), old.next_response());
+                    let (a, b) = (new.next_message(), old.next_response());
                     prop_assert_eq!(&a, &b, "after {:?}", wire);
                     let Some(resp) = a else { break };
                     // What the proxy forwards: the parsed response re-encoded.

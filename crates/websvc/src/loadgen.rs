@@ -12,8 +12,9 @@
 //!   received bytes.
 //! - [`PingApp`] — ICMP RTT measurement, N echo requests at an interval.
 
-use crate::http::{HttpRequest, ResponseParser};
+use crate::http::{HttpRequest, ResponseDecoder};
 use crate::rubis::WorkloadMix;
+use crate::secure::Conn;
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::HistId;
@@ -126,8 +127,8 @@ impl Timeline {
 }
 
 struct JmeterSession {
-    sock: Option<SockId>,
-    parser: ResponseParser,
+    /// The session's plain HTTP connection, while it has one.
+    conn: Option<Conn<ResponseDecoder>>,
     sent_at: SimTime,
     outstanding: bool,
 }
@@ -174,8 +175,7 @@ impl JmeterApp {
             target,
             sessions: (0..sessions)
                 .map(|_| JmeterSession {
-                    sock: None,
-                    parser: ResponseParser::default(),
+                    conn: None,
                     sent_at: SimTime::ZERO,
                     outstanding: false,
                 })
@@ -194,13 +194,12 @@ impl JmeterApp {
     }
 
     fn connect_session(&mut self, idx: usize, api: &mut HostApi) {
-        if self.sessions[idx].sock.is_some() {
+        if self.sessions[idx].conn.is_some() {
             return;
         }
         if let Some(sock) = api.tcp_connect(self.target.0, self.target.1) {
-            self.sessions[idx].sock = Some(sock);
+            self.sessions[idx].conn = Some(Conn::plain(sock));
             self.sessions[idx].outstanding = false;
-            self.sessions[idx].parser = ResponseParser::default();
             self.by_sock.insert(sock, idx);
         } else {
             // No route right now (e.g. the LB is mid-restart): back off.
@@ -212,7 +211,7 @@ impl JmeterApp {
     /// or restarted server does not permanently shrink the user count.
     fn session_died(&mut self, idx: usize, sock: SockId, api: &mut HostApi) {
         self.by_sock.remove(&sock);
-        self.sessions[idx].sock = None;
+        self.sessions[idx].conn = None;
         self.sessions[idx].outstanding = false;
         api.set_timer(JMETER_RECONNECT_DELAY, JMETER_RECONNECT_BASE + idx as u64);
     }
@@ -224,10 +223,10 @@ impl JmeterApp {
         let q = self.mix.sample(self.users, self.items, draw, rng_val);
         let req = HttpRequest::encode_get(&q.to_path());
         let s = &mut self.sessions[idx];
-        if let Some(sock) = s.sock {
+        if let Some(conn) = &mut s.conn {
             s.sent_at = api.now();
             s.outstanding = true;
-            api.tcp_send(sock, req);
+            conn.send(req, api);
         }
     }
 }
@@ -241,9 +240,8 @@ impl App for JmeterApp {
 
     fn reset(&mut self) {
         for s in &mut self.sessions {
-            s.sock = None;
+            s.conn = None;
             s.outstanding = false;
-            s.parser = ResponseParser::default();
         }
         self.by_sock.clear();
     }
@@ -267,10 +265,9 @@ impl App for JmeterApp {
                 };
                 let raw = api.tcp_recv(sock);
                 let (mut answered, mut all_ok) = (false, true);
-                {
-                    let s = &mut self.sessions[idx];
-                    s.parser.push(&raw);
-                    while let Some(resp) = s.parser.next_response() {
+                if let Some(conn) = &mut self.sessions[idx].conn {
+                    conn.on_bytes(&raw, api);
+                    while let Some(resp) = conn.next_message() {
                         answered = true;
                         all_ok &= resp.status == 200;
                     }
@@ -332,7 +329,7 @@ impl App for JmeterApp {
 // ---------------------------------------------------------------------
 
 struct HttperfConn {
-    parser: ResponseParser,
+    conn: Conn<ResponseDecoder>,
     sent_at: SimTime,
     requested: bool,
 }
@@ -396,7 +393,7 @@ impl App for HttperfApp {
                         self.conns.insert(
                             sock,
                             HttperfConn {
-                                parser: ResponseParser::default(),
+                                conn: Conn::plain(sock),
                                 sent_at: SimTime::ZERO,
                                 requested: false,
                             },
@@ -414,7 +411,7 @@ impl App for HttperfApp {
                 if let Some(c) = self.conns.get_mut(&sock) {
                     c.sent_at = api.now();
                     c.requested = true;
-                    api.tcp_send(sock, req);
+                    c.conn.send(req, api);
                 }
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
@@ -422,8 +419,8 @@ impl App for HttperfApp {
                 let Some(c) = self.conns.get_mut(&sock) else {
                     return;
                 };
-                c.parser.push(&raw);
-                if c.parser.next_response().is_some() {
+                c.conn.on_bytes(&raw, api);
+                if c.conn.next_message().is_some() {
                     let sent_at = c.sent_at;
                     if c.requested && api.now() >= self.measure_from {
                         self.completed += 1;

@@ -30,8 +30,9 @@
 //! clients see `502` (connect failure), `504` (response timeout) or
 //! `503` (every backend ejected) instead of a hang.
 
-use crate::http::{HttpResponse, RequestParser, ResponseParser};
+use crate::http::{HttpResponse, RequestDecoder, ResponseDecoder};
 use crate::secure::{ClientSecurity, Conn};
+use bytes::Bytes;
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::CtrId;
@@ -110,22 +111,23 @@ struct Backend {
 }
 
 struct ClientSide {
-    parser: RequestParser,
+    /// The consumer's plain HTTP connection.
+    conn: Conn<RequestDecoder>,
     backend: Option<SockId>,
 }
 
 struct BackendSide {
     /// Set when the TCP connection comes up.
-    conn: Option<Conn>,
-    parser: ResponseParser,
+    conn: Option<Conn<ResponseDecoder>>,
     client: SockId,
     backend_idx: usize,
     /// Framed requests accepted before the link came up.
-    queued: VecDeque<Vec<u8>>,
+    queued: VecDeque<Bytes>,
     /// When the first queued request arrived (feeds the `proxy.queue` span).
     queued_at: Option<SimTime>,
     /// Framed requests sent and awaiting a response (front = oldest).
-    inflight: VecDeque<Vec<u8>>,
+    /// Each shares its allocation with the send buffer.
+    inflight: VecDeque<Bytes>,
     /// Retry attempts already consumed by the unanswered payload.
     attempts: u32,
     connect_deadline: Option<SimTime>,
@@ -135,7 +137,7 @@ struct BackendSide {
 /// A request batch awaiting its retry backoff.
 struct PendingRetry {
     client: SockId,
-    reqs: Vec<Vec<u8>>,
+    reqs: Vec<Bytes>,
     attempts: u32,
     due: SimTime,
 }
@@ -262,7 +264,7 @@ impl ProxyApp {
     }
 
     /// Queues or sends one framed request on an (owned) backend link.
-    fn send_on(link: &mut BackendSide, req: Vec<u8>, now: SimTime, api: &mut HostApi) {
+    fn send_on(link: &mut BackendSide, req: Bytes, now: SimTime, api: &mut HostApi) {
         if let Some(conn) = &mut link.conn {
             conn.send(req.clone(), api);
             link.inflight.push_back(req);
@@ -279,7 +281,7 @@ impl ProxyApp {
 
     /// Routes one framed request from `client`, opening a backend
     /// connection if needed. `attempts` counts prior failed dispatches.
-    fn dispatch(&mut self, client: SockId, req: Vec<u8>, attempts: u32, api: &mut HostApi) {
+    fn dispatch(&mut self, client: SockId, req: Bytes, attempts: u32, api: &mut HostApi) {
         if !self.clients.contains_key(&client) {
             return; // client went away while the request waited
         }
@@ -296,21 +298,16 @@ impl ProxyApp {
         }
         let Some(idx) = self.pick_backend(api) else {
             // Every backend is ejected or probing: shed load gracefully.
-            api.metrics().add_name(UNAVAILABLE, 1);
-            let resp = HttpResponse::error(503, "no healthy backend").encode();
-            api.tcp_send(client, resp);
+            self.unavailable(client, "no healthy backend", api);
             return;
         };
         let (addr, port) = self.backends[idx].addr;
         let Some(sock) = api.tcp_connect(addr, port) else {
-            api.metrics().add_name(UNAVAILABLE, 1);
-            let resp = HttpResponse::error(503, "no route to backend").encode();
-            api.tcp_send(client, resp);
+            self.unavailable(client, "no route to backend", api);
             return;
         };
         let mut link = BackendSide {
             conn: None,
-            parser: ResponseParser::default(),
             client,
             backend_idx: idx,
             queued: VecDeque::new(),
@@ -327,6 +324,14 @@ impl ProxyApp {
         }
     }
 
+    /// Answers `client` 503: no backend can take its request.
+    fn unavailable(&mut self, client: SockId, msg: &str, api: &mut HostApi) {
+        api.metrics().add_name(UNAVAILABLE, 1);
+        if let Some(c) = self.clients.get_mut(&client) {
+            c.conn.send(HttpResponse::error(503, msg).encode(), api);
+        }
+    }
+
     /// A backend connection failed (`status`: 502 connect / 504
     /// timeout): mark the backend, unbind the client, and retry or fail
     /// the unanswered requests.
@@ -340,7 +345,7 @@ impl ProxyApp {
                 c.backend = None;
             }
         }
-        let unanswered: Vec<Vec<u8>> = link.inflight.into_iter().chain(link.queued).collect();
+        let unanswered: Vec<Bytes> = link.inflight.into_iter().chain(link.queued).collect();
         if unanswered.is_empty() {
             return;
         }
@@ -349,15 +354,15 @@ impl ProxyApp {
             // Out of retries: answer every stranded request explicitly.
             api.metrics()
                 .add_name(REQUEST_FAILS, unanswered.len() as u64);
-            if self.clients.contains_key(&link.client) {
+            if let Some(c) = self.clients.get_mut(&link.client) {
                 let msg = if status == 504 {
                     "backend timeout"
                 } else {
                     "backend down"
                 };
-                let resp = HttpResponse::error(status, msg).encode();
+                let resp = Bytes::from(HttpResponse::error(status, msg).encode());
                 for _ in &unanswered {
-                    api.tcp_send(link.client, resp.clone());
+                    c.conn.send(resp.clone(), api);
                 }
             }
             return;
@@ -485,7 +490,7 @@ impl App for ProxyApp {
                 self.clients.insert(
                     sock,
                     ClientSide {
-                        parser: RequestParser::default(),
+                        conn: Conn::plain(sock),
                         backend: None,
                     },
                 );
@@ -517,24 +522,24 @@ impl App for ProxyApp {
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
                 let raw = api.tcp_recv(sock);
-                if self.backend_conns.contains_key(&sock) {
+                if let Some(link) = self.backend_conns.get_mut(&sock) {
                     // Backend → client direction.
-                    let link = self.backend_conns.get_mut(&sock).expect("checked");
                     // Data never arrives before Connected.
                     let Some(conn) = &mut link.conn else {
                         return;
                     };
-                    let out = conn.on_bytes(raw, api);
-                    link.parser.push(&out.app_data);
+                    // A failed channel is not acted on here: its
+                    // requests time out and are retried.
+                    conn.on_bytes(&raw, api);
                     let client = link.client;
                     let idx = link.backend_idx;
                     let mut answered = false;
-                    while let Some(resp) = link.parser.next_response() {
+                    while let Some(resp) = conn.next_message() {
                         answered = true;
                         link.inflight.pop_front();
                         link.attempts = 0;
-                        if self.clients.contains_key(&client) {
-                            api.tcp_send(client, resp.encode());
+                        if let Some(c) = self.clients.get_mut(&client) {
+                            c.conn.send(resp.encode(), api);
                         }
                     }
                     if answered {
@@ -546,19 +551,17 @@ impl App for ProxyApp {
                             };
                         self.record_success(idx, api);
                     }
-                } else if self.clients.contains_key(&sock) {
+                } else if let Some(c) = self.clients.get_mut(&sock) {
                     // Client → backend direction: parse requests so we
                     // re-frame cleanly (header rewriting would go here).
-                    // Dispatching never drops the client, so the parser
-                    // goes back once its requests are handled.
-                    let c = self.clients.get_mut(&sock).expect("checked");
-                    c.parser.push(&raw);
-                    let mut parser = std::mem::take(&mut c.parser);
-                    while let Some(req) = parser.next_request() {
-                        self.dispatch(sock, req.encode(), 0, api);
-                    }
-                    if let Some(c) = self.clients.get_mut(&sock) {
-                        c.parser = parser;
+                    // Dispatching never drops the client.
+                    c.conn.on_bytes(&raw, api);
+                    while let Some(req) = self
+                        .clients
+                        .get_mut(&sock)
+                        .and_then(|c| c.conn.next_message())
+                    {
+                        self.dispatch(sock, req.encode().into(), 0, api);
                     }
                 }
             }
@@ -620,6 +623,7 @@ impl App for ProxyApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::Inbox;
     use netsim::packet::v4;
 
     fn three_backend_proxy() -> ProxyApp {
@@ -665,9 +669,9 @@ mod tests {
         // so every proxied response carries the line twice. The FIG2
         // and fig_resilience goldens were produced with these bytes, so
         // the codec keeps them; sending one line is a model change.
-        let mut p = ResponseParser::default();
+        let mut p = Inbox::<ResponseDecoder>::default();
         p.push(&HttpResponse::ok(b"hi".to_vec()).encode());
-        let forwarded = p.next_response().expect("complete response").encode();
+        let forwarded = p.next_message().expect("complete response").encode();
         assert_eq!(
             forwarded,
             b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi"

@@ -7,8 +7,8 @@
 //! work is charged to the VM's CPU — on a micro instance this is what
 //! saturates first, exactly as in the paper's Figure 2.
 
-use crate::db::{frame, FrameParser};
-use crate::http::{HttpRequest, HttpResponse, RequestParser};
+use crate::db::{frame, FrameDecoder};
+use crate::http::{HttpRequest, HttpResponse, RequestDecoder};
 use crate::rubis::Query;
 use crate::secure::{ClientSecurity, Conn, ServerSecurity};
 use netsim::fx::FxHashMap;
@@ -65,15 +65,9 @@ pub struct WebStats {
     pub requests: u64,
 }
 
-struct ClientConn {
-    conn: Conn,
-    parser: RequestParser,
-}
-
 struct DbLink {
     /// Set when the TCP connection comes up.
-    conn: Option<Conn>,
-    frames: FrameParser,
+    conn: Option<Conn<FrameDecoder>>,
     /// FIFO of client sockets whose query answers are due on this link.
     inflight: VecDeque<SockId>,
 }
@@ -81,7 +75,7 @@ struct DbLink {
 /// The web server application.
 pub struct WebServerApp {
     config: WebConfig,
-    clients: FxHashMap<SockId, ClientConn>,
+    clients: FxHashMap<SockId, Conn<RequestDecoder>>,
     db_links: Vec<SockId>,
     db_state: FxHashMap<SockId, DbLink>,
     /// Queries waiting for a DB link to come up.
@@ -144,7 +138,6 @@ impl WebServerApp {
                 sock,
                 DbLink {
                     conn: None,
-                    frames: FrameParser::default(),
                     inflight: VecDeque::new(),
                 },
             );
@@ -181,7 +174,7 @@ impl WebServerApp {
         } else {
             let resp = HttpResponse::error(500, "database unavailable").encode();
             if let Some(c) = self.clients.get_mut(&client) {
-                c.conn.send(resp, api);
+                c.send(resp, api);
             }
         }
     }
@@ -198,27 +191,6 @@ impl WebServerApp {
         }
     }
 
-    fn on_db_response(&mut self, db_sock: SockId, body: &[u8], api: &mut HostApi) {
-        let Some(link) = self.db_state.get_mut(&db_sock) else {
-            return;
-        };
-        let Some(client) = link.inflight.pop_front() else {
-            return;
-        };
-        if !self.clients.contains_key(&client) {
-            return; // client went away
-        }
-        // Render: wrap the DB result in HTML padding and charge app work.
-        let html: [&[u8]; 4] = [b"<html><body>", body, &HTML_PAD, b"</body></html>"];
-        let resp = HttpResponse::encode_ok(&html);
-        let delay = api.cpu_charge(REQUEST_COST);
-        let m = api.metrics();
-        m.observe_cached(&mut self.render_hist, "web.render", delay.as_nanos());
-        self.next_token += 1;
-        self.pending.insert(self.next_token, (client, resp));
-        api.set_timer(delay, self.next_token);
-    }
-
     fn on_client_request(&mut self, sock: SockId, req: HttpRequest, api: &mut HostApi) {
         self.stats.requests += 1;
         match Query::from_path(&req.path) {
@@ -226,7 +198,7 @@ impl WebServerApp {
             None => {
                 let resp = HttpResponse::error(404, "no such page").encode();
                 if let Some(c) = self.clients.get_mut(&sock) {
-                    c.conn.send(resp, api);
+                    c.send(resp, api);
                 }
             }
         }
@@ -266,16 +238,26 @@ impl App for WebServerApp {
                 let Some(conn) = &mut link.conn else {
                     return;
                 };
-                let out = conn.on_bytes(raw, api);
-                link.frames.push(&out.app_data);
-                // Rendering never drops the link, so the parser goes back
-                // once its frames are handled.
-                let mut frames = std::mem::take(&mut link.frames);
-                while let Some(f) = frames.next_frame() {
-                    self.on_db_response(sock, f, api);
-                }
-                if let Some(link) = self.db_state.get_mut(&sock) {
-                    link.frames = frames;
+                // A failed channel is not acted on here: the proxy's
+                // response timeout retries the requests it strands.
+                conn.on_bytes(&raw, api);
+                while let Some(body) = conn.next_message() {
+                    let Some(client) = link.inflight.pop_front() else {
+                        continue;
+                    };
+                    if !self.clients.contains_key(&client) {
+                        continue; // client went away
+                    }
+                    // Render: wrap the DB result in HTML padding and
+                    // charge app work.
+                    let html: [&[u8]; 4] = [b"<html><body>", body, &HTML_PAD, b"</body></html>"];
+                    let resp = HttpResponse::encode_ok(&html);
+                    let delay = api.cpu_charge(REQUEST_COST);
+                    let m = api.metrics();
+                    m.observe_cached(&mut self.render_hist, "web.render", delay.as_nanos());
+                    self.next_token += 1;
+                    self.pending.insert(self.next_token, (client, resp));
+                    api.set_timer(delay, self.next_token);
                 }
             }
             AppEvent::Tcp(TcpEvent::ConnectFailed(sock)) if self.db_state.contains_key(&sock) => {
@@ -283,34 +265,22 @@ impl App for WebServerApp {
             }
             // --- client side ---
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
-                self.clients.insert(
-                    sock,
-                    ClientConn {
-                        conn: self.config.frontend_security.accept(sock),
-                        parser: RequestParser::default(),
-                    },
-                );
+                let conn = self.config.frontend_security.accept(sock);
+                self.clients.insert(sock, conn);
             }
             AppEvent::Tcp(TcpEvent::Data(sock)) => {
                 let raw = api.tcp_recv(sock);
                 let Some(c) = self.clients.get_mut(&sock) else {
                     return;
                 };
-                let out = c.conn.on_bytes(raw, api);
-                if out.failed {
+                if !c.on_bytes(&raw, api) {
                     self.clients.remove(&sock);
                     api.tcp_abort(sock);
                     return;
                 }
-                c.parser.push(&out.app_data);
-                // Serving a request never drops the client, so the parser
-                // goes back once its requests are handled.
-                let mut parser = std::mem::take(&mut c.parser);
-                while let Some(req) = parser.next_request() {
+                // Serving a request never drops the client.
+                while let Some(req) = self.clients.get_mut(&sock).and_then(Conn::next_message) {
                     self.on_client_request(sock, req, api);
-                }
-                if let Some(c) = self.clients.get_mut(&sock) {
-                    c.parser = parser;
                 }
             }
             AppEvent::Tcp(TcpEvent::PeerClosed(sock))
@@ -331,7 +301,7 @@ impl App for WebServerApp {
             AppEvent::Timer { token } => {
                 if let Some((client, resp)) = self.pending.remove(&token) {
                     if let Some(c) = self.clients.get_mut(&client) {
-                        c.conn.send(resp, api);
+                        c.send(resp, api);
                     }
                 }
             }

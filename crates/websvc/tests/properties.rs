@@ -3,9 +3,10 @@
 //! TCP fragments the byte stream, and must never panic on garbage.
 
 use proptest::prelude::*;
-use websvc::db::{frame, FrameParser};
-use websvc::http::{HttpRequest, HttpResponse, RequestParser, ResponseParser};
+use websvc::db::{frame, FrameDecoder};
+use websvc::http::{HttpRequest, HttpResponse, RequestDecoder, ResponseDecoder};
 use websvc::rubis::Query;
+use websvc::secure::Inbox;
 
 fn arb_query() -> impl Strategy<Value = Query> {
     prop_oneof![
@@ -51,11 +52,11 @@ proptest! {
         for q in &queries {
             wire.extend(HttpRequest::get(&q.to_path()).encode());
         }
-        let mut parser = RequestParser::default();
+        let mut parser = Inbox::<RequestDecoder>::default();
         let mut parsed = Vec::new();
         for chunk in fragment(&wire, &cuts) {
             parser.push(&chunk);
-            while let Some(req) = parser.next_request() {
+            while let Some(req) = parser.next_message() {
                 parsed.push(req);
             }
         }
@@ -75,11 +76,11 @@ proptest! {
         for b in &bodies {
             wire.extend(HttpResponse::ok(b.clone()).encode());
         }
-        let mut parser = ResponseParser::default();
+        let mut parser = Inbox::<ResponseDecoder>::default();
         let mut parsed = Vec::new();
         for chunk in fragment(&wire, &cuts) {
             parser.push(&chunk);
-            while let Some(resp) = parser.next_response() {
+            while let Some(resp) = parser.next_message() {
                 parsed.push(resp);
             }
         }
@@ -99,11 +100,11 @@ proptest! {
         for p in &payloads {
             wire.extend(frame(p));
         }
-        let mut parser = FrameParser::default();
+        let mut parser = Inbox::<FrameDecoder>::default();
         let mut parsed = Vec::new();
         for chunk in fragment(&wire, &cuts) {
             parser.push(&chunk);
-            while let Some(f) = parser.next_frame() {
+            while let Some(f) = parser.next_message() {
                 parsed.push(f.to_vec());
             }
         }
@@ -112,15 +113,15 @@ proptest! {
 
     #[test]
     fn parsers_never_panic_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..600)) {
-        let mut rp = RequestParser::default();
+        let mut rp = Inbox::<RequestDecoder>::default();
         rp.push(&data);
-        while rp.next_request().is_some() {}
-        let mut sp = ResponseParser::default();
+        while rp.next_message().is_some() {}
+        let mut sp = Inbox::<ResponseDecoder>::default();
         sp.push(&data);
-        while sp.next_response().is_some() {}
-        let mut fp = FrameParser::default();
+        while sp.next_message().is_some() {}
+        let mut fp = Inbox::<FrameDecoder>::default();
         fp.push(&data);
-        while fp.next_frame().is_some() {}
+        while fp.next_message().is_some() {}
     }
 
     #[test]

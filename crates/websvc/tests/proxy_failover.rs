@@ -9,16 +9,16 @@ use netsim::tcp::TcpEvent;
 use netsim::{SimDuration, SimTime};
 use std::any::Any;
 use std::net::IpAddr;
-use websvc::http::{HttpRequest, ResponseParser};
+use websvc::http::{HttpRequest, ResponseDecoder};
 use websvc::proxy::{self, ProxyApp};
 use websvc::rubis::RubisData;
-use websvc::secure::{ClientSecurity, ServerSecurity};
+use websvc::secure::{ClientSecurity, Inbox, ServerSecurity};
 use websvc::webserver::{WebConfig, WebServerApp};
 use websvc::{DB_PORT, LB_PORT, WEB_PORT};
 
 struct OneShot {
     target: (IpAddr, u16),
-    parser: ResponseParser,
+    parser: Inbox<ResponseDecoder>,
     statuses: Vec<u16>,
     requests: usize,
 }
@@ -36,7 +36,7 @@ impl App for OneShot {
             AppEvent::Tcp(TcpEvent::Data(s)) => {
                 let raw = api.tcp_recv(s);
                 self.parser.push(&raw);
-                while let Some(resp) = self.parser.next_response() {
+                while let Some(resp) = self.parser.next_message() {
                     self.statuses.push(resp.status);
                 }
             }
@@ -84,7 +84,7 @@ fn dead_backend_requests_retry_onto_live_backend() {
     // Four client connections → round robin sends two to each backend.
     let client_idx = topo.host_mut(client).add_app(Box::new(OneShot {
         target: (lb.addr, LB_PORT),
-        parser: ResponseParser::default(),
+        parser: Inbox::default(),
         statuses: vec![],
         requests: 4,
     }));
