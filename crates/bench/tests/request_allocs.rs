@@ -1,4 +1,5 @@
-//! Allocation gates for the RUBiS request path, one per scenario.
+//! Allocation gates for the RUBiS request path, one per scenario, and
+//! one for the database's query cache.
 //!
 //! A RUBiS smoke run (load balancer, three web servers, the database
 //! and a closed-loop client) is warmed up until every connection is
@@ -12,10 +13,14 @@
 //! The Basic request path used to build each message through `format!`
 //! temporaries, copy every received buffer once more per layer, and
 //! collect per-event `Vec`s: 96.0 allocations per request in this run.
-//! It now makes 36.6; HIP-LSI makes 65.6 and SSL 49.2 (SSL made 61.2
+//! It now makes 36.6; HIP-LSI makes 65.6 and SSL 46.2 (SSL made 61.2
 //! while each received record was copied out of its own deframing
-//! buffer and again into the decrypted stream). Each ceiling adds about
-//! 4 % of slack, because a change elsewhere may move the count slightly
+//! buffer and again into the decrypted stream, and 49.2 while each sent
+//! record's body was copied once more into its frame). TAB-RT's
+//! deployment (one web server, no load balancer, the query cache on)
+//! makes 22.0 in Basic; it made 23.1 while a cached result was copied
+//! for every hit and for the cache itself. Each ceiling adds about 4 %
+//! of slack, because a change elsewhere may move the count slightly
 //! (hash-map and buffer growth).
 //!
 //! The test also prints the set-up count, from the end of the
@@ -71,12 +76,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations per completed request may not exceed these.
-const CEILINGS: [(Scenario, f64); 3] = [
-    (Scenario::Basic, 38.0),
-    (Scenario::HipLsi, 68.0),
-    (Scenario::Ssl, 51.0),
-];
+/// Allocations per completed request may not exceed these: FIG2's
+/// deployment in each scenario, then TAB-RT's (one web server, no load
+/// balancer, the database's query cache on) in Basic.
+fn ceilings() -> [(RubisConfig, f64); 4] {
+    [
+        (RubisConfig::fig2(Scenario::Basic, 5), 38.0),
+        (RubisConfig::fig2(Scenario::HipLsi, 5), 68.0),
+        (RubisConfig::fig2(Scenario::Ssl, 5), 48.0),
+        (RubisConfig::tab_rt(Scenario::Basic, 5), 22.8),
+    ]
+}
 
 /// What `f` returns, and the allocations made while it runs.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -89,8 +99,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 #[test]
 fn rubis_request_path_allocations_stay_under_ceiling() {
-    for (scenario, ceiling) in CEILINGS {
-        let cfg = RubisConfig::fig2(scenario, 5);
+    for (cfg, ceiling) in ceilings() {
+        let cache = if cfg.query_cache { ", query cache" } else { "" };
+        let scenario = format!("{:?}{cache}", cfg.scenario);
         let (users, items) = (cfg.users, cfg.items);
         let mut dep = deploy_rubis(cfg);
         let warm = SimTime::ZERO + SimDuration::from_secs(2);
@@ -109,21 +120,21 @@ fn rubis_request_path_allocations_stay_under_ceiling() {
             .host(gen_host)
             .app::<JmeterApp>(idx)
             .expect("generator");
-        assert_eq!(gen.errors, 0, "{scenario:?}");
+        assert_eq!(gen.errors, 0, "{scenario}");
         assert!(
             gen.completed > 300,
-            "{scenario:?}: completed {}",
+            "{scenario}: completed {}",
             gen.completed
         );
         let per_request = allocs as f64 / gen.completed as f64;
         println!(
-            "{scenario:?}: {setup} set-up allocations; {allocs} allocations, {} requests: \
+            "{scenario}: {setup} set-up allocations; {allocs} allocations, {} requests: \
              {per_request:.2} per request",
             gen.completed
         );
         assert!(
             per_request <= ceiling,
-            "{scenario:?}: {per_request:.2} allocations per request (ceiling {ceiling})"
+            "{scenario}: {per_request:.2} allocations per request (ceiling {ceiling})"
         );
     }
 }

@@ -3,6 +3,7 @@
 //! (OpenVPN-style) authenticates servers with exactly this chain shape:
 //! one CA, per-server certificates.
 
+use crate::record::{put_field, take_field};
 use rand::rngs::StdRng;
 use sim_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 
@@ -20,8 +21,7 @@ impl Certificate {
     /// The bytes the CA signs.
     fn tbs(subject: &str, public_key: &RsaPublicKey) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(subject.len() as u32).to_be_bytes());
-        out.extend_from_slice(subject.as_bytes());
+        put_field(&mut out, subject.as_bytes());
         out.extend_from_slice(&public_key.to_bytes());
         out
     }
@@ -35,33 +35,18 @@ impl Certificate {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let key = self.public_key.to_bytes();
-        out.extend_from_slice(&(self.subject.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.subject.as_bytes());
-        out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-        out.extend_from_slice(&key);
-        out.extend_from_slice(&(self.signature.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.signature);
+        for field in [self.subject.as_bytes(), &key, &self.signature] {
+            put_field(&mut out, field);
+        }
         out
     }
 
     /// Parses the wire form.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        fn take<'a>(data: &mut &'a [u8]) -> Option<&'a [u8]> {
-            if data.len() < 4 {
-                return None;
-            }
-            let len = u32::from_be_bytes(data[..4].try_into().ok()?) as usize;
-            if data.len() < 4 + len {
-                return None;
-            }
-            let (chunk, rest) = data[4..].split_at(len);
-            *data = rest;
-            Some(chunk)
-        }
         let mut cur = data;
-        let subject = String::from_utf8(take(&mut cur)?.to_vec()).ok()?;
-        let public_key = RsaPublicKey::from_bytes(take(&mut cur)?)?;
-        let signature = take(&mut cur)?.to_vec();
+        let subject = String::from_utf8(take_field(&mut cur)?.to_vec()).ok()?;
+        let public_key = RsaPublicKey::from_bytes(take_field(&mut cur)?)?;
+        let signature = take_field(&mut cur)?.to_vec();
         Some(Certificate {
             subject,
             public_key,

@@ -16,6 +16,7 @@
 //! its MAC); CPU time is *accounted* through [`TlsCosts`] so the
 //! simulator can charge it to a VM's virtual CPU.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

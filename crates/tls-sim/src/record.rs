@@ -53,6 +53,22 @@ pub fn frame(rtype: RecordType, body: &[u8]) -> Vec<u8> {
 /// Length of a record header: type (1) and body length (4, BE).
 pub const HEADER_LEN: usize = 5;
 
+/// Appends `value` as a `u32 BE length | value` field, the encoding of
+/// every variable-length field in handshake messages and certificates.
+pub(crate) fn put_field(out: &mut Vec<u8>, value: &[u8]) {
+    out.extend_from_slice(&(value.len() as u32).to_be_bytes());
+    out.extend_from_slice(value);
+}
+
+/// The value of the [`put_field`] field at the front of `buf`, which it
+/// then skips.
+pub(crate) fn take_field<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let (len, rest) = buf.split_first_chunk::<4>()?;
+    let (value, rest) = rest.split_at_checked(u32::from_be_bytes(*len) as usize)?;
+    *buf = rest;
+    Some(value)
+}
+
 /// A record header with an unknown content type: the stream has no
 /// frame boundary to trust from there on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,16 +79,15 @@ pub struct UnknownType;
 /// fully arrived. A header with an unknown type is an error as soon as
 /// its first byte is in.
 pub fn decode(buf: &[u8]) -> Result<Option<(RecordType, &[u8])>, UnknownType> {
-    let Some(&id) = buf.first() else {
+    let Some((&id, rest)) = buf.split_first() else {
         return Ok(None);
     };
     let rtype = RecordType::from_id(id).ok_or(UnknownType)?;
-    let Some(len) = buf.get(1..HEADER_LEN) else {
+    let Some((len, rest)) = rest.split_first_chunk::<4>() else {
         return Ok(None);
     };
-    let len = u32::from_be_bytes(len.try_into().expect("4 bytes")) as usize;
-    Ok(buf
-        .get(HEADER_LEN..HEADER_LEN + len)
+    Ok(rest
+        .get(..u32::from_be_bytes(*len) as usize)
         .map(|body| (rtype, body)))
 }
 
@@ -98,22 +113,37 @@ impl RecordCipher {
         }
     }
 
-    /// Protects an application payload.
+    /// Protects an application payload: the record body.
     pub fn seal(&mut self, plaintext: &[u8], iv_seed: u64) -> Vec<u8> {
+        self.seal_after(None, plaintext, iv_seed)
+    }
+
+    /// Protects an application payload as a whole application-data
+    /// record: [`frame`] of [`RecordCipher::seal`], built in one buffer.
+    pub fn seal_record(&mut self, plaintext: &[u8], iv_seed: u64) -> Vec<u8> {
+        self.seal_after(Some(RecordType::ApplicationData), plaintext, iv_seed)
+    }
+
+    /// The body protecting `plaintext`, after an `rtype` header if any,
+    /// built in place: the IV (seed, then sequence number) and the padded
+    /// plaintext, encrypted and MACed in one pass, then the truncated MAC.
+    fn seal_after(&mut self, rtype: Option<RecordType>, plaintext: &[u8], iv_seed: u64) -> Vec<u8> {
         self.seq += 1;
         let aad = self.seq.to_be_bytes();
-        // The body is built in place: the IV (seed, then sequence
-        // number) and the padded plaintext, encrypted and MACed in one
-        // pass, then the truncated MAC.
-        let padded = pkcs7::padded_len(plaintext.len());
-        let mut body = Vec::with_capacity(BLOCK_LEN + padded + MAC_LEN);
-        body.extend_from_slice(&iv_seed.to_be_bytes());
-        body.extend_from_slice(&aad);
-        body.extend_from_slice(plaintext);
-        pkcs7::pad(&mut body, plaintext.len());
-        let mac = etm::seal(&self.cipher, &self.mac_key, &aad, &mut body);
-        body.extend_from_slice(&mac[..MAC_LEN]);
-        body
+        let len = BLOCK_LEN + pkcs7::padded_len(plaintext.len()) + MAC_LEN;
+        let mut out = Vec::with_capacity(HEADER_LEN + len);
+        if let Some(rtype) = rtype {
+            out.push(rtype.id());
+            out.extend_from_slice(&(len as u32).to_be_bytes());
+        }
+        let start = out.len();
+        out.extend_from_slice(&iv_seed.to_be_bytes());
+        out.extend_from_slice(&aad);
+        out.extend_from_slice(plaintext);
+        pkcs7::pad(&mut out, plaintext.len());
+        let mac = etm::seal(&self.cipher, &self.mac_key, &aad, &mut out[start..]);
+        out.extend_from_slice(&mac[..MAC_LEN]);
+        out
     }
 
     /// Verifies and decrypts a protected body. The MAC is checked first:
@@ -198,6 +228,17 @@ mod tests {
         for msg in [&b"short"[..], &[0u8; 5000][..]] {
             let sealed = tx.seal(msg, 7);
             assert_eq!(rx.open(&sealed).as_deref(), Some(msg));
+        }
+    }
+
+    #[test]
+    fn seal_record_frames_the_sealed_body() {
+        let mut whole = RecordCipher::new([1; 16], [2; 32]);
+        let mut body = RecordCipher::new([1; 16], [2; 32]);
+        for (len, iv) in [(0usize, 7), (15, 8), (16, 9), (1000, 10)] {
+            let msg = vec![0x5a; len];
+            let expected = frame(RecordType::ApplicationData, &body.seal(&msg, iv));
+            assert_eq!(whole.seal_record(&msg, iv), expected, "len={len}");
         }
     }
 

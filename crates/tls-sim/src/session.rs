@@ -14,9 +14,15 @@
 //! Key schedule: `master = PRF(kij, "master secret", randoms)`, traffic
 //! keys expanded from the master — HMAC-SHA-256 based, mirroring RFC
 //! 5246 §8.1 in shape.
+//!
+//! Each state owns the data that exists in it (DESIGN.md §4b): only the
+//! two steps after key derivation can check a Finished, and any other
+//! message out of turn is [`TlsError::UnexpectedMessage`]. App data
+//! sealed during the handshake waits in the session and goes out as one
+//! record after the handshake's last message.
 
 use crate::cert::Certificate;
-use crate::record::{decode, frame, RecordCipher, RecordType, HEADER_LEN};
+use crate::record::{decode, frame, put_field, take_field, RecordCipher, RecordType, HEADER_LEN};
 use bytes::BytesMut;
 use netsim::SimDuration;
 use rand::rngs::StdRng;
@@ -24,9 +30,9 @@ use rand::RngExt;
 use sim_crypto::dh::{DhGroup, DhKeyPair};
 use sim_crypto::hmac::{verify_mac, HmacKey};
 use sim_crypto::kdf::prf_expand;
-use sim_crypto::rsa::RsaKeyPair;
-use sim_crypto::rsa::RsaPublicKey;
-use sim_crypto::sha256::sha256;
+use sim_crypto::rsa::{RsaKeyPair, RsaPublicKey};
+use sim_crypto::sha256::Sha256;
+use std::{array, mem};
 
 /// Per-operation CPU costs (mirrors `hip-core`'s cost table so both
 /// protocols charge identically for identical primitives).
@@ -88,56 +94,67 @@ pub struct TlsOutput {
     pub to_peer: Vec<u8>,
     /// Decrypted application data.
     pub app_data: Vec<u8>,
-    /// True once the handshake completed (edge-triggered).
-    pub handshake_complete: bool,
     /// Virtual CPU work performed.
     pub work: SimDuration,
     /// Fatal error, if any.
     pub error: Option<TlsError>,
 }
 
-enum State {
-    // Client states.
-    ClientStart,
-    ClientAwaitServerHello,
-    ClientAwaitFinished,
-    // Server states.
-    ServerAwaitClientHello,
-    ServerAwaitClientKex,
-    // Shared.
-    Established,
-    Failed,
-}
-
-#[allow(clippy::large_enum_variant)] // one Role per session; size is fine
-enum Role {
-    Client {
-        ca: RsaPublicKey,
-        dh: Option<DhKeyPair>,
-    },
-    Server {
-        cert: Certificate,
-        keys: RsaKeyPair,
-        dh: Option<DhKeyPair>,
-    },
-}
-
 /// A TLS endpoint.
 pub struct TlsSession {
-    role: Role,
     state: State,
     costs: TlsCosts,
     /// Received bytes that do not yet complete a record.
     received: BytesMut,
-    transcript: Vec<u8>,
-    client_random: [u8; 32],
-    server_random: [u8; 32],
-    /// Cached HMAC transcripts for the master secret (set by
-    /// `derive_keys`), used for both finished MACs.
-    master: Option<HmacKey>,
-    tx: Option<RecordCipher>,
-    rx: Option<RecordCipher>,
-    iv_rng_state: u64,
+    /// State of the xorshift the record IVs are drawn from.
+    iv_seed: u64,
+}
+
+/// Where a session is, and the data that exists there.
+enum State {
+    /// The handshake runs; app data sealed meanwhile waits in `pending`.
+    Handshaking { step: Step, pending: Vec<u8> },
+    /// Application data flows.
+    Established { tx: RecordCipher, rx: RecordCipher },
+    /// A fatal error: the session reads and sends nothing more.
+    Failed,
+}
+
+/// A handshake step: what answering the one message it accepts needs.
+enum Step {
+    /// Client before its ClientHello: accepts nothing.
+    ClientStart { ca: RsaPublicKey },
+    /// Client after its ClientHello (`hello`): accepts ServerHello.
+    AwaitServerHello { ca: RsaPublicKey, hello: [u8; 33] },
+    /// Client after its ClientKex and Finished: accepts the server's
+    /// Finished, which must equal `expected`.
+    AwaitServerFinished {
+        expected: [u8; 33],
+        tx: RecordCipher,
+        rx: RecordCipher,
+    },
+    /// Server before any message: accepts ClientHello.
+    AwaitClientHello { cert: Certificate, keys: RsaKeyPair },
+    /// Server after its ServerHello: accepts ClientKex.
+    AwaitClientKex {
+        dh: DhKeyPair,
+        randoms: [u8; 64],
+        transcript: Sha256,
+    },
+    /// Server after the ClientKex: accepts the client's Finished, which
+    /// must equal `expected`, and answers with `reply`.
+    AwaitClientFinished {
+        expected: [u8; 33],
+        reply: [u8; 33],
+        tx: RecordCipher,
+        rx: RecordCipher,
+    },
+}
+
+/// Where an accepted handshake message leads.
+enum Next {
+    Step(Step),
+    Established { tx: RecordCipher, rx: RecordCipher },
 }
 
 /// Handshake message type tags.
@@ -149,47 +166,31 @@ mod hs {
 }
 
 impl TlsSession {
-    /// Creates a client that trusts `ca`.
-    pub fn client(ca: RsaPublicKey, costs: TlsCosts) -> Self {
+    fn new(step: Step, iv_seed: u64, costs: TlsCosts) -> Self {
         TlsSession {
-            role: Role::Client { ca, dh: None },
-            state: State::ClientStart,
+            state: State::Handshaking {
+                step,
+                pending: Vec::new(),
+            },
             costs,
             received: BytesMut::new(),
-            transcript: Vec::new(),
-            client_random: [0; 32],
-            server_random: [0; 32],
-            master: None,
-            tx: None,
-            rx: None,
-            iv_rng_state: 0x5deece66d,
+            iv_seed,
         }
+    }
+
+    /// Creates a client that trusts `ca`.
+    pub fn client(ca: RsaPublicKey, costs: TlsCosts) -> Self {
+        TlsSession::new(Step::ClientStart { ca }, 0x5deece66d, costs)
     }
 
     /// Creates a server with its certificate and private key.
     pub fn server(cert: Certificate, keys: RsaKeyPair, costs: TlsCosts) -> Self {
-        TlsSession {
-            role: Role::Server {
-                cert,
-                keys,
-                dh: None,
-            },
-            state: State::ServerAwaitClientHello,
-            costs,
-            received: BytesMut::new(),
-            transcript: Vec::new(),
-            client_random: [0; 32],
-            server_random: [0; 32],
-            master: None,
-            tx: None,
-            rx: None,
-            iv_rng_state: 0xb5026f5aa,
-        }
+        TlsSession::new(Step::AwaitClientHello { cert, keys }, 0xb5026f5aa, costs)
     }
 
     /// True once application data may flow.
     pub fn is_established(&self) -> bool {
-        matches!(self.state, State::Established)
+        matches!(self.state, State::Established { .. })
     }
 
     /// True if the session failed fatally.
@@ -197,29 +198,22 @@ impl TlsSession {
         matches!(self.state, State::Failed)
     }
 
-    fn next_iv(&mut self) -> u64 {
-        // xorshift — IV uniqueness, not secrecy, is what CBC needs here
-        // (the seed is mixed with the per-direction sequence number).
-        let mut x = self.iv_rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.iv_rng_state = x;
-        x
-    }
-
     /// Client: produces the ClientHello (call once).
     pub fn start_handshake(&mut self, rng: &mut StdRng) -> Vec<u8> {
-        assert!(
-            matches!(self.state, State::ClientStart),
-            "start_handshake is client-only, once"
-        );
-        rng.fill(&mut self.client_random);
-        let mut body = vec![hs::CLIENT_HELLO];
-        body.extend_from_slice(&self.client_random);
-        self.transcript.extend_from_slice(&body);
-        self.state = State::ClientAwaitServerHello;
-        frame(RecordType::Handshake, &body)
+        let State::Handshaking {
+            step: Step::ClientStart { ca },
+            pending,
+        } = mem::replace(&mut self.state, State::Failed)
+        else {
+            panic!("start_handshake is client-only, once");
+        };
+        let mut hello = [hs::CLIENT_HELLO; 33];
+        rng.fill(&mut hello[1..]);
+        self.state = State::Handshaking {
+            step: Step::AwaitServerHello { ca, hello },
+            pending,
+        };
+        frame(RecordType::Handshake, &hello)
     }
 
     /// Feeds received bytes through the state machine; bytes that do
@@ -242,28 +236,26 @@ impl TlsSession {
                 }
             };
             let len = HEADER_LEN + body.len();
-            match rtype {
-                RecordType::Handshake => {
-                    let body = body.to_vec();
-                    self.on_handshake(&body, rng, &mut out);
-                }
-                RecordType::ApplicationData => {
-                    let opened = self.rx.as_mut().map(|rx| rx.open(body));
-                    match opened {
-                        None => out.error = Some(TlsError::UnexpectedMessage),
-                        Some(None) => out.error = Some(TlsError::BadRecord),
-                        Some(Some(plain)) => {
+            let accepted = match rtype {
+                RecordType::Handshake => mem::replace(&mut self.state, State::Failed)
+                    .on_handshake(body, &self.costs, &mut self.iv_seed, rng, &mut out)
+                    .map(|state| self.state = state),
+                RecordType::ApplicationData => match &mut self.state {
+                    State::Established { rx, .. } => {
+                        rx.open(body).ok_or(TlsError::BadRecord).map(|plain| {
                             out.work += self.costs.symmetric(plain.len());
                             if out.app_data.is_empty() {
                                 out.app_data = plain;
                             } else {
                                 out.app_data.extend_from_slice(&plain);
                             }
-                        }
+                        })
                     }
-                }
-                RecordType::Alert => out.error = Some(TlsError::BadRecord),
-            }
+                    _ => Err(TlsError::UnexpectedMessage),
+                },
+                RecordType::Alert => Err(TlsError::BadRecord),
+            };
+            out.error = accepted.err();
             self.received.advance(len);
         }
         if out.error.is_some() {
@@ -273,213 +265,229 @@ impl TlsSession {
         out
     }
 
-    /// Protects application data for transmission.
-    pub fn seal(&mut self, app_data: &[u8]) -> (Vec<u8>, SimDuration) {
-        let iv = self.next_iv();
-        let tx = self.tx.as_mut().expect("handshake not complete");
-        let body = tx.seal(app_data, iv);
-        let work = self.costs.symmetric(app_data.len());
-        (frame(RecordType::ApplicationData, &body), work)
-    }
-
-    fn derive_keys(&mut self, kij: &[u8]) {
-        let mut seed = Vec::with_capacity(64);
-        seed.extend_from_slice(&self.client_random);
-        seed.extend_from_slice(&self.server_random);
-        let master = prf_expand(kij, b"master secret", &seed, 48);
-        let keys = prf_expand(&master, b"key expansion", &seed, 2 * (16 + 32));
-        self.master = Some(HmacKey::new(&master));
-        let c2s_enc: [u8; 16] = keys[0..16].try_into().expect("slice");
-        let c2s_mac: [u8; 32] = keys[16..48].try_into().expect("slice");
-        let s2c_enc: [u8; 16] = keys[48..64].try_into().expect("slice");
-        let s2c_mac: [u8; 32] = keys[64..96].try_into().expect("slice");
-        match self.role {
-            Role::Client { .. } => {
-                self.tx = Some(RecordCipher::new(c2s_enc, c2s_mac));
-                self.rx = Some(RecordCipher::new(s2c_enc, s2c_mac));
+    /// Protects application data: the record to send and its CPU work,
+    /// or `None` when nothing goes out now. During the handshake the
+    /// data is queued (see the module docs); a failed session drops it.
+    pub fn seal(&mut self, app_data: &[u8]) -> Option<(Vec<u8>, SimDuration)> {
+        match &mut self.state {
+            State::Handshaking { pending, .. } => pending.extend_from_slice(app_data),
+            State::Established { tx, .. } => {
+                let wire = seal_record(tx, app_data, &mut self.iv_seed);
+                return Some((wire, self.costs.symmetric(app_data.len())));
             }
-            Role::Server { .. } => {
-                self.tx = Some(RecordCipher::new(s2c_enc, s2c_mac));
-                self.rx = Some(RecordCipher::new(c2s_enc, c2s_mac));
-            }
+            State::Failed => {}
         }
+        None
     }
+}
 
-    fn finished_data(&self, label: &[u8]) -> [u8; 32] {
-        let th = sha256(&self.transcript);
-        // Incremental transcript over the segments — no `[..].concat()`
-        // temporary — from the cached master-secret key. A FINISHED
-        // arriving before key derivation (malformed peer) MACs under the
-        // empty key, as the pre-cache code did, and fails verification.
-        match &self.master {
-            Some(key) => key.mac_multi(&[label, &th]),
-            None => HmacKey::new(&[]).mac_multi(&[label, &th]),
-        }
-    }
-
-    fn on_handshake(&mut self, body: &[u8], rng: &mut StdRng, out: &mut TlsOutput) {
-        let Some(&msg_type) = body.first() else {
-            out.error = Some(TlsError::UnexpectedMessage);
-            return;
+impl State {
+    /// The state a handshake message leads to; the queued app data goes
+    /// out when the handshake completes.
+    fn on_handshake(
+        self,
+        body: &[u8],
+        costs: &TlsCosts,
+        iv_seed: &mut u64,
+        rng: &mut StdRng,
+        out: &mut TlsOutput,
+    ) -> Result<State, TlsError> {
+        let State::Handshaking { step, pending } = self else {
+            return Err(TlsError::UnexpectedMessage);
         };
-        match (&self.state, msg_type) {
-            (State::ServerAwaitClientHello, hs::CLIENT_HELLO) => {
-                if body.len() != 33 {
-                    out.error = Some(TlsError::UnexpectedMessage);
-                    return;
+        Ok(match step.on_message(body, costs, rng, out)? {
+            Next::Step(step) => State::Handshaking { step, pending },
+            Next::Established { mut tx, rx } => {
+                if !pending.is_empty() {
+                    out.to_peer
+                        .extend_from_slice(&seal_record(&mut tx, &pending, iv_seed));
+                    out.work += costs.symmetric(pending.len());
                 }
-                self.client_random.copy_from_slice(&body[1..33]);
-                self.transcript.extend_from_slice(body);
-                rng.fill(&mut self.server_random);
+                State::Established { tx, rx }
+            }
+        })
+    }
+}
+
+impl Step {
+    /// Handles one handshake message `body` (its type byte first).
+    fn on_message(
+        self,
+        body: &[u8],
+        costs: &TlsCosts,
+        rng: &mut StdRng,
+        out: &mut TlsOutput,
+    ) -> Result<Next, TlsError> {
+        let Some((&msg_type, payload)) = body.split_first() else {
+            return Err(TlsError::UnexpectedMessage);
+        };
+        match (self, msg_type) {
+            (Step::AwaitClientHello { cert, keys }, hs::CLIENT_HELLO) => {
+                let Ok(client_random) = <&[u8; 32]>::try_from(payload) else {
+                    return Err(TlsError::UnexpectedMessage);
+                };
+                let mut randoms = [0; 64];
+                randoms[..32].copy_from_slice(client_random);
+                rng.fill(&mut randoms[32..]);
                 // DH keypair + signature over randoms and DH public.
                 let dh = DhKeyPair::generate(DhGroup::Test512, rng);
                 let dh_pub = dh.public_bytes();
-                let (cert_bytes, sig) = match &mut self.role {
-                    Role::Server {
-                        cert,
-                        keys,
-                        dh: slot,
-                    } => {
-                        let mut signed = Vec::new();
-                        signed.extend_from_slice(&self.client_random);
-                        signed.extend_from_slice(&self.server_random);
-                        signed.extend_from_slice(&dh_pub);
-                        let sig = keys.sign(&signed);
-                        *slot = Some(dh);
-                        (cert.to_bytes(), sig)
-                    }
-                    Role::Client { .. } => {
-                        out.error = Some(TlsError::UnexpectedMessage);
-                        return;
-                    }
-                };
+                let sig = keys.sign(&[&randoms[..], &dh_pub].concat());
                 let mut reply = vec![hs::SERVER_HELLO];
-                reply.extend_from_slice(&self.server_random);
-                reply.extend_from_slice(&(cert_bytes.len() as u32).to_be_bytes());
-                reply.extend_from_slice(&cert_bytes);
-                reply.extend_from_slice(&(dh_pub.len() as u32).to_be_bytes());
-                reply.extend_from_slice(&dh_pub);
-                reply.extend_from_slice(&(sig.len() as u32).to_be_bytes());
-                reply.extend_from_slice(&sig);
-                self.transcript.extend_from_slice(&reply);
+                reply.extend_from_slice(&randoms[32..]);
+                for field in [&cert.to_bytes(), &dh_pub, &sig] {
+                    put_field(&mut reply, field);
+                }
+                let mut transcript = Sha256::new();
+                transcript.update(body);
+                transcript.update(&reply);
                 out.to_peer
                     .extend_from_slice(&frame(RecordType::Handshake, &reply));
-                out.work += self.costs.dh_compute + self.costs.rsa_sign;
-                self.state = State::ServerAwaitClientKex;
+                out.work += costs.dh_compute + costs.rsa_sign;
+                Ok(Next::Step(Step::AwaitClientKex {
+                    dh,
+                    randoms,
+                    transcript,
+                }))
             }
-            (State::ClientAwaitServerHello, hs::SERVER_HELLO) => {
-                // Parse server hello.
-                type ServerHello = ([u8; 32], Certificate, Vec<u8>, Vec<u8>);
-                let parse = || -> Option<ServerHello> {
-                    let mut cur = &body[1..];
-                    let random: [u8; 32] = cur.get(..32)?.try_into().ok()?;
-                    cur = &cur[32..];
-                    let take = |cur: &mut &[u8]| -> Option<Vec<u8>> {
-                        let len = u32::from_be_bytes(cur.get(..4)?.try_into().ok()?) as usize;
-                        let v = cur.get(4..4 + len)?.to_vec();
-                        *cur = &cur[4 + len..];
-                        Some(v)
-                    };
-                    let cert = Certificate::from_bytes(&take(&mut cur)?)?;
-                    let dh_pub = take(&mut cur)?;
-                    let sig = take(&mut cur)?;
-                    Some((random, cert, dh_pub, sig))
-                };
-                let Some((random, cert, dh_pub, sig)) = parse() else {
-                    out.error = Some(TlsError::UnexpectedMessage);
-                    return;
-                };
-                self.server_random = random;
-                let Role::Client { ca, dh: dh_slot } = &mut self.role else {
-                    out.error = Some(TlsError::UnexpectedMessage);
-                    return;
+            (Step::AwaitServerHello { ca, hello }, hs::SERVER_HELLO) => {
+                let Some((random, cert, dh_pub, sig)) = parse_server_hello(payload) else {
+                    return Err(TlsError::UnexpectedMessage);
                 };
                 // Certificate chain validation.
-                if !cert.verify(ca) {
-                    out.work += self.costs.rsa_verify;
-                    out.error = Some(TlsError::BadCertificate);
-                    return;
+                if !cert.verify(&ca) {
+                    out.work += costs.rsa_verify;
+                    return Err(TlsError::BadCertificate);
                 }
                 // ServerKeyExchange signature.
-                let mut signed = Vec::new();
-                signed.extend_from_slice(&self.client_random);
-                signed.extend_from_slice(&self.server_random);
-                signed.extend_from_slice(&dh_pub);
-                if !cert.public_key.verify(&signed, &sig) {
-                    out.work += self.costs.rsa_verify * 2;
-                    out.error = Some(TlsError::BadSignature);
-                    return;
+                let mut randoms = [0; 64];
+                randoms[..32].copy_from_slice(&hello[1..]);
+                randoms[32..].copy_from_slice(random);
+                if !cert
+                    .public_key
+                    .verify(&[&randoms[..], dh_pub].concat(), sig)
+                {
+                    out.work += costs.rsa_verify * 2;
+                    return Err(TlsError::BadSignature);
                 }
                 // Our DH half + shared secret.
                 let dh = DhKeyPair::generate(DhGroup::Test512, rng);
-                let Some(kij) = dh.shared_secret(&dh_pub) else {
-                    out.error = Some(TlsError::BadKeyExchange);
-                    return;
+                let Some(kij) = dh.shared_secret(dh_pub) else {
+                    return Err(TlsError::BadKeyExchange);
                 };
-                let our_pub = dh.public_bytes();
-                *dh_slot = Some(dh);
-                self.transcript.extend_from_slice(body);
-                self.derive_keys(&kij);
+                let (master, c2s, s2c) = derive_keys(&kij, &randoms);
                 // ClientKex + Finished.
                 let mut kex = vec![hs::CLIENT_KEX];
-                kex.extend_from_slice(&our_pub);
-                self.transcript.extend_from_slice(&kex);
+                kex.extend_from_slice(&dh.public_bytes());
+                let mut transcript = Sha256::new();
+                transcript.update(&hello);
+                transcript.update(body);
+                transcript.update(&kex);
+                let fin = finished(&master, b"client finished", &transcript);
+                transcript.update(&fin);
                 out.to_peer
                     .extend_from_slice(&frame(RecordType::Handshake, &kex));
-                let mut fin = vec![hs::FINISHED];
-                fin.extend_from_slice(&self.finished_data(b"client finished"));
-                self.transcript.extend_from_slice(&fin);
                 out.to_peer
                     .extend_from_slice(&frame(RecordType::Handshake, &fin));
-                out.work += self.costs.rsa_verify * 2 + self.costs.dh_compute * 2;
-                self.state = State::ClientAwaitFinished;
+                out.work += costs.rsa_verify * 2 + costs.dh_compute * 2;
+                Ok(Next::Step(Step::AwaitServerFinished {
+                    expected: finished(&master, b"server finished", &transcript),
+                    tx: c2s,
+                    rx: s2c,
+                }))
             }
-            (State::ServerAwaitClientKex, hs::CLIENT_KEX) => {
-                let peer_pub = &body[1..];
-                let Role::Server { dh, .. } = &mut self.role else {
-                    out.error = Some(TlsError::UnexpectedMessage);
-                    return;
+            (
+                Step::AwaitClientKex {
+                    dh,
+                    randoms,
+                    mut transcript,
+                },
+                hs::CLIENT_KEX,
+            ) => {
+                let Some(kij) = dh.shared_secret(payload) else {
+                    return Err(TlsError::BadKeyExchange);
                 };
-                let Some(kij) = dh.as_ref().and_then(|d| d.shared_secret(peer_pub)) else {
-                    out.error = Some(TlsError::BadKeyExchange);
-                    return;
-                };
-                self.transcript.extend_from_slice(body);
-                self.derive_keys(&kij);
-                out.work += self.costs.dh_compute;
-                // Stay in ServerAwaitClientKex until Finished arrives;
-                // mark by clearing dh.
-                if let Role::Server { dh, .. } = &mut self.role {
-                    *dh = None;
-                }
+                let (master, c2s, s2c) = derive_keys(&kij, &randoms);
+                transcript.update(body);
+                let expected = finished(&master, b"client finished", &transcript);
+                transcript.update(&expected);
+                out.work += costs.dh_compute;
+                Ok(Next::Step(Step::AwaitClientFinished {
+                    expected,
+                    reply: finished(&master, b"server finished", &transcript),
+                    tx: s2c,
+                    rx: c2s,
+                }))
             }
-            (State::ServerAwaitClientKex, hs::FINISHED) => {
-                let expect = self.finished_data(b"client finished");
-                if !verify_mac(&expect, &body[1..]) {
-                    out.error = Some(TlsError::BadFinished);
-                    return;
+            (
+                Step::AwaitClientFinished {
+                    expected,
+                    reply,
+                    tx,
+                    rx,
+                },
+                hs::FINISHED,
+            ) => {
+                if !verify_mac(&expected, body) {
+                    return Err(TlsError::BadFinished);
                 }
-                self.transcript.extend_from_slice(body);
-                let mut fin = vec![hs::FINISHED];
-                fin.extend_from_slice(&self.finished_data(b"server finished"));
-                self.transcript.extend_from_slice(&fin);
                 out.to_peer
-                    .extend_from_slice(&frame(RecordType::Handshake, &fin));
-                self.state = State::Established;
-                out.handshake_complete = true;
+                    .extend_from_slice(&frame(RecordType::Handshake, &reply));
+                Ok(Next::Established { tx, rx })
             }
-            (State::ClientAwaitFinished, hs::FINISHED) => {
-                let expect = self.finished_data(b"server finished");
-                if !verify_mac(&expect, &body[1..]) {
-                    out.error = Some(TlsError::BadFinished);
-                    return;
+            (Step::AwaitServerFinished { expected, tx, rx }, hs::FINISHED) => {
+                if !verify_mac(&expected, body) {
+                    return Err(TlsError::BadFinished);
                 }
-                self.state = State::Established;
-                out.handshake_complete = true;
+                Ok(Next::Established { tx, rx })
             }
-            _ => out.error = Some(TlsError::UnexpectedMessage),
+            _ => Err(TlsError::UnexpectedMessage),
         }
     }
+}
+
+/// A ServerHello after its type byte: server random, certificate, DH
+/// public value and the signature over both randoms and that value.
+type ServerHello<'a> = (&'a [u8; 32], Certificate, &'a [u8], &'a [u8]);
+
+/// Parses a [`ServerHello`].
+fn parse_server_hello(payload: &[u8]) -> Option<ServerHello<'_>> {
+    let (random, mut rest) = payload.split_first_chunk::<32>()?;
+    let cert = Certificate::from_bytes(take_field(&mut rest)?)?;
+    Some((random, cert, take_field(&mut rest)?, take_field(&mut rest)?))
+}
+
+/// The master secret's HMAC key and the two record ciphers (client to
+/// server, server to client) from the DH secret and both randoms.
+fn derive_keys(kij: &[u8], randoms: &[u8; 64]) -> (HmacKey, RecordCipher, RecordCipher) {
+    let master = prf_expand(kij, b"master secret", randoms, 48);
+    let keys = prf_expand(&master, b"key expansion", randoms, 2 * (16 + 32));
+    let cipher = |at: usize| {
+        RecordCipher::new(
+            array::from_fn(|i| keys[at + i]),
+            array::from_fn(|i| keys[at + 16 + i]),
+        )
+    };
+    (HmacKey::new(&master), cipher(0), cipher(48))
+}
+
+/// A Finished message: its verify_data is the MAC of `label` and the
+/// hash of the transcript so far.
+fn finished(master: &HmacKey, label: &[u8], transcript: &Sha256) -> [u8; 33] {
+    let mut fin = [hs::FINISHED; 33];
+    fin[1..].copy_from_slice(&master.mac_multi(&[label, &transcript.clone().finalize()]));
+    fin
+}
+
+/// Seals `app_data` into one record under the next IV.
+fn seal_record(tx: &mut RecordCipher, app_data: &[u8], iv_seed: &mut u64) -> Vec<u8> {
+    // xorshift — IV uniqueness, not secrecy, is what CBC needs here
+    // (the seed is mixed with the per-direction sequence number).
+    let x = iv_seed;
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    tx.seal_record(app_data, *x)
 }
 
 #[cfg(test)]
@@ -539,10 +547,10 @@ mod tests {
         let (mut c, mut s, mut rng) = setup();
         let hello = c.start_handshake(&mut rng);
         pump(&mut c, &mut s, &mut rng, hello);
-        let (wire, _) = c.seal(b"SELECT * FROM items");
+        let (wire, _) = c.seal(b"SELECT * FROM items").expect("established");
         let out = s.on_bytes(&wire, &mut rng);
         assert_eq!(out.app_data, b"SELECT * FROM items");
-        let (wire, _) = s.seal(b"3 rows");
+        let (wire, _) = s.seal(b"3 rows").expect("established");
         let out = c.on_bytes(&wire, &mut rng);
         assert_eq!(out.app_data, b"3 rows");
     }
@@ -552,7 +560,7 @@ mod tests {
         let (mut c, mut s, mut rng) = setup();
         let hello = c.start_handshake(&mut rng);
         pump(&mut c, &mut s, &mut rng, hello);
-        let (wire, _) = c.seal(b"SECRET-NEEDLE-42");
+        let (wire, _) = c.seal(b"SECRET-NEEDLE-42").expect("established");
         assert!(!wire.windows(16).any(|w| w == b"SECRET-NEEDLE-42"));
         let _ = s;
     }
@@ -578,7 +586,7 @@ mod tests {
         let (mut c, mut s, mut rng) = setup();
         let hello = c.start_handshake(&mut rng);
         pump(&mut c, &mut s, &mut rng, hello);
-        let (mut wire, _) = c.seal(b"data");
+        let (mut wire, _) = c.seal(b"data").expect("established");
         let n = wire.len();
         wire[n - 1] ^= 1;
         let out = s.on_bytes(&wire, &mut rng);
@@ -590,7 +598,7 @@ mod tests {
         let (mut c, mut s, mut rng) = setup();
         let hello = c.start_handshake(&mut rng);
         pump(&mut c, &mut s, &mut rng, hello);
-        let (mut wire, _) = c.seal(b"before");
+        let (mut wire, _) = c.seal(b"before").expect("established");
         wire.extend_from_slice(&[0xff, 0, 0, 0, 1, 0]);
         let out = s.on_bytes(&wire, &mut rng);
         // The record ahead of the bad header is still delivered.
@@ -599,7 +607,7 @@ mod tests {
         assert!(s.is_failed());
         // Nothing after the bad header is read, in that call or a later
         // one, and the failure is reported once.
-        let (wire, _) = c.seal(b"after");
+        let (wire, _) = c.seal(b"after").expect("established");
         let out = s.on_bytes(&wire, &mut rng);
         assert!(out.app_data.is_empty());
         assert_eq!(out.error, None);
@@ -631,6 +639,50 @@ mod tests {
             out_c.work >= SimDuration::from_micros(16_000),
             "client: 2 verify + 2 dh"
         );
+    }
+
+    #[test]
+    fn data_sealed_during_the_handshake_follows_its_last_message() {
+        let (mut c, mut s, mut rng) = setup();
+        let costs = TlsCosts {
+            sym_per_packet: SimDuration::from_micros(4),
+            sym_per_byte_ns: 30.0,
+            ..TlsCosts::free()
+        };
+        (c.costs, s.costs) = (costs, costs);
+        // Queued on both ends, before and during the handshake.
+        assert!(c.seal(b"early ").is_none());
+        let hello = c.start_handshake(&mut rng);
+        assert!(c.seal(b"requests").is_none());
+        assert!(s.seal(b"pushed").is_none());
+        let out = s.on_bytes(&hello, &mut rng);
+        let out = c.on_bytes(&out.to_peer, &mut rng);
+        assert_eq!(out.work, SimDuration::ZERO);
+        // The server completes: its Finished, then its queue in one record.
+        let out = s.on_bytes(&out.to_peer, &mut rng);
+        assert!(s.is_established());
+        assert_eq!(out.work, costs.symmetric(6));
+        let Ok(Some((RecordType::Handshake, fin))) = decode(&out.to_peer) else {
+            panic!("the server Finished first");
+        };
+        let rest = &out.to_peer[HEADER_LEN + fin.len()..];
+        assert!(
+            matches!(decode(rest), Ok(Some((RecordType::ApplicationData, body))) if HEADER_LEN + body.len() == rest.len())
+        );
+        // The client completes on it and sends its queue in one record.
+        let out = c.on_bytes(&out.to_peer, &mut rng);
+        assert_eq!(out.app_data, b"pushed");
+        assert_eq!(out.work, costs.symmetric(6) + costs.symmetric(14));
+        assert!(
+            matches!(decode(&out.to_peer), Ok(Some((RecordType::ApplicationData, body))) if HEADER_LEN + body.len() == out.to_peer.len())
+        );
+        assert_eq!(
+            s.on_bytes(&out.to_peer, &mut rng).app_data,
+            b"early requests"
+        );
+        // Nothing stays queued.
+        let (wire, _) = c.seal(b"later").expect("established");
+        assert_eq!(s.on_bytes(&wire, &mut rng).app_data, b"later");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::rubis::{execute, Query, RubisData, CACHE_HIT_COST};
 use crate::secure::{Conn, Decoder, ServerSecurity};
+use bytes::Bytes;
 use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::obs::HistId;
@@ -60,11 +61,11 @@ pub struct DbStats {
 pub struct DbServerApp {
     port: u16,
     data: RubisData,
-    /// Query text → framed result.
-    cache: Option<FxHashMap<String, Vec<u8>>>,
+    /// Query text → framed result, shared with the replies it answers.
+    cache: Option<FxHashMap<String, Bytes>>,
     security: ServerSecurity,
     conns: FxHashMap<SockId, Conn<FrameDecoder>>,
-    pending: FxHashMap<u64, (SockId, Vec<u8>)>,
+    pending: FxHashMap<u64, (SockId, Bytes)>,
     next_token: u64,
     service_hist: Option<HistId>,
     sojourn_hist: Option<HistId>,
@@ -92,16 +93,20 @@ impl DbServerApp {
 }
 
 /// Answers one query from `data` (or the query cache): the framed
-/// result and the service time it costs.
+/// result and the service time it costs. A cached result and its
+/// replies share one buffer.
 fn serve(
     data: &mut RubisData,
-    cache: &mut Option<FxHashMap<String, Vec<u8>>>,
+    cache: &mut Option<FxHashMap<String, Bytes>>,
     stats: &mut DbStats,
     text: &str,
-) -> (Vec<u8>, SimDuration) {
+) -> (Bytes, SimDuration) {
     stats.queries += 1;
     let Some(query) = Query::decode(text) else {
-        return (frame(b"ERROR bad query"), SimDuration::from_micros(50));
+        return (
+            frame(b"ERROR bad query").into(),
+            SimDuration::from_micros(50),
+        );
     };
     // Query cache.
     if let Some(cache) = cache {
@@ -113,7 +118,7 @@ fn serve(
         }
     }
     let cost = query.cost();
-    let framed = frame(execute(data, &query).as_bytes());
+    let framed = Bytes::from(frame(execute(data, &query).as_bytes()));
     if query.is_write() {
         stats.writes += 1;
         if let Some(cache) = cache {

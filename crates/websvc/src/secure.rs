@@ -20,7 +20,8 @@
 //! [`Decoder`] that splits them into messages, an HTTP request or
 //! response ([`crate::http`]) or a database frame ([`crate::db`]).
 //! Only a TLS session holds bytes besides: the part of a record that
-//! has not fully arrived.
+//! has not fully arrived, and the app data sent before its handshake
+//! completes, which the session itself queues and sends.
 
 use bytes::{Bytes, BytesMut};
 use netsim::host::HostApi;
@@ -136,32 +137,6 @@ enum Channel {
     Tls(Box<TlsSession>),
 }
 
-impl Channel {
-    /// True once application data may be sent.
-    fn ready(&self) -> bool {
-        match self {
-            Channel::Plain => true,
-            Channel::Tls(s) => s.is_established(),
-        }
-    }
-
-    /// Sends application data through the channel: plain TCP keeps
-    /// `app_data` itself as its send buffer, TLS seals a copy.
-    fn send(&mut self, sock: SockId, app_data: impl AsRef<[u8]> + Into<Bytes>, api: &mut HostApi) {
-        match self {
-            Channel::Plain => api.tcp_send(sock, app_data),
-            Channel::Tls(session) => {
-                debug_assert!(session.is_established(), "send before TLS handshake");
-                let (wire, work) = session.seal(app_data.as_ref());
-                if work > SimDuration::ZERO {
-                    api.cpu_charge(work);
-                }
-                api.tcp_send(sock, wire);
-            }
-        }
-    }
-}
-
 /// A framing of a byte stream into messages, in the shape of
 /// tokio-util's `Decoder`: it reads the front of the received bytes and
 /// keeps whatever it learned about an incomplete message between calls.
@@ -208,15 +183,12 @@ impl<D: Decoder> Inbox<D> {
     }
 }
 
-/// One app-side connection: its socket, its channel, the outbox of app
-/// data queued until the channel becomes ready (during the TLS
-/// handshake) and the inbox its messages are decoded from. Built by
-/// [`ClientSecurity::connect`], [`ServerSecurity::accept`] and
-/// [`Conn::plain`].
+/// One app-side connection: its socket, its channel and the inbox its
+/// messages are decoded from. Built by [`ClientSecurity::connect`],
+/// [`ServerSecurity::accept`] and [`Conn::plain`].
 pub struct Conn<D> {
     sock: SockId,
     channel: Channel,
-    outbox: Vec<u8>,
     inbox: Inbox<D>,
 }
 
@@ -225,7 +197,6 @@ impl<D: Decoder> Conn<D> {
         Conn {
             sock,
             channel,
-            outbox: Vec::new(),
             inbox: Inbox::default(),
         }
     }
@@ -235,22 +206,29 @@ impl<D: Decoder> Conn<D> {
         Conn::new(sock, Channel::Plain)
     }
 
-    /// Queues (or sends) application data. A plain connection sends
-    /// `data` without copying it, so a [`Bytes`] the caller keeps (the
-    /// proxy's retry copy) shares one allocation with the send buffer.
+    /// Sends application data. A plain connection sends `data` without
+    /// copying it, so a [`Bytes`] the caller keeps (the proxy's retry
+    /// copy) shares one allocation with the send buffer. A TLS session
+    /// seals a copy, or queues it until its handshake completes.
     pub fn send(&mut self, data: impl AsRef<[u8]> + Into<Bytes>, api: &mut HostApi) {
-        if self.channel.ready() && self.outbox.is_empty() {
-            self.channel.send(self.sock, data, api);
-        } else {
-            self.outbox.extend_from_slice(data.as_ref());
+        match &mut self.channel {
+            Channel::Plain => api.tcp_send(self.sock, data),
+            Channel::Tls(session) => {
+                if let Some((wire, work)) = session.seal(data.as_ref()) {
+                    if work > SimDuration::ZERO {
+                        api.cpu_charge(work);
+                    }
+                    api.tcp_send(self.sock, wire);
+                }
+            }
         }
     }
 
     /// Feeds a TCP read: through the TLS session, if any (which sends
-    /// its handshake replies and charges its crypto work to this host's
-    /// CPU), into the inbox. Flushes the outbox when the channel comes
-    /// up. Returns false on the read that fails the channel; a failed
-    /// channel takes no more bytes.
+    /// its handshake replies, then the app data queued during the
+    /// handshake, and charges its crypto work to this host's CPU), into
+    /// the inbox. Returns false on the read that fails the channel; a
+    /// failed channel takes no more bytes.
     pub fn on_bytes(&mut self, raw: &[u8], api: &mut HostApi) -> bool {
         let Channel::Tls(session) = &mut self.channel else {
             self.inbox.push(raw);
@@ -267,10 +245,6 @@ impl<D: Decoder> Conn<D> {
             api.tcp_send(self.sock, out.to_peer);
         }
         self.inbox.push(&out.app_data);
-        if out.handshake_complete && !self.outbox.is_empty() {
-            let pending = std::mem::take(&mut self.outbox);
-            self.channel.send(self.sock, pending, api);
-        }
         out.error.is_none()
     }
 
@@ -311,7 +285,16 @@ mod tests {
     fn plain_channel_is_transparent() {
         let conn: Conn<FrameDecoder> = ServerSecurity::Plain.accept(SockId(7));
         assert!(matches!(conn.channel, Channel::Plain));
-        assert!(conn.channel.ready());
+        assert!(ready(&conn));
+    }
+
+    /// True once `conn` sends at once: always over plain TCP, after the
+    /// handshake under TLS.
+    fn ready<D>(conn: &Conn<D>) -> bool {
+        match &conn.channel {
+            Channel::Plain => true,
+            Channel::Tls(session) => session.is_established(),
+        }
     }
 
     const PORT: u16 = 443;
@@ -456,7 +439,7 @@ mod tests {
     }
 
     /// A handshake, then pipelined app data both ways: the client sends
-    /// the first of `to_server` at once (it waits in the outbox while
+    /// the first of `to_server` at once (its session queues it while
     /// the handshake runs) and the rest once its end is up; the server
     /// answers with `to_client` once its end is up. Each end is fed
     /// every read cut into `cut`-byte pieces.
@@ -489,7 +472,7 @@ mod tests {
             let (got, failures) = feed(&mut pair, server, &mut s, cut);
             assert_eq!(failures, 0);
             decoded.1.extend(got);
-            if s.channel.ready() && !answered {
+            if ready(&s) && !answered {
                 answered = true;
                 pair.with_api(server, |_, api| {
                     for m in to_client {
@@ -502,7 +485,7 @@ mod tests {
             let (got, failures) = feed(&mut pair, client, &mut c, cut);
             assert_eq!(failures, 0);
             decoded.0.extend(got);
-            if c.channel.ready() && !sent_rest {
+            if ready(&c) && !sent_rest {
                 sent_rest = true;
                 pair.with_api(client, |_, api| {
                     for m in rest {
@@ -582,7 +565,7 @@ mod tests {
                 feed(&mut pair, server, &mut s, usize::MAX);
                 feed(&mut pair, client, &mut c, usize::MAX);
             }
-            assert!(c.channel.ready() && s.channel.ready());
+            assert!(ready(&c) && ready(&s));
             // Two records, and a header of unknown type between them.
             pair.with_api(client, |_, api| {
                 c.send(frame(b"before"), api);

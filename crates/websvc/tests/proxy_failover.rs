@@ -4,21 +4,24 @@
 //! never hang.
 
 use cloudsim::{CloudKind, CloudTopology, Flavor};
+use netsim::fx::FxHashMap;
 use netsim::host::{App, AppEvent, HostApi};
 use netsim::tcp::TcpEvent;
-use netsim::{SimDuration, SimTime};
+use netsim::{SimDuration, SimTime, SockId};
 use std::any::Any;
 use std::net::IpAddr;
 use websvc::http::{HttpRequest, ResponseDecoder};
 use websvc::proxy::{self, ProxyApp};
 use websvc::rubis::RubisData;
-use websvc::secure::{ClientSecurity, Inbox, ServerSecurity};
+use websvc::secure::{ClientSecurity, Conn, ServerSecurity};
 use websvc::webserver::{WebConfig, WebServerApp};
 use websvc::{DB_PORT, LB_PORT, WEB_PORT};
 
+/// Opens `requests` connections and sends one request on each; each
+/// connection decodes its responses from its own stream.
 struct OneShot {
     target: (IpAddr, u16),
-    parser: Inbox<ResponseDecoder>,
+    conns: FxHashMap<SockId, Conn<ResponseDecoder>>,
     statuses: Vec<u16>,
     requests: usize,
 }
@@ -31,12 +34,17 @@ impl App for OneShot {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(s)) => {
-                api.tcp_send(s, HttpRequest::get("/item?id=1").encode());
+                let mut conn = Conn::plain(s);
+                conn.send(HttpRequest::get("/item?id=1").encode(), api);
+                self.conns.insert(s, conn);
             }
             AppEvent::Tcp(TcpEvent::Data(s)) => {
                 let raw = api.tcp_recv(s);
-                self.parser.push(&raw);
-                while let Some(resp) = self.parser.next_message() {
+                let Some(conn) = self.conns.get_mut(&s) else {
+                    return;
+                };
+                conn.on_bytes(&raw, api);
+                while let Some(resp) = conn.next_message() {
                     self.statuses.push(resp.status);
                 }
             }
@@ -84,7 +92,7 @@ fn dead_backend_requests_retry_onto_live_backend() {
     // Four client connections → round robin sends two to each backend.
     let client_idx = topo.host_mut(client).add_app(Box::new(OneShot {
         target: (lb.addr, LB_PORT),
-        parser: Inbox::default(),
+        conns: FxHashMap::default(),
         statuses: vec![],
         requests: 4,
     }));
