@@ -50,12 +50,9 @@ impl App for Receiver {
     fn start(&mut self, api: &mut HostApi) {
         api.tcp_listen(7);
     }
-    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        match ev {
-            AppEvent::Tcp(TcpEvent::Data(s)) | AppEvent::Tcp(TcpEvent::PeerClosed(s)) => {
-                self.got.extend(api.tcp_recv(s))
-            }
-            _ => {}
+    fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Data(_, data)) = ev {
+            self.got.extend_from_slice(&data);
         }
     }
     fn as_any(&self) -> &dyn Any {

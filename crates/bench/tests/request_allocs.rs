@@ -13,13 +13,16 @@
 //! The Basic request path used to build each message through `format!`
 //! temporaries, copy every received buffer once more per layer, and
 //! collect per-event `Vec`s: 96.0 allocations per request in this run.
-//! It now makes 36.6; HIP-LSI makes 65.6 and SSL 46.2 (SSL made 61.2
+//! It now makes 29.9; HIP-LSI makes 59.9 and SSL 39.5 (SSL made 61.2
 //! while each received record was copied out of its own deframing
 //! buffer and again into the decrypted stream, and 49.2 while each sent
 //! record's body was copied once more into its frame). TAB-RT's
 //! deployment (one web server, no load balancer, the query cache on)
-//! makes 22.0 in Basic; it made 23.1 while a cached result was copied
-//! for every hit and for the cache itself. Each ceiling adds about 4 %
+//! makes 17.7 in Basic; it made 23.1 while a cached result was copied
+//! for every hit and for the cache itself. Basic, HIP-LSI, SSL and
+//! TAB-RT made 36.6, 65.6, 46.2 and 22.0 while each TCP socket copied
+//! its in-order segments into a receive buffer of its own for the
+//! application to read back. Each ceiling adds about 4 %
 //! of slack, because a change elsewhere may move the count slightly
 //! (hash-map and buffer growth).
 //!
@@ -81,10 +84,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// balancer, the database's query cache on) in Basic.
 fn ceilings() -> [(RubisConfig, f64); 4] {
     [
-        (RubisConfig::fig2(Scenario::Basic, 5), 38.0),
-        (RubisConfig::fig2(Scenario::HipLsi, 5), 68.0),
-        (RubisConfig::fig2(Scenario::Ssl, 5), 48.0),
-        (RubisConfig::tab_rt(Scenario::Basic, 5), 22.8),
+        (RubisConfig::fig2(Scenario::Basic, 5), 31.0),
+        (RubisConfig::fig2(Scenario::HipLsi, 5), 62.0),
+        (RubisConfig::fig2(Scenario::Ssl, 5), 41.0),
+        (RubisConfig::tab_rt(Scenario::Basic, 5), 18.4),
     ]
 }
 

@@ -88,10 +88,7 @@ mod tests {
         }
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
             match ev {
-                AppEvent::Tcp(TcpEvent::Data(s)) => {
-                    let _ = api.tcp_recv(s);
-                    self.echoes += 1;
-                }
+                AppEvent::Tcp(TcpEvent::Data(..)) => self.echoes += 1,
                 AppEvent::Timer { token: 1 } => {
                     if let Some(s) = self.sock {
                         api.tcp_send(s, b"tick");
@@ -115,8 +112,7 @@ mod tests {
             api.tcp_listen(7);
         }
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-            if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-                let d = api.tcp_recv(s);
+            if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
                 api.tcp_send(s, d);
             }
         }

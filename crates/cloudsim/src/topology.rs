@@ -445,8 +445,7 @@ mod tests {
             api.tcp_listen(80);
         }
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-            if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-                let d = api.tcp_recv(s);
+            if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
                 api.tcp_send(s, d);
             }
         }
@@ -469,7 +468,7 @@ mod tests {
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
             match ev {
                 AppEvent::Tcp(TcpEvent::Connected(s)) => api.tcp_send(s, b"cross-cloud"),
-                AppEvent::Tcp(TcpEvent::Data(s)) => self.reply.extend(api.tcp_recv(s)),
+                AppEvent::Tcp(TcpEvent::Data(_, data)) => self.reply.extend_from_slice(&data),
                 _ => {}
             }
         }

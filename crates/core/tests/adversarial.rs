@@ -120,8 +120,7 @@ impl App for EchoServer {
         api.tcp_listen(7);
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let d = api.tcp_recv(s);
+        if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
             api.tcp_send(s, d);
         }
     }
@@ -149,8 +148,7 @@ impl App for Chat {
                 self.sent += 1;
                 api.tcp_send(s, b"round");
             }
-            AppEvent::Tcp(TcpEvent::Data(s)) => {
-                let _ = api.tcp_recv(s);
+            AppEvent::Tcp(TcpEvent::Data(s, _)) => {
                 self.replies += 1;
                 if self.sent < self.rounds {
                     self.sent += 1;
@@ -506,9 +504,9 @@ impl App for BulkReceiver {
     fn start(&mut self, api: &mut HostApi) {
         api.tcp_listen(7);
     }
-    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s) | TcpEvent::PeerClosed(s)) = ev {
-            self.got.extend(api.tcp_recv(s));
+    fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
+        if let AppEvent::Tcp(TcpEvent::Data(_, data)) = ev {
+            self.got.extend_from_slice(&data);
         }
     }
     fn as_any(&self) -> &dyn Any {

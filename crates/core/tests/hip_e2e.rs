@@ -22,8 +22,7 @@ impl App for EchoServer {
         assert!(api.tcp_listen(7));
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let d = api.tcp_recv(s);
+        if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
             api.tcp_send(s, d);
             self.served += 1;
         }
@@ -71,9 +70,7 @@ impl App for EchoClient {
                 let msg = self.message.clone();
                 api.tcp_send(s, msg);
             }
-            AppEvent::Tcp(TcpEvent::Data(s)) => {
-                self.reply.extend(api.tcp_recv(s));
-            }
+            AppEvent::Tcp(TcpEvent::Data(_, data)) => self.reply.extend_from_slice(&data),
             AppEvent::Tcp(TcpEvent::ConnectFailed(_)) | AppEvent::Tcp(TcpEvent::Reset(_)) => {
                 self.failed = true;
             }

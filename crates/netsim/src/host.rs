@@ -787,11 +787,6 @@ impl HostApi<'_, '_> {
         self.core.tcp.send(sock, data, self.ctx.now);
     }
 
-    /// Drains received bytes.
-    pub fn tcp_recv(&mut self, sock: SockId) -> Vec<u8> {
-        self.core.tcp.recv(sock)
-    }
-
     /// Bytes queued for transmission on a socket.
     pub fn tcp_buffered(&self, sock: SockId) -> usize {
         self.core.tcp.buffered(sock)
@@ -972,8 +967,7 @@ mod tests {
             assert!(api.tcp_listen(self.port));
         }
         fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-            if let AppEvent::Tcp(TcpEvent::Data(sock)) = ev {
-                let data = api.tcp_recv(sock);
+            if let AppEvent::Tcp(TcpEvent::Data(sock, data)) = ev {
                 api.tcp_send(sock, data);
                 self.served += 1;
             }
@@ -1004,9 +998,7 @@ mod tests {
                     self.connected = true;
                     api.tcp_send(s, b"hello through the stack");
                 }
-                AppEvent::Tcp(TcpEvent::Data(s)) => {
-                    self.reply.extend(api.tcp_recv(s));
-                }
+                AppEvent::Tcp(TcpEvent::Data(_, data)) => self.reply.extend_from_slice(&data),
                 _ => {}
             }
         }

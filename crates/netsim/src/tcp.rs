@@ -10,7 +10,8 @@
 //! Each connection state owns the data that exists in it: a
 //! `SendWindow` from the first SYN on, a `ReceiveWindow` once the
 //! peer's SYN is in, and in TIME-WAIT only the deadline and the two
-//! sequence numbers its ACKs carry.
+//! sequence numbers its ACKs carry. No state keeps received bytes past
+//! the segment that makes them in order (see [`TcpEvent::Data`]).
 //!
 //! Every tuning value is a constant: each experiment in the paper
 //! measures one stack, so no caller sets them.
@@ -145,9 +146,12 @@ pub enum TcpEvent {
         /// The newly created connection socket.
         sock: SockId,
     },
-    /// New in-order data is available via `recv`.
-    Data(SockId),
-    /// The peer closed its direction (EOF after draining `recv`).
+    /// The bytes one arriving segment made in order: the segment's own
+    /// payload (no copy), or, when it fills a hole, that payload joined
+    /// with the queued segments it releases, in one buffer.
+    Data(SockId, Bytes),
+    /// The peer closed its direction. Every byte before its FIN came in
+    /// a `Data` event before this one.
     PeerClosed(SockId),
     /// The connection is fully closed and the socket released.
     Closed(SockId),
@@ -418,32 +422,35 @@ impl ReceiveWindow {
         self.rcv_nxt + u64::from(seq.wrapping_sub(self.ack()))
     }
 
-    /// Takes a segment's data; returns whether any was delivered in order.
-    fn data(&mut self, seq: u32, data: Bytes, recv_buf: &mut Vec<u8>) -> bool {
+    /// Takes a segment's data; returns the bytes it made in order, if
+    /// any (what [`TcpEvent::Data`] carries).
+    fn data(&mut self, seq: u32, data: Bytes) -> Option<Bytes> {
         if seq != self.ack() {
             if seq_lt(self.ack(), seq) {
                 self.ooo.insert(self.unwrapped(seq), data);
             }
-            return false;
+            return None;
         }
         // In-window check against our advertised window is skipped:
         // the sender honours it, and the sim has no renege path.
-        recv_buf.extend_from_slice(&data);
         self.rcv_nxt += data.len() as u64;
         // Drain contiguous out-of-order segments; stale or overlapping
         // ones are dropped.
+        let mut joined: Option<Vec<u8>> = None;
         while let Some(entry) = self.ooo.first_entry() {
             if *entry.key() > self.rcv_nxt {
                 break;
             }
             let stale = *entry.key() < self.rcv_nxt;
-            let data = entry.remove();
+            let queued = entry.remove();
             if !stale {
-                recv_buf.extend_from_slice(&data);
-                self.rcv_nxt += data.len() as u64;
+                self.rcv_nxt += queued.len() as u64;
+                joined
+                    .get_or_insert_with(|| data.to_vec())
+                    .extend_from_slice(&queued);
             }
         }
-        true
+        Some(joined.map_or(data, Bytes::from))
     }
 
     /// Records a FIN at `seq` unless it is behind `rcv_nxt` (one already
@@ -525,10 +532,6 @@ struct TcpSocket {
     id: SockId,
     owner_app: usize,
     key: ConnKey,
-    /// In-order bytes the application has not read yet. TIME-WAIT can
-    /// begin in the call that delivers the last data, so they outlive
-    /// the receive window.
-    recv_buf: Vec<u8>,
     state: TcpState,
 }
 
@@ -668,14 +671,6 @@ impl TcpLayer {
         tx.buf.push(data.into());
         if tx.output(None, &s.key, rx.ack(), now, &mut self.out) {
             self.timer_reqs.push((tx.arm(now), sock.0 as u64));
-        }
-    }
-
-    /// Reads and drains all in-order received bytes.
-    pub fn recv(&mut self, sock: SockId) -> Vec<u8> {
-        match self.sockets.get_mut(sock.0).and_then(Option::as_mut) {
-            Some(s) => std::mem::take(&mut s.recv_buf),
-            None => Vec::new(),
         }
     }
 
@@ -977,10 +972,11 @@ impl TcpLayer {
 
         // --- data ---
         let fin_seq = seg.seq.wrapping_add(seg.data.len() as u32);
-        let mut had_new_data = false;
         if !seg.data.is_empty() {
             need_ack = true;
-            had_new_data = rx.data(seg.seq, seg.data, &mut s.recv_buf);
+            if let Some(run) = rx.data(seg.seq, seg.data) {
+                self.events.push((app, TcpEvent::Data(id, run)));
+            }
         }
 
         // --- FIN ---
@@ -1013,9 +1009,6 @@ impl TcpLayer {
             s.state = TcpState::TimeWait { expiry, seq, ack };
             self.timer_reqs.push((TIME_WAIT, token));
         }
-        if had_new_data {
-            self.events.push((app, TcpEvent::Data(id)));
-        }
     }
 
     fn alloc_sock(&mut self) -> SockId {
@@ -1044,7 +1037,6 @@ impl TcpLayer {
             id,
             owner_app,
             key,
-            recv_buf: Vec::new(),
             state,
         });
     }
@@ -1137,6 +1129,19 @@ mod tests {
         }
     }
 
+    /// The bytes of `sock`'s `Data` events in `layer`'s queue, in order.
+    fn received(layer: &TcpLayer, sock: SockId) -> Vec<u8> {
+        let mut got = Vec::new();
+        for (_, e) in &layer.events {
+            if let TcpEvent::Data(s, run) = e {
+                if *s == sock {
+                    got.extend_from_slice(run);
+                }
+            }
+        }
+        got
+    }
+
     /// The send window of a synchronized socket.
     fn tx(layer: &TcpLayer, sock: SockId) -> &SendWindow {
         match layer.sockets[sock.0].as_ref().map(|s| &s.state) {
@@ -1177,8 +1182,56 @@ mod tests {
         let (mut a, mut b, ca, sb) = connected_pair(1000);
         a.send(ca, b"hello tcp", SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
-        assert_eq!(b.recv(sb), b"hello tcp");
-        assert!(b.events.iter().any(|(_, e)| *e == TcpEvent::Data(sb)));
+        assert_eq!(
+            b.events,
+            vec![(0, TcpEvent::Data(sb, Bytes::from_static(b"hello tcp")))]
+        );
+    }
+
+    #[test]
+    fn in_order_segment_is_delivered_without_a_copy() {
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
+        a.send(ca, vec![5u8; 1000], SimTime(1));
+        let pkts = std::mem::take(&mut a.out);
+        let [Packet {
+            payload: Payload::Tcp(seg),
+            ..
+        }] = &pkts[..]
+        else {
+            panic!("one data segment: {pkts:?}");
+        };
+        let sent = seg.data.as_ptr();
+        deliver(pkts, &mut b, SimTime(1));
+        let [(_, TcpEvent::Data(s, run))] = &b.events[..] else {
+            panic!("one Data event: {:?}", b.events);
+        };
+        assert_eq!(*s, sb);
+        assert_eq!(run.len(), 1000);
+        assert_eq!(run.as_ptr(), sent, "the event shares the segment's buffer");
+    }
+
+    #[test]
+    fn data_with_fin_is_delivered_before_peer_closed() {
+        let (mut a, mut b, ca, sb) = connected_pair(1000);
+        a.send(ca, b"last words", SimTime(1));
+        let mut pkts = std::mem::take(&mut a.out);
+        let [Packet {
+            payload: Payload::Tcp(seg),
+            ..
+        }] = &mut pkts[..]
+        else {
+            panic!("one data segment: {pkts:?}");
+        };
+        seg.flags.fin = true;
+        deliver(pkts, &mut b, SimTime(1));
+        assert_eq!(
+            b.events,
+            vec![
+                (0, TcpEvent::Data(sb, Bytes::from_static(b"last words"))),
+                (0, TcpEvent::PeerClosed(sb)),
+            ],
+            "stream order: the data, then EOF"
+        );
     }
 
     #[test]
@@ -1190,7 +1243,7 @@ mod tests {
         for t in 2..200 {
             pump(&mut a, &mut b, SimTime(t));
         }
-        let got = b.recv(sb);
+        let got = received(&b, sb);
         assert_eq!(got.len(), data.len());
         assert_eq!(got, data);
     }
@@ -1201,8 +1254,8 @@ mod tests {
         a.send(ca, b"ping", SimTime(1));
         b.send(sb, b"pong", SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
-        assert_eq!(b.recv(sb), b"ping");
-        assert_eq!(a.recv(ca), b"pong");
+        assert_eq!(received(&b, sb), b"ping");
+        assert_eq!(received(&a, ca), b"pong");
     }
 
     #[test]
@@ -1224,7 +1277,7 @@ mod tests {
         a.send(ca, b"bye", SimTime(1));
         a.close(ca, SimTime(1));
         pump(&mut a, &mut b, SimTime(1));
-        assert_eq!(b.recv(sb), b"bye");
+        assert_eq!(received(&b, sb), b"bye");
         assert!(b.events.iter().any(|(_, e)| *e == TcpEvent::PeerClosed(sb)));
         b.close(sb, SimTime(2));
         pump(&mut a, &mut b, SimTime(2));
@@ -1247,7 +1300,7 @@ mod tests {
         a.on_timer(token, fire_at);
         assert!(!a.out.is_empty(), "retransmission emitted");
         pump(&mut a, &mut b, fire_at);
-        assert_eq!(b.recv(sb), b"lost in the mail");
+        assert_eq!(received(&b, sb), b"lost in the mail");
     }
 
     #[test]
@@ -1300,11 +1353,22 @@ mod tests {
             let (mut a, mut b, ca, sb) = connected_pair(iss);
             a.send(ca, vec![7u8; 4000], SimTime(1)); // 3 segments at mss 1448
             let mut pkts = std::mem::take(&mut a.out);
-            assert!(pkts.len() >= 2);
+            assert_eq!(pkts.len(), 3);
             pkts.reverse(); // deliver out of order
             deliver(pkts, &mut b, SimTime(1));
             pump(&mut a, &mut b, SimTime(2));
-            assert_eq!(b.recv(sb).len(), 4000, "iss {iss}");
+            // The first segment fills the hole: one event hands up the
+            // whole run.
+            let runs: Vec<usize> = b
+                .events
+                .iter()
+                .map(|(_, e)| match e {
+                    TcpEvent::Data(s, run) if *s == sb => run.len(),
+                    e => panic!("iss {iss}: unexpected {e:?}"),
+                })
+                .collect();
+            assert_eq!(runs, [4000], "iss {iss}");
+            assert_eq!(received(&b, sb), vec![7u8; 4000], "iss {iss}");
         }
     }
 
@@ -1329,7 +1393,7 @@ mod tests {
                 "fast retransmit after 3 dupacks should emit the missing segment"
             );
             pump(&mut a, &mut b, SimTime(3));
-            assert_eq!(b.recv(sb).len(), data.len(), "iss {iss}");
+            assert_eq!(received(&b, sb).len(), data.len(), "iss {iss}");
         }
     }
 
@@ -1366,7 +1430,7 @@ mod tests {
             max_flight >= RECV_WINDOW - MSS as u32,
             "flight peaked at {max_flight}, more than one MSS short of the window"
         );
-        assert_eq!(b.recv(sb).len(), total);
+        assert_eq!(received(&b, sb).len(), total);
     }
 
     #[test]
@@ -1454,7 +1518,7 @@ mod tests {
         for t in 100..300 {
             pump(&mut a, &mut b, SimTime(t));
         }
-        assert_eq!(b.recv(sb), data);
+        assert_eq!(received(&b, sb), data);
         assert_eq!(a.buffered(ca), 0, "everything acknowledged");
     }
 

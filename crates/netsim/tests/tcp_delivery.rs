@@ -47,13 +47,10 @@ impl App for Receiver {
     fn start(&mut self, api: &mut HostApi) {
         api.tcp_listen(7);
     }
-    fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+    fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
         match ev {
-            AppEvent::Tcp(TcpEvent::Data(s)) => self.got.extend(api.tcp_recv(s)),
-            AppEvent::Tcp(TcpEvent::PeerClosed(s)) => {
-                self.got.extend(api.tcp_recv(s));
-                self.eof = true;
-            }
+            AppEvent::Tcp(TcpEvent::Data(_, data)) => self.got.extend_from_slice(&data),
+            AppEvent::Tcp(TcpEvent::PeerClosed(_)) => self.eof = true,
             _ => {}
         }
     }

@@ -69,26 +69,35 @@ pub(crate) fn take_field<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
     Some(value)
 }
 
-/// A record header with an unknown content type: the stream has no
-/// frame boundary to trust from there on.
+/// The most plaintext a sender puts in one record (RFC 5246 §6.2.1).
+pub const MAX_PLAINTEXT: usize = 1 << 14;
+
+/// The longest record body a receiver accepts (RFC 5246 §6.2.3).
+pub const MAX_BODY: usize = MAX_PLAINTEXT + 2048;
+
+/// A record header with an unknown content type or a body over
+/// [`MAX_BODY`]: no later frame boundary can be trusted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UnknownType;
+pub struct BadHeader;
 
 /// The record at the front of `buf`: its type and body (it spans
 /// [`HEADER_LEN`] `+ body.len()` bytes), or `None` while it has not
 /// fully arrived. A header with an unknown type is an error as soon as
-/// its first byte is in.
-pub fn decode(buf: &[u8]) -> Result<Option<(RecordType, &[u8])>, UnknownType> {
+/// its first byte is in, and one whose length exceeds [`MAX_BODY`] as
+/// soon as the whole header is, so a corrupt length cannot make the
+/// reader buffer the rest of the stream.
+pub fn decode(buf: &[u8]) -> Result<Option<(RecordType, &[u8])>, BadHeader> {
     let Some((&id, rest)) = buf.split_first() else {
         return Ok(None);
     };
-    let rtype = RecordType::from_id(id).ok_or(UnknownType)?;
+    let rtype = RecordType::from_id(id).ok_or(BadHeader)?;
     let Some((len, rest)) = rest.split_first_chunk::<4>() else {
         return Ok(None);
     };
-    Ok(rest
-        .get(..u32::from_be_bytes(*len) as usize)
-        .map(|body| (rtype, body)))
+    match u32::from_be_bytes(*len) as usize {
+        len if len > MAX_BODY => Err(BadHeader),
+        len => Ok(rest.get(..len).map(|body| (rtype, body))),
+    }
 }
 
 /// One direction of record protection.
@@ -182,9 +191,9 @@ mod tests {
     type Record = (RecordType, Vec<u8>);
 
     /// Appends `data` to `buf` and takes every complete record off its
-    /// front, as a session reads them, up to a header with an unknown
-    /// type, which stays in `buf` and is returned too.
-    fn feed(buf: &mut BytesMut, data: &[u8]) -> (Vec<Record>, Option<UnknownType>) {
+    /// front, as a session reads them, up to a bad header, which stays
+    /// in `buf` and is returned too.
+    fn feed(buf: &mut BytesMut, data: &[u8]) -> (Vec<Record>, Option<BadHeader>) {
         buf.extend_from_slice(data);
         let mut records = Vec::new();
         loop {
@@ -296,7 +305,7 @@ mod tests {
         let mut buf = BytesMut::new();
         assert_eq!(
             feed(&mut buf, &[0xff, 1, 2, 3, 4, 5]),
-            (vec![], Some(UnknownType))
+            (vec![], Some(BadHeader))
         );
         // The records ahead of the bad header arrive; nothing after it
         // does, in that call or a later one (a session drops the rest
@@ -312,13 +321,40 @@ mod tests {
             feed(&mut buf, &wire),
             (
                 vec![(RecordType::Handshake, b"ok".to_vec())],
-                Some(UnknownType)
+                Some(BadHeader)
             )
         );
         assert_eq!(
             feed(&mut buf, &frame(RecordType::Handshake, b"later")),
-            (vec![], Some(UnknownType))
+            (vec![], Some(BadHeader))
         );
+    }
+
+    #[test]
+    fn overlong_length_fails_once_the_header_is_in() {
+        let header = |len: usize| {
+            let mut h = vec![RecordType::ApplicationData.id()];
+            h.extend_from_slice(&(len as u32).to_be_bytes());
+            h
+        };
+        let over = header(MAX_BODY + 1);
+        // Not yet a whole header: nothing to judge.
+        assert_eq!(feed(&mut BytesMut::new(), &over[..4]), (vec![], None));
+        assert_eq!(feed(&mut BytesMut::new(), &over), (vec![], Some(BadHeader)));
+        assert_eq!(
+            feed(&mut BytesMut::new(), &header(u32::MAX as usize)),
+            (vec![], Some(BadHeader))
+        );
+        // A body exactly at the cap is a record still arriving...
+        let mut buf = BytesMut::new();
+        assert_eq!(feed(&mut buf, &header(MAX_BODY)), (vec![], None));
+        assert_eq!(feed(&mut buf, &[7; MAX_BODY - 1]), (vec![], None));
+        // ...and decodes once its last byte is in.
+        assert_eq!(
+            feed(&mut buf, &[7]),
+            (vec![(RecordType::ApplicationData, vec![7; MAX_BODY])], None)
+        );
+        assert!(buf.is_empty());
     }
 
     const ENC_KEY: [u8; 16] = [1; 16];

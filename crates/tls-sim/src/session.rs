@@ -18,11 +18,14 @@
 //! Each state owns the data that exists in it (DESIGN.md §4b): only the
 //! two steps after key derivation can check a Finished, and any other
 //! message out of turn is [`TlsError::UnexpectedMessage`]. App data
-//! sealed during the handshake waits in the session and goes out as one
-//! record after the handshake's last message.
+//! sealed during the handshake waits in the session and goes out after
+//! the handshake's last message, split like all app data into records
+//! of at most [`MAX_PLAINTEXT`] bytes.
 
 use crate::cert::Certificate;
-use crate::record::{decode, frame, put_field, take_field, RecordCipher, RecordType, HEADER_LEN};
+use crate::record::{
+    decode, frame, put_field, take_field, RecordCipher, RecordType, HEADER_LEN, MAX_PLAINTEXT,
+};
 use bytes::BytesMut;
 use netsim::SimDuration;
 use rand::rngs::StdRng;
@@ -78,8 +81,8 @@ pub enum TlsError {
     BadFinished,
     /// Record failed authentication/decryption.
     BadRecord,
-    /// A record header carried an unknown content type, so the byte
-    /// stream can no longer be split into records.
+    /// A record header carried an unknown content type or an overlong
+    /// body, so the byte stream can no longer be split into records.
     BadFraming,
     /// Message arrived in the wrong state.
     UnexpectedMessage,
@@ -265,15 +268,15 @@ impl TlsSession {
         out
     }
 
-    /// Protects application data: the record to send and its CPU work,
-    /// or `None` when nothing goes out now. During the handshake the
-    /// data is queued (see the module docs); a failed session drops it.
+    /// Protects application data: the records to send and their CPU
+    /// work, or `None` when nothing goes out now. During the handshake
+    /// the data is queued (see the module docs); a failed session drops
+    /// it.
     pub fn seal(&mut self, app_data: &[u8]) -> Option<(Vec<u8>, SimDuration)> {
         match &mut self.state {
             State::Handshaking { pending, .. } => pending.extend_from_slice(app_data),
             State::Established { tx, .. } => {
-                let wire = seal_record(tx, app_data, &mut self.iv_seed);
-                return Some((wire, self.costs.symmetric(app_data.len())));
+                return Some(seal_records(tx, app_data, &self.costs, &mut self.iv_seed));
             }
             State::Failed => {}
         }
@@ -298,11 +301,9 @@ impl State {
         Ok(match step.on_message(body, costs, rng, out)? {
             Next::Step(step) => State::Handshaking { step, pending },
             Next::Established { mut tx, rx } => {
-                if !pending.is_empty() {
-                    out.to_peer
-                        .extend_from_slice(&seal_record(&mut tx, &pending, iv_seed));
-                    out.work += costs.symmetric(pending.len());
-                }
+                let (wire, work) = seal_records(&mut tx, &pending, costs, iv_seed);
+                out.to_peer.extend_from_slice(&wire);
+                out.work += work;
                 State::Established { tx, rx }
             }
         })
@@ -479,15 +480,31 @@ fn finished(master: &HmacKey, label: &[u8], transcript: &Sha256) -> [u8; 33] {
     fin
 }
 
-/// Seals `app_data` into one record under the next IV.
-fn seal_record(tx: &mut RecordCipher, app_data: &[u8], iv_seed: &mut u64) -> Vec<u8> {
-    // xorshift — IV uniqueness, not secrecy, is what CBC needs here
-    // (the seed is mixed with the per-direction sequence number).
-    let x = iv_seed;
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    tx.seal_record(app_data, *x)
+/// Seals `app_data` into records of at most [`MAX_PLAINTEXT`] bytes
+/// (none if it is empty), each under the next IV and charged its own
+/// symmetric work, in one buffer.
+fn seal_records(
+    tx: &mut RecordCipher,
+    app_data: &[u8],
+    costs: &TlsCosts,
+    iv_seed: &mut u64,
+) -> (Vec<u8>, SimDuration) {
+    let (mut wire, mut work) = (Vec::new(), SimDuration::ZERO);
+    for fragment in app_data.chunks(MAX_PLAINTEXT) {
+        // xorshift — IV uniqueness, not secrecy, is what CBC needs here
+        // (the seed is mixed with the per-direction sequence number).
+        *iv_seed ^= *iv_seed << 13;
+        *iv_seed ^= *iv_seed >> 7;
+        *iv_seed ^= *iv_seed << 17;
+        let record = tx.seal_record(fragment, *iv_seed);
+        if wire.is_empty() {
+            wire = record;
+        } else {
+            wire.extend_from_slice(&record);
+        }
+        work += costs.symmetric(fragment.len());
+    }
+    (wire, work)
 }
 
 #[cfg(test)]
@@ -594,6 +611,23 @@ mod tests {
     }
 
     #[test]
+    fn overlong_record_length_fails_the_session_at_once() {
+        let (_, mut s, mut rng) = setup();
+        // A handshake header claiming a 4 GiB body.
+        let out = s.on_bytes(&[22, 0xff, 0xff, 0xff, 0xff], &mut rng);
+        assert_eq!(out.error, Some(TlsError::BadFraming));
+        assert!(s.is_failed());
+        // A header exactly at the cap waits for its body.
+        let (_, mut s, mut rng) = setup();
+        let mut header = vec![22];
+        header.extend_from_slice(&(crate::record::MAX_BODY as u32).to_be_bytes());
+        let out = s.on_bytes(&header, &mut rng);
+        assert_eq!(out.error, None);
+        assert!(out.to_peer.is_empty());
+        assert!(!s.is_failed());
+    }
+
+    #[test]
     fn unknown_record_type_fails_the_session() {
         let (mut c, mut s, mut rng) = setup();
         let hello = c.start_handshake(&mut rng);
@@ -683,6 +717,64 @@ mod tests {
         // Nothing stays queued.
         let (wire, _) = c.seal(b"later").expect("established");
         assert_eq!(s.on_bytes(&wire, &mut rng).app_data, b"later");
+    }
+
+    /// The body lengths of the records `wire` holds end to end.
+    fn record_bodies(mut wire: &[u8]) -> Vec<usize> {
+        let mut bodies = Vec::new();
+        while let Ok(Some((_, body))) = decode(wire) {
+            bodies.push(body.len());
+            wire = &wire[HEADER_LEN + body.len()..];
+        }
+        assert!(wire.is_empty(), "a partial record left over");
+        bodies
+    }
+
+    #[test]
+    fn data_longer_than_a_record_goes_out_in_several() {
+        let (mut c, mut s, mut rng) = setup();
+        let costs = TlsCosts {
+            sym_per_packet: SimDuration::from_micros(4),
+            sym_per_byte_ns: 30.0,
+            ..TlsCosts::free()
+        };
+        (c.costs, s.costs) = (costs, costs);
+        // Either, sealed as one record, would be longer than a receiver
+        // accepts.
+        let early: Vec<u8> = (0..crate::record::MAX_BODY + 100)
+            .map(|i| i as u8)
+            .collect();
+        let late: Vec<u8> = (0..2 * MAX_PLAINTEXT + 1).map(|i| (i * 7) as u8).collect();
+        // Queued before the handshake: two records after it completes.
+        assert!(c.seal(&early).is_none());
+        let hello = c.start_handshake(&mut rng);
+        let out = s.on_bytes(&hello, &mut rng);
+        let out = c.on_bytes(&out.to_peer, &mut rng);
+        let out = s.on_bytes(&out.to_peer, &mut rng);
+        let out = c.on_bytes(&out.to_peer, &mut rng);
+        assert!(c.is_established());
+        assert_eq!(
+            out.work,
+            costs.symmetric(MAX_PLAINTEXT) + costs.symmetric(2148)
+        );
+        let bodies = record_bodies(&out.to_peer);
+        assert_eq!(bodies.len(), 2);
+        assert!(bodies.iter().all(|&len| len <= crate::record::MAX_BODY));
+        let opened = s.on_bytes(&out.to_peer, &mut rng);
+        assert_eq!(opened.error, None);
+        assert_eq!(opened.app_data, early);
+        // Sealed once established: three records.
+        let (wire, work) = c.seal(&late).expect("established");
+        assert_eq!(
+            work,
+            costs.symmetric(MAX_PLAINTEXT) + costs.symmetric(MAX_PLAINTEXT) + costs.symmetric(1)
+        );
+        let bodies = record_bodies(&wire);
+        assert_eq!(bodies.len(), 3);
+        assert!(bodies.iter().all(|&len| len <= crate::record::MAX_BODY));
+        let opened = s.on_bytes(&wire, &mut rng);
+        assert_eq!(opened.error, None);
+        assert_eq!(opened.app_data, late);
     }
 
     #[test]

@@ -150,8 +150,7 @@ impl App for DbServerApp {
             AppEvent::Tcp(TcpEvent::Accepted { sock, .. }) => {
                 self.conns.insert(sock, self.security.accept(sock));
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
-                let raw = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) => {
                 let Some(conn) = self.conns.get_mut(&sock) else {
                     return;
                 };

@@ -259,11 +259,10 @@ impl App for JmeterApp {
                     self.fire_request(idx, api);
                 }
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) => {
                 let Some(&idx) = self.by_sock.get(&sock) else {
                     return;
                 };
-                let raw = api.tcp_recv(sock);
                 let (mut answered, mut all_ok) = (false, true);
                 if let Some(conn) = &mut self.sessions[idx].conn {
                     conn.on_bytes(&raw, api);
@@ -414,8 +413,7 @@ impl App for HttperfApp {
                     c.conn.send(req, api);
                 }
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
-                let raw = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) => {
                 let Some(c) = self.conns.get_mut(&sock) else {
                     return;
                 };
@@ -496,15 +494,10 @@ impl App for IperfServerApp {
     }
 
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(sock)) = ev {
-            let data = api.tcp_recv(sock);
-            if !data.is_empty() {
-                self.bytes += data.len() as u64;
-                if self.first_byte.is_none() {
-                    self.first_byte = Some(api.now());
-                }
-                self.last_byte = Some(api.now());
-            }
+        if let AppEvent::Tcp(TcpEvent::Data(_, data)) = ev {
+            self.bytes += data.len() as u64;
+            self.first_byte.get_or_insert(api.now());
+            self.last_byte = Some(api.now());
         }
     }
 

@@ -520,8 +520,7 @@ impl App for ProxyApp {
                 let idx = link.backend_idx;
                 self.record_success(idx, api);
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
-                let raw = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) => {
                 if let Some(link) = self.backend_conns.get_mut(&sock) {
                     // Backend → client direction.
                     // Data never arrives before Connected.

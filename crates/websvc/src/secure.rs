@@ -316,11 +316,11 @@ mod tests {
             }
         }
 
-        fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
+        fn on_event(&mut self, ev: AppEvent, _api: &mut HostApi) {
             match ev {
                 AppEvent::Tcp(TcpEvent::Accepted { sock, .. })
                 | AppEvent::Tcp(TcpEvent::Connected(sock)) => self.sock = Some(sock),
-                AppEvent::Tcp(TcpEvent::Data(sock)) => self.received.extend(api.tcp_recv(sock)),
+                AppEvent::Tcp(TcpEvent::Data(_, data)) => self.received.extend_from_slice(&data),
                 _ => {}
             }
         }

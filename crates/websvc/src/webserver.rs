@@ -231,8 +231,7 @@ impl App for WebServerApp {
                 self.db_state.get_mut(&sock).expect("checked").conn = Some(conn);
                 self.drain_backlog(api);
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) if self.db_state.contains_key(&sock) => {
-                let raw = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) if self.db_state.contains_key(&sock) => {
                 let link = self.db_state.get_mut(&sock).expect("checked");
                 // Data never arrives before Connected.
                 let Some(conn) = &mut link.conn else {
@@ -268,8 +267,7 @@ impl App for WebServerApp {
                 let conn = self.config.frontend_security.accept(sock);
                 self.clients.insert(sock, conn);
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
-                let raw = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(sock, raw)) => {
                 let Some(c) = self.clients.get_mut(&sock) else {
                     return;
                 };

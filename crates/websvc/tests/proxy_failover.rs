@@ -38,8 +38,7 @@ impl App for OneShot {
                 conn.send(HttpRequest::get("/item?id=1").encode(), api);
                 self.conns.insert(s, conn);
             }
-            AppEvent::Tcp(TcpEvent::Data(s)) => {
-                let raw = api.tcp_recv(s);
+            AppEvent::Tcp(TcpEvent::Data(s, raw)) => {
                 let Some(conn) = self.conns.get_mut(&s) else {
                     return;
                 };

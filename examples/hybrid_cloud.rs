@@ -26,8 +26,7 @@ impl App for EchoServer {
         api.tcp_listen(9000);
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let d = api.tcp_recv(s);
+        if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
             api.tcp_send(s, d);
         }
     }
@@ -51,10 +50,7 @@ impl App for Probe {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(s)) => api.tcp_send(s, b"confidential business data"),
-            AppEvent::Tcp(TcpEvent::Data(s)) => {
-                let _ = api.tcp_recv(s);
-                self.replied = true;
-            }
+            AppEvent::Tcp(TcpEvent::Data(..)) => self.replied = true,
             _ => {}
         }
     }

@@ -30,9 +30,8 @@ impl App for SshServer {
         api.tcp_listen(22);
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let cmd = api.tcp_recv(s);
-            if cmd == b"uptime\n" {
+        if let AppEvent::Tcp(TcpEvent::Data(s, cmd)) = ev {
+            if &cmd[..] == b"uptime\n" {
                 api.tcp_send(s, b"up 42 days, load average: 0.02\n");
             }
         }
@@ -60,7 +59,7 @@ impl App for Admin {
                 api.tcp_connect(self.vm_hit, 22);
             }
             AppEvent::Tcp(TcpEvent::Connected(s)) => api.tcp_send(s, b"uptime\n"),
-            AppEvent::Tcp(TcpEvent::Data(s)) => self.output.extend(api.tcp_recv(s)),
+            AppEvent::Tcp(TcpEvent::Data(_, data)) => self.output.extend_from_slice(&data),
             _ => {}
         }
     }

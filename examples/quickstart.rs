@@ -26,8 +26,7 @@ impl App for Server {
         println!("[server] listening on port 7777 (host {})", api.host_name());
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(sock)) = ev {
-            let msg = api.tcp_recv(sock);
+        if let AppEvent::Tcp(TcpEvent::Data(sock, msg)) = ev {
             println!("[server] got {:?}", String::from_utf8_lossy(&msg));
             api.tcp_send(sock, b"hello from the other side of the tunnel");
         }
@@ -58,8 +57,7 @@ impl App for Client {
                 );
                 api.tcp_send(sock, b"ping through ESP");
             }
-            AppEvent::Tcp(TcpEvent::Data(sock)) => {
-                let msg = api.tcp_recv(sock);
+            AppEvent::Tcp(TcpEvent::Data(_, msg)) => {
                 println!(
                     "[client] got {:?} at t={}s",
                     String::from_utf8_lossy(&msg),

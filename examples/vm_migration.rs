@@ -37,10 +37,7 @@ impl App for Heartbeat {
                 }
                 api.set_timer(SimDuration::from_millis(250), 1);
             }
-            AppEvent::Tcp(TcpEvent::Data(s)) => {
-                let _ = api.tcp_recv(s);
-                self.echoes += 1;
-            }
+            AppEvent::Tcp(TcpEvent::Data(..)) => self.echoes += 1,
             _ => {}
         }
     }
@@ -58,8 +55,7 @@ impl App for Echo {
         api.tcp_listen(7);
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let d = api.tcp_recv(s);
+        if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
             api.tcp_send(s, d);
         }
     }

@@ -21,8 +21,7 @@ impl App for Echo {
         api.tcp_listen(7);
     }
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
-        if let AppEvent::Tcp(TcpEvent::Data(s)) = ev {
-            let d = api.tcp_recv(s);
+        if let AppEvent::Tcp(TcpEvent::Data(s, d)) = ev {
             api.tcp_send(s, d);
         }
     }
@@ -45,7 +44,7 @@ impl App for Caller {
     fn on_event(&mut self, ev: AppEvent, api: &mut HostApi) {
         match ev {
             AppEvent::Tcp(TcpEvent::Connected(s)) => api.tcp_send(s, b"through the whole stack"),
-            AppEvent::Tcp(TcpEvent::Data(s)) => self.reply.extend(api.tcp_recv(s)),
+            AppEvent::Tcp(TcpEvent::Data(_, data)) => self.reply.extend_from_slice(&data),
             _ => {}
         }
     }
