@@ -7,31 +7,38 @@
 //! by raising K (§IV-B of the paper).
 
 use crate::identity::Hit;
-use sim_crypto::sha256::{sha256_multi, Sha256};
+use sim_crypto::sha256::{compress_padded_block, sha256_multi, BLOCK_LEN};
 
 /// Maximum difficulty we accept (2^26 hashes ≈ seconds of work).
 pub const MAX_K: u8 = 26;
 
-/// A puzzle's fixed prefix `(I | HIT-I | HIT-R)` absorbed into a SHA-256
-/// midstate once, so each candidate `J` costs a single clone + 8-byte
-/// update + finalize instead of re-buffering all four segments.
-struct Midstate(Sha256);
+/// Where `J` sits in the hash input `I | HIT-I | HIT-R | J`.
+const J_AT: usize = 40;
+/// Length of the hash input.
+const INPUT_LEN: usize = J_AT + 8;
 
-impl Midstate {
+/// The hash input `I | HIT-I | HIT-R | J` as one padded SHA-256 block:
+/// 48 bytes, 0x80, zeros and the bit length. Each candidate `J` rewrites
+/// its 8 bytes and compresses the one block from the initial state.
+struct PuzzleBlock([u8; BLOCK_LEN]);
+
+impl PuzzleBlock {
     fn new(i: u64, initiator: &Hit, responder: &Hit) -> Self {
-        let mut h = Sha256::new();
-        h.update(&i.to_be_bytes());
-        h.update(&initiator.0);
-        h.update(&responder.0);
-        Midstate(h)
+        let mut block = [0u8; BLOCK_LEN];
+        block[..8].copy_from_slice(&i.to_be_bytes());
+        block[8..24].copy_from_slice(&initiator.0);
+        block[24..J_AT].copy_from_slice(&responder.0);
+        block[INPUT_LEN] = 0x80;
+        block[BLOCK_LEN - 8..].copy_from_slice(&(8 * INPUT_LEN as u64).to_be_bytes());
+        PuzzleBlock(block)
     }
 
-    fn low64(&self, j: u64) -> u64 {
-        let mut h = self.0.clone();
-        h.update(&j.to_be_bytes());
-        let digest = h.finalize();
-        // The check uses the low-order 64 bits (Ltrunc in the RFC).
-        u64::from_be_bytes(digest[24..32].try_into().expect("8 bytes"))
+    /// The low-order 64 bits of the hash for `j` (Ltrunc in the RFC):
+    /// the last two digest words.
+    fn low64(&mut self, j: u64) -> u64 {
+        self.0[J_AT..INPUT_LEN].copy_from_slice(&j.to_be_bytes());
+        let h = compress_padded_block(&self.0);
+        u64::from(h[6]) << 32 | u64::from(h[7])
     }
 }
 
@@ -70,13 +77,13 @@ pub fn solve(i: u64, k: u8, initiator: &Hit, responder: &Hit, j0: u64) -> (u64, 
     if k == 0 {
         return (j0, 1);
     }
-    let midstate = Midstate::new(i, initiator, responder);
+    let mut block = PuzzleBlock::new(i, initiator, responder);
     let mask = (1u64 << k) - 1;
     let mut j = j0;
     let mut attempts = 0u64;
     loop {
         attempts += 1;
-        if midstate.low64(j) & mask == 0 {
+        if block.low64(j) & mask == 0 {
             return (j, attempts);
         }
         j = j.wrapping_add(1);
@@ -86,6 +93,7 @@ pub fn solve(i: u64, k: u8, initiator: &Hit, responder: &Hit, j0: u64) -> (u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hits() -> (Hit, Hit) {
         (Hit([0xaa; 16]), Hit([0xbb; 16]))
@@ -160,45 +168,87 @@ mod tests {
         let _ = solve(1, MAX_K + 1, &hi, &hr, 0);
     }
 
-    /// Reference brute-force using the non-midstate hash path, for
-    /// proving the midstate solver bit-identical.
-    fn solve_reference(i: u64, k: u8, hi: &Hit, hr: &Hit, j0: u64) -> (u64, u64) {
+    /// The brute-force oracle built on `verify`: the first `j` at or
+    /// after `j0` (wrapping) that passes, and its distance plus one.
+    fn solve_oracle(i: u64, k: u8, hi: &Hit, hr: &Hit, j0: u64) -> (u64, u64) {
         let mut j = j0;
-        let mut attempts = 0u64;
-        loop {
-            attempts += 1;
-            if verify(i, k, hi, hr, j) {
-                return (j, attempts);
-            }
+        let mut attempts = 1u64;
+        while !verify(i, k, hi, hr, j) {
             j = j.wrapping_add(1);
+            attempts += 1;
         }
+        (j, attempts)
     }
 
     #[test]
-    fn midstate_solver_matches_reference_exactly() {
+    fn solver_matches_verify_oracle() {
         let (hi, hr) = hits();
-        for (i, k, j0) in [
-            (0x1234u64, 8u8, 0u64),
-            (7, 12, 0),
-            (99, 10, 0xdead_beef),
-            (0, 1, u64::MAX - 3), // exercises wrapping j
-            (42, 0, 17),
-        ] {
-            let fast = solve(i, k, &hi, &hr, j0);
-            let slow = solve_reference(i, k, &hi, &hr, j0);
-            assert_eq!(
-                fast, slow,
-                "i={i} k={k} j0={j0}: (j, attempts) must be identical"
+        for k in [0u8, 1, 8, 12] {
+            for (i, j0) in [
+                (0x1234u64, 0u64),
+                (7, 0xdead_beef),
+                (0, u64::MAX - 3),
+                (99, u64::MAX - 1),
+                (0xfeed, u64::MAX),
+            ] {
+                assert_eq!(
+                    solve(i, k, &hi, &hr, j0),
+                    solve_oracle(i, k, &hi, &hr, j0),
+                    "i={i:#x} k={k} j0={j0:#x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn solver_matches_verify_oracle_for_random_puzzles(
+            i in any::<u64>(),
+            k in 0u8..9,
+            hi in any::<[u8; 16]>(),
+            hr in any::<[u8; 16]>(),
+            j0 in any::<u64>(),
+        ) {
+            let (hi, hr) = (Hit(hi), Hit(hr));
+            prop_assert_eq!(
+                solve(i, k, &hi, &hr, j0),
+                solve_oracle(i, k, &hi, &hr, j0)
             );
         }
     }
 
     #[test]
-    fn midstate_hash_matches_multi_hash() {
+    fn solver_answers_are_pinned() {
+        // `(i, k, j0, HIT-I byte, HIT-R byte) => (j, attempts)`, recorded
+        // with the solver that hashed through a cloned `Sha256` midstate.
+        const KNOWN: [(u64, u8, u64, u8, u8, u64, u64); 9] = [
+            (0x1234, 1, 0x0, 0xaa, 0xbb, 0x0, 1),
+            (0x1234, 8, 0x0, 0xaa, 0xbb, 0x11b, 284),
+            (0x1234, 12, 0x0, 0xaa, 0xbb, 0x404, 1029),
+            (0x7, 12, 0xdead_beef, 0xaa, 0xbb, 0xdead_cb93, 3237),
+            (0x63, 10, u64::MAX - 3, 0xaa, 0xbb, 0x126, 299),
+            (0x0, 8, u64::MAX - 1, 0xaa, 0xbb, 0x195, 408),
+            (0xfeed_f00d, 12, u64::MAX - 2, 0x5c, 0xbb, 0x20df, 8419),
+            (0xfeed_f00d, 16, 1 << 40, 0xbb, 0x5c, 0x100_0000_ac4a, 44107),
+            (0x2a, 0, 0x11, 0xaa, 0xbb, 0x11, 1),
+        ];
+        for (i, k, j0, a, b, j, attempts) in KNOWN {
+            assert_eq!(
+                solve(i, k, &Hit([a; 16]), &Hit([b; 16]), j0),
+                (j, attempts),
+                "i={i:#x} k={k} j0={j0:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_hash_matches_multi_hash() {
         let (hi, hr) = hits();
-        let m = Midstate::new(0xfeed, &hi, &hr);
-        for j in 0..64u64 {
-            assert_eq!(m.low64(j), puzzle_hash(0xfeed, &hi, &hr, j));
+        let mut block = PuzzleBlock::new(0xfeed, &hi, &hr);
+        for j in (0..64u64).chain([u64::MAX - 1, u64::MAX, 1 << 63]) {
+            assert_eq!(block.low64(j), puzzle_hash(0xfeed, &hi, &hr, j));
         }
     }
 }

@@ -181,7 +181,7 @@ impl BigUint {
 
     /// Bits `lo .. lo + w` as a number (`w <= 64`); bits past the top
     /// read as zero.
-    fn bit_window(&self, lo: usize, w: usize) -> usize {
+    pub(crate) fn bit_window(&self, lo: usize, w: usize) -> usize {
         let (limb, off) = (lo / 64, lo % 64);
         let low = self.limbs.get(limb).map_or(0, |l| l >> off);
         let high = match off {
@@ -670,7 +670,7 @@ pub(crate) struct Montgomery<const N: usize> {
 }
 
 impl<const N: usize> Montgomery<N> {
-    fn new(m: &BigUint) -> Self {
+    pub(crate) fn new(m: &BigUint) -> Self {
         debug_assert!(!m.is_even() && m.limbs.len() <= N);
         // Newton iteration for the inverse of m[0] mod 2^64: each step
         // doubles the correct low bits, from 3 (odd m0 is its own inverse
@@ -698,6 +698,11 @@ impl<const N: usize> Montgomery<N> {
         out
     }
 
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.modulus
+    }
+
     /// The value 1 in the domain.
     pub(crate) fn one(&self) -> [u64; N] {
         self.one
@@ -714,7 +719,7 @@ impl<const N: usize> Montgomery<N> {
     }
 
     /// Maps a domain value back out: `x·R^-1 mod m`.
-    fn value_of(&self, x: &[u64; N]) -> BigUint {
+    pub(crate) fn value_of(&self, x: &[u64; N]) -> BigUint {
         let mut r = BigUint {
             limbs: self.redc_of(x).to_vec(),
         };
@@ -758,7 +763,7 @@ impl<const N: usize> Montgomery<N> {
     /// limb and shifts one limb down, so the running sum stays below `2m`
     /// and needs `N` limbs plus one carry bit.
     #[inline(always)] // keeps the exponent loop free of calls
-    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+    pub(crate) fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let m = &self.m;
         let mut t = [0u64; N];
         let mut hi = 0u64;

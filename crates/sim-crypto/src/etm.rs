@@ -169,13 +169,23 @@ mod ni {
         }
     }
 
-    /// MAC block 0: `aad` and as much of `ivct[..56]` as there is.
+    /// MAC block 0: `aad` and as much of `ivct[..56]` as there is. As
+    /// `ivct` is whole AES blocks, that is 16, 32, 48 or 56 bytes, copied
+    /// in fixed-size pieces (a copy of the variable length is a `memcpy`
+    /// call).
     #[inline(always)]
     fn first_block(aad: &[u8; AAD_LEN], ivct: &[u8]) -> [u8; SHA_BLOCK] {
         let mut block = [0u8; SHA_BLOCK];
-        let n = ivct.len().min(SHA_BLOCK - AAD_LEN);
         block[..AAD_LEN].copy_from_slice(aad);
-        block[AAD_LEN..AAD_LEN + n].copy_from_slice(&ivct[..n]);
+        for at in [0, BLOCK_LEN, 2 * BLOCK_LEN] {
+            if ivct.len() > at {
+                block[AAD_LEN + at..][..BLOCK_LEN].copy_from_slice(&ivct[at..][..BLOCK_LEN]);
+            }
+        }
+        if ivct.len() > 3 * BLOCK_LEN {
+            block[AAD_LEN + 3 * BLOCK_LEN..]
+                .copy_from_slice(&ivct[3 * BLOCK_LEN..SHA_BLOCK - AAD_LEN]);
+        }
         block
     }
 
@@ -191,29 +201,27 @@ mod ni {
         }
     }
 
-    /// Ends the MAC once `inner` has absorbed the ipad block and the
-    /// first `whole` MAC blocks: pads and hashes what follows them, then
-    /// hashes the inner digest from the outer midstate.
-    #[inline]
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    fn finish(
-        key: &HmacKey,
-        mut inner: Lanes,
-        first: &[u8; SHA_BLOCK],
-        whole: usize,
-        ivct: &[u8],
-    ) -> [u8; DIGEST_LEN] {
-        // With no whole block, all of `aad | ivct` is in `first`.
-        let tail = if whole == 0 {
+    /// The MAC input after its first `whole` blocks: the rest of `first`
+    /// when there is no whole block, else the end of `ivct`.
+    #[inline(always)]
+    fn mac_tail<'a>(first: &'a [u8; SHA_BLOCK], whole: usize, ivct: &'a [u8]) -> &'a [u8] {
+        if whole == 0 {
             &first[..AAD_LEN + ivct.len()]
         } else {
             &ivct[SHA_BLOCK * whole - AAD_LEN..]
-        };
-        inner.finish_tail(tail, (SHA_BLOCK + AAD_LEN + ivct.len()) as u64);
-        let mut outer = Lanes::from_state(&key.outer_state());
-        outer.finish_tail(&inner.digest(), (SHA_BLOCK + DIGEST_LEN) as u64);
-        outer.digest()
+        }
     }
+
+    /// The length of the inner hash's input: the ipad block and `aad |
+    /// ivct`.
+    #[inline(always)]
+    fn inner_len(ivct: &[u8]) -> u64 {
+        (SHA_BLOCK + AAD_LEN + ivct.len()) as u64
+    }
+
+    /// The length of the outer hash's input: the opad block and the inner
+    /// digest.
+    const OUTER_LEN: u64 = (SHA_BLOCK + DIGEST_LEN) as u64;
 
     /// MAC block `j` needs `ivct` up to byte `64j + 56`, i.e. blocks
     /// `..4j + 4`. Blocks `..4` are encrypted first; iteration `j` then
@@ -236,7 +244,12 @@ mod ni {
             lanes.compress_block(mac_block(&first, ivct, j));
         }
         debug_assert_eq!(done, blocks);
-        finish(key, lanes, &first, whole, ivct)
+        // The end of the MAC, here and in `open` (a shared target-feature
+        // function is not inlined, and may not be forced inline).
+        lanes.finish_tail(mac_tail(&first, whole, ivct), inner_len(ivct));
+        let mut outer = Lanes::from_state(&key.outer_state());
+        outer.finish_tail(&lanes.digest(), OUTER_LEN);
+        outer.digest()
     }
 
     /// The ciphertext is final on entry, so iteration `j` decrypts the
@@ -282,7 +295,10 @@ mod ni {
             store(b, p);
             prev = c;
         }
-        finish(key, lanes, &first, whole, ivct)
+        lanes.finish_tail(mac_tail(&first, whole, ivct), inner_len(ivct));
+        let mut outer = Lanes::from_state(&key.outer_state());
+        outer.finish_tail(&lanes.digest(), OUTER_LEN);
+        outer.digest()
     }
 }
 

@@ -9,7 +9,8 @@
 //! in one call, and [`Sha256::finalize`] builds the one or two padding
 //! blocks on the stack and compresses them in one call. (The stitched
 //! encrypt-then-MAC loops in `crate::etm` hash in SHA-NI lanes from
-//! midstates instead, padding included.) On x86-64 CPUs with the SHA
+//! midstates instead, padding included, and [`compress_padded_block`]
+//! compresses one block its caller padded.) On x86-64 CPUs with the SHA
 //! extensions (`is_x86_feature_detected!("sha")`, plus the SSSE3/SSE4.1
 //! shuffles it needs) the compression runs on `sha256rnds2`/`sha256msg1`/
 //! `sha256msg2` (private module `ni`); elsewhere the scalar rounds below
@@ -322,7 +323,16 @@ pub(crate) mod ni {
             debug_assert!(tail.len() < BLOCK_LEN);
             debug_assert_eq!(total_len % BLOCK_LEN as u64, tail.len() as u64);
             let mut pad = [0u8; 2 * BLOCK_LEN];
-            pad[..tail.len()].copy_from_slice(tail);
+            // The tail in power-of-two pieces, largest first: each is a
+            // fixed-size copy, written as moves, where one copy of the
+            // variable length is a `memcpy` call.
+            let mut at = 0;
+            for size in [32, 16, 8, 4, 2, 1] {
+                if tail.len() & size != 0 {
+                    pad[at..at + size].copy_from_slice(&tail[at..at + size]);
+                    at += size;
+                }
+            }
             pad[tail.len()] = 0x80;
             let two = tail.len() >= BLOCK_LEN - 8;
             let end = if two { 2 * BLOCK_LEN } else { BLOCK_LEN };
@@ -442,6 +452,18 @@ pub(crate) mod ni {
     }
 }
 
+/// Compresses one 64-byte `block` from the SHA-256 initial state and
+/// returns the chaining value. When `block` is a whole padded message (at
+/// most 55 bytes, then 0x80, zeros and the 64-bit big-endian bit length),
+/// that value is the message's digest as eight big-endian words. For a
+/// caller that hashes many such messages differing in a few bytes, such
+/// as the HIP puzzle solver.
+pub fn compress_padded_block(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+    let mut state = H0;
+    compress(&mut state, block);
+    state
+}
+
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new();
@@ -559,6 +581,20 @@ mod tests {
         for (len, digest) in PINNED {
             let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
             assert_eq!(hex(&sha256(&data)), digest, "len={len}");
+        }
+    }
+
+    #[test]
+    fn padded_block_is_the_digest_of_a_one_block_message() {
+        let data: Vec<u8> = (0..BLOCK_LEN - 8).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..BLOCK_LEN - 8 {
+            let mut block = [0u8; BLOCK_LEN];
+            block[..len].copy_from_slice(&data[..len]);
+            block[len] = 0x80;
+            block[BLOCK_LEN - 8..].copy_from_slice(&(8 * len as u64).to_be_bytes());
+            let words = compress_padded_block(&block);
+            let digest: Vec<u8> = words.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(digest, sha256(&data[..len]), "len={len}");
         }
     }
 
